@@ -16,11 +16,7 @@ from .graphs import (
     build_end_cut_graph,
     build_layout_graph,
     conflict_pairs,
-    connected_components,
-    find_bridges,
     generate_stitch_candidates,
-    preselect_end_cuts,
-    split_all_bridges,
 )
 from .endcut import EndCutCandidate, generate_all_end_cuts, generate_end_cut, merged_cut_rects
 from .ilp import (
@@ -76,11 +72,9 @@ __all__ = [
     "build_model_no_stitch",
     "build_model_with_stitch",
     "conflict_pairs",
-    "connected_components",
     "decompose_document",
     "emit_svg",
     "export_lp",
-    "find_bridges",
     "generate_all_end_cuts",
     "generate_end_cut",
     "generate_stitch_candidates",
@@ -89,10 +83,8 @@ __all__ = [
     "merged_cut_rects",
     "parse_layout",
     "parse_report",
-    "preselect_end_cuts",
     "random_layout",
     "solve",
-    "split_all_bridges",
     "write_layout",
     "write_report",
     "__version__",

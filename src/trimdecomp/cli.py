@@ -1,9 +1,9 @@
 """Decomposition pipeline and command line front end.
 
 decompose_document runs the whole flow on a parsed layout: conflict
-detection, cut generation, optional stitch insertion, the graph
-reductions, the exact solve, and reassembly into a report. main wraps it
-with file handling, artifact export, and a benchmark mode over a
+detection, cut generation, optional stitch insertion, the end-cut graph,
+one exact solve of the layout graph, and reassembly into a report. main
+wraps it with file handling, artifact export, and a benchmark mode over a
 directory of layouts.
 """
 
@@ -25,16 +25,12 @@ from .geometry import Metric, SpatialIndex
 from .graphs import (
     EndCutGraph,
     LayoutGraph,
-    apply_joint,
     build_end_cut_graph,
     build_layout_graph,
     conflict_pairs,
-    connected_components,
     end_cut_graph_dot,
     generate_stitch_candidates,
     layout_graph_dot,
-    preselect_end_cuts,
-    split_all_bridges,
 )
 from .ilp import (
     IlpModel,
@@ -49,7 +45,6 @@ from .layout_io import (
     LayoutDocument,
     LayoutParseError,
     StitchPoint,
-    VertexKey,
     emit_svg,
     fraction_to_decimal,
     parse_layout,
@@ -92,17 +87,13 @@ def decompose_document(
     *,
     stitch: bool | None = None,
     alpha: Fraction | None = None,
-    use_components: bool = True,
-    use_bridges: bool = True,
-    use_preselect: bool = True,
     metric: Metric = Metric.CHEBYSHEV,
     time_limit: float | None = None,
-    lexicographic: bool = True,
 ) -> DecompositionResult:
     """Decompose one layout exactly and package every output.
 
-    The keyword switches exist to measure the graph reductions; all of
-    them preserve the optimum, so any configuration returns the same cost.
+    The layout graph goes to a single solve call, which splits it into
+    independent blocks; comp# in the stats is that block count.
     """
     t_start = time.perf_counter()
     deadline = t_start + time_limit if time_limit is not None else None
@@ -136,40 +127,11 @@ def decompose_document(
     ecg = build_end_cut_graph(cuts, params, metric)
     stage("ecgraph")
 
-    if use_preselect:
-        reduced, preselected = preselect_end_cuts(g, ecg)
-    else:
-        reduced, preselected = g, ()
-    pieces = connected_components(reduced, ecg) if use_components else [reduced]
-    stage("reduce")
-
-    colors: dict[VertexKey, int] = {}
-    selected: set = set()
-    piece_total = Fraction(0)
-    nodes = 0
-    status = SolveStatus.OPTIMAL
-    for piece in pieces:
-        subs, joints = split_all_bridges(piece, ecg) if use_bridges else ([piece], [])
-        for sub in subs:
-            if params.stitch:
-                model = build_model_with_stitch(sub, ecg, params.alpha)
-            else:
-                model = build_model_no_stitch(sub, ecg)
-            remaining = None
-            if deadline is not None:
-                remaining = max(deadline - time.perf_counter(), 0.001)
-            sol = solve(model, time_limit=remaining, lexicographic=lexicographic)
-            if sol.status is SolveStatus.TIMEOUT:
-                status = SolveStatus.TIMEOUT
-            piece_total += sol.objective
-            nodes += sol.nodes
-            colors.update(sol.colors)
-            selected |= set(sol.selected)
-        for joint in reversed(joints):
-            apply_joint(colors, selected, joint)
-    for (u, v), cand in preselected:
-        if colors[u] == colors[v]:
-            selected.add(cand.pair)
+    remaining = None
+    if deadline is not None:
+        remaining = max(deadline - time.perf_counter(), 0.001)
+    sol = solve(g, ecg, params.alpha, time_limit=remaining)
+    colors, selected = sol.colors, sol.selected
     stage("solve")
 
     conflicts = []
@@ -184,9 +146,9 @@ def decompose_document(
         if colors[u] != colors[v]:
             stitches.append(sp)
     cost = Fraction(len(conflicts)) + params.alpha * len(stitches)
-    if cost != piece_total:
+    if cost != sol.objective:
         raise AssertionError(
-            f"cost bookkeeping mismatch: recount {cost} != solved {piece_total}"
+            f"cost bookkeeping mismatch: recount {cost} != solved {sol.objective}"
         )
     for pa, pb in ecg.ee_edges:
         if pa in selected and pb in selected:
@@ -202,13 +164,13 @@ def decompose_document(
     stage("report")
     stats = RunStats(
         wires=len(doc.shapes),
-        components=len(pieces),
+        components=sol.blocks,
         conflicts=len(conflicts),
         stitches=len(stitches),
         cost=cost,
         cpu_s=time.perf_counter() - t_start,
-        status=status,
-        nodes=nodes,
+        status=sol.status,
+        nodes=sol.nodes,
     )
     return DecompositionResult(
         document=doc,
@@ -253,9 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="allow stitches even when the layout file does not ask for them",
     )
-    ap.add_argument("--no-components", action="store_true", help="skip the component split")
-    ap.add_argument("--no-bridges", action="store_true", help="skip bridge decomposition")
-    ap.add_argument("--no-preselect", action="store_true", help="skip cut preselection")
     ap.add_argument("--alpha", type=_parse_alpha, help="stitch weight, e.g. 1/10 or 0.1")
     ap.add_argument("--time-limit", type=float, help="overall solve budget in seconds")
     ap.add_argument("--jobs", type=int, default=1, help="parallel layouts in directory mode")
@@ -275,9 +234,6 @@ def _run_one(path: Path, args: argparse.Namespace) -> DecompositionResult:
         doc,
         stitch=args.stitch,
         alpha=args.alpha,
-        use_components=not args.no_components,
-        use_bridges=not args.no_bridges,
-        use_preselect=not args.no_preselect,
         metric=Metric(args.metric),
         time_limit=args.time_limit,
     )
@@ -300,6 +256,11 @@ def main(argv: list[str] | None = None) -> int:
     except (LayoutParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (AssertionError, RecursionError) as exc:
+        # a failed bookkeeping check or an exhausted stack is a defect of
+        # this program, not of the input
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     for name, ms in result.stage_ms:
         print(f"stage={name} ms={ms}", file=sys.stderr)
     if args.out:

@@ -1,4 +1,4 @@
-"""Conflict and end-cut graphs plus the optimality-preserving reductions.
+"""Conflict and end-cut graphs.
 
 The layout graph has one vertex per feature segment. Conflict edges join
 segments of different features that sit within the same-mask spacing rule;
@@ -9,9 +9,8 @@ The end-cut graph has one vertex per candidate cut, spacing edges between
 cuts that are too close to print separately, and merge edges between cuts
 that could fuse into one trim shape.
 
-Reductions: neutral candidate edges can be deleted up front, connected
-components solve independently, and safe bridge edges split a component in
-two with a small reconciliation joint.
+The graphs are built here and solved as they are: ilp.solve is the one
+place that splits them into independent blocks.
 """
 
 from __future__ import annotations
@@ -54,30 +53,6 @@ class LayoutGraph:
     def vertices(self) -> list[VertexKey]:
         return sorted(self.segments)
 
-    def all_edges(self) -> list[EdgeKey]:
-        return sorted(self.conflict_edges) + sorted(self.stitch_edges)
-
-    def adjacency(self) -> dict[VertexKey, list[VertexKey]]:
-        adj: dict[VertexKey, list[VertexKey]] = {v: [] for v in self.segments}
-        for u, v in list(self.conflict_edges) + list(self.stitch_edges):
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj.values():
-            lst.sort()
-        return adj
-
-    def induced(self, verts: Iterable[VertexKey]) -> "LayoutGraph":
-        keep = set(verts)
-        return LayoutGraph(
-            segments={v: self.segments[v] for v in sorted(keep)},
-            conflict_edges={
-                e: c for e, c in self.conflict_edges.items() if e[0] in keep and e[1] in keep
-            },
-            stitch_edges={
-                e: sp for e, sp in self.stitch_edges.items() if e[0] in keep and e[1] in keep
-            },
-        )
-
 
 class EndCutGraph:
     def __init__(
@@ -89,17 +64,6 @@ class EndCutGraph:
         self.candidates = dict(candidates)
         self.ee_edges = frozenset(ee_edges)
         self.merge_edges = frozenset(merge_edges)
-        adj: dict[PairKey, list[PairKey]] = {}
-        for a, b in self.ee_edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        self._ee_adj = {p: tuple(sorted(ns)) for p, ns in adj.items()}
-
-    def ee_degree(self, pair: PairKey) -> int:
-        return len(self._ee_adj.get(pair, ()))
-
-    def ee_neighbors(self, pair: PairKey) -> tuple[PairKey, ...]:
-        return self._ee_adj.get(pair, ())
 
 
 def conflict_pairs(
@@ -271,222 +235,6 @@ def build_end_cut_graph(
             else:
                 ee.add((pa, order[j]))
     return EndCutGraph(cuts, ee, merges)
-
-
-def preselect_end_cuts(
-    g: LayoutGraph, ecg: EndCutGraph
-) -> tuple[LayoutGraph, tuple[tuple[EdgeKey, EndCutCandidate], ...]]:
-    """Remove conflict edges whose candidate cut constrains nothing else.
-
-    Such a cut can always be selected after the fact if the two segments
-    end up on the same mask, at zero cost, so deleting the edge preserves
-    the optimum. The removed edges are returned for that later selection.
-    """
-    removed: list[tuple[EdgeKey, EndCutCandidate]] = []
-    keep: dict[EdgeKey, EndCutCandidate | None] = {}
-    for e, cand in sorted(g.conflict_edges.items()):
-        if cand is not None and ecg.ee_degree(cand.pair) == 0:
-            removed.append((e, cand))
-        else:
-            keep[e] = cand
-    reduced = LayoutGraph(
-        segments=dict(g.segments),
-        conflict_edges=keep,
-        stitch_edges=dict(g.stitch_edges),
-    )
-    return reduced, tuple(removed)
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def connected_components(g: LayoutGraph, ecg: EndCutGraph | None = None) -> list[LayoutGraph]:
-    """Split into independently solvable subgraphs.
-
-    Besides conflict and stitch connectivity, two parts are inseparable
-    when a spacing edge ties a candidate in one to a candidate in the
-    other: selecting one cut then constrains the other part.
-    """
-    uf = _UnionFind(g.segments)
-    for u, v in list(g.conflict_edges) + list(g.stitch_edges):
-        uf.union(u, v)
-    if ecg is not None:
-        attach = {c.pair: e for e, c in g.conflict_edges.items() if c is not None}
-        for pa, pb in ecg.ee_edges:
-            ea, eb = attach.get(pa), attach.get(pb)
-            if ea is not None and eb is not None:
-                uf.union(ea[0], eb[0])
-    groups: dict[VertexKey, list[VertexKey]] = {}
-    for v in g.segments:
-        groups.setdefault(uf.find(v), []).append(v)
-    pieces = [g.induced(vs) for vs in groups.values()]
-    pieces.sort(key=lambda p: min(p.segments))
-    return pieces
-
-
-def find_bridges(g: LayoutGraph) -> list[EdgeKey]:
-    """Conflict edges whose removal disconnects the graph, found with an
-    iterative lowpoint search over conflict and stitch edges together."""
-    edges = g.all_edges()
-    adj: dict[VertexKey, list[tuple[VertexKey, int]]] = {v: [] for v in g.segments}
-    for idx, (u, v) in enumerate(edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-
-    disc: dict[VertexKey, int] = {}
-    low: dict[VertexKey, int] = {}
-    timer = 0
-    bridges: set[int] = set()
-    for root in g.vertices():
-        if root in disc:
-            continue
-        stack: list[tuple[VertexKey, int, int]] = [(root, -1, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, in_edge, ptr = stack[-1]
-            if ptr < len(adj[v]):
-                stack[-1] = (v, in_edge, ptr + 1)
-                w, eidx = adj[v][ptr]
-                if eidx == in_edge:
-                    continue
-                if w in disc:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, eidx, 0))
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        bridges.add(in_edge)
-    return sorted(e for i, e in enumerate(edges) if i in bridges and e in g.conflict_edges)
-
-
-@dataclass(frozen=True)
-class BridgeJoint:
-    """Reconnection record for one split bridge edge.
-
-    After both sides are solved, equal colours at the joint are repaired by
-    selecting the carried cut, or by flipping every colour on flip_side
-    when there is none; either way the joint itself costs nothing.
-    """
-
-    u: VertexKey
-    v: VertexKey
-    candidate: EndCutCandidate | None
-    flip_side: frozenset[VertexKey]
-
-
-def _side_of(g: LayoutGraph, e: EdgeKey) -> set[VertexKey]:
-    """Vertices reachable from e's first endpoint without crossing e."""
-    adj = g.adjacency()
-    u, v = e
-    seen = {u}
-    work = [u]
-    while work:
-        w = work.pop()
-        for n in adj[w]:
-            if w == u and n == v or w == v and n == u:
-                continue
-            if (edge_key(w, n)) == e:
-                continue
-            if n not in seen:
-                seen.add(n)
-                work.append(n)
-    return seen
-
-
-def split_on_bridge(g: LayoutGraph, e: EdgeKey) -> tuple[LayoutGraph, LayoutGraph, BridgeJoint]:
-    side_u = _side_of(g, e)
-    side_v = set(g.segments) - side_u
-    g1 = g.induced(side_u)
-    g2 = g.induced(side_v)
-    flip = side_v if len(side_v) <= len(side_u) else side_u
-    joint = BridgeJoint(
-        u=e[0], v=e[1], candidate=g.conflict_edges[e], flip_side=frozenset(flip)
-    )
-    return g1, g2, joint
-
-
-def _splittable_bridge(g: LayoutGraph, ecg: EndCutGraph | None) -> EdgeKey | None:
-    if len(g.segments) <= 2:
-        return None
-    bridges = find_bridges(g)
-    if not bridges:
-        return None
-    if ecg is None or not ecg.ee_edges:
-        return bridges[0]
-    attach = {c.pair: e for e, c in g.conflict_edges.items() if c is not None}
-    for e in bridges:
-        cand = g.conflict_edges[e]
-        if cand is not None and ecg.ee_degree(cand.pair) > 0:
-            continue  # selecting or skipping this cut interacts with others
-        side_u = _side_of(g, e)
-        crossing = False
-        for pa, pb in ecg.ee_edges:
-            ea, eb = attach.get(pa), attach.get(pb)
-            if ea is None or eb is None:
-                continue
-            if (ea[0] in side_u) != (eb[0] in side_u):
-                crossing = True
-                break
-        if not crossing:
-            return e
-    return None
-
-
-def split_all_bridges(
-    g: LayoutGraph, ecg: EndCutGraph | None = None
-) -> tuple[list[LayoutGraph], list[BridgeJoint]]:
-    """Recursively split at safe bridges; joints are returned in creation
-    order and must be reconciled in reverse."""
-    work = [g]
-    done: list[LayoutGraph] = []
-    joints: list[BridgeJoint] = []
-    while work:
-        h = work.pop()
-        e = _splittable_bridge(h, ecg)
-        if e is None:
-            done.append(h)
-            continue
-        g1, g2, joint = split_on_bridge(h, e)
-        joints.append(joint)
-        work.append(g1)
-        work.append(g2)
-    done.sort(key=lambda p: min(p.segments))
-    return done, joints
-
-
-def apply_joint(
-    colors: dict[VertexKey, int],
-    selected: set[PairKey],
-    joint: BridgeJoint,
-) -> None:
-    if colors[joint.u] != colors[joint.v]:
-        return
-    if joint.candidate is not None:
-        selected.add(joint.candidate.pair)
-        return
-    for w in joint.flip_side:
-        colors[w] ^= 1
 
 
 def layout_graph_dot(g: LayoutGraph) -> str:

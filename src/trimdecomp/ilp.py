@@ -14,11 +14,15 @@ follows the colour difference across each stitch edge
 per conflict and alpha per stitch, scaled to integers by alpha's
 denominator so all arithmetic stays exact.
 
-The solver is exact branch and bound over each independent block of the
-model: a greedy two-colouring with a small local search seeds the
-incumbent, branching follows falling conflict degree, cut decisions are
-resolved at the leaves, and an optional second pass canonicalises the
-optimum to the lexicographically smallest mask vector."""
+IlpModel spells this formulation out with named variables and rows; it
+is built only for LP export and for checking. solve works on the layout
+graph itself, through integer edge arrays: it splits the graph into
+independent blocks (linked by conflict, stitch or cut-spacing edges) and
+runs exact branch and bound over each. A greedy two-colouring with a
+small local search seeds the incumbent, branching follows falling
+conflict degree, cut decisions are resolved at the leaves, and an
+optional second pass canonicalises the optimum to the lexicographically
+smallest mask vector."""
 
 from __future__ import annotations
 
@@ -54,17 +58,14 @@ class IlpModel:
     ec_of: dict[PairKey, int]
     c_of: dict[EdgeKey, int]
     s_of: dict[EdgeKey, int]
-    ce_edges: tuple[tuple[VertexKey, VertexKey, PairKey | None], ...]
-    se_edges: tuple[EdgeKey, ...]
-    ee_edges: tuple[tuple[PairKey, PairKey], ...]
 
 
 @dataclass(frozen=True)
 class IlpSolution:
-    values: dict[str, int]
     objective: Fraction
     status: SolveStatus
     nodes: int
+    blocks: int
     colors: dict[VertexKey, int]
     selected: frozenset[PairKey]
 
@@ -103,7 +104,6 @@ def _build(
     s_of = {(u, v): add_var(f"s_{u[0]}_{u[1]}_{v[1]}", "s", snum) for u, v in se_list}
 
     rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
-    ce_meta: list[tuple[VertexKey, VertexKey, PairKey | None]] = []
     for (u, v), cand in ce_list:
         xi, xj, ci = x_of[u], x_of[v], c_of[(u, v)]
         if cand is not None:
@@ -112,21 +112,17 @@ def _build(
             rows.append((((xi, -1), (xj, -1), (ci, -1), (ei, -1)), -1))
             rows.append((((ei, 1), (xi, 1), (xj, -1)), 1))
             rows.append((((ei, 1), (xj, 1), (xi, -1)), 1))
-            ce_meta.append((u, v, cand.pair))
         else:
             rows.append((((xi, 1), (xj, 1), (ci, -1)), 1))
             rows.append((((xi, -1), (xj, -1), (ci, -1)), -1))
-            ce_meta.append((u, v, None))
     for u, v in se_list:
         xi, xj, si = x_of[u], x_of[v], s_of[(u, v)]
         rows.append((((xi, 1), (xj, -1), (si, -1)), 0))
         rows.append((((xj, 1), (xi, -1), (si, -1)), 0))
-    ee_used: list[tuple[PairKey, PairKey]] = []
     if ecg is not None:
         for pa, pb in sorted(ecg.ee_edges):
             if pa in ec_of and pb in ec_of:
                 rows.append((((ec_of[pa], 1), (ec_of[pb], 1)), 1))
-                ee_used.append((pa, pb))
 
     return IlpModel(
         names=tuple(names),
@@ -139,9 +135,6 @@ def _build(
         ec_of=ec_of,
         c_of=c_of,
         s_of=s_of,
-        ce_edges=tuple(ce_meta),
-        se_edges=tuple(se_list),
-        ee_edges=tuple(ee_used),
     )
 
 
@@ -164,10 +157,11 @@ class _LexBudget(Exception):
 
 
 class _CompSolver:
-    """Exact search over one independent block of the model.
+    """Exact search over one independent block of the layout graph.
 
-    Local variable ids 0..m-1 follow the canonical (ascending global index)
-    order; branch order and the reported colouring both map back to it."""
+    Local variable ids 0..m-1 follow the canonical (ascending segment
+    index) order; branch order and the reported colouring both map back
+    to it."""
 
     def __init__(
         self,
@@ -203,7 +197,7 @@ class _CompSolver:
         self.best_colors: list[int] = [0] * self.m
         self.best_sel: set[PairKey] = set()
         self.timed_out = False
-        self._lex_budget: list[int] | None = None
+        self._lex_budget = 0
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -212,10 +206,9 @@ class _CompSolver:
                 raise _Timeout
 
     def _spend(self) -> None:
-        if self._lex_budget is not None:
-            self._lex_budget[0] -= 1
-            if self._lex_budget[0] < 0:
-                raise _LexBudget
+        self._lex_budget -= 1
+        if self._lex_budget < 0:
+            raise _LexBudget
 
     # -- incumbent -------------------------------------------------------
 
@@ -406,11 +399,11 @@ class _CompSolver:
 
     # -- lexicographic canonicalisation -----------------------------------
 
-    def lex_minimise(self, budget: list[int]) -> None:
+    def lex_minimise(self, budget: int) -> None:
         """Rewrite the stored optimum as the lexicographically smallest
-        colour vector with the same cost. The shared node allowance makes
+        colour vector with the same cost. The block's node allowance makes
         an oversized canonicalisation abort deterministically, keeping the
-        first-phase answer."""
+        best vector found so far."""
         m = self.m
         eval_at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         for a, b, pair in self.ce:
@@ -430,8 +423,6 @@ class _CompSolver:
                     self.best_sel = sel
         except _LexBudget:
             pass
-        finally:
-            self._lex_budget = None
 
     def _assign_cost(
         self,
@@ -536,21 +527,47 @@ class _CompSolver:
 
 
 def solve(
-    model: IlpModel,
+    g: LayoutGraph,
+    ecg: EndCutGraph | None,
+    alpha: Fraction,
+    *,
     time_limit: float | None = None,
     lexicographic: bool = True,
     node_budget: int = 200_000,
 ) -> IlpSolution:
-    """Minimise the model exactly.
+    """Minimise conflicts plus alpha times stitches on the layout graph.
 
-    Independent blocks (linked by conflict, stitch, or cut-spacing
-    relations) are searched separately and the optima summed. The status is
-    TIMEOUT when any block ran out of time, in which case its greedy
-    incumbent stands in for the exact answer."""
+    This is the one place the problem splits: blocks linked by conflict,
+    stitch or cut-spacing edges are searched separately, each with its own
+    lexicographic allowance of node_budget probes, and the optima summed.
+    A candidate cut with no spacing edge links nothing; it is selected
+    afterwards wherever its two segments share a mask, at no cost. The
+    status is TIMEOUT when any block ran out of time, in which case its
+    greedy incumbent stands in for the exact answer."""
+    if alpha < 0:
+        raise ModelError("alpha must be non-negative")
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    xn = len(model.x_of)
+    verts = sorted(g.segments)
+    idx = {v: i for i, v in enumerate(verts)}
+    spaced: set[PairKey] = set()
+    ee_all: list[tuple[PairKey, PairKey]] = []
+    if ecg is not None:
+        ee_all = sorted(ecg.ee_edges)
+        spaced = {p for e in ee_all for p in e}
+    ce: list[tuple[int, int, PairKey | None]] = []
+    free: list[tuple[int, int, PairKey]] = []
+    for (u, v), cand in sorted(g.conflict_edges.items()):
+        if cand is None:
+            ce.append((idx[u], idx[v], None))
+        elif cand.pair in spaced:
+            ce.append((idx[u], idx[v], cand.pair))
+        else:
+            free.append((idx[u], idx[v], cand.pair))
+    se = [(idx[u], idx[v]) for u, v in sorted(g.stitch_edges)]
+    pair_home = {pair: a for a, _, pair in ce if pair is not None}
+    ee = [(pa, pb) for pa, pb in ee_all if pa in pair_home and pb in pair_home]
 
-    parent = list(range(xn))
+    parent = list(range(len(verts)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -558,93 +575,72 @@ def solve(
             i = parent[i]
         return i
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    ce = [(model.x_of[u], model.x_of[v], pair) for u, v, pair in model.ce_edges]
-    se = [(model.x_of[u], model.x_of[v]) for u, v in model.se_edges]
-    pair_home = {pair: a for a, _, pair in ce if pair is not None}
     for a, b, _ in ce:
-        union(a, b)
+        parent[find(a)] = find(b)
     for a, b in se:
-        union(a, b)
-    for pa, pb in model.ee_edges:
-        union(pair_home[pa], pair_home[pb])
+        parent[find(a)] = find(b)
+    for pa, pb in ee:
+        parent[find(pair_home[pa])] = find(pair_home[pb])
 
-    comp_vars: dict[int, list[int]] = {}
-    for i in range(xn):
-        comp_vars.setdefault(find(i), []).append(i)
-    comps = sorted(comp_vars.values(), key=min)
-    comp_id: dict[int, int] = {}
-    for ci, vs in enumerate(comps):
-        for v in vs:
-            comp_id[v] = ci
-    ce_by_comp: dict[int, list] = {ci: [] for ci in range(len(comps))}
-    se_by_comp: dict[int, list] = {ci: [] for ci in range(len(comps))}
-    ee_by_comp: dict[int, list] = {ci: [] for ci in range(len(comps))}
-    for a, b, pair in ce:
-        ce_by_comp[comp_id[a]].append((a, b, pair))
-    for a, b in se:
-        se_by_comp[comp_id[a]].append((a, b))
-    for pa, pb in model.ee_edges:
-        ee_by_comp[comp_id[pair_home[pa]]].append((pa, pb))
+    block_of: dict[int, int] = {}
+    blocks: list[list[int]] = []
+    for i in range(len(verts)):
+        root = find(i)
+        if root not in block_of:
+            block_of[root] = len(blocks)
+            blocks.append([])
+        blocks[block_of[root]].append(i)
+    ce_by: list[list[tuple[int, int, PairKey | None]]] = [[] for _ in blocks]
+    se_by: list[list[tuple[int, int]]] = [[] for _ in blocks]
+    ee_by: list[list[tuple[PairKey, PairKey]]] = [[] for _ in blocks]
+    for e in ce:
+        ce_by[block_of[find(e[0])]].append(e)
+    for e in se:
+        se_by[block_of[find(e[0])]].append(e)
+    for e in ee:
+        ee_by[block_of[find(pair_home[e[0]])]].append(e)
 
+    scale = alpha.denominator
     total = 0
     nodes = 0
     timed_out = False
-    colors_by_idx: dict[int, int] = {}
+    color_of = [0] * len(verts)
     selected: set[PairKey] = set()
-    lex_budget = [node_budget]
-    for ci, vs in enumerate(comps):
-        gvars = sorted(vs)
+    for bi, gvars in enumerate(blocks):
         comp = _CompSolver(
-            gvars,
-            ce_by_comp[ci],
-            se_by_comp[ci],
-            ee_by_comp[ci],
-            model.scale,
-            model.alpha.numerator,
-            deadline,
+            gvars, ce_by[bi], se_by[bi], ee_by[bi], scale, alpha.numerator, deadline
         )
         comp.run()
         if comp.timed_out:
             timed_out = True
         elif lexicographic:
-            comp.lex_minimise(lex_budget)
+            comp.lex_minimise(node_budget)
         total += comp.best
         nodes += comp.nodes
-        for lv, gidx in enumerate(gvars):
-            colors_by_idx[gidx] = comp.best_colors[lv]
+        for lv, gi in enumerate(gvars):
+            color_of[gi] = comp.best_colors[lv]
         selected |= comp.best_sel
+    for a, b, pair in free:
+        if color_of[a] == color_of[b]:
+            selected.add(pair)
 
-    colors = {v: colors_by_idx[i] for v, i in model.x_of.items()}
-    values: dict[str, int] = {}
-    for v, i in model.x_of.items():
-        values[model.names[i]] = colors[v]
-    for p, i in model.ec_of.items():
-        values[model.names[i]] = 1 if p in selected else 0
+    colors = {v: color_of[i] for i, v in enumerate(verts)}
     check = 0
-    for u, v, pair in model.ce_edges:
-        conflict = colors[u] == colors[v] and (pair is None or pair not in selected)
-        values[model.names[model.c_of[(u, v)]]] = int(conflict)
-        if conflict:
-            check += model.scale
-    for u, v in model.se_edges:
-        stitched = colors[u] != colors[v]
-        values[model.names[model.s_of[(u, v)]]] = int(stitched)
-        if stitched:
-            check += model.alpha.numerator
+    for (u, v), cand in g.conflict_edges.items():
+        if colors[u] == colors[v] and (cand is None or cand.pair not in selected):
+            check += scale
+    for u, v in g.stitch_edges:
+        if colors[u] != colors[v]:
+            check += alpha.numerator
     if check != total:
         raise AssertionError(
             f"solution bookkeeping mismatch: recount {check} != search total {total}"
         )
     return IlpSolution(
-        values=values,
-        objective=Fraction(total, model.scale),
+        objective=Fraction(total, scale),
         status=SolveStatus.TIMEOUT if timed_out else SolveStatus.OPTIMAL,
         nodes=nodes,
+        blocks=len(blocks),
         colors=colors,
         selected=frozenset(selected),
     )

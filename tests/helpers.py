@@ -1,9 +1,9 @@
 """Shared oracles and generators for the test suite.
 
 Everything here recomputes answers by a route the package itself never
-takes: plain enumeration over all assignments, a deletion-based bridge
-check, and an external mixed-integer solve of the exported LP text. Tests
-compare the package against these, never against itself.
+takes: plain enumeration over all assignments and an external
+mixed-integer solve of the exported LP text. Tests compare the package
+against these, never against itself.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from trimdecomp.endcut import BoxKind, EndCutBox, EndCutCandidate
 from trimdecomp.geometry import Rect
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
-from trimdecomp.ilp import IlpModel
+from trimdecomp.ilp import IlpModel, IlpSolution
 from trimdecomp.layout_io import StitchPoint
 
 
@@ -47,6 +47,21 @@ def enumerate_model(model: IlpModel) -> tuple[Fraction, dict[str, int]]:
     row = int(np.flatnonzero(optimal)[np.argmin(key[optimal])])
     witness = {model.names[i]: int(bits[row, i]) for i in x_cols}
     return Fraction(best, model.scale), witness
+
+
+def solution_values(g: LayoutGraph, model: IlpModel, sol: IlpSolution) -> dict[str, int]:
+    """Every variable of the model built from g, by name, read off a
+    solution of g: masks and cuts as solved, conflict and stitch
+    indicators derived from them."""
+    values = {model.names[i]: sol.colors[v] for v, i in model.x_of.items()}
+    for pair, i in model.ec_of.items():
+        values[model.names[i]] = int(pair in sol.selected)
+    for (u, v), cand in g.conflict_edges.items():
+        cut = cand is not None and cand.pair in sol.selected
+        values[model.names[model.c_of[(u, v)]]] = int(sol.colors[u] == sol.colors[v] and not cut)
+    for (u, v), i in model.s_of.items():
+        values[model.names[i]] = int(sol.colors[u] != sol.colors[v])
+    return values
 
 
 def enumerate_layout_optimum(
@@ -88,29 +103,6 @@ def enumerate_layout_optimum(
             best = cost
     assert best is not None
     return best
-
-
-def bridge_oracle(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Edges whose deletion disconnects their endpoints, found by BFS."""
-
-    def connected(skip: int) -> bool:
-        a, b = edges[skip]
-        adj: dict[int, list[int]] = {v: [] for v in range(n)}
-        for i, (u, v) in enumerate(edges):
-            if i != skip:
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = {a}
-        queue = [a]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return b in seen
-
-    return sorted(edges[i] for i in range(len(edges)) if not connected(i))
 
 
 def _dummy_candidate(pair: tuple[int, int]) -> EndCutCandidate:

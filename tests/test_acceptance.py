@@ -10,15 +10,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import enumerate_model, random_model_graph
+from helpers import enumerate_model, milp_optimum, random_model_graph
 from test_endcut import bar, cut_between, params
 from test_ilp import build_for
 
-from trimdecomp.cli import RunStats, decompose_document, stats_line
+from trimdecomp.cli import RunStats, build_full_model, decompose_document, stats_line
 from trimdecomp.endcut import BoxKind
 from trimdecomp.geometry import Rect, RectilinearShape, SpatialIndex
 from trimdecomp.graphs import conflict_pairs
-from trimdecomp.ilp import SolveStatus, solve
+from trimdecomp.ilp import SolveStatus, export_lp, solve
 from trimdecomp.layout_io import fraction_to_decimal, parse_layout
 from trimdecomp.synth import grid_layout, random_layout
 
@@ -37,7 +37,7 @@ def test_criterion_1_solver_matches_exhaustive_enumeration():
         m = build_for(g, ecg, alpha)
         assert len(m.names) <= 12
         want, _ = enumerate_model(m)
-        sol = solve(m)
+        sol = solve(g, ecg, alpha)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == want
     elapsed = time.perf_counter() - started
@@ -46,15 +46,16 @@ def test_criterion_1_solver_matches_exhaustive_enumeration():
 
 
 def test_criterion_2_reductions_preserve_optimal_cost():
+    # the block split and the spacing-free cuts left out of the search must
+    # not change the optimum of the full, unreduced model
     for seed in range(100):
         doc = random_layout(seed=seed)
         assert len(doc.shapes) <= 40
-        fast = decompose_document(doc)
-        slow = decompose_document(
-            doc, use_components=False, use_bridges=False, use_preselect=False
-        )
-        assert fast.stats.cost == slow.stats.cost, f"seed {seed}"
-    verdict(2, "100 layouts cost-identical with reductions on and off")
+        for stitch in (False, True):
+            result = decompose_document(doc, stitch=stitch)
+            want = milp_optimum(export_lp(build_full_model(result)))
+            assert result.stats.cost == want, f"seed {seed} stitch {stitch}"
+    verdict(2, "100 layouts, plain and stitched, cost-identical to an external MILP")
 
 
 def test_criterion_3_stitching_never_costs_more():
@@ -167,24 +168,22 @@ def test_criterion_6_encoding_matches_direct_edge_counting():
     verdict(6, "10000 sampled assignments price identically in model and layout")
 
 
-def test_criterion_7_bridge_finder_matches_deletion_oracle():
-    from helpers import bridge_oracle
-    from test_graphs import abstract_graph
-    from trimdecomp.graphs import find_bridges
-
-    rng = random.Random(777)
-    for _ in range(200):
-        n = rng.randint(2, 8)
-        m = rng.randint(1, min(12, n * (n - 1) // 2))
-        edges = set()
-        while len(edges) < m:
-            a, b = rng.sample(range(1, n + 1), 2)
-            edges.add((min(a, b), max(a, b)))
-        edges = sorted(edges)
-        g, _ = abstract_graph(n, edges)
-        got = [(u[0], v[0]) for u, v in find_bridges(g)]
-        assert got == bridge_oracle(n + 1, edges)
-    verdict(7, "bridge sets equal the deletion oracle on 200 random graphs")
+def test_criterion_7_pipeline_tie_break_matches_enumeration():
+    checked = 0
+    for seed in range(200):
+        for stitch in (False, True):
+            result = decompose_document(random_layout(seed, clusters=1, stitch=stitch))
+            model = build_full_model(result)
+            if len(model.names) > 16:
+                continue
+            cost, witness = enumerate_model(model)
+            masks = result.report.masks
+            got = {model.names[i]: "AB".index(masks[v]) for v, i in model.x_of.items()}
+            assert result.stats.cost == cost, f"seed {seed} stitch {stitch}"
+            assert got == witness, f"seed {seed} stitch {stitch}"
+            checked += 1
+    assert checked == 294
+    verdict(7, f"{checked} layouts report the lexicographically least optimal masks")
 
 
 def test_criterion_8_cost_prints_as_exact_decimal():

@@ -2,6 +2,9 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+import trimdecomp.cli
 from trimdecomp.cli import main
 from trimdecomp.geometry import Rect
 from trimdecomp.layout_io import parse_report
@@ -93,22 +96,6 @@ def test_stitch_flag_enables_splitting(tmp_path, capsys):
     assert "conflict# 0" in out and "stitch# 1" in out and "cost 0.1" in out
 
 
-def test_reduction_toggles_do_not_change_cost(capsys):
-    combos = [
-        (),
-        ("--no-components",),
-        ("--no-bridges",),
-        ("--no-preselect",),
-        ("--no-components", "--no-bridges", "--no-preselect"),
-    ]
-    costs = set()
-    for extra in combos:
-        code, out, _ = run(capsys, "--input", str(LAYOUTS / "cluster7.lay"), *extra)
-        assert code == 0
-        costs.add(out.split("cost ")[1].split()[0])
-    assert costs == {"1.0"}
-
-
 def test_euclidean_metric_runs(capsys):
     code, out, _ = run(
         capsys, "--input", str(LAYOUTS / "cluster7.lay"), "--metric", "euclidean"
@@ -153,3 +140,15 @@ def test_malformed_layout_fails(tmp_path, capsys):
     code, _, err = run(capsys, "--input", str(bad))
     assert code == 1
     assert "error:" in err and "lower-left" in err
+
+
+@pytest.mark.parametrize("error", [AssertionError, RecursionError])
+def test_internal_error_is_reported_not_raised(monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error("solver defect")
+
+    monkeypatch.setattr(trimdecomp.cli, "solve", broken)
+    code, out, err = run(capsys, "--input", str(LAYOUTS / "cluster7.lay"))
+    assert code == 2
+    assert not out
+    assert err == f"error: internal: {error.__name__}: solver defect\n"

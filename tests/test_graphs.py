@@ -1,26 +1,16 @@
-import random
 from pathlib import Path
 
-import pytest
-
-from helpers import bridge_oracle, _dummy_candidate
+from helpers import _dummy_candidate
 
 from trimdecomp.geometry import Metric, Rect, RectilinearShape, SpatialIndex
 from trimdecomp.graphs import (
-    EndCutGraph,
     LayoutGraph,
-    apply_joint,
     build_end_cut_graph,
     build_layout_graph,
     conflict_pairs,
-    connected_components,
     end_cut_graph_dot,
-    find_bridges,
     generate_stitch_candidates,
     layout_graph_dot,
-    preselect_end_cuts,
-    split_all_bridges,
-    split_on_bridge,
 )
 from trimdecomp.endcut import generate_all_end_cuts
 from trimdecomp.layout_io import parse_layout
@@ -128,48 +118,6 @@ def test_stitch_candidate_reattaches_to_nearest_segment():
     assert ((1, 1), (2, 1)) not in g2.conflict_edges
 
 
-def test_components_split_and_ee_coupling():
-    # two conflicting pairs, far apart; variant b pulls their cuts close
-    # enough that selecting both is forbidden, coupling the components
-    base = (
-        "layout t\nparam dis_m 120\nparam hlow 20\nparam wlow 20\nparam dis_c {dc}\n"
-        "rect 1 0 0 200 40\nrect 2 260 0 460 40\n"
-        "rect 3 0 -300 200 -260\nrect 4 260 -300 460 -260\n"
-    )
-    doc = parse_layout(base.format(dc=120))
-    g, ecg, cuts = graph_for(doc)
-    assert sorted(cuts) == [(1, 2), (3, 4)]
-    assert not ecg.ee_edges
-    assert len(connected_components(g, ecg)) == 2
-
-    doc2 = parse_layout(base.format(dc=300))
-    g2, ecg2, _ = graph_for(doc2)
-    assert ecg2.ee_edges == frozenset({((1, 2), (3, 4))})
-    assert len(connected_components(g2, ecg2)) == 1
-    assert len(connected_components(g2, None)) == 2
-
-
-def test_preselect_removes_unconstrained_cut_edges():
-    doc = load("endcut_demo.lay")
-    g, ecg, _ = graph_for(doc)
-    reduced, removed = preselect_end_cuts(g, ecg)
-    assert [c.pair for _, c in removed] == [(2, 3)]
-    assert set(reduced.conflict_edges) == {((1, 0), (2, 0)), ((1, 0), (3, 0))}
-    assert reduced.segments == g.segments
-
-
-def test_preselect_keeps_spacing_constrained_cuts():
-    doc = parse_layout(
-        "layout t\nparam dis_m 120\nparam hlow 20\nparam wlow 20\nparam dis_c 300\n"
-        "rect 1 0 0 200 40\nrect 2 260 0 460 40\n"
-        "rect 3 0 -300 200 -260\nrect 4 260 -300 460 -260\n"
-    )
-    g, ecg, _ = graph_for(doc)
-    reduced, removed = preselect_end_cuts(g, ecg)
-    assert removed == ()
-    assert set(reduced.conflict_edges) == set(g.conflict_edges)
-
-
 def abstract_graph(n, edges, cands=(), stitches=()):
     segs = {(i, 0): (Rect.of(i * 1000, 0, i * 1000 + 10, 10),) for i in range(1, n + 1)}
     ce = {}
@@ -184,64 +132,6 @@ def abstract_graph(n, edges, cands=(), stitches=()):
     return LayoutGraph(segments=segs, conflict_edges=ce, stitch_edges={}), cmap
 
 
-def test_find_bridges_matches_deletion_oracle():
-    rng = random.Random(404)
-    for _ in range(250):
-        n = rng.randint(2, 9)
-        m = rng.randint(1, min(12, n * (n - 1) // 2))
-        edges = set()
-        while len(edges) < m:
-            a, b = rng.sample(range(1, n + 1), 2)
-            edges.add((min(a, b), max(a, b)))
-        edges = sorted(edges)
-        g, _ = abstract_graph(n, edges)
-        got = find_bridges(g)
-        want = bridge_oracle(n + 1, edges)
-        assert [(u[0], v[0]) for u, v in got] == want
-
-
-def test_split_on_bridge_partitions_vertices():
-    g, cmap = abstract_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], cands={(2, 3)})
-    bridges = find_bridges(g)
-    assert len(bridges) == 4
-    g1, g2, joint = split_on_bridge(g, (((2, 0), (3, 0))))
-    sides = {frozenset(v[0] for v in g1.segments), frozenset(v[0] for v in g2.segments)}
-    assert sides == {frozenset({1, 2}), frozenset({3, 4, 5})}
-    assert joint.candidate is cmap[(2, 3)]
-    assert {v[0] for v in joint.flip_side} == {1, 2}  # smaller side flips
-
-
-def test_apply_joint_selects_cut_or_flips():
-    g, cmap = abstract_graph(4, [(1, 2), (2, 3), (3, 4)], cands={(2, 3)})
-    _, _, joint = split_on_bridge(g, ((2, 0), (3, 0)))
-    colors = {(1, 0): 0, (2, 0): 1, (3, 0): 1, (4, 0): 0}
-    selected = set()
-    apply_joint(colors, selected, joint)
-    assert selected == {(2, 3)}
-    assert colors[(2, 0)] == 1  # nothing flipped
-
-    _, _, joint2 = split_on_bridge(g, ((3, 0), (4, 0)))
-    colors = {(1, 0): 0, (2, 0): 1, (3, 0): 0, (4, 0): 0}
-    selected = set()
-    apply_joint(colors, selected, joint2)
-    assert selected == set()
-    assert colors[(4, 0)] == 1  # bridge endpoint colours now differ
-    assert colors[(3, 0)] == 0
-
-
-def test_split_all_bridges_respects_cut_spacing():
-    # path 1-2-3 where both edges carry cuts that exclude each other:
-    # splitting either bridge would lose the exclusion, so neither splits
-    g, cmap = abstract_graph(3, [(1, 2), (2, 3)], cands={(1, 2), (2, 3)})
-    ecg = EndCutGraph(cmap, frozenset({((1, 2), (2, 3))}), frozenset())
-    pieces, joints = split_all_bridges(g, ecg)
-    assert len(pieces) == 1 and not joints
-    # with independent cuts the path splits until pieces are trivial
-    ecg_free = EndCutGraph(cmap, frozenset(), frozenset())
-    pieces2, joints2 = split_all_bridges(g, ecg_free)
-    assert len(pieces2) == 2 and len(joints2) == 1
-
-
 def test_dot_outputs():
     doc = load("endcut_demo.lay")
     g, ecg, _ = graph_for(doc)
@@ -251,10 +141,3 @@ def test_dot_outputs():
     assert 'label="cut"' in dot  # the 2-3 edge is repairable
     ec = end_cut_graph_dot(ecg)
     assert '"2-3"' in ec
-
-
-def test_induced_subgraph_keeps_incident_edges_only():
-    g, _ = abstract_graph(4, [(1, 2), (2, 3), (3, 4)])
-    sub = g.induced([(1, 0), (2, 0), (3, 0)])
-    assert set(sub.conflict_edges) == {((1, 0), (2, 0)), ((2, 0), (3, 0))}
-    assert sorted(sub.segments) == [(1, 0), (2, 0), (3, 0)]

@@ -8,6 +8,7 @@ from helpers import (
     enumerate_model,
     milp_optimum,
     random_model_graph,
+    solution_values,
 )
 from test_graphs import abstract_graph, graph_for
 
@@ -96,10 +97,11 @@ def test_solver_matches_enumeration_on_random_models():
         g, ecg, alpha = random_model_graph(rng)
         m = build_for(g, ecg, alpha)
         want_value, want_x = enumerate_model(m)
-        sol = solve(m)
+        sol = solve(g, ecg, alpha)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == want_value
-        assert {n: sol.values[n] for n in want_x} == want_x
+        values = solution_values(g, m, sol)
+        assert {n: values[n] for n in want_x} == want_x
 
 
 def test_solution_values_are_internally_consistent():
@@ -107,9 +109,10 @@ def test_solution_values_are_internally_consistent():
     for _ in range(60):
         g, ecg, alpha = random_model_graph(rng)
         m = build_for(g, ecg, alpha)
-        sol = solve(m)
+        sol = solve(g, ecg, alpha)
         # every constraint of the model holds under the reported values
-        vals = [sol.values[n] for n in m.names]
+        values = solution_values(g, m, sol)
+        vals = [values[n] for n in m.names]
         for terms, rhs in m.constraints:
             assert sum(coef * vals[vi] for vi, coef in terms) <= rhs
         # and the objective is the weighted sum of the indicator values
@@ -119,14 +122,14 @@ def test_solution_values_are_internally_consistent():
 
 def test_odd_ring_needs_one_conflict():
     g, _ = abstract_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    sol = solve(build_model_no_stitch(g))
+    sol = solve(g, None, Fraction(0))
     assert sol.objective == 1
 
 
 def test_cut_resolves_conflict():
     g, cmap = abstract_graph(3, [(1, 2), (2, 3), (1, 3)], cands={(1, 3)})
     ecg = EndCutGraph(cmap, frozenset(), frozenset())
-    sol = solve(build_model_no_stitch(g, ecg))
+    sol = solve(g, ecg, Fraction(0))
     assert sol.objective == 0
     assert sol.selected == frozenset({(1, 3)})
 
@@ -139,27 +142,82 @@ def test_excluded_cuts_cannot_both_be_selected():
         cands={(1, 3), (4, 6)},
     )
     ecg = EndCutGraph(cmap, frozenset({((1, 3), (4, 6))}), frozenset())
-    sol = solve(build_model_no_stitch(g, ecg))
+    sol = solve(g, ecg, Fraction(0))
     assert sol.objective == 1
     assert len(sol.selected) == 1
+    assert sol.blocks == 1  # the spacing edge couples the two triangles
 
 
 def test_lexicographic_tiebreak_is_smallest_vector():
     # a bare triangle has many one-conflict optima; the reported one is the
     # smallest mask vector read off in wire order
     g, _ = abstract_graph(3, [(1, 2), (2, 3), (1, 3)])
-    sol = solve(build_model_no_stitch(g))
+    sol = solve(g, None, Fraction(0))
     assert sol.objective == 1
-    assert (sol.values["x_1"], sol.values["x_2"], sol.values["x_3"]) == (0, 0, 1)
+    assert [sol.colors[(f, 0)] for f in (1, 2, 3)] == [0, 0, 1]
     # disabling the second pass keeps optimality but not canonical order
-    sol2 = solve(build_model_no_stitch(g), lexicographic=False)
+    sol2 = solve(g, None, Fraction(0), lexicographic=False)
     assert sol2.objective == 1
 
 
 def test_independent_blocks_solved_separately():
     g, _ = abstract_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    sol = solve(build_model_no_stitch(g))
+    sol = solve(g, None, Fraction(0))
     assert sol.objective == 2
+    assert sol.blocks == 2
+
+
+def test_each_block_gets_its_own_lex_budget():
+    # a budget shared by all blocks would run out after the first few
+    # triangles and leave the rest uncanonicalised
+    edges = []
+    for t in range(6):
+        a, b, c = 3 * t + 1, 3 * t + 2, 3 * t + 3
+        edges += [(a, b), (b, c), (a, c)]
+    g, _ = abstract_graph(18, edges)
+    sol = solve(g, None, Fraction(0), node_budget=10)
+    assert sol.blocks == 6
+    for t in range(6):
+        assert [sol.colors[(3 * t + k, 0)] for k in (1, 2, 3)] == [0, 0, 1], t
+
+
+def test_spacing_coupled_cuts_share_a_block():
+    # two conflicting pairs, far apart; variant b pulls their cuts close
+    # enough that selecting both is forbidden, coupling the two pairs
+    base = (
+        "layout t\nparam dis_m 120\nparam hlow 20\nparam wlow 20\nparam dis_c {dc}\n"
+        "rect 1 0 0 200 40\nrect 2 260 0 460 40\n"
+        "rect 3 0 -300 200 -260\nrect 4 260 -300 460 -260\n"
+    )
+    g, ecg, cuts = graph_for(parse_layout(base.format(dc=120)))
+    assert sorted(cuts) == [(1, 2), (3, 4)]
+    assert not ecg.ee_edges
+    # spacing-free cuts link nothing: every segment is its own block
+    sol = solve(g, ecg, Fraction(0))
+    assert sol.blocks == 4
+    assert sol.selected == frozenset({(1, 2), (3, 4)})
+
+    g2, ecg2, _ = graph_for(parse_layout(base.format(dc=300)))
+    assert ecg2.ee_edges == frozenset({((1, 2), (3, 4))})
+    sol2 = solve(g2, ecg2, Fraction(0))
+    assert sol2.blocks == 1
+    assert len(sol2.selected) == 1 and sol2.objective == 0
+    assert solve(g2, None, Fraction(0)).blocks == 4
+
+
+def test_spacing_free_cut_is_selected_only_on_a_shared_mask():
+    # the cut on 1-2 has no spacing edge, so it joins no block
+    g, cmap = abstract_graph(2, [(1, 2)], cands={(1, 2)})
+    sol = solve(g, EndCutGraph(cmap, frozenset(), frozenset()), Fraction(0))
+    assert sol.blocks == 2
+    assert sol.colors == {(1, 0): 0, (2, 0): 0}
+    assert sol.selected == frozenset({(1, 2)}) and sol.objective == 0
+    # the odd path 1-3-4-2 forces 1 and 2 apart, and the cut stays unused
+    g, cmap = abstract_graph(4, [(1, 3), (3, 4), (2, 4), (1, 2)], cands={(1, 2)})
+    sol = solve(g, EndCutGraph(cmap, frozenset(), frozenset()), Fraction(0))
+    assert sol.blocks == 1
+    assert sol.colors[(1, 0)] != sol.colors[(2, 0)]
+    assert sol.selected == frozenset() and sol.objective == 0
 
 
 def test_timeout_returns_feasible_incumbent():
@@ -172,13 +230,14 @@ def test_timeout_returns_feasible_incumbent():
                 edges.append((a, b))
     g, _ = abstract_graph(n, edges)
     m = build_model_no_stitch(g)
-    sol = solve(m, time_limit=0.0)
+    sol = solve(g, None, Fraction(0), time_limit=0.0)
     assert sol.status is SolveStatus.TIMEOUT
-    full = solve(m)
+    full = solve(g, None, Fraction(0))
     assert full.status is SolveStatus.OPTIMAL
     assert sol.objective >= full.objective
     # the reported incumbent still satisfies the whole model
-    vals = [sol.values[nm] for nm in m.names]
+    values = solution_values(g, m, sol)
+    vals = [values[nm] for nm in m.names]
     for terms, rhs in m.constraints:
         assert sum(coef * vals[vi] for vi, coef in terms) <= rhs
 
@@ -232,4 +291,4 @@ def test_exported_lp_agrees_with_external_solver():
     for _ in range(25):
         g, ecg, alpha = random_model_graph(rng)
         m = build_for(g, ecg, alpha)
-        assert milp_optimum(export_lp(m)) == solve(m).objective
+        assert milp_optimum(export_lp(m)) == solve(g, ecg, alpha).objective

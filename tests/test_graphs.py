@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 from helpers import _dummy_candidate
@@ -13,6 +14,7 @@ from trimdecomp.graphs import (
     layout_graph_dot,
 )
 from trimdecomp.endcut import generate_all_end_cuts
+from trimdecomp.ilp import solve
 from trimdecomp.layout_io import parse_layout
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
@@ -116,6 +118,41 @@ def test_stitch_candidate_reattaches_to_nearest_segment():
     assert g2.conflict_edges[((1, 0), (3, 0))] is cuts[(1, 3)]
     assert ((1, 0), (2, 0)) not in g2.conflict_edges
     assert ((1, 1), (2, 1)) not in g2.conflict_edges
+
+
+SPACING_PAIRS = (
+    "layout t\nparam dis_m 120\nparam hlow 20\nparam wlow 20\nparam dis_c {dc}\n"
+    "rect 1 0 0 200 40\nrect 2 260 0 460 40\n"
+    "rect 3 0 -300 200 -260\nrect 4 260 -300 460 -260\n"
+)
+
+
+def test_components_split_and_ee_coupling():
+    # two conflicting pairs, far apart; variant b pulls their cuts close
+    # enough that selecting both is forbidden, coupling the two pairs
+    g, ecg, cuts = graph_for(parse_layout(SPACING_PAIRS.format(dc=120)))
+    assert sorted(cuts) == [(1, 2), (3, 4)]
+    assert not ecg.ee_edges
+    # spacing-free cuts link nothing: every segment is its own block
+    sol = solve(g, ecg, Fraction(0))
+    assert sol.blocks == 4
+    assert sol.selected == frozenset({(1, 2), (3, 4)})
+
+    g2, ecg2, _ = graph_for(parse_layout(SPACING_PAIRS.format(dc=300)))
+    assert ecg2.ee_edges == frozenset({((1, 2), (3, 4))})
+    assert solve(g2, ecg2, Fraction(0)).blocks == 1
+    assert solve(g2, None, Fraction(0)).blocks == 4
+
+
+def test_preselect_keeps_spacing_constrained_cuts():
+    # cuts with a spacing edge stay in the search, so only one of the
+    # two mutually spaced cuts is taken
+    g, ecg, cuts = graph_for(parse_layout(SPACING_PAIRS.format(dc=300)))
+    assert g.conflict_edges[((1, 0), (2, 0))] is cuts[(1, 2)]
+    assert g.conflict_edges[((3, 0), (4, 0))] is cuts[(3, 4)]
+    sol = solve(g, ecg, Fraction(0))
+    assert sol.blocks == 1
+    assert len(sol.selected) == 1 and sol.objective == 0
 
 
 def abstract_graph(n, edges, cands=(), stitches=()):

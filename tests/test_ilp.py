@@ -181,30 +181,6 @@ def test_each_block_gets_its_own_lex_budget():
         assert [sol.colors[(3 * t + k, 0)] for k in (1, 2, 3)] == [0, 0, 1], t
 
 
-def test_spacing_coupled_cuts_share_a_block():
-    # two conflicting pairs, far apart; variant b pulls their cuts close
-    # enough that selecting both is forbidden, coupling the two pairs
-    base = (
-        "layout t\nparam dis_m 120\nparam hlow 20\nparam wlow 20\nparam dis_c {dc}\n"
-        "rect 1 0 0 200 40\nrect 2 260 0 460 40\n"
-        "rect 3 0 -300 200 -260\nrect 4 260 -300 460 -260\n"
-    )
-    g, ecg, cuts = graph_for(parse_layout(base.format(dc=120)))
-    assert sorted(cuts) == [(1, 2), (3, 4)]
-    assert not ecg.ee_edges
-    # spacing-free cuts link nothing: every segment is its own block
-    sol = solve(g, ecg, Fraction(0))
-    assert sol.blocks == 4
-    assert sol.selected == frozenset({(1, 2), (3, 4)})
-
-    g2, ecg2, _ = graph_for(parse_layout(base.format(dc=300)))
-    assert ecg2.ee_edges == frozenset({((1, 2), (3, 4))})
-    sol2 = solve(g2, ecg2, Fraction(0))
-    assert sol2.blocks == 1
-    assert len(sol2.selected) == 1 and sol2.objective == 0
-    assert solve(g2, None, Fraction(0)).blocks == 4
-
-
 def test_spacing_free_cut_is_selected_only_on_a_shared_mask():
     # the cut on 1-2 has no spacing edge, so it joins no block
     g, cmap = abstract_graph(2, [(1, 2)], cands={(1, 2)})

@@ -289,20 +289,32 @@ def merged_cut_rects(
     selected: Iterable[EndCutCandidate], params: DecompositionParams
 ) -> tuple[Rect, ...]:
     """Final trim-mask geometry for the selected cuts, with touching
-    aligned rectangles fused so each printed shape appears once."""
+    aligned rectangles fused so each printed shape appears once.
+
+    Each round fuses every rectangle into the lowest-indexed output
+    rectangle that accepts it, and rounds repeat until nothing fuses.
+    Fusable rectangles at least touch, so a spatial index over the output
+    finds every candidate; an output rectangle is indexed again after each
+    fusion, and its stale cells only yield candidates that fail the exact
+    check.
+    """
     rects = sorted({b.rect for c in selected for b in c.boxes})
+    cell = max(params.w_high, params.h_high, 1)
     changed = True
     while changed:
         changed = False
         out: list[Rect] = []
+        index = SpatialIndex(cell)
         for r in rects:
-            for k, q in enumerate(out):
-                u = merge_union(q, r, params)
+            for k in sorted(index.query(r)):
+                u = merge_union(out[k], r, params)
                 if u is not None:
                     out[k] = u
+                    index.insert(k, u)
                     changed = True
                     break
             else:
+                index.insert(len(out), r)
                 out.append(r)
         rects = sorted(set(out))
     return tuple(rects)

@@ -444,12 +444,12 @@ def split_feature_rects(shape: RectilinearShape, coords: Sequence[int], axis: st
     return pieces
 
 
-def _mask_runs(report: DecompositionReport, fid: int) -> list[str]:
-    """Mask letters of the contiguous same-mask runs of one feature."""
-    segs = sorted(seg for f, seg in report.masks if f == fid)
-    letters = [report.masks[(fid, seg)] for seg in segs]
+def _mask_runs(report: DecompositionReport, fid: int, segs: Sequence[int]) -> list[str]:
+    """Mask letters of the contiguous same-mask runs of one feature, given
+    its segment indices in ascending order."""
     runs: list[str] = []
-    for letter in letters:
+    for seg in segs:
+        letter = report.masks[(fid, seg)]
         if not runs or runs[-1] != letter:
             runs.append(letter)
     return runs
@@ -476,9 +476,13 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
     stitches_by_feature: dict[int, list[StitchPoint]] = {}
     for sp in report.stitches:
         stitches_by_feature.setdefault(sp.feature, []).append(sp)
+    segs_by_feature: dict[int, list[int]] = {}
+    for f, seg in sorted(report.masks):
+        segs_by_feature.setdefault(f, []).append(seg)
 
     for shape in doc.shapes:
-        runs = _mask_runs(report, shape.id)
+        segs = segs_by_feature.get(shape.id, ())
+        runs = _mask_runs(report, shape.id, segs)
         if not runs:
             continue
         points = sorted(stitches_by_feature.get(shape.id, ()))
@@ -495,9 +499,8 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
             piece_by_vertex[(shape.id, seg_index)] = bounding_box(piece)
             seg_index += 1
         # map any extra segment indices of this run-merged feature
-        for f, seg in report.masks:
-            if f == shape.id and (f, seg) not in piece_by_vertex:
-                piece_by_vertex[(f, seg)] = shape.bbox
+        for seg in segs:
+            piece_by_vertex.setdefault((shape.id, seg), shape.bbox)
 
     out = io.StringIO()
     out.write(

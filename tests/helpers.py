@@ -1,9 +1,10 @@
 """Shared oracles and generators for the test suite.
 
 Everything here recomputes answers by a route the package itself never
-takes: plain enumeration over all assignments and an external
-mixed-integer solve of the exported LP text. Tests compare the package
-against these, never against itself.
+takes: plain enumeration over all assignments, an external
+mixed-integer solve of the exported LP text, and an all-pairs search for
+fusable trim rectangles. Tests compare the package against these, never
+against itself.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from trimdecomp.endcut import BoxKind, EndCutBox, EndCutCandidate
+from trimdecomp.endcut import BoxKind, EndCutBox, EndCutCandidate, merge_union
 from trimdecomp.geometry import Rect
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
 from trimdecomp.ilp import IlpModel, IlpSolution
-from trimdecomp.layout_io import StitchPoint
+from trimdecomp.layout_io import DecompositionParams, StitchPoint
 
 
 def enumerate_model(model: IlpModel) -> tuple[Fraction, dict[str, int]]:
@@ -103,6 +104,30 @@ def enumerate_layout_optimum(
             best = cost
     assert best is not None
     return best
+
+
+def merged_cut_rects_oracle(
+    selected: list[EndCutCandidate], params: DecompositionParams
+) -> tuple[Rect, ...]:
+    """Trim rectangles fused by the plain pairwise fixpoint: each round
+    tries every output rectangle in index order and fuses into the first
+    one that accepts, until a round fuses nothing."""
+    rects = sorted({b.rect for c in selected for b in c.boxes})
+    changed = True
+    while changed:
+        changed = False
+        out: list[Rect] = []
+        for r in rects:
+            for k, q in enumerate(out):
+                u = merge_union(q, r, params)
+                if u is not None:
+                    out[k] = u
+                    changed = True
+                    break
+            else:
+                out.append(r)
+        rects = sorted(set(out))
+    return tuple(rects)
 
 
 def _dummy_candidate(pair: tuple[int, int]) -> EndCutCandidate:

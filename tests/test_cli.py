@@ -12,7 +12,8 @@ from trimdecomp.layout_io import parse_report
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
 STATS_ROW = re.compile(
-    r"^wire# \d+ comp# \d+ conflict# \d+ stitch# \d+ cost \S+ CPU\(s\) \d+\.\d\d$"
+    r"^wire# \d+ comp# \d+ conflict# \d+ stitch# \d+ cost \S+ CPU\(s\) \d+\.\d\d "
+    r"status (optimal|timeout)$"
 )
 
 
@@ -27,7 +28,8 @@ def test_demo_layout_run(capsys):
     assert code == 0
     assert STATS_ROW.match(out.strip())
     assert "conflict# 0" in out and "stitch# 0" in out and "cost 0.0" in out
-    assert "stage=solve" in err
+    assert out.strip().endswith("status optimal")
+    assert re.search(r"^stage=solve us=\d+$", err, re.M)
 
 
 def test_report_file_round_trip(tmp_path, capsys):
@@ -112,20 +114,41 @@ def test_time_limit_smoke(capsys):
     assert "cost 1.0" in out
 
 
+def test_timeout_is_reported_in_stats_and_csv(tmp_path, capsys):
+    # a crowded chain: every neighbour pair conflicts and every cut excludes
+    # its neighbours' cuts, so the solver cannot prove the optimum 0 in time
+    lines = ["layout chain30", "param dis_m 120", "param hlow 60"]
+    for i in range(30):
+        lines.append(f"rect {i + 1} {200 * i} 0 {200 * i + 100} {40 + i % 9}")
+    (tmp_path / "chain30.lay").write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "--input", str(tmp_path / "chain30.lay"), "--time-limit", "0.2")
+    assert code == 0
+    assert STATS_ROW.match(out.strip())
+    assert out.strip().endswith("status timeout")
+    code, out, _ = run(capsys, "--input", str(tmp_path), "--time-limit", "0.2")
+    assert code == 0
+    assert out.strip().splitlines()[1].endswith(",timeout")
+
+
 def test_directory_benchmark_mode(tmp_path, capsys):
     for name in ("endcut_demo.lay", "cluster7.lay"):
         (tmp_path / name).write_text((LAYOUTS / name).read_text())
     code, out, _ = run(capsys, "--input", str(tmp_path))
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "circuit,wire,comp,conflict,stitch,cost,cpu_s"
+    assert lines[0] == "circuit,wire,comp,conflict,stitch,cost,cpu_s,status"
     assert len(lines) == 3
     assert lines[1].startswith("cluster7,7,") and ",1,0,1.0," in lines[1]
     assert lines[2].startswith("endcut_demo,3,") and ",0,0,0.0," in lines[2]
+    assert all(r.endswith(",optimal") for r in lines[1:])
     code, out2, _ = run(capsys, "--input", str(tmp_path), "--jobs", "2")
     assert code == 0
-    rows = [",".join(r.split(",")[:-1]) for r in out2.strip().splitlines()]
-    assert rows == [",".join(r.split(",")[:-1]) for r in lines]
+
+    def without_cpu(row):
+        cells = row.split(",")
+        return cells[:6] + cells[7:]
+
+    assert [without_cpu(r) for r in out2.strip().splitlines()] == [without_cpu(r) for r in lines]
 
 
 def test_missing_input_fails(capsys):

@@ -1,9 +1,13 @@
 import itertools
 import random
 
+import trimdecomp.endcut
+from helpers import merged_cut_rects_oracle
+from trimdecomp.cli import decompose_document
 from trimdecomp.endcut import (
     BoxKind,
     EndCutBox,
+    EndCutCandidate,
     box_dims,
     generate_all_end_cuts,
     generate_end_cut,
@@ -24,6 +28,7 @@ from trimdecomp.geometry import (
     OverlapKind,
 )
 from trimdecomp.layout_io import DecompositionParams
+from trimdecomp.synth import grid_layout
 
 
 def params(**kw):
@@ -262,3 +267,73 @@ def test_merged_cut_rects_chains_fuse():
         p,
     )
     assert out == (Rect.of(0, 0, 120, 40),)
+
+
+def _one_box_cuts(rects: list[Rect]) -> list[EndCutCandidate]:
+    return [
+        EndCutCandidate(pair=(i, i + 1), boxes=(EndCutBox(r, BoxKind.EDGE_EDGE, "x"),))
+        for i, r in enumerate(rects)
+    ]
+
+
+def _random_cut_set(rng: random.Random) -> list[EndCutCandidate]:
+    """Cut rectangles on a coarse lattice so that duplicates, containment,
+    touching aligned runs and chains longer than the width cap are all
+    common."""
+    rects = []
+    for _ in range(rng.randint(1, 12)):
+        x, y = rng.randrange(-100, 100, 10), rng.randrange(-60, 60, 20)
+        rects.append(Rect.of(x, y, x + rng.choice((10, 20, 40)), y + rng.choice((20, 40))))
+    for _ in range(rng.randint(0, 3)):
+        # a run of touching boxes in one row or one column
+        x, y = rng.randrange(-100, 100, 10), rng.randrange(-60, 60, 20)
+        w, h = rng.choice((20, 40)), rng.choice((20, 40))
+        dx, dy = (w, 0) if rng.random() < 0.5 else (0, h)
+        for i in range(rng.randint(2, 6)):
+            rects.append(Rect.of(x + i * dx, y + i * dy, x + i * dx + w, y + i * dy + h))
+    for _ in range(rng.randint(0, 3)):
+        # a duplicate or a box nested inside another
+        r = rng.choice(rects)
+        if rng.random() < 0.5:
+            rects.append(r)
+        else:
+            rects.append(Rect.of(r.lo.x, r.lo.y, r.lo.x + r.width // 2, r.hi.y))
+    rng.shuffle(rects)
+    return _one_box_cuts(rects)
+
+
+def test_merged_cut_rects_matches_pairwise_oracle():
+    rng = random.Random(20261017)
+    for trial in range(600):
+        p = params(
+            whigh=rng.choice((40, 60, 80, 120, 200)), hhigh=rng.choice((40, 120)), wlow=10, hlow=10
+        )
+        selected = _random_cut_set(rng)
+        assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p), trial
+
+
+def test_merged_cut_rects_first_fit_decides_capped_chain():
+    # three touching 40-wide boxes under an 80 cap: the first two fuse, so
+    # the third stays alone, although fusing the last two would also print
+    p = params(whigh=80)
+    selected = _one_box_cuts([Rect.of(x, 0, x + 40, 40) for x in (80, 0, 40)])
+    expected = (Rect.of(0, 0, 80, 40), Rect.of(80, 0, 120, 40))
+    assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p) == expected
+
+
+def test_merge_union_calls_grow_linearly_on_the_grid(monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return merge_union(*args)
+
+    monkeypatch.setattr(trimdecomp.endcut, "merge_union", counting)
+    counts = []
+    for shapes in (2000, 8000):
+        calls = 0
+        decompose_document(grid_layout(shapes, 0))
+        counts.append(calls)
+    # four times the shapes: a pairwise search makes 16 times the calls
+    assert 0 < counts[1] <= 5 * counts[0], counts

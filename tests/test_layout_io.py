@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from trimdecomp.cli import decompose_document
 from trimdecomp.geometry import OverlappingInputShapes, Rect
 from trimdecomp.layout_io import (
     DecompositionParams,
@@ -198,3 +200,29 @@ def test_emit_svg_empty_document():
     rep = DecompositionReport(masks={}, cuts=(), conflicts=(), stitches=(), cost=Fraction(0))
     svg = emit_svg(doc, rep)
     assert 'viewBox="0 0 1 1"' in svg
+
+
+# sha256 of emit_svg output, which must stay byte for byte; the random seeds
+# have features split into two or more segments with no realized stitch,
+# so their extra segment indices fall back to the feature's bounding box
+SVG_SHA256 = {
+    "cluster7.lay": "b111b12dc2bd50b61b51fd1738d1a3a960b4988c463c38918301c898e66342a8",
+    "endcut_demo.lay": "e2087b95d36b6af4d91048bf23e05076a37e94ab03e13e6a8def4e7ac03c64bf",
+    "ring5.lay": "69d0adc6bc8a8a607c2a73e4c200cee3641470511828bce3f9e5a6d47995cd79",
+    0: "957331f9f7459f96f7895a75389dcec2b1480a37c7f7306e7d8a9807dc689e86",
+    5: "b8705b20857864fbe7bfdb259f48632da840b1ffc842da5dcc9987d177d9d7e2",
+    30: "ff0534800da5b7c82565e32a219305a864e96e6f32fa8bbc328b1f694ccbc2ff",
+    116: "05cecfd9aabb59a31c1f05da3ea94debd5265dc8c1e1263c62692509c32c3334",
+}
+
+
+@pytest.mark.parametrize("key", list(SVG_SHA256))
+def test_emit_svg_bytes_are_unchanged(key):
+    if isinstance(key, str):
+        doc = parse_layout((LAYOUTS / key).read_text())
+    else:
+        doc = random_layout(key, clusters=9, stitch=True)
+    result = decompose_document(doc)
+    assert isinstance(key, str) or any(seg > 0 for _, seg in result.report.masks)
+    svg = emit_svg(result.document, result.report)
+    assert hashlib.sha256(svg.encode()).hexdigest() == SVG_SHA256[key]

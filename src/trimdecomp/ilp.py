@@ -18,11 +18,12 @@ IlpModel spells this formulation out with named variables and rows; it
 is built only for LP export and for checking. solve works on the layout
 graph itself, through integer edge arrays: it splits the graph into
 independent blocks (linked by conflict, stitch or cut-spacing edges) and
-runs exact branch and bound over each. A greedy two-colouring with a
-small local search seeds the incumbent, branching follows falling
-conflict degree, cut decisions are resolved at the leaves, and an
-optional second pass canonicalises the optimum to the lexicographically
-smallest mask vector."""
+runs one exact branch and bound over each. A greedy two-colouring with a
+small local search seeds the incumbent. The search then assigns masks in
+ascending segment order, mask 0 first, and settles the cuts at each
+complete colouring, so the first leaf it meets at the optimal cost is
+the lexicographically smallest optimal mask vector, the promised
+tie-break."""
 
 from __future__ import annotations
 
@@ -152,16 +153,16 @@ class _Timeout(Exception):
     pass
 
 
-class _LexBudget(Exception):
-    pass
-
-
 class _CompSolver:
     """Exact search over one independent block of the layout graph.
 
     Local variable ids 0..m-1 follow the canonical (ascending segment
-    index) order; branch order and the reported colouring both map back
-    to it."""
+    index) order. The search assigns them in that order, mask 0 before
+    mask 1, and settles the cuts of each complete colouring in a fixed
+    order, so leaves arrive in lexicographic order of the mask vector.
+    Only a leaf strictly cheaper than the bound is accepted, and the bound
+    starts one above the incumbent's cost: the last leaf accepted is the
+    first one at the optimal cost, the lexicographically smallest optimum."""
 
     def __init__(
         self,
@@ -194,21 +195,16 @@ class _CompSolver:
             lst.sort()
 
         self.best = 0
+        self.bound = 1
         self.best_colors: list[int] = [0] * self.m
         self.best_sel: set[PairKey] = set()
         self.timed_out = False
-        self._lex_budget = 0
 
     def _tick(self) -> None:
         self.nodes += 1
         if self.deadline is not None and (self.nodes & 2047) == 0:
             if time.monotonic() > self.deadline:
                 raise _Timeout
-
-    def _spend(self) -> None:
-        self._lex_budget -= 1
-        if self._lex_budget < 0:
-            raise _LexBudget
 
     # -- incumbent -------------------------------------------------------
 
@@ -288,88 +284,71 @@ class _CompSolver:
 
     def run(self) -> None:
         incumbent = self._greedy_colors()
+        if incumbent[0] == 1:
+            # the mirror costs the same and keeps variable 0 on mask 0
+            incumbent = [1 - c for c in incumbent]
         inc_cost, inc_sel = self._cost_of(incumbent)
         self.best = inc_cost
-        self.best_colors = list(incumbent)
+        self.bound = inc_cost + 1  # scaled costs are integers
+        self.best_colors = incumbent
         self.best_sel = {self.pend_pair[k] for k in inc_sel}
-        if self.best == 0:
-            return
         try:
-            self._branch(incumbent)
+            self._branch()
         except _Timeout:
             self.timed_out = True
 
-    def _branch(self, incumbent: Sequence[int]) -> None:
+    def _branch(self) -> None:
         m = self.m
-        ce_deg = [0] * m
-        for a, b, _ in self.ce:
-            ce_deg[a] += 1
-            ce_deg[b] += 1
-        order = sorted(range(m), key=lambda lv: (-ce_deg[lv], lv))
-        pos_of = {lv: p for p, lv in enumerate(order)}
-        # edges bucketed at their later-assigned endpoint; kind 0 is a plain
-        # conflict, 1 a deferred candidate conflict, 2 a stitch
-        eval_at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        # edges bucketed at their later endpoint; a candidate conflict is
+        # left to the leaf, where its cut is chosen
+        conflict_at: list[list[int]] = [[] for _ in range(m)]
+        stitch_at: list[list[int]] = [[] for _ in range(m)]
         for a, b, pair in self.ce:
-            pa, pb = pos_of[a], pos_of[b]
-            eval_at[max(pa, pb)].append((min(pa, pb), 1 if pair is not None else 0))
+            if pair is None:
+                conflict_at[max(a, b)].append(min(a, b))
         for a, b in self.se:
-            pa, pb = pos_of[a], pos_of[b]
-            eval_at[max(pa, pb)].append((min(pa, pb), 2))
-        pend_pos = [(pos_of[a], pos_of[b]) for a, b in self.pend_edge]
-        first_val = [incumbent[order[p]] for p in range(m)]
+            stitch_at[max(a, b)].append(min(a, b))
         wc, ws = self.wc, self.ws
 
-        vals = [-1] * m
-        tried = [0] * m
+        vals = [0] * m
         added = [0] * m
+        nxt = [0] * m
         cost = 0
         pos = 0
         while pos >= 0:
-            # colour symmetry: the first branching variable keeps its
-            # incumbent value, the complement being an equal-cost mirror
-            nvals = 1 if pos == 0 else 2
-            if tried[pos] >= nvals:
+            val = nxt[pos]
+            # colour symmetry: variable 0 stays on mask 0, the complement
+            # being an equal-cost mirror
+            if val > (0 if pos == 0 else 1):
                 pos -= 1
                 if pos >= 0:
                     cost -= added[pos]
-                    vals[pos] = -1
                 continue
-            val = first_val[pos] if tried[pos] == 0 else 1 - first_val[pos]
-            tried[pos] += 1
+            nxt[pos] = val + 1
             self._tick()
             add = 0
-            for lo, kind in eval_at[pos]:
-                if kind == 0:
-                    if vals[lo] == val:
-                        add += wc
-                elif kind == 2:
-                    if vals[lo] != val:
-                        add += ws
-            if cost + add >= self.best:
+            for lo in conflict_at[pos]:
+                if vals[lo] == val:
+                    add += wc
+            for lo in stitch_at[pos]:
+                if vals[lo] != val:
+                    add += ws
+            if cost + add >= self.bound:
                 continue
             vals[pos] = val
+            if pos + 1 == m:
+                self._leaf(vals, cost + add)
+                continue
             added[pos] = add
             cost += add
-            if pos + 1 == m:
-                self._leaf(vals, order, pend_pos, cost)
-                cost -= add
-                vals[pos] = -1
-                continue
             pos += 1
-            tried[pos] = 0
+            nxt[pos] = 0
 
-    def _leaf(
-        self,
-        vals: list[int],
-        order: list[int],
-        pend_pos: list[tuple[int, int]],
-        xcost: int,
-    ) -> None:
+    def _leaf(self, vals: list[int], xcost: int) -> None:
         chosen: set[int] = set()
         constrained: list[int] = []
-        for k, (pa, pb) in enumerate(pend_pos):
-            if vals[pa] != vals[pb]:
+        for k, (a, b) in enumerate(self.pend_edge):
+            if vals[a] != vals[b]:
                 continue
             if self.pend_adj[k]:
                 constrained.append(k)
@@ -378,14 +357,11 @@ class _CompSolver:
 
         def rec(i: int, acc: int) -> None:
             self._tick()
-            if acc >= self.best:
+            if acc >= self.bound:
                 return
             if i == len(constrained):
-                self.best = acc
-                canon = [0] * self.m
-                for p, lv in enumerate(order):
-                    canon[lv] = vals[p]
-                self.best_colors = canon
+                self.bound = self.best = acc
+                self.best_colors = list(vals)
                 self.best_sel = {self.pend_pair[k] for k in chosen}
                 return
             k = constrained[i]
@@ -397,134 +373,6 @@ class _CompSolver:
 
         rec(0, xcost)
 
-    # -- lexicographic canonicalisation -----------------------------------
-
-    def lex_minimise(self, budget: int) -> None:
-        """Rewrite the stored optimum as the lexicographically smallest
-        colour vector with the same cost. The block's node allowance makes
-        an oversized canonicalisation abort deterministically, keeping the
-        best vector found so far."""
-        m = self.m
-        eval_at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for a, b, pair in self.ce:
-            eval_at[max(a, b)].append((min(a, b), 1 if pair is not None else 0))
-        for a, b in self.se:
-            eval_at[max(a, b)].append((min(a, b), 2))
-        self._lex_budget = budget
-        witness = list(self.best_colors)
-        try:
-            for idx in range(m):
-                if witness[idx] == 0:
-                    continue
-                found = self._probe(witness, idx, eval_at)
-                if found is not None:
-                    witness, sel = found
-                    self.best_colors = list(witness)
-                    self.best_sel = sel
-        except _LexBudget:
-            pass
-
-    def _assign_cost(
-        self,
-        eval_at: list[list[tuple[int, int]]],
-        vals: list[int],
-        p: int,
-        val: int,
-    ) -> int:
-        add = 0
-        for lo, kind in eval_at[p]:
-            if kind == 0:
-                if vals[lo] == val:
-                    add += self.wc
-            elif kind == 2:
-                if vals[lo] != val:
-                    add += self.ws
-        return add
-
-    def _probe(
-        self,
-        witness: list[int],
-        idx: int,
-        eval_at: list[list[tuple[int, int]]],
-    ) -> tuple[list[int], set[PairKey]] | None:
-        """Lexicographically first completion of witness[:idx] + [0] that
-        still attains the optimal cost, or None when there is none."""
-        m = self.m
-        vals = [-1] * m
-        cost = 0
-        for p in range(idx + 1):
-            val = 0 if p == idx else witness[p]
-            cost += self._assign_cost(eval_at, vals, p, val)
-            vals[p] = val
-            if cost > self.best:
-                return None
-        if idx + 1 == m:
-            sel = self._leaf_exact(vals, cost)
-            return (list(vals), sel) if sel is not None else None
-        base = idx + 1
-        tried = [0] * m
-        added = [0] * m
-        pos = base
-        while pos >= base:
-            if tried[pos] >= 2:
-                pos -= 1
-                if pos >= base:
-                    cost -= added[pos]
-                    vals[pos] = -1
-                continue
-            val = tried[pos]  # zero first makes the first full leaf lex-least
-            tried[pos] += 1
-            self._spend()
-            add = self._assign_cost(eval_at, vals, pos, val)
-            if cost + add > self.best:
-                continue
-            vals[pos] = val
-            added[pos] = add
-            cost += add
-            if pos + 1 == m:
-                sel = self._leaf_exact(vals, cost)
-                if sel is not None:
-                    return list(vals), sel
-                cost -= add
-                vals[pos] = -1
-                continue
-            pos += 1
-            tried[pos] = 0
-        return None
-
-    def _leaf_exact(self, vals: list[int], xcost: int) -> set[PairKey] | None:
-        """Cut selection completing this colouring at exactly the optimal
-        cost, or None when that is impossible."""
-        chosen: set[int] = set()
-        constrained: list[int] = []
-        for k, (a, b) in enumerate(self.pend_edge):
-            if vals[a] != vals[b]:
-                continue
-            if self.pend_adj[k]:
-                constrained.append(k)
-            else:
-                chosen.add(k)
-
-        def rec(i: int, acc: int) -> set[int] | None:
-            self._spend()
-            if acc > self.best:
-                return None
-            if i == len(constrained):
-                return set(chosen)
-            k = constrained[i]
-            if not any(j in chosen for j in self.pend_adj[k]):
-                chosen.add(k)
-                got = rec(i + 1, acc)
-                if got is not None:
-                    return got
-                chosen.discard(k)
-            return rec(i + 1, acc + self.wc)
-
-        got = rec(0, xcost)
-        if got is None:
-            return None
-        return {self.pend_pair[k] for k in got}
-
 
 def solve(
     g: LayoutGraph,
@@ -532,18 +380,17 @@ def solve(
     alpha: Fraction,
     *,
     time_limit: float | None = None,
-    lexicographic: bool = True,
-    node_budget: int = 200_000,
 ) -> IlpSolution:
     """Minimise conflicts plus alpha times stitches on the layout graph.
 
     This is the one place the problem splits: blocks linked by conflict,
-    stitch or cut-spacing edges are searched separately, each with its own
-    lexicographic allowance of node_budget probes, and the optima summed.
-    A candidate cut with no spacing edge links nothing; it is selected
+    stitch or cut-spacing edges are searched separately and the optima
+    summed. Each block reports its lexicographically smallest optimal
+    mask vector, so status OPTIMAL implies the canonical answer. A
+    candidate cut with no spacing edge links nothing; it is selected
     afterwards wherever its two segments share a mask, at no cost. The
-    status is TIMEOUT when any block ran out of time, in which case its
-    greedy incumbent stands in for the exact answer."""
+    status is TIMEOUT when any block ran out of time, in which case the
+    best colouring found so far stands in for the exact answer."""
     if alpha < 0:
         raise ModelError("alpha must be non-negative")
     deadline = time.monotonic() + time_limit if time_limit is not None else None
@@ -611,10 +458,7 @@ def solve(
             gvars, ce_by[bi], se_by[bi], ee_by[bi], scale, alpha.numerator, deadline
         )
         comp.run()
-        if comp.timed_out:
-            timed_out = True
-        elif lexicographic:
-            comp.lex_minimise(node_budget)
+        timed_out |= comp.timed_out
         total += comp.best
         nodes += comp.nodes
         for lv, gi in enumerate(gvars):

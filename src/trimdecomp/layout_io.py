@@ -153,12 +153,6 @@ class LayoutDocument:
     shapes: tuple[RectilinearShape, ...]
     params: DecompositionParams
 
-    def shape(self, fid: int) -> RectilinearShape:
-        for s in self.shapes:
-            if s.id == fid:
-                return s
-        raise KeyError(fid)
-
 
 @dataclass(frozen=True, order=True)
 class StitchPoint:
@@ -444,14 +438,17 @@ def split_feature_rects(shape: RectilinearShape, coords: Sequence[int], axis: st
     return pieces
 
 
-def _mask_runs(report: DecompositionReport, fid: int, segs: Sequence[int]) -> list[str]:
-    """Mask letters of the contiguous same-mask runs of one feature, given
-    its segment indices in ascending order."""
-    runs: list[str] = []
+def _mask_runs(
+    report: DecompositionReport, fid: int, segs: Sequence[int]
+) -> list[tuple[str, list[int]]]:
+    """The contiguous same-mask runs of one feature, given its segment
+    indices in ascending order: each run's mask letter and segments."""
+    runs: list[tuple[str, list[int]]] = []
     for seg in segs:
         letter = report.masks[(fid, seg)]
-        if not runs or runs[-1] != letter:
-            runs.append(letter)
+        if not runs or runs[-1][0] != letter:
+            runs.append((letter, []))
+        runs[-1][1].append(seg)
     return runs
 
 
@@ -492,15 +489,13 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
             pieces = split_feature_rects(shape, coords, axis)
         else:
             pieces = [shape.rects]
-        seg_index = 0
-        for i, piece in enumerate(pieces):
-            letter = runs[min(i, len(runs) - 1)]
+        # the stitches of a report sit where the mask changes, so the
+        # feature splits into one piece per run
+        for (letter, run_segs), piece in zip(runs, pieces):
             group_paths[letter].append("".join(rect_path(r) for r in piece))
-            piece_by_vertex[(shape.id, seg_index)] = bounding_box(piece)
-            seg_index += 1
-        # map any extra segment indices of this run-merged feature
-        for seg in segs:
-            piece_by_vertex.setdefault((shape.id, seg), shape.bbox)
+            box = bounding_box(piece)
+            for seg in run_segs:
+                piece_by_vertex[(shape.id, seg)] = box
 
     out = io.StringIO()
     out.write(

@@ -242,34 +242,66 @@ def parse_lp(text: str):
     return names, obj, rows, scale
 
 
+class _Milp:
+    """The exported LP text as a scipy.optimize.milp problem whose
+    variables can be fixed one at a time."""
+
+    def __init__(self, text: str):
+        from scipy.optimize import LinearConstraint
+
+        self.names, self.obj, rows, self.scale = parse_lp(text)
+        self.idx = {name: i for i, name in enumerate(self.names)}
+        self.c = np.zeros(len(self.names))
+        for name, coef in self.obj.items():
+            self.c[self.idx[name]] = float(coef)
+        self.constraints = []
+        for terms, rhs in rows:
+            a = np.zeros(len(self.names))
+            for name, coef in terms.items():
+                a[self.idx[name]] = coef
+            self.constraints.append(LinearConstraint(a, -np.inf, rhs))
+        self.lower = np.zeros(len(self.names))
+        self.upper = np.ones(len(self.names))
+
+    def solve(self) -> tuple[Fraction, list[int]]:
+        """Optimum under the current fixings and the solution vector. The
+        value is recomputed exactly from the rounded vector, never taken
+        from the float objective."""
+        from scipy.optimize import Bounds, milp
+
+        res = milp(
+            c=self.c,
+            constraints=self.constraints,
+            integrality=np.ones(len(self.names)),
+            bounds=Bounds(self.lower, self.upper),
+        )
+        assert res.success, res.message
+        x = [round(v) for v in res.x]
+        total = sum(coef * x[self.idx[name]] for name, coef in self.obj.items())
+        return Fraction(total) / self.scale, x
+
+
 def milp_optimum(text: str) -> Fraction:
     """Solve the exported LP text with an external branch-and-bound."""
-    from scipy.optimize import LinearConstraint, milp
+    return _Milp(text).solve()[0]
 
-    names, obj, rows, scale = parse_lp(text)
-    idx = {name: i for i, name in enumerate(names)}
-    c = np.zeros(len(names))
-    for name, coef in obj.items():
-        c[idx[name]] = float(coef)
-    constraints = []
-    for terms, rhs in rows:
-        a = np.zeros(len(names))
-        for name, coef in terms.items():
-            a[idx[name]] = coef
-        constraints.append(LinearConstraint(a, -np.inf, rhs))
-    res = milp(
-        c=c,
-        constraints=constraints,
-        integrality=np.ones(len(names)),
-        bounds=(0, 1),
-    )
-    assert res.success, res.message
-    value = Fraction(round(res.fun * scale), scale) if scale > 1 else None
-    if value is None:
-        # coefficients were exact decimals; recover the exact value from
-        # the rounded integer solution vector instead of the float optimum
-        total = Fraction(0)
-        for name, coef in obj.items():
-            total += coef * round(res.x[idx[name]])
-        value = total
-    return value
+
+def milp_lex_witness(text: str) -> tuple[Fraction, dict[str, int]]:
+    """Optimum of the exported LP text and its lexicographically least
+    optimal mask vector: each x variable, in the order the model lists
+    them, is fixed to 0 whenever the external solver still reaches the
+    optimum with it fixed there, and to 1 otherwise."""
+    problem = _Milp(text)
+    best, x = problem.solve()
+    x_names = [name for name in problem.names if name.startswith("x_")]
+    for name in x_names:
+        i = problem.idx[name]
+        problem.upper[i] = 0
+        if x[i] == 0:
+            continue  # the current optimum already has it at 0
+        value, y = problem.solve()
+        if value == best:
+            x = y
+        else:
+            problem.upper[i] = problem.lower[i] = 1
+    return best, {name: x[problem.idx[name]] for name in x_names}

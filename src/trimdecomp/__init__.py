@@ -24,8 +24,7 @@ from .ilp import (
     IlpSolution,
     ModelError,
     SolveStatus,
-    build_model_no_stitch,
-    build_model_with_stitch,
+    build_model,
     export_lp,
     solve,
 )
@@ -69,8 +68,7 @@ __all__ = [
     "StitchPoint",
     "build_end_cut_graph",
     "build_layout_graph",
-    "build_model_no_stitch",
-    "build_model_with_stitch",
+    "build_model",
     "conflict_pairs",
     "decompose_document",
     "emit_svg",

@@ -35,8 +35,7 @@ from .graphs import (
 from .ilp import (
     IlpModel,
     SolveStatus,
-    build_model_no_stitch,
-    build_model_with_stitch,
+    build_model,
     export_lp,
     solve,
 )
@@ -75,11 +74,13 @@ class DecompositionResult:
 
 
 def build_full_model(result: DecompositionResult) -> IlpModel:
-    """The single unreduced model for the decomposition that was run."""
-    doc = result.document
-    if doc.params.stitch:
-        return build_model_with_stitch(result.graph, result.end_cuts, doc.params.alpha)
-    return build_model_no_stitch(result.graph, result.end_cuts)
+    """The single unreduced model for the decomposition that was run.
+
+    Without stitching alpha weighs nothing, and 0 keeps the objective
+    unscaled by alpha's denominator."""
+    params = result.document.params
+    alpha = params.alpha if params.stitch else Fraction(0)
+    return build_model(result.graph, result.end_cuts, alpha)
 
 
 def decompose_document(
@@ -119,6 +120,7 @@ def decompose_document(
     pairs = conflict_pairs(doc, index, metric)
     stage("pairs")
     cuts = generate_all_end_cuts(doc, pairs, index)
+    del index  # free it before the solve, where memory use peaks
     stage("cuts")
     g = build_layout_graph(doc, pairs, cuts)
     if params.stitch:

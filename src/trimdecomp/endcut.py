@@ -149,9 +149,9 @@ def resolve_box_overlaps(raw: Sequence[EndCutBox]) -> tuple[EndCutBox, ...]:
     """Thin a pile of candidate boxes for one feature pair.
 
     Identical rectangles collapse (an edge-to-edge box outranks a corner
-    one). Within each group of touching or overlapping boxes, corner boxes
-    that touch an edge-to-edge box are dropped as redundant, and boxes that
-    still share interior area collapse to the smallest of them.
+    one). Corner boxes that touch an edge-to-edge box are dropped as
+    redundant, and boxes that still share interior area, directly or
+    through a chain of such overlaps, collapse to the smallest of them.
     """
     by_rect: dict[Rect, EndCutBox] = {}
     for box in sorted(raw, key=EndCutBox.sort_key):
@@ -160,9 +160,14 @@ def resolve_box_overlaps(raw: Sequence[EndCutBox]) -> tuple[EndCutBox, ...]:
             cur.kind is BoxKind.CORNER_CORNER and box.kind is BoxKind.EDGE_EDGE
         ):
             by_rect[box.rect] = box
-    boxes = sorted(by_rect.values(), key=EndCutBox.sort_key)
+    ee = [b.rect for b in by_rect.values() if b.kind is BoxKind.EDGE_EDGE]
+    boxes = [
+        b
+        for b in by_rect.values()
+        if b.kind is BoxKind.EDGE_EDGE
+        or not any(rects_closed_intersect(b.rect, e) for e in ee)
+    ]
     n = len(boxes)
-
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -173,43 +178,12 @@ def resolve_box_overlaps(raw: Sequence[EndCutBox]) -> tuple[EndCutBox, ...]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if rects_closed_intersect(boxes[i].rect, boxes[j].rect):
+            if rects_interior_intersect(boxes[i].rect, boxes[j].rect):
                 parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
-    keep: list[EndCutBox] = []
-    for members in groups.values():
-        group = [boxes[i] for i in members]
-        ee = [b for b in group if b.kind is BoxKind.EDGE_EDGE]
-        if ee:
-            group = ee + [
-                b
-                for b in group
-                if b.kind is BoxKind.CORNER_CORNER
-                and not any(rects_closed_intersect(b.rect, e.rect) for e in ee)
-            ]
-        # collapse interior-overlapping boxes to the smallest alternative
-        m = len(group)
-        sub = list(range(m))
-
-        def sfind(i: int) -> int:
-            while sub[i] != i:
-                sub[i] = sub[sub[i]]
-                i = sub[i]
-            return i
-
-        for i in range(m):
-            for j in range(i + 1, m):
-                if rects_interior_intersect(group[i].rect, group[j].rect):
-                    sub[sfind(i)] = sfind(j)
-        clusters: dict[int, list[EndCutBox]] = {}
-        for i in range(m):
-            clusters.setdefault(sfind(i), []).append(group[i])
-        for cluster in clusters.values():
-            keep.append(min(cluster, key=lambda b: (b.rect.area, b.sort_key())))
+    clusters: dict[int, list[EndCutBox]] = {}
+    for i, box in enumerate(boxes):
+        clusters.setdefault(find(i), []).append(box)
+    keep = [min(c, key=lambda b: (b.rect.area, b.sort_key())) for c in clusters.values()]
     return tuple(sorted(keep, key=EndCutBox.sort_key))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GeometryError(ValueError):
@@ -172,10 +172,6 @@ class Edge:
         if self.orientation == "h":
             return max(self.a.x, self.b.x)
         return max(self.a.y, self.b.y)
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo
 
 
 def _normalize_outline(points: Sequence[Point]) -> list[Point]:
@@ -338,20 +334,6 @@ def rectset_within(a: Sequence[Rect], b: Sequence[Rect], d: int, metric: Metric 
     return False
 
 
-def shape_distance(a: RectilinearShape, b: RectilinearShape) -> int:
-    """Distance between two disjoint shapes; raises if their interiors overlap."""
-    best: int | None = None
-    for ra in a.rects:
-        for rb in b.rects:
-            if rects_interior_intersect(ra, rb):
-                raise OverlappingInputShapes(f"shapes {a.id} and {b.id} overlap")
-            g = rect_chebyshev_gap(ra, rb)
-            if best is None or g < best:
-                best = g
-    assert best is not None
-    return best
-
-
 def shapes_within(a: RectilinearShape, b: RectilinearShape, d: int, metric: Metric = Metric.CHEBYSHEV) -> bool:
     return rectset_within(a.rects, b.rects, d, metric)
 
@@ -360,7 +342,8 @@ class SpatialIndex:
     """Uniform grid over shape bounding boxes.
 
     query() returns a superset of the ids whose shapes can lie within the
-    given distance of the probe rectangle; callers must re-check exactly.
+    given distance of the probe rectangle, and pairs() the same for every
+    pair of inserted ids; callers must re-check exactly.
     """
 
     def __init__(self, cell_size: int):
@@ -368,7 +351,7 @@ class SpatialIndex:
             raise GeometryError("cell size must be positive")
         self.cell_size = cell_size
         self._cells: dict[tuple[int, int], list[int]] = {}
-        self._count = 0
+        self._boxes: dict[int, Rect] = {}
 
     @classmethod
     def from_shapes(cls, shapes: Iterable[RectilinearShape], cell_size: int) -> "SpatialIndex":
@@ -377,9 +360,6 @@ class SpatialIndex:
             idx.insert(s.id, s.bbox)
         return idx
 
-    def __len__(self) -> int:
-        return self._count
-
     def _cell_span(self, lo: int, hi: int) -> range:
         return range(lo // self.cell_size, hi // self.cell_size + 1)
 
@@ -387,7 +367,7 @@ class SpatialIndex:
         for cx in self._cell_span(bbox.lo.x, bbox.hi.x):
             for cy in self._cell_span(bbox.lo.y, bbox.hi.y):
                 self._cells.setdefault((cx, cy), []).append(sid)
-        self._count += 1
+        self._boxes[sid] = bbox
 
     def query(self, rect: Rect, distance: int = 0) -> set[int]:
         found: set[int] = set()
@@ -397,3 +377,11 @@ class SpatialIndex:
                 if bucket:
                     found.update(bucket)
         return found
+
+    def pairs(self, distance: int = 0) -> Iterator[tuple[int, int]]:
+        """Candidate pairs (a, b) with a < b in ascending order, generated
+        one id's neighbours at a time so no list of all pairs is built."""
+        for a in sorted(self._boxes):
+            for b in sorted(self.query(self._boxes[a], distance)):
+                if b > a:
+                    yield a, b

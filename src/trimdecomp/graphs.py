@@ -72,14 +72,9 @@ def conflict_pairs(
     """Feature pairs within the same-mask spacing rule of each other."""
     by_id = {s.id: s for s in doc.shapes}
     d = doc.params.dis_m
-    pairs: set[PairKey] = set()
-    for s in doc.shapes:
-        for oid in index.query(s.bbox, d):
-            if oid <= s.id:
-                continue
-            if shapes_within(s, by_id[oid], d, metric):
-                pairs.add((s.id, oid))
-    return sorted(pairs)
+    return [
+        (a, b) for a, b in index.pairs(d) if shapes_within(by_id[a], by_id[b], d, metric)
+    ]
 
 
 def build_layout_graph(
@@ -215,25 +210,18 @@ def build_end_cut_graph(
     order = sorted(cuts)
     d = params.dis_c
     index = SpatialIndex(max(d, 1))
-    bboxes = []
     for i, p in enumerate(order):
-        bb = bounding_box(cuts[p].rects)
-        bboxes.append(bb)
-        index.insert(i, bb)
+        index.insert(i, bounding_box(cuts[p].rects))
     ee: set[tuple[PairKey, PairKey]] = set()
     merges: set[tuple[PairKey, PairKey]] = set()
-    for i, pa in enumerate(order):
-        ca = cuts[pa]
-        for j in sorted(index.query(bboxes[i], d)):
-            if j <= i:
-                continue
-            cb = cuts[order[j]]
-            if not rectset_within(ca.rects, cb.rects, d, metric):
-                continue
-            if mergeable_pair(ca, cb, params):
-                merges.add((pa, order[j]))
-            else:
-                ee.add((pa, order[j]))
+    for i, j in index.pairs(d):
+        ca, cb = cuts[order[i]], cuts[order[j]]
+        if not rectset_within(ca.rects, cb.rects, d, metric):
+            continue
+        if mergeable_pair(ca, cb, params):
+            merges.add((order[i], order[j]))
+        else:
+            ee.add((order[i], order[j]))
     return EndCutGraph(cuts, ee, merges)
 
 

@@ -71,11 +71,8 @@ class IlpSolution:
     selected: frozenset[PairKey]
 
 
-def _build(
-    g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction, allow_stitch: bool
-) -> IlpModel:
-    if g.stitch_edges and not allow_stitch:
-        raise ModelError("graph has stitch edges; build the stitch-aware model instead")
+def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> IlpModel:
+    """The whole 0-1 model of the layout graph, with alpha per stitch."""
     if alpha < 0:
         raise ModelError("alpha must be non-negative")
     verts = sorted(g.segments)
@@ -137,16 +134,6 @@ def _build(
         c_of=c_of,
         s_of=s_of,
     )
-
-
-def build_model_no_stitch(g: LayoutGraph, ecg: EndCutGraph | None = None) -> IlpModel:
-    return _build(g, ecg, Fraction(0), allow_stitch=False)
-
-
-def build_model_with_stitch(
-    g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction
-) -> IlpModel:
-    return _build(g, ecg, alpha, allow_stitch=True)
 
 
 class _Timeout(Exception):

@@ -257,22 +257,12 @@ def _check_id(fid: int, seen: set[int], lineno: int) -> None:
 
 
 def _check_disjoint(shapes: Sequence[RectilinearShape], cell: int) -> None:
-    index = SpatialIndex(cell)
-    by_id = {}
-    for s in shapes:
-        by_id[s.id] = s
-        index.insert(s.id, s.bbox)
-    for s in shapes:
-        for other_id in index.query(s.bbox):
-            if other_id <= s.id:
-                continue
-            other = by_id[other_id]
-            for ra in s.rects:
-                for rb in other.rects:
-                    if rects_interior_intersect(ra, rb):
-                        raise OverlappingInputShapes(
-                            f"features {s.id} and {other.id} overlap"
-                        )
+    by_id = {s.id: s for s in shapes}
+    for a, b in SpatialIndex.from_shapes(shapes, cell).pairs():
+        for ra in by_id[a].rects:
+            for rb in by_id[b].rects:
+                if rects_interior_intersect(ra, rb):
+                    raise OverlappingInputShapes(f"features {a} and {b} overlap")
 
 
 def write_layout(doc: LayoutDocument) -> str:

@@ -2,9 +2,9 @@
 
 Everything here recomputes answers by a route the package itself never
 takes: plain enumeration over all assignments, an external
-mixed-integer solve of the exported LP text, and an all-pairs search for
-fusable trim rectangles. Tests compare the package against these, never
-against itself.
+mixed-integer solve of the exported LP text, an all-pairs search for
+fusable trim rectangles, and a two-level grouping of candidate boxes.
+Tests compare the package against these, never against itself.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from trimdecomp.endcut import BoxKind, EndCutBox, EndCutCandidate, merge_union
-from trimdecomp.geometry import Rect
+from trimdecomp.geometry import Rect, rects_closed_intersect, rects_interior_intersect
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
 from trimdecomp.ilp import IlpModel, IlpSolution
 from trimdecomp.layout_io import DecompositionParams, StitchPoint
@@ -128,6 +128,52 @@ def merged_cut_rects_oracle(
                 out.append(r)
         rects = sorted(set(out))
     return tuple(rects)
+
+
+def resolve_box_overlaps_oracle(raw: list[EndCutBox]) -> tuple[EndCutBox, ...]:
+    """Box thinning by two nested groupings: boxes in closed contact form
+    groups; in a group with edge-to-edge boxes the corner boxes touching
+    one are dropped; the rest cluster by shared interior and each cluster
+    keeps its smallest box."""
+    by_rect: dict[Rect, EndCutBox] = {}
+    for box in sorted(raw, key=EndCutBox.sort_key):
+        cur = by_rect.get(box.rect)
+        if cur is None or (
+            cur.kind is BoxKind.CORNER_CORNER and box.kind is BoxKind.EDGE_EDGE
+        ):
+            by_rect[box.rect] = box
+    boxes = sorted(by_rect.values(), key=EndCutBox.sort_key)
+
+    def clusters(items: list[EndCutBox], linked) -> list[list[EndCutBox]]:
+        parent = list(range(len(items)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i, j in itertools.combinations(range(len(items)), 2):
+            if linked(items[i].rect, items[j].rect):
+                parent[find(i)] = find(j)
+        out: dict[int, list[EndCutBox]] = {}
+        for i, box in enumerate(items):
+            out.setdefault(find(i), []).append(box)
+        return list(out.values())
+
+    keep: list[EndCutBox] = []
+    for group in clusters(boxes, rects_closed_intersect):
+        ee = [b for b in group if b.kind is BoxKind.EDGE_EDGE]
+        if ee:
+            group = ee + [
+                b
+                for b in group
+                if b.kind is BoxKind.CORNER_CORNER
+                and not any(rects_closed_intersect(b.rect, e.rect) for e in ee)
+            ]
+        for cluster in clusters(group, rects_interior_intersect):
+            keep.append(min(cluster, key=lambda b: (b.rect.area, b.sort_key())))
+    return tuple(sorted(keep, key=EndCutBox.sort_key))
 
 
 def _dummy_candidate(pair: tuple[int, int]) -> EndCutCandidate:

@@ -13,13 +13,12 @@ from pathlib import Path
 
 from helpers import enumerate_model, milp_lex_witness, milp_optimum, random_model_graph
 from test_endcut import bar, cut_between, params
-from test_ilp import build_for
 
 from trimdecomp.cli import RunStats, build_full_model, decompose_document, stats_line
 from trimdecomp.endcut import BoxKind
 from trimdecomp.geometry import Rect, RectilinearShape, SpatialIndex
 from trimdecomp.graphs import conflict_pairs
-from trimdecomp.ilp import SolveStatus, export_lp, solve
+from trimdecomp.ilp import SolveStatus, build_model, export_lp, solve
 from trimdecomp.layout_io import fraction_to_decimal, parse_layout, write_report
 from trimdecomp.synth import grid_layout, random_layout
 
@@ -35,7 +34,7 @@ def test_criterion_1_solver_matches_exhaustive_enumeration():
     started = time.perf_counter()
     for _ in range(500):
         g, ecg, alpha = random_model_graph(rng)
-        m = build_for(g, ecg, alpha)
+        m = build_model(g, ecg, alpha)
         assert len(m.names) <= 12
         want, _ = enumerate_model(m)
         sol = solve(g, ecg, alpha)
@@ -138,7 +137,7 @@ def test_criterion_6_encoding_matches_direct_edge_counting():
     done = 0
     while done < 10_000:
         g, ecg, alpha = random_model_graph(rng)
-        m = build_for(g, ecg, alpha)
+        m = build_model(g, ecg, alpha)
         cand_edges = {}
         for e, cand in g.conflict_edges.items():
             if cand is not None and cand.pair in m.ec_of:

@@ -1,13 +1,16 @@
 import re
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import trimdecomp
 import trimdecomp.cli
-from trimdecomp.cli import main
+from trimdecomp.cli import decompose_document, main
 from trimdecomp.geometry import Rect
-from trimdecomp.layout_io import parse_report
+from trimdecomp.layout_io import parse_report, write_report
+from trimdecomp.synth import random_layout
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
@@ -175,3 +178,21 @@ def test_internal_error_is_reported_not_raised(monkeypatch, capsys, error):
     assert code == 2
     assert not out
     assert err == f"error: internal: {error.__name__}: solver defect\n"
+
+
+def test_report_bytes_repeat_across_serial_and_threaded_runs():
+    docs = [random_layout(seed, stitch=stitch) for seed in range(40) for stitch in (False, True)]
+
+    def reports():
+        return [write_report(decompose_document(doc).report) for doc in docs]
+
+    first = reports()
+    assert reports() == first
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(reports) for _ in range(2)]
+        assert [f.result() for f in futures] == [first, first]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in trimdecomp.__all__ if not hasattr(trimdecomp, name)]
+    assert missing == []

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import trimdecomp.endcut
-from helpers import merged_cut_rects_oracle
+from helpers import merged_cut_rects_oracle, resolve_box_overlaps_oracle
 from trimdecomp.cli import decompose_document
 from trimdecomp.endcut import (
     BoxKind,
@@ -219,6 +219,24 @@ def test_resolution_invariants_random():
                 rects_closed_intersect(b.rect, e) for e in all_edge_rects
             )
             assert dup or crowded or chain_beaten(b)
+
+
+def test_resolve_box_overlaps_matches_two_level_oracle():
+    rng = random.Random(4099)
+    for _ in range(20000):
+        raw = []
+        for _ in range(rng.randint(1, 9)):
+            if raw and rng.random() < 0.15:
+                r = rng.choice(raw).rect  # same rectangle, maybe another kind
+            else:
+                x = rng.randrange(0, 120, 20)
+                y = rng.randrange(0, 120, 20)
+                w = rng.randrange(20, 100, 20)
+                h = rng.randrange(20, 100, 20)
+                r = Rect.of(x, y, x + w, y + h)
+            kind = rng.choice([BoxKind.EDGE_EDGE, BoxKind.CORNER_CORNER])
+            raw.append(EndCutBox(rect=r, kind=kind, run_axis=rng.choice("xy")))
+        assert resolve_box_overlaps(raw) == resolve_box_overlaps_oracle(raw)
 
 
 def test_generate_all_end_cuts_demo_layout():

@@ -7,7 +7,6 @@ from trimdecomp.geometry import (
     GeometryError,
     Metric,
     OverlapKind,
-    OverlappingInputShapes,
     Point,
     Rect,
     RectilinearShape,
@@ -19,8 +18,8 @@ from trimdecomp.geometry import (
     rect_overlap_kind,
     rects_closed_intersect,
     rects_interior_intersect,
+    rectset_chebyshev_gap,
     rectset_within,
-    shape_distance,
     shapes_within,
 )
 
@@ -151,13 +150,10 @@ def test_plus_shape_decomposition():
 def test_shape_distance_and_overlap_error():
     a = RectilinearShape.from_rect(1, Rect.of(0, 0, 10, 10))
     b = RectilinearShape.from_rect(2, Rect.of(30, 0, 40, 10))
-    assert shape_distance(a, b) == 20
-    c = RectilinearShape.from_rect(3, Rect.of(5, 5, 15, 15))
-    with pytest.raises(OverlappingInputShapes):
-        shape_distance(a, c)
+    assert rectset_chebyshev_gap(a.rects, b.rects) == 20
     # touching is allowed and is distance zero
     d = RectilinearShape.from_rect(4, Rect.of(10, 0, 20, 10))
-    assert shape_distance(a, d) == 0
+    assert rectset_chebyshev_gap(a.rects, d.rects) == 0
 
 
 def test_l_shape_distance_uses_pieces_not_bbox():
@@ -166,7 +162,7 @@ def test_l_shape_distance_uses_pieces_not_bbox():
         1, [(0, 0), (200, 0), (200, 40), (40, 40), (40, 200), (0, 200)]
     )
     bar = RectilinearShape.from_rect(2, Rect.of(80, 80, 200, 200))
-    assert shape_distance(l1, bar) == 40
+    assert rectset_chebyshev_gap(l1.rects, bar.rects) == 40
     assert shapes_within(l1, bar, 40)
     assert not shapes_within(l1, bar, 39)
 
@@ -187,14 +183,15 @@ def test_bounding_box():
 def test_edge_fields():
     e = Edge(a=Point(10, 0), b=Point(10, 30), normal=(1, 0))
     assert e.orientation == "v"
-    assert (e.pos, e.lo, e.hi, e.length) == (10, 0, 30, 30)
+    assert (e.pos, e.lo, e.hi) == (10, 0, 30)
 
 
 def test_spatial_index_query_is_superset_of_brute_force():
     rng = random.Random(99)
     for trial in range(40):
         shapes = []
-        for fid in range(1, rng.randint(4, 30)):
+        # sparse ids in random order, so pairs() cannot be ascending by accident
+        for fid in rng.sample(range(1, 10_000), rng.randint(3, 29)):
             x = rng.randrange(-500, 2000, 10)
             y = rng.randrange(-500, 2000, 10)
             w = rng.randrange(10, 400, 10)
@@ -211,3 +208,12 @@ def test_spatial_index_query_is_superset_of_brute_force():
             for s in shapes:
                 if rect_chebyshev_gap(q, s.bbox) <= d:
                     assert s.id in got
+        for d in (0, 50, 120):
+            pairs = list(index.pairs(d))
+            assert all(a < b for a, b in pairs)
+            assert pairs == sorted(set(pairs))
+            found = set(pairs)
+            for s in shapes:
+                for t in shapes:
+                    if s.id < t.id and rect_chebyshev_gap(s.bbox, t.bbox) <= d:
+                        assert (s.id, t.id) in found

@@ -16,8 +16,7 @@ from trimdecomp.graphs import EndCutGraph
 from trimdecomp.ilp import (
     ModelError,
     SolveStatus,
-    build_model_no_stitch,
-    build_model_with_stitch,
+    build_model,
     export_lp,
     solve,
 )
@@ -26,16 +25,10 @@ from trimdecomp.layout_io import parse_layout
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
 
-def build_for(g, ecg, alpha):
-    if g.stitch_edges:
-        return build_model_with_stitch(g, ecg, alpha)
-    return build_model_no_stitch(g, ecg)
-
-
 def test_model_shape_for_demo_layout():
     doc = parse_layout((LAYOUTS / "endcut_demo.lay").read_text())
     g, ecg, _ = graph_for(doc)
-    m = build_model_no_stitch(g, ecg)
+    m = build_model(g, ecg, Fraction(0))
     assert m.names == ("x_1", "x_2", "x_3", "ec_2_3", "c_1_2", "c_1_3", "c_2_3")
     assert m.kinds == ("x", "x", "x", "ec", "c", "c", "c")
     # two rows per plain conflict edge, four for the repairable one
@@ -46,7 +39,7 @@ def test_model_shape_for_demo_layout():
 
 def test_conflict_rows_force_indicator():
     g, _ = abstract_graph(2, [(1, 2)])
-    m = build_model_no_stitch(g)
+    m = build_model(g, None, Fraction(0))
     (xi, xj, ci) = (m.x_of[(1, 0)], m.x_of[(2, 0)], m.c_of[((1, 0), (2, 0))])
     rows = set(m.constraints)
     assert (((xi, 1), (xj, 1), (ci, -1)), 1) in rows
@@ -55,7 +48,7 @@ def test_conflict_rows_force_indicator():
 
 def test_cut_rows_forbid_useless_cuts():
     g, cmap = abstract_graph(2, [(1, 2)], cands={(1, 2)})
-    m = build_model_no_stitch(g, EndCutGraph(cmap, frozenset(), frozenset()))
+    m = build_model(g, EndCutGraph(cmap, frozenset(), frozenset()), Fraction(0))
     ei = m.ec_of[(1, 2)]
     xi, xj = m.x_of[(1, 0)], m.x_of[(2, 0)]
     rows = set(m.constraints)
@@ -63,16 +56,14 @@ def test_cut_rows_forbid_useless_cuts():
     assert (((ei, 1), (xj, 1), (xi, -1)), 1) in rows
 
 
-def test_stitch_edges_rejected_without_stitch_model():
+def test_stitch_edges_get_stitch_variables():
     doc = parse_layout(
         "layout t\nparam dis_m 120\nparam stitch 1\n"
         "rect 1 0 0 1000 40\nrect 2 0 160 300 200\nrect 3 700 160 1000 200\n"
     )
     g, ecg, _ = graph_for(doc)
     assert g.stitch_edges
-    with pytest.raises(ModelError):
-        build_model_no_stitch(g, ecg)
-    m = build_model_with_stitch(g, ecg, Fraction(1, 10))
+    m = build_model(g, ecg, Fraction(1, 10))
     assert any(k == "s" for k in m.kinds)
     assert m.scale == 10
 
@@ -80,12 +71,12 @@ def test_stitch_edges_rejected_without_stitch_model():
 def test_negative_alpha_rejected():
     g, _ = abstract_graph(2, [(1, 2)])
     with pytest.raises(ModelError):
-        build_model_with_stitch(g, None, Fraction(-1, 10))
+        build_model(g, None, Fraction(-1, 10))
 
 
 def test_stitch_weight_scaling():
     g, cmap = abstract_graph(3, [(1, 2), (2, 3)])
-    m = build_model_with_stitch(g, None, Fraction(1, 3))
+    m = build_model(g, None, Fraction(1, 3))
     assert m.scale == 3
     # conflicts weigh the denominator, stitches the numerator
     assert all(m.objective[i] == 3 for i, k in enumerate(m.kinds) if k == "c")
@@ -95,7 +86,7 @@ def test_solver_matches_enumeration_on_random_models():
     rng = random.Random(90125)
     for _ in range(150):
         g, ecg, alpha = random_model_graph(rng)
-        m = build_for(g, ecg, alpha)
+        m = build_model(g, ecg, alpha)
         want_value, want_x = enumerate_model(m)
         sol = solve(g, ecg, alpha)
         assert sol.status is SolveStatus.OPTIMAL
@@ -108,7 +99,7 @@ def test_solution_values_are_internally_consistent():
     rng = random.Random(77)
     for _ in range(60):
         g, ecg, alpha = random_model_graph(rng)
-        m = build_for(g, ecg, alpha)
+        m = build_model(g, ecg, alpha)
         sol = solve(g, ecg, alpha)
         # every constraint of the model holds under the reported values
         values = solution_values(g, m, sol)
@@ -202,7 +193,7 @@ def test_timeout_returns_feasible_incumbent():
             if rng.random() < 0.5:
                 edges.append((a, b))
     g, _ = abstract_graph(n, edges)
-    m = build_model_no_stitch(g)
+    m = build_model(g, None, Fraction(0))
     sol = solve(g, None, Fraction(0), time_limit=0.0)
     assert sol.status is SolveStatus.TIMEOUT
     full = solve(g, None, Fraction(0))
@@ -218,7 +209,7 @@ def test_timeout_returns_feasible_incumbent():
 def test_export_lp_demo_text():
     doc = parse_layout((LAYOUTS / "endcut_demo.lay").read_text())
     g, ecg, _ = graph_for(doc)
-    text = export_lp(build_model_no_stitch(g, ecg))
+    text = export_lp(build_model(g, ecg, Fraction(0)))
     lines = text.splitlines()
     assert lines[0] == "Minimize"
     assert lines[1] == " obj: + c_1_2 + c_1_3 + c_2_3"
@@ -237,17 +228,17 @@ def test_export_lp_fractional_and_scaled_weights():
         "rect 1 0 0 1000 40\nrect 2 0 160 300 200\nrect 3 700 160 1000 200\n"
     )
     g, ecg, _ = graph_for(doc)
-    smooth = export_lp(build_model_with_stitch(g, ecg, Fraction(1, 10)))
+    smooth = export_lp(build_model(g, ecg, Fraction(1, 10)))
     assert "+ 0.1 s_1_0_1" in smooth
     assert "scaled by" not in smooth
-    scaled = export_lp(build_model_with_stitch(g, ecg, Fraction(1, 3)))
+    scaled = export_lp(build_model(g, ecg, Fraction(1, 3)))
     assert scaled.splitlines()[0] == "\\ objective scaled by 3"
     assert "+ 3 c_" in scaled and "+ 1 s_1_0_1" in scaled
 
 
 def test_export_lp_binaries_section_wraps():
     g, _ = abstract_graph(9, [(a, b) for a in range(1, 10) for b in range(a + 1, 10)])
-    text = export_lp(build_model_no_stitch(g))
+    text = export_lp(build_model(g, None, Fraction(0)))
     in_bin = False
     for line in text.splitlines():
         if line == "Binaries":
@@ -263,5 +254,5 @@ def test_exported_lp_agrees_with_external_solver():
     rng = random.Random(31337)
     for _ in range(25):
         g, ecg, alpha = random_model_graph(rng)
-        m = build_for(g, ecg, alpha)
+        m = build_model(g, ecg, alpha)
         assert milp_optimum(export_lp(m)) == solve(g, ecg, alpha).objective

@@ -87,6 +87,11 @@ def test_parse_errors(line, fragment):
 def test_parse_rejects_overlapping_features():
     with pytest.raises(OverlappingInputShapes):
         parse_layout("layout t\nrect 1 0 0 100 100\nrect 2 50 50 200 200\n")
+    # with several overlaps the error names the lowest pair, not a hash-order one
+    with pytest.raises(OverlappingInputShapes, match="features 1 and 9 overlap"):
+        parse_layout(
+            "layout t\nrect 1 0 0 1000 100\nrect 50 10 10 60 60\nrect 9 500 10 560 60\n"
+        )
     # touching features are fine
     parse_layout("layout t\nrect 1 0 0 100 100\nrect 2 100 0 200 100\n")
 

@@ -4,8 +4,9 @@ Two features that sit closer than the same-mask spacing rule can still share
 a mask if the trim exposure removes the sliver of material between them. A
 candidate end-cut for a feature pair is a set of rectangular boxes filling
 the gap between facing edges or between nearby convex corners. Every edge
-pair of the two features is examined; the surviving boxes are deduplicated
-and thinned so overlapping alternatives collapse to the cheapest usable set.
+pair of the two features that can face each other is examined; the
+surviving boxes are deduplicated and thinned so overlapping alternatives
+collapse to the cheapest usable set.
 """
 
 from __future__ import annotations
@@ -208,9 +209,18 @@ def generate_end_cut(
     index: SpatialIndex,
     shapes_by_id: Mapping[int, RectilinearShape],
 ) -> EndCutCandidate | None:
+    """The cut candidate of one feature pair, or None when no box survives.
+
+    Every pair of one edge from each feature is tried except edges with
+    the same outward normal: those are parallel and cannot face each
+    other, so generate_end_cut_box would reject them. A box is kept only
+    when no feature material lies inside it.
+    """
     raw: list[EndCutBox] = []
     for e1 in s1.edges:
         for e2 in s2.edges:
+            if e1.normal == e2.normal:
+                continue
             box = generate_end_cut_box(e1, e2, params)
             if box is not None and _box_clear(box.rect, index, shapes_by_id):
                 raw.append(box)

@@ -13,7 +13,7 @@ axis, so touching shapes are at distance 0.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 
@@ -28,12 +28,6 @@ class OverlappingInputShapes(GeometryError):
 class Metric(enum.Enum):
     CHEBYSHEV = "chebyshev"
     EUCLIDEAN = "euclidean"
-
-
-class OverlapKind(enum.Enum):
-    NONE = "none"
-    TYPE1 = "type1"  # closures intersect, interiors stay disjoint
-    TYPE2 = "type2"  # interiors intersect
 
 
 @dataclass(frozen=True, order=True)
@@ -81,12 +75,8 @@ class Rect:
         return Rect(Point(self.lo.x - d, self.lo.y - d), Point(self.hi.x + d, self.hi.y + d))
 
     def corners(self) -> tuple[Point, Point, Point, Point]:
-        return (
-            Point(self.lo.x, self.lo.y),
-            Point(self.hi.x, self.lo.y),
-            Point(self.hi.x, self.hi.y),
-            Point(self.lo.x, self.hi.y),
-        )
+        """Counter-clockwise from the lower-left corner."""
+        return (self.lo, Point(self.hi.x, self.lo.y), self.hi, Point(self.lo.x, self.hi.y))
 
 
 def interval_gap(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
@@ -127,51 +117,35 @@ def rects_closed_intersect(a: Rect, b: Rect) -> bool:
     )
 
 
-def rect_overlap_kind(a: Rect, b: Rect) -> OverlapKind:
-    """Classify how two rectangles overlap.
-
-    TYPE2 means shared interior area, TYPE1 means they only touch along an
-    edge or at a corner, NONE means fully disjoint closures.
-    """
-    if rects_interior_intersect(a, b):
-        return OverlapKind.TYPE2
-    if rects_closed_intersect(a, b):
-        return OverlapKind.TYPE1
-    return OverlapKind.NONE
-
-
 @dataclass(frozen=True)
 class Edge:
     """Directed boundary edge of a shape outline.
 
     The edge runs from a to b with the shape interior on its left, so the
     outward normal is the left-to-right direction rotated clockwise.
+    orientation ('h' or 'v'), pos (the coordinate of the axis the edge
+    lies on) and the span lo..hi along that axis are derived once at
+    construction; equality, hashing and repr use a, b and normal only.
     """
 
     a: Point
     b: Point
     normal: tuple[int, int]
+    orientation: str = field(init=False, compare=False, repr=False)
+    pos: int = field(init=False, compare=False, repr=False)
+    lo: int = field(init=False, compare=False, repr=False)
+    hi: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def orientation(self) -> str:
-        return "h" if self.a.y == self.b.y else "v"
-
-    @property
-    def pos(self) -> int:
-        """Coordinate of the axis the edge lies on."""
-        return self.a.y if self.orientation == "h" else self.a.x
-
-    @property
-    def lo(self) -> int:
-        if self.orientation == "h":
-            return min(self.a.x, self.b.x)
-        return min(self.a.y, self.b.y)
-
-    @property
-    def hi(self) -> int:
-        if self.orientation == "h":
-            return max(self.a.x, self.b.x)
-        return max(self.a.y, self.b.y)
+    def __post_init__(self) -> None:
+        a, b = self.a, self.b
+        if a.y == b.y:
+            orientation, pos, lo, hi = "h", a.y, min(a.x, b.x), max(a.x, b.x)
+        else:
+            orientation, pos, lo, hi = "v", a.x, min(a.y, b.y), max(a.y, b.y)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
 def _normalize_outline(points: Sequence[Point]) -> list[Point]:
@@ -257,6 +231,10 @@ def _decompose_outline(pts: Sequence[Point]) -> tuple[Rect, ...]:
     return tuple(sorted(rects))
 
 
+# outward normals of a rectangle's edges, counter-clockwise from the bottom
+_CCW_RECT_NORMALS = ((0, -1), (1, 0), (0, 1), (-1, 0))
+
+
 @dataclass(frozen=True)
 class RectilinearShape:
     """A layout feature: a simple rectilinear polygon.
@@ -290,11 +268,19 @@ class RectilinearShape:
 
     @classmethod
     def from_rect(cls, sid: int, rect: Rect) -> "RectilinearShape":
-        return cls.from_outline(sid, rect.corners())
+        """The shape of one rectangle, built directly: the same rects,
+        outline and edges as from_outline(sid, rect.corners()), without
+        normalising, checking or slicing an outline."""
+        pts = rect.corners()
+        edges = tuple(
+            Edge(p, q, n) for p, q, n in zip(pts, pts[1:] + pts[:1], _CCW_RECT_NORMALS)
+        )
+        return cls(sid, (rect,), pts, edges)
 
     @property
     def bbox(self) -> Rect:
-        return bounding_box(self.rects)
+        rects = self.rects
+        return rects[0] if len(rects) == 1 else bounding_box(rects)
 
     @property
     def min_dimension(self) -> int:

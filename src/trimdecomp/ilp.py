@@ -43,7 +43,6 @@ class ModelError(ValueError):
 
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     TIMEOUT = "timeout"
 
 

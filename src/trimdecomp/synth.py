@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .geometry import RectilinearShape
+from .geometry import Rect, RectilinearShape
 from .layout_io import DecompositionParams, LayoutDocument
 
 
@@ -68,9 +68,7 @@ def random_layout(
                         )
                     )
                 else:
-                    shapes.append(RectilinearShape.from_outline(
-                        fid, [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
-                    ))
+                    shapes.append(_bar(fid, x, y, w, h))
                 fid += 1
                 made += 1
                 x += w + rng.randrange(60, 141, 20)
@@ -85,7 +83,7 @@ def random_layout(
 
 
 def _bar(fid: int, x: int, y: int, w: int, h: int) -> RectilinearShape:
-    return RectilinearShape.from_outline(fid, [(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
+    return RectilinearShape.from_rect(fid, Rect.of(x, y, x + w, y + h))
 
 
 def grid_layout(shapes: int = 10000, seed: int = 0) -> LayoutDocument:

@@ -3,7 +3,8 @@
 Everything here recomputes answers by a route the package itself never
 takes: plain enumeration over all assignments, an external
 mixed-integer solve of the exported LP text, an all-pairs search for
-fusable trim rectangles, and a two-level grouping of candidate boxes.
+fusable trim rectangles, a two-level grouping of candidate boxes, and
+end-cut generation over every edge pair of two features.
 Tests compare the package against these, never against itself.
 """
 
@@ -15,8 +16,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from trimdecomp.endcut import BoxKind, EndCutBox, EndCutCandidate, merge_union
-from trimdecomp.geometry import Rect, rects_closed_intersect, rects_interior_intersect
+from trimdecomp.endcut import (
+    BoxKind,
+    EndCutBox,
+    EndCutCandidate,
+    _box_clear,
+    generate_end_cut_box,
+    merge_union,
+    resolve_box_overlaps,
+)
+from trimdecomp.geometry import (
+    Rect,
+    RectilinearShape,
+    SpatialIndex,
+    rects_closed_intersect,
+    rects_interior_intersect,
+)
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
 from trimdecomp.ilp import IlpModel, IlpSolution
 from trimdecomp.layout_io import DecompositionParams, StitchPoint
@@ -174,6 +189,34 @@ def resolve_box_overlaps_oracle(raw: list[EndCutBox]) -> tuple[EndCutBox, ...]:
         for cluster in clusters(group, rects_interior_intersect):
             keep.append(min(cluster, key=lambda b: (b.rect.area, b.sort_key())))
     return tuple(sorted(keep, key=EndCutBox.sort_key))
+
+
+def shape_facts(s: RectilinearShape) -> tuple:
+    """Everything a shape stores, each edge with its derived fields, so
+    two shapes built by different routes can be compared in full."""
+    edges = tuple((e.a, e.b, e.normal, e.orientation, e.pos, e.lo, e.hi) for e in s.edges)
+    return s.id, s.rects, s.outline, edges
+
+
+def generate_end_cut_oracle(
+    s1: RectilinearShape,
+    s2: RectilinearShape,
+    params: DecompositionParams,
+    index: SpatialIndex,
+    shapes_by_id: dict[int, RectilinearShape],
+) -> EndCutCandidate | None:
+    """End-cut candidate of a feature pair from all edge pairs, including
+    parallel edges that face the same way."""
+    raw: list[EndCutBox] = []
+    for e1 in s1.edges:
+        for e2 in s2.edges:
+            box = generate_end_cut_box(e1, e2, params)
+            if box is not None and _box_clear(box.rect, index, shapes_by_id):
+                raw.append(box)
+    if not raw:
+        return None
+    pair = (min(s1.id, s2.id), max(s1.id, s2.id))
+    return EndCutCandidate(pair=pair, boxes=resolve_box_overlaps(raw))
 
 
 def _dummy_candidate(pair: tuple[int, int]) -> EndCutCandidate:

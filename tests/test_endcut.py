@@ -2,7 +2,7 @@ import itertools
 import random
 
 import trimdecomp.endcut
-from helpers import merged_cut_rects_oracle, resolve_box_overlaps_oracle
+from helpers import generate_end_cut_oracle, merged_cut_rects_oracle, resolve_box_overlaps_oracle
 from trimdecomp.cli import decompose_document
 from trimdecomp.endcut import (
     BoxKind,
@@ -22,10 +22,8 @@ from trimdecomp.geometry import (
     Rect,
     RectilinearShape,
     SpatialIndex,
-    rect_overlap_kind,
     rects_closed_intersect,
     rects_interior_intersect,
-    OverlapKind,
 )
 from trimdecomp.layout_io import DecompositionParams
 from trimdecomp.synth import grid_layout
@@ -134,7 +132,8 @@ def test_two_touching_boxes_both_kept():
     assert cand is not None
     rects = sorted(b.rect for b in cand.boxes)
     assert rects == [Rect.of(80, 140, 160, 200), Rect.of(160, 80, 200, 140)]
-    assert rect_overlap_kind(rects[0], rects[1]) is OverlapKind.TYPE1
+    assert rects_closed_intersect(rects[0], rects[1])
+    assert not rects_interior_intersect(rects[0], rects[1])
 
 
 def test_overlapping_boxes_keep_smallest():
@@ -187,7 +186,7 @@ def test_resolution_invariants_random():
         assert all(b.rect in rects_in for b in out)
         # never two materially overlapping boxes in the result
         for a, b in itertools.combinations(out, 2):
-            assert rect_overlap_kind(a.rect, b.rect) is not OverlapKind.TYPE2
+            assert not rects_interior_intersect(a.rect, b.rect)
         # a corner box never survives in closed contact with an edge box
         edges = [b for b in out if b.kind is BoxKind.EDGE_EDGE]
         for c in (b for b in out if b.kind is BoxKind.CORNER_CORNER):
@@ -237,6 +236,57 @@ def test_resolve_box_overlaps_matches_two_level_oracle():
             kind = rng.choice([BoxKind.EDGE_EDGE, BoxKind.CORNER_CORNER])
             raw.append(EndCutBox(rect=r, kind=kind, run_axis=rng.choice("xy")))
         assert resolve_box_overlaps(raw) == resolve_box_overlaps_oracle(raw)
+
+
+def _random_feature(rng: random.Random, fid: int) -> RectilinearShape:
+    """A bar, an L or a U on a 20-unit lattice, in any of the eight
+    orientations, near the origin."""
+    w, h = rng.randrange(40, 301, 20), rng.randrange(40, 301, 20)
+    kind = rng.choice(("rect", "L", "U"))
+    if kind == "rect":
+        pts = [(0, 0), (w, 0), (w, h), (0, h)]
+    elif kind == "L":
+        t = rng.randrange(20, min(w, h), 20)
+        pts = [(0, 0), (w, 0), (w, t), (t, t), (t, h), (0, h)]
+    else:
+        w = max(w, 100)
+        t = rng.randrange(20, (w - 20) // 2 + 1, 20)
+        b = rng.randrange(20, h, 20)
+        pts = [(0, 0), (w, 0), (w, h), (w - t, h), (w - t, b), (t, b), (t, h), (0, h)]
+    sx, sy, swap = rng.choice((1, -1)), rng.choice((1, -1)), rng.random() < 0.5
+    dx, dy = rng.randrange(-200, 201, 20), rng.randrange(-200, 201, 20)
+    moved = []
+    for x, y in pts:
+        x, y = (y, x) if swap else (x, y)
+        moved.append((sx * x + dx, sy * y + dy))
+    return RectilinearShape.from_outline(fid, moved)
+
+
+def test_generate_end_cut_matches_all_edge_pairs_oracle():
+    rng = random.Random(5170)
+    kinds = {BoxKind.EDGE_EDGE: 0, BoxKind.CORNER_CORNER: 0}
+    pairs = 0
+    while pairs < 5000:
+        s1, s2 = _random_feature(rng, 1), _random_feature(rng, 2)
+        if any(rects_interior_intersect(a, b) for a in s1.rects for b in s2.rects):
+            continue
+        pairs += 1
+        p = params(
+            dis_m=rng.choice((120, 200)),
+            hlow=rng.choice((20, 40)),
+            wlow=rng.choice((20, 40)),
+            hhigh=rng.choice((120, 200)),
+            whigh=rng.choice((120, 200)),
+            wth=rng.choice((80, 120, 200)),
+        )
+        shapes = {1: s1, 2: s2}
+        index = SpatialIndex.from_shapes(shapes.values(), p.dis_m)
+        got = generate_end_cut(s1, s2, p, index, shapes)
+        assert got == generate_end_cut_oracle(s1, s2, p, index, shapes)
+        for box in got.boxes if got else ():
+            kinds[box.kind] += 1
+    # both box kinds occur often enough for the comparison to mean something
+    assert min(kinds.values()) >= 500, kinds
 
 
 def test_generate_all_end_cuts_demo_layout():

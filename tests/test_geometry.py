@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from helpers import shape_facts
 from trimdecomp.geometry import (
     Edge,
     GeometryError,
     Metric,
-    OverlapKind,
     Point,
     Rect,
     RectilinearShape,
@@ -15,7 +15,6 @@ from trimdecomp.geometry import (
     interval_gap,
     rect_chebyshev_gap,
     rect_gaps,
-    rect_overlap_kind,
     rects_closed_intersect,
     rects_interior_intersect,
     rectset_chebyshev_gap,
@@ -73,11 +72,16 @@ def test_rect_intersection_predicates():
 
 
 def test_rect_overlap_kind():
+    # the three ways two rectangles can meet: apart, touching, sharing area
     a = Rect.of(0, 0, 10, 10)
-    assert rect_overlap_kind(a, Rect.of(20, 0, 30, 10)) is OverlapKind.NONE
-    assert rect_overlap_kind(a, Rect.of(10, 10, 20, 20)) is OverlapKind.TYPE1
-    assert rect_overlap_kind(a, Rect.of(10, 0, 20, 10)) is OverlapKind.TYPE1
-    assert rect_overlap_kind(a, Rect.of(5, 5, 20, 20)) is OverlapKind.TYPE2
+    apart, corner, side, overlap = (
+        Rect.of(20, 0, 30, 10), Rect.of(10, 10, 20, 20), Rect.of(10, 0, 20, 10), Rect.of(5, 5, 20, 20)
+    )
+    assert not rects_closed_intersect(a, apart)
+    for touching in (corner, side):
+        assert rects_closed_intersect(a, touching)
+        assert not rects_interior_intersect(a, touching)
+    assert rects_interior_intersect(a, overlap)
 
 
 def test_shape_from_rect_and_bbox():
@@ -184,6 +188,31 @@ def test_edge_fields():
     e = Edge(a=Point(10, 0), b=Point(10, 30), normal=(1, 0))
     assert e.orientation == "v"
     assert (e.pos, e.lo, e.hi) == (10, 0, 30)
+    # the four edges of Rect.of(10, 0, 40, 30), counter-clockwise
+    cases = [
+        (Point(10, 0), Point(40, 0), (0, -1), ("h", 0, 10, 40)),
+        (Point(40, 0), Point(40, 30), (1, 0), ("v", 40, 0, 30)),
+        (Point(40, 30), Point(10, 30), (0, 1), ("h", 30, 10, 40)),
+        (Point(10, 30), Point(10, 0), (-1, 0), ("v", 10, 0, 30)),
+    ]
+    for a, b, normal, fields in cases:
+        e = Edge(a=a, b=b, normal=normal)
+        assert (e.orientation, e.pos, e.lo, e.hi) == fields
+        twin = Edge(a=Point(a.x, a.y), b=Point(b.x, b.y), normal=normal)
+        assert twin == e and hash(twin) == hash(e)
+        assert repr(twin) == f"Edge(a={a!r}, b={b!r}, normal={normal!r})"
+        assert e != Edge(a=b, b=a, normal=normal)
+
+
+def test_from_rect_matches_from_outline():
+    rng = random.Random(7321)
+    for _ in range(2000):
+        x, y = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
+        r = Rect.of(x, y, x + rng.randint(1, 500), y + rng.randint(1, 500))
+        sid = rng.randrange(10_000)
+        assert shape_facts(RectilinearShape.from_rect(sid, r)) == shape_facts(
+            RectilinearShape.from_outline(sid, r.corners())
+        )
 
 
 def test_spatial_index_query_is_superset_of_brute_force():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import trimdecomp.geometry
 from trimdecomp.cli import decompose_document
 from trimdecomp.geometry import OverlappingInputShapes, Rect
 from trimdecomp.layout_io import (
@@ -32,6 +33,19 @@ def test_parse_minimal_layout():
     assert doc.units == "nm"
     assert [s.id for s in doc.shapes] == [1]
     assert doc.shapes[0].bbox == Rect.of(0, 0, 10, 10)
+
+
+def test_rect_lines_skip_the_outline_path(monkeypatch):
+    # a plain rect is built directly; only poly lines need the outline
+    # normalised, checked and sliced into rectangles
+    def refuse(points):
+        raise AssertionError("outline path taken")
+
+    monkeypatch.setattr(trimdecomp.geometry, "_normalize_outline", refuse)
+    doc = parse_layout((LAYOUTS / "cluster7.lay").read_text())
+    assert len(doc.shapes) == 7
+    with pytest.raises(AssertionError, match="outline path taken"):
+        parse_layout("poly 1 0 0 10 0 10 10 0 10\n")
 
 
 def test_parse_cluster7_defaults():

@@ -4,7 +4,9 @@ decompose_document runs the whole flow on a parsed layout: conflict
 detection, cut generation, optional stitch insertion, the end-cut graph,
 one exact solve of the layout graph, and reassembly into a report. main
 wraps it with file handling, artifact export, and a benchmark mode over a
-directory of layouts.
+directory of layouts. Benchmark mode spreads the layouts over --jobs
+worker processes, at most one per CPU and per layout; the work is
+pure-Python CPU, so threads would queue on the interpreter lock.
 """
 
 from __future__ import annotations
@@ -13,11 +15,14 @@ import argparse
 import csv
 import dataclasses
 import io
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 from .endcut import generate_all_end_cuts, merged_cut_rects
@@ -203,6 +208,16 @@ def _parse_alpha(text: str) -> Fraction:
     return value
 
 
+def _parse_jobs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad job count {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("job count must be at least 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="trimdecomp",
@@ -220,7 +235,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--alpha", type=_parse_alpha, help="stitch weight, e.g. 1/10 or 0.1")
     ap.add_argument("--time-limit", type=float, help="overall solve budget in seconds")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel layouts in directory mode")
+    ap.add_argument(
+        "--jobs",
+        type=_parse_jobs,
+        default=1,
+        help="worker processes in directory mode, at most one per CPU and per layout",
+    )
     ap.add_argument(
         "--metric",
         choices=["chebyshev", "euclidean"],
@@ -259,9 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     except (LayoutParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AssertionError, RecursionError) as exc:
-        # a failed bookkeeping check or an exhausted stack is a defect of
-        # this program, not of the input
+    except (AssertionError, RecursionError, BrokenExecutor) as exc:
+        # a failed bookkeeping check, an exhausted stack or a dead worker
+        # process is a defect of this program, not of the input
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for name, us in result.stage_us:
@@ -280,21 +300,41 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _stats_row(path: Path, args: argparse.Namespace) -> tuple[str, RunStats]:
+    """One directory-mode row; module level so a worker process can run it."""
+    return path.stem, _run_one(path, args).stats
+
+
 def _bench(root: Path, args: argparse.Namespace) -> int:
     paths = sorted(root.glob("*.lay"))
     if not paths:
         print(f"error: no .lay files under {root}", file=sys.stderr)
         return 1
+    # the pool forks all of max_workers on its first submit
+    workers = min(args.jobs, len(paths), os.cpu_count() or 1)
+    if workers == 1:
+        return _write_rows(paths, map(_stats_row, paths, repeat(args)))
+    # imported here: multiprocessing would lengthen every start-up
+    from concurrent.futures import ProcessPoolExecutor
 
-    def run(path: Path) -> tuple[str, RunStats]:
-        return path.stem, _run_one(path, args).stats
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _write_rows(paths, pool.map(_stats_row, paths, repeat(args)))
 
-    rows: list[tuple[str, RunStats]]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, paths))
-    else:
-        rows = [run(p) for p in paths]
+
+def _write_rows(paths: list[Path], results: Iterator[tuple[str, RunStats]]) -> int:
+    """Print the CSV of results, which come in the order of paths.
+
+    The first failing layout in that order is the one reported; the
+    exception ends either kind of map, which cancels the layouts not yet
+    started.
+    """
+    rows = []
+    for path in paths:
+        try:
+            rows.append(next(results))
+        except (LayoutParseError, OSError, ValueError) as exc:
+            print(f"error: {path.name}: {exc}", file=sys.stderr)
+            return 1
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(

@@ -52,6 +52,12 @@ class LayoutParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        # the default rebuilds from args, the formatted text alone; this
+        # lets the error cross from a directory-mode worker process
+        return type(self), (self.line, self.message)
 
 
 @dataclass(frozen=True)
@@ -483,7 +489,7 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
         # feature splits into one piece per run
         for (letter, run_segs), piece in zip(runs, pieces):
             group_paths[letter].append("".join(rect_path(r) for r in piece))
-            box = bounding_box(piece)
+            box = bounding_box(piece) if points else shape.bbox
             for seg in run_segs:
                 piece_by_vertex[(shape.id, seg)] = box
 

@@ -1,4 +1,10 @@
+import concurrent.futures
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -9,10 +15,11 @@ import trimdecomp
 import trimdecomp.cli
 from trimdecomp.cli import decompose_document, main
 from trimdecomp.geometry import Rect
-from trimdecomp.layout_io import parse_report, write_report
+from trimdecomp.layout_io import LayoutParseError, parse_report, write_layout, write_report
 from trimdecomp.synth import random_layout
 
-LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
+ROOT = Path(__file__).resolve().parent.parent
+LAYOUTS = ROOT / "layouts"
 
 STATS_ROW = re.compile(
     r"^wire# \d+ comp# \d+ conflict# \d+ stitch# \d+ cost \S+ CPU\(s\) \d+\.\d\d "
@@ -152,6 +159,128 @@ def test_directory_benchmark_mode(tmp_path, capsys):
         return cells[:6] + cells[7:]
 
     assert [without_cpu(r) for r in out2.strip().splitlines()] == [without_cpu(r) for r in lines]
+
+
+def test_parallel_csv_equals_serial_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for seed in range(20):
+        for stitch in (False, True):
+            doc = random_layout(seed, stitch=stitch)
+            (tmp_path / f"s{seed:02d}_{int(stitch)}.lay").write_text(write_layout(doc))
+    code, serial, _ = run(capsys, "--input", str(tmp_path), "--jobs", "1")
+    assert code == 0
+    code, parallel, _ = run(capsys, "--input", str(tmp_path), "--jobs", "2")
+    assert code == 0
+
+    def without_cpu(text):
+        return [row[:6] + row[7:] for row in (line.split(",") for line in text.splitlines())]
+
+    assert len(serial.splitlines()) == 41
+    assert without_cpu(parallel) == without_cpu(serial)
+
+
+def test_worker_count_is_capped(tmp_path, capsys, monkeypatch):
+    for name in ("a", "b", "c"):
+        (tmp_path / f"{name}.lay").write_text((LAYOUTS / "endcut_demo.lay").read_text())
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # (jobs, CPUs) -> pool size for 3 layouts; None runs serially in-process
+    cases = [(8, 16, 3), (2, 16, 2), (8, 2, 2), (8, 1, None), (8, None, None), (1, 16, None)]
+    for jobs, cpus, expected in cases:
+        started.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, _ = run(capsys, "--input", str(tmp_path), "--jobs", str(jobs))
+        assert code == 0 and len(out.splitlines()) == 4
+        assert started == ([] if expected is None else [expected]), (jobs, cpus)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_below_one_is_rejected(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["--input", str(LAYOUTS), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+
+
+def test_directory_error_names_the_first_bad_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name in ("a", "c"):
+        (tmp_path / f"{name}.lay").write_text((LAYOUTS / "cluster7.lay").read_text())
+    (tmp_path / "b.lay").write_text("layout b\nrect 1 100 0 0 40\n")
+    expected = "error: b.lay: line 2: rect corners must be lower-left then upper-right\n"
+    for jobs in ("1", "2"):
+        assert run(capsys, "--input", str(tmp_path), "--jobs", jobs) == (1, "", expected)
+    # a later bad layout does not displace the first one in sorted order
+    (tmp_path / "c.lay").write_text("layout c\nfoo\n")
+    for jobs in ("1", "2"):
+        assert run(capsys, "--input", str(tmp_path), "--jobs", jobs) == (1, "", expected)
+
+
+def test_directory_error_cancels_pending_layouts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    log = tmp_path / "started.txt"
+    layouts = tmp_path / "in"
+    layouts.mkdir()
+    for i in range(20):
+        (layouts / f"l{i:02d}.lay").write_text((LAYOUTS / "endcut_demo.lay").read_text())
+
+    def slow_or_bad(path, args):
+        with log.open("a") as f:
+            f.write(path.stem + "\n")
+        if path.stem == "l00":
+            raise LayoutParseError(1, "bad")
+        time.sleep(0.1)
+        return decompose_document(trimdecomp.parse_layout(path.read_text()))
+
+    monkeypatch.setattr(trimdecomp.cli, "_run_one", slow_or_bad)
+    code, out, err = run(capsys, "--input", str(layouts), "--jobs", "1")
+    assert (code, out, err) == (1, "", "error: l00.lay: line 1: bad\n")
+    assert log.read_text().split() == ["l00"]
+    log.unlink()
+    code, out, err = run(capsys, "--input", str(layouts), "--jobs", "2")
+    assert (code, out, err) == (1, "", "error: l00.lay: line 1: bad\n")
+    assert len(log.read_text().split()) < 10
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_all_start_methods()[0] != "fork",
+    reason="the patched _run_one reaches the workers only when they are forked",
+)
+def test_dead_worker_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.lay").write_text((LAYOUTS / "endcut_demo.lay").read_text())
+    monkeypatch.setattr(trimdecomp.cli, "_run_one", lambda path, args: os._exit(1))
+    code, out, err = run(capsys, "--input", str(tmp_path), "--jobs", "2")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: internal: BrokenProcessPool: ")
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trimdecomp", "--input", str(LAYOUTS / "cluster7.lay")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert STATS_ROW.match(proc.stdout.strip())
+    assert "wire# 7 " in proc.stdout and "cost 1.0 " in proc.stdout
 
 
 def test_missing_input_fails(capsys):

@@ -49,6 +49,7 @@ from .layout_io import (
     LayoutDocument,
     LayoutParseError,
     StitchPoint,
+    _collector_paused,
     emit_svg,
     fraction_to_decimal,
     parse_layout,
@@ -88,6 +89,7 @@ def build_full_model(result: DecompositionResult) -> IlpModel:
     return build_model(result.graph, result.end_cuts, alpha)
 
 
+@_collector_paused()
 def decompose_document(
     doc: LayoutDocument,
     *,
@@ -347,3 +349,7 @@ def _write_rows(paths: list[Path], results: Iterator[tuple[str, RunStats]]) -> i
         )
     sys.stdout.write(buf.getvalue())
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -113,39 +113,6 @@ def _parallel_box(e1: Edge, e2: Edge, p: DecompositionParams) -> EndCutBox | Non
     return None
 
 
-def _perpendicular_box(ev: Edge, eh: Edge, p: DecompositionParams) -> EndCutBox | None:
-    nx = ev.normal[0]
-    ny = eh.normal[1]
-    a, c = ev.pos, eh.pos
-    if nx == 1:
-        if eh.lo <= a:
-            return None
-        x_lo, x_hi = a, eh.lo
-    else:
-        if eh.hi >= a:
-            return None
-        x_lo, x_hi = eh.hi, a
-    if ny == 1:
-        if ev.lo <= c:
-            return None
-        y_lo, y_hi = c, ev.lo
-    else:
-        if ev.hi >= c:
-            return None
-        y_lo, y_hi = ev.hi, c
-    return _make_corner(Rect.of(x_lo, y_lo, x_hi, y_hi), p)
-
-
-def generate_end_cut_box(e1: Edge, e2: Edge, params: DecompositionParams) -> EndCutBox | None:
-    """Candidate box between two boundary edges, or None when the pair's
-    geometry admits no cut or the box violates the size rules."""
-    if e1.orientation == e2.orientation:
-        return _parallel_box(e1, e2, params)
-    if e1.orientation == "v":
-        return _perpendicular_box(e1, e2, params)
-    return _perpendicular_box(e2, e1, params)
-
-
 def resolve_box_overlaps(raw: Sequence[EndCutBox]) -> tuple[EndCutBox, ...]:
     """Thin a pile of candidate boxes for one feature pair.
 
@@ -211,17 +178,21 @@ def generate_end_cut(
 ) -> EndCutCandidate | None:
     """The cut candidate of one feature pair, or None when no box survives.
 
-    Every pair of one edge from each feature is tried except edges with
-    the same outward normal: those are parallel and cannot face each
-    other, so generate_end_cut_box would reject them. A box is kept only
-    when no feature material lies inside it.
+    Only edges with opposite outward normals are paired, the only ones
+    that can face each other. A perpendicular edge pair adds nothing: its
+    box has a corner of one feature at a corner, and if that corner is
+    concave, feature material lies inside the box, while if it is convex,
+    a facing parallel pair yields the same corner box. A box is kept only
+    when no feature material lies inside it, so the index must hold the
+    pair's own features.
     """
     raw: list[EndCutBox] = []
     for e1 in s1.edges:
+        facing = (-e1.normal[0], -e1.normal[1])
         for e2 in s2.edges:
-            if e1.normal == e2.normal:
+            if e2.normal != facing:
                 continue
-            box = generate_end_cut_box(e1, e2, params)
+            box = _parallel_box(e1, e2, params)
             if box is not None and _box_clear(box.rect, index, shapes_by_id):
                 raw.append(box)
     if not raw:

@@ -148,7 +148,12 @@ class _CompSolver:
     order, so leaves arrive in lexicographic order of the mask vector.
     Only a leaf strictly cheaper than the bound is accepted, and the bound
     starts one above the incumbent's cost: the last leaf accepted is the
-    first one at the optimal cost, the lexicographically smallest optimum."""
+    first one at the optimal cost, the lexicographically smallest optimum.
+
+    A solver holds no reference cycle (cut selection recurses through the
+    _select method, not through a closure that refers to itself), so
+    reference counting frees it as soon as its block is done. The pipeline
+    runs with the cyclic collector paused and relies on that."""
 
     def __init__(
         self,
@@ -340,24 +345,26 @@ class _CompSolver:
                 constrained.append(k)
             else:
                 chosen.add(k)  # nothing else cares; selecting is free
+        self._select(vals, chosen, constrained, 0, xcost)
 
-        def rec(i: int, acc: int) -> None:
-            self._tick()
-            if acc >= self.bound:
-                return
-            if i == len(constrained):
-                self.bound = self.best = acc
-                self.best_colors = list(vals)
-                self.best_sel = {self.pend_pair[k] for k in chosen}
-                return
-            k = constrained[i]
-            if not any(j in chosen for j in self.pend_adj[k]):
-                chosen.add(k)
-                rec(i + 1, acc)
-                chosen.discard(k)
-            rec(i + 1, acc + self.wc)
-
-        rec(0, xcost)
+    def _select(
+        self, vals: list[int], chosen: set[int], constrained: list[int], i: int, acc: int
+    ) -> None:
+        """Settle constrained cuts i.. of one colouring, select before skip."""
+        self._tick()
+        if acc >= self.bound:
+            return
+        if i == len(constrained):
+            self.bound = self.best = acc
+            self.best_colors = list(vals)
+            self.best_sel = {self.pend_pair[k] for k in chosen}
+            return
+        k = constrained[i]
+        if not any(j in chosen for j in self.pend_adj[k]):
+            chosen.add(k)
+            self._select(vals, chosen, constrained, i + 1, acc)
+            chosen.discard(k)
+        self._select(vals, chosen, constrained, i + 1, acc + self.wc)
 
 
 def solve(

@@ -14,10 +14,12 @@ nanometers. Feature ids are non-negative integers and must be unique.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .geometry import (
     Metric,
@@ -183,6 +185,25 @@ class DecompositionReport:
     cost: Fraction
 
 
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, for use as a decorator.
+
+    Parsing and decomposing create many long-lived objects and no
+    reference cycle, so reference counting frees all they drop and the
+    collector's repeated scans of the survivors buy nothing. The collector
+    is enabled again on the way out only if it was enabled on the way in,
+    so a caller that turned it off keeps it off, and nested or concurrent
+    calls leave it as the outermost caller found it."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was:
+            gc.enable()
+
+
 def _parse_int(tok: str, line: int, what: str) -> int:
     try:
         return int(tok)
@@ -190,6 +211,7 @@ def _parse_int(tok: str, line: int, what: str) -> int:
         raise LayoutParseError(line, f"{what} must be an integer, got {tok!r}") from None
 
 
+@_collector_paused()
 def parse_layout(source: str | TextIO) -> LayoutDocument:
     text = source if isinstance(source, str) else source.read()
     name = "unnamed"

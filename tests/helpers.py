@@ -4,7 +4,8 @@ Everything here recomputes answers by a route the package itself never
 takes: plain enumeration over all assignments, an external
 mixed-integer solve of the exported LP text, an all-pairs search for
 fusable trim rectangles, a two-level grouping of candidate boxes, and
-end-cut generation over every edge pair of two features.
+end-cut generation over every edge pair of two features, with the
+perpendicular-edge corner boxes the package no longer builds.
 Tests compare the package against these, never against itself.
 """
 
@@ -21,11 +22,13 @@ from trimdecomp.endcut import (
     EndCutBox,
     EndCutCandidate,
     _box_clear,
-    generate_end_cut_box,
+    _make_corner,
+    _parallel_box,
     merge_union,
     resolve_box_overlaps,
 )
 from trimdecomp.geometry import (
+    Edge,
     Rect,
     RectilinearShape,
     SpatialIndex,
@@ -198,6 +201,41 @@ def shape_facts(s: RectilinearShape) -> tuple:
     return s.id, s.rects, s.outline, edges
 
 
+def perpendicular_box(ev: Edge, eh: Edge, p: DecompositionParams) -> EndCutBox | None:
+    """Corner box between a vertical edge ev and a horizontal edge eh: the
+    pocket spanned by ev's line, eh's line and the two edges' near ends,
+    on the side each edge faces."""
+    a, c = ev.pos, eh.pos
+    if ev.normal[0] == 1:
+        if eh.lo <= a:
+            return None
+        x_lo, x_hi = a, eh.lo
+    else:
+        if eh.hi >= a:
+            return None
+        x_lo, x_hi = eh.hi, a
+    if eh.normal[1] == 1:
+        if ev.lo <= c:
+            return None
+        y_lo, y_hi = c, ev.lo
+    else:
+        if ev.hi >= c:
+            return None
+        y_lo, y_hi = ev.hi, c
+    return _make_corner(Rect.of(x_lo, y_lo, x_hi, y_hi), p)
+
+
+def generate_end_cut_box(e1: Edge, e2: Edge, params: DecompositionParams) -> EndCutBox | None:
+    """Candidate box between any two boundary edges, parallel or
+    perpendicular, or None when their geometry admits no cut or the box
+    violates the size rules."""
+    if e1.orientation == e2.orientation:
+        return _parallel_box(e1, e2, params)
+    if e1.orientation == "v":
+        return perpendicular_box(e1, e2, params)
+    return perpendicular_box(e2, e1, params)
+
+
 def generate_end_cut_oracle(
     s1: RectilinearShape,
     s2: RectilinearShape,
@@ -205,8 +243,9 @@ def generate_end_cut_oracle(
     index: SpatialIndex,
     shapes_by_id: dict[int, RectilinearShape],
 ) -> EndCutCandidate | None:
-    """End-cut candidate of a feature pair from all edge pairs, including
-    parallel edges that face the same way."""
+    """End-cut candidate of a feature pair from all 16 kinds of edge
+    pairs: perpendicular edges and parallel edges that face the same way
+    are tried too."""
     raw: list[EndCutBox] = []
     for e1 in s1.edges:
         for e2 in s2.edges:

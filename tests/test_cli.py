@@ -271,13 +271,25 @@ def test_dead_worker_is_an_internal_error(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_python_dash_m_runs_the_command_line():
+def run_module(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "trimdecomp", "--input", str(LAYOUTS / "cluster7.lay")],
+    return subprocess.run(
+        [sys.executable, "-m", module, "--input", str(LAYOUTS / "cluster7.lay")],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_command_line():
+    proc = run_module("trimdecomp")
+    assert proc.returncode == 0, proc.stderr
+    assert STATS_ROW.match(proc.stdout.strip())
+    assert "wire# 7 " in proc.stdout and "cost 1.0 " in proc.stdout
+
+
+def test_python_dash_m_cli_module_runs_the_command_line():
+    # runpy's RuntimeWarning about the already imported module may stay on stderr
+    proc = run_module("trimdecomp.cli")
     assert proc.returncode == 0, proc.stderr
     assert STATS_ROW.match(proc.stdout.strip())
     assert "wire# 7 " in proc.stdout and "cost 1.0 " in proc.stdout

@@ -2,7 +2,12 @@ import itertools
 import random
 
 import trimdecomp.endcut
-from helpers import generate_end_cut_oracle, merged_cut_rects_oracle, resolve_box_overlaps_oracle
+from helpers import (
+    generate_end_cut_oracle,
+    merged_cut_rects_oracle,
+    perpendicular_box,
+    resolve_box_overlaps_oracle,
+)
 from trimdecomp.cli import decompose_document
 from trimdecomp.endcut import (
     BoxKind,
@@ -11,7 +16,6 @@ from trimdecomp.endcut import (
     box_dims,
     generate_all_end_cuts,
     generate_end_cut,
-    generate_end_cut_box,
     merge_union,
     merged_cut_rects,
     resolve_box_overlaps,
@@ -33,12 +37,12 @@ def params(**kw):
     return DecompositionParams.from_raw(kw)
 
 
-def cut_between(s1, s2, p):
+def cut_between(s1, s2, p, generate=generate_end_cut):
     shapes = {s1.id: s1, s2.id: s2}
     index = SpatialIndex(max(p.dis_m, 1))
     for s in shapes.values():
         index.insert(s.id, s.bbox)
-    return generate_end_cut(s1, s2, p, index, shapes)
+    return generate(s1, s2, p, index, shapes)
 
 
 def bar(fid, x1, y1, x2, y2):
@@ -75,16 +79,26 @@ def test_run_window_rejects_narrow_overlap():
 def test_perpendicular_box_all_quadrants():
     p = params(hlow=10, wlow=10)
     # vertical edge of 1 against horizontal edge of 2, in each arrangement
-    se = cut_between(bar(1, 0, 0, 40, 200), bar(2, 80, 240, 280, 280), p)
-    assert se is not None and Rect.of(40, 200, 80, 240) in [b.rect for b in se.boxes]
-    sw = cut_between(bar(1, 240, 0, 280, 200), bar(2, 0, 240, 200, 280), p)
-    assert sw is not None and Rect.of(200, 200, 240, 240) in [b.rect for b in sw.boxes]
-    ne = cut_between(bar(1, 0, 80, 40, 280), bar(2, 80, 0, 280, 40), p)
-    assert ne is not None and Rect.of(40, 40, 80, 80) in [b.rect for b in ne.boxes]
-    nw = cut_between(bar(1, 240, 80, 280, 280), bar(2, 0, 0, 200, 40), p)
-    assert nw is not None and Rect.of(200, 40, 240, 80) in [b.rect for b in nw.boxes]
-    for cand in (se, sw, ne, nw):
+    quadrants = [
+        (bar(1, 0, 0, 40, 200), bar(2, 80, 240, 280, 280), Rect.of(40, 200, 80, 240)),
+        (bar(1, 240, 0, 280, 200), bar(2, 0, 240, 200, 280), Rect.of(200, 200, 240, 240)),
+        (bar(1, 0, 80, 40, 280), bar(2, 80, 0, 280, 40), Rect.of(40, 40, 80, 80)),
+        (bar(1, 240, 80, 280, 280), bar(2, 0, 0, 200, 40), Rect.of(200, 40, 240, 80)),
+    ]
+    for s1, s2, want in quadrants:
+        perpendicular = [
+            perpendicular_box(ev, eh, p)
+            for ev in s1.edges
+            if ev.orientation == "v"
+            for eh in s2.edges
+            if eh.orientation == "h"
+        ]
+        assert want in [b.rect for b in perpendicular if b is not None]
+        cand = cut_between(s1, s2, p, generate_end_cut_oracle)
+        assert cand is not None and want in [b.rect for b in cand.boxes]
         assert all(b.kind is BoxKind.CORNER_CORNER for b in cand.boxes)
+        # the facing parallel pair yields the same corner box
+        assert cut_between(s1, s2, p) == cand
 
 
 def test_corner_box_between_disjoint_spans():

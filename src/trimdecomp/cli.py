@@ -79,6 +79,7 @@ class DecompositionResult:
     stage_us: tuple[tuple[str, int], ...]
 
 
+@_collector_paused
 def build_full_model(result: DecompositionResult) -> IlpModel:
     """The single unreduced model for the decomposition that was run.
 
@@ -89,7 +90,7 @@ def build_full_model(result: DecompositionResult) -> IlpModel:
     return build_model(result.graph, result.end_cuts, alpha)
 
 
-@_collector_paused()
+@_collector_paused
 def decompose_document(
     doc: LayoutDocument,
     *,
@@ -123,11 +124,14 @@ def decompose_document(
         )
         doc = dataclasses.replace(doc, params=params)
 
-    index = SpatialIndex.from_shapes(doc.shapes, max(params.dis_m, params.dis_c, 1))
-    pairs = conflict_pairs(doc, index, metric)
+    # one sweep finds the conflict candidates and every feature that can
+    # reach into a cut box
+    reach = max(params.dis_m, params.h_high, params.w_high)
+    near_pairs = SpatialIndex.from_shapes(doc.shapes, reach).pairs(reach)
+    pairs = conflict_pairs(doc, near_pairs, metric)
     stage("pairs")
-    cuts = generate_all_end_cuts(doc, pairs, index)
-    del index  # free it before the solve, where memory use peaks
+    cuts = generate_all_end_cuts(doc, pairs, near_pairs)
+    del near_pairs  # free them before the solve, where memory use peaks
     stage("cuts")
     g = build_layout_graph(doc, pairs, cuts)
     if params.stitch:

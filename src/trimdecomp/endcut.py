@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import (
     Edge,
@@ -155,17 +155,12 @@ def resolve_box_overlaps(raw: Sequence[EndCutBox]) -> tuple[EndCutBox, ...]:
     return tuple(sorted(keep, key=EndCutBox.sort_key))
 
 
-def _box_clear(
-    rect: Rect,
-    index: SpatialIndex,
-    shapes_by_id: Mapping[int, RectilinearShape],
-) -> bool:
+def _box_clear(rect: Rect, material: Sequence[Rect]) -> bool:
     """A box is usable only when no feature material lies inside it;
     touching its boundary is fine."""
-    for sid in index.query(rect):
-        for r in shapes_by_id[sid].rects:
-            if rects_interior_intersect(rect, r):
-                return False
+    for r in material:
+        if rects_interior_intersect(rect, r):
+            return False
     return True
 
 
@@ -173,8 +168,7 @@ def generate_end_cut(
     s1: RectilinearShape,
     s2: RectilinearShape,
     params: DecompositionParams,
-    index: SpatialIndex,
-    shapes_by_id: Mapping[int, RectilinearShape],
+    material: Sequence[Rect],
 ) -> EndCutCandidate | None:
     """The cut candidate of one feature pair, or None when no box survives.
 
@@ -183,8 +177,12 @@ def generate_end_cut(
     box has a corner of one feature at a corner, and if that corner is
     concave, feature material lies inside the box, while if it is convex,
     a facing parallel pair yields the same corner box. A box is kept only
-    when no feature material lies inside it, so the index must hold the
-    pair's own features.
+    when none of the material rects has area inside it, so material must
+    hold the rects of s1 and of every feature whose bounding box lies
+    within max(h_high, w_high) of s1's. No other feature reaches into a
+    box: an edge-to-edge box lies within its gap (at most h_high) of an
+    edge of s1, and a corner box within max(w_high, h_high) of a corner
+    of s1.
     """
     raw: list[EndCutBox] = []
     for e1 in s1.edges:
@@ -193,7 +191,7 @@ def generate_end_cut(
             if e2.normal != facing:
                 continue
             box = _parallel_box(e1, e2, params)
-            if box is not None and _box_clear(box.rect, index, shapes_by_id):
+            if box is not None and _box_clear(box.rect, material):
                 raw.append(box)
     if not raw:
         return None
@@ -204,12 +202,30 @@ def generate_end_cut(
 def generate_all_end_cuts(
     doc: LayoutDocument,
     pairs: Iterable[tuple[int, int]],
-    index: SpatialIndex,
+    near_pairs: Iterable[tuple[int, int]],
 ) -> dict[tuple[int, int], EndCutCandidate]:
+    """The cut candidates of the given feature pairs (a, b), a < b.
+
+    near_pairs must include every pair of features whose bounding boxes
+    lie within max(h_high, w_high) of each other, as SpatialIndex.pairs(d)
+    lists for any d at least that; the boxes of a pair are checked against
+    a and its neighbours there.
+    """
     shapes_by_id = {s.id: s for s in doc.shapes}
+    near: dict[int, list[int]] = {}
+    for a, b in near_pairs:
+        near.setdefault(a, []).append(b)
+        near.setdefault(b, []).append(a)
     cuts: dict[tuple[int, int], EndCutCandidate] = {}
+    last = None
+    material: list[Rect] = []
     for a, b in sorted(pairs):
-        cand = generate_end_cut(shapes_by_id[a], shapes_by_id[b], doc.params, index, shapes_by_id)
+        if a != last:
+            last = a
+            material = list(shapes_by_id[a].rects)
+            for n in near.get(a, ()):
+                material.extend(shapes_by_id[n].rects)
+        cand = generate_end_cut(shapes_by_id[a], shapes_by_id[b], doc.params, material)
         if cand is not None:
             cuts[cand.pair] = cand
     return cuts

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class GeometryError(ValueError):
@@ -325,49 +325,101 @@ def shapes_within(a: RectilinearShape, b: RectilinearShape, d: int, metric: Metr
 
 
 class SpatialIndex:
-    """Uniform grid over shape bounding boxes.
+    """Bounding boxes by id, for neighbour search.
 
-    query() returns a superset of the ids whose shapes can lie within the
-    given distance of the probe rectangle, and pairs() the same for every
-    pair of inserted ids; callers must re-check exactly.
+    pairs() lists exactly the pairs of ids whose boxes lie within a
+    Chebyshev gap of each other, by one sweep along x inside horizontal
+    bands one cell high. query() returns a superset of the ids whose boxes
+    can lie within the given distance of a probe rectangle, from a uniform
+    grid of cells built on its first call; its callers re-check exactly.
     """
 
     def __init__(self, cell_size: int):
         if cell_size <= 0:
             raise GeometryError("cell size must be positive")
         self.cell_size = cell_size
-        self._cells: dict[tuple[int, int], list[int]] = {}
         self._boxes: dict[int, Rect] = {}
+        self._cells: dict[tuple[int, int], list[int]] | None = None
 
     @classmethod
     def from_shapes(cls, shapes: Iterable[RectilinearShape], cell_size: int) -> "SpatialIndex":
         idx = cls(cell_size)
-        for s in shapes:
-            idx.insert(s.id, s.bbox)
+        idx._boxes.update((s.id, s.bbox) for s in shapes)
         return idx
 
     def _cell_span(self, lo: int, hi: int) -> range:
         return range(lo // self.cell_size, hi // self.cell_size + 1)
 
-    def insert(self, sid: int, bbox: Rect) -> None:
+    def _add_to_cells(self, cells: dict[tuple[int, int], list[int]], sid: int, bbox: Rect) -> None:
         for cx in self._cell_span(bbox.lo.x, bbox.hi.x):
             for cy in self._cell_span(bbox.lo.y, bbox.hi.y):
-                self._cells.setdefault((cx, cy), []).append(sid)
+                cells.setdefault((cx, cy), []).append(sid)
+
+    def insert(self, sid: int, bbox: Rect) -> None:
+        """Record sid's box, replacing an earlier one for pairs(); once the
+        grid exists, the earlier box's cells still list sid."""
         self._boxes[sid] = bbox
+        if self._cells is not None:
+            self._add_to_cells(self._cells, sid, bbox)
 
     def query(self, rect: Rect, distance: int = 0) -> set[int]:
+        cells = self._cells
+        if cells is None:
+            cells = self._cells = {}
+            for sid, bbox in self._boxes.items():
+                self._add_to_cells(cells, sid, bbox)
         found: set[int] = set()
         for cx in self._cell_span(rect.lo.x - distance, rect.hi.x + distance):
             for cy in self._cell_span(rect.lo.y - distance, rect.hi.y + distance):
-                bucket = self._cells.get((cx, cy))
+                bucket = cells.get((cx, cy))
                 if bucket:
                     found.update(bucket)
         return found
 
-    def pairs(self, distance: int = 0) -> Iterator[tuple[int, int]]:
-        """Candidate pairs (a, b) with a < b in ascending order, generated
-        one id's neighbours at a time so no list of all pairs is built."""
-        for a in sorted(self._boxes):
-            for b in sorted(self.query(self._boxes[a], distance)):
-                if b > a:
-                    yield a, b
+    def pairs(self, distance: int = 0) -> list[tuple[int, int]]:
+        """Every pair (a, b) with a < b whose boxes lie within Chebyshev
+        gap distance of each other, each once and in ascending order.
+
+        Band k holds the boxes whose y range, raised by distance at the
+        top, meets [k * cell, (k + 1) * cell). Of two boxes within the gap,
+        the one with the lower lo.y reaches up to the other's lo.y, so the
+        band of the larger lo.y holds both, and only that band reports the
+        pair. Inside a band a sweep in lo.x order compares each box with
+        the earlier ones whose hi.x plus distance reaches its lo.x.
+        """
+        cell, d = self.cell_size, distance
+        bands: dict[int, list[list[int]]] = {}
+        for sid, box in self._boxes.items():
+            lo, hi = box.lo, box.hi
+            # a list: freed 5-tuples would stay on the interpreter's tuple
+            # free list and add to the peak of the solve that follows
+            entry = [lo.x, sid, hi.x + d, lo.y, hi.y + d]
+            for k in range(lo.y // cell, (hi.y + d) // cell + 1):
+                band = bands.get(k)
+                if band is None:
+                    bands[k] = [entry]
+                else:
+                    band.append(entry)
+        found: list[tuple[int, int]] = []
+        for k, band in bands.items():
+            band.sort()
+            low = k * cell  # a box with lo.y >= low has this as its first band
+            active: list[list[int]] = []
+            for entry in band:
+                x, b, _, y, reach_y = entry
+                still = []
+                for other in active:
+                    if other[2] < x:
+                        continue  # out of reach of this and every later box
+                    still.append(other)
+                    a = other[1]
+                    if (
+                        (y >= low or other[3] >= low)
+                        and other[3] <= reach_y
+                        and y <= other[4]
+                    ):
+                        found.append((a, b) if a < b else (b, a))
+                still.append(entry)
+                active = still
+        found.sort()
+        return found

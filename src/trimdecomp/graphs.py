@@ -32,6 +32,7 @@ from .layout_io import (
     LayoutDocument,
     StitchPoint,
     VertexKey,
+    _collector_paused,
     split_feature_rects,
 )
 from .endcut import EndCutCandidate, mergeable_pair
@@ -67,13 +68,18 @@ class EndCutGraph:
 
 
 def conflict_pairs(
-    doc: LayoutDocument, index: SpatialIndex, metric: Metric = Metric.CHEBYSHEV
+    doc: LayoutDocument, candidates: Iterable[PairKey], metric: Metric = Metric.CHEBYSHEV
 ) -> list[PairKey]:
-    """Feature pairs within the same-mask spacing rule of each other."""
+    """Feature pairs within the same-mask spacing rule of each other.
+
+    candidates are ascending pairs (a, b), a < b, that include every pair
+    whose bounding boxes lie within dis_m of each other, such as
+    SpatialIndex.pairs(d) lists for any d >= dis_m; each is checked exactly.
+    """
     by_id = {s.id: s for s in doc.shapes}
     d = doc.params.dis_m
     return [
-        (a, b) for a, b in index.pairs(d) if shapes_within(by_id[a], by_id[b], d, metric)
+        (a, b) for a, b in candidates if shapes_within(by_id[a], by_id[b], d, metric)
     ]
 
 
@@ -225,6 +231,7 @@ def build_end_cut_graph(
     return EndCutGraph(cuts, ee, merges)
 
 
+@_collector_paused
 def layout_graph_dot(g: LayoutGraph) -> str:
     def node(v: VertexKey) -> str:
         return f'"{v[0]}/{v[1]}"'
@@ -241,6 +248,7 @@ def layout_graph_dot(g: LayoutGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_collector_paused
 def end_cut_graph_dot(ecg: EndCutGraph) -> str:
     def node(p: PairKey) -> str:
         return f'"{p[0]}-{p[1]}"'

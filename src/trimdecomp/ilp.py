@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .graphs import EdgeKey, EndCutGraph, LayoutGraph, PairKey
-from .layout_io import VertexKey, fraction_to_decimal
+from .layout_io import VertexKey, _collector_paused, fraction_to_decimal
 
 
 class ModelError(ValueError):
@@ -490,6 +490,7 @@ def _is_ten_smooth(n: int) -> bool:
     return n == 1
 
 
+@_collector_paused
 def export_lp(model: IlpModel) -> str:
     """Serialise the model in LP text format with binary variables."""
     lines: list[str] = []

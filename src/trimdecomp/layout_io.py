@@ -14,12 +14,12 @@ nanometers. Feature ids are non-negative integers and must be unique.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import gc
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, ParamSpec, Sequence, TextIO, TypeVar
 
 from .geometry import (
     Metric,
@@ -185,23 +185,37 @@ class DecompositionReport:
     cost: Fraction
 
 
-@contextlib.contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, for use as a decorator.
+_P = ParamSpec("_P")
+_R = TypeVar("_R")
 
-    Parsing and decomposing create many long-lived objects and no
+
+def _collector_paused(fn: Callable[_P, _R]) -> Callable[_P, _R]:
+    """Run fn with the cyclic garbage collector paused.
+
+    Parsing, decomposing and exporting create many objects and no
     reference cycle, so reference counting frees all they drop and the
-    collector's repeated scans of the survivors buy nothing. The collector
-    is enabled again on the way out only if it was enabled on the way in,
-    so a caller that turned it off keeps it off, and nested or concurrent
-    calls leave it as the outermost caller found it."""
-    was = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was:
-            gc.enable()
+    collector's repeated scans of the survivors buy nothing. The exports
+    are paused as well: objects allocated while paused still count towards
+    the next collection, so an unpaused export after a paused decompose
+    starts one at once, and the older-generation runs that follow scan the
+    whole decomposition again. What remains is a few collections after the
+    last paused call returns. The collector is enabled again on the way
+    out only if it was enabled on the way in, so a caller that turned it
+    off keeps it off, and nested or concurrent calls leave it as the
+    outermost caller found it. A plain wrapper, not a context manager,
+    keeps the pause at a fraction of a microsecond per call."""
+
+    @functools.wraps(fn)
+    def paused(*args: _P.args, **kwargs: _P.kwargs) -> _R:
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was:
+                gc.enable()
+
+    return paused
 
 
 def _parse_int(tok: str, line: int, what: str) -> int:
@@ -211,7 +225,7 @@ def _parse_int(tok: str, line: int, what: str) -> int:
         raise LayoutParseError(line, f"{what} must be an integer, got {tok!r}") from None
 
 
-@_collector_paused()
+@_collector_paused
 def parse_layout(source: str | TextIO) -> LayoutDocument:
     text = source if isinstance(source, str) else source.read()
     name = "unnamed"
@@ -345,6 +359,7 @@ def _parse_vertex_token(tok: str, line: int) -> VertexKey:
     return (_parse_int(tok, line, "feature id"), 0)
 
 
+@_collector_paused
 def write_report(report: DecompositionReport) -> str:
     split = {fid for fid, seg in report.masks if seg > 0}
     out = io.StringIO()
@@ -470,6 +485,7 @@ def _mask_runs(
     return runs
 
 
+@_collector_paused
 def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
     if doc.shapes:
         box = bounding_box([s.bbox for s in doc.shapes]).inflate(doc.params.dis_m)

@@ -5,7 +5,8 @@ takes: plain enumeration over all assignments, an external
 mixed-integer solve of the exported LP text, an all-pairs search for
 fusable trim rectangles, a two-level grouping of candidate boxes, and
 end-cut generation over every edge pair of two features, with the
-perpendicular-edge corner boxes the package no longer builds.
+perpendicular-edge corner boxes the package no longer builds, and box
+clearance by an index query over every feature.
 Tests compare the package against these, never against itself.
 """
 
@@ -21,7 +22,6 @@ from trimdecomp.endcut import (
     BoxKind,
     EndCutBox,
     EndCutCandidate,
-    _box_clear,
     _make_corner,
     _parallel_box,
     merge_union,
@@ -34,10 +34,11 @@ from trimdecomp.geometry import (
     SpatialIndex,
     rects_closed_intersect,
     rects_interior_intersect,
+    shapes_within,
 )
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
 from trimdecomp.ilp import IlpModel, IlpSolution
-from trimdecomp.layout_io import DecompositionParams, StitchPoint
+from trimdecomp.layout_io import DecompositionParams, LayoutDocument, StitchPoint
 
 
 def enumerate_model(model: IlpModel) -> tuple[Fraction, dict[str, int]]:
@@ -236,6 +237,22 @@ def generate_end_cut_box(e1: Edge, e2: Edge, params: DecompositionParams) -> End
     return perpendicular_box(e2, e1, params)
 
 
+def box_clear_oracle(
+    rect: Rect,
+    index: SpatialIndex,
+    shapes_by_id: dict[int, RectilinearShape],
+) -> bool:
+    """Whether no feature material lies inside rect, from an index query
+    around the box over every feature: the package checks only the
+    features within reach of the pair instead. Touching the box's boundary
+    is fine."""
+    for sid in index.query(rect):
+        for r in shapes_by_id[sid].rects:
+            if rects_interior_intersect(rect, r):
+                return False
+    return True
+
+
 def generate_end_cut_oracle(
     s1: RectilinearShape,
     s2: RectilinearShape,
@@ -250,12 +267,30 @@ def generate_end_cut_oracle(
     for e1 in s1.edges:
         for e2 in s2.edges:
             box = generate_end_cut_box(e1, e2, params)
-            if box is not None and _box_clear(box.rect, index, shapes_by_id):
+            if box is not None and box_clear_oracle(box.rect, index, shapes_by_id):
                 raw.append(box)
     if not raw:
         return None
     pair = (min(s1.id, s2.id), max(s1.id, s2.id))
     return EndCutCandidate(pair=pair, boxes=resolve_box_overlaps(raw))
+
+
+def end_cuts_oracle(doc: LayoutDocument) -> dict[tuple[int, int], EndCutCandidate]:
+    """The cut candidates of every conflicting pair of a layout, with the
+    pairs found by testing all pairs and each box checked against every
+    feature an index query finds around it."""
+    shapes = sorted(doc.shapes, key=lambda s: s.id)
+    by_id = {s.id: s for s in shapes}
+    index = SpatialIndex(max(doc.params.dis_m, 1))
+    for s in shapes:
+        index.insert(s.id, s.bbox)
+    cuts = {}
+    for s1, s2 in itertools.combinations(shapes, 2):
+        if shapes_within(s1, s2, doc.params.dis_m):
+            cand = generate_end_cut_oracle(s1, s2, doc.params, index, by_id)
+            if cand is not None:
+                cuts[cand.pair] = cand
+    return cuts
 
 
 def _dummy_candidate(pair: tuple[int, int]) -> EndCutCandidate:

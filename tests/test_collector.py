@@ -1,8 +1,10 @@
-"""The pipeline creates no reference cycle, and parse_layout and
-decompose_document run with the cyclic collector paused, leaving it on or
-off as they found it."""
+"""The pipeline creates no reference cycle, and parse_layout,
+decompose_document and the exports run with the cyclic collector paused,
+leaving it on or off as they found it."""
 
 import gc
+import inspect
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -130,3 +132,58 @@ def test_solve_and_overlap_check_run_paused(monkeypatch):
     decompose_document(parse_layout(CLUSTER7))
     assert seen == [("check", False), ("solve", False)]
     assert gc.isenabled()
+
+
+def collections_inside(fn, call) -> int:
+    """Run call, which calls fn, with the collector's threshold at 1, so
+    that nearly every allocation starts a collection unless the collector
+    is off, and count the collections that start while fn's own body runs."""
+    body = inspect.unwrap(fn).__code__
+    inside = 0
+
+    def on_collect(phase, info):
+        nonlocal inside
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code is body:
+                inside += 1
+                return
+            frame = frame.f_back
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(on_collect)
+    gc.set_threshold(1)
+    try:
+        call()
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(on_collect)
+    return inside
+
+
+def allocate_unpaused():
+    return [[k] for k in range(100)]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_exports_run_paused_and_restore_the_collector(enabled):
+    result = decompose_document(parse_layout(CLUSTER7))
+    model = build_full_model(result)
+    exports = [
+        (write_report, lambda: write_report(result.report)),
+        (build_full_model, lambda: build_full_model(result)),
+        (export_lp, lambda: export_lp(model)),
+        (emit_svg, lambda: emit_svg(result.document, result.report)),
+        (layout_graph_dot, lambda: layout_graph_dot(result.graph)),
+        (end_cut_graph_dot, lambda: end_cut_graph_dot(result.end_cuts)),
+    ]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for fn, call in exports:
+            assert collections_inside(fn, call) == 0, fn.__name__
+            assert gc.isenabled() is enabled, fn.__name__
+        # the probe sees collections in a body that runs unpaused
+        control = collections_inside(allocate_unpaused, allocate_unpaused)
+        assert (control > 0) is enabled
+    finally:
+        gc.enable()

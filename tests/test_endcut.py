@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import trimdecomp.endcut
 from helpers import (
+    end_cuts_oracle,
     generate_end_cut_oracle,
     merged_cut_rects_oracle,
     perpendicular_box,
@@ -29,20 +31,21 @@ from trimdecomp.geometry import (
     rects_closed_intersect,
     rects_interior_intersect,
 )
-from trimdecomp.layout_io import DecompositionParams
-from trimdecomp.synth import grid_layout
+from trimdecomp.graphs import conflict_pairs
+from trimdecomp.layout_io import DecompositionParams, LayoutDocument, parse_layout
+from trimdecomp.synth import grid_layout, random_layout
 
 
 def params(**kw):
     return DecompositionParams.from_raw(kw)
 
 
-def cut_between(s1, s2, p, generate=generate_end_cut):
+def cut_between(s1, s2, p, oracle=False):
     shapes = {s1.id: s1, s2.id: s2}
-    index = SpatialIndex(max(p.dis_m, 1))
-    for s in shapes.values():
-        index.insert(s.id, s.bbox)
-    return generate(s1, s2, p, index, shapes)
+    if oracle:
+        index = SpatialIndex.from_shapes(shapes.values(), max(p.dis_m, 1))
+        return generate_end_cut_oracle(s1, s2, p, index, shapes)
+    return generate_end_cut(s1, s2, p, s1.rects + s2.rects)
 
 
 def bar(fid, x1, y1, x2, y2):
@@ -94,7 +97,7 @@ def test_perpendicular_box_all_quadrants():
             if eh.orientation == "h"
         ]
         assert want in [b.rect for b in perpendicular if b is not None]
-        cand = cut_between(s1, s2, p, generate_end_cut_oracle)
+        cand = cut_between(s1, s2, p, oracle=True)
         assert cand is not None and want in [b.rect for b in cand.boxes]
         assert all(b.kind is BoxKind.CORNER_CORNER for b in cand.boxes)
         # the facing parallel pair yields the same corner box
@@ -121,18 +124,10 @@ def test_box_blocked_by_third_shape():
     p = params(hlow=20, wlow=20)
     s1, s2 = bar(1, 0, 0, 200, 40), bar(2, 260, 0, 460, 40)
     blocker = bar(3, 210, 10, 250, 200)
-    shapes = {1: s1, 2: s2, 3: blocker}
-    index = SpatialIndex(120)
-    for s in shapes.values():
-        index.insert(s.id, s.bbox)
-    assert generate_end_cut(s1, s2, p, index, shapes) is None
+    assert generate_end_cut(s1, s2, p, s1.rects + s2.rects + blocker.rects) is None
     # a shape that merely touches the box does not block it
     toucher = bar(3, 200, 40, 260, 200)
-    shapes[3] = toucher
-    index2 = SpatialIndex(120)
-    for s in shapes.values():
-        index2.insert(s.id, s.bbox)
-    assert generate_end_cut(s1, s2, p, index2, shapes) is not None
+    assert generate_end_cut(s1, s2, p, s1.rects + s2.rects + toucher.rects) is not None
 
 
 def test_two_touching_boxes_both_kept():
@@ -295,7 +290,7 @@ def test_generate_end_cut_matches_all_edge_pairs_oracle():
         )
         shapes = {1: s1, 2: s2}
         index = SpatialIndex.from_shapes(shapes.values(), p.dis_m)
-        got = generate_end_cut(s1, s2, p, index, shapes)
+        got = generate_end_cut(s1, s2, p, s1.rects + s2.rects)
         assert got == generate_end_cut_oracle(s1, s2, p, index, shapes)
         for box in got.boxes if got else ():
             kinds[box.kind] += 1
@@ -303,16 +298,85 @@ def test_generate_end_cut_matches_all_edge_pairs_oracle():
     assert min(kinds.values()) >= 500, kinds
 
 
+def _scatter_layout(rng: random.Random, count: int, raw: dict) -> LayoutDocument:
+    """Bars, Ls and Us in all orientations, packed without overlap."""
+    shapes: list[RectilinearShape] = []
+    while len(shapes) < count:
+        f = _random_feature(rng, len(shapes) + 1)
+        dx, dy = rng.randrange(0, 1201, 20), rng.randrange(0, 1201, 20)
+        s = RectilinearShape.from_outline(f.id, [(p.x + dx, p.y + dy) for p in f.outline])
+        if not any(
+            rects_interior_intersect(a, b) for t in shapes for a in s.rects for b in t.rects
+        ):
+            shapes.append(s)
+    params = DecompositionParams.from_raw(raw, shapes)
+    return LayoutDocument(name="scatter", units="nm", shapes=tuple(shapes), params=params)
+
+
+def _raised(doc: LayoutDocument, h_high: int, w_high: int) -> LayoutDocument:
+    p = dataclasses.replace(doc.params, h_high=h_high, w_high=w_high, w_th=w_high)
+    return dataclasses.replace(doc, params=p)
+
+
+def test_neighbour_list_clearance_matches_index_query_oracle():
+    # the whole pipeline, on rows of bars and Ls, plain and stitched
+    candidates = 0
+    for seed in range(12):
+        for stitch in (False, True):
+            doc = random_layout(seed, clusters=6, stitch=stitch)
+            for d in (doc, _raised(doc, 200, 160), _raised(doc, 260, 300)):
+                want = end_cuts_oracle(d)
+                assert decompose_document(d).end_cuts.candidates == want, d.name
+                candidates += len(want)
+    # the cut generator alone, given only the neighbours it asks for, on
+    # crowds of bars, Ls and Us too dense for the solver
+    rng = random.Random(61)
+    for k in range(40):
+        raw = {"dis_m": rng.choice((40, 60, 120)), "hlow": 20, "wlow": 20}
+        raw["hhigh"] = rng.choice((raw["dis_m"], 200, 300))
+        raw["wth"] = raw["whigh"] = rng.choice((raw["dis_m"], 300))
+        doc = _scatter_layout(rng, 32, raw)
+        p = doc.params
+        index = SpatialIndex.from_shapes(doc.shapes, p.dis_m)
+        pairs = conflict_pairs(doc, index.pairs(p.dis_m))
+        want = end_cuts_oracle(doc)
+        assert generate_all_end_cuts(doc, pairs, index.pairs(max(p.h_high, p.w_high))) == want, k
+        candidates += len(want)
+    assert candidates >= 1000, candidates
+
+
+def test_feature_beyond_spacing_rule_still_blocks_a_cut_box():
+    # the bar and the L's base face each other 160 apart over a 300 run;
+    # feature 3 sits in the box between them, outside the bar's bounding
+    # box and 60 from it, beyond dis_m 40 but within the cut size limits
+    lines = [
+        "layout blocked",
+        "param dis_m 40",
+        "param hhigh 200",
+        "param whigh 300",
+        "param wth 300",
+        "param hlow 20",
+        "param wlow 20",
+        "rect 1 30 200 330 240",
+        "poly 2 0 0 400 0 400 200 360 200 360 40 0 40",
+    ]
+    open_doc = parse_layout("\n".join(lines) + "\n")
+    blocked_doc = parse_layout("\n".join(lines + ["rect 3 150 100 200 140"]) + "\n")
+    for doc in (open_doc, blocked_doc):
+        assert decompose_document(doc).end_cuts.candidates == end_cuts_oracle(doc)
+    (box,) = end_cuts_oracle(open_doc)[(1, 2)].boxes
+    assert box.rect == Rect.of(30, 40, 330, 200)
+    assert (1, 2) not in end_cuts_oracle(blocked_doc)
+
+
 def test_generate_all_end_cuts_demo_layout():
-    from trimdecomp.layout_io import parse_layout
-    from trimdecomp.graphs import conflict_pairs
     from pathlib import Path
 
     doc = parse_layout((Path(__file__).parent.parent / "layouts" / "endcut_demo.lay").read_text())
-    index = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m)
-    pairs = conflict_pairs(doc, index)
+    near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
+    pairs = conflict_pairs(doc, near_pairs)
     assert pairs == [(1, 2), (1, 3), (2, 3)]
-    cuts = generate_all_end_cuts(doc, pairs, index)
+    cuts = generate_all_end_cuts(doc, pairs, near_pairs)
     assert sorted(cuts) == [(2, 3)]
     assert [b.rect for b in cuts[(2, 3)].boxes] == [Rect.of(200, 0, 240, 40)]
 

@@ -246,3 +246,65 @@ def test_spatial_index_query_is_superset_of_brute_force():
                 for t in shapes:
                     if s.id < t.id and rect_chebyshev_gap(s.bbox, t.bbox) <= d:
                         assert (s.id, t.id) in found
+
+
+def brute_force_pairs(boxes: dict[int, Rect], d: int) -> list[tuple[int, int]]:
+    return sorted(
+        (a, b)
+        for a in boxes
+        for b in boxes
+        if a < b and rect_chebyshev_gap(boxes[a], boxes[b]) <= d
+    )
+
+
+def test_spatial_index_pairs_are_exactly_the_box_gap_pairs():
+    rng = random.Random(4711)
+    for trial in range(300):
+        cell = rng.choice([7, 60, 120, 250])
+        boxes = {}
+        # sparse ids in random order and negative coordinates; tall boxes
+        # span many bands, and the largest gaps exceed the cell
+        for fid in rng.sample(range(-20, 10_000), rng.randint(0, 30)):
+            x = rng.randrange(-1500, 1500, 10)
+            y = rng.randrange(-1500, 1500, 10)
+            w = rng.randrange(10, 400, 10)
+            h = rng.randrange(10, rng.choice([100, 1200]), 10)
+            boxes[fid] = Rect.of(x, y, x + w, y + h)
+        index = SpatialIndex(cell)
+        for fid, box in boxes.items():
+            index.insert(fid, box)
+        for d in (0, 10, 50, 120, 300, 700):
+            assert index.pairs(d) == brute_force_pairs(boxes, d), (trial, cell, d)
+
+
+def test_spatial_index_pairs_of_touching_boxes_at_gap_zero():
+    # a 3 x 3 block of unit-cell squares touching on sides and corners,
+    # one square apart by a single unit, and one overlapping another
+    boxes = {3 * i + j: Rect.of(10 * i, 10 * j, 10 * i + 10, 10 * j + 10) for i in range(3) for j in range(3)}
+    boxes[20] = Rect.of(31, 0, 41, 10)
+    boxes[21] = Rect.of(-5, -5, 5, 5)
+    for cell in (1, 10, 15, 1000):
+        index = SpatialIndex(cell)
+        for fid, box in boxes.items():
+            index.insert(fid, box)
+        pairs = index.pairs(0)
+        assert pairs == brute_force_pairs(boxes, 0)
+        assert (0, 4) in pairs and (6, 20) not in pairs and (0, 21) in pairs
+        assert index.pairs(1) == brute_force_pairs(boxes, 1)
+        assert (6, 20) in index.pairs(1)
+
+
+def test_spatial_index_query_covers_inserts_after_the_first_query():
+    rng = random.Random(8)
+    index = SpatialIndex(60)
+    boxes = {}
+    for fid in range(200):
+        x, y = rng.randrange(-900, 900, 10), rng.randrange(-900, 900, 10)
+        box = Rect.of(x, y, x + rng.randrange(10, 300, 10), y + rng.randrange(10, 300, 10))
+        boxes[fid] = box
+        index.insert(fid, box)
+        q = Rect.of(x - 200, y - 200, x, y)
+        d = rng.choice([0, 40])
+        got = index.query(q, d)
+        assert {s for s, b in boxes.items() if rect_chebyshev_gap(q, b) <= d} <= got
+    assert index.pairs(40) == brute_force_pairs(boxes, 40)

@@ -30,9 +30,10 @@ def load(name):
 
 
 def graph_for(doc, metric=Metric.CHEBYSHEV):
-    index = SpatialIndex.from_shapes(doc.shapes, max(doc.params.dis_m, doc.params.dis_c))
-    pairs = conflict_pairs(doc, index, metric)
-    cuts = generate_all_end_cuts(doc, pairs, index)
+    reach = max(doc.params.dis_m, doc.params.h_high, doc.params.w_high)
+    near_pairs = SpatialIndex.from_shapes(doc.shapes, reach).pairs(reach)
+    pairs = conflict_pairs(doc, near_pairs, metric)
+    cuts = generate_all_end_cuts(doc, pairs, near_pairs)
     g = build_layout_graph(doc, pairs, cuts)
     if doc.params.stitch:
         g = generate_stitch_candidates(doc, g, metric=metric)
@@ -41,21 +42,21 @@ def graph_for(doc, metric=Metric.CHEBYSHEV):
 
 def test_cluster7_conflict_pairs_chebyshev():
     doc = load("cluster7.lay")
-    index = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m)
-    assert conflict_pairs(doc, index) == CLUSTER7_EDGES
+    near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
+    assert conflict_pairs(doc, near_pairs) == CLUSTER7_EDGES
     # six of those pairs sit at exactly the spacing limit; the rule is
     # closed, so nudging the limit down by one removes all six
     import dataclasses
 
     tight = dataclasses.replace(doc, params=dataclasses.replace(doc.params, dis_m=119, dis_c=119))
     at_limit = [(1, 3), (1, 4), (3, 5), (3, 6), (4, 5), (4, 6)]
-    assert conflict_pairs(tight, index) == sorted(set(CLUSTER7_EDGES) - set(at_limit))
+    assert conflict_pairs(tight, near_pairs) == sorted(set(CLUSTER7_EDGES) - set(at_limit))
 
 
 def test_cluster7_conflict_pairs_euclidean():
     doc = load("cluster7.lay")
-    index = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m)
-    got = conflict_pairs(doc, index, Metric.EUCLIDEAN)
+    near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
+    got = conflict_pairs(doc, near_pairs, Metric.EUCLIDEAN)
     # the two diagonal pairs fall outside the straight-line distance
     assert got == sorted(set(CLUSTER7_EDGES) - {(3, 6), (4, 5)})
 

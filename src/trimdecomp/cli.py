@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import math
 import os
 import sys
 import time
@@ -224,6 +225,17 @@ def _parse_jobs(text: str) -> int:
     return value
 
 
+def _parse_time_limit(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad time limit {text!r}") from None
+    # the deadline is counted in nanoseconds; NaN fails the comparison
+    if not (value >= 0 and math.isfinite(value * 1e9)):
+        raise argparse.ArgumentTypeError("time limit must be a finite, non-negative number of seconds")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="trimdecomp",
@@ -240,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="allow stitches even when the layout file does not ask for them",
     )
     ap.add_argument("--alpha", type=_parse_alpha, help="stitch weight, e.g. 1/10 or 0.1")
-    ap.add_argument("--time-limit", type=float, help="overall solve budget in seconds")
+    ap.add_argument("--time-limit", type=_parse_time_limit, help="overall solve budget in seconds")
     ap.add_argument(
         "--jobs",
         type=_parse_jobs,

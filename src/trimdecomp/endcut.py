@@ -48,13 +48,6 @@ class EndCutBox:
         return (self.rect, self.kind.value, self.run_axis)
 
 
-def box_dims(box: EndCutBox) -> tuple[int, int]:
-    """Semantic (w, h) of a box: w along the repaired run, h across the gap."""
-    if box.run_axis == "y":
-        return box.rect.height, box.rect.width
-    return box.rect.width, box.rect.height
-
-
 @dataclass(frozen=True)
 class EndCutCandidate:
     pair: tuple[int, int]

@@ -8,13 +8,16 @@ Distance between two disjoint rectilinear shapes is defined as the smallest,
 over all pairs of constituent rectangles, of max(horizontal gap, vertical
 gap). Two rectangles that overlap or touch in an axis have gap 0 in that
 axis, so touching shapes are at distance 0.
+
+Point, Rect, Edge and RectilinearShape are named tuples that order,
+compare and hash as plain tuples and check nothing. RectilinearShape's
+constructors and the parsers check input where it enters.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GeometryError(ValueError):
@@ -30,30 +33,18 @@ class Metric(enum.Enum):
     EUCLIDEAN = "euclidean"
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+class Point(NamedTuple):
     x: int
     y: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
-            raise GeometryError(f"point coordinates must be integers: ({self.x}, {self.y})")
 
-
-@dataclass(frozen=True, order=True)
-class Rect:
-    """Axis-aligned rectangle with positive area.
-
-    lo is the lower-left corner, hi the upper-right one. Zero-width or
-    inverted rectangles are rejected at construction time.
-    """
+class Rect(NamedTuple):
+    """Axis-aligned rectangle from lo, the lower-left corner, to hi, the
+    upper-right one. It orders and hashes as ((lo.x, lo.y), (hi.x, hi.y));
+    from_rect and the parsers reject one without positive area."""
 
     lo: Point
     hi: Point
-
-    def __post_init__(self) -> None:
-        if self.lo.x >= self.hi.x or self.lo.y >= self.hi.y:
-            raise GeometryError(f"rectangle has no area: {self.lo} .. {self.hi}")
 
     @classmethod
     def of(cls, x1: int, y1: int, x2: int, y2: int) -> "Rect":
@@ -117,35 +108,32 @@ def rects_closed_intersect(a: Rect, b: Rect) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Directed boundary edge of a shape outline.
 
     The edge runs from a to b with the shape interior on its left, so the
     outward normal is the left-to-right direction rotated clockwise.
     orientation ('h' or 'v'), pos (the coordinate of the axis the edge
-    lies on) and the span lo..hi along that axis are derived once at
-    construction; equality, hashing and repr use a, b and normal only.
+    lies on) and the span lo..hi along that axis follow from a and b;
+    Edge.of derives them, and repr shows a, b and normal only.
     """
 
     a: Point
     b: Point
     normal: tuple[int, int]
-    orientation: str = field(init=False, compare=False, repr=False)
-    pos: int = field(init=False, compare=False, repr=False)
-    lo: int = field(init=False, compare=False, repr=False)
-    hi: int = field(init=False, compare=False, repr=False)
+    orientation: str
+    pos: int
+    lo: int
+    hi: int
 
-    def __post_init__(self) -> None:
-        a, b = self.a, self.b
+    @classmethod
+    def of(cls, a: Point, b: Point, normal: tuple[int, int]) -> "Edge":
         if a.y == b.y:
-            orientation, pos, lo, hi = "h", a.y, min(a.x, b.x), max(a.x, b.x)
-        else:
-            orientation, pos, lo, hi = "v", a.x, min(a.y, b.y), max(a.y, b.y)
-        object.__setattr__(self, "orientation", orientation)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+            return cls(a, b, normal, "h", a.y, min(a.x, b.x), max(a.x, b.x))
+        return cls(a, b, normal, "v", a.x, min(a.y, b.y), max(a.y, b.y))
+
+    def __repr__(self) -> str:
+        return f"Edge(a={self.a!r}, b={self.b!r}, normal={self.normal!r})"
 
 
 def _normalize_outline(points: Sequence[Point]) -> list[Point]:
@@ -185,27 +173,23 @@ def _normalize_outline(points: Sequence[Point]) -> list[Point]:
 
 
 def _signed_area2(pts: Sequence[Point]) -> int:
-    total = 0
-    for p, q in zip(pts, list(pts[1:]) + [pts[0]]):
-        total += p.x * q.y - q.x * p.y
-    return total
+    return sum(p.x * q.y - q.x * p.y for p, q in zip(pts, pts[1:] + pts[:1]))
 
 
 def _check_simple(pts: Sequence[Point]) -> None:
     """Reject outlines whose boundary touches or crosses itself."""
     n = len(pts)
-    segs = []
-    for i in range(n):
-        p, q = pts[i], pts[(i + 1) % n]
-        segs.append((min(p.x, q.x), min(p.y, q.y), max(p.x, q.x), max(p.y, q.y)))
+    segs = [
+        (min(p.x, q.x), min(p.y, q.y), max(p.x, q.x), max(p.y, q.y))
+        for p, q in zip(pts, pts[1:] + pts[:1])
+    ]
     if len(set(pts)) != n:
         raise GeometryError("outline revisits a vertex")
     for i in range(n):
         for j in range(i + 1, n):
             if j == i + 1 or (i == 0 and j == n - 1):
                 continue
-            a = segs[i]
-            b = segs[j]
+            a, b = segs[i], segs[j]
             if a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]:
                 raise GeometryError("outline self-intersects")
 
@@ -213,12 +197,9 @@ def _check_simple(pts: Sequence[Point]) -> None:
 def _decompose_outline(pts: Sequence[Point]) -> tuple[Rect, ...]:
     """Slice a simple rectilinear polygon into horizontal slabs of rectangles."""
     ys = sorted({p.y for p in pts})
-    verticals = []
-    n = len(pts)
-    for i in range(n):
-        p, q = pts[i], pts[(i + 1) % n]
-        if p.x == q.x:
-            verticals.append((p.x, min(p.y, q.y), max(p.y, q.y)))
+    verticals = [
+        (p.x, min(p.y, q.y), max(p.y, q.y)) for p, q in zip(pts, pts[1:] + pts[:1]) if p.x == q.x
+    ]
     rects: list[Rect] = []
     for y0, y1 in zip(ys, ys[1:]):
         xs = sorted(x for x, vlo, vhi in verticals if vlo <= y0 and vhi >= y1)
@@ -235,8 +216,13 @@ def _decompose_outline(pts: Sequence[Point]) -> tuple[Rect, ...]:
 _CCW_RECT_NORMALS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
 
-@dataclass(frozen=True)
-class RectilinearShape:
+def _check_integer(points: Iterable[Point]) -> None:
+    for p in points:
+        if not isinstance(p.x, int) or not isinstance(p.y, int):
+            raise GeometryError(f"point coordinates must be integers: ({p.x}, {p.y})")
+
+
+class RectilinearShape(NamedTuple):
     """A layout feature: a simple rectilinear polygon.
 
     Stored as the counter-clockwise outline plus a slab decomposition into
@@ -250,30 +236,34 @@ class RectilinearShape:
     edges: tuple[Edge, ...]
 
     @classmethod
-    def from_outline(cls, sid: int, points: Iterable[tuple[int, int] | Point]) -> "RectilinearShape":
-        pts = [p if isinstance(p, Point) else Point(p[0], p[1]) for p in points]
+    def from_outline(cls, sid: int, points: Iterable[tuple[int, int]]) -> "RectilinearShape":
+        pts = [Point(x, y) for x, y in points]
+        _check_integer(pts)
         pts = _normalize_outline(pts)
         if _signed_area2(pts) < 0:
             pts.reverse()
         _check_simple(pts)
         rects = _decompose_outline(pts)
         edges = []
-        n = len(pts)
-        for i in range(n):
-            p, q = pts[i], pts[(i + 1) % n]
+        for p, q in zip(pts, pts[1:] + pts[:1]):
             dx = (q.x > p.x) - (q.x < p.x)
             dy = (q.y > p.y) - (q.y < p.y)
-            edges.append(Edge(p, q, (dy, -dx)))
+            edges.append(Edge.of(p, q, (dy, -dx)))
         return cls(sid, rects, tuple(pts), tuple(edges))
 
     @classmethod
     def from_rect(cls, sid: int, rect: Rect) -> "RectilinearShape":
-        """The shape of one rectangle, built directly: the same rects,
-        outline and edges as from_outline(sid, rect.corners()), without
-        normalising, checking or slicing an outline."""
+        """The shape of one rectangle with integer corners and positive
+        area, built directly: the same rects, outline and edges as
+        from_outline(sid, rect.corners()), without normalising or slicing
+        an outline."""
+        lo, hi = rect
+        _check_integer(rect)
+        if lo.x >= hi.x or lo.y >= hi.y:
+            raise GeometryError(f"rectangle has no area: {lo} .. {hi}")
         pts = rect.corners()
         edges = tuple(
-            Edge(p, q, n) for p, q, n in zip(pts, pts[1:] + pts[:1], _CCW_RECT_NORMALS)
+            Edge.of(p, q, n) for p, q, n in zip(pts, pts[1:] + pts[:1], _CCW_RECT_NORMALS)
         )
         return cls(sid, (rect,), pts, edges)
 
@@ -389,12 +379,11 @@ class SpatialIndex:
         """
         cell, d = self.cell_size, distance
         bands: dict[int, list[list[int]]] = {}
-        for sid, box in self._boxes.items():
-            lo, hi = box.lo, box.hi
+        for sid, ((x1, y1), (x2, y2)) in self._boxes.items():
             # a list: freed 5-tuples would stay on the interpreter's tuple
             # free list and add to the peak of the solve that follows
-            entry = [lo.x, sid, hi.x + d, lo.y, hi.y + d]
-            for k in range(lo.y // cell, (hi.y + d) // cell + 1):
+            entry = [x1, sid, x2 + d, y1, y2 + d]
+            for k in range(y1 // cell, (y2 + d) // cell + 1):
                 band = bands.get(k)
                 if band is None:
                     bands[k] = [entry]

@@ -17,9 +17,9 @@ from __future__ import annotations
 import functools
 import gc
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, ParamSpec, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, ParamSpec, Sequence, TextIO, TypeVar
 
 from .geometry import (
     Metric,
@@ -123,7 +123,10 @@ class DecompositionParams:
             low_default = max(1, dis_m // 2)
         h_low = raw.get("hlow", low_default)
         w_low = raw.get("wlow", low_default)
-        alpha = Fraction(raw.get("alpha_num", 1), raw.get("alpha_den", 10))
+        alpha_den = raw.get("alpha_den", 10)
+        if alpha_den == 0:
+            raise ValueError("parameter alpha_den must be non-zero")
+        alpha = Fraction(raw.get("alpha_num", 1), alpha_den)
         stitch_flag = raw.get("stitch", 0)
         if stitch_flag not in (0, 1):
             raise ValueError(f"stitch must be 0 or 1, got {stitch_flag}")
@@ -162,8 +165,7 @@ class LayoutDocument:
     params: DecompositionParams
 
 
-@dataclass(frozen=True, order=True)
-class StitchPoint:
+class StitchPoint(NamedTuple):
     """A point where a feature may be split into two stitched segments.
 
     orient is the orientation of the cut line: 'v' splits a horizontal
@@ -225,6 +227,13 @@ def _parse_int(tok: str, line: int, what: str) -> int:
         raise LayoutParseError(line, f"{what} must be an integer, got {tok!r}") from None
 
 
+def _parse_box(toks: Sequence[str], line: int, what: str) -> Rect:
+    x1, y1, x2, y2 = (_parse_int(t, line, "coordinate") for t in toks)
+    if x1 >= x2 or y1 >= y2:
+        raise LayoutParseError(line, f"{what} corners must be lower-left then upper-right")
+    return Rect.of(x1, y1, x2, y2)
+
+
 @_collector_paused
 def parse_layout(source: str | TextIO) -> LayoutDocument:
     text = source if isinstance(source, str) else source.read()
@@ -261,12 +270,9 @@ def parse_layout(source: str | TextIO) -> LayoutDocument:
             if len(toks) != 6:
                 raise LayoutParseError(lineno, "rect takes id x1 y1 x2 y2")
             fid = _parse_int(toks[1], lineno, "feature id")
-            coords = [_parse_int(t, lineno, "coordinate") for t in toks[2:]]
-            x1, y1, x2, y2 = coords
-            if x1 >= x2 or y1 >= y2:
-                raise LayoutParseError(lineno, "rect corners must be lower-left then upper-right")
+            rect = _parse_box(toks[2:], lineno, "rect")
             _check_id(fid, seen_ids, lineno)
-            shapes.append(RectilinearShape.from_rect(fid, Rect.of(x1, y1, x2, y2)))
+            shapes.append(RectilinearShape.from_rect(fid, rect))
         elif kind == "poly":
             if len(toks) < 2 or len(toks) % 2 != 0:
                 raise LayoutParseError(lineno, "poly takes id then x y pairs")
@@ -395,8 +401,7 @@ def parse_report(source: str | TextIO) -> DecompositionReport:
         elif kind == "cut":
             if len(toks) != 5:
                 raise LayoutParseError(lineno, "cut takes x1 y1 x2 y2")
-            x1, y1, x2, y2 = (_parse_int(t, lineno, "coordinate") for t in toks[1:])
-            cuts.append(Rect.of(x1, y1, x2, y2))
+            cuts.append(_parse_box(toks[1:], lineno, "cut"))
         elif kind == "conflict":
             if len(toks) != 3:
                 raise LayoutParseError(lineno, "conflict takes two vertices")

@@ -202,6 +202,13 @@ def shape_facts(s: RectilinearShape) -> tuple:
     return s.id, s.rects, s.outline, edges
 
 
+def box_dims(box: EndCutBox) -> tuple[int, int]:
+    """Semantic (w, h) of a box: w along the repaired run, h across the gap."""
+    if box.run_axis == "y":
+        return box.rect.height, box.rect.width
+    return box.rect.width, box.rect.height
+
+
 def perpendicular_box(ev: Edge, eh: Edge, p: DecompositionParams) -> EndCutBox | None:
     """Corner box between a vertical edge ev and a horizontal edge eh: the
     pocket spanned by ev's line, eh's line and the two edges' near ends,

@@ -10,12 +10,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import trimdecomp
 import trimdecomp.cli
 from trimdecomp.cli import decompose_document, main
 from trimdecomp.geometry import Rect
-from trimdecomp.layout_io import LayoutParseError, parse_report, write_layout, write_report
+from trimdecomp.layout_io import (
+    PARAM_KEYS,
+    LayoutParseError,
+    parse_report,
+    write_layout,
+    write_report,
+)
 from trimdecomp.synth import random_layout
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -213,6 +221,59 @@ def test_jobs_below_one_is_rejected(capsys, jobs):
         main(["--input", str(LAYOUTS), "--jobs", jobs])
     assert exc.value.code == 2
     assert "argument --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["inf", "nan", "-1", "1e300", "soon"])
+def test_time_limit_must_be_finite_and_non_negative(capsys, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(["--input", str(LAYOUTS / "cluster7.lay"), "--time-limit", limit])
+    assert exc.value.code == 2
+    assert "argument --time-limit" in capsys.readouterr().err
+
+
+def test_zero_alpha_den_is_an_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    text = (LAYOUTS / "cluster7.lay").read_text() + "param alpha_den 0\n"
+    (tmp_path / "a.lay").write_text(text)
+    message = "line 0: parameter alpha_den must be non-zero\n"
+    assert run(capsys, "--input", str(tmp_path / "a.lay")) == (1, "", "error: " + message)
+    (tmp_path / "b.lay").write_text((LAYOUTS / "endcut_demo.lay").read_text())
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "--input", str(tmp_path), "--jobs", jobs)
+        assert (code, out, err) == (1, "", "error: a.lay: " + message)
+
+
+# the bundled layouts without their param lines, to take generated ones
+BODIES = {
+    path.stem: "".join(
+        line for line in path.read_text().splitlines(True) if not line.startswith("param")
+    )
+    for path in sorted(LAYOUTS.glob("*.lay"))
+}
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    body=st.sampled_from(sorted(BODIES)),
+    params=st.dictionaries(
+        st.sampled_from(PARAM_KEYS), st.sampled_from([-1, 0, 1, 2, 10**12]), max_size=6
+    ),
+)
+def test_param_edge_values_end_in_a_result_or_an_error_line(tmp_path, capsys, body, params):
+    path = tmp_path / "fuzz.lay"
+    path.write_text("".join(f"param {k} {v}\n" for k, v in params.items()) + BODIES[body])
+    code, out, err = run(capsys, "--input", str(path))
+    if code == 0:
+        assert STATS_ROW.match(out.strip())
+    else:
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_directory_error_names_the_first_bad_file(tmp_path, capsys, monkeypatch):

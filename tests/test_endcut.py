@@ -4,6 +4,7 @@ import random
 
 import trimdecomp.endcut
 from helpers import (
+    box_dims,
     end_cuts_oracle,
     generate_end_cut_oracle,
     merged_cut_rects_oracle,
@@ -15,7 +16,6 @@ from trimdecomp.endcut import (
     BoxKind,
     EndCutBox,
     EndCutCandidate,
-    box_dims,
     generate_all_end_cuts,
     generate_end_cut,
     merge_union,

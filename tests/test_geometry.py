@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,11 @@ from trimdecomp.geometry import (
     rectset_within,
     shapes_within,
 )
+from trimdecomp.cli import decompose_document
+from trimdecomp.layout_io import LayoutParseError, parse_layout, parse_report
+from trimdecomp.synth import random_layout
+
+LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
 
 def test_rect_basics():
@@ -28,19 +34,53 @@ def test_rect_basics():
     assert (r.lo, r.hi) == (Point(0, 10), Point(30, 50))
     assert (r.width, r.height, r.area) == (30, 40, 1200)
     assert r.inflate(5) == Rect.of(-5, 5, 35, 55)
-    with pytest.raises(GeometryError):
-        Rect.of(0, 0, 0, 10)
-    with pytest.raises(GeometryError):
-        Rect.of(30, 10, 0, 50)  # corners must be lower-left then upper-right
-    with pytest.raises(GeometryError):
-        Rect(Point(0, 0), Point(10, 0))
+    # records are named tuples: tuple order, tuple hash, the dataclass repr
+    rng = random.Random(1103)
+    rects = []
+    for _ in range(1000):
+        x, y = rng.randint(-50, 50), rng.randint(-50, 50)
+        rects.append(Rect.of(x, y, x + rng.randint(1, 20), y + rng.randint(1, 20)))
+    assert sorted(rects) == sorted(rects, key=lambda r: (r.lo.x, r.lo.y, r.hi.x, r.hi.y))
+    assert hash(Rect.of(1, 2, 3, 4)) == hash(((1, 2), (3, 4)))
+    assert repr(Point(1, 2)) == "Point(x=1, y=2)"
+    assert repr(r) == "Rect(lo=Point(x=0, y=10), hi=Point(x=30, y=50))"
+    # a rectangle without positive area is rejected where it enters
+    for bad in (Rect.of(0, 0, 0, 10), Rect.of(30, 10, 0, 50), Rect(Point(0, 0), Point(10, 0))):
+        with pytest.raises(GeometryError, match="no area"):
+            RectilinearShape.from_rect(1, bad)
+        x1, y1 = bad.lo
+        x2, y2 = bad.hi
+        with pytest.raises(LayoutParseError, match="^line 1: cut corners"):
+            parse_report(f"cut {x1} {y1} {x2} {y2}\ncost 0.0\n")
 
 
 def test_points_are_integer_only():
-    with pytest.raises(GeometryError):
-        Point(1.5, 0)
-    with pytest.raises(GeometryError):
-        Rect.of(0, 0, 10.0, 10)
+    with pytest.raises(GeometryError, match="must be integers"):
+        RectilinearShape.from_outline(1, [(0, 0), (10, 0), (10, 10.0), (0, 10)])
+    with pytest.raises(GeometryError, match="must be integers"):
+        RectilinearShape.from_rect(1, Rect.of(0, 0, 10.0, 10))
+    with pytest.raises(LayoutParseError, match="coordinate must be an integer, got '10.5'"):
+        parse_layout("layout t\nrect 1 0 0 10.5 10\n")
+
+
+def test_every_rect_built_by_the_pipeline_has_positive_area():
+    # Rect checks nothing itself, so this guards the constructors inside
+    # the pipeline: outline slabs, cut boxes, stitched pieces, merged cuts
+    docs = [parse_layout(path.read_text()) for path in sorted(LAYOUTS.glob("*.lay"))]
+    docs += [random_layout(seed, stitch=stitch) for seed in range(40) for stitch in (False, True)]
+    seen = {"shapes": 0, "cuts": 0, "pieces": 0, "report": 0}
+    for doc in docs:
+        result = decompose_document(doc)
+        groups = {
+            "shapes": [r for s in doc.shapes for r in s.rects],
+            "cuts": [r for c in result.end_cuts.candidates.values() for r in c.rects],
+            "pieces": [r for piece in result.graph.segments.values() for r in piece],
+            "report": result.report.cuts,
+        }
+        for name, rects in groups.items():
+            assert all(r.lo.x < r.hi.x and r.lo.y < r.hi.y for r in rects), (doc.name, name)
+            seen[name] += len(rects)
+    assert min(seen.values()) > 100, seen
 
 
 def test_interval_gap():
@@ -185,7 +225,7 @@ def test_bounding_box():
 
 
 def test_edge_fields():
-    e = Edge(a=Point(10, 0), b=Point(10, 30), normal=(1, 0))
+    e = Edge.of(a=Point(10, 0), b=Point(10, 30), normal=(1, 0))
     assert e.orientation == "v"
     assert (e.pos, e.lo, e.hi) == (10, 0, 30)
     # the four edges of Rect.of(10, 0, 40, 30), counter-clockwise
@@ -196,12 +236,12 @@ def test_edge_fields():
         (Point(10, 30), Point(10, 0), (-1, 0), ("v", 10, 0, 30)),
     ]
     for a, b, normal, fields in cases:
-        e = Edge(a=a, b=b, normal=normal)
+        e = Edge.of(a=a, b=b, normal=normal)
         assert (e.orientation, e.pos, e.lo, e.hi) == fields
-        twin = Edge(a=Point(a.x, a.y), b=Point(b.x, b.y), normal=normal)
+        twin = Edge.of(a=Point(a.x, a.y), b=Point(b.x, b.y), normal=normal)
         assert twin == e and hash(twin) == hash(e)
         assert repr(twin) == f"Edge(a={a!r}, b={b!r}, normal={normal!r})"
-        assert e != Edge(a=b, b=a, normal=normal)
+        assert e != Edge.of(a=b, b=a, normal=normal)
 
 
 def test_from_rect_matches_from_outline():

@@ -106,7 +106,7 @@ def decompose_document(
     independent blocks; comp# in the stats is that block count.
     """
     t_start = time.perf_counter_ns()
-    deadline = t_start + int(time_limit * 1e9) if time_limit is not None else None
+    deadline = t_start + _time_limit_ns(time_limit) if time_limit is not None else None
     stages: list[tuple[str, int]] = []
     last = t_start
 
@@ -225,14 +225,25 @@ def _parse_jobs(text: str) -> int:
     return value
 
 
+def _time_limit_ns(seconds: float) -> int:
+    """The time limit in nanoseconds, in which the deadline is counted.
+
+    ValueError unless it is finite and non-negative, in seconds and in
+    nanoseconds; NaN fails the comparison."""
+    if not (seconds >= 0 and math.isfinite(seconds * 1e9)):
+        raise ValueError("time limit must be a finite, non-negative number of seconds")
+    return int(seconds * 1e9)
+
+
 def _parse_time_limit(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad time limit {text!r}") from None
-    # the deadline is counted in nanoseconds; NaN fails the comparison
-    if not (value >= 0 and math.isfinite(value * 1e9)):
-        raise argparse.ArgumentTypeError("time limit must be a finite, non-negative number of seconds")
+    try:
+        _time_limit_ns(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

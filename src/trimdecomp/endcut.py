@@ -189,7 +189,9 @@ def generate_end_cut(
     if not raw:
         return None
     pair = (min(s1.id, s2.id), max(s1.id, s2.id))
-    return EndCutCandidate(pair=pair, boxes=resolve_box_overlaps(raw))
+    # a lone box has nothing to collapse with
+    boxes = (raw[0],) if len(raw) == 1 else resolve_box_overlaps(raw)
+    return EndCutCandidate(pair=pair, boxes=boxes)
 
 
 def generate_all_end_cuts(

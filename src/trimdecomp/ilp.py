@@ -18,12 +18,14 @@ IlpModel spells this formulation out with named variables and rows; it
 is built only for LP export and for checking. solve works on the layout
 graph itself, through integer edge arrays: it splits the graph into
 independent blocks (linked by conflict, stitch or cut-spacing edges) and
-runs one exact branch and bound over each. A greedy two-colouring with a
-small local search seeds the incumbent. The search then assigns masks in
-ascending segment order, mask 0 first, and settles the cuts at each
-complete colouring, so the first leaf it meets at the optimal cost is
-the lexicographically smallest optimal mask vector, the promised
-tie-break."""
+runs one exact branch and bound over each distinct block. Layouts repeat
+their cells, so many blocks are equal up to their ids; the search sees
+only a block's local structure, and blocks of one structure share a
+single search. A greedy two-colouring with a small local search seeds
+the incumbent. The search then assigns masks in ascending segment order,
+mask 0 first, and settles the cuts at each complete colouring, so the
+first leaf it meets at the optimal cost is the lexicographically
+smallest optimal mask vector, the promised tie-break."""
 
 from __future__ import annotations
 
@@ -139,13 +141,27 @@ class _Timeout(Exception):
     pass
 
 
+# A block's local structure: its vertex count; its conflict edges in
+# canonical order as (a, b, has_pending_cut); its stitch edges as (a, b);
+# its cut-spacing edges as sorted pairs of pending-cut indices, a cut's
+# index being its rank among the block's cut-carrying conflict edges.
+BlockStructure = tuple[
+    int,
+    tuple[tuple[int, int, bool], ...],
+    tuple[tuple[int, int], ...],
+    tuple[tuple[int, int], ...],
+]
+
+
 class _CompSolver:
     """Exact search over one independent block of the layout graph.
 
-    Local variable ids 0..m-1 follow the canonical (ascending segment
-    index) order. The search assigns them in that order, mask 0 before
-    mask 1, and settles the cuts of each complete colouring in a fixed
-    order, so leaves arrive in lexicographic order of the mask vector.
+    The search sees only the block's local structure, and its answer is
+    the mask of each local vertex plus the indices of the pending cuts
+    it selects. Local variable ids 0..m-1 follow the canonical (ascending
+    segment index) order. The search assigns them in that order, mask 0
+    before mask 1, and settles the cuts of each complete colouring in a
+    fixed order, so leaves arrive in lexicographic order of the mask vector.
     Only a leaf strictly cheaper than the bound is accepted, and the bound
     starts one above the incumbent's cost: the last leaf accepted is the
     first one at the optimal cost, the lexicographically smallest optimum.
@@ -155,31 +171,16 @@ class _CompSolver:
     reference counting frees it as soon as its block is done. The pipeline
     runs with the cyclic collector paused and relies on that."""
 
-    def __init__(
-        self,
-        gvars: Sequence[int],
-        ce: Sequence[tuple[int, int, PairKey | None]],
-        se: Sequence[tuple[int, int]],
-        ee: Sequence[tuple[PairKey, PairKey]],
-        wc: int,
-        ws: int,
-        deadline: float | None,
-    ):
-        self.m = len(gvars)
-        local = {g: i for i, g in enumerate(gvars)}
-        self.ce = [(local[a], local[b], pair) for a, b, pair in ce]
-        self.se = [(local[a], local[b]) for a, b in se]
+    def __init__(self, block: BlockStructure, wc: int, ws: int, deadline: float | None):
+        self.m, self.ce, self.se, ee = block
         self.wc = wc
         self.ws = ws
         self.deadline = deadline
         self.nodes = 0
 
-        self.pend_pair = [pair for _, _, pair in self.ce if pair is not None]
-        self.pend_edge = [(a, b) for a, b, pair in self.ce if pair is not None]
-        pidx = {pair: k for k, pair in enumerate(self.pend_pair)}
-        self.pend_adj: list[list[int]] = [[] for _ in self.pend_pair]
-        for pa, pb in ee:
-            ka, kb = pidx[pa], pidx[pb]
+        self.pend_edge = [(a, b) for a, b, cut in self.ce if cut]
+        self.pend_adj: list[list[int]] = [[] for _ in self.pend_edge]
+        for ka, kb in ee:
             self.pend_adj[ka].append(kb)
             self.pend_adj[kb].append(ka)
         for lst in self.pend_adj:
@@ -188,7 +189,7 @@ class _CompSolver:
         self.best = 0
         self.bound = 1
         self.best_colors: list[int] = [0] * self.m
-        self.best_sel: set[PairKey] = set()
+        self.best_sel: set[int] = set()
         self.timed_out = False
 
     def _tick(self) -> None:
@@ -201,8 +202,8 @@ class _CompSolver:
 
     def _greedy_colors(self) -> list[int]:
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.m)]
-        for a, b, pair in self.ce:
-            w = 0 if pair is not None else self.wc
+        for a, b, cut in self.ce:
+            w = 0 if cut else self.wc
             adj[a].append((b, w, 0))
             adj[b].append((a, w, 0))
         for a, b in self.se:
@@ -263,8 +264,8 @@ class _CompSolver:
                 cost += self.wc
             else:
                 chosen.add(k)
-        for a, b, pair in self.ce:
-            if pair is None and color[a] == color[b]:
+        for a, b, cut in self.ce:
+            if not cut and color[a] == color[b]:
                 cost += self.wc
         for a, b in self.se:
             if color[a] != color[b]:
@@ -282,7 +283,7 @@ class _CompSolver:
         self.best = inc_cost
         self.bound = inc_cost + 1  # scaled costs are integers
         self.best_colors = incumbent
-        self.best_sel = {self.pend_pair[k] for k in inc_sel}
+        self.best_sel = inc_sel
         try:
             self._branch()
         except _Timeout:
@@ -294,8 +295,8 @@ class _CompSolver:
         # left to the leaf, where its cut is chosen
         conflict_at: list[list[int]] = [[] for _ in range(m)]
         stitch_at: list[list[int]] = [[] for _ in range(m)]
-        for a, b, pair in self.ce:
-            if pair is None:
+        for a, b, cut in self.ce:
+            if not cut:
                 conflict_at[max(a, b)].append(min(a, b))
         for a, b in self.se:
             stitch_at[max(a, b)].append(min(a, b))
@@ -357,7 +358,7 @@ class _CompSolver:
         if i == len(constrained):
             self.bound = self.best = acc
             self.best_colors = list(vals)
-            self.best_sel = {self.pend_pair[k] for k in chosen}
+            self.best_sel = set(chosen)
             return
         k = constrained[i]
         if not any(j in chosen for j in self.pend_adj[k]):
@@ -378,12 +379,16 @@ def solve(
 
     This is the one place the problem splits: blocks linked by conflict,
     stitch or cut-spacing edges are searched separately and the optima
-    summed. Each block reports its lexicographically smallest optimal
-    mask vector, so status OPTIMAL implies the canonical answer. A
-    candidate cut with no spacing edge links nothing; it is selected
-    afterwards wherever its two segments share a mask, at no cost. The
-    status is TIMEOUT when any block ran out of time, in which case the
-    best colouring found so far stands in for the exact answer."""
+    summed. Blocks of one local structure are searched once, and the
+    others take that answer through their own ids; nodes still counts
+    the canonical search of every block, as if each had run. A search
+    that ran out of time is never reused. Each block reports its
+    lexicographically smallest optimal mask vector, so status OPTIMAL
+    implies the canonical answer. A candidate cut with no spacing edge
+    links nothing; it is selected afterwards wherever its two segments
+    share a mask, at no cost. The status is TIMEOUT when any block ran
+    out of time, in which case the best colouring found so far stands in
+    for the exact answer."""
     if alpha < 0:
         raise ModelError("alpha must be non-negative")
     deadline = time.monotonic() + time_limit if time_limit is not None else None
@@ -422,23 +427,36 @@ def solve(
     for pa, pb in ee:
         parent[find(pair_home[pa])] = find(pair_home[pb])
 
+    # blocks in order of their lowest vertex; a vertex's local id is its
+    # rank in its block, so local order is canonical order
     block_of: dict[int, int] = {}
     blocks: list[list[int]] = []
+    blk = [0] * len(verts)
+    local = [0] * len(verts)
     for i in range(len(verts)):
         root = find(i)
         if root not in block_of:
             block_of[root] = len(blocks)
             blocks.append([])
-        blocks[block_of[root]].append(i)
-    ce_by: list[list[tuple[int, int, PairKey | None]]] = [[] for _ in blocks]
+        bi = blk[i] = block_of[root]
+        local[i] = len(blocks[bi])
+        blocks[bi].append(i)
+    ce_by: list[list[tuple[int, int, bool]]] = [[] for _ in blocks]
     se_by: list[list[tuple[int, int]]] = [[] for _ in blocks]
-    ee_by: list[list[tuple[PairKey, PairKey]]] = [[] for _ in blocks]
-    for e in ce:
-        ce_by[block_of[find(e[0])]].append(e)
-    for e in se:
-        se_by[block_of[find(e[0])]].append(e)
-    for e in ee:
-        ee_by[block_of[find(pair_home[e[0]])]].append(e)
+    ee_by: list[list[tuple[int, int]]] = [[] for _ in blocks]
+    cuts_by: list[list[PairKey]] = [[] for _ in blocks]
+    cut_index: dict[PairKey, int] = {}
+    for a, b, pair in ce:
+        bi = blk[a]
+        if pair is not None:
+            cut_index[pair] = len(cuts_by[bi])
+            cuts_by[bi].append(pair)
+        ce_by[bi].append((local[a], local[b], pair is not None))
+    for a, b in se:
+        se_by[blk[a]].append((local[a], local[b]))
+    for pa, pb in ee:
+        ka, kb = cut_index[pa], cut_index[pb]
+        ee_by[blk[pair_home[pa]]].append((ka, kb) if ka < kb else (kb, ka))
 
     scale = alpha.denominator
     total = 0
@@ -446,17 +464,27 @@ def solve(
     timed_out = False
     color_of = [0] * len(verts)
     selected: set[PairKey] = set()
+    # the search depends only on a block's structure (scale and alpha are
+    # fixed here), so identical blocks share one finished search; a search
+    # cut short by the deadline is not an answer and is never reused
+    memo: dict[BlockStructure, tuple[int, int, list[int], set[int]]] = {}
     for bi, gvars in enumerate(blocks):
-        comp = _CompSolver(
-            gvars, ce_by[bi], se_by[bi], ee_by[bi], scale, alpha.numerator, deadline
-        )
-        comp.run()
-        timed_out |= comp.timed_out
-        total += comp.best
-        nodes += comp.nodes
-        for lv, gi in enumerate(gvars):
-            color_of[gi] = comp.best_colors[lv]
-        selected |= comp.best_sel
+        key = (len(gvars), tuple(ce_by[bi]), tuple(se_by[bi]), tuple(sorted(ee_by[bi])))
+        found = memo.get(key)
+        if found is None:
+            comp = _CompSolver(key, scale, alpha.numerator, deadline)
+            comp.run()
+            found = (comp.best, comp.nodes, comp.best_colors, comp.best_sel)
+            if comp.timed_out:
+                timed_out = True
+            else:
+                memo[key] = found
+        best, searched, best_colors, best_sel = found
+        total += best
+        nodes += searched
+        for gi, c in zip(gvars, best_colors):
+            color_of[gi] = c
+        selected.update(cuts_by[bi][k] for k in best_sel)
     for a, b, pair in free:
         if color_of[a] == color_of[b]:
             selected.add(pair)

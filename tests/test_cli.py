@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_ilp import count_searches
+
 import trimdecomp
 import trimdecomp.cli
 from trimdecomp.cli import decompose_document, main
@@ -20,6 +22,7 @@ from trimdecomp.geometry import Rect
 from trimdecomp.layout_io import (
     PARAM_KEYS,
     LayoutParseError,
+    parse_layout,
     parse_report,
     write_layout,
     write_report,
@@ -132,12 +135,18 @@ def test_time_limit_smoke(capsys):
     assert "cost 1.0" in out
 
 
+def chain30_rects(first_id=1, y=0):
+    """A crowded chain of 30 bars: every neighbour pair conflicts and every
+    cut excludes its neighbours' cuts, so the solver cannot prove the
+    optimum 0 within a fraction of a second."""
+    return [
+        f"rect {first_id + i} {200 * i} {y} {200 * i + 100} {y + 40 + i % 9}"
+        for i in range(30)
+    ]
+
+
 def test_timeout_is_reported_in_stats_and_csv(tmp_path, capsys):
-    # a crowded chain: every neighbour pair conflicts and every cut excludes
-    # its neighbours' cuts, so the solver cannot prove the optimum 0 in time
-    lines = ["layout chain30", "param dis_m 120", "param hlow 60"]
-    for i in range(30):
-        lines.append(f"rect {i + 1} {200 * i} 0 {200 * i + 100} {40 + i % 9}")
+    lines = ["layout chain30", "param dis_m 120", "param hlow 60", *chain30_rects()]
     (tmp_path / "chain30.lay").write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "--input", str(tmp_path / "chain30.lay"), "--time-limit", "0.2")
     assert code == 0
@@ -146,6 +155,20 @@ def test_timeout_is_reported_in_stats_and_csv(tmp_path, capsys):
     code, out, _ = run(capsys, "--input", str(tmp_path), "--time-limit", "0.2")
     assert code == 0
     assert out.strip().splitlines()[1].endswith(",timeout")
+
+
+def test_timed_out_block_is_searched_again(monkeypatch):
+    # two identical chains 10,000 nm apart are two blocks of one structure;
+    # the first search runs out of time, so the second may not reuse it
+    lines = ["layout chain30x2", "param dis_m 120", "param hlow 60"]
+    lines += chain30_rects() + chain30_rects(first_id=31, y=10_000)
+    doc = parse_layout("\n".join(lines) + "\n")
+    searches = count_searches(monkeypatch)
+    # decompose_document recounts the cost of the reported colouring
+    result = decompose_document(doc, time_limit=0.2)
+    assert result.stats.status.value == "timeout"
+    assert result.stats.components == 2
+    assert searches == [30, 30]
 
 
 def test_directory_benchmark_mode(tmp_path, capsys):
@@ -229,6 +252,14 @@ def test_time_limit_must_be_finite_and_non_negative(capsys, limit):
         main(["--input", str(LAYOUTS / "cluster7.lay"), "--time-limit", limit])
     assert exc.value.code == 2
     assert "argument --time-limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", [float("inf"), float("nan"), -1.0, 1e300])
+def test_library_time_limit_must_be_finite_and_non_negative(limit):
+    doc = parse_layout((LAYOUTS / "cluster7.lay").read_text())
+    message = "time limit must be a finite, non-negative number of seconds"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        decompose_document(doc, time_limit=limit)
 
 
 def test_zero_alpha_den_is_an_input_error(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    _dummy_candidate,
     enumerate_model,
     milp_optimum,
     random_model_graph,
@@ -12,15 +13,19 @@ from helpers import (
 )
 from test_graphs import abstract_graph, graph_for
 
-from trimdecomp.graphs import EndCutGraph
+from trimdecomp.cli import decompose_document
+from trimdecomp.geometry import Rect
+from trimdecomp.graphs import EndCutGraph, LayoutGraph
 from trimdecomp.ilp import (
     ModelError,
     SolveStatus,
+    _CompSolver,
     build_model,
     export_lp,
     solve,
 )
-from trimdecomp.layout_io import parse_layout
+from trimdecomp.layout_io import StitchPoint, parse_layout
+from trimdecomp.synth import grid_layout
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
@@ -204,6 +209,124 @@ def test_timeout_returns_feasible_incumbent():
     vals = [values[nm] for nm in m.names]
     for terms, rhs in m.constraints:
         assert sum(coef * vals[vi] for vi, coef in terms) <= rhs
+
+
+def shifted(g, ecg, offset):
+    """The same graph with every feature id raised by offset."""
+
+    def vert(v):
+        return (v[0] + offset, v[1])
+
+    def pair(p):
+        return (p[0] + offset, p[1] + offset)
+
+    cands = {pair(p): _dummy_candidate(pair(p)) for p in ecg.candidates}
+    conflicts = {
+        (vert(u), vert(v)): None if c is None else cands[pair(c.pair)]
+        for (u, v), c in g.conflict_edges.items()
+    }
+    return (
+        LayoutGraph(
+            segments={vert(v): r for v, r in g.segments.items()},
+            conflict_edges=conflicts,
+            stitch_edges={(vert(u), vert(v)): sp for (u, v), sp in g.stitch_edges.items()},
+        ),
+        EndCutGraph(cands, {(pair(a), pair(b)) for a, b in ecg.ee_edges}, ()),
+    )
+
+
+def joined(parts):
+    segments, conflicts, stitches, cands, ee = {}, {}, {}, {}, set()
+    for g, ecg in parts:
+        segments.update(g.segments)
+        conflicts.update(g.conflict_edges)
+        stitches.update(g.stitch_edges)
+        cands.update(ecg.candidates)
+        ee |= ecg.ee_edges
+    return LayoutGraph(segments, conflicts, stitches), EndCutGraph(cands, ee, ())
+
+
+def two_triangles(cuts, ee):
+    # triangles 1-2-3 and 4-5-6: each colouring leaves exactly one edge of a
+    # triangle on a shared mask, so which cuts exist and exclude each other
+    # decides both the cost and the canonical colouring
+    edges = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
+    g, cmap = abstract_graph(6, edges, cands=set(cuts))
+    return g, EndCutGraph(cmap, ee, ())
+
+
+def stitched_path(split):
+    # segments 0..3 in vertex order, conflicts 0-2, 1-3 and 2-3; the feature
+    # split in two puts its stitch edge at 0-1 (feature 1) or 1-2 (feature 2)
+    v = sorted({(1, 0), (2, 0), (3, 0), (split, 1)})
+    g = LayoutGraph(
+        segments={x: (Rect.of(0, 0, 10, 10),) for x in v},
+        conflict_edges={(v[0], v[2]): None, (v[1], v[3]): None, (v[2], v[3]): None},
+        stitch_edges={((split, 0), (split, 1)): StitchPoint(split, 0, 0, "v")},
+    )
+    return g, EndCutGraph({}, (), ())
+
+
+def answer(sol):
+    """A solution with its vertex keys dropped, colours in vertex order."""
+    return sol.objective, [c for _, c in sorted(sol.colors.items())], sorted(sol.selected)
+
+
+def test_identical_blocks_solve_as_if_alone():
+    # pairs of blocks whose keys differ in one part only, with different
+    # answers, so a key that ignores that part reuses a wrong answer
+    specs = [
+        # the same pending cuts, spaced differently
+        two_triangles([(1, 2), (1, 3), (4, 5), (4, 6)], {((1, 2), (4, 5)), ((1, 3), (4, 6))}),
+        two_triangles([(1, 2), (1, 3), (4, 5), (4, 6)], {((1, 2), (4, 6)), ((1, 3), (4, 5))}),
+        # the same spacing edge between pending-cut indices 0 and 1, on a
+        # different conflict edge
+        two_triangles([(1, 2), (4, 5)], {((1, 2), (4, 5))}),
+        two_triangles([(1, 3), (4, 5)], {((1, 3), (4, 5))}),
+        # the same conflicts, stitched elsewhere
+        stitched_path(1),
+        stitched_path(2),
+    ]
+    for k in range(0, len(specs), 2):
+        one, other = specs[k], specs[k + 1]
+        assert answer(solve(*one, Fraction(1, 10))) != answer(solve(*other, Fraction(1, 10)))
+    rng = random.Random(4242)
+    for _ in range(25):
+        models = specs + [random_model_graph(rng)[:2] for _ in range(6)]
+        order = [k for k in range(len(models)) for _ in range(3)]
+        rng.shuffle(order)
+        # features of a model are numbered 1..6 at most, so a stride of 10
+        # keeps every copy's ids apart
+        parts = [shifted(*models[k], 10 * i) for i, k in enumerate(order)]
+        alpha = rng.choice([Fraction(0), Fraction(1, 10), Fraction(1, 3)])
+        whole = solve(*joined(parts), alpha)
+        alone = [solve(g, ecg, alpha) for g, ecg in parts]
+        assert whole.status is SolveStatus.OPTIMAL
+        assert whole.objective == sum(s.objective for s in alone)
+        assert whole.nodes == sum(s.nodes for s in alone)
+        assert whole.blocks == sum(s.blocks for s in alone)
+        assert whole.colors == {v: c for s in alone for v, c in s.colors.items()}
+        assert whole.selected == frozenset().union(*(s.selected for s in alone))
+
+
+def count_searches(monkeypatch):
+    searches = []
+    search = _CompSolver.run
+
+    def counted(self):
+        searches.append(self.m)
+        search(self)
+
+    monkeypatch.setattr(_CompSolver, "run", counted)
+    return searches
+
+
+def test_repeated_cells_are_searched_once(monkeypatch):
+    searches = count_searches(monkeypatch)
+    stats = decompose_document(grid_layout(2000, 1)).stats
+    assert len(searches) <= 4
+    # nodes still counts the canonical search of every one of the blocks
+    assert (stats.components, stats.nodes) == (1116, 6984)
 
 
 def test_export_lp_demo_text():

@@ -174,6 +174,7 @@ def decompose_document(
         conflicts=tuple(conflicts),
         stitches=tuple(sorted(stitches)),
         cost=cost,
+        status=sol.status,
     )
     stage("report")
     stats = RunStats(

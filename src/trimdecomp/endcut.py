@@ -4,9 +4,10 @@ Two features that sit closer than the same-mask spacing rule can still share
 a mask if the trim exposure removes the sliver of material between them. A
 candidate end-cut for a feature pair is a set of rectangular boxes filling
 the gap between facing edges or between nearby convex corners. Every edge
-pair of the two features that can face each other is examined; the
-surviving boxes are deduplicated and thinned so overlapping alternatives
-collapse to the cheapest usable set.
+pair of the two features that can face each other is examined, the sides
+of two rectangles straight from their corners; the surviving boxes are
+deduplicated and thinned so overlapping alternatives collapse to the
+cheapest usable set.
 """
 
 from __future__ import annotations
@@ -80,6 +81,28 @@ def _make_corner(rect: Rect, p: DecompositionParams) -> EndCutBox | None:
     return EndCutBox(rect, BoxKind.CORNER_CORNER, "x")
 
 
+def _gap_box(
+    lo_pos: int, hi_pos: int, ov_lo: int, ov_hi: int, run_axis: str, p: DecompositionParams
+) -> EndCutBox | None:
+    """The box between two facing sides at lo_pos < hi_pos across the gap.
+
+    ov_lo..ov_hi is the overlap of their spans along run_axis, the axis
+    the sides lie on; it is empty (ov_hi < ov_lo) when the spans are
+    disjoint, and a single point when they only meet.
+    """
+    if ov_hi > ov_lo:
+        # spans overlap: the gap strip between two facing edge runs
+        if run_axis == "y":
+            return _make_edge_edge(Rect.of(lo_pos, ov_lo, hi_pos, ov_hi), "y", p)
+        return _make_edge_edge(Rect.of(ov_lo, lo_pos, ov_hi, hi_pos), "x", p)
+    if ov_hi < ov_lo:
+        # spans disjoint: the diagonal pocket between the two nearest corners
+        if run_axis == "y":
+            return _make_corner(Rect.of(lo_pos, ov_hi, hi_pos, ov_lo), p)
+        return _make_corner(Rect.of(ov_hi, lo_pos, ov_lo, hi_pos), p)
+    return None
+
+
 def _parallel_box(e1: Edge, e2: Edge, p: DecompositionParams) -> EndCutBox | None:
     if e1.pos == e2.pos:
         return None
@@ -87,23 +110,31 @@ def _parallel_box(e1: Edge, e2: Edge, p: DecompositionParams) -> EndCutBox | Non
     axis = 0 if e1.orientation == "v" else 1
     if lo_e.normal[axis] != 1 or hi_e.normal[axis] != -1:
         return None  # edges do not face each other across the gap
-    ov_lo = max(e1.lo, e2.lo)
-    ov_hi = min(e1.hi, e2.hi)
-    if ov_hi > ov_lo:
-        # spans overlap: the gap strip between two facing edge runs
-        if e1.orientation == "v":
-            rect = Rect.of(lo_e.pos, ov_lo, hi_e.pos, ov_hi)
-            return _make_edge_edge(rect, "y", p)
-        rect = Rect.of(ov_lo, lo_e.pos, ov_hi, hi_e.pos)
-        return _make_edge_edge(rect, "x", p)
-    if ov_hi < ov_lo:
-        # spans disjoint: the diagonal pocket between the two nearest corners
-        if e1.orientation == "v":
-            rect = Rect.of(lo_e.pos, ov_hi, hi_e.pos, ov_lo)
-        else:
-            rect = Rect.of(ov_hi, lo_e.pos, ov_lo, hi_e.pos)
-        return _make_corner(rect, p)
-    return None
+    run_axis = "y" if e1.orientation == "v" else "x"
+    return _gap_box(lo_e.pos, hi_e.pos, max(e1.lo, e2.lo), min(e1.hi, e2.hi), run_axis, p)
+
+
+def _rect_pair_boxes(r1: Rect, r2: Rect, p: DecompositionParams) -> list[EndCutBox]:
+    """The boxes of two rectangles' facing sides, read from their corners.
+
+    These are the boxes _parallel_box gives for the edge pairs with
+    opposite normals, in the order the edges of r1 come: its bottom
+    against r2's top, right against left, top against bottom and left
+    against right. A pair faces only when the side of r1 lies strictly
+    before the side of r2 in the direction of its normal.
+    """
+    (ax1, ay1), (ax2, ay2) = r1
+    (bx1, by1), (bx2, by2) = r2
+    boxes = []
+    if by2 < ay1:
+        boxes.append(_gap_box(by2, ay1, max(ax1, bx1), min(ax2, bx2), "x", p))
+    if ax2 < bx1:
+        boxes.append(_gap_box(ax2, bx1, max(ay1, by1), min(ay2, by2), "y", p))
+    if ay2 < by1:
+        boxes.append(_gap_box(ay2, by1, max(ax1, bx1), min(ax2, bx2), "x", p))
+    if bx2 < ax1:
+        boxes.append(_gap_box(bx2, ax1, max(ay1, by1), min(ay2, by2), "y", p))
+    return [b for b in boxes if b is not None]
 
 
 def resolve_box_overlaps(raw: Sequence[EndCutBox]) -> tuple[EndCutBox, ...]:
@@ -162,6 +193,7 @@ def generate_end_cut(
     s2: RectilinearShape,
     params: DecompositionParams,
     material: Sequence[Rect],
+    edges: dict[int, tuple[Edge, ...]] | None = None,
 ) -> EndCutCandidate | None:
     """The cut candidate of one feature pair, or None when no box survives.
 
@@ -169,29 +201,46 @@ def generate_end_cut(
     that can face each other. A perpendicular edge pair adds nothing: its
     box has a corner of one feature at a corner, and if that corner is
     concave, feature material lies inside the box, while if it is convex,
-    a facing parallel pair yields the same corner box. A box is kept only
-    when none of the material rects has area inside it, so material must
-    hold the rects of s1 and of every feature whose bounding box lies
+    a facing parallel pair yields the same corner box. Two rectangles have
+    four such pairs, whose boxes come straight from their corners. A pair
+    with a polygon pairs the edges both features derive; the edges dict,
+    when given, keeps them by feature id, so a caller that passes one dict
+    for many pairs derives each feature's edges once. A box is kept
+    only when none of the material rects has area inside it, so material
+    must hold the rects of s1 and of every feature whose bounding box lies
     within max(h_high, w_high) of s1's. No other feature reaches into a
     box: an edge-to-edge box lies within its gap (at most h_high) of an
     edge of s1, and a corner box within max(w_high, h_high) of a corner
     of s1.
     """
-    raw: list[EndCutBox] = []
-    for e1 in s1.edges:
-        facing = (-e1.normal[0], -e1.normal[1])
-        for e2 in s2.edges:
-            if e2.normal != facing:
-                continue
-            box = _parallel_box(e1, e2, params)
-            if box is not None and _box_clear(box.rect, material):
-                raw.append(box)
+    if len(s1.outline) == 4 and len(s2.outline) == 4:
+        facing_boxes = _rect_pair_boxes(s1.rects[0], s2.rects[0], params)
+    else:
+        facing_boxes = []
+        edges2 = _edges_of(s2, edges)
+        for e1 in _edges_of(s1, edges):
+            facing = (-e1.normal[0], -e1.normal[1])
+            for e2 in edges2:
+                if e2.normal == facing:
+                    box = _parallel_box(e1, e2, params)
+                    if box is not None:
+                        facing_boxes.append(box)
+    raw = [box for box in facing_boxes if _box_clear(box.rect, material)]
     if not raw:
         return None
     pair = (min(s1.id, s2.id), max(s1.id, s2.id))
     # a lone box has nothing to collapse with
     boxes = (raw[0],) if len(raw) == 1 else resolve_box_overlaps(raw)
     return EndCutCandidate(pair=pair, boxes=boxes)
+
+
+def _edges_of(s: RectilinearShape, cache: dict[int, tuple[Edge, ...]] | None) -> tuple[Edge, ...]:
+    if cache is None:
+        return s.edges
+    found = cache.get(s.id)
+    if found is None:
+        found = cache[s.id] = s.edges
+    return found
 
 
 def generate_all_end_cuts(
@@ -212,6 +261,7 @@ def generate_all_end_cuts(
         near.setdefault(a, []).append(b)
         near.setdefault(b, []).append(a)
     cuts: dict[tuple[int, int], EndCutCandidate] = {}
+    edges: dict[int, tuple[Edge, ...]] = {}
     last = None
     material: list[Rect] = []
     for a, b in sorted(pairs):
@@ -220,7 +270,7 @@ def generate_all_end_cuts(
             material = list(shapes_by_id[a].rects)
             for n in near.get(a, ()):
                 material.extend(shapes_by_id[n].rects)
-        cand = generate_end_cut(shapes_by_id[a], shapes_by_id[b], doc.params, material)
+        cand = generate_end_cut(shapes_by_id[a], shapes_by_id[b], doc.params, material, edges)
         if cand is not None:
             cuts[cand.pair] = cand
     return cuts

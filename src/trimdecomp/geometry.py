@@ -212,10 +212,6 @@ def _decompose_outline(pts: Sequence[Point]) -> tuple[Rect, ...]:
     return tuple(sorted(rects))
 
 
-# outward normals of a rectangle's edges, counter-clockwise from the bottom
-_CCW_RECT_NORMALS = ((0, -1), (1, 0), (0, 1), (-1, 0))
-
-
 def _check_integer(points: Iterable[Point]) -> None:
     for p in points:
         if not isinstance(p.x, int) or not isinstance(p.y, int):
@@ -226,14 +222,14 @@ class RectilinearShape(NamedTuple):
     """A layout feature: a simple rectilinear polygon.
 
     Stored as the counter-clockwise outline plus a slab decomposition into
-    axis-aligned rectangles whose union is exactly the polygon. Boundary
-    edges carry outward normals and are derived straight from the outline.
+    axis-aligned rectangles whose union is exactly the polygon. The
+    boundary edges, with their outward normals, are not stored: edges
+    derives them from the outline on each access.
     """
 
     id: int
     rects: tuple[Rect, ...]
     outline: tuple[Point, ...]
-    edges: tuple[Edge, ...]
 
     @classmethod
     def from_outline(cls, sid: int, points: Iterable[tuple[int, int]]) -> "RectilinearShape":
@@ -244,28 +240,32 @@ class RectilinearShape(NamedTuple):
             pts.reverse()
         _check_simple(pts)
         rects = _decompose_outline(pts)
-        edges = []
-        for p, q in zip(pts, pts[1:] + pts[:1]):
-            dx = (q.x > p.x) - (q.x < p.x)
-            dy = (q.y > p.y) - (q.y < p.y)
-            edges.append(Edge.of(p, q, (dy, -dx)))
-        return cls(sid, rects, tuple(pts), tuple(edges))
+        return cls(sid, rects, tuple(pts))
 
     @classmethod
     def from_rect(cls, sid: int, rect: Rect) -> "RectilinearShape":
         """The shape of one rectangle with integer corners and positive
-        area, built directly: the same rects, outline and edges as
+        area, built directly: the same rects and outline as
         from_outline(sid, rect.corners()), without normalising or slicing
         an outline."""
         lo, hi = rect
         _check_integer(rect)
         if lo.x >= hi.x or lo.y >= hi.y:
             raise GeometryError(f"rectangle has no area: {lo} .. {hi}")
-        pts = rect.corners()
-        edges = tuple(
-            Edge.of(p, q, n) for p, q, n in zip(pts, pts[1:] + pts[:1], _CCW_RECT_NORMALS)
-        )
-        return cls(sid, (rect,), pts, edges)
+        return cls(sid, (rect,), rect.corners())
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The boundary edges in outline order, each with its outward
+        normal: the direction of travel turned clockwise, since the
+        interior lies on the left of a counter-clockwise outline."""
+        pts = self.outline
+        edges = []
+        for p, q in zip(pts, pts[1:] + pts[:1]):
+            dx = (q.x > p.x) - (q.x < p.x)
+            dy = (q.y > p.y) - (q.y < p.y)
+            edges.append(Edge.of(p, q, (dy, -dx)))
+        return tuple(edges)
 
     @property
     def bbox(self) -> Rect:

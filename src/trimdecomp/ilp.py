@@ -29,23 +29,17 @@ smallest optimal mask vector, the promised tie-break."""
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .graphs import EdgeKey, EndCutGraph, LayoutGraph, PairKey
-from .layout_io import VertexKey, _collector_paused, fraction_to_decimal
+from .layout_io import SolveStatus, VertexKey, _collector_paused, fraction_to_decimal
 
 
 class ModelError(ValueError):
     pass
-
-
-class SolveStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    TIMEOUT = "timeout"
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ nanometers. Feature ids are non-negative integers and must be unique.
 
 from __future__ import annotations
 
+import enum
 import functools
 import gc
 import io
@@ -117,7 +118,9 @@ class DecompositionParams:
         w_th = raw.get("wth", dis_m)
         h_high = raw.get("hhigh", dis_m)
         w_high = raw.get("whigh", w_th)
-        if shapes:
+        if "hlow" in raw and "wlow" in raw:
+            low_default = None  # unused: skip the scan over the shapes
+        elif shapes:
             low_default = max(1, min(s.min_dimension for s in shapes) // 2)
         else:
             low_default = max(1, dis_m // 2)
@@ -178,13 +181,23 @@ class StitchPoint(NamedTuple):
     orient: str
 
 
+class SolveStatus(enum.Enum):
+    OPTIMAL = "optimal"
+    TIMEOUT = "timeout"
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
+    """The solved decomposition. status is TIMEOUT when the solve ran out
+    of time, so cost is that of the best colouring found, not a proven
+    optimum; the report text says so in a status line after the cost."""
+
     masks: dict[VertexKey, str]
     cuts: tuple[Rect, ...]
     conflicts: tuple[tuple[VertexKey, VertexKey], ...]
     stitches: tuple[StitchPoint, ...]
     cost: Fraction
+    status: SolveStatus = SolveStatus.OPTIMAL
 
 
 _P = ParamSpec("_P")
@@ -378,6 +391,8 @@ def write_report(report: DecompositionReport) -> str:
     for sp in sorted(report.stitches):
         out.write(f"stitch {sp.feature} {sp.x} {sp.y} {sp.orient}\n")
     out.write(f"cost {fraction_to_decimal(report.cost)}\n")
+    if report.status is not SolveStatus.OPTIMAL:
+        out.write(f"status {report.status.value}\n")
     return out.getvalue()
 
 
@@ -388,6 +403,7 @@ def parse_report(source: str | TextIO) -> DecompositionReport:
     conflicts: list[tuple[VertexKey, VertexKey]] = []
     stitches: list[StitchPoint] = []
     cost: Fraction | None = None
+    status = SolveStatus.OPTIMAL
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         lin = rawline.split("#", 1)[0].strip()
         if not lin:
@@ -426,6 +442,13 @@ def parse_report(source: str | TextIO) -> DecompositionReport:
                 cost = Fraction(toks[1])
             except ValueError:
                 raise LayoutParseError(lineno, f"bad cost value {toks[1]!r}") from None
+        elif kind == "status":
+            if len(toks) != 2:
+                raise LayoutParseError(lineno, "status takes one value")
+            try:
+                status = SolveStatus(toks[1])
+            except ValueError:
+                raise LayoutParseError(lineno, f"bad status {toks[1]!r}") from None
         else:
             raise LayoutParseError(lineno, f"unknown directive {kind!r}")
     if cost is None:
@@ -436,6 +459,7 @@ def parse_report(source: str | TextIO) -> DecompositionReport:
         conflicts=tuple(conflicts),
         stitches=tuple(stitches),
         cost=cost,
+        status=status,
     )
 
 

@@ -196,8 +196,9 @@ def resolve_box_overlaps_oracle(raw: list[EndCutBox]) -> tuple[EndCutBox, ...]:
 
 
 def shape_facts(s: RectilinearShape) -> tuple:
-    """Everything a shape stores, each edge with its derived fields, so
-    two shapes built by different routes can be compared in full."""
+    """Everything a shape stores, and each edge it derives with the
+    edge's derived fields, so two shapes built by different routes can be
+    compared in full."""
     edges = tuple((e.a, e.b, e.normal, e.orientation, e.pos, e.lo, e.hi) for e in s.edges)
     return s.id, s.rects, s.outline, edges
 

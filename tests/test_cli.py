@@ -17,17 +17,20 @@ from test_ilp import count_searches
 
 import trimdecomp
 import trimdecomp.cli
-from trimdecomp.cli import decompose_document, main
-from trimdecomp.geometry import Rect
+from trimdecomp.cli import build_full_model, decompose_document, main
+from trimdecomp.geometry import Edge, Rect
+from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
+from trimdecomp.ilp import export_lp
 from trimdecomp.layout_io import (
     PARAM_KEYS,
     LayoutParseError,
+    emit_svg,
     parse_layout,
     parse_report,
     write_layout,
     write_report,
 )
-from trimdecomp.synth import random_layout
+from trimdecomp.synth import grid_layout, random_layout
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYOUTS = ROOT / "layouts"
@@ -148,13 +151,45 @@ def chain30_rects(first_id=1, y=0):
 def test_timeout_is_reported_in_stats_and_csv(tmp_path, capsys):
     lines = ["layout chain30", "param dis_m 120", "param hlow 60", *chain30_rects()]
     (tmp_path / "chain30.lay").write_text("\n".join(lines) + "\n")
-    code, out, _ = run(capsys, "--input", str(tmp_path / "chain30.lay"), "--time-limit", "0.2")
+    report = tmp_path / "chain30.rpt"
+    code, out, _ = run(
+        capsys, "--input", str(tmp_path / "chain30.lay"), "--time-limit", "0.2",
+        "--out", str(report),
+    )
     assert code == 0
     assert STATS_ROW.match(out.strip())
     assert out.strip().endswith("status timeout")
+    text = report.read_text()
+    assert text.endswith("\nstatus timeout\n")
+    assert write_report(parse_report(text)) == text
     code, out, _ = run(capsys, "--input", str(tmp_path), "--time-limit", "0.2")
     assert code == 0
     assert out.strip().splitlines()[1].endswith(",timeout")
+
+
+def test_rect_only_pipeline_builds_no_edge(monkeypatch):
+    # rectangles carry no edge records and pair their sides from their
+    # corners; only a polygon's end-cuts derive its edges
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("edge built")
+
+    chain = ["layout chain10", "param dis_m 120", "param hlow 60", *chain30_rects()[:10]]
+    texts = [write_layout(grid_layout(2000, 1)), "\n".join(chain) + "\n"]
+    monkeypatch.setattr(Edge, "__new__", refuse)
+    for text in texts:
+        result = decompose_document(parse_layout(text))
+        assert result.end_cuts.candidates
+        write_report(result.report)
+        export_lp(build_full_model(result))
+        emit_svg(result.document, result.report)
+        layout_graph_dot(result.graph)
+        end_cut_graph_dot(result.end_cuts)
+    doc = parse_layout(
+        "param hlow 20\nrect 1 0 0 200 40\n"
+        "poly 2 260 0 460 0 460 200 420 200 420 40 260 40\n"
+    )
+    with pytest.raises(AssertionError, match="edge built"):
+        decompose_document(doc)
 
 
 def test_timed_out_block_is_searched_again(monkeypatch):

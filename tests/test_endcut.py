@@ -275,6 +275,7 @@ def test_generate_end_cut_matches_all_edge_pairs_oracle():
     rng = random.Random(5170)
     kinds = {BoxKind.EDGE_EDGE: 0, BoxKind.CORNER_CORNER: 0}
     pairs = 0
+    rect_pairs_cut = 0
     while pairs < 5000:
         s1, s2 = _random_feature(rng, 1), _random_feature(rng, 2)
         if any(rects_interior_intersect(a, b) for a in s1.rects for b in s2.rects):
@@ -294,8 +295,11 @@ def test_generate_end_cut_matches_all_edge_pairs_oracle():
         assert got == generate_end_cut_oracle(s1, s2, p, index, shapes)
         for box in got.boxes if got else ():
             kinds[box.kind] += 1
+        rect_pairs_cut += got is not None and len(s1.outline) == len(s2.outline) == 4
     # both box kinds occur often enough for the comparison to mean something
     assert min(kinds.values()) >= 500, kinds
+    # and so do pairs of two rectangles, whose sides pair from their corners
+    assert rect_pairs_cut >= 150, rect_pairs_cut
 
 
 def _scatter_layout(rng: random.Random, count: int, raw: dict) -> LayoutDocument:
@@ -379,6 +383,24 @@ def test_generate_all_end_cuts_demo_layout():
     cuts = generate_all_end_cuts(doc, pairs, near_pairs)
     assert sorted(cuts) == [(2, 3)]
     assert [b.rect for b in cuts[(2, 3)].boxes] == [Rect.of(200, 0, 240, 40)]
+
+
+def test_each_feature_derives_its_edges_once_per_decomposition(monkeypatch):
+    derived: list[int] = []
+    edges = RectilinearShape.edges
+
+    def counted(shape):
+        derived.append(shape.id)
+        return edges.fget(shape)
+
+    monkeypatch.setattr(RectilinearShape, "edges", property(counted))
+    for seed in range(6):
+        doc = random_layout(seed, clusters=6)
+        decompose_document(doc)
+        polygons = {s.id for s in doc.shapes if len(s.outline) > 4}
+        assert polygons & set(derived), doc.name
+        assert len(derived) == len(set(derived)), doc.name
+        derived.clear()
 
 
 def test_merge_union():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import re
@@ -13,6 +14,7 @@ from trimdecomp.layout_io import (
     DecompositionParams,
     DecompositionReport,
     LayoutParseError,
+    SolveStatus,
     StitchPoint,
     emit_svg,
     fraction_to_decimal,
@@ -121,6 +123,21 @@ def test_param_validation():
         DecompositionParams.from_raw({"stitch": 2})
 
 
+def test_low_defaults_scan_the_shapes_only_when_needed(monkeypatch):
+    shapes = parse_layout("rect 1 0 0 40 100\nrect 2 200 0 300 60\n").shapes
+    p = DecompositionParams.from_raw({"wlow": 30}, shapes)
+    assert (p.h_low, p.w_low) == (20, 30)
+
+    def refuse(self):
+        raise AssertionError("shapes scanned")
+
+    monkeypatch.setattr(trimdecomp.geometry.RectilinearShape, "min_dimension", property(refuse))
+    p = DecompositionParams.from_raw({"hlow": 25, "wlow": 30}, shapes)
+    assert (p.h_low, p.w_low) == (25, 30)
+    with pytest.raises(AssertionError, match="shapes scanned"):
+        DecompositionParams.from_raw({"hlow": 25}, shapes)
+
+
 def test_layout_roundtrip_random():
     rng = random.Random(5)
     for _ in range(10):
@@ -173,6 +190,12 @@ def test_report_roundtrip():
     assert "mask 1 A" in text  # unsplit features use the bare id
     back = parse_report(text)
     assert back == rep
+    timed_out = dataclasses.replace(rep, status=SolveStatus.TIMEOUT)
+    text = write_report(timed_out)
+    assert text.splitlines()[-2:] == ["cost 1.1", "status timeout"]
+    assert parse_report(text) == timed_out
+    with pytest.raises(LayoutParseError, match="bad status"):
+        parse_report("cost 0.0\nstatus lost\n")
 
 
 def test_parse_report_requires_cost():

@@ -336,6 +336,15 @@ def _stats_row(path: Path, args: argparse.Namespace) -> tuple[str, RunStats]:
 
 
 def _bench(root: Path, args: argparse.Namespace) -> int:
+    # every export is of one layout's decomposition
+    exports = [
+        "--" + name.replace("_", "-")
+        for name in ("out", "svg", "lp_export", "dot")
+        if getattr(args, name)
+    ]
+    if exports:
+        print(f"error: {', '.join(exports)} cannot be used with a directory input", file=sys.stderr)
+        return 1
     paths = sorted(root.glob("*.lay"))
     if not paths:
         print(f"error: no .lay files under {root}", file=sys.stderr)

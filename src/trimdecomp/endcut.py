@@ -309,28 +309,30 @@ def merged_cut_rects(
 
     Each round fuses every rectangle into the lowest-indexed output
     rectangle that accepts it, and rounds repeat until nothing fuses.
-    Fusable rectangles at least touch, so a spatial index over the output
-    finds every candidate; an output rectangle is indexed again after each
-    fusion, and its stale cells only yield candidates that fail the exact
-    check.
+    Fusable rectangles at least touch, and an output rectangle is exactly
+    the union of the rectangles fused into it, so the only candidates for
+    a rectangle are the outputs that hold the earlier ones it touches.
     """
     rects = sorted({b.rect for c in selected for b in c.boxes})
-    cell = max(params.w_high, params.h_high, 1)
+    cell = max(params.w_high, params.h_high)
     changed = True
     while changed:
         changed = False
+        earlier: list[list[int]] = [[] for _ in rects]
+        for i, j in SpatialIndex(dict(enumerate(rects)), cell).pairs(0):
+            earlier[j].append(i)
         out: list[Rect] = []
-        index = SpatialIndex(cell)
-        for r in rects:
-            for k in sorted(index.query(r)):
+        home: list[int] = []  # the output index each rectangle went into
+        for r, touching in zip(rects, earlier):
+            for k in sorted({home[i] for i in touching}):
                 u = merge_union(out[k], r, params)
                 if u is not None:
                     out[k] = u
-                    index.insert(k, u)
+                    home.append(k)
                     changed = True
                     break
             else:
-                index.insert(len(out), r)
+                home.append(len(out))
                 out.append(r)
         rects = sorted(set(out))
     return tuple(rects)

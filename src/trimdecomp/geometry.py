@@ -9,6 +9,9 @@ over all pairs of constituent rectangles, of max(horizontal gap, vertical
 gap). Two rectangles that overlap or touch in an axis have gap 0 in that
 axis, so touching shapes are at distance 0.
 
+SpatialIndex is the one neighbour search: it lists every pair of boxes
+within a given Chebyshev gap, exactly, by a band sweep.
+
 Point, Rect, Edge and RectilinearShape are named tuples that order,
 compare and hash as plain tuples and check nothing. RectilinearShape's
 constructors and the parsers check input where it enters.
@@ -319,52 +322,18 @@ class SpatialIndex:
 
     pairs() lists exactly the pairs of ids whose boxes lie within a
     Chebyshev gap of each other, by one sweep along x inside horizontal
-    bands one cell high. query() returns a superset of the ids whose boxes
-    can lie within the given distance of a probe rectangle, from a uniform
-    grid of cells built on its first call; its callers re-check exactly.
+    bands one cell high.
     """
 
-    def __init__(self, cell_size: int):
+    def __init__(self, boxes: dict[int, Rect], cell_size: int):
         if cell_size <= 0:
             raise GeometryError("cell size must be positive")
         self.cell_size = cell_size
-        self._boxes: dict[int, Rect] = {}
-        self._cells: dict[tuple[int, int], list[int]] | None = None
+        self._boxes = boxes
 
     @classmethod
     def from_shapes(cls, shapes: Iterable[RectilinearShape], cell_size: int) -> "SpatialIndex":
-        idx = cls(cell_size)
-        idx._boxes.update((s.id, s.bbox) for s in shapes)
-        return idx
-
-    def _cell_span(self, lo: int, hi: int) -> range:
-        return range(lo // self.cell_size, hi // self.cell_size + 1)
-
-    def _add_to_cells(self, cells: dict[tuple[int, int], list[int]], sid: int, bbox: Rect) -> None:
-        for cx in self._cell_span(bbox.lo.x, bbox.hi.x):
-            for cy in self._cell_span(bbox.lo.y, bbox.hi.y):
-                cells.setdefault((cx, cy), []).append(sid)
-
-    def insert(self, sid: int, bbox: Rect) -> None:
-        """Record sid's box, replacing an earlier one for pairs(); once the
-        grid exists, the earlier box's cells still list sid."""
-        self._boxes[sid] = bbox
-        if self._cells is not None:
-            self._add_to_cells(self._cells, sid, bbox)
-
-    def query(self, rect: Rect, distance: int = 0) -> set[int]:
-        cells = self._cells
-        if cells is None:
-            cells = self._cells = {}
-            for sid, bbox in self._boxes.items():
-                self._add_to_cells(cells, sid, bbox)
-        found: set[int] = set()
-        for cx in self._cell_span(rect.lo.x - distance, rect.hi.x + distance):
-            for cy in self._cell_span(rect.lo.y - distance, rect.hi.y + distance):
-                bucket = cells.get((cx, cy))
-                if bucket:
-                    found.update(bucket)
-        return found
+        return cls({s.id: s.bbox for s in shapes}, cell_size)
 
     def pairs(self, distance: int = 0) -> list[tuple[int, int]]:
         """Every pair (a, b) with a < b whose boxes lie within Chebyshev

@@ -108,21 +108,20 @@ def _merge_intervals(ivals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 def generate_stitch_candidates(
     doc: LayoutDocument,
     g: LayoutGraph,
-    margin: int | None = None,
     metric: Metric = Metric.CHEBYSHEV,
 ) -> LayoutGraph:
     """Split features into stitched segments away from all conflict zones.
 
     A feature is cut only where the projections of its conflicting
     neighbours, widened by the spacing rule, leave an uncovered span of at
-    least the margin along its long axis. Widening keeps every conflicting
-    pair incident to exactly one segment of each feature, so splitting can
-    never add a conflict the unsplit layout did not have.
+    least half the spacing rule, and at least 1, along its long axis.
+    Widening keeps every conflicting pair incident to exactly one segment
+    of each feature, so splitting can never add a conflict the unsplit
+    layout did not have.
     """
     params = doc.params
     d = params.dis_m
-    if margin is None:
-        margin = max(1, d // 2)
+    margin = max(1, d // 2)
     by_id = {s.id: s for s in doc.shapes}
 
     neighbours: dict[int, set[int]] = {}
@@ -215,9 +214,7 @@ def build_end_cut_graph(
     """Spacing and merge relations between candidate cuts."""
     order = sorted(cuts)
     d = params.dis_c
-    index = SpatialIndex(max(d, 1))
-    for i, p in enumerate(order):
-        index.insert(i, bounding_box(cuts[p].rects))
+    index = SpatialIndex({i: bounding_box(cuts[p].rects) for i, p in enumerate(order)}, d)
     ee: set[tuple[PairKey, PairKey]] = set()
     merges: set[tuple[PairKey, PairKey]] = set()
     for i, j in index.pairs(d):

@@ -6,7 +6,7 @@ mixed-integer solve of the exported LP text, an all-pairs search for
 fusable trim rectangles, a two-level grouping of candidate boxes, and
 end-cut generation over every edge pair of two features, with the
 perpendicular-edge corner boxes the package no longer builds, and box
-clearance by an index query over every feature.
+clearance checked against every feature of the layout.
 Tests compare the package against these, never against itself.
 """
 
@@ -31,7 +31,6 @@ from trimdecomp.geometry import (
     Edge,
     Rect,
     RectilinearShape,
-    SpatialIndex,
     rects_closed_intersect,
     rects_interior_intersect,
     shapes_within,
@@ -245,27 +244,19 @@ def generate_end_cut_box(e1: Edge, e2: Edge, params: DecompositionParams) -> End
     return perpendicular_box(e2, e1, params)
 
 
-def box_clear_oracle(
-    rect: Rect,
-    index: SpatialIndex,
-    shapes_by_id: dict[int, RectilinearShape],
-) -> bool:
-    """Whether no feature material lies inside rect, from an index query
-    around the box over every feature: the package checks only the
-    features within reach of the pair instead. Touching the box's boundary
-    is fine."""
-    for sid in index.query(rect):
-        for r in shapes_by_id[sid].rects:
-            if rects_interior_intersect(rect, r):
-                return False
-    return True
+def box_clear_oracle(rect: Rect, shapes_by_id: dict[int, RectilinearShape]) -> bool:
+    """Whether no feature material lies inside rect, checked against every
+    feature: the package checks only the features within reach of the
+    pair instead. Touching the box's boundary is fine."""
+    return not any(
+        rects_interior_intersect(rect, r) for s in shapes_by_id.values() for r in s.rects
+    )
 
 
 def generate_end_cut_oracle(
     s1: RectilinearShape,
     s2: RectilinearShape,
     params: DecompositionParams,
-    index: SpatialIndex,
     shapes_by_id: dict[int, RectilinearShape],
 ) -> EndCutCandidate | None:
     """End-cut candidate of a feature pair from all 16 kinds of edge
@@ -275,7 +266,7 @@ def generate_end_cut_oracle(
     for e1 in s1.edges:
         for e2 in s2.edges:
             box = generate_end_cut_box(e1, e2, params)
-            if box is not None and box_clear_oracle(box.rect, index, shapes_by_id):
+            if box is not None and box_clear_oracle(box.rect, shapes_by_id):
                 raw.append(box)
     if not raw:
         return None
@@ -286,16 +277,13 @@ def generate_end_cut_oracle(
 def end_cuts_oracle(doc: LayoutDocument) -> dict[tuple[int, int], EndCutCandidate]:
     """The cut candidates of every conflicting pair of a layout, with the
     pairs found by testing all pairs and each box checked against every
-    feature an index query finds around it."""
+    feature."""
     shapes = sorted(doc.shapes, key=lambda s: s.id)
     by_id = {s.id: s for s in shapes}
-    index = SpatialIndex(max(doc.params.dis_m, 1))
-    for s in shapes:
-        index.insert(s.id, s.bbox)
     cuts = {}
     for s1, s2 in itertools.combinations(shapes, 2):
         if shapes_within(s1, s2, doc.params.dis_m):
-            cand = generate_end_cut_oracle(s1, s2, doc.params, index, by_id)
+            cand = generate_end_cut_oracle(s1, s2, doc.params, by_id)
             if cand is not None:
                 cuts[cand.pair] = cand
     return cuts

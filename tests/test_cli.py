@@ -227,6 +227,18 @@ def test_directory_benchmark_mode(tmp_path, capsys):
     assert [without_cpu(r) for r in out2.strip().splitlines()] == [without_cpu(r) for r in lines]
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg", "--lp-export", "--dot"])
+def test_directory_mode_rejects_export_flags(tmp_path, capsys, flag):
+    layouts = tmp_path / "in"
+    layouts.mkdir()
+    (layouts / "cluster7.lay").write_text((LAYOUTS / "cluster7.lay").read_text())
+    target = tmp_path / "export"
+    code, out, err = run(capsys, "--input", str(layouts), flag, str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and flag in err
+    assert not target.exists() and sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+
 def test_parallel_csv_equals_serial_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for seed in range(20):

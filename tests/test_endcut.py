@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 
+import trimdecomp.cli
 import trimdecomp.endcut
 from helpers import (
     box_dims,
@@ -41,10 +42,8 @@ def params(**kw):
 
 
 def cut_between(s1, s2, p, oracle=False):
-    shapes = {s1.id: s1, s2.id: s2}
     if oracle:
-        index = SpatialIndex.from_shapes(shapes.values(), max(p.dis_m, 1))
-        return generate_end_cut_oracle(s1, s2, p, index, shapes)
+        return generate_end_cut_oracle(s1, s2, p, {s1.id: s1, s2.id: s2})
     return generate_end_cut(s1, s2, p, s1.rects + s2.rects)
 
 
@@ -289,10 +288,8 @@ def test_generate_end_cut_matches_all_edge_pairs_oracle():
             whigh=rng.choice((120, 200)),
             wth=rng.choice((80, 120, 200)),
         )
-        shapes = {1: s1, 2: s2}
-        index = SpatialIndex.from_shapes(shapes.values(), p.dis_m)
         got = generate_end_cut(s1, s2, p, s1.rects + s2.rects)
-        assert got == generate_end_cut_oracle(s1, s2, p, index, shapes)
+        assert got == generate_end_cut_oracle(s1, s2, p, {1: s1, 2: s2})
         for box in got.boxes if got else ():
             kinds[box.kind] += 1
         rect_pairs_cut += got is not None and len(s1.outline) == len(s2.outline) == 4
@@ -322,7 +319,7 @@ def _raised(doc: LayoutDocument, h_high: int, w_high: int) -> LayoutDocument:
     return dataclasses.replace(doc, params=p)
 
 
-def test_neighbour_list_clearance_matches_index_query_oracle():
+def test_neighbour_list_clearance_matches_every_feature_oracle():
     # the whole pipeline, on rows of bars and Ls, plain and stitched
     candidates = 0
     for seed in range(12):
@@ -470,7 +467,7 @@ def _random_cut_set(rng: random.Random) -> list[EndCutCandidate]:
     return _one_box_cuts(rects)
 
 
-def test_merged_cut_rects_matches_pairwise_oracle():
+def test_merged_cut_rects_matches_pairwise_oracle(monkeypatch):
     rng = random.Random(20261017)
     for trial in range(600):
         p = params(
@@ -478,6 +475,30 @@ def test_merged_cut_rects_matches_pairwise_oracle():
         )
         selected = _random_cut_set(rng)
         assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p), trial
+    # the cuts the solver selects on a grid and on stitched random layouts
+    calls = []
+
+    def recording(selected, p):
+        calls.append((selected, p))
+        return merged_cut_rects(selected, p)
+
+    monkeypatch.setattr(trimdecomp.cli, "merged_cut_rects", recording)
+    decompose_document(grid_layout(2000, 1))
+    for seed in range(8):
+        decompose_document(random_layout(seed, clusters=6, stitch=True))
+    total = sum(len(selected) for selected, _ in calls)
+    assert total >= 600, total
+    for selected, p in calls:
+        assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p)
+    # b fuses into a's output, and c, touching b alone, joins them there;
+    # g then touches b, d and c, each at a position that is not the index
+    # of its output
+    a, b, c = Rect.of(0, 0, 40, 40), Rect.of(40, 0, 80, 40), Rect.of(80, 0, 120, 40)
+    d, g = Rect.of(40, 80, 80, 120), Rect.of(80, 40, 120, 80)
+    selected = _one_box_cuts([g, c, d, b, a])
+    p = params(whigh=120)
+    expected = (Rect.of(0, 0, 120, 40), d, g)
+    assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p) == expected
 
 
 def test_merged_cut_rects_first_fit_decides_capped_chain():

@@ -8,13 +8,19 @@ pair of the two features that can face each other is examined, the sides
 of two rectangles straight from their corners; the surviving boxes are
 deduplicated and thinned so overlapping alternatives collapse to the
 cheapest usable set.
+
+EndCutBox and EndCutCandidate are named tuples like the geometry records,
+and this module builds them with tuple.__new__, as it fixes their arity
+itself. The neighbours of a feature and the touching pairs of cut
+rectangles come from SpatialIndex.pairs, whose band sweep lists a box
+only in the bands where some box starts, so a tall box costs no more
+than a short one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import (
     Edge,
@@ -33,8 +39,11 @@ class BoxKind(enum.Enum):
     CORNER_CORNER = "corner_corner"
 
 
-@dataclass(frozen=True)
-class EndCutBox:
+# the record constructor that namedtuple's _make uses: no Python frame
+_new = tuple.__new__
+
+
+class EndCutBox(NamedTuple):
     """One rectangle of a candidate cut.
 
     run_axis is the axis along which the repaired facing run lies; for
@@ -49,8 +58,7 @@ class EndCutBox:
         return (self.rect, self.kind.value, self.run_axis)
 
 
-@dataclass(frozen=True)
-class EndCutCandidate:
+class EndCutCandidate(NamedTuple):
     pair: tuple[int, int]
     boxes: tuple[EndCutBox, ...]
 
@@ -70,7 +78,7 @@ def _make_edge_edge(rect: Rect, run_axis: str, p: DecompositionParams) -> EndCut
         return None
     if not (p.h_low <= gap <= p.h_high):
         return None
-    return EndCutBox(rect, BoxKind.EDGE_EDGE, run_axis)
+    return _new(EndCutBox, (rect, BoxKind.EDGE_EDGE, run_axis))
 
 
 def _make_corner(rect: Rect, p: DecompositionParams) -> EndCutBox | None:
@@ -78,7 +86,7 @@ def _make_corner(rect: Rect, p: DecompositionParams) -> EndCutBox | None:
         return None
     if not (p.h_low <= rect.height <= p.h_high):
         return None
-    return EndCutBox(rect, BoxKind.CORNER_CORNER, "x")
+    return _new(EndCutBox, (rect, BoxKind.CORNER_CORNER, "x"))
 
 
 def _gap_box(
@@ -231,7 +239,7 @@ def generate_end_cut(
     pair = (min(s1.id, s2.id), max(s1.id, s2.id))
     # a lone box has nothing to collapse with
     boxes = (raw[0],) if len(raw) == 1 else resolve_box_overlaps(raw)
-    return EndCutCandidate(pair=pair, boxes=boxes)
+    return _new(EndCutCandidate, (pair, boxes))
 
 
 def _edges_of(s: RectilinearShape, cache: dict[int, tuple[Edge, ...]] | None) -> tuple[Edge, ...]:
@@ -295,10 +303,9 @@ def merge_union(a: Rect, b: Rect, params: DecompositionParams) -> Rect | None:
     return None
 
 
-def mergeable_pair(a: EndCutCandidate, b: EndCutCandidate, params: DecompositionParams) -> bool:
-    return any(
-        merge_union(ra, rb, params) is not None for ra in a.rects for rb in b.rects
-    )
+def mergeable_pair(a: Sequence[Rect], b: Sequence[Rect], params: DecompositionParams) -> bool:
+    """Whether a rectangle of one cut can fuse with one of the other."""
+    return any(merge_union(ra, rb, params) is not None for ra in a for rb in b)
 
 
 def merged_cut_rects(

@@ -10,16 +10,23 @@ gap). Two rectangles that overlap or touch in an axis have gap 0 in that
 axis, so touching shapes are at distance 0.
 
 SpatialIndex is the one neighbour search: it lists every pair of boxes
-within a given Chebyshev gap, exactly, by a band sweep.
+within a given Chebyshev gap, exactly, by a band sweep. A pair is found
+only in a band where one of its boxes starts, so a box is listed only in
+such bands, and its memory does not grow with its height.
 
 Point, Rect, Edge and RectilinearShape are named tuples that order,
 compare and hash as plain tuples and check nothing. RectilinearShape's
-constructors and the parsers check input where it enters.
+constructors and the parsers check input where it enters. Where this
+module fixes a record's arity itself, it builds the record with
+tuple.__new__, as namedtuple's _make does, and skips the generated
+Python-level __new__; a tuple a caller passes in goes through the
+class, and Edge is always built through it.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -34,6 +41,10 @@ class OverlappingInputShapes(GeometryError):
 class Metric(enum.Enum):
     CHEBYSHEV = "chebyshev"
     EUCLIDEAN = "euclidean"
+
+
+# the record constructor that namedtuple's _make uses: no Python frame
+_new = tuple.__new__
 
 
 class Point(NamedTuple):
@@ -51,7 +62,7 @@ class Rect(NamedTuple):
 
     @classmethod
     def of(cls, x1: int, y1: int, x2: int, y2: int) -> "Rect":
-        return cls(Point(x1, y1), Point(x2, y2))
+        return _new(cls, (_new(Point, (x1, y1)), _new(Point, (x2, y2))))
 
     @property
     def width(self) -> int:
@@ -66,11 +77,13 @@ class Rect(NamedTuple):
         return self.width * self.height
 
     def inflate(self, d: int) -> "Rect":
-        return Rect(Point(self.lo.x - d, self.lo.y - d), Point(self.hi.x + d, self.hi.y + d))
+        (x1, y1), (x2, y2) = self
+        return _new(Rect, (_new(Point, (x1 - d, y1 - d)), _new(Point, (x2 + d, y2 + d))))
 
     def corners(self) -> tuple[Point, Point, Point, Point]:
         """Counter-clockwise from the lower-left corner."""
-        return (self.lo, Point(self.hi.x, self.lo.y), self.hi, Point(self.lo.x, self.hi.y))
+        lo, hi = self
+        return (lo, _new(Point, (hi[0], lo[1])), hi, _new(Point, (lo[0], hi[1])))
 
 
 def interval_gap(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
@@ -255,7 +268,7 @@ class RectilinearShape(NamedTuple):
         _check_integer(rect)
         if lo.x >= hi.x or lo.y >= hi.y:
             raise GeometryError(f"rectangle has no area: {lo} .. {hi}")
-        return cls(sid, (rect,), rect.corners())
+        return _new(cls, (sid, (rect,), rect.corners()))
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -284,12 +297,16 @@ class RectilinearShape(NamedTuple):
 
 
 def bounding_box(rects: Sequence[Rect]) -> Rect:
+    """The smallest rectangle holding all of rects; the rectangle itself
+    when there is only one."""
+    if len(rects) == 1:
+        return rects[0]
     if not rects:
         raise GeometryError("bounding box of nothing")
-    return Rect(
-        Point(min(r.lo.x for r in rects), min(r.lo.y for r in rects)),
-        Point(max(r.hi.x for r in rects), max(r.hi.y for r in rects)),
-    )
+    los, his = zip(*rects)
+    xs1, ys1 = zip(*los)
+    xs2, ys2 = zip(*his)
+    return _new(Rect, (_new(Point, (min(xs1), min(ys1))), _new(Point, (max(xs2), max(ys2)))))
 
 
 def rectset_chebyshev_gap(a: Sequence[Rect], b: Sequence[Rect]) -> int:
@@ -317,6 +334,12 @@ def shapes_within(a: RectilinearShape, b: RectilinearShape, d: int, metric: Metr
     return rectset_within(a.rects, b.rects, d, metric)
 
 
+# a box whose raised y range meets fewer bands than this walks them one
+# by one, which is faster for the one to three bands most boxes meet; a
+# taller one bisects the sorted start bands
+_SHORT_SPAN = 8
+
+
 class SpatialIndex:
     """Bounding boxes by id, for neighbour search.
 
@@ -339,25 +362,34 @@ class SpatialIndex:
         """Every pair (a, b) with a < b whose boxes lie within Chebyshev
         gap distance of each other, each once and in ascending order.
 
-        Band k holds the boxes whose y range, raised by distance at the
-        top, meets [k * cell, (k + 1) * cell). Of two boxes within the gap,
-        the one with the lower lo.y reaches up to the other's lo.y, so the
-        band of the larger lo.y holds both, and only that band reports the
-        pair. Inside a band a sweep in lo.x order compares each box with
+        Band k is [k * cell, (k + 1) * cell) in y, and a box starts in the
+        band of its lo.y. Of two boxes within the gap, the one with the
+        lower lo.y reaches up to the other's lo.y, its y range raised by
+        distance at the top, so the band where the other starts holds
+        both, and only that band reports the pair. A band where no box
+        starts reports nothing, so a box is listed only in the start bands
+        its raised y range meets: the bands of a short range one by one,
+        those of a tall range by bisection over the sorted start bands.
+        Its entries are thus at most the number of boxes, whatever its
+        height. Inside a band a sweep in lo.x order compares each box with
         the earlier ones whose hi.x plus distance reaches its lo.x.
         """
         cell, d = self.cell_size, distance
-        bands: dict[int, list[list[int]]] = {}
+        starts = sorted({y1 // cell for (_, y1), _ in self._boxes.values()})
+        bands: dict[int, list[list[int]]] = {k: [] for k in starts}
         for sid, ((x1, y1), (x2, y2)) in self._boxes.items():
             # a list: freed 5-tuples would stay on the interpreter's tuple
             # free list and add to the peak of the solve that follows
             entry = [x1, sid, x2 + d, y1, y2 + d]
-            for k in range(y1 // cell, (y2 + d) // cell + 1):
-                band = bands.get(k)
-                if band is None:
-                    bands[k] = [entry]
-                else:
-                    band.append(entry)
+            first, last = y1 // cell, (y2 + d) // cell
+            if last - first < _SHORT_SPAN:
+                for k in range(first, last + 1):
+                    band = bands.get(k)
+                    if band is not None:
+                        band.append(entry)
+            else:
+                for k in starts[bisect_left(starts, first) : bisect_right(starts, last)]:
+                    bands[k].append(entry)
         found: list[tuple[int, int]] = []
         for k, band in bands.items():
             band.sort()

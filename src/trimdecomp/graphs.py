@@ -214,14 +214,15 @@ def build_end_cut_graph(
     """Spacing and merge relations between candidate cuts."""
     order = sorted(cuts)
     d = params.dis_c
-    index = SpatialIndex({i: bounding_box(cuts[p].rects) for i, p in enumerate(order)}, d)
+    rects = [cuts[p].rects for p in order]
+    index = SpatialIndex({i: bounding_box(r) for i, r in enumerate(rects)}, d)
     ee: set[tuple[PairKey, PairKey]] = set()
     merges: set[tuple[PairKey, PairKey]] = set()
     for i, j in index.pairs(d):
-        ca, cb = cuts[order[i]], cuts[order[j]]
-        if not rectset_within(ca.rects, cb.rects, d, metric):
+        ra, rb = rects[i], rects[j]
+        if not rectset_within(ra, rb, d, metric):
             continue
-        if mergeable_pair(ca, cb, params):
+        if mergeable_pair(ra, rb, params):
             merges.add((order[i], order[j]))
         else:
             ee.add((order[i], order[j]))

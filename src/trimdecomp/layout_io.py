@@ -241,7 +241,12 @@ def _parse_int(tok: str, line: int, what: str) -> int:
 
 
 def _parse_box(toks: Sequence[str], line: int, what: str) -> Rect:
-    x1, y1, x2, y2 = (_parse_int(t, line, "coordinate") for t in toks)
+    try:
+        x1, y1, x2, y2 = map(int, toks)
+    except ValueError:
+        for t in toks:
+            _parse_int(t, line, "coordinate")  # names the first bad token
+        raise
     if x1 >= x2 or y1 >= y2:
         raise LayoutParseError(line, f"{what} corners must be lower-left then upper-right")
     return Rect.of(x1, y1, x2, y2)

@@ -354,6 +354,63 @@ def test_param_edge_values_end_in_a_result_or_an_error_line(tmp_path, capsys, bo
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# corners near 10**12, extents that are empty, inverted, unit, 50,000,000
+# nm or wider than any corner; a line's feature id is its place in the file
+EDGE_COORDS = st.sampled_from([-(10**12), -50_000_000, -1, 0, 1, 30, 10**12 - 1, 10**12])
+POSITIVE_EXTENTS = [1, 20, 50_000_000, 2 * 10**12]
+EDGE_EXTENTS = st.sampled_from(POSITIVE_EXTENTS) | st.sampled_from([-10, -1, 0, *POSITIVE_EXTENTS])
+
+
+def _rect_line(x, y, w, h):
+    return f"rect {{fid}} {x} {y} {x + w} {y + h}\n"
+
+
+def _l_poly_line(x, y, s, t):
+    # an L of arm width t in a 2s square; it degenerates unless 0 < t < 2s
+    pts = [(x, y), (x + 2 * s, y), (x + 2 * s, y + t), (x + t, y + t), (x + t, y + 2 * s), (x, y + 2 * s)]
+    return "poly {fid} " + " ".join(f"{px} {py}" for px, py in pts) + "\n"
+
+
+def _raw_poly_line(coords):
+    return "poly {fid} " + " ".join(map(str, coords)) + "\n"
+
+
+RECT_LINES = st.builds(_rect_line, EDGE_COORDS, EDGE_COORDS, EDGE_EXTENTS, EDGE_EXTENTS)
+SHAPE_LINES = st.one_of(
+    RECT_LINES,
+    RECT_LINES,
+    st.builds(_l_poly_line, EDGE_COORDS, EDGE_COORDS, EDGE_EXTENTS, EDGE_EXTENTS),
+    st.builds(_raw_poly_line, st.lists(EDGE_COORDS, max_size=10)),
+)
+LOW = "param hlow 1\nparam wlow 1\n"
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    shapes=st.lists(SHAPE_LINES, min_size=1, max_size=4),
+    params=st.sampled_from(
+        ["", LOW, "param dis_m 1\n" + LOW, "param stitch 1\n" + LOW, "param dis_m 1\nparam stitch 1\n" + LOW]
+    ),
+)
+def test_edge_geometry_ends_in_a_result_or_an_error_line(tmp_path, capsys, shapes, params):
+    # degenerate and huge rect and poly lines, parsed and decomposed whole
+    path = tmp_path / "fuzz.lay"
+    body = "".join(line.format(fid=i) for i, line in enumerate(shapes))
+    path.write_text("layout fuzz\n" + params + body)
+    code, out, err = run(capsys, "--input", str(path))
+    if code == 0:
+        assert STATS_ROW.match(out.strip())
+    else:
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_directory_error_names_the_first_bad_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for name in ("a", "c"):

@@ -1,4 +1,6 @@
+import pickle
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,8 +25,9 @@ from trimdecomp.geometry import (
     shapes_within,
 )
 from trimdecomp.cli import decompose_document
-from trimdecomp.layout_io import LayoutParseError, parse_layout, parse_report
-from trimdecomp.synth import random_layout
+from trimdecomp.endcut import EndCutBox, EndCutCandidate
+from trimdecomp.layout_io import LayoutParseError, parse_layout, parse_report, write_layout, write_report
+from trimdecomp.synth import grid_layout, random_layout
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
@@ -81,6 +84,85 @@ def test_every_rect_built_by_the_pipeline_has_positive_area():
             assert all(r.lo.x < r.hi.x and r.lo.y < r.hi.y for r in rects), (doc.name, name)
             seen[name] += len(rects)
     assert min(seen.values()) > 100, seen
+
+
+def _records(result) -> list:
+    """Every Point, Rect, EndCutBox and EndCutCandidate a decomposition
+    returns, nested ones included."""
+    found: list = []
+
+    def rect(r):
+        found.extend((r, r.lo, r.hi))
+
+    def cand(c):
+        found.append(c)
+        for box in c.boxes:
+            found.append(box)
+            rect(box.rect)
+
+    for s in result.document.shapes:
+        found.extend(s.outline)
+        for r in (*s.rects, s.bbox):
+            rect(r)
+    for piece in result.graph.segments.values():
+        for r in piece:
+            rect(r)
+    for c in (*result.graph.conflict_edges.values(), *result.end_cuts.candidates.values()):
+        if c is not None:
+            cand(c)
+    for r in result.report.cuts:
+        rect(r)
+    return found
+
+
+def _rebuilt(r):
+    """The same value built through the records' public constructors."""
+    if type(r) is Point:
+        return Point(r.x, r.y)
+    if type(r) is Rect:
+        return Rect(_rebuilt(r.lo), _rebuilt(r.hi))
+    if type(r) is EndCutBox:
+        return EndCutBox(rect=_rebuilt(r.rect), kind=r.kind, run_axis=r.run_axis)
+    return EndCutCandidate(pair=r.pair, boxes=tuple(_rebuilt(b) for b in r.boxes))
+
+
+def test_pipeline_records_match_their_public_constructors(monkeypatch):
+    # records built with tuple.__new__ must be exactly what Point(...),
+    # Rect(...), EndCutBox(...) and EndCutCandidate(...) build
+    texts = [path.read_text() for path in sorted(LAYOUTS.glob("*.lay"))]
+    texts.append(write_layout(grid_layout(2000, 1)))
+    stitched = [random_layout(seed, clusters=6, stitch=True) for seed in range(6)]
+    results = [decompose_document(parse_layout(t)) for t in texts]
+    results += [decompose_document(doc) for doc in stitched]
+    kinds = {Point: 0, Rect: 0, EndCutBox: 0, EndCutCandidate: 0}
+    for result in results:
+        for r in _records(result):
+            assert type(r) in kinds, type(r)
+            kinds[type(r)] += 1
+            built = _rebuilt(r)
+            assert r == built and hash(r) == hash(built) and repr(r) == repr(built)
+            assert pickle.dumps(r) == pickle.dumps(built)
+            back = pickle.loads(pickle.dumps(r))
+            assert type(back) is type(r) and back == r
+    assert min(kinds.values()) > 100, kinds
+
+    # decomposing, and parsing rect lines, call no Python-level __new__
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} built through its class")
+
+    for cls in (Point, Rect):
+        monkeypatch.setattr(cls, "__new__", refuse)
+    with pytest.raises(AssertionError, match="Point built through its class"):
+        Point(0, 0)
+    for text in texts:
+        if "poly" not in text:
+            write_report(decompose_document(parse_layout(text)).report)
+    for doc in stitched:
+        decompose_document(doc)
+    # a caller's points still go through the class, so a 3-tuple is refused
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="unpack"):
+        RectilinearShape.from_outline(1, [(0, 0), (10, 0, 5), (10, 10), (0, 10)])
 
 
 def test_interval_gap():
@@ -304,6 +386,48 @@ def test_spatial_index_pairs_are_exactly_the_box_gap_pairs():
         index = SpatialIndex(boxes, cell)
         for d in (0, 10, 50, 120, 300, 700):
             assert index.pairs(d) == brute_force_pairs(boxes, d), (trial, cell, d)
+
+
+def test_spatial_index_pairs_with_tall_boxes_among_small_ones():
+    # at small cells the tall boxes span far more bands than any box
+    # starts in, and some spans sit just below and above the point where
+    # the sweep stops walking a box's bands one by one
+    rng = random.Random(2718)
+    for trial in range(200):
+        cell = rng.choice([1, 2, 3, 7])
+        boxes = {}
+        for fid in rng.sample(range(-20, 10_000), rng.randint(0, 30)):
+            x = rng.randrange(-300, 300, 5)
+            y = rng.randrange(-300, 300)
+            w = rng.randrange(1, 60)
+            h = rng.choice(
+                [rng.randrange(1, 30), rng.randrange(5, 12) * cell, rng.randrange(1, 10**7)]
+            )
+            boxes[fid] = Rect.of(x, y, x + w, y + h)
+        index = SpatialIndex(boxes, cell)
+        for d in (0, 1, 5, 40, 300):
+            assert index.pairs(d) == brute_force_pairs(boxes, d), (trial, cell, d)
+
+
+def test_tall_bars_take_memory_by_count_not_height():
+    # two 10-wide bars 50,000,000 nm tall at a 1 nm spacing rule: one band
+    # per unit of height would list each bar 50 million times
+    h = 50_000_000
+    text = (
+        "layout bars\nparam dis_m 1\nparam hlow 1\nparam wlow 1\n"
+        f"rect 1 0 0 10 {h}\nrect 2 20 0 30 {h}\nrect 3 0 {h + 1} 30 {h + 11}\n"
+    )
+    tracemalloc.start()
+    try:
+        result = decompose_document(parse_layout(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(result.graph.conflict_edges) == [((1, 0), (3, 0)), ((2, 0), (3, 0))]
+    assert result.stats.conflicts == 0
+    assert peak < 1_000_000, peak
+    index = SpatialIndex({1: Rect.of(0, 0, 10, h), 2: Rect.of(11, 0, 21, h)}, 1)
+    assert index.pairs(1) == [(1, 2)] and index.pairs(0) == []
 
 
 def test_spatial_index_pairs_of_touching_boxes_at_gap_zero():

@@ -100,6 +100,30 @@ def test_parse_errors(line, fragment):
     assert str(err.value).startswith("line ")
 
 
+@pytest.mark.parametrize("kind", ["rect", "cut"])
+@pytest.mark.parametrize("pos", range(4))
+def test_box_coordinate_errors_name_the_first_bad_token(kind, pos):
+    # a bad token in any of a box's four places is named, with its line;
+    # a later bad token on the same line is not the one reported
+    coords = ["0", "0", "40", "40"]
+    coords[pos] = "4o"
+    if pos < 3:
+        coords[3] = "1.5"
+    if kind == "rect":
+        text = "layout t\n# a comment\nrect 1 100 0 140 40\n\nrect 2 " + " ".join(coords) + "\n"
+        parse = parse_layout
+    else:
+        text = "mask 1 A\n# a comment\ncut 100 0 140 40\n\ncut " + " ".join(coords) + "\ncost 0.0\n"
+        parse = parse_report
+    with pytest.raises(LayoutParseError) as err:
+        parse(text)
+    assert str(err.value) == "line 5: coordinate must be an integer, got '4o'"
+    assert (err.value.line, err.value.message) == (5, "coordinate must be an integer, got '4o'")
+    # tokens int() reads are still read as before
+    good = text.replace("4o", "+1_0").replace("1.5", "40")
+    parse(good)
+
+
 def test_parse_rejects_overlapping_features():
     with pytest.raises(OverlappingInputShapes):
         parse_layout("layout t\nrect 1 0 0 100 100\nrect 2 50 50 200 200\n")

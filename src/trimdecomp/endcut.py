@@ -27,6 +27,7 @@ from .geometry import (
     Rect,
     RectilinearShape,
     SpatialIndex,
+    _new,
     interval_gap,
     rects_closed_intersect,
     rects_interior_intersect,
@@ -37,10 +38,6 @@ from .layout_io import DecompositionParams, LayoutDocument
 class BoxKind(enum.Enum):
     EDGE_EDGE = "edge_edge"
     CORNER_CORNER = "corner_corner"
-
-
-# the record constructor that namedtuple's _make uses: no Python frame
-_new = tuple.__new__
 
 
 class EndCutBox(NamedTuple):

@@ -285,8 +285,7 @@ class RectilinearShape(NamedTuple):
 
     @property
     def bbox(self) -> Rect:
-        rects = self.rects
-        return rects[0] if len(rects) == 1 else bounding_box(rects)
+        return bounding_box(self.rects)
 
     @property
     def min_dimension(self) -> int:
@@ -334,12 +333,6 @@ def shapes_within(a: RectilinearShape, b: RectilinearShape, d: int, metric: Metr
     return rectset_within(a.rects, b.rects, d, metric)
 
 
-# a box whose raised y range meets fewer bands than this walks them one
-# by one, which is faster for the one to three bands most boxes meet; a
-# taller one bisects the sorted start bands
-_SHORT_SPAN = 8
-
-
 class SpatialIndex:
     """Bounding boxes by id, for neighbour search.
 
@@ -368,10 +361,9 @@ class SpatialIndex:
         distance at the top, so the band where the other starts holds
         both, and only that band reports the pair. A band where no box
         starts reports nothing, so a box is listed only in the start bands
-        its raised y range meets: the bands of a short range one by one,
-        those of a tall range by bisection over the sorted start bands.
-        Its entries are thus at most the number of boxes, whatever its
-        height. Inside a band a sweep in lo.x order compares each box with
+        its raised y range meets, found by bisection over the sorted start
+        bands. Its entries are thus at most the number of boxes, whatever
+        its height. Inside a band a sweep in lo.x order compares each box with
         the earlier ones whose hi.x plus distance reaches its lo.x.
         """
         cell, d = self.cell_size, distance
@@ -382,14 +374,8 @@ class SpatialIndex:
             # free list and add to the peak of the solve that follows
             entry = [x1, sid, x2 + d, y1, y2 + d]
             first, last = y1 // cell, (y2 + d) // cell
-            if last - first < _SHORT_SPAN:
-                for k in range(first, last + 1):
-                    band = bands.get(k)
-                    if band is not None:
-                        band.append(entry)
-            else:
-                for k in starts[bisect_left(starts, first) : bisect_right(starts, last)]:
-                    bands[k].append(entry)
+            for k in starts[bisect_left(starts, first) : bisect_right(starts, last)]:
+                bands[k].append(entry)
         found: list[tuple[int, int]] = []
         for k, band in bands.items():
             band.sort()

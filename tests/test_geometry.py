@@ -390,8 +390,7 @@ def test_spatial_index_pairs_are_exactly_the_box_gap_pairs():
 
 def test_spatial_index_pairs_with_tall_boxes_among_small_ones():
     # at small cells the tall boxes span far more bands than any box
-    # starts in, and some spans sit just below and above the point where
-    # the sweep stops walking a box's bands one by one
+    # starts in; some spans are a few cells, some millions
     rng = random.Random(2718)
     for trial in range(200):
         cell = rng.choice([1, 2, 3, 7])

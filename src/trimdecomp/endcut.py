@@ -24,6 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import (
     Edge,
+    Point,
     Rect,
     RectilinearShape,
     SpatialIndex,
@@ -64,82 +65,27 @@ class EndCutCandidate(NamedTuple):
         return tuple(b.rect for b in self.boxes)
 
 
-def _make_edge_edge(rect: Rect, run_axis: str, p: DecompositionParams) -> EndCutBox | None:
-    if run_axis == "y":
-        run, gap = rect.height, rect.width
-    else:
-        run, gap = rect.width, rect.height
-    if run > p.w_th:
-        return None  # a cut cannot repair a facing run longer than the hotspot limit
-    if not (p.w_low <= run <= p.w_high):
-        return None
-    if not (p.h_low <= gap <= p.h_high):
-        return None
-    return _new(EndCutBox, (rect, BoxKind.EDGE_EDGE, run_axis))
+def _rect_pair_sides(r1: Rect, r2: Rect) -> list[tuple[int, int, int, int, str]]:
+    """The facing sides of two rectangles, read from their corners.
 
-
-def _make_corner(rect: Rect, p: DecompositionParams) -> EndCutBox | None:
-    if not (p.w_low <= rect.width <= p.w_high):
-        return None
-    if not (p.h_low <= rect.height <= p.h_high):
-        return None
-    return _new(EndCutBox, (rect, BoxKind.CORNER_CORNER, "x"))
-
-
-def _gap_box(
-    lo_pos: int, hi_pos: int, ov_lo: int, ov_hi: int, run_axis: str, p: DecompositionParams
-) -> EndCutBox | None:
-    """The box between two facing sides at lo_pos < hi_pos across the gap.
-
-    ov_lo..ov_hi is the overlap of their spans along run_axis, the axis
-    the sides lie on; it is empty (ov_hi < ov_lo) when the spans are
-    disjoint, and a single point when they only meet.
-    """
-    if ov_hi > ov_lo:
-        # spans overlap: the gap strip between two facing edge runs
-        if run_axis == "y":
-            return _make_edge_edge(Rect.of(lo_pos, ov_lo, hi_pos, ov_hi), "y", p)
-        return _make_edge_edge(Rect.of(ov_lo, lo_pos, ov_hi, hi_pos), "x", p)
-    if ov_hi < ov_lo:
-        # spans disjoint: the diagonal pocket between the two nearest corners
-        if run_axis == "y":
-            return _make_corner(Rect.of(lo_pos, ov_hi, hi_pos, ov_lo), p)
-        return _make_corner(Rect.of(ov_hi, lo_pos, ov_lo, hi_pos), p)
-    return None
-
-
-def _parallel_box(e1: Edge, e2: Edge, p: DecompositionParams) -> EndCutBox | None:
-    if e1.pos == e2.pos:
-        return None
-    lo_e, hi_e = (e1, e2) if e1.pos < e2.pos else (e2, e1)
-    axis = 0 if e1.orientation == "v" else 1
-    if lo_e.normal[axis] != 1 or hi_e.normal[axis] != -1:
-        return None  # edges do not face each other across the gap
-    run_axis = "y" if e1.orientation == "v" else "x"
-    return _gap_box(lo_e.pos, hi_e.pos, max(e1.lo, e2.lo), min(e1.hi, e2.hi), run_axis, p)
-
-
-def _rect_pair_boxes(r1: Rect, r2: Rect, p: DecompositionParams) -> list[EndCutBox]:
-    """The boxes of two rectangles' facing sides, read from their corners.
-
-    These are the boxes _parallel_box gives for the edge pairs with
-    opposite normals, in the order the edges of r1 come: its bottom
-    against r2's top, right against left, top against bottom and left
-    against right. A pair faces only when the side of r1 lies strictly
-    before the side of r2 in the direction of its normal.
+    These are the sides of the edge pairs with opposite normals, in the
+    order the edges of r1 come: its bottom against r2's top, right against
+    left, top against bottom and left against right. A pair faces only
+    when the side of r1 lies strictly before the side of r2 in the
+    direction of its normal.
     """
     (ax1, ay1), (ax2, ay2) = r1
     (bx1, by1), (bx2, by2) = r2
-    boxes = []
+    sides = []
     if by2 < ay1:
-        boxes.append(_gap_box(by2, ay1, max(ax1, bx1), min(ax2, bx2), "x", p))
+        sides.append((by2, ay1, max(ax1, bx1), min(ax2, bx2), "x"))
     if ax2 < bx1:
-        boxes.append(_gap_box(ax2, bx1, max(ay1, by1), min(ay2, by2), "y", p))
+        sides.append((ax2, bx1, max(ay1, by1), min(ay2, by2), "y"))
     if ay2 < by1:
-        boxes.append(_gap_box(ay2, by1, max(ax1, bx1), min(ax2, bx2), "x", p))
+        sides.append((ay2, by1, max(ax1, bx1), min(ax2, bx2), "x"))
     if bx2 < ax1:
-        boxes.append(_gap_box(bx2, ax1, max(ay1, by1), min(ay2, by2), "y", p))
-    return [b for b in boxes if b is not None]
+        sides.append((bx2, ax1, max(ay1, by1), min(ay2, by2), "y"))
+    return sides
 
 
 def resolve_box_overlaps(raw: Sequence[EndCutBox]) -> tuple[EndCutBox, ...]:
@@ -184,15 +130,6 @@ def resolve_box_overlaps(raw: Sequence[EndCutBox]) -> tuple[EndCutBox, ...]:
     return tuple(sorted(keep, key=EndCutBox.sort_key))
 
 
-def _box_clear(rect: Rect, material: Sequence[Rect]) -> bool:
-    """A box is usable only when no feature material lies inside it;
-    touching its boundary is fine."""
-    for r in material:
-        if rects_interior_intersect(rect, r):
-            return False
-    return True
-
-
 def generate_end_cut(
     s1: RectilinearShape,
     s2: RectilinearShape,
@@ -217,20 +154,57 @@ def generate_end_cut(
     box: an edge-to-edge box lies within its gap (at most h_high) of an
     edge of s1, and a corner box within max(w_high, h_high) of a corner
     of s1.
+
+    Each facing pair becomes a side (lo, hi, ov_lo, ov_hi, axis): the two
+    edges lie on the lines lo < hi across the gap, and ov_lo..ov_hi is the
+    overlap of their spans along axis, the axis they lie on. It is empty
+    (ov_hi < ov_lo) when the spans are disjoint, and a single point when
+    they only meet. One loop applies the size windows and the material
+    test to every side on plain integers, and builds records only for the
+    boxes it keeps.
     """
     if len(s1.outline) == 4 and len(s2.outline) == 4:
-        facing_boxes = _rect_pair_boxes(s1.rects[0], s2.rects[0], params)
+        sides = _rect_pair_sides(s1.rects[0], s2.rects[0])
     else:
-        facing_boxes = []
+        sides = []
         edges2 = _edges_of(s2, edges)
         for e1 in _edges_of(s1, edges):
             facing = (-e1.normal[0], -e1.normal[1])
+            # the normal's component across the edge, and the axis it lies on
+            k, axis = (0, "y") if e1.orientation == "v" else (1, "x")
             for e2 in edges2:
                 if e2.normal == facing:
-                    box = _parallel_box(e1, e2, params)
-                    if box is not None:
-                        facing_boxes.append(box)
-    raw = [box for box in facing_boxes if _box_clear(box.rect, material)]
+                    lo_e, hi_e = (e1, e2) if e1.normal[k] == 1 else (e2, e1)
+                    if lo_e.pos < hi_e.pos:
+                        sides.append((lo_e.pos, hi_e.pos, max(e1.lo, e2.lo), min(e1.hi, e2.hi), axis))
+    p = params
+    raw = []
+    for lo, hi, ov_lo, ov_hi, axis in sides:
+        if ov_hi > ov_lo:
+            # spans overlap: the gap strip between two facing edge runs,
+            # w along the run, h across the gap
+            kind, run_axis = BoxKind.EDGE_EDGE, axis
+            w, h = ov_hi - ov_lo, hi - lo
+            if w > p.w_th:
+                continue  # a cut cannot repair a facing run longer than the hotspot limit
+        elif ov_hi < ov_lo:
+            # spans disjoint: the diagonal pocket between the two nearest
+            # corners, whose w and h are its width and height as drawn
+            kind, run_axis = BoxKind.CORNER_CORNER, "x"
+            ov_lo, ov_hi = ov_hi, ov_lo
+            w, h = (hi - lo, ov_hi - ov_lo) if axis == "y" else (ov_hi - ov_lo, hi - lo)
+        else:
+            continue  # the spans only meet at a point
+        if not (p.w_low <= w <= p.w_high and p.h_low <= h <= p.h_high):
+            continue
+        x1, y1, x2, y2 = (lo, ov_lo, hi, ov_hi) if axis == "y" else (ov_lo, lo, ov_hi, hi)
+        # usable only when no feature material lies inside; touching is fine
+        for (mx1, my1), (mx2, my2) in material:
+            if x1 < mx2 and mx1 < x2 and y1 < my2 and my1 < y2:
+                break
+        else:
+            rect = _new(Rect, (_new(Point, (x1, y1)), _new(Point, (x2, y2))))
+            raw.append(_new(EndCutBox, (rect, kind, run_axis)))
     if not raw:
         return None
     pair = (min(s1.id, s2.id), max(s1.id, s2.id))

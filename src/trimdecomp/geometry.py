@@ -20,7 +20,7 @@ constructors and the parsers check input where it enters. Where this
 module fixes a record's arity itself, it builds the record with
 tuple.__new__, as namedtuple's _make does, and skips the generated
 Python-level __new__; a tuple a caller passes in goes through the
-class, and Edge is always built through it.
+class.
 """
 
 from __future__ import annotations
@@ -144,9 +144,10 @@ class Edge(NamedTuple):
 
     @classmethod
     def of(cls, a: Point, b: Point, normal: tuple[int, int]) -> "Edge":
-        if a.y == b.y:
-            return cls(a, b, normal, "h", a.y, min(a.x, b.x), max(a.x, b.x))
-        return cls(a, b, normal, "v", a.x, min(a.y, b.y), max(a.y, b.y))
+        (ax, ay), (bx, by) = a, b
+        if ay == by:
+            return _new(cls, (a, b, normal, "h", ay, min(ax, bx), max(ax, bx)))
+        return _new(cls, (a, b, normal, "v", ax, min(ay, by), max(ay, by)))
 
     def __repr__(self) -> str:
         return f"Edge(a={self.a!r}, b={self.b!r}, normal={self.normal!r})"
@@ -268,7 +269,7 @@ class RectilinearShape(NamedTuple):
         _check_integer(rect)
         if lo.x >= hi.x or lo.y >= hi.y:
             raise GeometryError(f"rectangle has no area: {lo} .. {hi}")
-        return _new(cls, (sid, (rect,), rect.corners()))
+        return _rect_shape(sid, lo.x, lo.y, hi.x, hi.y)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -295,6 +296,15 @@ class RectilinearShape(NamedTuple):
         return f"RectilinearShape(id={self.id}, rects={len(self.rects)})"
 
 
+def _rect_shape(sid: int, x1: int, y1: int, x2: int, y2: int) -> RectilinearShape:
+    """The shape of the rectangle from (x1, y1) to (x2, y2), built without
+    checks: the caller has made sure the corners are integers with
+    x1 < x2 and y1 < y2."""
+    lo, hi = _new(Point, (x1, y1)), _new(Point, (x2, y2))
+    outline = (lo, _new(Point, (x2, y1)), hi, _new(Point, (x1, y2)))
+    return _new(RectilinearShape, (sid, (_new(Rect, (lo, hi)),), outline))
+
+
 def bounding_box(rects: Sequence[Rect]) -> Rect:
     """The smallest rectangle holding all of rects; the rectangle itself
     when there is only one."""
@@ -314,17 +324,13 @@ def rectset_chebyshev_gap(a: Sequence[Rect], b: Sequence[Rect]) -> int:
 
 def rectset_within(a: Sequence[Rect], b: Sequence[Rect], d: int, metric: Metric = Metric.CHEBYSHEV) -> bool:
     """Exact test for distance(a, b) <= d under the chosen metric."""
-    if metric is Metric.CHEBYSHEV:
-        for ra in a:
-            for rb in b:
-                if rect_chebyshev_gap(ra, rb) <= d:
-                    return True
-        return False
+    euclidean = metric is Metric.EUCLIDEAN
     dd = d * d
-    for ra in a:
-        for rb in b:
-            gx, gy = rect_gaps(ra, rb)
-            if gx * gx + gy * gy <= dd:
+    for (ax1, ay1), (ax2, ay2) in a:
+        for (bx1, by1), (bx2, by2) in b:
+            gx = bx1 - ax2 if bx1 > ax2 else ax1 - bx2 if ax1 > bx2 else 0
+            gy = by1 - ay2 if by1 > ay2 else ay1 - by2 if ay1 > by2 else 0
+            if (gx * gx + gy * gy <= dd) if euclidean else (gx <= d and gy <= d):
                 return True
     return False
 

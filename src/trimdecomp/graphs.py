@@ -25,7 +25,6 @@ from .geometry import (
     bounding_box,
     rectset_chebyshev_gap,
     rectset_within,
-    shapes_within,
 )
 from .layout_io import (
     DecompositionParams,
@@ -76,11 +75,9 @@ def conflict_pairs(
     whose bounding boxes lie within dis_m of each other, such as
     SpatialIndex.pairs(d) lists for any d >= dis_m; each is checked exactly.
     """
-    by_id = {s.id: s for s in doc.shapes}
+    rects = {s.id: s.rects for s in doc.shapes}
     d = doc.params.dis_m
-    return [
-        (a, b) for a, b in candidates if shapes_within(by_id[a], by_id[b], d, metric)
-    ]
+    return [(a, b) for a, b in candidates if rectset_within(rects[a], rects[b], d, metric)]
 
 
 def build_layout_graph(

@@ -29,6 +29,7 @@ from .geometry import (
     Rect,
     RectilinearShape,
     SpatialIndex,
+    _rect_shape,
     bounding_box,
     rects_interior_intersect,
 )
@@ -261,11 +262,12 @@ def parse_layout(source: str | TextIO) -> LayoutDocument:
     shapes: list[RectilinearShape] = []
     seen_ids: set[int] = set()
 
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        lin = rawline.split("#", 1)[0].strip()
-        if not lin:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        toks = line.split()
+        if not toks:
             continue
-        toks = lin.split()
         kind = toks[0]
         if kind == "layout":
             if len(toks) != 2:
@@ -287,10 +289,17 @@ def parse_layout(source: str | TextIO) -> LayoutDocument:
         elif kind == "rect":
             if len(toks) != 6:
                 raise LayoutParseError(lineno, "rect takes id x1 y1 x2 y2")
-            fid = _parse_int(toks[1], lineno, "feature id")
-            rect = _parse_box(toks[2:], lineno, "rect")
+            try:
+                fid, x1, y1, x2, y2 = map(int, toks[1:])
+            except ValueError:
+                _parse_int(toks[1], lineno, "feature id")
+                for t in toks[2:]:
+                    _parse_int(t, lineno, "coordinate")  # names the first bad token
+                raise
+            if x1 >= x2 or y1 >= y2:
+                raise LayoutParseError(lineno, "rect corners must be lower-left then upper-right")
             _check_id(fid, seen_ids, lineno)
-            shapes.append(RectilinearShape.from_rect(fid, rect))
+            shapes.append(_rect_shape(fid, x1, y1, x2, y2))
         elif kind == "poly":
             if len(toks) < 2 or len(toks) % 2 != 0:
                 raise LayoutParseError(lineno, "poly takes id then x y pairs")

@@ -4,9 +4,10 @@ Everything here recomputes answers by a route the package itself never
 takes: plain enumeration over all assignments, an external
 mixed-integer solve of the exported LP text, an all-pairs search for
 fusable trim rectangles, a two-level grouping of candidate boxes, and
-end-cut generation over every edge pair of two features, with the
-perpendicular-edge corner boxes the package no longer builds, and box
-clearance checked against every feature of the layout.
+end-cut generation over every edge pair of two features, with its own
+facing rule and size windows, the perpendicular-edge corner boxes the
+package no longer builds, and box clearance checked against every
+feature of the layout.
 Tests compare the package against these, never against itself.
 """
 
@@ -22,8 +23,6 @@ from trimdecomp.endcut import (
     BoxKind,
     EndCutBox,
     EndCutCandidate,
-    _make_corner,
-    _parallel_box,
     merge_union,
     resolve_box_overlaps,
 )
@@ -209,6 +208,41 @@ def box_dims(box: EndCutBox) -> tuple[int, int]:
     return box.rect.width, box.rect.height
 
 
+def _sized_box(rect: Rect, kind: BoxKind, run_axis: str, p: DecompositionParams) -> EndCutBox | None:
+    """The box, when its size fits the rules: w (along the repaired run)
+    between w_low and w_high, h (across the gap) between h_low and h_high,
+    and for an edge-to-edge box a run no longer than w_th."""
+    box = EndCutBox(rect=rect, kind=kind, run_axis=run_axis)
+    w, h = box_dims(box)
+    if not (p.w_low <= w <= p.w_high and p.h_low <= h <= p.h_high):
+        return None
+    if kind is BoxKind.EDGE_EDGE and w > p.w_th:
+        return None
+    return box
+
+
+def parallel_box(e1: Edge, e2: Edge, p: DecompositionParams) -> EndCutBox | None:
+    """Box between two parallel edges that face each other: the lower
+    edge's normal points across the gap to the upper edge, whose normal
+    points back. Where their spans overlap it is the strip between the
+    shared run; where they are disjoint, the pocket between the near ends;
+    where they meet at a point, none."""
+    lo_e, hi_e = sorted((e1, e2), key=lambda e: e.pos)
+    axis = 0 if e1.orientation == "v" else 1
+    if lo_e.pos == hi_e.pos or lo_e.normal[axis] != 1 or hi_e.normal[axis] != -1:
+        return None
+    a, b = max(e1.lo, e2.lo), min(e1.hi, e2.hi)
+    if a == b:
+        return None
+    kind, run_axis = (BoxKind.EDGE_EDGE, "yx"[axis]) if a < b else (BoxKind.CORNER_CORNER, "x")
+    a, b = min(a, b), max(a, b)
+    if axis == 0:
+        rect = Rect.of(lo_e.pos, a, hi_e.pos, b)
+    else:
+        rect = Rect.of(a, lo_e.pos, b, hi_e.pos)
+    return _sized_box(rect, kind, run_axis, p)
+
+
 def perpendicular_box(ev: Edge, eh: Edge, p: DecompositionParams) -> EndCutBox | None:
     """Corner box between a vertical edge ev and a horizontal edge eh: the
     pocket spanned by ev's line, eh's line and the two edges' near ends,
@@ -230,7 +264,7 @@ def perpendicular_box(ev: Edge, eh: Edge, p: DecompositionParams) -> EndCutBox |
         if ev.hi >= c:
             return None
         y_lo, y_hi = ev.hi, c
-    return _make_corner(Rect.of(x_lo, y_lo, x_hi, y_hi), p)
+    return _sized_box(Rect.of(x_lo, y_lo, x_hi, y_hi), BoxKind.CORNER_CORNER, "x", p)
 
 
 def generate_end_cut_box(e1: Edge, e2: Edge, params: DecompositionParams) -> EndCutBox | None:
@@ -238,7 +272,7 @@ def generate_end_cut_box(e1: Edge, e2: Edge, params: DecompositionParams) -> End
     perpendicular, or None when their geometry admits no cut or the box
     violates the size rules."""
     if e1.orientation == e2.orientation:
-        return _parallel_box(e1, e2, params)
+        return parallel_box(e1, e2, params)
     if e1.orientation == "v":
         return perpendicular_box(e1, e2, params)
     return perpendicular_box(e2, e1, params)

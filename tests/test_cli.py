@@ -169,13 +169,14 @@ def test_timeout_is_reported_in_stats_and_csv(tmp_path, capsys):
 
 def test_rect_only_pipeline_builds_no_edge(monkeypatch):
     # rectangles carry no edge records and pair their sides from their
-    # corners; only a polygon's end-cuts derive its edges
+    # corners; only a polygon's end-cuts derive its edges, all through
+    # Edge.of, which builds them without calling the class
     def refuse(cls, *args, **kwargs):
         raise AssertionError("edge built")
 
     chain = ["layout chain10", "param dis_m 120", "param hlow 60", *chain30_rects()[:10]]
     texts = [write_layout(grid_layout(2000, 1)), "\n".join(chain) + "\n"]
-    monkeypatch.setattr(Edge, "__new__", refuse)
+    monkeypatch.setattr(Edge, "of", classmethod(refuse))
     for text in texts:
         result = decompose_document(parse_layout(text))
         assert result.end_cuts.candidates

@@ -270,16 +270,27 @@ def _random_feature(rng: random.Random, fid: int) -> RectilinearShape:
     return RectilinearShape.from_outline(fid, moved)
 
 
+def _apart(s: RectilinearShape, others: list[RectilinearShape]) -> bool:
+    return not any(rects_interior_intersect(a, b) for t in others for a in s.rects for b in t.rects)
+
+
 def test_generate_end_cut_matches_all_edge_pairs_oracle():
     rng = random.Random(5170)
+    # the third feature comes from its own stream, so the pairs and
+    # parameters are those drawn without it
+    rng3 = random.Random(5171)
     kinds = {BoxKind.EDGE_EDGE: 0, BoxKind.CORNER_CORNER: 0}
     pairs = 0
     rect_pairs_cut = 0
+    blocked = 0
     while pairs < 5000:
         s1, s2 = _random_feature(rng, 1), _random_feature(rng, 2)
-        if any(rects_interior_intersect(a, b) for a in s1.rects for b in s2.rects):
+        if not _apart(s1, [s2]):
             continue
         pairs += 1
+        s3 = _random_feature(rng3, 3)
+        while not _apart(s3, [s1, s2]):
+            s3 = _random_feature(rng3, 3)
         p = params(
             dis_m=rng.choice((120, 200)),
             hlow=rng.choice((20, 40)),
@@ -292,11 +303,17 @@ def test_generate_end_cut_matches_all_edge_pairs_oracle():
         assert got == generate_end_cut_oracle(s1, s2, p, {1: s1, 2: s2})
         for box in got.boxes if got else ():
             kinds[box.kind] += 1
+            blocked += any(rects_interior_intersect(box.rect, r) for r in s3.rects)
         rect_pairs_cut += got is not None and len(s1.outline) == len(s2.outline) == 4
+        # the same pair with a third feature among the material
+        got3 = generate_end_cut(s1, s2, p, s1.rects + s2.rects + s3.rects)
+        assert got3 == generate_end_cut_oracle(s1, s2, p, {1: s1, 2: s2, 3: s3})
     # both box kinds occur often enough for the comparison to mean something
     assert min(kinds.values()) >= 500, kinds
     # and so do pairs of two rectangles, whose sides pair from their corners
     assert rect_pairs_cut >= 150, rect_pairs_cut
+    # and boxes the third feature blocks
+    assert blocked >= 100, blocked
 
 
 def _scatter_layout(rng: random.Random, count: int, raw: dict) -> LayoutDocument:

@@ -88,7 +88,7 @@ def test_every_rect_built_by_the_pipeline_has_positive_area():
 
 def _records(result) -> list:
     """Every Point, Rect, EndCutBox and EndCutCandidate a decomposition
-    returns, nested ones included."""
+    returns, nested ones included, and the Edges of its features."""
     found: list = []
 
     def rect(r):
@@ -102,6 +102,7 @@ def _records(result) -> list:
 
     for s in result.document.shapes:
         found.extend(s.outline)
+        found.extend(s.edges)
         for r in (*s.rects, s.bbox):
             rect(r)
     for piece in result.graph.segments.values():
@@ -121,6 +122,8 @@ def _rebuilt(r):
         return Point(r.x, r.y)
     if type(r) is Rect:
         return Rect(_rebuilt(r.lo), _rebuilt(r.hi))
+    if type(r) is Edge:
+        return Edge(_rebuilt(r.a), _rebuilt(r.b), r.normal, r.orientation, r.pos, r.lo, r.hi)
     if type(r) is EndCutBox:
         return EndCutBox(rect=_rebuilt(r.rect), kind=r.kind, run_axis=r.run_axis)
     return EndCutCandidate(pair=r.pair, boxes=tuple(_rebuilt(b) for b in r.boxes))
@@ -128,13 +131,13 @@ def _rebuilt(r):
 
 def test_pipeline_records_match_their_public_constructors(monkeypatch):
     # records built with tuple.__new__ must be exactly what Point(...),
-    # Rect(...), EndCutBox(...) and EndCutCandidate(...) build
+    # Rect(...), Edge(...), EndCutBox(...) and EndCutCandidate(...) build
     texts = [path.read_text() for path in sorted(LAYOUTS.glob("*.lay"))]
     texts.append(write_layout(grid_layout(2000, 1)))
     stitched = [random_layout(seed, clusters=6, stitch=True) for seed in range(6)]
     results = [decompose_document(parse_layout(t)) for t in texts]
     results += [decompose_document(doc) for doc in stitched]
-    kinds = {Point: 0, Rect: 0, EndCutBox: 0, EndCutCandidate: 0}
+    kinds = {Point: 0, Rect: 0, Edge: 0, EndCutBox: 0, EndCutCandidate: 0}
     for result in results:
         for r in _records(result):
             assert type(r) in kinds, type(r)
@@ -150,7 +153,7 @@ def test_pipeline_records_match_their_public_constructors(monkeypatch):
     def refuse(cls, *args, **kwargs):
         raise AssertionError(f"{cls.__name__} built through its class")
 
-    for cls in (Point, Rect):
+    for cls in (Point, Rect, Edge):
         monkeypatch.setattr(cls, "__new__", refuse)
     with pytest.raises(AssertionError, match="Point built through its class"):
         Point(0, 0)
@@ -299,6 +302,50 @@ def test_euclidean_metric_differs_on_diagonals():
     assert rectset_within(a, b, 40, Metric.CHEBYSHEV)
     assert not rectset_within(a, b, 49, Metric.EUCLIDEAN)
     assert rectset_within(a, b, 50, Metric.EUCLIDEAN)
+
+
+def _random_rects(rng: random.Random) -> list[Rect]:
+    """One to three rectangles on a 24 lattice, so that gaps of exactly d
+    and the 3-4-5 diagonal (72, 96 at 120) come up often."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        x, y = rng.randrange(0, 481, 24), rng.randrange(0, 481, 24)
+        out.append(Rect.of(x, y, x + rng.randrange(24, 145, 24), y + rng.randrange(24, 145, 24)))
+    return out
+
+
+def test_rectset_within_matches_per_rectangle_gaps():
+    def gaps(a: Rect, b: Rect) -> tuple[int, int]:
+        # how far apart the two intervals lie on each axis, 0 when they meet
+        return (
+            max(0, b.lo.x - a.hi.x, a.lo.x - b.hi.x),
+            max(0, b.lo.y - a.hi.y, a.lo.y - b.hi.y),
+        )
+
+    rng = random.Random(3045)
+    at_d = {Metric.CHEBYSHEV: 0, Metric.EUCLIDEAN: 0}
+    for _ in range(3000):
+        a, b = _random_rects(rng), _random_rects(rng)
+        d = rng.randrange(0, 145, 24)
+        pair_gaps = [gaps(ra, rb) for ra in a for rb in b]
+        cheb = min(max(gx, gy) for gx, gy in pair_gaps)
+        eucl = min(gx * gx + gy * gy for gx, gy in pair_gaps)
+        assert rectset_within(a, b, d, Metric.CHEBYSHEV) == (cheb <= d)
+        assert rectset_within(a, b, d, Metric.EUCLIDEAN) == (eucl <= d * d)
+        at_d[Metric.CHEBYSHEV] += cheb == d
+        at_d[Metric.EUCLIDEAN] += eucl == d * d
+    assert min(at_d.values()) >= 100, at_d
+    # the 3-4-5 boundary: gaps 72 and 96 lie exactly 120 apart
+    a, b = [Rect.of(0, 0, 10, 10)], [Rect.of(82, 106, 100, 120)]
+    assert rectset_within(a, b, 120, Metric.EUCLIDEAN)
+    assert not rectset_within(a, b, 119, Metric.EUCLIDEAN)
+    assert rectset_within(a, b, 96, Metric.CHEBYSHEV)
+    assert not rectset_within(a, b, 95, Metric.CHEBYSHEV)
+    # touching along a side or at a corner is distance 0
+    for touching in (Rect.of(10, 0, 20, 10), Rect.of(10, 10, 20, 20), Rect.of(-5, 10, 5, 30)):
+        for metric in Metric:
+            assert rectset_within(a, [touching], 0, metric)
+    assert not rectset_within(a, [Rect.of(11, 0, 20, 10)], 0, Metric.EUCLIDEAN)
 
 
 def test_bounding_box():

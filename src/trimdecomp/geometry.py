@@ -80,11 +80,6 @@ class Rect(NamedTuple):
         (x1, y1), (x2, y2) = self
         return _new(Rect, (_new(Point, (x1 - d, y1 - d)), _new(Point, (x2 + d, y2 + d))))
 
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        """Counter-clockwise from the lower-left corner."""
-        lo, hi = self
-        return (lo, _new(Point, (hi[0], lo[1])), hi, _new(Point, (lo[0], hi[1])))
-
 
 def interval_gap(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
     """Gap between two closed intervals; 0 when they overlap or touch."""
@@ -262,9 +257,9 @@ class RectilinearShape(NamedTuple):
     @classmethod
     def from_rect(cls, sid: int, rect: Rect) -> "RectilinearShape":
         """The shape of one rectangle with integer corners and positive
-        area, built directly: the same rects and outline as
-        from_outline(sid, rect.corners()), without normalising or slicing
-        an outline."""
+        area, built directly: the same rects and outline as from_outline
+        given its four corners counter-clockwise from the lower-left one,
+        without normalising or slicing an outline."""
         lo, hi = rect
         _check_integer(rect)
         if lo.x >= hi.x or lo.y >= hi.y:
@@ -333,10 +328,6 @@ def rectset_within(a: Sequence[Rect], b: Sequence[Rect], d: int, metric: Metric 
             if (gx * gx + gy * gy <= dd) if euclidean else (gx <= d and gy <= d):
                 return True
     return False
-
-
-def shapes_within(a: RectilinearShape, b: RectilinearShape, d: int, metric: Metric = Metric.CHEBYSHEV) -> bool:
-    return rectset_within(a.rects, b.rects, d, metric)
 
 
 class SpatialIndex:

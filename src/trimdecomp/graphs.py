@@ -226,34 +226,39 @@ def build_end_cut_graph(
     return EndCutGraph(cuts, ee, merges)
 
 
+_CUT_LABEL = ' [label="cut"]'
+
+
 @_collector_paused
 def layout_graph_dot(g: LayoutGraph) -> str:
-    def node(v: VertexKey) -> str:
-        return f'"{v[0]}/{v[1]}"'
-
-    lines = ["graph layout {"]
-    for v in g.vertices():
-        lines.append(f"  {node(v)};")
-    for (u, v), cand in sorted(g.conflict_edges.items()):
-        attr = ' [label="cut"]' if cand is not None else ""
-        lines.append(f"  {node(u)} -- {node(v)}{attr};")
-    for u, v in sorted(g.stitch_edges):
-        lines.append(f"  {node(u)} -- {node(v)} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    verts = g.vertices()
+    label = {v: f'"{v[0]}/{v[1]}"' for v in verts}
+    return "\n".join(
+        [
+            "graph layout {",
+            *[f"  {label[v]};" for v in verts],
+            *[
+                f"  {label[u]} -- {label[v]}{'' if cand is None else _CUT_LABEL};"
+                for (u, v), cand in sorted(g.conflict_edges.items())
+            ],
+            *[f"  {label[u]} -- {label[v]} [style=dashed];" for u, v in sorted(g.stitch_edges)],
+            "}",
+            "",
+        ]
+    )
 
 
 @_collector_paused
 def end_cut_graph_dot(ecg: EndCutGraph) -> str:
-    def node(p: PairKey) -> str:
-        return f'"{p[0]}-{p[1]}"'
-
-    lines = ["graph endcuts {"]
-    for p in sorted(ecg.candidates):
-        lines.append(f"  {node(p)};")
-    for a, b in sorted(ecg.ee_edges):
-        lines.append(f"  {node(a)} -- {node(b)};")
-    for a, b in sorted(ecg.merge_edges):
-        lines.append(f"  {node(a)} -- {node(b)} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    cuts = sorted(ecg.candidates)
+    label = {p: f'"{p[0]}-{p[1]}"' for p in cuts}
+    return "\n".join(
+        [
+            "graph endcuts {",
+            *[f"  {label[p]};" for p in cuts],
+            *[f"  {label[a]} -- {label[b]};" for a, b in sorted(ecg.ee_edges)],
+            *[f"  {label[a]} -- {label[b]} [style=dashed];" for a, b in sorted(ecg.merge_edges)],
+            "}",
+            "",
+        ]
+    )

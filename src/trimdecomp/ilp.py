@@ -72,29 +72,25 @@ def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> Ilp
         raise ModelError("alpha must be non-negative")
     verts = sorted(g.segments)
     multi = {f for f, k in verts if k > 0}
-
-    def tok(v: VertexKey) -> str:
-        return f"{v[0]}_{v[1]}" if v[0] in multi else str(v[0])
-
-    names: list[str] = []
-    kinds: list[str] = []
-    objective: list[int] = []
-
-    def add_var(name: str, kind: str, weight: int) -> int:
-        names.append(name)
-        kinds.append(kind)
-        objective.append(weight)
-        return len(names) - 1
-
-    x_of = {v: add_var(f"x_{tok(v)}", "x", 0) for v in verts}
+    tok = {v: f"{v[0]}_{v[1]}" if v[0] in multi else str(v[0]) for v in verts}
     ce_list = sorted(g.conflict_edges.items())
     pairs = sorted({c.pair for _, c in ce_list if c is not None})
-    ec_of = {p: add_var(f"ec_{p[0]}_{p[1]}", "ec", 0) for p in pairs}
+    se_list = sorted(g.stitch_edges)
     scale = alpha.denominator
     snum = alpha.numerator
-    c_of = {e: add_var(f"c_{tok(e[0])}_{tok(e[1])}", "c", scale) for e, _ in ce_list}
-    se_list = sorted(g.stitch_edges)
-    s_of = {(u, v): add_var(f"s_{u[0]}_{u[1]}_{v[1]}", "s", snum) for u, v in se_list}
+
+    # four blocks of variables, x, ec, c and s, each in its sorted order
+    names = [f"x_{tok[v]}" for v in verts]
+    names += [f"ec_{a}_{b}" for a, b in pairs]
+    names += [f"c_{tok[u]}_{tok[v]}" for (u, v), _ in ce_list]
+    names += [f"s_{u[0]}_{u[1]}_{v[1]}" for u, v in se_list]
+    nx, ne, nc, ns = len(verts), len(pairs), len(ce_list), len(se_list)
+    kinds = ("x",) * nx + ("ec",) * ne + ("c",) * nc + ("s",) * ns
+    objective = (0,) * (nx + ne) + (scale,) * nc + (snum,) * ns
+    x_of = dict(zip(verts, range(nx)))
+    ec_of = dict(zip(pairs, range(nx, nx + ne)))
+    c_of = dict(zip([e for e, _ in ce_list], range(nx + ne, nx + ne + nc)))
+    s_of = dict(zip(se_list, range(nx + ne + nc, len(names))))
 
     rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
     for (u, v), cand in ce_list:
@@ -119,9 +115,9 @@ def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> Ilp
 
     return IlpModel(
         names=tuple(names),
-        kinds=tuple(kinds),
+        kinds=kinds,
         constraints=tuple(rows),
-        objective=tuple(objective),
+        objective=objective,
         scale=scale,
         alpha=alpha,
         x_of=x_of,
@@ -514,45 +510,44 @@ def _is_ten_smooth(n: int) -> bool:
 
 @_collector_paused
 def export_lp(model: IlpModel) -> str:
-    """Serialise the model in LP text format with binary variables."""
-    lines: list[str] = []
+    """Serialise the model in LP text format with binary variables.
+
+    Each variable's "+ name" and "- name" terms are built once, and each
+    row is one join over them."""
+    names = model.names
+    plus = [f"+ {name}" for name in names]
+    minus = [f"- {name}" for name in names]
     alpha = model.alpha
-    smooth = alpha == 0 or _is_ten_smooth(alpha.denominator)
-    terms: list[str] = []
-    for i, w in enumerate(model.objective):
-        if w == 0:
-            continue
-        if smooth:
-            if model.kinds[i] == "c":
-                terms.append(f"+ {model.names[i]}")
-            else:
-                terms.append(f"+ {fraction_to_decimal(alpha)} {model.names[i]}")
-        else:
-            terms.append(f"+ {w} {model.names[i]}")
-    if not smooth:
+    lines: list[str] = []
+    if alpha == 0 or _is_ten_smooth(alpha.denominator):
+        alpha_text = fraction_to_decimal(alpha)
+        terms = [
+            term if kind == "c" else f"+ {alpha_text} {name}"
+            for term, name, kind, w in zip(plus, names, model.kinds, model.objective)
+            if w
+        ]
+    else:
+        terms = [f"+ {w} {name}" for name, w in zip(names, model.objective) if w]
         lines.append(f"\\ objective scaled by {model.scale}")
-    lines.append("Minimize")
     if terms:
         obj_body = " ".join(terms)
-    elif model.names:
-        obj_body = "0 " + model.names[0]
+    elif names:
+        obj_body = "0 " + names[0]
     else:
         obj_body = "0"
-    lines.append(" obj: " + obj_body)
-    lines.append("Subject To")
-    for ri, (row, rhs) in enumerate(model.constraints, start=1):
-        parts = [("+ " if coef > 0 else "- ") + model.names[vi] for vi, coef in row]
-        lines.append(f" r{ri}: " + " ".join(parts) + f" <= {rhs}")
+    lines += ["Minimize", f" obj: {obj_body}", "Subject To"]
+    lines += [
+        f" r{ri}: {' '.join([plus[vi] if coef > 0 else minus[vi] for vi, coef in row])} <= {rhs}"
+        for ri, (row, rhs) in enumerate(model.constraints, start=1)
+    ]
     lines.append("Binaries")
-    chunk: list[str] = []
-    width = 0
-    for name in model.names:
-        if width + len(name) > 72 and chunk:
-            lines.append(" " + " ".join(chunk))
-            chunk, width = [], 0
-        chunk.append(name)
-        width += len(name) + 1
-    if chunk:
-        lines.append(" " + " ".join(chunk))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    start = width = 0
+    for i, size in enumerate(map(len, names)):
+        if width + size > 72 and width:
+            lines.append(" " + " ".join(names[start:i]))
+            start, width = i, 0
+        width += size + 1
+    if width:
+        lines.append(" " + " ".join(names[start:]))
+    lines += ["End", ""]
+    return "\n".join(lines)

@@ -514,99 +514,93 @@ def split_feature_rects(shape: RectilinearShape, coords: Sequence[int], axis: st
     return pieces
 
 
-def _mask_runs(
-    report: DecompositionReport, fid: int, segs: Sequence[int]
-) -> list[tuple[str, list[int]]]:
-    """The contiguous same-mask runs of one feature, given its segment
-    indices in ascending order: each run's mask letter and segments."""
-    runs: list[tuple[str, list[int]]] = []
-    for seg in segs:
-        letter = report.masks[(fid, seg)]
-        if not runs or runs[-1][0] != letter:
-            runs.append((letter, []))
-        runs[-1][1].append(seg)
-    return runs
-
-
 @_collector_paused
 def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
-    if doc.shapes:
-        box = bounding_box([s.bbox for s in doc.shapes]).inflate(doc.params.dis_m)
-        view = f"{box.lo.x} {box.lo.y} {box.width} {box.height}"
-        ymin, ymax = box.lo.y, box.hi.y
+    """The layout drawn in its masks, with trim cuts, conflicts and stitches.
+
+    Each shape's bounding box is taken once, and every element goes into
+    one list that is joined once at the end."""
+    boxes = [s.bbox for s in doc.shapes]
+    if boxes:
+        (x1, y1), (x2, y2) = bounding_box(boxes).inflate(doc.params.dis_m)
+        view = f"{x1} {y1} {x2 - x1} {y2 - y1}"
+        # y is drawn as m - y: mirrored so +y points up, within the same
+        # viewBox range
+        m = y1 + y2
     else:
         view = "0 0 1 1"
-        ymin = ymax = 0
+        m = 0
 
-    def fy(y: int) -> int:
-        # mirror so +y points up while staying in the same viewBox range
-        return ymin + ymax - y
-
-    def rect_path(r: Rect) -> str:
-        return f"M{r.lo.x} {fy(r.hi.y)}H{r.hi.x}V{fy(r.lo.y)}H{r.lo.x}Z"
-
-    group_paths: dict[str, list[str]] = {"A": [], "B": []}
-    piece_by_vertex: dict[VertexKey, Rect] = {}
     stitches_by_feature: dict[int, list[StitchPoint]] = {}
     for sp in report.stitches:
         stitches_by_feature.setdefault(sp.feature, []).append(sp)
-    segs_by_feature: dict[int, list[int]] = {}
-    for f, seg in sorted(report.masks):
-        segs_by_feature.setdefault(f, []).append(seg)
+    # each feature's contiguous same-mask runs of segments, in segment
+    # order: a run's mask letter and its vertex keys
+    runs_by_feature: dict[int, list[tuple[str, list[VertexKey]]]] = {}
+    masks = report.masks
+    for key in sorted(masks):
+        letter = masks[key]
+        runs = runs_by_feature.get(key[0])
+        if runs is None:
+            runs_by_feature[key[0]] = [(letter, [key])]
+        elif runs[-1][0] != letter:
+            runs.append((letter, [key]))
+        else:
+            runs[-1][1].append(key)
 
-    for shape in doc.shapes:
-        segs = segs_by_feature.get(shape.id, ())
-        runs = _mask_runs(report, shape.id, segs)
-        if not runs:
+    paths: dict[str, list[str]] = {"A": [], "B": []}
+    piece_by_vertex: dict[VertexKey, Rect] = {}
+    for shape, box in zip(doc.shapes, boxes):
+        runs = runs_by_feature.get(shape.id)
+        if runs is None:
             continue
-        points = sorted(stitches_by_feature.get(shape.id, ()))
-        if points:
+        points = stitches_by_feature.get(shape.id)
+        if points is None:
+            pieces = [shape.rects]
+        else:
+            points.sort()
             axis = "x" if points[0].orient == "v" else "y"
             coords = [sp.x if axis == "x" else sp.y for sp in points]
             pieces = split_feature_rects(shape, coords, axis)
-        else:
-            pieces = [shape.rects]
         # the stitches of a report sit where the mask changes, so the
         # feature splits into one piece per run
-        for (letter, run_segs), piece in zip(runs, pieces):
-            group_paths[letter].append("".join(rect_path(r) for r in piece))
-            box = bounding_box(piece) if points else shape.bbox
-            for seg in run_segs:
-                piece_by_vertex[(shape.id, seg)] = box
+        for (letter, keys), piece in zip(runs, pieces):
+            d = "".join([f"M{x1} {m - y2}H{x2}V{m - y1}H{x1}Z" for (x1, y1), (x2, y2) in piece])
+            paths[letter].append(f'<path class="mask{letter}" d="{d}"/>')
+            anchor = box if points is None else bounding_box(piece)
+            for key in keys:
+                piece_by_vertex[key] = anchor
 
-    out = io.StringIO()
-    out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">'
-        f"<style>{_SVG_STYLE}</style>"
-    )
-    for letter in ("A", "B"):
-        out.write(f'<g id="mask{letter}">')
-        for d in group_paths[letter]:
-            out.write(f'<path class="mask{letter}" d="{d}"/>')
-        out.write("</g>")
-    out.write('<g id="trim">')
-    for cut in sorted(report.cuts):
-        out.write(
-            f'<rect class="trim" x="{cut.lo.x}" y="{fy(cut.hi.y)}" '
-            f'width="{cut.width}" height="{cut.height}"/>'
-        )
-    out.write("</g>")
-    out.write('<g id="conflicts">')
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}"><style>{_SVG_STYLE}</style>',
+        '<g id="maskA">',
+        *paths["A"],
+        '</g><g id="maskB">',
+        *paths["B"],
+        '</g><g id="trim">',
+    ]
+    parts += [
+        f'<rect class="trim" x="{x1}" y="{m - y2}" width="{x2 - x1}" height="{y2 - y1}"/>'
+        for (x1, y1), (x2, y2) in sorted(report.cuts)
+    ]
+    parts.append('</g><g id="conflicts">')
     for a, b in sorted(report.conflicts):
         ra = piece_by_vertex.get(a)
         rb = piece_by_vertex.get(b)
         if ra is None or rb is None:
             continue
-        ax, ay = (ra.lo.x + ra.hi.x) // 2, fy((ra.lo.y + ra.hi.y) // 2)
-        bx, by = (rb.lo.x + rb.hi.x) // 2, fy((rb.lo.y + rb.hi.y) // 2)
-        out.write(f'<line class="conflict" x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
-        out.write(
+        (ax1, ay1), (ax2, ay2) = ra
+        (bx1, by1), (bx2, by2) = rb
+        ax, ay = (ax1 + ax2) // 2, m - (ay1 + ay2) // 2
+        bx, by = (bx1 + bx2) // 2, m - (by1 + by2) // 2
+        parts.append(
+            f'<line class="conflict" x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>'
             f'<circle class="conflictdot" cx="{(ax + bx) // 2}" cy="{(ay + by) // 2}" r="8"/>'
         )
-    out.write("</g>")
-    out.write('<g id="stitches">')
-    for sp in sorted(report.stitches):
-        out.write(f'<circle class="stitchdot" cx="{sp.x}" cy="{fy(sp.y)}" r="6"/>')
-    out.write("</g>")
-    out.write("</svg>")
-    return out.getvalue()
+    parts.append('</g><g id="stitches">')
+    parts += [
+        f'<circle class="stitchdot" cx="{sp.x}" cy="{m - sp.y}" r="6"/>'
+        for sp in sorted(report.stitches)
+    ]
+    parts.append("</g></svg>")
+    return "".join(parts)

@@ -32,7 +32,7 @@ from trimdecomp.geometry import (
     RectilinearShape,
     rects_closed_intersect,
     rects_interior_intersect,
-    shapes_within,
+    rectset_within,
 )
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
 from trimdecomp.ilp import IlpModel, IlpSolution
@@ -316,7 +316,7 @@ def end_cuts_oracle(doc: LayoutDocument) -> dict[tuple[int, int], EndCutCandidat
     by_id = {s.id: s for s in shapes}
     cuts = {}
     for s1, s2 in itertools.combinations(shapes, 2):
-        if shapes_within(s1, s2, doc.params.dis_m):
+        if rectset_within(s1.rects, s2.rects, doc.params.dis_m):
             cand = generate_end_cut_oracle(s1, s2, doc.params, by_id)
             if cand is not None:
                 cuts[cand.pair] = cand

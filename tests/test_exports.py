@@ -1,0 +1,108 @@
+"""The exports: bytes that the corpus digest of test_output_identity does
+not reach, pinned by a digest of their own, and writers that read no
+dict or tuple in the order it was filled.
+
+The corpus digest covers the Chebyshev metric and an alpha of 1/10 only,
+one report that uses a stitch, and no stitched grid and no empty
+document. This digest adds: the LP text of stitched layouts at alpha 1/3
+(the scaled objective, with its "objective scaled by" comment), 1/10 and
+0; every output of the same layouts decomposed at alpha 0, whose reports
+use stitches; every output of the 2000-shape grid with stitching forced
+on; every output of seeded random layouts under the Euclidean metric;
+and every output of a one-shape layout and of the empty document. A
+change that only makes the writers faster must leave it as it is.
+"""
+
+import dataclasses
+import hashlib
+from fractions import Fraction
+
+from trimdecomp.cli import build_full_model, decompose_document
+from trimdecomp.geometry import Metric
+from trimdecomp.graphs import EndCutGraph, LayoutGraph, end_cut_graph_dot, layout_graph_dot
+from trimdecomp.ilp import build_model, export_lp
+from trimdecomp.layout_io import emit_svg, parse_layout, write_report
+from trimdecomp.synth import grid_layout, random_layout
+
+# taken on the writers that built their text one element at a time
+EXPORT_DIGEST = "989c32995d8297cbd47e1193356f43cb065fdc95d3817cd425145680173ff3f6"
+
+ALPHAS = (Fraction(1, 3), Fraction(1, 10), Fraction(0))
+
+
+def outputs(doc, **options) -> list[str]:
+    result = decompose_document(doc, **options)
+    stats = result.stats
+    return [
+        write_report(result.report),
+        emit_svg(result.document, result.report),
+        export_lp(build_full_model(result)),
+        layout_graph_dot(result.graph),
+        end_cut_graph_dot(result.end_cuts),
+        f"comp# {stats.components} status {stats.status.value} nodes {stats.nodes}",
+    ]
+
+
+def export_parts():
+    for seed in range(20):
+        doc = random_layout(seed, clusters=9, stitch=True)
+        result = decompose_document(doc)
+        for alpha in ALPHAS:
+            yield export_lp(build_model(result.graph, result.end_cuts, alpha))
+        # free stitches get used, so the SVG splits features at them
+        yield from outputs(doc, alpha=Fraction(0))
+    yield from outputs(grid_layout(2000, 1), stitch=True)
+    for seed in range(20):
+        yield from outputs(random_layout(seed), metric=Metric.EUCLIDEAN)
+        yield from outputs(random_layout(seed, stitch=True), metric=Metric.EUCLIDEAN)
+    yield from outputs(parse_layout("layout one\nrect 1 0 0 100 40\n"))
+    yield from outputs(parse_layout("layout empty\n"))
+
+
+def export_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    count = 0
+    for part in export_parts():
+        count += 1
+        digest.update(part.encode())
+        digest.update(b"\0")
+    return count, digest.hexdigest()
+
+
+def test_export_bytes_beyond_the_corpus_are_unchanged():
+    assert export_digest() == (438, EXPORT_DIGEST)
+
+
+def reversed_dict(d: dict) -> dict:
+    return dict(reversed(d.items()))
+
+
+def test_writers_do_not_follow_insertion_order():
+    # every writer sorts what it writes; one that relied on the order in
+    # which decompose_document happened to fill a dict would change here
+    docs = [grid_layout(2000, 1), *(random_layout(s, clusters=9, stitch=True) for s in range(10))]
+    stitched = 0
+    for doc in docs:
+        result = decompose_document(doc, alpha=Fraction(0))
+        g, ecg, rep = result.graph, result.end_cuts, result.report
+        g_rev = LayoutGraph(
+            segments=reversed_dict(g.segments),
+            conflict_edges=reversed_dict(g.conflict_edges),
+            stitch_edges=reversed_dict(g.stitch_edges),
+        )
+        ecg_rev = EndCutGraph(reversed_dict(ecg.candidates), ecg.ee_edges, ecg.merge_edges)
+        rep_rev = dataclasses.replace(
+            rep,
+            masks=reversed_dict(rep.masks),
+            cuts=rep.cuts[::-1],
+            conflicts=rep.conflicts[::-1],
+            stitches=rep.stitches[::-1],
+        )
+        for alpha in ALPHAS:
+            assert export_lp(build_model(g_rev, ecg_rev, alpha)) == export_lp(build_model(g, ecg, alpha))
+        assert emit_svg(result.document, rep_rev) == emit_svg(result.document, rep)
+        assert write_report(rep_rev) == write_report(rep)
+        assert layout_graph_dot(g_rev) == layout_graph_dot(g)
+        assert end_cut_graph_dot(ecg_rev) == end_cut_graph_dot(ecg)
+        stitched += bool(rep.stitches)
+    assert stitched == 5

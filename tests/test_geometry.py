@@ -22,7 +22,6 @@ from trimdecomp.geometry import (
     rects_interior_intersect,
     rectset_chebyshev_gap,
     rectset_within,
-    shapes_within,
 )
 from trimdecomp.cli import decompose_document
 from trimdecomp.endcut import EndCutBox, EndCutCandidate
@@ -292,8 +291,8 @@ def test_l_shape_distance_uses_pieces_not_bbox():
     )
     bar = RectilinearShape.from_rect(2, Rect.of(80, 80, 200, 200))
     assert rectset_chebyshev_gap(l1.rects, bar.rects) == 40
-    assert shapes_within(l1, bar, 40)
-    assert not shapes_within(l1, bar, 39)
+    assert rectset_within(l1.rects, bar.rects, 40)
+    assert not rectset_within(l1.rects, bar.rects, 39)
 
 
 def test_euclidean_metric_differs_on_diagonals():
@@ -377,10 +376,10 @@ def test_from_rect_matches_from_outline():
     rng = random.Random(7321)
     for _ in range(2000):
         x, y = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
-        r = Rect.of(x, y, x + rng.randint(1, 500), y + rng.randint(1, 500))
+        x2, y2 = x + rng.randint(1, 500), y + rng.randint(1, 500)
         sid = rng.randrange(10_000)
-        assert shape_facts(RectilinearShape.from_rect(sid, r)) == shape_facts(
-            RectilinearShape.from_outline(sid, r.corners())
+        assert shape_facts(RectilinearShape.from_rect(sid, Rect.of(x, y, x2, y2))) == shape_facts(
+            RectilinearShape.from_outline(sid, [(x, y), (x2, y), (x2, y2), (x, y2)])
         )
 
 

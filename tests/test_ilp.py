@@ -8,12 +8,13 @@ from helpers import (
     _dummy_candidate,
     enumerate_model,
     milp_optimum,
+    parse_lp,
     random_model_graph,
     solution_values,
 )
 from test_graphs import abstract_graph, graph_for
 
-from trimdecomp.cli import decompose_document
+from trimdecomp.cli import build_full_model, decompose_document
 from trimdecomp.geometry import Rect
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
 from trimdecomp.ilp import (
@@ -25,7 +26,7 @@ from trimdecomp.ilp import (
     solve,
 )
 from trimdecomp.layout_io import StitchPoint, parse_layout
-from trimdecomp.synth import grid_layout
+from trimdecomp.synth import grid_layout, random_layout
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
@@ -371,6 +372,28 @@ def test_export_lp_binaries_section_wraps():
             break
         if in_bin:
             assert len(line) <= 73
+
+
+def lp_round_trip_models():
+    yield build_full_model(decompose_document(grid_layout(2000, 1)))
+    for seed in range(12):
+        result = decompose_document(random_layout(seed, clusters=9, stitch=True))
+        for alpha in (Fraction(1, 10), Fraction(1, 3)):
+            yield build_model(result.graph, result.end_cuts, alpha)
+
+
+def test_exported_lp_reads_back_as_the_model():
+    # the reader in helpers checks the meaning of the text, where the
+    # digests only check its bytes
+    stitched = 0
+    for m in lp_round_trip_models():
+        names, obj, rows, scale = parse_lp(export_lp(m))
+        assert names == list(m.names)
+        weights = {n: Fraction(w, m.scale) for n, w in zip(m.names, m.objective) if w}
+        assert {n: c / scale for n, c in obj.items()} == weights
+        assert rows == [({m.names[vi]: c for vi, c in row}, rhs) for row, rhs in m.constraints]
+        stitched += "s" in m.kinds
+    assert stitched == 24
 
 
 def test_exported_lp_agrees_with_external_solver():

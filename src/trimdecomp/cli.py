@@ -49,7 +49,6 @@ from .layout_io import (
     DecompositionReport,
     LayoutDocument,
     LayoutParseError,
-    StitchPoint,
     _collector_paused,
     emit_svg,
     fraction_to_decimal,
@@ -103,7 +102,9 @@ def decompose_document(
     """Decompose one layout exactly and package every output.
 
     The layout graph goes to a single solve call, which splits it into
-    independent blocks; comp# in the stats is that block count.
+    independent blocks; comp# in the stats is that block count. solve
+    also lists the conflicts and stitches of its answer, prices it and
+    checks it, so the report and stats only format what it returns.
     """
     t_start = time.perf_counter_ns()
     deadline = t_start + _time_limit_ns(time_limit) if time_limit is not None else None
@@ -145,44 +146,23 @@ def decompose_document(
     if deadline is not None:
         remaining = max((deadline - time.perf_counter_ns()) / 1e9, 0.001)
     sol = solve(g, ecg, params.alpha, time_limit=remaining)
-    colors, selected = sol.colors, sol.selected
     stage("solve")
 
-    conflicts = []
-    for (u, v), cand in sorted(g.conflict_edges.items()):
-        if colors[u] != colors[v]:
-            continue
-        if cand is not None and cand.pair in selected:
-            continue
-        conflicts.append((u, v))
-    stitches: list[StitchPoint] = []
-    for (u, v), sp in sorted(g.stitch_edges.items()):
-        if colors[u] != colors[v]:
-            stitches.append(sp)
-    cost = Fraction(len(conflicts)) + params.alpha * len(stitches)
-    if cost != sol.objective:
-        raise AssertionError(
-            f"cost bookkeeping mismatch: recount {cost} != solved {sol.objective}"
-        )
-    for pa, pb in ecg.ee_edges:
-        if pa in selected and pb in selected:
-            raise AssertionError(f"cuts {pa} and {pb} are too close to both print")
-
     report = DecompositionReport(
-        masks={v: "AB"[colors[v]] for v in sorted(colors)},
-        cuts=merged_cut_rects([cuts[p] for p in sorted(selected)], params),
-        conflicts=tuple(conflicts),
-        stitches=tuple(sorted(stitches)),
-        cost=cost,
+        masks={v: "AB"[c] for v, c in sol.colors.items()},
+        cuts=merged_cut_rects([cuts[p] for p in sorted(sol.selected)], params),
+        conflicts=sol.conflicts,
+        stitches=tuple(sorted(g.stitch_edges[e] for e in sol.stitches)),
+        cost=sol.objective,
         status=sol.status,
     )
     stage("report")
     stats = RunStats(
         wires=len(doc.shapes),
         components=sol.blocks,
-        conflicts=len(conflicts),
-        stitches=len(stitches),
-        cost=cost,
+        conflicts=len(sol.conflicts),
+        stitches=len(sol.stitches),
+        cost=sol.objective,
         cpu_s=(time.perf_counter_ns() - t_start) / 1e9,
         status=sol.status,
         nodes=sol.nodes,

@@ -25,7 +25,9 @@ single search. A greedy two-colouring with a small local search seeds
 the incumbent. The search then assigns masks in ascending segment order,
 mask 0 first, and settles the cuts at each complete colouring, so the
 first leaf it meets at the optimal cost is the lexicographically
-smallest optimal mask vector, the promised tie-break."""
+smallest optimal mask vector, the promised tie-break. solve's
+IlpSolution is the whole answer, the conflicts and stitches it leaves
+included, so callers format it without re-deriving any of it."""
 
 from __future__ import annotations
 
@@ -64,6 +66,10 @@ class IlpSolution:
     blocks: int
     colors: dict[VertexKey, int]
     selected: frozenset[PairKey]
+    # the sorted conflict edges left on a shared mask with no selected
+    # cut, and the sorted stitch edges whose two segments differ
+    conflicts: tuple[EdgeKey, ...]
+    stitches: tuple[EdgeKey, ...]
 
 
 def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> IlpModel:
@@ -327,16 +333,12 @@ class _CompSolver:
             nxt[pos] = 0
 
     def _leaf(self, vals: list[int], xcost: int) -> None:
-        chosen: set[int] = set()
-        constrained: list[int] = []
-        for k, (a, b) in enumerate(self.pend_edge):
-            if vals[a] != vals[b]:
-                continue
-            if self.pend_adj[k]:
-                constrained.append(k)
-            else:
-                chosen.add(k)  # nothing else cares; selecting is free
-        self._select(vals, chosen, constrained, 0, xcost)
+        """Settle the cuts of one complete colouring.
+
+        Every pending cut has a spacing neighbour (solve leaves the others
+        out of the search), so each one on a shared mask is a choice."""
+        same = [k for k, (a, b) in enumerate(self.pend_edge) if vals[a] == vals[b]]
+        self._select(vals, set(), same, 0, xcost)
 
     def _select(
         self, vals: list[int], chosen: set[int], constrained: list[int], i: int, acc: int
@@ -374,33 +376,40 @@ def solve(
     the canonical search of every block, as if each had run. A search
     that ran out of time is never reused. Each block reports its
     lexicographically smallest optimal mask vector, so status OPTIMAL
-    implies the canonical answer. A candidate cut with no spacing edge
-    links nothing; it is selected afterwards wherever its two segments
-    share a mask, at no cost. The status is TIMEOUT when any block ran
-    out of time, in which case the best colouring found so far stands in
-    for the exact answer."""
+    implies the canonical answer. A cut constrains the search only
+    through a spacing edge to another cut that a conflict edge carries;
+    any other cut links nothing and is selected afterwards wherever its
+    two segments share a mask, at no cost. The status is TIMEOUT when
+    any block ran out of time, in which case the best colouring found so
+    far stands in for the exact answer.
+
+    The answer is priced and checked here and nowhere else. One recount
+    of the final colouring lists the conflicts left and the stitches
+    realised, and must match the search total; no two selected cuts may
+    share a spacing edge. A failed check raises AssertionError."""
     if alpha < 0:
         raise ModelError("alpha must be non-negative")
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     verts = sorted(g.segments)
     idx = {v: i for i, v in enumerate(verts)}
-    spaced: set[PairKey] = set()
-    ee_all: list[tuple[PairKey, PairKey]] = []
+    edges = sorted(g.conflict_edges.items())
+    stitch_keys = sorted(g.stitch_edges)
+    ee: list[tuple[PairKey, PairKey]] = []
     if ecg is not None:
-        ee_all = sorted(ecg.ee_edges)
-        spaced = {p for e in ee_all for p in e}
+        carried = {cand.pair for _, cand in edges if cand is not None}
+        ee = [(pa, pb) for pa, pb in sorted(ecg.ee_edges) if pa in carried and pb in carried]
+    spaced = {p for e in ee for p in e}
     ce: list[tuple[int, int, PairKey | None]] = []
     free: list[tuple[int, int, PairKey]] = []
-    for (u, v), cand in sorted(g.conflict_edges.items()):
+    for (u, v), cand in edges:
         if cand is None:
             ce.append((idx[u], idx[v], None))
         elif cand.pair in spaced:
             ce.append((idx[u], idx[v], cand.pair))
         else:
             free.append((idx[u], idx[v], cand.pair))
-    se = [(idx[u], idx[v]) for u, v in sorted(g.stitch_edges)]
+    se = [(idx[u], idx[v]) for u, v in stitch_keys]
     pair_home = {pair: a for a, _, pair in ce if pair is not None}
-    ee = [(pa, pb) for pa, pb in ee_all if pa in pair_home and pb in pair_home]
 
     parent = list(range(len(verts)))
 
@@ -480,17 +489,20 @@ def solve(
             selected.add(pair)
 
     colors = {v: color_of[i] for i, v in enumerate(verts)}
-    check = 0
-    for (u, v), cand in g.conflict_edges.items():
-        if colors[u] == colors[v] and (cand is None or cand.pair not in selected):
-            check += scale
-    for u, v in g.stitch_edges:
-        if colors[u] != colors[v]:
-            check += alpha.numerator
+    conflicts = tuple(
+        (u, v)
+        for (u, v), cand in edges
+        if colors[u] == colors[v] and (cand is None or cand.pair not in selected)
+    )
+    stitches = tuple((u, v) for u, v in stitch_keys if colors[u] != colors[v])
+    check = scale * len(conflicts) + alpha.numerator * len(stitches)
     if check != total:
         raise AssertionError(
             f"solution bookkeeping mismatch: recount {check} != search total {total}"
         )
+    for pa, pb in ee:
+        if pa in selected and pb in selected:
+            raise AssertionError(f"cuts {pa} and {pb} are too close to both print")
     return IlpSolution(
         objective=Fraction(total, scale),
         status=SolveStatus.TIMEOUT if timed_out else SolveStatus.OPTIMAL,
@@ -498,14 +510,9 @@ def solve(
         blocks=len(blocks),
         colors=colors,
         selected=frozenset(selected),
+        conflicts=conflicts,
+        stitches=stitches,
     )
-
-
-def _is_ten_smooth(n: int) -> bool:
-    for p in (2, 5):
-        while n % p == 0:
-            n //= p
-    return n == 1
 
 
 @_collector_paused
@@ -513,14 +520,15 @@ def export_lp(model: IlpModel) -> str:
     """Serialise the model in LP text format with binary variables.
 
     Each variable's "+ name" and "- name" terms are built once, and each
-    row is one join over them."""
+    row is one join over them. The objective weighs stitches by alpha as
+    a decimal when fraction_to_decimal finds one; otherwise it is written
+    scaled to integers by alpha's denominator."""
     names = model.names
     plus = [f"+ {name}" for name in names]
     minus = [f"- {name}" for name in names]
-    alpha = model.alpha
+    alpha_text = fraction_to_decimal(model.alpha)
     lines: list[str] = []
-    if alpha == 0 or _is_ten_smooth(alpha.denominator):
-        alpha_text = fraction_to_decimal(alpha)
+    if "/" not in alpha_text:
         terms = [
             term if kind == "c" else f"+ {alpha_text} {name}"
             for term, name, kind, w in zip(plus, names, model.kinds, model.objective)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import functools
 import gc
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, ParamSpec, Sequence, TextIO, TypeVar
@@ -341,19 +340,16 @@ def _check_disjoint(shapes: Sequence[RectilinearShape], cell: int) -> None:
 
 
 def write_layout(doc: LayoutDocument) -> str:
-    out = io.StringIO()
-    out.write(f"layout {doc.name}\n")
-    out.write(f"units {doc.units}\n")
-    for key, value in doc.params.raw_items():
-        out.write(f"param {key} {value}\n")
+    lines = [f"layout {doc.name}", f"units {doc.units}"]
+    lines += [f"param {key} {value}" for key, value in doc.params.raw_items()]
     for s in doc.shapes:
         if len(s.outline) == 4:
-            b = s.bbox
-            out.write(f"rect {s.id} {b.lo.x} {b.lo.y} {b.hi.x} {b.hi.y}\n")
+            (x1, y1), (x2, y2) = s.bbox
+            lines.append(f"rect {s.id} {x1} {y1} {x2} {y2}")
         else:
-            coords = " ".join(f"{p.x} {p.y}" for p in s.outline)
-            out.write(f"poly {s.id} {coords}\n")
-    return out.getvalue()
+            lines.append(f"poly {s.id} " + " ".join([f"{x} {y}" for x, y in s.outline]))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def fraction_to_decimal(value: Fraction) -> str:
@@ -378,13 +374,6 @@ def fraction_to_decimal(value: Fraction) -> str:
     return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
 
-def _vertex_token(key: VertexKey, split_features: set[int]) -> str:
-    fid, seg = key
-    if fid in split_features:
-        return f"{fid}/{seg}"
-    return str(fid)
-
-
 def _parse_vertex_token(tok: str, line: int) -> VertexKey:
     if "/" in tok:
         a, b = tok.split("/", 1)
@@ -394,20 +383,26 @@ def _parse_vertex_token(tok: str, line: int) -> VertexKey:
 
 @_collector_paused
 def write_report(report: DecompositionReport) -> str:
-    split = {fid for fid, seg in report.masks if seg > 0}
-    out = io.StringIO()
-    for key in sorted(report.masks):
-        out.write(f"mask {_vertex_token(key, split)} {report.masks[key]}\n")
-    for cut in sorted(report.cuts):
-        out.write(f"cut {cut.lo.x} {cut.lo.y} {cut.hi.x} {cut.hi.y}\n")
-    for a, b in sorted(report.conflicts):
-        out.write(f"conflict {_vertex_token(a, split)} {_vertex_token(b, split)}\n")
-    for sp in sorted(report.stitches):
-        out.write(f"stitch {sp.feature} {sp.x} {sp.y} {sp.orient}\n")
-    out.write(f"cost {fraction_to_decimal(report.cost)}\n")
+    """The report text, one line per mask, cut, conflict and stitch.
+
+    Each vertex's token (the bare feature id, or id/segment for a split
+    feature) is made once, and the lines are joined once at the end."""
+    masks = report.masks
+    split = {fid for fid, seg in masks if seg > 0}
+    conflicts = sorted(report.conflicts)
+    tok = {
+        v: f"{v[0]}/{v[1]}" if v[0] in split else str(v[0])
+        for v in {*masks, *(v for edge in conflicts for v in edge)}
+    }
+    lines = [f"mask {tok[v]} {masks[v]}" for v in sorted(masks)]
+    lines += [f"cut {x1} {y1} {x2} {y2}" for (x1, y1), (x2, y2) in sorted(report.cuts)]
+    lines += [f"conflict {tok[a]} {tok[b]}" for a, b in conflicts]
+    lines += [f"stitch {f} {x} {y} {o}" for f, x, y, o in sorted(report.stitches)]
+    lines.append(f"cost {fraction_to_decimal(report.cost)}")
     if report.status is not SolveStatus.OPTIMAL:
-        out.write(f"status {report.status.value}\n")
-    return out.getvalue()
+        lines.append(f"status {report.status.value}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_report(source: str | TextIO) -> DecompositionReport:

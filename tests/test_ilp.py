@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from helpers import (
 )
 from test_graphs import abstract_graph, graph_for
 
-from trimdecomp.cli import build_full_model, decompose_document
+from trimdecomp.cli import build_full_model, decompose_document, main
 from trimdecomp.geometry import Rect
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
 from trimdecomp.ilp import (
@@ -190,6 +191,28 @@ def test_spacing_free_cut_is_selected_only_on_a_shared_mask():
     assert sol.selected == frozenset() and sol.objective == 0
 
 
+def test_spacing_edge_to_an_uncarried_cut_constrains_nothing():
+    # no conflict edge carries cut (7, 8), so a spacing edge to it can
+    # never stop another cut from being selected
+    uncarried = (7, 8)
+    cases = [
+        abstract_graph(2, [(1, 2)], cands={(1, 2)}),
+        abstract_graph(3, [(1, 2), (2, 3), (1, 3)], cands={(1, 3)}),
+        abstract_graph(4, [(1, 3), (3, 4), (2, 4), (1, 2)], cands={(1, 2)}),
+        abstract_graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)], cands={(1, 3), (4, 6)}),
+    ]
+    for g, cmap in cases:
+        ee = {(p, q) for p in cmap for q in cmap if p < q}
+        without = solve(g, EndCutGraph(cmap, ee, ()), Fraction(0))
+        cands = {**cmap, uncarried: _dummy_candidate(uncarried)}
+        for p in cmap:
+            sol = solve(g, EndCutGraph(cands, ee | {(p, uncarried)}, ()), Fraction(0))
+            assert sol.blocks == without.blocks
+            assert sol.colors == without.colors
+            assert sol.selected == without.selected
+            assert sol.objective == without.objective
+
+
 def test_timeout_returns_feasible_incumbent():
     rng = random.Random(7)
     n = 22
@@ -328,6 +351,79 @@ def test_repeated_cells_are_searched_once(monkeypatch):
     assert len(searches) <= 4
     # nodes still counts the canonical search of every one of the blocks
     assert (stats.components, stats.nodes) == (1116, 6984)
+
+
+def corrupt_search(monkeypatch, corrupt):
+    """Let every block search finish, then spoil its answer with corrupt."""
+    search = _CompSolver.run
+
+    def corrupted(self):
+        search(self)
+        corrupt(self)
+
+    monkeypatch.setattr(_CompSolver, "run", corrupted)
+
+
+def lower_best(comp):
+    if comp.best > 0:
+        comp.best -= 1
+
+
+def select_both_spaced_cuts(comp):
+    """Select both cuts of the block's first spacing edge, and lower best
+    by the conflicts that this resolves, so the recount still agrees."""
+    spaced = [(ka, kb) for ka, adj in enumerate(comp.pend_adj) for kb in adj]
+    if not spaced:
+        return
+    for k in spaced[0]:
+        a, b = comp.pend_edge[k]
+        if comp.best_colors[a] == comp.best_colors[b] and k not in comp.best_sel:
+            comp.best -= comp.wc
+        comp.best_sel.add(k)
+
+
+def test_solve_recounts_the_search_total(monkeypatch):
+    g, _ = abstract_graph(3, [(1, 2), (2, 3), (1, 3)])
+    assert solve(g, None, Fraction(0)).objective == 1
+    corrupt_search(monkeypatch, lower_best)
+    with pytest.raises(AssertionError) as err:
+        solve(g, None, Fraction(0))
+    assert str(err.value) == "solution bookkeeping mismatch: recount 1 != search total 0"
+
+
+def test_solve_checks_cut_spacing(monkeypatch):
+    # the answer leaves 1-2 in conflict and cuts 4-6; selecting the spaced
+    # cut 1-3 as well, on a pair of different masks, costs nothing more
+    g, cmap = abstract_graph(
+        6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)], cands={(1, 3), (4, 6)}
+    )
+    ecg = EndCutGraph(cmap, frozenset({((1, 3), (4, 6))}), frozenset())
+    sol = solve(g, ecg, Fraction(0))
+    assert (sol.objective, sol.selected) == (1, frozenset({(4, 6)}))
+    corrupt_search(monkeypatch, select_both_spaced_cuts)
+    with pytest.raises(AssertionError) as err:
+        solve(g, ecg, Fraction(0))
+    assert str(err.value) == "cuts (1, 3) and (4, 6) are too close to both print"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lower_best, r"solution bookkeeping mismatch: recount \d+ != search total \d+"),
+        (select_both_spaced_cuts, r"cuts \(\d+, \d+\) and \(\d+, \d+\) are too close to both print"),
+    ],
+)
+def test_a_failed_check_is_an_internal_error_of_the_cli(monkeypatch, capsys, corrupt, message):
+    # cluster7 has one block of positive cost and spacing edges between
+    # its cuts, so either corruption reaches its check
+    path = str(LAYOUTS / "cluster7.lay")
+    assert main(["--input", path]) == 0
+    capsys.readouterr()
+    corrupt_search(monkeypatch, corrupt)
+    assert main(["--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: internal: AssertionError: {message}\n", captured.err)
 
 
 def test_export_lp_demo_text():

@@ -49,6 +49,7 @@ from .layout_io import (
     DecompositionReport,
     LayoutDocument,
     LayoutParseError,
+    _check_disjoint,
     _collector_paused,
     emit_svg,
     fraction_to_decimal,
@@ -101,10 +102,13 @@ def decompose_document(
 ) -> DecompositionResult:
     """Decompose one layout exactly and package every output.
 
-    The layout graph goes to a single solve call, which splits it into
-    independent blocks; comp# in the stats is that block count. solve
-    also lists the conflicts and stitches of its answer, prices it and
-    checks it, so the report and stats only format what it returns.
+    The conflict pairs of the one sweep also serve to check, before any
+    cut is made, that the shapes have distinct ids (else ValueError) and
+    do not overlap (else OverlappingInputShapes). The layout graph goes
+    to a single solve call, which splits it into independent blocks;
+    comp# in the stats is that block count. solve also lists the
+    conflicts and stitches of its answer, prices it and checks it, so the
+    report and stats only format what it returns.
     """
     t_start = time.perf_counter_ns()
     deadline = t_start + _time_limit_ns(time_limit) if time_limit is not None else None
@@ -131,6 +135,7 @@ def decompose_document(
     reach = max(params.dis_m, params.h_high, params.w_high)
     near_pairs = SpatialIndex.from_shapes(doc.shapes, reach).pairs(reach)
     pairs = conflict_pairs(doc, near_pairs, metric)
+    _check_disjoint(doc.shapes, pairs)
     stage("pairs")
     cuts = generate_all_end_cuts(doc, pairs, near_pairs)
     del near_pairs  # free them before the solve, where memory use peaks

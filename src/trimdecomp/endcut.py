@@ -23,7 +23,6 @@ import enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import (
-    Edge,
     Point,
     Rect,
     RectilinearShape,
@@ -135,7 +134,6 @@ def generate_end_cut(
     s2: RectilinearShape,
     params: DecompositionParams,
     material: Sequence[Rect],
-    edges: dict[int, tuple[Edge, ...]] | None = None,
 ) -> EndCutCandidate | None:
     """The cut candidate of one feature pair, or None when no box survives.
 
@@ -145,15 +143,13 @@ def generate_end_cut(
     concave, feature material lies inside the box, while if it is convex,
     a facing parallel pair yields the same corner box. Two rectangles have
     four such pairs, whose boxes come straight from their corners. A pair
-    with a polygon pairs the edges both features derive; the edges dict,
-    when given, keeps them by feature id, so a caller that passes one dict
-    for many pairs derives each feature's edges once. A box is kept
-    only when none of the material rects has area inside it, so material
-    must hold the rects of s1 and of every feature whose bounding box lies
-    within max(h_high, w_high) of s1's. No other feature reaches into a
-    box: an edge-to-edge box lies within its gap (at most h_high) of an
-    edge of s1, and a corner box within max(w_high, h_high) of a corner
-    of s1.
+    with a polygon pairs the edges both features derive from their
+    outlines. A box is kept only when none of the material rects has area
+    inside it, so material must hold the rects of s1 and of every feature
+    whose bounding box lies within max(h_high, w_high) of s1's. No other
+    feature reaches into a box: an edge-to-edge box lies within its gap
+    (at most h_high) of an edge of s1, and a corner box within
+    max(w_high, h_high) of a corner of s1.
 
     Each facing pair becomes a side (lo, hi, ov_lo, ov_hi, axis): the two
     edges lie on the lines lo < hi across the gap, and ov_lo..ov_hi is the
@@ -167,8 +163,8 @@ def generate_end_cut(
         sides = _rect_pair_sides(s1.rects[0], s2.rects[0])
     else:
         sides = []
-        edges2 = _edges_of(s2, edges)
-        for e1 in _edges_of(s1, edges):
+        edges2 = s2.edges
+        for e1 in s1.edges:
             facing = (-e1.normal[0], -e1.normal[1])
             # the normal's component across the edge, and the axis it lies on
             k, axis = (0, "y") if e1.orientation == "v" else (1, "x")
@@ -213,15 +209,6 @@ def generate_end_cut(
     return _new(EndCutCandidate, (pair, boxes))
 
 
-def _edges_of(s: RectilinearShape, cache: dict[int, tuple[Edge, ...]] | None) -> tuple[Edge, ...]:
-    if cache is None:
-        return s.edges
-    found = cache.get(s.id)
-    if found is None:
-        found = cache[s.id] = s.edges
-    return found
-
-
 def generate_all_end_cuts(
     doc: LayoutDocument,
     pairs: Iterable[tuple[int, int]],
@@ -240,7 +227,6 @@ def generate_all_end_cuts(
         near.setdefault(a, []).append(b)
         near.setdefault(b, []).append(a)
     cuts: dict[tuple[int, int], EndCutCandidate] = {}
-    edges: dict[int, tuple[Edge, ...]] = {}
     last = None
     material: list[Rect] = []
     for a, b in sorted(pairs):
@@ -249,7 +235,7 @@ def generate_all_end_cuts(
             material = list(shapes_by_id[a].rects)
             for n in near.get(a, ()):
                 material.extend(shapes_by_id[n].rects)
-        cand = generate_end_cut(shapes_by_id[a], shapes_by_id[b], doc.params, material, edges)
+        cand = generate_end_cut(shapes_by_id[a], shapes_by_id[b], doc.params, material)
         if cand is not None:
             cuts[cand.pair] = cand
     return cuts

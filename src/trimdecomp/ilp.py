@@ -72,16 +72,27 @@ class IlpSolution:
     stitches: tuple[EdgeKey, ...]
 
 
-def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> IlpModel:
-    """The whole 0-1 model of the layout graph, with alpha per stitch."""
+def _indexed(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction):
+    """The sorted segments, conflict edges with their cuts and stitch edges
+    of the layout graph, and the sorted spacing edges whose two cuts both
+    sit on conflict edges, the only ones that constrain anything: the one
+    order that build_model and solve share."""
     if alpha < 0:
         raise ModelError("alpha must be non-negative")
-    verts = sorted(g.segments)
+    edges = sorted(g.conflict_edges.items())
+    ee: list[tuple[PairKey, PairKey]] = []
+    if ecg is not None:
+        carried = {cand.pair for _, cand in edges if cand is not None}
+        ee = [(pa, pb) for pa, pb in sorted(ecg.ee_edges) if pa in carried and pb in carried]
+    return sorted(g.segments), edges, sorted(g.stitch_edges), ee
+
+
+def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> IlpModel:
+    """The whole 0-1 model of the layout graph, with alpha per stitch."""
+    verts, ce_list, se_list, ee = _indexed(g, ecg, alpha)
     multi = {f for f, k in verts if k > 0}
     tok = {v: f"{v[0]}_{v[1]}" if v[0] in multi else str(v[0]) for v in verts}
-    ce_list = sorted(g.conflict_edges.items())
     pairs = sorted({c.pair for _, c in ce_list if c is not None})
-    se_list = sorted(g.stitch_edges)
     scale = alpha.denominator
     snum = alpha.numerator
 
@@ -114,10 +125,8 @@ def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> Ilp
         xi, xj, si = x_of[u], x_of[v], s_of[(u, v)]
         rows.append((((xi, 1), (xj, -1), (si, -1)), 0))
         rows.append((((xj, 1), (xi, -1), (si, -1)), 0))
-    if ecg is not None:
-        for pa, pb in sorted(ecg.ee_edges):
-            if pa in ec_of and pb in ec_of:
-                rows.append((((ec_of[pa], 1), (ec_of[pb], 1)), 1))
+    for pa, pb in ee:
+        rows.append((((ec_of[pa], 1), (ec_of[pb], 1)), 1))
 
     return IlpModel(
         names=tuple(names),
@@ -387,17 +396,9 @@ def solve(
     of the final colouring lists the conflicts left and the stitches
     realised, and must match the search total; no two selected cuts may
     share a spacing edge. A failed check raises AssertionError."""
-    if alpha < 0:
-        raise ModelError("alpha must be non-negative")
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    verts = sorted(g.segments)
+    verts, edges, stitch_keys, ee = _indexed(g, ecg, alpha)
     idx = {v: i for i, v in enumerate(verts)}
-    edges = sorted(g.conflict_edges.items())
-    stitch_keys = sorted(g.stitch_edges)
-    ee: list[tuple[PairKey, PairKey]] = []
-    if ecg is not None:
-        carried = {cand.pair for _, cand in edges if cand is not None}
-        ee = [(pa, pb) for pa, pb in sorted(ecg.ee_edges) if pa in carried and pb in carried]
     spaced = {p for e in ee for p in e}
     ce: list[tuple[int, int, PairKey | None]] = []
     free: list[tuple[int, int, PairKey]] = []

@@ -10,6 +10,7 @@ The layout format is line oriented plain text:
 
 Blank lines and ``#`` comments are ignored. Coordinates are integer
 nanometers. Feature ids are non-negative integers and must be unique.
+Shapes may touch but not overlap, which decompose_document checks.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ import functools
 import gc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, ParamSpec, Sequence, TextIO, TypeVar
+from typing import Callable, Mapping, NamedTuple, ParamSpec, Sequence, TextIO, TypeVar
 
 from .geometry import (
-    Metric,
     OverlappingInputShapes,
-    Point,
     Rect,
     RectilinearShape,
-    SpatialIndex,
     _rect_shape,
     bounding_box,
     rects_interior_intersect,
@@ -318,7 +316,6 @@ def parse_layout(source: str | TextIO) -> LayoutDocument:
     except ValueError as exc:
         raise LayoutParseError(0, str(exc)) from exc
     shapes.sort(key=lambda s: s.id)
-    _check_disjoint(shapes, params.dis_m)
     return LayoutDocument(name=name, units=units, shapes=tuple(shapes), params=params)
 
 
@@ -330,9 +327,16 @@ def _check_id(fid: int, seen: set[int], lineno: int) -> None:
     seen.add(fid)
 
 
-def _check_disjoint(shapes: Sequence[RectilinearShape], cell: int) -> None:
+def _check_disjoint(shapes: Sequence[RectilinearShape], pairs: Sequence[tuple[int, int]]) -> None:
+    """Reject the lowest repeated feature id, then the lowest overlapping
+    pair of the ascending pairs (a, b), a < b, which must include every
+    overlapping pair, as the conflict pairs do: an overlap has gap 0."""
     by_id = {s.id: s for s in shapes}
-    for a, b in SpatialIndex.from_shapes(shapes, cell).pairs():
+    if len(by_id) < len(shapes):
+        ids = sorted(s.id for s in shapes)
+        repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise ValueError(f"duplicate feature id {repeated}")
+    for a, b in pairs:
         for ra in by_id[a].rects:
             for rb in by_id[b].rects:
                 if rects_interior_intersect(ra, rb):

@@ -18,7 +18,7 @@ from test_ilp import count_searches
 import trimdecomp
 import trimdecomp.cli
 from trimdecomp.cli import build_full_model, decompose_document, main
-from trimdecomp.geometry import Edge, Rect
+from trimdecomp.geometry import Edge, Rect, SpatialIndex
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
 from trimdecomp.ilp import export_lp
 from trimdecomp.layout_io import (
@@ -424,6 +424,31 @@ def test_directory_error_names_the_first_bad_file(tmp_path, capsys, monkeypatch)
     (tmp_path / "c.lay").write_text("layout c\nfoo\n")
     for jobs in ("1", "2"):
         assert run(capsys, "--input", str(tmp_path), "--jobs", jobs) == (1, "", expected)
+
+
+def test_overlap_is_an_input_error_in_both_modes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    bad = tmp_path / "b.lay"
+    bad.write_text("layout b\nrect 1 0 0 1000 100\nrect 50 10 10 60 60\nrect 9 500 10 560 60\n")
+    assert run(capsys, "--input", str(bad)) == (1, "", "error: features 1 and 9 overlap\n")
+    (tmp_path / "a.lay").write_text((LAYOUTS / "cluster7.lay").read_text())
+    expected = "error: b.lay: features 1 and 9 overlap\n"
+    for jobs in ("1", "2"):
+        assert run(capsys, "--input", str(tmp_path), "--jobs", jobs) == (1, "", expected)
+
+
+def test_one_sweep_per_parse_and_decompose(monkeypatch):
+    # the overlap check reads the pairs of decompose_document's sweep
+    calls = []
+    from_shapes = SpatialIndex.from_shapes.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return from_shapes(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SpatialIndex, "from_shapes", classmethod(counted))
+    decompose_document(parse_layout((LAYOUTS / "cluster7.lay").read_text()))
+    assert len(calls) == 1
 
 
 def test_directory_error_cancels_pending_layouts(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import trimdecomp.cli
-import trimdecomp.layout_io
 from trimdecomp.cli import build_full_model, decompose_document
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
 from trimdecomp.ilp import SolveStatus, export_lp
@@ -116,7 +115,7 @@ def test_nested_and_concurrent_calls_end_enabled(monkeypatch):
 def test_solve_and_overlap_check_run_paused(monkeypatch):
     seen = []
     real_solve = trimdecomp.cli.solve
-    real_check = trimdecomp.layout_io._check_disjoint
+    real_check = trimdecomp.cli._check_disjoint
 
     def solve(*args, **kwargs):
         seen.append(("solve", gc.isenabled()))
@@ -127,7 +126,7 @@ def test_solve_and_overlap_check_run_paused(monkeypatch):
         return real_check(*args, **kwargs)
 
     monkeypatch.setattr(trimdecomp.cli, "solve", solve)
-    monkeypatch.setattr(trimdecomp.layout_io, "_check_disjoint", check_disjoint)
+    monkeypatch.setattr(trimdecomp.cli, "_check_disjoint", check_disjoint)
     assert gc.isenabled()
     decompose_document(parse_layout(CLUSTER7))
     assert seen == [("check", False), ("solve", False)]

@@ -399,24 +399,6 @@ def test_generate_all_end_cuts_demo_layout():
     assert [b.rect for b in cuts[(2, 3)].boxes] == [Rect.of(200, 0, 240, 40)]
 
 
-def test_each_feature_derives_its_edges_once_per_decomposition(monkeypatch):
-    derived: list[int] = []
-    edges = RectilinearShape.edges
-
-    def counted(shape):
-        derived.append(shape.id)
-        return edges.fget(shape)
-
-    monkeypatch.setattr(RectilinearShape, "edges", property(counted))
-    for seed in range(6):
-        doc = random_layout(seed, clusters=6)
-        decompose_document(doc)
-        polygons = {s.id for s in doc.shapes if len(s.outline) > 4}
-        assert polygons & set(derived), doc.name
-        assert len(derived) == len(set(derived)), doc.name
-        derived.clear()
-
-
 def test_merge_union():
     p = params()
     a = Rect.of(0, 0, 40, 40)

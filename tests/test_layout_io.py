@@ -9,7 +9,7 @@ import pytest
 
 import trimdecomp.geometry
 from trimdecomp.cli import decompose_document
-from trimdecomp.geometry import OverlappingInputShapes, Rect
+from trimdecomp.geometry import OverlappingInputShapes, Rect, RectilinearShape
 from trimdecomp.layout_io import (
     DecompositionParams,
     DecompositionReport,
@@ -24,7 +24,7 @@ from trimdecomp.layout_io import (
     write_layout,
     write_report,
 )
-from trimdecomp.synth import random_layout
+from trimdecomp.synth import _document, random_layout
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
@@ -126,14 +126,33 @@ def test_box_coordinate_errors_name_the_first_bad_token(kind, pos):
 
 def test_parse_rejects_overlapping_features():
     with pytest.raises(OverlappingInputShapes):
-        parse_layout("layout t\nrect 1 0 0 100 100\nrect 2 50 50 200 200\n")
+        decompose_document(parse_layout("layout t\nrect 1 0 0 100 100\nrect 2 50 50 200 200\n"))
     # with several overlaps the error names the lowest pair, not a hash-order one
     with pytest.raises(OverlappingInputShapes, match="features 1 and 9 overlap"):
-        parse_layout(
+        decompose_document(parse_layout(
             "layout t\nrect 1 0 0 1000 100\nrect 50 10 10 60 60\nrect 9 500 10 560 60\n"
-        )
+        ))
     # touching features are fine
-    parse_layout("layout t\nrect 1 0 0 100 100\nrect 2 100 0 200 100\n")
+    decompose_document(parse_layout("layout t\nrect 1 0 0 100 100\nrect 2 100 0 200 100\n"))
+
+
+def bars_document(*bars):
+    """A document built in code, as a library caller would, not parsed."""
+    return _document("t", [RectilinearShape.from_rect(i, Rect.of(*box)) for i, *box in bars], {})
+
+
+def test_code_built_documents_are_checked_for_overlaps_and_repeated_ids():
+    # no parser has seen these shapes, so decompose_document is the only check
+    overlapping = bars_document((1, 0, 0, 100, 40), (2, 50, 20, 150, 60))
+    with pytest.raises(OverlappingInputShapes) as err:
+        decompose_document(overlapping)
+    assert str(err.value) == "features 1 and 2 overlap"
+    repeated = bars_document(
+        (3, 0, 200, 100, 240), (1, 0, 0, 100, 40), (1, 0, 100, 100, 140), (3, 0, 300, 100, 340)
+    )
+    with pytest.raises(ValueError) as err:
+        decompose_document(repeated)
+    assert str(err.value) == "duplicate feature id 1"
 
 
 def test_param_validation():

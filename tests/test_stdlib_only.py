@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone (dependencies = [])."""
+"""The package runs on the standard library alone (dependencies = []),
+and every name its modules import is used."""
 
 import ast
 import sys
@@ -24,3 +25,28 @@ def test_runtime_imports_only_the_standard_library():
         (name, m) for name, m in imported if m.split(".")[0] not in sys.stdlib_module_names
     )
     assert outside == []
+
+
+def unread_imports(path):
+    """The names bound by the imports of one file that it never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return bound - read
+
+
+def test_every_imported_name_is_read():
+    # __init__.py imports only to re-export
+    files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert any(p.name == "layout_io.py" for p in files)
+    unread = sorted((p.name, name) for p in files for name in unread_imports(p))
+    assert unread == []

@@ -5,8 +5,9 @@ detection, cut generation, optional stitch insertion, the end-cut graph,
 one exact solve of the layout graph, and reassembly into a report. main
 wraps it with file handling, artifact export, and a benchmark mode over a
 directory of layouts. Benchmark mode spreads the layouts over --jobs
-worker processes, at most one per CPU and per layout; the work is
-pure-Python CPU, so threads would queue on the interpreter lock.
+worker processes, at most one per CPU and per layout, in chunks of
+consecutive layouts; the work is pure-Python CPU, so threads would queue
+on the interpreter lock.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -315,9 +316,21 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _stats_row(path: Path, args: argparse.Namespace) -> tuple[str, RunStats]:
-    """One directory-mode row; module level so a worker process can run it."""
-    return path.stem, _run_one(path, args).stats
+def _stats_rows(
+    paths: list[Path], args: argparse.Namespace
+) -> list[tuple[str, RunStats] | Exception]:
+    """The directory-mode rows of a run of layouts; module level so a
+    worker process can run it. An input error ends the run: it takes the
+    failing layout's place as the last item, and the layouts after it are
+    not started."""
+    rows: list[tuple[str, RunStats] | Exception] = []
+    for path in paths:
+        try:
+            rows.append((path.stem, _run_one(path, args).stats))
+        except (LayoutParseError, OSError, ValueError) as exc:
+            rows.append(exc)
+            break
+    return rows
 
 
 def _bench(root: Path, args: argparse.Namespace) -> int:
@@ -337,28 +350,35 @@ def _bench(root: Path, args: argparse.Namespace) -> int:
     # the pool forks all of max_workers on its first submit
     workers = min(args.jobs, len(paths), os.cpu_count() or 1)
     if workers == 1:
-        return _write_rows(paths, map(_stats_row, paths, repeat(args)))
+        return _write_rows(paths, [_stats_rows(paths, args)])
     # imported here: multiprocessing would lengthen every start-up
     from concurrent.futures import ProcessPoolExecutor
 
+    # runs of consecutive layouts, about eight per worker, so that a
+    # worker's round trip serves several layouts and a slow run still
+    # leaves the others work to share
+    size = max(1, len(paths) // (8 * workers))
+    chunks = [paths[i : i + size] for i in range(0, len(paths), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _write_rows(paths, pool.map(_stats_row, paths, repeat(args)))
+        return _write_rows(paths, pool.map(_stats_rows, chunks, repeat(args)))
 
 
-def _write_rows(paths: list[Path], results: Iterator[tuple[str, RunStats]]) -> int:
-    """Print the CSV of results, which come in the order of paths.
+def _write_rows(
+    paths: list[Path], chunks: Iterable[list[tuple[str, RunStats] | Exception]]
+) -> int:
+    """Print the CSV of the rows of chunks, which come in the order of paths.
 
-    The first failing layout in that order is the one reported; the
-    exception ends either kind of map, which cancels the layouts not yet
-    started.
+    The first failing layout in that order is the one reported. A chunk
+    starts no layout after its failing one, and returning early drops
+    the pool's map, which cancels the chunks not yet started.
     """
-    rows = []
-    for path in paths:
-        try:
-            rows.append(next(results))
-        except (LayoutParseError, OSError, ValueError) as exc:
-            print(f"error: {path.name}: {exc}", file=sys.stderr)
-            return 1
+    rows: list[tuple[str, RunStats]] = []
+    for chunk in chunks:
+        for row in chunk:
+            if isinstance(row, Exception):
+                print(f"error: {paths[len(rows)].name}: {row}", file=sys.stderr)
+                return 1
+            rows.append(row)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(

@@ -14,27 +14,33 @@ follows the colour difference across each stitch edge
 per conflict and alpha per stitch, scaled to integers by alpha's
 denominator so all arithmetic stays exact.
 
-IlpModel spells this formulation out with named variables and rows; it
-is built only for LP export and for checking. solve works on the layout
-graph itself, through integer edge arrays: it splits the graph into
-independent blocks (linked by conflict, stitch or cut-spacing edges) and
-runs one exact branch and bound over each distinct block. Layouts repeat
-their cells, so many blocks are equal up to their ids; the search sees
-only a block's local structure, and blocks of one structure share a
-single search. A greedy two-colouring with a small local search seeds
-the incumbent. The search then assigns masks in ascending segment order,
-mask 0 first, and settles the cuts at each complete colouring, so the
-first leaf it meets at the optimal cost is the lexicographically
-smallest optimal mask vector, the promised tie-break. solve's
-IlpSolution is the whole answer, the conflicts and stitches it leaves
-included, so callers format it without re-deriving any of it."""
+The formulation is written once, as data: one row template per edge
+kind (conflict, conflict with a cut, stitch, spacing), whose terms name
+slots of the edge's variables. IlpModel holds named variables and one
+group per edge, a template with the edge's variable indices, and its
+constraints property spells the rows out; export_lp formats each group
+from its template's compiled text. The model is built only for LP
+export and for checking.
+
+solve works on the layout graph itself, through integer edge arrays: it
+splits the graph into independent blocks (linked by conflict, stitch or
+cut-spacing edges) and runs one exact branch and bound over each
+distinct block. Layouts repeat their cells, so many blocks are equal up
+to their ids; the search sees only a block's local structure, and blocks
+of one structure share a single search. A greedy two-colouring with a
+small local search seeds the incumbent. The search then assigns masks in
+ascending segment order, mask 0 first, and settles the cuts at each
+complete colouring, so the first leaf it meets at the optimal cost is the
+lexicographically smallest optimal mask vector, the promised tie-break.
+solve's IlpSolution is the whole answer, the conflicts and stitches it
+leaves included, so callers format it without re-deriving any of it."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import EdgeKey, EndCutGraph, LayoutGraph, PairKey
 from .layout_io import SolveStatus, VertexKey, _collector_paused, fraction_to_decimal
@@ -44,11 +50,41 @@ class ModelError(ValueError):
     pass
 
 
+# A row: its (variable, sign) terms, whose sum is at most its right-hand
+# side. A row template: the rows of one edge kind, each term naming a slot
+# of the edge's variable-index tuple instead of a variable.
+Row = tuple[tuple[tuple[int, int], ...], int]
+RowTemplate = tuple[Row, ...]
+
+# slots (x_i, x_j, c): c is 1 when both segments share a mask
+CONFLICT_ROWS: RowTemplate = (
+    (((0, 1), (1, 1), (2, -1)), 1),
+    (((0, -1), (1, -1), (2, -1)), -1),
+)
+# slots (x_i, x_j, c, ec): the cut ec may stand in for c, and only
+# between two segments on one mask
+CUT_CONFLICT_ROWS: RowTemplate = (
+    (((0, 1), (1, 1), (2, -1), (3, -1)), 1),
+    (((0, -1), (1, -1), (2, -1), (3, -1)), -1),
+    (((3, 1), (0, 1), (1, -1)), 1),
+    (((3, 1), (1, 1), (0, -1)), 1),
+)
+# slots (x_i, x_j, s): s is 1 when the two segments differ
+STITCH_ROWS: RowTemplate = (
+    (((0, 1), (1, -1), (2, -1)), 0),
+    (((1, 1), (0, -1), (2, -1)), 0),
+)
+# slots (ec_a, ec_b): two cuts too close to print separately
+SPACING_ROWS: RowTemplate = ((((0, 1), (1, 1)), 1),)
+
+
 @dataclass(frozen=True)
 class IlpModel:
     names: tuple[str, ...]
     kinds: tuple[str, ...]
-    constraints: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
+    # one (template, variable indices) group per edge: the conflict edges
+    # in sorted order, then the stitch edges, then the spacing edges
+    groups: tuple[tuple[RowTemplate, tuple[int, ...]], ...]
     objective: tuple[int, ...]
     scale: int
     alpha: Fraction
@@ -56,6 +92,16 @@ class IlpModel:
     ec_of: dict[PairKey, int]
     c_of: dict[EdgeKey, int]
     s_of: dict[EdgeKey, int]
+
+    @property
+    def constraints(self) -> tuple[Row, ...]:
+        """Every row in order, its slots filled with variable indices;
+        derived from the groups afresh on each access."""
+        return tuple(
+            (tuple([(vs[slot], sign) for slot, sign in terms]), rhs)
+            for template, vs in self.groups
+            for terms, rhs in template
+        )
 
 
 @dataclass(frozen=True)
@@ -109,29 +155,21 @@ def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> Ilp
     c_of = dict(zip([e for e, _ in ce_list], range(nx + ne, nx + ne + nc)))
     s_of = dict(zip(se_list, range(nx + ne + nc, len(names))))
 
-    rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
-    for (u, v), cand in ce_list:
-        xi, xj, ci = x_of[u], x_of[v], c_of[(u, v)]
-        if cand is not None:
-            ei = ec_of[cand.pair]
-            rows.append((((xi, 1), (xj, 1), (ci, -1), (ei, -1)), 1))
-            rows.append((((xi, -1), (xj, -1), (ci, -1), (ei, -1)), -1))
-            rows.append((((ei, 1), (xi, 1), (xj, -1)), 1))
-            rows.append((((ei, 1), (xj, 1), (xi, -1)), 1))
+    groups: list[tuple[RowTemplate, tuple[int, ...]]] = []
+    for ci, ((u, v), cand) in enumerate(ce_list, nx + ne):
+        if cand is None:
+            groups.append((CONFLICT_ROWS, (x_of[u], x_of[v], ci)))
         else:
-            rows.append((((xi, 1), (xj, 1), (ci, -1)), 1))
-            rows.append((((xi, -1), (xj, -1), (ci, -1)), -1))
-    for u, v in se_list:
-        xi, xj, si = x_of[u], x_of[v], s_of[(u, v)]
-        rows.append((((xi, 1), (xj, -1), (si, -1)), 0))
-        rows.append((((xj, 1), (xi, -1), (si, -1)), 0))
+            groups.append((CUT_CONFLICT_ROWS, (x_of[u], x_of[v], ci, ec_of[cand.pair])))
+    for si, (u, v) in enumerate(se_list, nx + ne + nc):
+        groups.append((STITCH_ROWS, (x_of[u], x_of[v], si)))
     for pa, pb in ee:
-        rows.append((((ec_of[pa], 1), (ec_of[pb], 1)), 1))
+        groups.append((SPACING_ROWS, (ec_of[pa], ec_of[pb])))
 
     return IlpModel(
         names=tuple(names),
         kinds=kinds,
-        constraints=tuple(rows),
+        groups=tuple(groups),
         objective=objective,
         scale=scale,
         alpha=alpha,
@@ -516,23 +554,34 @@ def solve(
     )
 
 
+def _rows_format(template: RowTemplate) -> Callable[..., str]:
+    """The LP text of one group's rows as a bound str.format: fields
+    0..k-1 take the k row numbers, the next ones the slots' names."""
+    k = len(template)
+    return "\n".join(
+        f" r{{{ri}}}: "
+        + " ".join(f"{'+' if sign > 0 else '-'} {{{k + slot}}}" for slot, sign in terms)
+        + f" <= {rhs}"
+        for ri, (terms, rhs) in enumerate(template)
+    ).format
+
+
 @_collector_paused
 def export_lp(model: IlpModel) -> str:
     """Serialise the model in LP text format with binary variables.
 
-    Each variable's "+ name" and "- name" terms are built once, and each
-    row is one join over them. The objective weighs stitches by alpha as
-    a decimal when fraction_to_decimal finds one; otherwise it is written
-    scaled to integers by alpha's denominator."""
+    Each row template's text is compiled once into a format string, and
+    each group is one call of it with its row numbers and variable names.
+    The objective weighs stitches by alpha as a decimal when
+    fraction_to_decimal finds one; otherwise it is written scaled to
+    integers by alpha's denominator."""
     names = model.names
-    plus = [f"+ {name}" for name in names]
-    minus = [f"- {name}" for name in names]
     alpha_text = fraction_to_decimal(model.alpha)
     lines: list[str] = []
     if "/" not in alpha_text:
         terms = [
-            term if kind == "c" else f"+ {alpha_text} {name}"
-            for term, name, kind, w in zip(plus, names, model.kinds, model.objective)
+            f"+ {name}" if kind == "c" else f"+ {alpha_text} {name}"
+            for name, kind, w in zip(names, model.kinds, model.objective)
             if w
         ]
     else:
@@ -545,10 +594,16 @@ def export_lp(model: IlpModel) -> str:
     else:
         obj_body = "0"
     lines += ["Minimize", f" obj: {obj_body}", "Subject To"]
-    lines += [
-        f" r{ri}: {' '.join([plus[vi] if coef > 0 else minus[vi] for vi, coef in row])} <= {rhs}"
-        for ri, (row, rhs) in enumerate(model.constraints, start=1)
-    ]
+    # keyed by identity: hashing a template would walk all its rows
+    formats: dict[int, Callable[..., str]] = {}
+    ri = 1
+    for template, vs in model.groups:
+        fmt = formats.get(id(template))
+        if fmt is None:
+            fmt = formats[id(template)] = _rows_format(template)
+        k = len(template)
+        lines.append(fmt(*range(ri, ri + k), *[names[v] for v in vs]))
+        ri += k
     lines.append("Binaries")
     start = width = 0
     for i, size in enumerate(map(len, names)):

@@ -481,6 +481,40 @@ def test_directory_error_cancels_pending_layouts(tmp_path, capsys, monkeypatch):
     multiprocessing.get_all_start_methods()[0] != "fork",
     reason="the patched _run_one reaches the workers only when they are forked",
 )
+def test_directory_chunks_name_the_first_bad_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    log = tmp_path / "started.txt"
+    layouts = tmp_path / "in"
+    layouts.mkdir()
+    for i in range(48):
+        (layouts / f"l{i:02d}.lay").write_text((LAYOUTS / "endcut_demo.lay").read_text())
+
+    def logged(path, args):
+        with log.open("a") as f:
+            f.write(path.stem + "\n")
+        time.sleep(0.05)
+        return decompose_document(parse_layout(path.read_text()))
+
+    monkeypatch.setattr(trimdecomp.cli, "_run_one", logged)
+    # 48 layouts over 2 workers go in 16 chunks of 3; l04 is second in l03-l05
+    (layouts / "l04.lay").write_text("layout b\nrect 1 100 0 0 40\n")
+    expected = "error: l04.lay: line 2: rect corners must be lower-left then upper-right\n"
+    assert run(capsys, "--input", str(layouts), "--jobs", "2") == (1, "", expected)
+    started = log.read_text().split()
+    assert "l04" in started and "l05" not in started
+    assert len(started) < 24
+    # later bad layouts, in the same chunk and in a later one, do not displace it
+    for name in ("l05", "l07"):
+        (layouts / f"{name}.lay").write_text("layout c\nfoo\n")
+    log.unlink()
+    assert run(capsys, "--input", str(layouts), "--jobs", "2") == (1, "", expected)
+    assert len(log.read_text().split()) < 24
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_all_start_methods()[0] != "fork",
+    reason="the patched _run_one reaches the workers only when they are forked",
+)
 def test_dead_worker_is_an_internal_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for name in ("a", "b"):

@@ -3,11 +3,11 @@
 Two features that sit closer than the same-mask spacing rule can still share
 a mask if the trim exposure removes the sliver of material between them. A
 candidate end-cut for a feature pair is a set of rectangular boxes filling
-the gap between facing edges or between nearby convex corners. Every edge
-pair of the two features that can face each other is examined, the sides
-of two rectangles straight from their corners; the surviving boxes are
-deduplicated and thinned so overlapping alternatives collapse to the
-cheapest usable set.
+the gap between facing edges or between nearby convex corners. Every pair
+of boundary runs of the two features that can face each other is
+examined, read from the corners of two rectangles and from the outlines
+otherwise; the surviving boxes are deduplicated and thinned so
+overlapping alternatives collapse to the cheapest usable set.
 
 EndCutBox and EndCutCandidate are named tuples like the geometry records,
 and this module builds them with tuple.__new__, as it fixes their arity
@@ -41,18 +41,14 @@ class BoxKind(enum.Enum):
 
 
 class EndCutBox(NamedTuple):
-    """One rectangle of a candidate cut.
-
-    run_axis is the axis along which the repaired facing run lies; for
-    corner boxes it is fixed to 'x' and the dimensions are read literally.
-    """
+    """One rectangle of a candidate cut, and whether it fills the gap
+    between two facing runs or the pocket between two corners."""
 
     rect: Rect
     kind: BoxKind
-    run_axis: str
 
     def sort_key(self) -> tuple:
-        return (self.rect, self.kind.value, self.run_axis)
+        return (self.rect, self.kind.value)
 
 
 class EndCutCandidate(NamedTuple):
@@ -84,6 +80,45 @@ def _rect_pair_sides(r1: Rect, r2: Rect) -> list[tuple[int, int, int, int, str]]
         sides.append((ay2, by1, max(ax1, bx1), min(ax2, bx2), "x"))
     if bx2 < ax1:
         sides.append((bx2, ax1, max(ay1, by1), min(ay2, by2), "y"))
+    return sides
+
+
+def _outline_sides(
+    o1: Sequence[Point], o2: Sequence[Point]
+) -> list[tuple[int, int, int, int, str]]:
+    """The facing sides of two features, read from their outlines.
+
+    Each counter-clockwise outline's runs (pos, lo, hi) are grouped by
+    outward normal, the direction of travel turned clockwise: down,
+    right, up and left. The bottom, right, top and left runs of o1 are
+    paired with the top, left, bottom and right runs of o2, as
+    _rect_pair_sides pairs the sides of two rectangles, and a pair faces
+    only when a gap lies between its two runs along their normal.
+    """
+    grouped = []
+    for outline in (o1, o2):
+        runs: tuple[list[tuple[int, int, int]], ...] = ([], [], [], [])
+        for (px, py), (qx, qy) in zip(outline, (*outline[1:], outline[0])):
+            if py == qy:
+                runs[0 if px < qx else 2].append((py, min(px, qx), max(px, qx)))
+            else:
+                runs[1 if py < qy else 3].append((px, min(py, qy), max(py, qy)))
+        grouped.append(runs)
+    (down1, right1, up1, left1), (down2, right2, up2, left2) = grouped
+    sides = []
+    # o1's runs, o2's facing runs, the axis both lie along, and whether
+    # o1's run is the lower of the two across the gap
+    for runs1, runs2, axis, o1_low in (
+        (down1, up2, "x", False),
+        (right1, left2, "y", True),
+        (up1, down2, "x", True),
+        (left1, right2, "y", False),
+    ):
+        for pos1, lo1, hi1 in runs1:
+            for pos2, lo2, hi2 in runs2:
+                lo, hi = (pos1, pos2) if o1_low else (pos2, pos1)
+                if lo < hi:
+                    sides.append((lo, hi, max(lo1, lo2), min(hi1, hi2), axis))
     return sides
 
 
@@ -143,13 +178,13 @@ def generate_end_cut(
     concave, feature material lies inside the box, while if it is convex,
     a facing parallel pair yields the same corner box. Two rectangles have
     four such pairs, whose boxes come straight from their corners. A pair
-    with a polygon pairs the edges both features derive from their
-    outlines. A box is kept only when none of the material rects has area
-    inside it, so material must hold the rects of s1 and of every feature
-    whose bounding box lies within max(h_high, w_high) of s1's. No other
-    feature reaches into a box: an edge-to-edge box lies within its gap
-    (at most h_high) of an edge of s1, and a corner box within
-    max(w_high, h_high) of a corner of s1.
+    with a polygon reads its facing runs from the two outlines. A box is
+    kept only when none of the material rects has area inside it, so
+    material must hold the rects of s1 and of every feature whose
+    bounding box lies within max(h_high, w_high) of s1's. No other feature
+    reaches into a box: an edge-to-edge box lies within its gap (at most
+    h_high) of an edge of s1, and a corner box within max(w_high, h_high)
+    of a corner of s1.
 
     Each facing pair becomes a side (lo, hi, ov_lo, ov_hi, axis): the two
     edges lie on the lines lo < hi across the gap, and ov_lo..ov_hi is the
@@ -162,31 +197,21 @@ def generate_end_cut(
     if len(s1.outline) == 4 and len(s2.outline) == 4:
         sides = _rect_pair_sides(s1.rects[0], s2.rects[0])
     else:
-        sides = []
-        edges2 = s2.edges
-        for e1 in s1.edges:
-            facing = (-e1.normal[0], -e1.normal[1])
-            # the normal's component across the edge, and the axis it lies on
-            k, axis = (0, "y") if e1.orientation == "v" else (1, "x")
-            for e2 in edges2:
-                if e2.normal == facing:
-                    lo_e, hi_e = (e1, e2) if e1.normal[k] == 1 else (e2, e1)
-                    if lo_e.pos < hi_e.pos:
-                        sides.append((lo_e.pos, hi_e.pos, max(e1.lo, e2.lo), min(e1.hi, e2.hi), axis))
+        sides = _outline_sides(s1.outline, s2.outline)
     p = params
     raw = []
     for lo, hi, ov_lo, ov_hi, axis in sides:
         if ov_hi > ov_lo:
             # spans overlap: the gap strip between two facing edge runs,
             # w along the run, h across the gap
-            kind, run_axis = BoxKind.EDGE_EDGE, axis
+            kind = BoxKind.EDGE_EDGE
             w, h = ov_hi - ov_lo, hi - lo
             if w > p.w_th:
                 continue  # a cut cannot repair a facing run longer than the hotspot limit
         elif ov_hi < ov_lo:
             # spans disjoint: the diagonal pocket between the two nearest
             # corners, whose w and h are its width and height as drawn
-            kind, run_axis = BoxKind.CORNER_CORNER, "x"
+            kind = BoxKind.CORNER_CORNER
             ov_lo, ov_hi = ov_hi, ov_lo
             w, h = (hi - lo, ov_hi - ov_lo) if axis == "y" else (ov_hi - ov_lo, hi - lo)
         else:
@@ -200,7 +225,7 @@ def generate_end_cut(
                 break
         else:
             rect = _new(Rect, (_new(Point, (x1, y1)), _new(Point, (x2, y2))))
-            raw.append(_new(EndCutBox, (rect, kind, run_axis)))
+            raw.append(_new(EndCutBox, (rect, kind)))
     if not raw:
         return None
     pair = (min(s1.id, s2.id), max(s1.id, s2.id))

@@ -14,8 +14,8 @@ within a given Chebyshev gap, exactly, by a band sweep. A pair is found
 only in a band where one of its boxes starts, so a box is listed only in
 such bands, and its memory does not grow with its height.
 
-Point, Rect, Edge and RectilinearShape are named tuples that order,
-compare and hash as plain tuples and check nothing. RectilinearShape's
+Point, Rect and RectilinearShape are named tuples that order, compare
+and hash as plain tuples and check nothing. RectilinearShape's
 constructors and the parsers check input where it enters. Where this
 module fixes a record's arity itself, it builds the record with
 tuple.__new__, as namedtuple's _make does, and skips the generated
@@ -119,35 +119,6 @@ def rects_closed_intersect(a: Rect, b: Rect) -> bool:
     )
 
 
-class Edge(NamedTuple):
-    """Directed boundary edge of a shape outline.
-
-    The edge runs from a to b with the shape interior on its left, so the
-    outward normal is the left-to-right direction rotated clockwise.
-    orientation ('h' or 'v'), pos (the coordinate of the axis the edge
-    lies on) and the span lo..hi along that axis follow from a and b;
-    Edge.of derives them, and repr shows a, b and normal only.
-    """
-
-    a: Point
-    b: Point
-    normal: tuple[int, int]
-    orientation: str
-    pos: int
-    lo: int
-    hi: int
-
-    @classmethod
-    def of(cls, a: Point, b: Point, normal: tuple[int, int]) -> "Edge":
-        (ax, ay), (bx, by) = a, b
-        if ay == by:
-            return _new(cls, (a, b, normal, "h", ay, min(ax, bx), max(ax, bx)))
-        return _new(cls, (a, b, normal, "v", ax, min(ay, by), max(ay, by)))
-
-    def __repr__(self) -> str:
-        return f"Edge(a={self.a!r}, b={self.b!r}, normal={self.normal!r})"
-
-
 def _normalize_outline(points: Sequence[Point]) -> list[Point]:
     """Drop a repeated closing point, merge collinear runs, reject spikes."""
     pts = list(points)
@@ -234,9 +205,7 @@ class RectilinearShape(NamedTuple):
     """A layout feature: a simple rectilinear polygon.
 
     Stored as the counter-clockwise outline plus a slab decomposition into
-    axis-aligned rectangles whose union is exactly the polygon. The
-    boundary edges, with their outward normals, are not stored: edges
-    derives them from the outline on each access.
+    axis-aligned rectangles whose union is exactly the polygon.
     """
 
     id: int
@@ -265,19 +234,6 @@ class RectilinearShape(NamedTuple):
         if lo.x >= hi.x or lo.y >= hi.y:
             raise GeometryError(f"rectangle has no area: {lo} .. {hi}")
         return _rect_shape(sid, lo.x, lo.y, hi.x, hi.y)
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        """The boundary edges in outline order, each with its outward
-        normal: the direction of travel turned clockwise, since the
-        interior lies on the left of a counter-clockwise outline."""
-        pts = self.outline
-        edges = []
-        for p, q in zip(pts, pts[1:] + pts[:1]):
-            dx = (q.x > p.x) - (q.x < p.x)
-            dy = (q.y > p.y) - (q.y < p.y)
-            edges.append(Edge.of(p, q, (dy, -dx)))
-        return tuple(edges)
 
     @property
     def bbox(self) -> Rect:

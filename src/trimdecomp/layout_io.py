@@ -416,7 +416,7 @@ def parse_report(source: str | TextIO) -> DecompositionReport:
     conflicts: list[tuple[VertexKey, VertexKey]] = []
     stitches: list[StitchPoint] = []
     cost: Fraction | None = None
-    status = SolveStatus.OPTIMAL
+    status: SolveStatus | None = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         lin = rawline.split("#", 1)[0].strip()
         if not lin:
@@ -426,7 +426,10 @@ def parse_report(source: str | TextIO) -> DecompositionReport:
         if kind == "mask":
             if len(toks) != 3 or toks[2] not in ("A", "B"):
                 raise LayoutParseError(lineno, "mask takes a vertex and A or B")
-            masks[_parse_vertex_token(toks[1], lineno)] = toks[2]
+            vertex = _parse_vertex_token(toks[1], lineno)
+            if vertex in masks:
+                raise LayoutParseError(lineno, f"duplicate mask for {toks[1]}")
+            masks[vertex] = toks[2]
         elif kind == "cut":
             if len(toks) != 5:
                 raise LayoutParseError(lineno, "cut takes x1 y1 x2 y2")
@@ -451,13 +454,17 @@ def parse_report(source: str | TextIO) -> DecompositionReport:
         elif kind == "cost":
             if len(toks) != 2:
                 raise LayoutParseError(lineno, "cost takes one value")
+            if cost is not None:
+                raise LayoutParseError(lineno, "duplicate cost line")
             try:
                 cost = Fraction(toks[1])
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise LayoutParseError(lineno, f"bad cost value {toks[1]!r}") from None
         elif kind == "status":
             if len(toks) != 2:
                 raise LayoutParseError(lineno, "status takes one value")
+            if status is not None:
+                raise LayoutParseError(lineno, "duplicate status line")
             try:
                 status = SolveStatus(toks[1])
             except ValueError:
@@ -472,7 +479,7 @@ def parse_report(source: str | TextIO) -> DecompositionReport:
         conflicts=tuple(conflicts),
         stitches=tuple(stitches),
         cost=cost,
-        status=status,
+        status=SolveStatus.OPTIMAL if status is None else status,
     )
 
 

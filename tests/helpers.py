@@ -4,8 +4,9 @@ Everything here recomputes answers by a route the package itself never
 takes: plain enumeration over all assignments, an external
 mixed-integer solve of the exported LP text, an all-pairs search for
 fusable trim rectangles, a two-level grouping of candidate boxes, and
-end-cut generation over every edge pair of two features, with its own
-facing rule and size windows, the perpendicular-edge corner boxes the
+end-cut generation over every pair of boundary edges of two features,
+which it derives from their outlines itself, with its own facing rule
+and size windows, the perpendicular-edge corner boxes the
 package no longer builds, and box clearance checked against every
 feature of the layout.
 Tests compare the package against these, never against itself.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from trimdecomp.endcut import (
     resolve_box_overlaps,
 )
 from trimdecomp.geometry import (
-    Edge,
     Rect,
     RectilinearShape,
     rects_closed_intersect,
@@ -193,35 +194,53 @@ def resolve_box_overlaps_oracle(raw: list[EndCutBox]) -> tuple[EndCutBox, ...]:
     return tuple(sorted(keep, key=EndCutBox.sort_key))
 
 
+class BoundaryEdge(NamedTuple):
+    """A boundary edge of an outline: its outward normal, orientation
+    ('h' or 'v'), pos (the coordinate of the line it lies on) and its
+    span lo..hi along that line."""
+
+    normal: tuple[int, int]
+    orientation: str
+    pos: int
+    lo: int
+    hi: int
+
+
+def boundary_edges(s: RectilinearShape) -> tuple[BoundaryEdge, ...]:
+    """The edges of a shape's counter-clockwise outline, in outline order,
+    each with the direction of travel turned clockwise as its normal."""
+    pts = s.outline
+    edges = []
+    for a, b in zip(pts, pts[1:] + pts[:1]):
+        dx, dy = (b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y)
+        if dy == 0:
+            edges.append(BoundaryEdge((0, -dx), "h", a.y, min(a.x, b.x), max(a.x, b.x)))
+        else:
+            edges.append(BoundaryEdge((dy, 0), "v", a.x, min(a.y, b.y), max(a.y, b.y)))
+    return tuple(edges)
+
+
 def shape_facts(s: RectilinearShape) -> tuple:
-    """Everything a shape stores, and each edge it derives with the
-    edge's derived fields, so two shapes built by different routes can be
-    compared in full."""
-    edges = tuple((e.a, e.b, e.normal, e.orientation, e.pos, e.lo, e.hi) for e in s.edges)
-    return s.id, s.rects, s.outline, edges
-
-
-def box_dims(box: EndCutBox) -> tuple[int, int]:
-    """Semantic (w, h) of a box: w along the repaired run, h across the gap."""
-    if box.run_axis == "y":
-        return box.rect.height, box.rect.width
-    return box.rect.width, box.rect.height
+    """Everything a shape stores, and the boundary edges of its outline,
+    so two shapes built by different routes can be compared in full."""
+    return s.id, s.rects, s.outline, boundary_edges(s)
 
 
 def _sized_box(rect: Rect, kind: BoxKind, run_axis: str, p: DecompositionParams) -> EndCutBox | None:
-    """The box, when its size fits the rules: w (along the repaired run)
-    between w_low and w_high, h (across the gap) between h_low and h_high,
-    and for an edge-to-edge box a run no longer than w_th."""
-    box = EndCutBox(rect=rect, kind=kind, run_axis=run_axis)
-    w, h = box_dims(box)
+    """The box, when its size fits the rules: w (along the repaired run,
+    which lies along run_axis) between w_low and w_high, h (across the
+    gap) between h_low and h_high, and for an edge-to-edge box a run no
+    longer than w_th. A corner box is given run_axis 'x' and read as
+    drawn."""
+    w, h = (rect.height, rect.width) if run_axis == "y" else (rect.width, rect.height)
     if not (p.w_low <= w <= p.w_high and p.h_low <= h <= p.h_high):
         return None
     if kind is BoxKind.EDGE_EDGE and w > p.w_th:
         return None
-    return box
+    return EndCutBox(rect=rect, kind=kind)
 
 
-def parallel_box(e1: Edge, e2: Edge, p: DecompositionParams) -> EndCutBox | None:
+def parallel_box(e1: BoundaryEdge, e2: BoundaryEdge, p: DecompositionParams) -> EndCutBox | None:
     """Box between two parallel edges that face each other: the lower
     edge's normal points across the gap to the upper edge, whose normal
     points back. Where their spans overlap it is the strip between the
@@ -243,7 +262,7 @@ def parallel_box(e1: Edge, e2: Edge, p: DecompositionParams) -> EndCutBox | None
     return _sized_box(rect, kind, run_axis, p)
 
 
-def perpendicular_box(ev: Edge, eh: Edge, p: DecompositionParams) -> EndCutBox | None:
+def perpendicular_box(ev: BoundaryEdge, eh: BoundaryEdge, p: DecompositionParams) -> EndCutBox | None:
     """Corner box between a vertical edge ev and a horizontal edge eh: the
     pocket spanned by ev's line, eh's line and the two edges' near ends,
     on the side each edge faces."""
@@ -267,7 +286,9 @@ def perpendicular_box(ev: Edge, eh: Edge, p: DecompositionParams) -> EndCutBox |
     return _sized_box(Rect.of(x_lo, y_lo, x_hi, y_hi), BoxKind.CORNER_CORNER, "x", p)
 
 
-def generate_end_cut_box(e1: Edge, e2: Edge, params: DecompositionParams) -> EndCutBox | None:
+def generate_end_cut_box(
+    e1: BoundaryEdge, e2: BoundaryEdge, params: DecompositionParams
+) -> EndCutBox | None:
     """Candidate box between any two boundary edges, parallel or
     perpendicular, or None when their geometry admits no cut or the box
     violates the size rules."""
@@ -297,8 +318,9 @@ def generate_end_cut_oracle(
     pairs: perpendicular edges and parallel edges that face the same way
     are tried too."""
     raw: list[EndCutBox] = []
-    for e1 in s1.edges:
-        for e2 in s2.edges:
+    edges2 = boundary_edges(s2)
+    for e1 in boundary_edges(s1):
+        for e2 in edges2:
             box = generate_end_cut_box(e1, e2, params)
             if box is not None and box_clear_oracle(box.rect, shapes_by_id):
                 raw.append(box)
@@ -328,7 +350,6 @@ def _dummy_candidate(pair: tuple[int, int]) -> EndCutCandidate:
     box = EndCutBox(
         rect=Rect.of(a * 1000, b * 1000, a * 1000 + 20, b * 1000 + 20),
         kind=BoxKind.EDGE_EDGE,
-        run_axis="x",
     )
     return EndCutCandidate(pair=pair, boxes=(box,))
 

@@ -17,8 +17,9 @@ from test_ilp import count_searches
 
 import trimdecomp
 import trimdecomp.cli
+import trimdecomp.endcut
 from trimdecomp.cli import build_full_model, decompose_document, main
-from trimdecomp.geometry import Edge, Rect, SpatialIndex
+from trimdecomp.geometry import Rect, SpatialIndex
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
 from trimdecomp.ilp import export_lp
 from trimdecomp.layout_io import (
@@ -167,16 +168,15 @@ def test_timeout_is_reported_in_stats_and_csv(tmp_path, capsys):
     assert out.strip().splitlines()[1].endswith(",timeout")
 
 
-def test_rect_only_pipeline_builds_no_edge(monkeypatch):
-    # rectangles carry no edge records and pair their sides from their
-    # corners; only a polygon's end-cuts derive its edges, all through
-    # Edge.of, which builds them without calling the class
-    def refuse(cls, *args, **kwargs):
-        raise AssertionError("edge built")
+def test_rect_only_pipeline_reads_no_outline(monkeypatch):
+    # two rectangles pair their sides from their corners; only a pair
+    # with a polygon reads the runs of the two outlines
+    def refuse(*args):
+        raise AssertionError("outline read")
 
     chain = ["layout chain10", "param dis_m 120", "param hlow 60", *chain30_rects()[:10]]
     texts = [write_layout(grid_layout(2000, 1)), "\n".join(chain) + "\n"]
-    monkeypatch.setattr(Edge, "of", classmethod(refuse))
+    monkeypatch.setattr(trimdecomp.endcut, "_outline_sides", refuse)
     for text in texts:
         result = decompose_document(parse_layout(text))
         assert result.end_cuts.candidates
@@ -189,7 +189,7 @@ def test_rect_only_pipeline_builds_no_edge(monkeypatch):
         "param hlow 20\nrect 1 0 0 200 40\n"
         "poly 2 260 0 460 0 460 200 420 200 420 40 260 40\n"
     )
-    with pytest.raises(AssertionError, match="edge built"):
+    with pytest.raises(AssertionError, match="outline read"):
         decompose_document(doc)
 
 

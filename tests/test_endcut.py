@@ -5,7 +5,7 @@ import random
 import trimdecomp.cli
 import trimdecomp.endcut
 from helpers import (
-    box_dims,
+    boundary_edges,
     end_cuts_oracle,
     generate_end_cut_oracle,
     merged_cut_rects_oracle,
@@ -17,6 +17,8 @@ from trimdecomp.endcut import (
     BoxKind,
     EndCutBox,
     EndCutCandidate,
+    _outline_sides,
+    _rect_pair_sides,
     generate_all_end_cuts,
     generate_end_cut,
     merge_union,
@@ -24,8 +26,6 @@ from trimdecomp.endcut import (
     resolve_box_overlaps,
 )
 from trimdecomp.geometry import (
-    Edge,
-    Point,
     Rect,
     RectilinearShape,
     SpatialIndex,
@@ -58,8 +58,6 @@ def test_facing_line_ends_single_box():
     assert cand.pair == (1, 2)
     assert [b.rect for b in cand.boxes] == [Rect.of(200, 0, 260, 40)]
     assert cand.boxes[0].kind is BoxKind.EDGE_EDGE
-    # the run lies along the facing edges, the gap across them
-    assert box_dims(cand.boxes[0]) == (40, 60)
 
 
 def test_long_facing_run_is_not_repairable():
@@ -90,9 +88,9 @@ def test_perpendicular_box_all_quadrants():
     for s1, s2, want in quadrants:
         perpendicular = [
             perpendicular_box(ev, eh, p)
-            for ev in s1.edges
+            for ev in boundary_edges(s1)
             if ev.orientation == "v"
-            for eh in s2.edges
+            for eh in boundary_edges(s2)
             if eh.orientation == "h"
         ]
         assert want in [b.rect for b in perpendicular if b is not None]
@@ -170,8 +168,8 @@ def test_corner_box_dropped_against_edge_box():
 def test_duplicate_rect_prefers_edge_kind():
     r = Rect.of(0, 0, 40, 40)
     raw = [
-        EndCutBox(rect=r, kind=BoxKind.CORNER_CORNER, run_axis="x"),
-        EndCutBox(rect=r, kind=BoxKind.EDGE_EDGE, run_axis="y"),
+        EndCutBox(rect=r, kind=BoxKind.CORNER_CORNER),
+        EndCutBox(rect=r, kind=BoxKind.EDGE_EDGE),
     ]
     out = resolve_box_overlaps(raw)
     assert len(out) == 1 and out[0].kind is BoxKind.EDGE_EDGE
@@ -187,7 +185,7 @@ def test_resolution_invariants_random():
             w = rng.randrange(20, 100, 20)
             h = rng.randrange(20, 100, 20)
             kind = rng.choice([BoxKind.EDGE_EDGE, BoxKind.CORNER_CORNER])
-            raw.append(EndCutBox(rect=Rect.of(x, y, x + w, y + h), kind=kind, run_axis="x"))
+            raw.append(EndCutBox(rect=Rect.of(x, y, x + w, y + h), kind=kind))
         out = resolve_box_overlaps(raw)
         assert out
         rects_in = {b.rect for b in raw}
@@ -242,7 +240,7 @@ def test_resolve_box_overlaps_matches_two_level_oracle():
                 h = rng.randrange(20, 100, 20)
                 r = Rect.of(x, y, x + w, y + h)
             kind = rng.choice([BoxKind.EDGE_EDGE, BoxKind.CORNER_CORNER])
-            raw.append(EndCutBox(rect=r, kind=kind, run_axis=rng.choice("xy")))
+            raw.append(EndCutBox(rect=r, kind=kind))
         assert resolve_box_overlaps(raw) == resolve_box_overlaps_oracle(raw)
 
 
@@ -272,6 +270,39 @@ def _random_feature(rng: random.Random, fid: int) -> RectilinearShape:
 
 def _apart(s: RectilinearShape, others: list[RectilinearShape]) -> bool:
     return not any(rects_interior_intersect(a, b) for t in others for a in s.rects for b in t.rects)
+
+
+def test_rect_pair_sides_match_outline_sides():
+    # generate_end_cut reads two rectangles' sides from their corners and
+    # a polygon pair's from the outlines; both must agree on rectangles,
+    # order included. Every rectangle on a 20 lattice around a fixed one
+    # is tried both ways round.
+    r1 = Rect.of(0, 0, 60, 40)
+    o1 = bar(1, 0, 0, 60, 40).outline
+    coords = range(-100, 141, 20)
+    seen = set()
+    for x1, x2, y1, y2 in itertools.product(coords, repeat=4):
+        if x1 >= x2 or y1 >= y2:
+            continue
+        r2 = Rect.of(x1, y1, x2, y2)
+        o2 = bar(2, x1, y1, x2, y2).outline
+        sides = _rect_pair_sides(r1, r2)
+        assert sides == _outline_sides(o1, o2), r2
+        assert _rect_pair_sides(r2, r1) == _outline_sides(o2, o1), r2
+        for lo, hi, ov_lo, ov_hi, axis in sides:
+            if axis == "x":
+                where = "below" if hi == r1.lo.y else "above"
+            else:
+                where = "left" if hi == r1.lo.x else "right"
+            spans = "overlap" if ov_lo < ov_hi else "point" if ov_lo == ov_hi else "disjoint"
+            seen.add((where, spans))
+        if not sides:
+            seen.add("overlapping" if rects_interior_intersect(r1, r2) else "touching")
+    wheres = ("below", "above", "left", "right")
+    assert seen == {(w, sp) for w in wheres for sp in ("overlap", "point", "disjoint")} | {
+        "overlapping",
+        "touching",
+    }
 
 
 def test_generate_end_cut_matches_all_edge_pairs_oracle():
@@ -419,7 +450,7 @@ def test_merged_cut_rects_chains_fuse():
     from trimdecomp.endcut import EndCutCandidate
 
     def cand(pair, r):
-        return EndCutCandidate(pair=pair, boxes=(EndCutBox(rect=r, kind=BoxKind.EDGE_EDGE, run_axis="y"),))
+        return EndCutCandidate(pair=pair, boxes=(EndCutBox(rect=r, kind=BoxKind.EDGE_EDGE),))
 
     out = merged_cut_rects(
         [
@@ -435,7 +466,7 @@ def test_merged_cut_rects_chains_fuse():
 
 def _one_box_cuts(rects: list[Rect]) -> list[EndCutCandidate]:
     return [
-        EndCutCandidate(pair=(i, i + 1), boxes=(EndCutBox(r, BoxKind.EDGE_EDGE, "x"),))
+        EndCutCandidate(pair=(i, i + 1), boxes=(EndCutBox(r, BoxKind.EDGE_EDGE),))
         for i, r in enumerate(rects)
     ]
 

@@ -7,7 +7,6 @@ import pytest
 
 from helpers import shape_facts
 from trimdecomp.geometry import (
-    Edge,
     GeometryError,
     Metric,
     Point,
@@ -24,7 +23,7 @@ from trimdecomp.geometry import (
     rectset_within,
 )
 from trimdecomp.cli import decompose_document
-from trimdecomp.endcut import EndCutBox, EndCutCandidate
+from trimdecomp.endcut import EndCutBox, EndCutCandidate, _outline_sides
 from trimdecomp.layout_io import LayoutParseError, parse_layout, parse_report, write_layout, write_report
 from trimdecomp.synth import grid_layout, random_layout
 
@@ -87,7 +86,7 @@ def test_every_rect_built_by_the_pipeline_has_positive_area():
 
 def _records(result) -> list:
     """Every Point, Rect, EndCutBox and EndCutCandidate a decomposition
-    returns, nested ones included, and the Edges of its features."""
+    returns, nested ones included."""
     found: list = []
 
     def rect(r):
@@ -101,7 +100,6 @@ def _records(result) -> list:
 
     for s in result.document.shapes:
         found.extend(s.outline)
-        found.extend(s.edges)
         for r in (*s.rects, s.bbox):
             rect(r)
     for piece in result.graph.segments.values():
@@ -121,22 +119,20 @@ def _rebuilt(r):
         return Point(r.x, r.y)
     if type(r) is Rect:
         return Rect(_rebuilt(r.lo), _rebuilt(r.hi))
-    if type(r) is Edge:
-        return Edge(_rebuilt(r.a), _rebuilt(r.b), r.normal, r.orientation, r.pos, r.lo, r.hi)
     if type(r) is EndCutBox:
-        return EndCutBox(rect=_rebuilt(r.rect), kind=r.kind, run_axis=r.run_axis)
+        return EndCutBox(rect=_rebuilt(r.rect), kind=r.kind)
     return EndCutCandidate(pair=r.pair, boxes=tuple(_rebuilt(b) for b in r.boxes))
 
 
 def test_pipeline_records_match_their_public_constructors(monkeypatch):
     # records built with tuple.__new__ must be exactly what Point(...),
-    # Rect(...), Edge(...), EndCutBox(...) and EndCutCandidate(...) build
+    # Rect(...), EndCutBox(...) and EndCutCandidate(...) build
     texts = [path.read_text() for path in sorted(LAYOUTS.glob("*.lay"))]
     texts.append(write_layout(grid_layout(2000, 1)))
     stitched = [random_layout(seed, clusters=6, stitch=True) for seed in range(6)]
     results = [decompose_document(parse_layout(t)) for t in texts]
     results += [decompose_document(doc) for doc in stitched]
-    kinds = {Point: 0, Rect: 0, Edge: 0, EndCutBox: 0, EndCutCandidate: 0}
+    kinds = {Point: 0, Rect: 0, EndCutBox: 0, EndCutCandidate: 0}
     for result in results:
         for r in _records(result):
             assert type(r) in kinds, type(r)
@@ -152,7 +148,7 @@ def test_pipeline_records_match_their_public_constructors(monkeypatch):
     def refuse(cls, *args, **kwargs):
         raise AssertionError(f"{cls.__name__} built through its class")
 
-    for cls in (Point, Rect, Edge):
+    for cls in (Point, Rect):
         monkeypatch.setattr(cls, "__new__", refuse)
     with pytest.raises(AssertionError, match="Point built through its class"):
         Point(0, 0)
@@ -213,16 +209,16 @@ def test_shape_from_rect_and_bbox():
     assert s.id == 3
     assert s.bbox == Rect.of(0, 0, 40, 100)
     assert s.min_dimension == 40
-    assert len(s.edges) == 4
     assert len(s.rects) == 1
 
 
 def test_outline_normalisation_and_direction():
-    # clockwise input is accepted; both windings describe the same edges
+    # clockwise input is accepted and stored counter-clockwise: both
+    # windings describe the same directed segments
     cw = RectilinearShape.from_outline(1, [(0, 0), (0, 10), (10, 10), (10, 0)])
     ccw = RectilinearShape.from_outline(1, [(0, 0), (10, 0), (10, 10), (0, 10)])
-    key = lambda s: sorted((e.orientation, e.pos, e.lo, e.hi, e.normal) for e in s.edges)
-    assert key(cw) == key(ccw)
+    segments = lambda s: sorted(zip(s.outline, s.outline[1:] + s.outline[:1]))
+    assert segments(cw) == segments(ccw)
     # collinear midpoints are dropped
     s = RectilinearShape.from_outline(1, [(0, 0), (5, 0), (10, 0), (10, 10), (0, 10)])
     assert len(s.outline) == 4
@@ -244,12 +240,25 @@ def test_outline_rejects_bad_input():
 
 
 def test_outline_edges_have_outward_normals():
-    s = RectilinearShape.from_rect(1, Rect.of(0, 0, 10, 20))
-    by_normal = {e.normal: e for e in s.edges}
-    assert by_normal[(0, -1)].pos == 0
-    assert by_normal[(1, 0)].pos == 10
-    assert by_normal[(0, 1)].pos == 20
-    assert by_normal[(-1, 0)].pos == 0
+    # the runs (pos, lo, hi) of each outline, grouped by outward normal,
+    # are what a polygon pair's end-cuts read: a shape 30 below and one
+    # 30 to the right each face it along one run of the other
+    s = RectilinearShape.from_rect(1, Rect.of(10, 0, 40, 30))
+    below = RectilinearShape.from_rect(2, Rect.of(0, -50, 60, -30))
+    right = RectilinearShape.from_rect(3, Rect.of(70, 5, 90, 20))
+    assert _outline_sides(s.outline, below.outline) == [(-30, 0, 10, 40, "x")]
+    assert _outline_sides(below.outline, s.outline) == [(-30, 0, 10, 40, "x")]
+    assert _outline_sides(s.outline, right.outline) == [(40, 70, 5, 20, "y")]
+    assert _outline_sides(right.outline, s.outline) == [(40, 70, 5, 20, "y")]
+    # an L's six runs: its notch faces a bar tucked into it on two sides
+    l = RectilinearShape.from_outline(
+        4, [(0, 0), (200, 0), (200, 80), (80, 80), (80, 240), (0, 240)]
+    )
+    tucked = RectilinearShape.from_rect(5, Rect.of(120, 120, 200, 240))
+    assert _outline_sides(l.outline, tucked.outline) == [
+        (80, 120, 120, 240, "y"),
+        (80, 120, 120, 200, "x"),
+    ]
 
 
 def test_l_shape_decomposition():
@@ -262,7 +271,7 @@ def test_l_shape_decomposition():
             assert not rects_interior_intersect(a, b)
     assert s.bbox == Rect.of(0, 0, 200, 240)
     assert s.min_dimension == 80
-    assert len(s.edges) == 6
+    assert len(s.outline) == 6
 
 
 def test_plus_shape_decomposition():
@@ -272,7 +281,7 @@ def test_plus_shape_decomposition():
          (80, 120), (40, 120), (40, 80), (0, 80), (0, 40), (40, 40)],
     )
     assert sum(r.area for r in s.rects) == 40 * 40 * 5
-    assert len(s.edges) == 12
+    assert len(s.outline) == 12
 
 
 def test_shape_distance_and_overlap_error():
@@ -350,26 +359,6 @@ def test_rectset_within_matches_per_rectangle_gaps():
 def test_bounding_box():
     bb = bounding_box([Rect.of(0, 0, 10, 10), Rect.of(40, -20, 50, 5)])
     assert bb == Rect.of(0, -20, 50, 10)
-
-
-def test_edge_fields():
-    e = Edge.of(a=Point(10, 0), b=Point(10, 30), normal=(1, 0))
-    assert e.orientation == "v"
-    assert (e.pos, e.lo, e.hi) == (10, 0, 30)
-    # the four edges of Rect.of(10, 0, 40, 30), counter-clockwise
-    cases = [
-        (Point(10, 0), Point(40, 0), (0, -1), ("h", 0, 10, 40)),
-        (Point(40, 0), Point(40, 30), (1, 0), ("v", 40, 0, 30)),
-        (Point(40, 30), Point(10, 30), (0, 1), ("h", 30, 10, 40)),
-        (Point(10, 30), Point(10, 0), (-1, 0), ("v", 10, 0, 30)),
-    ]
-    for a, b, normal, fields in cases:
-        e = Edge.of(a=a, b=b, normal=normal)
-        assert (e.orientation, e.pos, e.lo, e.hi) == fields
-        twin = Edge.of(a=Point(a.x, a.y), b=Point(b.x, b.y), normal=normal)
-        assert twin == e and hash(twin) == hash(e)
-        assert repr(twin) == f"Edge(a={a!r}, b={b!r}, normal={normal!r})"
-        assert e != Edge.of(a=b, b=a, normal=normal)
 
 
 def test_from_rect_matches_from_outline():

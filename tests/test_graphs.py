@@ -3,7 +3,7 @@ from pathlib import Path
 
 from helpers import _dummy_candidate
 
-from trimdecomp.geometry import Metric, Rect, RectilinearShape, SpatialIndex
+from trimdecomp.geometry import Metric, Rect, SpatialIndex
 from trimdecomp.graphs import (
     LayoutGraph,
     build_end_cut_graph,

@@ -239,6 +239,23 @@ def test_report_roundtrip():
     assert parse_report(text) == timed_out
     with pytest.raises(LayoutParseError, match="bad status"):
         parse_report("cost 0.0\nstatus lost\n")
+    for value in ("x", "1/0"):
+        with pytest.raises(LayoutParseError, match=f"line 1: bad cost value '{value}'"):
+            parse_report(f"cost {value}\n")
+
+
+def test_parse_report_rejects_repeated_lines():
+    # a second line for the same vertex, cost or status names its line
+    for text, message in (
+        ("mask 1 A\nmask 1 B\ncost 0\n", "line 2: duplicate mask for 1"),
+        ("mask 1 A\nmask 1/0 A\ncost 0\n", "line 2: duplicate mask for 1/0"),
+        ("cost 0\nmask 1 A\ncost 1\n", "line 3: duplicate cost line"),
+        ("cost 0\nstatus timeout\nstatus optimal\n", "line 3: duplicate status line"),
+    ):
+        with pytest.raises(LayoutParseError, match=message):
+            parse_report(text)
+    # split segments of one feature are distinct vertices
+    assert parse_report("mask 1/0 A\nmask 1/1 B\ncost 0\n").masks == {(1, 0): "A", (1, 1): "B"}
 
 
 def test_parse_report_requires_cost():

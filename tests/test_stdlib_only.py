@@ -1,11 +1,12 @@
 """The package runs on the standard library alone (dependencies = []),
-and every name its modules import is used."""
+and every name its modules and its tests import is used."""
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "trimdecomp"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "trimdecomp"
 
 
 def absolute_imports(path):
@@ -47,6 +48,8 @@ def unread_imports(path):
 def test_every_imported_name_is_read():
     # __init__.py imports only to re-export
     files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    files += sorted(TESTS.glob("*.py"))
     assert any(p.name == "layout_io.py" for p in files)
+    assert any(p.name == "helpers.py" for p in files)
     unread = sorted((p.name, name) for p in files for name in unread_imports(p))
     assert unread == []

@@ -21,7 +21,6 @@ import os
 import sys
 import time
 from collections.abc import Iterable
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -295,11 +294,10 @@ def main(argv: list[str] | None = None) -> int:
     except (LayoutParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AssertionError, RecursionError, BrokenExecutor) as exc:
-        # a failed bookkeeping check, an exhausted stack or a dead worker
-        # process is a defect of this program, not of the input
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    except (AssertionError, RecursionError) as exc:
+        # a failed bookkeeping check or an exhausted stack is a defect of
+        # this program, not of the input
+        return _internal_error(exc)
     for name, us in result.stage_us:
         print(f"stage={name} us={us}", file=sys.stderr)
     if args.out:
@@ -314,6 +312,11 @@ def main(argv: list[str] | None = None) -> int:
         _ec_dot_path(dot).write_text(end_cut_graph_dot(result.end_cuts))
     print(stats_line(result.stats))
     return 0
+
+
+def _internal_error(exc: BaseException) -> int:
+    print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
 
 
 def _stats_rows(
@@ -352,15 +355,19 @@ def _bench(root: Path, args: argparse.Namespace) -> int:
     if workers == 1:
         return _write_rows(paths, [_stats_rows(paths, args)])
     # imported here: multiprocessing would lengthen every start-up
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     # runs of consecutive layouts, about eight per worker, so that a
     # worker's round trip serves several layouts and a slow run still
     # leaves the others work to share
     size = max(1, len(paths) // (8 * workers))
     chunks = [paths[i : i + size] for i in range(0, len(paths), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _write_rows(paths, pool.map(_stats_rows, chunks, repeat(args)))
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return _write_rows(paths, pool.map(_stats_rows, chunks, repeat(args)))
+    except BrokenExecutor as exc:
+        # a dead worker process is a defect of this program, not of the input
+        return _internal_error(exc)
 
 
 def _write_rows(

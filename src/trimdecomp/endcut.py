@@ -300,28 +300,34 @@ def merged_cut_rects(
     rectangle that accepts it, and rounds repeat until nothing fuses.
     Fusable rectangles at least touch, and an output rectangle is exactly
     the union of the rectangles fused into it, so the only candidates for
-    a rectangle are the outputs that hold the earlier ones it touches.
+    a rectangle are the outputs that hold the earlier ones it touches. A
+    rectangle that touches no earlier one opens its own output, so a
+    round with no touching pair, or one in which nothing fused, leaves
+    the sorted rectangles as they are and ends the merge.
     """
     rects = sorted({b.rect for c in selected for b in c.boxes})
     cell = max(params.w_high, params.h_high)
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        pairs = SpatialIndex(dict(enumerate(rects)), cell).pairs(0)
+        if not pairs:
+            return tuple(rects)
         earlier: list[list[int]] = [[] for _ in rects]
-        for i, j in SpatialIndex(dict(enumerate(rects)), cell).pairs(0):
+        for i, j in pairs:
             earlier[j].append(i)
         out: list[Rect] = []
         home: list[int] = []  # the output index each rectangle went into
+        fused = False
         for r, touching in zip(rects, earlier):
-            for k in sorted({home[i] for i in touching}):
+            for k in sorted({home[i] for i in touching}) if touching else ():
                 u = merge_union(out[k], r, params)
                 if u is not None:
                     out[k] = u
                     home.append(k)
-                    changed = True
+                    fused = True
                     break
             else:
                 home.append(len(out))
                 out.append(r)
+        if not fused:
+            return tuple(rects)
         rects = sorted(set(out))
-    return tuple(rects)

@@ -25,10 +25,13 @@ export and for checking.
 solve works on the layout graph itself, through integer edge arrays: it
 splits the graph into independent blocks (linked by conflict, stitch or
 cut-spacing edges) and runs one exact branch and bound over each
-distinct block. Layouts repeat their cells, so many blocks are equal up
-to their ids; the search sees only a block's local structure, and blocks
-of one structure share a single search. A greedy two-colouring with a
-small local search seeds the incumbent. The search then assigns masks in
+distinct block. A segment with no stitch edge and no conflict edge left
+to the search (a cut that no spacing edge constrains is settled after
+it) is a block on its own whose answer is mask A, so it gets no block
+record and no search. Layouts repeat their cells, so many blocks are
+equal up to their ids; the search sees only a block's local structure,
+and blocks of one structure share a single search. A greedy
+two-colouring with a small local search seeds the incumbent. The search then assigns masks in
 ascending segment order, mask 0 first, and settles the cuts at each
 complete colouring, so the first leaf it meets at the optimal cost is the
 lexicographically smallest optimal mask vector, the promised tie-break.
@@ -194,6 +197,11 @@ BlockStructure = tuple[
     tuple[tuple[int, int], ...],
     tuple[tuple[int, int], ...],
 ]
+
+
+# The node count of the canonical search of a lone segment's block: one
+# node for its mask A and one for the empty cut selection of that colouring.
+_LONE_NODES = 2
 
 
 class _CompSolver:
@@ -418,39 +426,48 @@ def solve(
 
     This is the one place the problem splits: blocks linked by conflict,
     stitch or cut-spacing edges are searched separately and the optima
-    summed. Blocks of one local structure are searched once, and the
-    others take that answer through their own ids; nodes still counts
-    the canonical search of every block, as if each had run. A search
-    that ran out of time is never reused. Each block reports its
-    lexicographically smallest optimal mask vector, so status OPTIMAL
-    implies the canonical answer. A cut constrains the search only
-    through a spacing edge to another cut that a conflict edge carries;
-    any other cut links nothing and is selected afterwards wherever its
-    two segments share a mask, at no cost. The status is TIMEOUT when
-    any block ran out of time, in which case the best colouring found so
-    far stands in for the exact answer.
+    summed. A cut constrains the search only through a spacing edge to
+    another cut that a conflict edge carries; any other cut links
+    nothing and is selected afterwards wherever its two segments share a
+    mask, at no cost. A segment with no stitch edge and no conflict edge
+    that the search must settle is a block on its own: it takes mask A,
+    its canonical answer, with no block record, structure key or search.
+    Blocks of one local structure are searched once, and the others take
+    that answer through their own ids. blocks and nodes still count every
+    block and its canonical search, as if each had run. A search that ran
+    out of time is never reused. Each block reports its lexicographically
+    smallest optimal mask vector, so status OPTIMAL implies the canonical
+    answer. The status is TIMEOUT when any block ran out of time, in
+    which case the best colouring found so far stands in for the exact
+    answer.
 
     The answer is priced and checked here and nowhere else. One recount
-    of the final colouring lists the conflicts left and the stitches
-    realised, and must match the search total; no two selected cuts may
-    share a spacing edge. A failed check raises AssertionError."""
+    of the final colouring, on the vertex indices of each edge, lists the
+    conflicts left and the stitches realised, and must match the search
+    total; no two selected cuts may share a spacing edge. A failed check
+    raises AssertionError."""
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     verts, edges, stitch_keys, ee = _indexed(g, ecg, alpha)
-    idx = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    idx = dict(zip(verts, range(n)))
+    # every edge on vertex indices, in the sorted order of its key
+    ends = [(idx[u], idx[v]) for (u, v), _ in edges]
+    se = [(idx[u], idx[v]) for u, v in stitch_keys]
     spaced = {p for e in ee for p in e}
     ce: list[tuple[int, int, PairKey | None]] = []
     free: list[tuple[int, int, PairKey]] = []
-    for (u, v), cand in edges:
+    for (a, b), (_, cand) in zip(ends, edges):
         if cand is None:
-            ce.append((idx[u], idx[v], None))
+            ce.append((a, b, None))
         elif cand.pair in spaced:
-            ce.append((idx[u], idx[v], cand.pair))
+            ce.append((a, b, cand.pair))
         else:
-            free.append((idx[u], idx[v], cand.pair))
-    se = [(idx[u], idx[v]) for u, v in stitch_keys]
+            free.append((a, b, cand.pair))
     pair_home = {pair: a for a, _, pair in ce if pair is not None}
 
-    parent = list(range(len(verts)))
+    parent = list(range(n))
+    # a segment that no searched edge reaches is a block on its own
+    linked = bytearray(n)
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -459,26 +476,32 @@ def solve(
         return i
 
     for a, b, _ in ce:
+        linked[a] = linked[b] = 1
         parent[find(a)] = find(b)
     for a, b in se:
+        linked[a] = linked[b] = 1
         parent[find(a)] = find(b)
     for pa, pb in ee:
         parent[find(pair_home[pa])] = find(pair_home[pb])
 
-    # blocks in order of their lowest vertex; a vertex's local id is its
-    # rank in its block, so local order is canonical order
-    block_of: dict[int, int] = {}
+    # blocks of linked segments in order of their lowest vertex; a vertex's
+    # local id is its rank in its block, so local order is canonical order
+    block_at = [-1] * n  # the block of each root
     blocks: list[list[int]] = []
-    blk = [0] * len(verts)
-    local = [0] * len(verts)
-    for i in range(len(verts)):
+    blk = [0] * n
+    local = [0] * n
+    for i in range(n):
+        if not linked[i]:
+            continue
         root = find(i)
-        if root not in block_of:
-            block_of[root] = len(blocks)
+        bi = block_at[root]
+        if bi < 0:
+            bi = block_at[root] = len(blocks)
             blocks.append([])
-        bi = blk[i] = block_of[root]
+        blk[i] = bi
         local[i] = len(blocks[bi])
         blocks[bi].append(i)
+    lone = linked.count(0)
     ce_by: list[list[tuple[int, int, bool]]] = [[] for _ in blocks]
     se_by: list[list[tuple[int, int]]] = [[] for _ in blocks]
     ee_by: list[list[tuple[int, int]]] = [[] for _ in blocks]
@@ -500,7 +523,8 @@ def solve(
     total = 0
     nodes = 0
     timed_out = False
-    color_of = [0] * len(verts)
+    # a lone segment takes mask A, its canonical search's answer
+    color_of = [0] * n
     selected: set[PairKey] = set()
     # the search depends only on a block's structure (scale and alpha are
     # fixed here), so identical blocks share one finished search; a search
@@ -527,13 +551,12 @@ def solve(
         if color_of[a] == color_of[b]:
             selected.add(pair)
 
-    colors = {v: color_of[i] for i, v in enumerate(verts)}
     conflicts = tuple(
-        (u, v)
-        for (u, v), cand in edges
-        if colors[u] == colors[v] and (cand is None or cand.pair not in selected)
+        key
+        for (key, cand), (a, b) in zip(edges, ends)
+        if color_of[a] == color_of[b] and (cand is None or cand.pair not in selected)
     )
-    stitches = tuple((u, v) for u, v in stitch_keys if colors[u] != colors[v])
+    stitches = tuple(key for key, (a, b) in zip(stitch_keys, se) if color_of[a] != color_of[b])
     check = scale * len(conflicts) + alpha.numerator * len(stitches)
     if check != total:
         raise AssertionError(
@@ -545,9 +568,9 @@ def solve(
     return IlpSolution(
         objective=Fraction(total, scale),
         status=SolveStatus.TIMEOUT if timed_out else SolveStatus.OPTIMAL,
-        nodes=nodes,
-        blocks=len(blocks),
-        colors=colors,
+        nodes=nodes + lone * _LONE_NODES,
+        blocks=len(blocks) + lone,
+        colors=dict(zip(verts, color_of)),
         selected=frozenset(selected),
         conflicts=conflicts,
         stitches=stitches,

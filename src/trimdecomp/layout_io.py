@@ -570,6 +570,11 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
             pieces = split_feature_rects(shape, coords, axis)
         # the stitches of a report sit where the mask changes, so the
         # feature splits into one piece per run
+        if len(runs) != len(pieces):
+            raise ValueError(
+                f"feature {shape.id}: {len(runs)} same-mask runs but "
+                f"{len(pieces)} pieces between its stitches"
+            )
         for (letter, keys), piece in zip(runs, pieces):
             d = "".join([f"M{x1} {m - y2}H{x2}V{m - y1}H{x1}Z" for (x1, y1), (x2, y2) in piece])
             paths[letter].append(f'<path class="mask{letter}" d="{d}"/>')

@@ -540,6 +540,27 @@ def test_merged_cut_rects_first_fit_decides_capped_chain():
     assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p) == expected
 
 
+def test_rects_touching_nothing_come_back_sorted_unfused(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return merge_union(*args)
+
+    monkeypatch.setattr(trimdecomp.endcut, "merge_union", counting)
+    p = params(whigh=120)
+    rects = [Rect.of(x, y, x + 40, y + 40) for x in (300, 0, 150) for y in (90, -100, 0)]
+    expected = tuple(sorted(rects))
+    selected = _one_box_cuts(rects + rects[:3])
+    assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p) == expected
+    assert calls == []
+    # a touching pair that does not fuse ends the merge after one round
+    misaligned = Rect.of(340, 100, 380, 140)
+    selected = _one_box_cuts([misaligned, *rects])
+    assert merged_cut_rects(selected, p) == tuple(sorted([misaligned, *rects]))
+    assert len(calls) == 1
+
+
 def test_merge_union_calls_grow_linearly_on_the_grid(monkeypatch):
     calls = 0
 

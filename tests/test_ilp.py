@@ -291,12 +291,26 @@ def stitched_path(split):
     return g, EndCutGraph({}, (), ())
 
 
+def free_cut_pair():
+    # 1-2 conflict through a cut with no spacing edge, so the search
+    # settles no edge and each segment is a block on its own
+    g, cmap = abstract_graph(2, [(1, 2)], cands={(1, 2)})
+    return g, EndCutGraph(cmap, frozenset(), ())
+
+
+def lone_search():
+    """The canonical search of a block of one segment with no edge."""
+    comp = _CompSolver((1, (), (), ()), 1, 0, None)
+    comp.run()
+    return comp
+
+
 def answer(sol):
     """A solution with its vertex keys dropped, colours in vertex order."""
     return sol.objective, [c for _, c in sorted(sol.colors.items())], sorted(sol.selected)
 
 
-def test_identical_blocks_solve_as_if_alone():
+def test_identical_blocks_solve_as_if_alone(monkeypatch):
     # pairs of blocks whose keys differ in one part only, with different
     # answers, so a key that ignores that part reuses a wrong answer
     specs = [
@@ -314,9 +328,28 @@ def test_identical_blocks_solve_as_if_alone():
     for k in range(0, len(specs), 2):
         one, other = specs[k], specs[k + 1]
         assert answer(solve(*one, Fraction(1, 10))) != answer(solve(*other, Fraction(1, 10)))
+    # segments that no searched edge reaches: bars with no conflict, and a
+    # pair whose one conflict a spacing-free cut resolves
+    lone = lone_search()
+    assert (lone.best, lone.best_colors, lone.best_sel) == (0, [0], set())
+    singles = [(abstract_graph(3, [])[0], EndCutGraph({}, (), ())), free_cut_pair()]
+    for (g, ecg), count in zip(singles, (3, 2)):
+        sol = solve(g, ecg, Fraction(1, 10))
+        assert (sol.blocks, sol.nodes) == (count, count * lone.nodes)
+        assert set(sol.colors.values()) == {0}
+    assert solve(*free_cut_pair(), Fraction(0)).selected == frozenset({(1, 2)})
+    # no search is built for a block of one segment
+    built = []
+    init = _CompSolver.__init__
+
+    def spy(self, block, *args):
+        built.append(block)
+        init(self, block, *args)
+
+    monkeypatch.setattr(_CompSolver, "__init__", spy)
     rng = random.Random(4242)
     for _ in range(25):
-        models = specs + [random_model_graph(rng)[:2] for _ in range(6)]
+        models = specs + singles + [random_model_graph(rng)[:2] for _ in range(6)]
         order = [k for k in range(len(models)) for _ in range(3)]
         rng.shuffle(order)
         # features of a model are numbered 1..6 at most, so a stride of 10
@@ -331,6 +364,7 @@ def test_identical_blocks_solve_as_if_alone():
         assert whole.blocks == sum(s.blocks for s in alone)
         assert whole.colors == {v: c for s in alone for v, c in s.colors.items()}
         assert whole.selected == frozenset().union(*(s.selected for s in alone))
+    assert built and all(m > 1 for m, _, _, _ in built)
 
 
 def count_searches(monkeypatch):

@@ -324,6 +324,32 @@ def test_emit_svg_draws_a_conflict_from_the_run_of_its_segment():
     assert 0 <= int(lines[0]) <= 400
 
 
+@pytest.mark.parametrize(
+    "masks, runs, pieces",
+    [
+        # two segments on one mask with a stitch between them: one run, two pieces
+        ("mask 1/0 A\nmask 1/1 A\n", 1, 2),
+        # three runs, but only the one stitch between them
+        ("mask 1/0 A\nmask 1/1 B\nmask 1/2 A\n", 3, 2),
+    ],
+)
+def test_emit_svg_rejects_runs_that_do_not_match_the_stitch_pieces(masks, runs, pieces):
+    doc = parse_layout("layout t\nrect 1 0 0 600 40\n")
+    rep = parse_report(masks + "stitch 1 300 20 v\ncost 0.1\n")
+    with pytest.raises(ValueError) as err:
+        emit_svg(doc, rep)
+    assert str(err.value) == (
+        f"feature 1: {runs} same-mask runs but {pieces} pieces between its stitches"
+    )
+
+
+def test_emit_svg_rejects_a_mask_change_with_no_stitch():
+    doc = parse_layout("layout t\nrect 1 0 0 600 40\n")
+    rep = parse_report("mask 1/0 A\nmask 1/1 B\ncost 0\n")
+    with pytest.raises(ValueError, match="^feature 1: 2 same-mask runs but 1 pieces"):
+        emit_svg(doc, rep)
+
+
 # sha256 of emit_svg output, which must stay byte for byte; the random seeds
 # have features split into two or more segments with no realized stitch,
 # so every segment of such a feature takes the box of its one run, the

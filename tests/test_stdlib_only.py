@@ -2,6 +2,8 @@
 and every name its modules and its tests import is used."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +28,21 @@ def test_runtime_imports_only_the_standard_library():
         (name, m) for name, m in imported if m.split(".")[0] not in sys.stdlib_module_names
     )
     assert outside == []
+
+
+def test_cli_start_up_loads_no_process_pool_or_logging():
+    # multiprocessing is imported only by a directory run with --jobs, and
+    # concurrent.futures would bring logging in with it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    probe = "import sys, trimdecomp.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "trimdecomp.cli" in loaded
+    assert not {"concurrent.futures", "logging", "multiprocessing"} & loaded
 
 
 def unread_imports(path):

@@ -450,7 +450,7 @@ def solve(
     verts, edges, stitch_keys, ee = _indexed(g, ecg, alpha)
     n = len(verts)
     idx = dict(zip(verts, range(n)))
-    # every edge on vertex indices, in the sorted order of its key
+    # every conflict edge on vertex indices, in the sorted order of its key
     ends = [(idx[u], idx[v]) for (u, v), _ in edges]
     se = [(idx[u], idx[v]) for u, v in stitch_keys]
     spaced = {p for e in ee for p in e}

@@ -298,13 +298,6 @@ def free_cut_pair():
     return g, EndCutGraph(cmap, frozenset(), ())
 
 
-def lone_search():
-    """The canonical search of a block of one segment with no edge."""
-    comp = _CompSolver((1, (), (), ()), 1, 0, None)
-    comp.run()
-    return comp
-
-
 def answer(sol):
     """A solution with its vertex keys dropped, colours in vertex order."""
     return sol.objective, [c for _, c in sorted(sol.colors.items())], sorted(sol.selected)
@@ -330,7 +323,9 @@ def test_identical_blocks_solve_as_if_alone(monkeypatch):
         assert answer(solve(*one, Fraction(1, 10))) != answer(solve(*other, Fraction(1, 10)))
     # segments that no searched edge reaches: bars with no conflict, and a
     # pair whose one conflict a spacing-free cut resolves
-    lone = lone_search()
+    # the canonical search of a block of one segment with no edge
+    lone = _CompSolver((1, (), (), ()), 1, 0, None)
+    lone.run()
     assert (lone.best, lone.best_colors, lone.best_sel) == (0, [0], set())
     singles = [(abstract_graph(3, [])[0], EndCutGraph({}, (), ())), free_cut_pair()]
     for (g, ecg), count in zip(singles, (3, 2)):

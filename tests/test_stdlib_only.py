@@ -1,5 +1,6 @@
 """The package runs on the standard library alone (dependencies = []),
-and every name its modules and its tests import is used."""
+every name its modules and its tests import is used, and the command
+line starts without the modules only a directory run needs."""
 
 import ast
 import os

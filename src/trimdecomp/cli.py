@@ -336,6 +336,14 @@ def _stats_rows(
     return rows
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the system
+    has one, which a CPU mask such as taskset's narrows, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _bench(root: Path, args: argparse.Namespace) -> int:
     # every export is of one layout's decomposition
     exports = [
@@ -351,7 +359,7 @@ def _bench(root: Path, args: argparse.Namespace) -> int:
         print(f"error: no .lay files under {root}", file=sys.stderr)
         return 1
     # the pool forks all of max_workers on its first submit
-    workers = min(args.jobs, len(paths), os.cpu_count() or 1)
+    workers = min(args.jobs, len(paths), _usable_cpus())
     if workers == 1:
         return _write_rows(paths, [_stats_rows(paths, args)])
     # imported here: multiprocessing would lengthen every start-up

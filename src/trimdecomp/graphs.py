@@ -102,6 +102,27 @@ def _merge_intervals(ivals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in out]
 
 
+def _cut_middle(rects: Sequence[Rect], coord: int, axis: str) -> int | None:
+    """The middle of a feature's cross-section at a cut across axis, or
+    None when the material just before or just after the cut is not one
+    interval: a cut there would leave a segment in two parts."""
+    before: list[tuple[int, int]] = []
+    after: list[tuple[int, int]] = []
+    for r in rects:
+        if axis == "x":
+            lo, hi, cross = r.lo.x, r.hi.x, (r.lo.y, r.hi.y)
+        else:
+            lo, hi, cross = r.lo.y, r.hi.y, (r.lo.x, r.hi.x)
+        if lo < coord <= hi:
+            before.append(cross)
+        if lo <= coord < hi:
+            after.append(cross)
+    whole = _merge_intervals(before + after)
+    if len(_merge_intervals(before)) == len(_merge_intervals(after)) == len(whole) == 1:
+        return (whole[0][0] + whole[0][1]) // 2
+    return None
+
+
 def generate_stitch_candidates(
     doc: LayoutDocument,
     g: LayoutGraph,
@@ -111,7 +132,10 @@ def generate_stitch_candidates(
 
     A feature is cut only where the projections of its conflicting
     neighbours, widened by the spacing rule, leave an uncovered span of at
-    least half the spacing rule, and at least 1, along its long axis.
+    least half the spacing rule, and at least 1, along its long axis, and
+    only where the feature's cross-section on each side of the cut is one
+    interval, so every segment stays in one piece; the stitch point is the
+    middle of that cross-section.
     Widening keeps every conflicting pair incident to exactly one segment
     of each feature, so splitting can never add a conflict the unsplit
     layout did not have.
@@ -148,10 +172,15 @@ def generate_stitch_candidates(
             if lo < hi:
                 covered.append((lo, hi))
         cuts: list[int] = []
+        crosses: list[int] = []
         pos = span[0]
         for lo, hi in _merge_intervals(covered) + [(span[1], span[1])]:
             if lo - pos >= margin:
-                cuts.append((pos + lo) // 2)
+                coord = (pos + lo) // 2
+                cross = _cut_middle(shape.rects, coord, axis)
+                if cross is not None:
+                    cuts.append(coord)
+                    crosses.append(cross)
             pos = max(pos, hi)
         if not cuts:
             segments[(fid, 0)] = shape.rects
@@ -161,18 +190,10 @@ def generate_stitch_candidates(
         seg_count[fid] = len(pieces)
         for k, piece in enumerate(pieces):
             segments[(fid, k)] = piece
-        for k, coord in enumerate(cuts):
+        for k, (coord, cross) in enumerate(zip(cuts, crosses)):
             if axis == "x":
-                spanning = [r for r in shape.rects if r.lo.x <= coord <= r.hi.x]
-                cross = (
-                    min(r.lo.y for r in spanning) + max(r.hi.y for r in spanning)
-                ) // 2
                 sp = StitchPoint(fid, coord, cross, "v")
             else:
-                spanning = [r for r in shape.rects if r.lo.y <= coord <= r.hi.y]
-                cross = (
-                    min(r.lo.x for r in spanning) + max(r.hi.x for r in spanning)
-                ) // 2
                 sp = StitchPoint(fid, cross, coord, "h")
             stitch_edges[((fid, k), (fid, k + 1))] = sp
 

@@ -35,6 +35,7 @@ two-colouring with a small local search seeds the incumbent. The search then ass
 ascending segment order, mask 0 first, and settles the cuts at each
 complete colouring, so the first leaf it meets at the optimal cost is the
 lexicographically smallest optimal mask vector, the promised tie-break.
+The cuts are settled on integer bitmasks of pending-cut indices.
 solve's IlpSolution is the whole answer, the conflicts and stitches it
 leaves included, so callers format it without re-deriving any of it."""
 
@@ -217,6 +218,11 @@ class _CompSolver:
     starts one above the incumbent's cost: the last leaf accepted is the
     first one at the optimal cost, the lexicographically smallest optimum.
 
+    A leaf settles its cuts on bitmasks: the cuts selected so far are one
+    int, each pending cut's spacing neighbours another (pend_adj), and a
+    cut is selectable when the two share no bit. best_sel, a set of cut
+    indices, is decoded from the mask only when a leaf is accepted.
+
     A solver holds no reference cycle (cut selection recurses through the
     _select method, not through a closure that refers to itself), so
     reference counting frees it as soon as its block is done. The pipeline
@@ -230,24 +236,19 @@ class _CompSolver:
         self.nodes = 0
 
         self.pend_edge = [(a, b) for a, b, cut in self.ce if cut]
-        self.pend_adj: list[list[int]] = [[] for _ in self.pend_edge]
+        # each pending cut's spacing neighbours as one bitmask of cut indices
+        adj = self.pend_adj = [0] * len(self.pend_edge)
         for ka, kb in ee:
-            self.pend_adj[ka].append(kb)
-            self.pend_adj[kb].append(ka)
-        for lst in self.pend_adj:
-            lst.sort()
+            adj[ka] |= 1 << kb
+            adj[kb] |= 1 << ka
+        # (a, b, (own bit, neighbours)) of each pending cut, read at the leaves
+        self.pend = [(a, b, (1 << k, adj[k])) for k, (a, b) in enumerate(self.pend_edge)]
 
         self.best = 0
         self.bound = 1
         self.best_colors: list[int] = [0] * self.m
         self.best_sel: set[int] = set()
         self.timed_out = False
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.deadline is not None and (self.nodes & 2047) == 0:
-            if time.monotonic() > self.deadline:
-                raise _Timeout
 
     # -- incumbent -------------------------------------------------------
 
@@ -306,22 +307,22 @@ class _CompSolver:
 
     def _cost_of(self, color: Sequence[int]) -> tuple[int, set[int]]:
         """Exact cost of a colouring under greedy cut selection."""
-        chosen: set[int] = set()
+        chosen = 0
         cost = 0
-        for k, (a, b) in enumerate(self.pend_edge):
+        for a, b, (bit, adj) in self.pend:
             if color[a] != color[b]:
                 continue
-            if any(j in chosen for j in self.pend_adj[k]):
+            if chosen & adj:
                 cost += self.wc
             else:
-                chosen.add(k)
+                chosen |= bit
         for a, b, cut in self.ce:
             if not cut and color[a] == color[b]:
                 cost += self.wc
         for a, b in self.se:
             if color[a] != color[b]:
                 cost += self.ws
-        return cost, chosen
+        return cost, _indices(chosen)
 
     # -- exact search ----------------------------------------------------
 
@@ -351,7 +352,7 @@ class _CompSolver:
                 conflict_at[max(a, b)].append(min(a, b))
         for a, b in self.se:
             stitch_at[max(a, b)].append(min(a, b))
-        wc, ws = self.wc, self.ws
+        wc, ws, deadline = self.wc, self.ws, self.deadline
 
         vals = [0] * m
         added = [0] * m
@@ -368,7 +369,9 @@ class _CompSolver:
                     cost -= added[pos]
                 continue
             nxt[pos] = val + 1
-            self._tick()
+            nodes = self.nodes = self.nodes + 1
+            if not nodes & 2047 and deadline is not None and time.monotonic() > deadline:
+                raise _Timeout
             add = 0
             for lo in conflict_at[pos]:
                 if vals[lo] == val:
@@ -392,27 +395,33 @@ class _CompSolver:
 
         Every pending cut has a spacing neighbour (solve leaves the others
         out of the search), so each one on a shared mask is a choice."""
-        same = [k for k, (a, b) in enumerate(self.pend_edge) if vals[a] == vals[b]]
-        self._select(vals, set(), same, 0, xcost)
+        same = [cut for a, b, cut in self.pend if vals[a] == vals[b]]
+        self._select(vals, 0, same, 0, xcost)
 
     def _select(
-        self, vals: list[int], chosen: set[int], constrained: list[int], i: int, acc: int
+        self, vals: list[int], chosen: int, constrained: list[tuple[int, int]], i: int, acc: int
     ) -> None:
-        """Settle constrained cuts i.. of one colouring, select before skip."""
-        self._tick()
+        """Settle constrained cuts i.. of one colouring, select before skip;
+        chosen is the bitmask of the cuts selected so far."""
+        nodes = self.nodes = self.nodes + 1
+        if not nodes & 2047 and self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Timeout
         if acc >= self.bound:
             return
         if i == len(constrained):
             self.bound = self.best = acc
             self.best_colors = list(vals)
-            self.best_sel = set(chosen)
+            self.best_sel = _indices(chosen)
             return
-        k = constrained[i]
-        if not any(j in chosen for j in self.pend_adj[k]):
-            chosen.add(k)
-            self._select(vals, chosen, constrained, i + 1, acc)
-            chosen.discard(k)
+        bit, adj = constrained[i]
+        if not chosen & adj:
+            self._select(vals, chosen | bit, constrained, i + 1, acc)
         self._select(vals, chosen, constrained, i + 1, acc + self.wc)
+
+
+def _indices(mask: int) -> set[int]:
+    """The positions of the set bits of a bitmask."""
+    return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 
 def solve(

@@ -409,6 +409,17 @@ def random_model_graph(
         return g, ecg, alpha
 
 
+def chain30_rects(first_id: int = 1, y: int = 0) -> list[str]:
+    """A crowded chain of 30 bars, as layout lines for param dis_m 120 and
+    hlow 60: every neighbour pair conflicts and every cut excludes its
+    neighbours' cuts, so the solver cannot prove the optimum 0 within a
+    fraction of a second."""
+    return [
+        f"rect {first_id + i} {200 * i} {y} {200 * i + 100} {y + 40 + i % 9}"
+        for i in range(30)
+    ]
+
+
 def parse_lp(text: str):
     """Read back the exporter's LP dialect: objective terms, rows of
     unit-coefficient sums with a bound, and the binary name list."""

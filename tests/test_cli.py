@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import chain30_rects
 from test_ilp import count_searches
 
 import trimdecomp
@@ -139,16 +140,6 @@ def test_time_limit_smoke(capsys):
     assert "cost 1.0" in out
 
 
-def chain30_rects(first_id=1, y=0):
-    """A crowded chain of 30 bars: every neighbour pair conflicts and every
-    cut excludes its neighbours' cuts, so the solver cannot prove the
-    optimum 0 within a fraction of a second."""
-    return [
-        f"rect {first_id + i} {200 * i} {y} {200 * i + 100} {y + 40 + i % 9}"
-        for i in range(30)
-    ]
-
-
 def test_timeout_is_reported_in_stats_and_csv(tmp_path, capsys):
     lines = ["layout chain30", "param dis_m 120", "param hlow 60", *chain30_rects()]
     (tmp_path / "chain30.lay").write_text("\n".join(lines) + "\n")
@@ -241,7 +232,7 @@ def test_directory_mode_rejects_export_flags(tmp_path, capsys, flag):
 
 
 def test_parallel_csv_equals_serial_csv(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for seed in range(20):
         for stitch in (False, True):
             doc = random_layout(seed, stitch=stitch)
@@ -258,7 +249,9 @@ def test_parallel_csv_equals_serial_csv(tmp_path, capsys, monkeypatch):
     assert without_cpu(parallel) == without_cpu(serial)
 
 
-def test_worker_count_is_capped(tmp_path, capsys, monkeypatch):
+def pools_started(tmp_path, monkeypatch):
+    """Three layouts under tmp_path, and the list of pool sizes that the
+    directory runs after this call start; no worker process is forked."""
     for name in ("a", "b", "c"):
         (tmp_path / f"{name}.lay").write_text((LAYOUTS / "endcut_demo.lay").read_text())
     started = []
@@ -276,14 +269,37 @@ def test_worker_count_is_capped(tmp_path, capsys, monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    # (jobs, CPUs) -> pool size for 3 layouts; None runs serially in-process
-    cases = [(8, 16, 3), (2, 16, 2), (8, 2, 2), (8, 1, None), (8, None, None), (1, 16, None)]
-    for jobs, cpus, expected in cases:
+    return started
+
+
+def test_worker_count_is_capped(tmp_path, capsys, monkeypatch):
+    started = pools_started(tmp_path, monkeypatch)
+    # (jobs, usable CPUs) -> pool size for 3 layouts; None runs serially
+    # in-process. The usable CPUs are the affinity set where the system has
+    # one, else os.cpu_count(), which may not know (None).
+    cases = [(8, 16, 3), (2, 16, 2), (8, 2, 2), (8, 1, None), (1, 16, None)]
+    runs = [(True, *c) for c in cases] + [(False, *c) for c in cases + [(8, None, None)]]
+    for has_affinity, jobs, cpus, expected in runs:
         started.clear()
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if has_affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         code, out, _ = run(capsys, "--input", str(tmp_path), "--jobs", str(jobs))
         assert code == 0 and len(out.splitlines()) == 4
-        assert started == ([] if expected is None else [expected]), (jobs, cpus)
+        assert started == ([] if expected is None else [expected]), (has_affinity, jobs, cpus)
+
+
+def test_workers_follow_the_cpus_the_process_may_use(tmp_path, capsys, monkeypatch):
+    # pinned to one CPU of two, as under taskset -c 0: os.cpu_count()
+    # still says 2, but two workers would share one CPU
+    started = pools_started(tmp_path, monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    code, out, _ = run(capsys, "--input", str(tmp_path), "--jobs", "2")
+    assert code == 0 and len(out.splitlines()) == 4
+    assert started == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2", "two"])

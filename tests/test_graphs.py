@@ -10,12 +10,14 @@ from trimdecomp.graphs import (
     build_layout_graph,
     conflict_pairs,
     end_cut_graph_dot,
+    _cut_middle,
     generate_stitch_candidates,
     layout_graph_dot,
 )
 from trimdecomp.endcut import generate_all_end_cuts
 from trimdecomp.ilp import solve
 from trimdecomp.layout_io import parse_layout
+from trimdecomp.synth import random_layout
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
@@ -119,6 +121,45 @@ def test_stitch_candidate_reattaches_to_nearest_segment():
     assert g2.conflict_edges[((1, 0), (3, 0))] is cuts[(1, 3)]
     assert ((1, 0), (2, 0)) not in g2.conflict_edges
     assert ((1, 1), (2, 1)) not in g2.conflict_edges
+
+
+
+def test_stitch_does_not_cut_both_arms_of_a_u():
+    # the free stretch x 220..400 crosses both arms of the U, so a cut at
+    # its middle, x=310, would leave a segment of two separate arm tips
+    doc = parse_layout(
+        "param dis_m 120\nparam stitch 1\n"
+        "poly 1 0 0 400 0 400 40 40 40 40 160 400 160 400 200 0 200\n"  # U open to the right
+        "rect 2 0 260 100 300\n"  # neighbour over its top arm
+    )
+    g, _, _ = graph_for(doc)
+    assert sorted(g.segments) == [(1, 0), (2, 0)]
+    assert not g.stitch_edges
+
+
+def test_cut_middle_needs_one_interval_on_each_side():
+    # the U sliced into its base and two arms that start at x=40
+    rects = [Rect.of(0, 0, 40, 200), Rect.of(40, 0, 400, 40), Rect.of(40, 160, 400, 200)]
+    assert _cut_middle(rects, 20, "x") == 100
+    # at x=40 the base ends on the left and the two arms begin on the right
+    assert _cut_middle(rects, 40, "x") is None
+    assert _cut_middle(rects, 310, "x") is None
+    assert _cut_middle(rects, 20, "y") == 200
+    assert _cut_middle(rects, 100, "y") == 20
+
+
+def test_stitch_points_lie_inside_their_features():
+    points = 0
+    for seed in range(150):
+        doc = random_layout(seed, stitch=True)
+        g, _, _ = graph_for(doc)
+        rects = {shape.id: shape.rects for shape in doc.shapes}
+        for sp in g.stitch_edges.values():
+            points += 1
+            assert any(
+                r.lo.x <= sp.x <= r.hi.x and r.lo.y <= sp.y <= r.hi.y for r in rects[sp.feature]
+            ), (seed, sp)
+    assert points > 100
 
 
 SPACING_PAIRS = (

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     _dummy_candidate,
+    chain30_rects,
     enumerate_model,
     milp_optimum,
     parse_lp,
@@ -382,6 +383,56 @@ def test_repeated_cells_are_searched_once(monkeypatch):
     assert (stats.components, stats.nodes) == (1116, 6984)
 
 
+def masks(sol):
+    return "".join("AB"[c] for _, c in sorted(sol.colors.items()))
+
+
+@pytest.mark.parametrize(
+    "bars, nodes",
+    [(12, 5_390), (15, 43_636)],
+)
+def test_search_tree_of_a_crowded_chain(bars, nodes):
+    # every neighbour pair conflicts through a cut that excludes its
+    # neighbours' cuts, so each leaf settles up to bars - 1 cuts; the node
+    # count pins the whole tree: variable order, select before skip and
+    # every prune
+    text = "\n".join(["param dis_m 120", "param hlow 60", *chain30_rects()[:bars]]) + "\n"
+    g, ecg, _ = graph_for(parse_layout(text))
+    sol = solve(g, ecg, Fraction(0))
+    assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, nodes)
+    assert masks(sol) == ("AAB" * 5)[:bars]
+    assert sorted(sol.selected) == [(i, i + 1) for i in range(1, bars, 3)]
+
+
+def test_cut_masks_wider_than_a_machine_word(monkeypatch):
+    # 40 triangles a-b-c: a-b a plain conflict, a-c and b-c carry cuts that
+    # exclude each other, and each b-c cut excludes the next triangle's a-c
+    # cut, so all 80 cuts form one block and the selected a-c cuts are
+    # pending-cut indices 0, 2, .., 78
+    edges, cands, ee = [], set(), set()
+    for a in range(1, 121, 3):
+        b, c = a + 1, a + 2
+        edges += [(a, b), (a, c), (b, c)]
+        cands |= {(a, c), (b, c)}
+        ee.add(((a, c), (b, c)))
+        if a > 1:
+            ee.add(((a - 2, a - 1), (a, c)))
+    g, cmap = abstract_graph(120, edges, cands=cands)
+    chosen = []
+    search = _CompSolver.run
+
+    def recorded(self):
+        search(self)
+        chosen.append(sorted(self.best_sel))
+
+    monkeypatch.setattr(_CompSolver, "run", recorded)
+    sol = solve(g, EndCutGraph(cmap, frozenset(ee), ()), Fraction(0), time_limit=1.0)
+    assert chosen == [list(range(0, 80, 2))]
+    assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, 320)
+    assert masks(sol) == "ABA" * 40
+    assert sorted(sol.selected) == sorted((a, a + 2) for a in range(1, 121, 3))
+
+
 def corrupt_search(monkeypatch, corrupt):
     """Let every block search finish, then spoil its answer with corrupt."""
     search = _CompSolver.run
@@ -401,7 +452,8 @@ def lower_best(comp):
 def select_both_spaced_cuts(comp):
     """Select both cuts of the block's first spacing edge, and lower best
     by the conflicts that this resolves, so the recount still agrees."""
-    spaced = [(ka, kb) for ka, adj in enumerate(comp.pend_adj) for kb in adj]
+    n = len(comp.pend_adj)
+    spaced = [(ka, kb) for ka, adj in enumerate(comp.pend_adj) for kb in range(n) if adj >> kb & 1]
     if not spaced:
         return
     for k in spaced[0]:

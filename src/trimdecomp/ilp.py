@@ -219,7 +219,7 @@ class _CompSolver:
     first one at the optimal cost, the lexicographically smallest optimum.
 
     A leaf settles its cuts on bitmasks: the cuts selected so far are one
-    int, each pending cut's spacing neighbours another (pend_adj), and a
+    int, each pending cut's spacing neighbours another (pend), and a
     cut is selectable when the two share no bit. best_sel, a set of cut
     indices, is decoded from the mask only when a leaf is accepted.
 
@@ -235,14 +235,14 @@ class _CompSolver:
         self.deadline = deadline
         self.nodes = 0
 
-        self.pend_edge = [(a, b) for a, b, cut in self.ce if cut]
+        pend_edge = [(a, b) for a, b, cut in self.ce if cut]
         # each pending cut's spacing neighbours as one bitmask of cut indices
-        adj = self.pend_adj = [0] * len(self.pend_edge)
+        adj = [0] * len(pend_edge)
         for ka, kb in ee:
             adj[ka] |= 1 << kb
             adj[kb] |= 1 << ka
-        # (a, b, (own bit, neighbours)) of each pending cut, read at the leaves
-        self.pend = [(a, b, (1 << k, adj[k])) for k, (a, b) in enumerate(self.pend_edge)]
+        # (a, b, (own bit, neighbours)) of pending cut k, its bit being 1 << k
+        self.pend = [(a, b, (1 << k, adj[k])) for k, (a, b) in enumerate(pend_edge)]
 
         self.best = 0
         self.bound = 1

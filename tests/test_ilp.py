@@ -452,12 +452,12 @@ def lower_best(comp):
 def select_both_spaced_cuts(comp):
     """Select both cuts of the block's first spacing edge, and lower best
     by the conflicts that this resolves, so the recount still agrees."""
-    n = len(comp.pend_adj)
-    spaced = [(ka, kb) for ka, adj in enumerate(comp.pend_adj) for kb in range(n) if adj >> kb & 1]
+    adjs = [adj for _, _, (_, adj) in comp.pend]
+    spaced = [(ka, kb) for ka, adj in enumerate(adjs) for kb in range(len(adjs)) if adj >> kb & 1]
     if not spaced:
         return
     for k in spaced[0]:
-        a, b = comp.pend_edge[k]
+        a, b, _ = comp.pend[k]
         if comp.best_colors[a] == comp.best_colors[b] and k not in comp.best_sel:
             comp.best -= comp.wc
         comp.best_sel.add(k)

@@ -232,7 +232,7 @@ def test_directory_mode_rejects_export_flags(tmp_path, capsys, flag):
 
 
 def test_parallel_csv_equals_serial_csv(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(trimdecomp.cli, "_usable_cpus", lambda: 2)
     for seed in range(20):
         for stitch in (False, True):
             doc = random_layout(seed, stitch=stitch)
@@ -249,9 +249,7 @@ def test_parallel_csv_equals_serial_csv(tmp_path, capsys, monkeypatch):
     assert without_cpu(parallel) == without_cpu(serial)
 
 
-def pools_started(tmp_path, monkeypatch):
-    """Three layouts under tmp_path, and the list of pool sizes that the
-    directory runs after this call start; no worker process is forked."""
+def test_worker_count_is_capped(tmp_path, capsys, monkeypatch):
     for name in ("a", "b", "c"):
         (tmp_path / f"{name}.lay").write_text((LAYOUTS / "endcut_demo.lay").read_text())
     started = []
@@ -269,37 +267,23 @@ def pools_started(tmp_path, monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return started
-
-
-def test_worker_count_is_capped(tmp_path, capsys, monkeypatch):
-    started = pools_started(tmp_path, monkeypatch)
     # (jobs, usable CPUs) -> pool size for 3 layouts; None runs serially
     # in-process. The usable CPUs are the affinity set where the system has
-    # one, else os.cpu_count(), which may not know (None).
+    # one, even when os.cpu_count() says more (as under taskset -c 0), else
+    # os.cpu_count(), which may not know (None).
     cases = [(8, 16, 3), (2, 16, 2), (8, 2, 2), (8, 1, None), (1, 16, None)]
     runs = [(True, *c) for c in cases] + [(False, *c) for c in cases + [(8, None, None)]]
     for has_affinity, jobs, cpus, expected in runs:
         started.clear()
         if has_affinity:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 16)
         else:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         code, out, _ = run(capsys, "--input", str(tmp_path), "--jobs", str(jobs))
         assert code == 0 and len(out.splitlines()) == 4
         assert started == ([] if expected is None else [expected]), (has_affinity, jobs, cpus)
-
-
-def test_workers_follow_the_cpus_the_process_may_use(tmp_path, capsys, monkeypatch):
-    # pinned to one CPU of two, as under taskset -c 0: os.cpu_count()
-    # still says 2, but two workers would share one CPU
-    started = pools_started(tmp_path, monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    code, out, _ = run(capsys, "--input", str(tmp_path), "--jobs", "2")
-    assert code == 0 and len(out.splitlines()) == 4
-    assert started == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
@@ -327,7 +311,7 @@ def test_library_time_limit_must_be_finite_and_non_negative(limit):
 
 
 def test_zero_alpha_den_is_an_input_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(trimdecomp.cli, "_usable_cpus", lambda: 2)
     text = (LAYOUTS / "cluster7.lay").read_text() + "param alpha_den 0\n"
     (tmp_path / "a.lay").write_text(text)
     message = "line 0: parameter alpha_den must be non-zero\n"
@@ -429,7 +413,7 @@ def test_edge_geometry_ends_in_a_result_or_an_error_line(tmp_path, capsys, shape
 
 
 def test_directory_error_names_the_first_bad_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(trimdecomp.cli, "_usable_cpus", lambda: 2)
     for name in ("a", "c"):
         (tmp_path / f"{name}.lay").write_text((LAYOUTS / "cluster7.lay").read_text())
     (tmp_path / "b.lay").write_text("layout b\nrect 1 100 0 0 40\n")
@@ -443,7 +427,7 @@ def test_directory_error_names_the_first_bad_file(tmp_path, capsys, monkeypatch)
 
 
 def test_overlap_is_an_input_error_in_both_modes(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(trimdecomp.cli, "_usable_cpus", lambda: 2)
     bad = tmp_path / "b.lay"
     bad.write_text("layout b\nrect 1 0 0 1000 100\nrect 50 10 10 60 60\nrect 9 500 10 560 60\n")
     assert run(capsys, "--input", str(bad)) == (1, "", "error: features 1 and 9 overlap\n")
@@ -468,7 +452,7 @@ def test_one_sweep_per_parse_and_decompose(monkeypatch):
 
 
 def test_directory_error_cancels_pending_layouts(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(trimdecomp.cli, "_usable_cpus", lambda: 2)
     log = tmp_path / "started.txt"
     layouts = tmp_path / "in"
     layouts.mkdir()
@@ -498,7 +482,7 @@ def test_directory_error_cancels_pending_layouts(tmp_path, capsys, monkeypatch):
     reason="the patched _run_one reaches the workers only when they are forked",
 )
 def test_directory_chunks_name_the_first_bad_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(trimdecomp.cli, "_usable_cpus", lambda: 2)
     log = tmp_path / "started.txt"
     layouts = tmp_path / "in"
     layouts.mkdir()
@@ -532,7 +516,7 @@ def test_directory_chunks_name_the_first_bad_file(tmp_path, capsys, monkeypatch)
     reason="the patched _run_one reaches the workers only when they are forked",
 )
 def test_dead_worker_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(trimdecomp.cli, "_usable_cpus", lambda: 2)
     for name in ("a", "b"):
         (tmp_path / f"{name}.lay").write_text((LAYOUTS / "endcut_demo.lay").read_text())
     monkeypatch.setattr(trimdecomp.cli, "_run_one", lambda path, args: os._exit(1))

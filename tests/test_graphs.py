@@ -6,11 +6,11 @@ from helpers import _dummy_candidate
 from trimdecomp.geometry import Metric, Rect, SpatialIndex
 from trimdecomp.graphs import (
     LayoutGraph,
+    _cut_middle,
     build_end_cut_graph,
     build_layout_graph,
     conflict_pairs,
     end_cut_graph_dot,
-    _cut_middle,
     generate_stitch_candidates,
     layout_graph_dot,
 )
@@ -121,7 +121,6 @@ def test_stitch_candidate_reattaches_to_nearest_segment():
     assert g2.conflict_edges[((1, 0), (3, 0))] is cuts[(1, 3)]
     assert ((1, 0), (2, 0)) not in g2.conflict_edges
     assert ((1, 1), (2, 1)) not in g2.conflict_edges
-
 
 
 def test_stitch_does_not_cut_both_arms_of_a_u():

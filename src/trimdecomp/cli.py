@@ -4,10 +4,10 @@ decompose_document runs the whole flow on a parsed layout: conflict
 detection, cut generation, optional stitch insertion, the end-cut graph,
 one exact solve of the layout graph, and reassembly into a report. main
 wraps it with file handling, artifact export, and a benchmark mode over a
-directory of layouts. Benchmark mode spreads the layouts over --jobs
-worker processes, at most one per CPU and per layout, in chunks of
-consecutive layouts; the work is pure-Python CPU, so threads would queue
-on the interpreter lock.
+directory of layouts. Benchmark mode maps the layouts over --jobs worker
+processes, at most one per CPU and per layout, in runs of consecutive
+layouts (the pool map's chunksize); the work is pure-Python CPU, so
+threads would queue on the interpreter lock.
 """
 
 from __future__ import annotations
@@ -319,21 +319,17 @@ def _internal_error(exc: BaseException) -> int:
     return 2
 
 
-def _stats_rows(
-    paths: list[Path], args: argparse.Namespace
-) -> list[tuple[str, RunStats] | Exception]:
-    """The directory-mode rows of a run of layouts; module level so a
-    worker process can run it. An input error ends the run: it takes the
-    failing layout's place as the last item, and the layouts after it are
-    not started."""
-    rows: list[tuple[str, RunStats] | Exception] = []
-    for path in paths:
-        try:
-            rows.append((path.stem, _run_one(path, args).stats))
-        except (LayoutParseError, OSError, ValueError) as exc:
-            rows.append(exc)
-            break
-    return rows
+class _InputError(Exception):
+    """A bad layout of a directory run, as "<file name>: <reason>"; a text
+    argument alone, so it crosses from a worker process as it is."""
+
+
+def _stats_row(path: Path, args: argparse.Namespace) -> tuple[str, RunStats]:
+    """One directory-mode row; module level so a worker process can run it."""
+    try:
+        return path.stem, _run_one(path, args).stats
+    except (LayoutParseError, OSError, ValueError) as exc:
+        raise _InputError(f"{path.name}: {exc}") from None
 
 
 def _usable_cpus() -> int:
@@ -361,7 +357,7 @@ def _bench(root: Path, args: argparse.Namespace) -> int:
     # the pool forks all of max_workers on its first submit
     workers = min(args.jobs, len(paths), _usable_cpus())
     if workers == 1:
-        return _write_rows(paths, [_stats_rows(paths, args)])
+        return _write_rows(map(_stats_row, paths, repeat(args)))
     # imported here: multiprocessing would lengthen every start-up
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
@@ -369,37 +365,32 @@ def _bench(root: Path, args: argparse.Namespace) -> int:
     # worker's round trip serves several layouts and a slow run still
     # leaves the others work to share
     size = max(1, len(paths) // (8 * workers))
-    chunks = [paths[i : i + size] for i in range(0, len(paths), size)]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _write_rows(paths, pool.map(_stats_rows, chunks, repeat(args)))
+            return _write_rows(pool.map(_stats_row, paths, repeat(args), chunksize=size))
     except BrokenExecutor as exc:
         # a dead worker process is a defect of this program, not of the input
         return _internal_error(exc)
 
 
-def _write_rows(
-    paths: list[Path], chunks: Iterable[list[tuple[str, RunStats] | Exception]]
-) -> int:
-    """Print the CSV of the rows of chunks, which come in the order of paths.
+def _write_rows(rows: Iterable[tuple[str, RunStats]]) -> int:
+    """Print the CSV of rows, which come in sorted file-name order.
 
-    The first failing layout in that order is the one reported. A chunk
-    starts no layout after its failing one, and returning early drops
-    the pool's map, which cancels the chunks not yet started.
+    The first failing layout in that order is the one reported: a run of
+    layouts stops at its failing one, and leaving the pool's map early
+    cancels the runs not yet started.
     """
-    rows: list[tuple[str, RunStats]] = []
-    for chunk in chunks:
-        for row in chunk:
-            if isinstance(row, Exception):
-                print(f"error: {paths[len(rows)].name}: {row}", file=sys.stderr)
-                return 1
-            rows.append(row)
+    try:
+        table = list(rows)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
         ["circuit", "wire", "comp", "conflict", "stitch", "cost", "cpu_s", "status"]
     )
-    for name, st in rows:
+    for name, st in table:
         writer.writerow(
             [name, st.wires, st.components, st.conflicts, st.stitches,
              fraction_to_decimal(st.cost), f"{st.cpu_s:.2f}", st.status.value]

@@ -31,10 +31,11 @@ it) is a block on its own whose answer is mask A, so it gets no block
 record and no search. Layouts repeat their cells, so many blocks are
 equal up to their ids; the search sees only a block's local structure,
 and blocks of one structure share a single search. A greedy
-two-colouring with a small local search seeds the incumbent. The search then assigns masks in
-ascending segment order, mask 0 first, and settles the cuts at each
-complete colouring, so the first leaf it meets at the optimal cost is the
-lexicographically smallest optimal mask vector, the promised tie-break.
+two-colouring with a small local search seeds the incumbent. The search
+then assigns masks in ascending segment order, mask 0 first, and settles
+the cuts at each complete colouring, so the first leaf it meets at the
+optimal cost is the lexicographically smallest optimal mask vector, the
+promised tie-break.
 The cuts are settled on integer bitmasks of pending-cut indices.
 solve's IlpSolution is the whole answer, the conflicts and stitches it
 leaves included, so callers format it without re-deriving any of it."""

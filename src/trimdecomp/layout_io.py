@@ -8,9 +8,10 @@ The layout format is line oriented plain text:
     rect <id> <x1> <y1> <x2> <y2>
     poly <id> <x1> <y1> <x2> <y2> ... (closed implicitly, rectilinear)
 
-Blank lines and ``#`` comments are ignored. Coordinates are integer
-nanometers. Feature ids are non-negative integers and must be unique.
-Shapes may touch but not overlap, which decompose_document checks.
+Blank lines and ``#`` comments are ignored, here and in reports: one
+line reader serves both parsers. Coordinates are integer nanometers.
+Feature ids are non-negative integers and must be unique. Shapes may
+touch but not overlap, which decompose_document checks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import gc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, ParamSpec, Sequence, TextIO, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, ParamSpec, Sequence, TypeVar
 
 from .geometry import (
     OverlappingInputShapes,
@@ -35,18 +36,17 @@ from .geometry import (
 # features have the single segment 0.
 VertexKey = tuple[int, int]
 
-PARAM_KEYS = (
-    "dis_m",
-    "dis_c",
-    "hlow",
-    "hhigh",
-    "wlow",
-    "whigh",
-    "wth",
-    "alpha_num",
-    "alpha_den",
-    "stitch",
+# the integer rules: (key in a layout file, field of DecompositionParams)
+_INT_RULES = (
+    ("dis_m", "dis_m"),
+    ("dis_c", "dis_c"),
+    ("hlow", "h_low"),
+    ("hhigh", "h_high"),
+    ("wlow", "w_low"),
+    ("whigh", "w_high"),
+    ("wth", "w_th"),
 )
+PARAM_KEYS = (*(key for key, _ in _INT_RULES), "alpha_num", "alpha_den", "stitch")
 
 
 class LayoutParseError(ValueError):
@@ -54,11 +54,6 @@ class LayoutParseError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
-
-    def __reduce__(self):
-        # the default rebuilds from args, the formatted text alone; this
-        # lets the error cross from a directory-mode worker process
-        return type(self), (self.line, self.message)
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,7 @@ class DecompositionParams:
     stitch: bool
 
     def __post_init__(self) -> None:
-        for name in ("dis_m", "dis_c", "h_low", "h_high", "w_low", "w_high", "w_th"):
+        for _, name in _INT_RULES:
             v = getattr(self, name)
             if not isinstance(v, int) or v <= 0:
                 raise ValueError(f"parameter {name} must be a positive integer, got {v!r}")
@@ -144,14 +139,7 @@ class DecompositionParams:
         )
 
     def raw_items(self) -> list[tuple[str, int]]:
-        return [
-            ("dis_m", self.dis_m),
-            ("dis_c", self.dis_c),
-            ("hlow", self.h_low),
-            ("hhigh", self.h_high),
-            ("wlow", self.w_low),
-            ("whigh", self.w_high),
-            ("wth", self.w_th),
+        return [(key, getattr(self, name)) for key, name in _INT_RULES] + [
             ("alpha_num", self.alpha.numerator),
             ("alpha_den", self.alpha.denominator),
             ("stitch", int(self.stitch)),
@@ -161,7 +149,6 @@ class DecompositionParams:
 @dataclass(frozen=True)
 class LayoutDocument:
     name: str
-    units: str
     shapes: tuple[RectilinearShape, ...]
     params: DecompositionParams
 
@@ -250,30 +237,33 @@ def _parse_box(toks: Sequence[str], line: int, what: str) -> Rect:
     return Rect.of(x1, y1, x2, y2)
 
 
-@_collector_paused
-def parse_layout(source: str | TextIO) -> LayoutDocument:
-    text = source if isinstance(source, str) else source.read()
-    name = "unnamed"
-    units = "nm"
-    raw_params: dict[str, int] = {}
-    shapes: list[RectilinearShape] = []
-    seen_ids: set[int] = set()
-
+def _directives(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The line number and tokens of each line of text that holds more
+    than a comment; a line without ``#`` is split once."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
         toks = line.split()
-        if not toks:
-            continue
+        if toks:
+            yield lineno, toks
+
+
+@_collector_paused
+def parse_layout(text: str) -> LayoutDocument:
+    name = "unnamed"
+    raw_params: dict[str, int] = {}
+    shapes: list[RectilinearShape] = []
+    seen_ids: set[int] = set()
+
+    for lineno, toks in _directives(text):
         kind = toks[0]
         if kind == "layout":
             if len(toks) != 2:
                 raise LayoutParseError(lineno, "layout takes exactly one name")
             name = toks[1]
         elif kind == "units":
-            if len(toks) != 2 or toks[1] != "nm":
+            if toks != ["units", "nm"]:
                 raise LayoutParseError(lineno, "only 'units nm' is supported")
-            units = toks[1]
         elif kind == "param":
             if len(toks) != 3:
                 raise LayoutParseError(lineno, "param takes a key and an integer value")
@@ -316,7 +306,7 @@ def parse_layout(source: str | TextIO) -> LayoutDocument:
     except ValueError as exc:
         raise LayoutParseError(0, str(exc)) from exc
     shapes.sort(key=lambda s: s.id)
-    return LayoutDocument(name=name, units=units, shapes=tuple(shapes), params=params)
+    return LayoutDocument(name=name, shapes=tuple(shapes), params=params)
 
 
 def _check_id(fid: int, seen: set[int], lineno: int) -> None:
@@ -344,7 +334,11 @@ def _check_disjoint(shapes: Sequence[RectilinearShape], pairs: Sequence[tuple[in
 
 
 def write_layout(doc: LayoutDocument) -> str:
-    lines = [f"layout {doc.name}", f"units {doc.units}"]
+    """The layout text that parse_layout reads back as doc. ValueError
+    unless the name is one token without ``#``, as a layout line holds."""
+    if doc.name.split() != [doc.name] or "#" in doc.name:
+        raise ValueError(f"layout name {doc.name!r} must be one token without whitespace or '#'")
+    lines = [f"layout {doc.name}", "units nm"]
     lines += [f"param {key} {value}" for key, value in doc.params.raw_items()]
     for s in doc.shapes:
         if len(s.outline) == 4:
@@ -409,19 +403,14 @@ def write_report(report: DecompositionReport) -> str:
     return "\n".join(lines)
 
 
-def parse_report(source: str | TextIO) -> DecompositionReport:
-    text = source if isinstance(source, str) else source.read()
+def parse_report(text: str) -> DecompositionReport:
     masks: dict[VertexKey, str] = {}
     cuts: list[Rect] = []
     conflicts: list[tuple[VertexKey, VertexKey]] = []
     stitches: list[StitchPoint] = []
     cost: Fraction | None = None
     status: SolveStatus | None = None
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        lin = rawline.split("#", 1)[0].strip()
-        if not lin:
-            continue
-        toks = lin.split()
+    for lineno, toks in _directives(text):
         kind = toks[0]
         if kind == "mask":
             if len(toks) != 3 or toks[2] not in ("A", "B"):

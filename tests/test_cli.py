@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import chain30_rects
+from helpers import chain30_rects, square_grid_rects
 from test_ilp import count_searches
 
 import trimdecomp
@@ -141,11 +141,11 @@ def test_time_limit_smoke(capsys):
 
 
 def test_timeout_is_reported_in_stats_and_csv(tmp_path, capsys):
-    lines = ["layout chain30", "param dis_m 120", "param hlow 60", *chain30_rects()]
-    (tmp_path / "chain30.lay").write_text("\n".join(lines) + "\n")
-    report = tmp_path / "chain30.rpt"
+    lines = ["layout grid4x20", "param dis_m 120", *square_grid_rects()]
+    (tmp_path / "grid4x20.lay").write_text("\n".join(lines) + "\n")
+    report = tmp_path / "grid4x20.rpt"
     code, out, _ = run(
-        capsys, "--input", str(tmp_path / "chain30.lay"), "--time-limit", "0.2",
+        capsys, "--input", str(tmp_path / "grid4x20.lay"), "--time-limit", "0.2",
         "--out", str(report),
     )
     assert code == 0
@@ -185,17 +185,18 @@ def test_rect_only_pipeline_reads_no_outline(monkeypatch):
 
 
 def test_timed_out_block_is_searched_again(monkeypatch):
-    # two identical chains 10,000 nm apart are two blocks of one structure;
-    # the first search runs out of time, so the second may not reuse it
-    lines = ["layout chain30x2", "param dis_m 120", "param hlow 60"]
-    lines += chain30_rects() + chain30_rects(first_id=31, y=10_000)
+    # two identical square grids 10,000 nm apart are two blocks of one
+    # structure; the first search runs out of time, so the second may not
+    # reuse it
+    lines = ["layout grid4x20x2", "param dis_m 120"]
+    lines += square_grid_rects() + square_grid_rects(first_id=81, y=10_000)
     doc = parse_layout("\n".join(lines) + "\n")
     searches = count_searches(monkeypatch)
     # decompose_document recounts the cost of the reported colouring
     result = decompose_document(doc, time_limit=0.2)
     assert result.stats.status.value == "timeout"
     assert result.stats.components == 2
-    assert searches == [30, 30]
+    assert searches == [80, 80]
 
 
 def test_directory_benchmark_mode(tmp_path, capsys):
@@ -264,7 +265,7 @@ def test_worker_count_is_capped(tmp_path, capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        map = staticmethod(lambda fn, *iterables, chunksize=1: map(fn, *iterables))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # (jobs, usable CPUs) -> pool size for 3 layouts; None runs serially

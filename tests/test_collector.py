@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import square_grid_rects
+
 import trimdecomp.cli
 from trimdecomp.cli import build_full_model, decompose_document
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
@@ -45,13 +47,14 @@ def test_pipeline_leaves_no_reference_cycle():
     for seed in range(8):
         texts.append(write_layout(random_layout(seed, clusters=9)))
         texts.append(write_layout(random_layout(seed, clusters=9, stitch=True)))
-    timeout_chain, deep_chain = chain_text(30), chain_text(1200)
+    timeout_grid = "\n".join(["layout grid4x20", "param dis_m 120", *square_grid_rects()]) + "\n"
+    deep_chain = chain_text(1200)
     gc.collect()
     gc.disable()
     try:
         for text in texts:
             full_run(text)
-        timed_out = full_run(timeout_chain, time_limit=0.2) is SolveStatus.TIMEOUT
+        timed_out = full_run(timeout_grid, time_limit=0.2) is SolveStatus.TIMEOUT
         try:
             full_run(deep_chain, time_limit=1.0)
         except RecursionError:

@@ -359,7 +359,7 @@ def _scatter_layout(rng: random.Random, count: int, raw: dict) -> LayoutDocument
         ):
             shapes.append(s)
     params = DecompositionParams.from_raw(raw, shapes)
-    return LayoutDocument(name="scatter", units="nm", shapes=tuple(shapes), params=params)
+    return LayoutDocument(name="scatter", shapes=tuple(shapes), params=params)
 
 
 def _raised(doc: LayoutDocument, h_high: int, w_high: int) -> LayoutDocument:

@@ -32,7 +32,7 @@ LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 def test_parse_minimal_layout():
     doc = parse_layout("layout t\nunits nm\nrect 1 0 0 10 10\n")
     assert doc.name == "t"
-    assert doc.units == "nm"
+    assert doc == parse_layout("layout t\nrect 1 0 0 10 10\n")  # nm is the only unit
     assert [s.id for s in doc.shapes] == [1]
     assert doc.shapes[0].bbox == Rect.of(0, 0, 10, 10)
 
@@ -191,6 +191,20 @@ def test_layout_roundtrip_random():
         assert len(back.shapes) == len(doc.shapes)
         for a, b in zip(back.shapes, doc.shapes):
             assert a.id == b.id and a.outline == b.outline
+
+
+@pytest.mark.parametrize("name", ["my chip", "", "chip#2", "a\nrect 9 0 0 5 5"])
+def test_write_layout_rejects_a_name_its_parser_cannot_read_back(name):
+    # two tokens or none, a comment that would cut the name short, and a
+    # line break that would add a rect line
+    doc = dataclasses.replace(random_layout(1), name=name)
+    with pytest.raises(ValueError, match="^layout name .* must be one token without whitespace or '#'$"):
+        write_layout(doc)
+
+
+def test_write_layout_round_trips_a_one_token_name():
+    doc = dataclasses.replace(random_layout(1), name="chip_2-v1.0")
+    assert parse_layout(write_layout(doc)) == doc
 
 
 def test_write_layout_uses_poly_only_when_needed():

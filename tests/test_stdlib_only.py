@@ -1,6 +1,6 @@
 """The package runs on the standard library alone (dependencies = []),
-every name its modules and its tests import is used, and the command
-line starts without the modules only a directory run needs."""
+every name its modules, its tests and its benchmark import is used, and
+the command line starts without the modules only a directory run needs."""
 
 import ast
 import os
@@ -10,6 +10,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "trimdecomp"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def absolute_imports(path):
@@ -66,8 +67,9 @@ def unread_imports(path):
 def test_every_imported_name_is_read():
     # __init__.py imports only to re-export
     files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    files += sorted(TESTS.glob("*.py"))
+    files += sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     assert any(p.name == "layout_io.py" for p in files)
     assert any(p.name == "helpers.py" for p in files)
+    assert any(p.name == "spans.py" for p in files)
     unread = sorted((p.name, name) for p in files for name in unread_imports(p))
     assert unread == []

@@ -83,40 +83,51 @@ def _rect_pair_sides(r1: Rect, r2: Rect) -> list[tuple[int, int, int, int, str]]
     return sides
 
 
-def _outline_sides(
-    o1: Sequence[Point], o2: Sequence[Point]
-) -> list[tuple[int, int, int, int, str]]:
-    """The facing sides of two features, read from their outlines.
+# the runs (pos, lo, hi) of an outline, grouped by outward normal: down,
+# right, up and left
+Runs = tuple[list[tuple[int, int, int]], ...]
 
-    Each counter-clockwise outline's runs (pos, lo, hi) are grouped by
-    outward normal, the direction of travel turned clockwise: down,
-    right, up and left. The bottom, right, top and left runs of o1 are
-    paired with the top, left, bottom and right runs of o2, as
-    _rect_pair_sides pairs the sides of two rectangles, and a pair faces
-    only when a gap lies between its two runs along their normal.
-    """
-    grouped = []
-    for outline in (o1, o2):
-        runs: tuple[list[tuple[int, int, int]], ...] = ([], [], [], [])
-        for (px, py), (qx, qy) in zip(outline, (*outline[1:], outline[0])):
-            if py == qy:
-                runs[0 if px < qx else 2].append((py, min(px, qx), max(px, qx)))
+
+def _outline_runs(outline: Sequence[Point]) -> Runs:
+    """The runs of a counter-clockwise outline, grouped by outward normal,
+    the direction of travel turned clockwise."""
+    runs: Runs = ([], [], [], [])
+    down, right, up, left = runs
+    for (px, py), (qx, qy) in zip(outline, (*outline[1:], outline[0])):
+        if py == qy:
+            if px < qx:
+                down.append((py, px, qx))
             else:
-                runs[1 if py < qy else 3].append((px, min(py, qy), max(py, qy)))
-        grouped.append(runs)
-    (down1, right1, up1, left1), (down2, right2, up2, left2) = grouped
+                up.append((py, qx, px))
+        elif py < qy:
+            right.append((px, py, qy))
+        else:
+            left.append((px, qy, py))
+    return runs
+
+
+def _facing_sides(runs1: Runs, runs2: Runs) -> list[tuple[int, int, int, int, str]]:
+    """The facing sides of two features, read from their grouped runs.
+
+    The bottom, right, top and left runs of the first are paired with the
+    top, left, bottom and right runs of the second, as _rect_pair_sides
+    pairs the sides of two rectangles, and a pair faces only when a gap
+    lies between its two runs along their normal.
+    """
+    down1, right1, up1, left1 = runs1
+    down2, right2, up2, left2 = runs2
     sides = []
-    # o1's runs, o2's facing runs, the axis both lie along, and whether
-    # o1's run is the lower of the two across the gap
-    for runs1, runs2, axis, o1_low in (
+    # the first feature's runs, the second's facing runs, the axis both
+    # lie along, and whether the first's run is the lower across the gap
+    for group1, group2, axis, first_low in (
         (down1, up2, "x", False),
         (right1, left2, "y", True),
         (up1, down2, "x", True),
         (left1, right2, "y", False),
     ):
-        for pos1, lo1, hi1 in runs1:
-            for pos2, lo2, hi2 in runs2:
-                lo, hi = (pos1, pos2) if o1_low else (pos2, pos1)
+        for pos1, lo1, hi1 in group1:
+            for pos2, lo2, hi2 in group2:
+                lo, hi = (pos1, pos2) if first_low else (pos2, pos1)
                 if lo < hi:
                     sides.append((lo, hi, max(lo1, lo2), min(hi1, hi2), axis))
     return sides
@@ -197,7 +208,19 @@ def generate_end_cut(
     if len(s1.outline) == 4 and len(s2.outline) == 4:
         sides = _rect_pair_sides(s1.rects[0], s2.rects[0])
     else:
-        sides = _outline_sides(s1.outline, s2.outline)
+        sides = _facing_sides(_outline_runs(s1.outline), _outline_runs(s2.outline))
+    return _end_cut(s1, s2, sides, params, material)
+
+
+def _end_cut(
+    s1: RectilinearShape,
+    s2: RectilinearShape,
+    sides: list[tuple[int, int, int, int, str]],
+    params: DecompositionParams,
+    material: Sequence[Rect],
+) -> EndCutCandidate | None:
+    """The cut candidate of one feature pair from its facing sides, as
+    generate_end_cut finds it."""
     p = params
     raw = []
     for lo, hi, ov_lo, ov_hi, axis in sides:
@@ -247,6 +270,7 @@ def generate_all_end_cuts(
     a and its neighbours there.
     """
     shapes_by_id = {s.id: s for s in doc.shapes}
+    runs: dict[int, Runs] = {}  # each polygon's runs, grouped once
     near: dict[int, list[int]] = {}
     for a, b in near_pairs:
         near.setdefault(a, []).append(b)
@@ -260,7 +284,15 @@ def generate_all_end_cuts(
             material = list(shapes_by_id[a].rects)
             for n in near.get(a, ()):
                 material.extend(shapes_by_id[n].rects)
-        cand = generate_end_cut(shapes_by_id[a], shapes_by_id[b], doc.params, material)
+        s1, s2 = shapes_by_id[a], shapes_by_id[b]
+        if len(s1.outline) == 4 and len(s2.outline) == 4:
+            sides = _rect_pair_sides(s1.rects[0], s2.rects[0])
+        else:
+            for s in (s1, s2):
+                if s.id not in runs:
+                    runs[s.id] = _outline_runs(s.outline)
+            sides = _facing_sides(runs[a], runs[b])
+        cand = _end_cut(s1, s2, sides, doc.params, material)
         if cand is not None:
             cuts[cand.pair] = cand
     return cuts

@@ -14,6 +14,13 @@ within a given Chebyshev gap, exactly, by a band sweep. A pair is found
 only in a band where one of its boxes starts, so a box is listed only in
 such bands, and its memory does not grow with its height.
 
+RectilinearShape.from_outline reads a polygon's outline in one pass for
+its corners and then checks and cuts it in one sweep up its horizontal
+runs, in time n log n plus the shifts of one sorted list of xs for n
+corners. Each piece of the polygon between two vertical runs becomes one
+rectangle, however many corners lie beside it, so a comb is one
+rectangle per tooth and a staircase one per step.
+
 Point, Rect and RectilinearShape are named tuples that order, compare
 and hash as plain tuples and check nothing. RectilinearShape's
 constructors and the parsers check input where it enters. Where this
@@ -26,7 +33,9 @@ class.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -45,6 +54,7 @@ class Metric(enum.Enum):
 
 # the record constructor that namedtuple's _make uses: no Python frame
 _new = tuple.__new__
+_first = itemgetter(0)
 
 
 class Point(NamedTuple):
@@ -119,93 +129,138 @@ def rects_closed_intersect(a: Rect, b: Rect) -> bool:
     )
 
 
-def _normalize_outline(points: Sequence[Point]) -> list[Point]:
-    """Drop a repeated closing point, merge collinear runs, reject spikes."""
-    pts = list(points)
+def _check_integer(points: Iterable[tuple[int, int]]) -> None:
+    """Reject a coordinate that is not an int, or that is a bool, which
+    would be written as True or False."""
+    for x, y in points:
+        if (
+            not (isinstance(x, int) and isinstance(y, int))
+            or isinstance(x, bool)
+            or isinstance(y, bool)
+        ):
+            raise GeometryError(f"point coordinates must be integers: ({x}, {y})")
+
+
+def _corners(pts: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[int]]:
+    """The corners of an outline and the direction of the run that leaves
+    each (0 right, 1 up, 2 left, 3 down), in one pass over its moves.
+
+    A repeated closing point is dropped; a repeated or diagonal move, and
+    a run that doubles back, are rejected. Every corner turns a quarter,
+    so the runs alternate between horizontal and vertical and there are
+    an even number of them, at least four: a closed walk needs both kinds
+    of move, each in both directions.
+    """
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts.pop()
     if len(pts) < 4:
         raise GeometryError("outline needs at least 4 distinct vertices")
-
-    for p, q in zip(pts, pts[1:] + pts[:1]):
-        if p == q:
-            raise GeometryError("outline repeats a vertex consecutively")
-        if p.x != q.x and p.y != q.y:
-            raise GeometryError(f"outline move {p} -> {q} is not axis-aligned")
-
-    def direction(p: Point, q: Point) -> tuple[int, int]:
-        dx = (q.x > p.x) - (q.x < p.x)
-        dy = (q.y > p.y) - (q.y < p.y)
-        return dx, dy
-
-    merged: list[Point] = []
-    n = len(pts)
-    for i, p in enumerate(pts):
-        prev = pts[i - 1]
-        nxt = pts[(i + 1) % n]
-        d_in = direction(prev, p)
-        d_out = direction(p, nxt)
-        if d_in == d_out:
-            continue  # collinear, vertex is redundant
-        if d_in == (-d_out[0], -d_out[1]):
-            raise GeometryError(f"outline doubles back at {p}")
-        merged.append(p)
-    if len(merged) < 4 or len(merged) % 2 != 0:
-        raise GeometryError("outline does not describe a rectilinear polygon")
-    return merged
+    dirs = []
+    for (px, py), (qx, qy) in zip(pts, (*pts[1:], pts[0])):
+        if py == qy:
+            if px == qx:
+                raise GeometryError("outline repeats a vertex consecutively")
+            dirs.append(0 if qx > px else 2)
+        elif px == qx:
+            dirs.append(1 if qy > py else 3)
+        else:
+            raise GeometryError(
+                f"outline move {_new(Point, (px, py))} -> {_new(Point, (qx, qy))} is not axis-aligned"
+            )
+    corners, leaving = [], []
+    d_in = dirs[-1]
+    for p, d in zip(pts, dirs):
+        if d != d_in:  # a vertex inside a straight run is dropped
+            if d == d_in ^ 2:
+                raise GeometryError(f"outline doubles back at {_new(Point, p)}")
+            corners.append(p)
+            leaving.append(d)
+        d_in = d
+    return corners, leaving
 
 
-def _signed_area2(pts: Sequence[Point]) -> int:
-    return sum(p.x * q.y - q.x * p.y for p, q in zip(pts, pts[1:] + pts[:1]))
+def _sweep(
+    corners: list[tuple[int, int]], dirs: list[int]
+) -> tuple[tuple[Rect, ...], tuple[Point, ...]]:
+    """Check that the outline through corners is simple and cut it into
+    rectangles, in one sweep up its horizontal runs; also give the outline
+    counter-clockwise.
 
+    No vertex may repeat, and two horizontal runs on one line may not
+    meet: sorted, each must end before the next one on its line begins.
+    The sweep keeps the sorted xs of the vertical runs that cross the band
+    below the current y. A horizontal run at y may meet only its own ones
+    among them, those that end at its corners; any other crosses or
+    touches it. A vertical run that starts or ends inside a horizontal one
+    has a corner on another horizontal run of that line, and of two
+    vertical runs that overlap on one line, the one that starts higher
+    starts inside the other, whose x its horizontal run then meets.
 
-def _check_simple(pts: Sequence[Point]) -> None:
-    """Reject outlines whose boundary touches or crosses itself."""
-    n = len(pts)
-    segs = [
-        (min(p.x, q.x), min(p.y, q.y), max(p.x, q.x), max(p.y, q.y))
-        for p, q in zip(pts, pts[1:] + pts[:1])
-    ]
-    if len(set(pts)) != n:
+    The open xs bound the pieces of the polygon in the band, in pairs. A
+    piece closes only where a run at y meets it, so vertically adjacent
+    pieces of equal x extent are one rectangle. The lowest-leftmost corner
+    is convex and is the left end of the first run in sorted order: the
+    outline is counter-clockwise when it leaves that corner to the right.
+    """
+    m = len(corners)
+    if len(set(corners)) != m:
         raise GeometryError("outline revisits a vertex")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            a, b = segs[i], segs[j]
-            if a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]:
-                raise GeometryError("outline self-intersects")
-
-
-def _decompose_outline(pts: Sequence[Point]) -> tuple[Rect, ...]:
-    """Slice a simple rectilinear polygon into horizontal slabs of rectangles."""
-    ys = sorted({p.y for p in pts})
-    verticals = [
-        (p.x, min(p.y, q.y), max(p.y, q.y)) for p, q in zip(pts, pts[1:] + pts[:1]) if p.x == q.x
-    ]
+    # from a corner that starts a horizontal run, run i goes from a[i] to
+    # b[i], and the vertical run from b[i] to a[i + 1]
+    c = corners[1:] + corners[:1] if dirs[0] & 1 else corners
+    a, b = c[0::2], c[1::2]
+    a_next, b_prev = a[1:] + a[:1], b[-1:] + b[:-1]
+    # (y, x1, x2, the verticals at x1 and x2 go up, traversed rightwards)
+    runs = sorted(
+        [
+            (y, xa, xb, yp > y, yn > y, True) if xa < xb else (y, xb, xa, yn > y, yp > y, False)
+            for (xa, y), (xb, _), (_, yp), (_, yn) in zip(a, b, b_prev, a_next)
+        ]
+    )
+    for r, q in zip(runs, runs[1:]):
+        if r[0] == q[0] and q[1] <= r[2]:
+            raise GeometryError("outline self-intersects")
+    open_xs: list[int] = []
+    since: dict[int, int] = {}  # left x of each open piece: the y it starts at
     rects: list[Rect] = []
-    for y0, y1 in zip(ys, ys[1:]):
-        xs = sorted(x for x, vlo, vhi in verticals if vlo <= y0 and vhi >= y1)
-        if len(xs) % 2 != 0:
-            raise GeometryError("outline is not a valid simple polygon")
-        for k in range(0, len(xs), 2):
-            rects.append(Rect.of(xs[k], y0, xs[k + 1], y1))
-    if not rects:
-        raise GeometryError("outline encloses no area")
-    return tuple(sorted(rects))
-
-
-def _check_integer(points: Iterable[Point]) -> None:
-    for p in points:
-        if not isinstance(p.x, int) or not isinstance(p.y, int):
-            raise GeometryError(f"point coordinates must be integers: ({p.x}, {p.y})")
+    for y, level in groupby(runs, _first):
+        level = list(level)
+        for _, x1, x2, up1, up2, _ in level:  # close the pieces below that the run meets
+            lo, hi = bisect_left(open_xs, x1), bisect_right(open_xs, x2)
+            if hi - lo != (not up1) + (not up2):
+                raise GeometryError("outline self-intersects")
+            for t in range(lo - (lo & 1), hi, 2):
+                y0 = since.pop(open_xs[t], None)
+                if y0 is not None:
+                    lo_pt, hi_pt = _new(Point, (open_xs[t], y0)), _new(Point, (open_xs[t + 1], y))
+                    rects.append(_new(Rect, (lo_pt, hi_pt)))
+        for _, x1, x2, up1, up2, _ in level:
+            if up1:
+                insort(open_xs, x1)
+            else:
+                del open_xs[bisect_left(open_xs, x1)]
+            if up2:
+                insort(open_xs, x2)
+            else:
+                del open_xs[bisect_left(open_xs, x2)]
+        for _, x1, x2, _, _, _ in level:  # open the pieces above that the run meets
+            lo, hi = bisect_left(open_xs, x1), bisect_right(open_xs, x2)
+            for t in range(lo - (lo & 1), hi, 2):
+                since.setdefault(open_xs[t], y)
+    rects.sort()
+    if not runs[0][5]:
+        corners.reverse()
+    return tuple(rects), tuple(map(_new, repeat(Point), corners))
 
 
 class RectilinearShape(NamedTuple):
     """A layout feature: a simple rectilinear polygon.
 
-    Stored as the counter-clockwise outline plus a slab decomposition into
-    axis-aligned rectangles whose union is exactly the polygon.
+    Stored as the counter-clockwise outline, without collinear vertices,
+    plus sorted axis-aligned rectangles with disjoint interiors whose union
+    is exactly the polygon: the pieces of the bands between consecutive
+    vertex ys, with vertically adjacent pieces of equal x extent merged.
+    min_dimension is the least side over these rectangles.
     """
 
     id: int
@@ -214,14 +269,14 @@ class RectilinearShape(NamedTuple):
 
     @classmethod
     def from_outline(cls, sid: int, points: Iterable[tuple[int, int]]) -> "RectilinearShape":
-        pts = [Point(x, y) for x, y in points]
+        """The shape of a simple rectilinear outline in either winding; a
+        repeated closing point and collinear vertices are dropped. An
+        outline that is not axis-aligned, doubles back, revisits a vertex
+        or touches or crosses itself raises GeometryError."""
+        pts = [(x, y) for x, y in points]
         _check_integer(pts)
-        pts = _normalize_outline(pts)
-        if _signed_area2(pts) < 0:
-            pts.reverse()
-        _check_simple(pts)
-        rects = _decompose_outline(pts)
-        return cls(sid, rects, tuple(pts))
+        rects, outline = _sweep(*_corners(pts))
+        return _new(cls, (sid, rects, outline))
 
     @classmethod
     def from_rect(cls, sid: int, rect: Rect) -> "RectilinearShape":

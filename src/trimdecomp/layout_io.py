@@ -82,7 +82,7 @@ class DecompositionParams:
     def __post_init__(self) -> None:
         for _, name in _INT_RULES:
             v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
                 raise ValueError(f"parameter {name} must be a positive integer, got {v!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
@@ -290,12 +290,16 @@ def parse_layout(text: str) -> LayoutDocument:
         elif kind == "poly":
             if len(toks) < 2 or len(toks) % 2 != 0:
                 raise LayoutParseError(lineno, "poly takes id then x y pairs")
-            fid = _parse_int(toks[1], lineno, "feature id")
-            coords = [_parse_int(t, lineno, "coordinate") for t in toks[2:]]
-            pts = list(zip(coords[0::2], coords[1::2]))
+            try:
+                fid, *coords = map(int, toks[1:])
+            except ValueError:
+                _parse_int(toks[1], lineno, "feature id")
+                for t in toks[2:]:
+                    _parse_int(t, lineno, "coordinate")  # names the first bad token
+                raise
             _check_id(fid, seen_ids, lineno)
             try:
-                shapes.append(RectilinearShape.from_outline(fid, pts))
+                shapes.append(RectilinearShape.from_outline(fid, zip(coords[0::2], coords[1::2])))
             except ValueError as exc:
                 raise LayoutParseError(lineno, str(exc)) from exc
         else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from trimdecomp.endcut import (
     resolve_box_overlaps,
 )
 from trimdecomp.geometry import (
+    GeometryError,
+    Point,
     Rect,
     RectilinearShape,
     rects_closed_intersect,
@@ -146,6 +148,125 @@ def merged_cut_rects_oracle(
                 out.append(r)
         rects = sorted(set(out))
     return tuple(rects)
+
+
+def _normalize_outline(points: Sequence[Point]) -> list[Point]:
+    """Drop a repeated closing point, merge collinear runs, reject spikes."""
+    pts = list(points)
+    if len(pts) >= 2 and pts[0] == pts[-1]:
+        pts.pop()
+    if len(pts) < 4:
+        raise GeometryError("outline needs at least 4 distinct vertices")
+
+    for p, q in zip(pts, pts[1:] + pts[:1]):
+        if p == q:
+            raise GeometryError("outline repeats a vertex consecutively")
+        if p.x != q.x and p.y != q.y:
+            raise GeometryError(f"outline move {p} -> {q} is not axis-aligned")
+
+    def direction(p: Point, q: Point) -> tuple[int, int]:
+        dx = (q.x > p.x) - (q.x < p.x)
+        dy = (q.y > p.y) - (q.y < p.y)
+        return dx, dy
+
+    merged: list[Point] = []
+    n = len(pts)
+    for i, p in enumerate(pts):
+        prev = pts[i - 1]
+        nxt = pts[(i + 1) % n]
+        d_in = direction(prev, p)
+        d_out = direction(p, nxt)
+        if d_in == d_out:
+            continue  # collinear, vertex is redundant
+        if d_in == (-d_out[0], -d_out[1]):
+            raise GeometryError(f"outline doubles back at {p}")
+        merged.append(p)
+    if len(merged) < 4 or len(merged) % 2 != 0:
+        raise GeometryError("outline does not describe a rectilinear polygon")
+    return merged
+
+
+def _signed_area2(pts: Sequence[Point]) -> int:
+    return sum(p.x * q.y - q.x * p.y for p, q in zip(pts, pts[1:] + pts[:1]))
+
+
+def _check_simple(pts: Sequence[Point]) -> None:
+    """Reject outlines whose boundary touches or crosses itself."""
+    n = len(pts)
+    segs = [
+        (min(p.x, q.x), min(p.y, q.y), max(p.x, q.x), max(p.y, q.y))
+        for p, q in zip(pts, pts[1:] + pts[:1])
+    ]
+    if len(set(pts)) != n:
+        raise GeometryError("outline revisits a vertex")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            a, b = segs[i], segs[j]
+            if a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]:
+                raise GeometryError("outline self-intersects")
+
+
+def _decompose_outline(pts: Sequence[Point]) -> tuple[Rect, ...]:
+    """Slice a simple rectilinear polygon into horizontal slabs of rectangles."""
+    ys = sorted({p.y for p in pts})
+    verticals = [
+        (p.x, min(p.y, q.y), max(p.y, q.y)) for p, q in zip(pts, pts[1:] + pts[:1]) if p.x == q.x
+    ]
+    rects: list[Rect] = []
+    for y0, y1 in zip(ys, ys[1:]):
+        xs = sorted(x for x, vlo, vhi in verticals if vlo <= y0 and vhi >= y1)
+        if len(xs) % 2 != 0:
+            raise GeometryError("outline is not a valid simple polygon")
+        for k in range(0, len(xs), 2):
+            rects.append(Rect.of(xs[k], y0, xs[k + 1], y1))
+    if not rects:
+        raise GeometryError("outline encloses no area")
+    return tuple(sorted(rects))
+
+
+def outline_oracle(sid: int, points) -> RectilinearShape:
+    """A polygon built by four separate passes over its outline: merge
+    collinear runs, wind it by its signed area, test every pair of runs
+    for contact, and slice it into one rectangle per piece of every band
+    between two consecutive distinct ys, so no two pieces ever merge."""
+    pts = [Point(x, y) for x, y in points]
+    for p in pts:
+        if not isinstance(p.x, int) or not isinstance(p.y, int):
+            raise GeometryError(f"point coordinates must be integers: ({p.x}, {p.y})")
+    pts = _normalize_outline(pts)
+    if _signed_area2(pts) < 0:
+        pts.reverse()
+    _check_simple(pts)
+    rects = _decompose_outline(pts)
+    return RectilinearShape(sid, rects, tuple(pts))
+
+
+def staircase_outline(steps: int) -> list[tuple[int, int]]:
+    """The outline of a staircase of steps steps, 20 wide and 10 high,
+    each 20 narrower than the one below: 2 * steps + 2 vertices, one
+    rectangle per step."""
+    w = 20 * steps
+    pts = [(0, 0), (w, 0)]
+    for i in range(1, steps + 1):
+        pts += [(w - 20 * (i - 1), 10 * i), (w - 20 * i, 10 * i)]
+    return pts
+
+
+def comb_outline(teeth: int) -> list[tuple[int, int]]:
+    """The outline of a comb: a base 20 high and teeth 20 wide at pitch 40
+    rising from it, tooth i 20 + 10 * i high. One band between two
+    consecutive ys crosses every tooth still rising, so slicing by bands
+    makes 1 + teeth * (teeth + 1) / 2 rectangles; the base and the teeth
+    are teeth + 1."""
+    pts = [(0, 0), (40 * teeth - 20, 0)]
+    for i in reversed(range(teeth)):
+        top = 40 + 10 * i
+        pts += [(40 * i + 20, top), (40 * i, top)]
+        if i:
+            pts += [(40 * i, 20), (40 * i - 20, 20)]
+    return pts
 
 
 def resolve_box_overlaps_oracle(raw: list[EndCutBox]) -> tuple[EndCutBox, ...]:

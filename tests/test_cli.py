@@ -167,7 +167,7 @@ def test_rect_only_pipeline_reads_no_outline(monkeypatch):
 
     chain = ["layout chain10", "param dis_m 120", "param hlow 60", *chain30_rects()[:10]]
     texts = [write_layout(grid_layout(2000, 1)), "\n".join(chain) + "\n"]
-    monkeypatch.setattr(trimdecomp.endcut, "_outline_sides", refuse)
+    monkeypatch.setattr(trimdecomp.endcut, "_outline_runs", refuse)
     for text in texts:
         result = decompose_document(parse_layout(text))
         assert result.end_cuts.candidates

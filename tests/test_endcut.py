@@ -17,7 +17,8 @@ from trimdecomp.endcut import (
     BoxKind,
     EndCutBox,
     EndCutCandidate,
-    _outline_sides,
+    _facing_sides,
+    _outline_runs,
     _rect_pair_sides,
     generate_all_end_cuts,
     generate_end_cut,
@@ -287,8 +288,9 @@ def test_rect_pair_sides_match_outline_sides():
         r2 = Rect.of(x1, y1, x2, y2)
         o2 = bar(2, x1, y1, x2, y2).outline
         sides = _rect_pair_sides(r1, r2)
-        assert sides == _outline_sides(o1, o2), r2
-        assert _rect_pair_sides(r2, r1) == _outline_sides(o2, o1), r2
+        runs1, runs2 = _outline_runs(o1), _outline_runs(o2)
+        assert sides == _facing_sides(runs1, runs2), r2
+        assert _rect_pair_sides(r2, r1) == _facing_sides(runs2, runs1), r2
         for lo, hi, ov_lo, ov_hi, axis in sides:
             if axis == "x":
                 where = "below" if hi == r1.lo.y else "above"

@@ -23,7 +23,7 @@ from trimdecomp.geometry import (
     rectset_within,
 )
 from trimdecomp.cli import decompose_document
-from trimdecomp.endcut import EndCutBox, EndCutCandidate, _outline_sides
+from trimdecomp.endcut import EndCutBox, EndCutCandidate, _facing_sides, _outline_runs
 from trimdecomp.layout_io import LayoutParseError, parse_layout, parse_report, write_layout, write_report
 from trimdecomp.synth import grid_layout, random_layout
 
@@ -157,7 +157,7 @@ def test_pipeline_records_match_their_public_constructors(monkeypatch):
             write_report(decompose_document(parse_layout(text)).report)
     for doc in stitched:
         decompose_document(doc)
-    # a caller's points still go through the class, so a 3-tuple is refused
+    # a caller's points are unpacked as pairs, so a 3-tuple is refused
     monkeypatch.undo()
     with pytest.raises(ValueError, match="unpack"):
         RectilinearShape.from_outline(1, [(0, 0), (10, 0, 5), (10, 10), (0, 10)])
@@ -246,16 +246,20 @@ def test_outline_edges_have_outward_normals():
     s = RectilinearShape.from_rect(1, Rect.of(10, 0, 40, 30))
     below = RectilinearShape.from_rect(2, Rect.of(0, -50, 60, -30))
     right = RectilinearShape.from_rect(3, Rect.of(70, 5, 90, 20))
-    assert _outline_sides(s.outline, below.outline) == [(-30, 0, 10, 40, "x")]
-    assert _outline_sides(below.outline, s.outline) == [(-30, 0, 10, 40, "x")]
-    assert _outline_sides(s.outline, right.outline) == [(40, 70, 5, 20, "y")]
-    assert _outline_sides(right.outline, s.outline) == [(40, 70, 5, 20, "y")]
+
+    def sides(a, b):
+        return _facing_sides(_outline_runs(a.outline), _outline_runs(b.outline))
+
+    assert sides(s, below) == [(-30, 0, 10, 40, "x")]
+    assert sides(below, s) == [(-30, 0, 10, 40, "x")]
+    assert sides(s, right) == [(40, 70, 5, 20, "y")]
+    assert sides(right, s) == [(40, 70, 5, 20, "y")]
     # an L's six runs: its notch faces a bar tucked into it on two sides
     l = RectilinearShape.from_outline(
         4, [(0, 0), (200, 0), (200, 80), (80, 80), (80, 240), (0, 240)]
     )
     tucked = RectilinearShape.from_rect(5, Rect.of(120, 120, 200, 240))
-    assert _outline_sides(l.outline, tucked.outline) == [
+    assert sides(l, tucked) == [
         (80, 120, 120, 240, "y"),
         (80, 120, 120, 200, "x"),
     ]

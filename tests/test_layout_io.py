@@ -9,7 +9,7 @@ import pytest
 
 import trimdecomp.geometry
 from trimdecomp.cli import decompose_document
-from trimdecomp.geometry import OverlappingInputShapes, Rect, RectilinearShape
+from trimdecomp.geometry import GeometryError, OverlappingInputShapes, Rect, RectilinearShape
 from trimdecomp.layout_io import (
     DecompositionParams,
     DecompositionReport,
@@ -39,11 +39,11 @@ def test_parse_minimal_layout():
 
 def test_rect_lines_skip_the_outline_path(monkeypatch):
     # a plain rect is built directly; only poly lines need the outline
-    # normalised, checked and sliced into rectangles
+    # read for its corners, checked and cut into rectangles
     def refuse(points):
         raise AssertionError("outline path taken")
 
-    monkeypatch.setattr(trimdecomp.geometry, "_normalize_outline", refuse)
+    monkeypatch.setattr(trimdecomp.geometry, "_corners", refuse)
     doc = parse_layout((LAYOUTS / "cluster7.lay").read_text())
     assert len(doc.shapes) == 7
     with pytest.raises(AssertionError, match="outline path taken"):
@@ -164,6 +164,28 @@ def test_param_validation():
         DecompositionParams.from_raw({"alpha_num": -1})
     with pytest.raises(ValueError):
         DecompositionParams.from_raw({"stitch": 2})
+
+
+def test_bool_is_not_an_integer_where_a_layout_enters():
+    # write_layout would write True and False, which parse_layout rejects
+    with pytest.raises(GeometryError, match="must be integers: \\(True, 0\\)"):
+        RectilinearShape.from_outline(1, [(0, 0), (True, 0), (True, True), (0, True)])
+    with pytest.raises(GeometryError, match="must be integers: \\(False, False\\)"):
+        RectilinearShape.from_rect(2, Rect.of(False, False, 5, 5))
+    for key in ("dis_m", "hlow", "wth"):
+        with pytest.raises(ValueError, match="must be a positive integer, got True"):
+            DecompositionParams.from_raw({key: True})
+    with pytest.raises(ValueError, match="parameter dis_m must be a positive integer, got True"):
+        dataclasses.replace(DecompositionParams.from_raw({}), dis_m=True)
+    # the same values as integers are written as digits and read back
+    shapes = [
+        RectilinearShape.from_outline(1, [(0, 0), (1, 0), (1, 1), (0, 1)]),
+        RectilinearShape.from_rect(2, Rect.of(5, 0, 10, 5)),
+    ]
+    doc = _document("ints", shapes, {"dis_m": 1, "hlow": 1, "wth": 1})
+    text = write_layout(doc)
+    assert "True" not in text and "param dis_m 1\n" in text
+    assert parse_layout(text) == doc
 
 
 def test_low_defaults_scan_the_shapes_only_when_needed(monkeypatch):

@@ -3,7 +3,8 @@
 Everything here recomputes answers by a route the package itself never
 takes: plain enumeration over all assignments, an external
 mixed-integer solve of the exported LP text, an all-pairs search for
-fusable trim rectangles, a two-level grouping of candidate boxes, and
+fusable trim rectangles, a two-level grouping of candidate boxes, a
+polygon built by four separate passes over its outline, and
 end-cut generation over every pair of boundary edges of two features,
 which it derives from their outlines itself, with its own facing rule
 and size windows, the perpendicular-edge corner boxes the

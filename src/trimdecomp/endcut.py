@@ -60,7 +60,11 @@ class EndCutCandidate(NamedTuple):
         return tuple(b.rect for b in self.boxes)
 
 
-def _rect_pair_sides(r1: Rect, r2: Rect) -> list[tuple[int, int, int, int, str]]:
+# facing sides (lo, hi, ov_lo, ov_hi, axis), as generate_end_cut describes them
+Sides = list[tuple[int, int, int, int, str]]
+
+
+def _rect_pair_sides(r1: Rect, r2: Rect) -> Sides:
     """The facing sides of two rectangles, read from their corners.
 
     These are the sides of the edge pairs with opposite normals, in the
@@ -106,7 +110,7 @@ def _outline_runs(outline: Sequence[Point]) -> Runs:
     return runs
 
 
-def _facing_sides(runs1: Runs, runs2: Runs) -> list[tuple[int, int, int, int, str]]:
+def _facing_sides(runs1: Runs, runs2: Runs) -> Sides:
     """The facing sides of two features, read from their grouped runs.
 
     The bottom, right, top and left runs of the first are paired with the
@@ -205,17 +209,25 @@ def generate_end_cut(
     test to every side on plain integers, and builds records only for the
     boxes it keeps.
     """
-    if len(s1.outline) == 4 and len(s2.outline) == 4:
-        sides = _rect_pair_sides(s1.rects[0], s2.rects[0])
-    else:
-        sides = _facing_sides(_outline_runs(s1.outline), _outline_runs(s2.outline))
-    return _end_cut(s1, s2, sides, params, material)
+    return _end_cut(s1, s2, _sides(s1, s2, {}), params, material)
+
+
+def _sides(s1: RectilinearShape, s2: RectilinearShape, runs: dict[int, Runs]) -> Sides:
+    """The facing sides of two features: from the corners when both are
+    one rectangle, else from the runs of their outlines, which runs
+    caches by feature id so a layout groups each outline once."""
+    if len(s1.rects) == 1 and len(s2.rects) == 1:
+        return _rect_pair_sides(s1.rects[0], s2.rects[0])
+    for s in (s1, s2):
+        if s.id not in runs:
+            runs[s.id] = _outline_runs(s.outline)
+    return _facing_sides(runs[s1.id], runs[s2.id])
 
 
 def _end_cut(
     s1: RectilinearShape,
     s2: RectilinearShape,
-    sides: list[tuple[int, int, int, int, str]],
+    sides: Sides,
     params: DecompositionParams,
     material: Sequence[Rect],
 ) -> EndCutCandidate | None:
@@ -285,14 +297,7 @@ def generate_all_end_cuts(
             for n in near.get(a, ()):
                 material.extend(shapes_by_id[n].rects)
         s1, s2 = shapes_by_id[a], shapes_by_id[b]
-        if len(s1.outline) == 4 and len(s2.outline) == 4:
-            sides = _rect_pair_sides(s1.rects[0], s2.rects[0])
-        else:
-            for s in (s1, s2):
-                if s.id not in runs:
-                    runs[s.id] = _outline_runs(s.outline)
-            sides = _facing_sides(runs[a], runs[b])
-        cand = _end_cut(s1, s2, sides, doc.params, material)
+        cand = _end_cut(s1, s2, _sides(s1, s2, runs), doc.params, material)
         if cand is not None:
             cuts[cand.pair] = cand
     return cuts

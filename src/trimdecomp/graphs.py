@@ -3,7 +3,10 @@
 The layout graph has one vertex per feature segment. Conflict edges join
 segments of different features that sit within the same-mask spacing rule;
 each may carry the candidate end-cut of its feature pair. Stitch edges
-chain the consecutive segments of one split feature.
+chain the consecutive segments of one split feature. The stitch stage
+reads every bounding box once, gives each feature one list of pieces
+(its rects when it is not cut) split along one Point index (0 for x, 1
+for y), and builds segments, stitch points and conflict edges from it.
 
 The end-cut graph has one vertex per candidate cut, spacing edges between
 cuts that are too close to print separately, and merge edges between cuts
@@ -38,10 +41,6 @@ from .endcut import EndCutCandidate, mergeable_pair
 
 EdgeKey = tuple[VertexKey, VertexKey]
 PairKey = tuple[int, int]
-
-
-def edge_key(u: VertexKey, v: VertexKey) -> EdgeKey:
-    return (u, v) if u <= v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -102,20 +101,18 @@ def _merge_intervals(ivals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in out]
 
 
-def _cut_middle(rects: Sequence[Rect], coord: int, axis: str) -> int | None:
-    """The middle of a feature's cross-section at a cut across axis, or
-    None when the material just before or just after the cut is not one
-    interval: a cut there would leave a segment in two parts."""
+def _cut_middle(rects: Sequence[Rect], coord: int, k: int) -> int | None:
+    """The middle of a feature's cross-section at a cut across coordinate
+    k of a Point (0 for x, 1 for y), or None when the material just before
+    or just after the cut is not one interval: a cut there would leave a
+    segment in two parts."""
     before: list[tuple[int, int]] = []
     after: list[tuple[int, int]] = []
-    for r in rects:
-        if axis == "x":
-            lo, hi, cross = r.lo.x, r.hi.x, (r.lo.y, r.hi.y)
-        else:
-            lo, hi, cross = r.lo.y, r.hi.y, (r.lo.x, r.hi.x)
-        if lo < coord <= hi:
+    for lo, hi in rects:
+        cross = (lo[1 - k], hi[1 - k])
+        if lo[k] < coord <= hi[k]:
             before.append(cross)
-        if lo <= coord < hi:
+        if lo[k] <= coord < hi[k]:
             after.append(cross)
     whole = _merge_intervals(before + after)
     if len(_merge_intervals(before)) == len(_merge_intervals(after)) == len(whole) == 1:
@@ -132,79 +129,71 @@ def generate_stitch_candidates(
 
     A feature is cut only where the projections of its conflicting
     neighbours, widened by the spacing rule, leave an uncovered span of at
-    least half the spacing rule, and at least 1, along its long axis, and
-    only where the feature's cross-section on each side of the cut is one
-    interval, so every segment stays in one piece; the stitch point is the
-    middle of that cross-section.
+    least max(1, dis_m // 2) along its long axis (60 when dis_m is 121),
+    and only where the feature's cross-section on each side of the cut is
+    one interval, so every segment stays in one piece; the stitch point is
+    the middle of that cross-section.
     Widening keeps every conflicting pair incident to exactly one segment
     of each feature, so splitting can never add a conflict the unsplit
     layout did not have.
+
+    g is unsplit and its conflict edges join ascending feature ids, as
+    build_layout_graph makes them. Each feature's box is read once, and
+    a feature that is not cut keeps its rects as its one piece.
     """
-    params = doc.params
-    d = params.dis_m
+    d = doc.params.dis_m
     margin = max(1, d // 2)
-    by_id = {s.id: s for s in doc.shapes}
+    boxes = {s.id: s.bbox for s in doc.shapes}
 
     neighbours: dict[int, set[int]] = {}
     for (u, v) in g.conflict_edges:
         neighbours.setdefault(u[0], set()).add(v[0])
         neighbours.setdefault(v[0], set()).add(u[0])
 
-    segments: dict[VertexKey, tuple[Rect, ...]] = {}
+    pieces_of: dict[int, list[tuple[Rect, ...]]] = {}
     stitch_edges: dict[EdgeKey, StitchPoint] = {}
-    seg_count: dict[int, int] = {}
-
     for shape in doc.shapes:
         fid = shape.id
+        pieces = [shape.rects]
         near = neighbours.get(fid)
-        if not near:
-            segments[(fid, 0)] = shape.rects
-            seg_count[fid] = 1
-            continue
-        bb = shape.bbox
-        axis = "x" if bb.width >= bb.height else "y"
-        span = (bb.lo.x, bb.hi.x) if axis == "x" else (bb.lo.y, bb.hi.y)
-        covered = []
-        for nid in sorted(near):
-            nb = by_id[nid].bbox
-            lo, hi = (nb.lo.x, nb.hi.x) if axis == "x" else (nb.lo.y, nb.hi.y)
-            lo, hi = max(lo - d, span[0]), min(hi + d, span[1])
-            if lo < hi:
-                covered.append((lo, hi))
-        cuts: list[int] = []
-        crosses: list[int] = []
-        pos = span[0]
-        for lo, hi in _merge_intervals(covered) + [(span[1], span[1])]:
-            if lo - pos >= margin:
-                coord = (pos + lo) // 2
-                cross = _cut_middle(shape.rects, coord, axis)
-                if cross is not None:
-                    cuts.append(coord)
-                    crosses.append(cross)
-            pos = max(pos, hi)
-        if not cuts:
-            segments[(fid, 0)] = shape.rects
-            seg_count[fid] = 1
-            continue
-        pieces = split_feature_rects(shape, cuts, axis)
-        seg_count[fid] = len(pieces)
-        for k, piece in enumerate(pieces):
-            segments[(fid, k)] = piece
-        for k, (coord, cross) in enumerate(zip(cuts, crosses)):
-            if axis == "x":
-                sp = StitchPoint(fid, coord, cross, "v")
-            else:
-                sp = StitchPoint(fid, cross, coord, "h")
-            stitch_edges[((fid, k), (fid, k + 1))] = sp
+        if near:
+            bb = boxes[fid]
+            k = 0 if bb.width >= bb.height else 1  # the long axis: x, unless taller
+            start, end = bb.lo[k], bb.hi[k]
+            covered = []
+            for nid in near:
+                nlo, nhi = boxes[nid]
+                lo, hi = max(nlo[k] - d, start), min(nhi[k] + d, end)
+                if lo < hi:
+                    covered.append((lo, hi))
+            cuts: list[int] = []
+            crosses: list[int] = []
+            pos = start
+            for lo, hi in _merge_intervals(covered) + [(end, end)]:
+                if lo - pos >= margin:
+                    coord = (pos + lo) // 2
+                    cross = _cut_middle(shape.rects, coord, k)
+                    if cross is not None:
+                        cuts.append(coord)
+                        crosses.append(cross)
+                pos = max(pos, hi)
+            if cuts:
+                pieces = split_feature_rects(shape, cuts, k)
+                for i, (coord, cross) in enumerate(zip(cuts, crosses)):
+                    x, y = (coord, cross) if k == 0 else (cross, coord)
+                    stitch_edges[((fid, i), (fid, i + 1))] = StitchPoint(fid, x, y, "vh"[k])
+        pieces_of[fid] = pieces
+    segments = {(f, i): piece for f, pieces in pieces_of.items() for i, piece in enumerate(pieces)}
 
     conflict_edges: dict[EdgeKey, EndCutCandidate | None] = {}
     for (u, v), cand in sorted(g.conflict_edges.items()):
-        f, gid = u[0], v[0]
-        hits: list[EdgeKey] = []
-        for i in range(seg_count[f]):
-            for j in range(seg_count[gid]):
-                if rectset_within(segments[(f, i)], segments[(gid, j)], d, metric):
-                    hits.append(edge_key((f, i), (gid, j)))
+        f, h = u[0], v[0]
+        hits = [
+            ((f, i), (h, j))
+            for i, a in enumerate(pieces_of[f])
+            for j, b in enumerate(pieces_of[h])
+            if rectset_within(a, b, d, metric)
+        ]
         for e in hits:
             conflict_edges[e] = None
         if cand is not None and hits:

@@ -225,12 +225,20 @@ def _parse_int(tok: str, line: int, what: str) -> int:
         raise LayoutParseError(line, f"{what} must be an integer, got {tok!r}") from None
 
 
+def _name_bad_token(toks: Sequence[str], line: int, first: str) -> None:
+    """Raise the LayoutParseError that names the first token of toks that
+    is not an integer, read as first for the first token and as a
+    coordinate after it; return if every token is an integer."""
+    _parse_int(toks[0], line, first)
+    for t in toks[1:]:
+        _parse_int(t, line, "coordinate")
+
+
 def _parse_box(toks: Sequence[str], line: int, what: str) -> Rect:
     try:
         x1, y1, x2, y2 = map(int, toks)
     except ValueError:
-        for t in toks:
-            _parse_int(t, line, "coordinate")  # names the first bad token
+        _name_bad_token(toks, line, "coordinate")
         raise
     if x1 >= x2 or y1 >= y2:
         raise LayoutParseError(line, f"{what} corners must be lower-left then upper-right")
@@ -279,9 +287,7 @@ def parse_layout(text: str) -> LayoutDocument:
             try:
                 fid, x1, y1, x2, y2 = map(int, toks[1:])
             except ValueError:
-                _parse_int(toks[1], lineno, "feature id")
-                for t in toks[2:]:
-                    _parse_int(t, lineno, "coordinate")  # names the first bad token
+                _name_bad_token(toks[1:], lineno, "feature id")
                 raise
             if x1 >= x2 or y1 >= y2:
                 raise LayoutParseError(lineno, "rect corners must be lower-left then upper-right")
@@ -293,9 +299,7 @@ def parse_layout(text: str) -> LayoutDocument:
             try:
                 fid, *coords = map(int, toks[1:])
             except ValueError:
-                _parse_int(toks[1], lineno, "feature id")
-                for t in toks[2:]:
-                    _parse_int(t, lineno, "coordinate")  # names the first bad token
+                _name_bad_token(toks[1:], lineno, "feature id")
                 raise
             _check_id(fid, seen_ids, lineno)
             try:
@@ -345,8 +349,8 @@ def write_layout(doc: LayoutDocument) -> str:
     lines = [f"layout {doc.name}", "units nm"]
     lines += [f"param {key} {value}" for key, value in doc.params.raw_items()]
     for s in doc.shapes:
-        if len(s.outline) == 4:
-            (x1, y1), (x2, y2) = s.bbox
+        if len(s.rects) == 1:
+            (x1, y1), (x2, y2) = s.rects[0]
             lines.append(f"rect {s.id} {x1} {y1} {x2} {y2}")
         else:
             lines.append(f"poly {s.id} " + " ".join([f"{x} {y}" for x, y in s.outline]))
@@ -488,26 +492,20 @@ _SVG_STYLE = (
 )
 
 
-def split_feature_rects(shape: RectilinearShape, coords: Sequence[int], axis: str) -> list[tuple[Rect, ...]]:
-    """Clip a feature's rectangles at the given axis coordinates, returning
-    one rectangle group per resulting piece, ordered along the axis."""
+def split_feature_rects(shape: RectilinearShape, coords: Sequence[int], k: int) -> list[tuple[Rect, ...]]:
+    """Clip a feature's rectangles at the given values of coordinate k of a
+    Point (0 for x, 1 for y), returning one rectangle group per resulting
+    piece, ordered along that axis."""
     b = shape.bbox
-    if axis == "x":
-        bounds = [b.lo.x, *sorted(coords), b.hi.x]
-    else:
-        bounds = [b.lo.y, *sorted(coords), b.hi.y]
+    bounds = [b.lo[k], *sorted(coords), b.hi[k]]
     pieces: list[tuple[Rect, ...]] = []
     for lo, hi in zip(bounds, bounds[1:]):
         piece = []
         for r in shape.rects:
-            rlo, rhi = (r.lo.x, r.hi.x) if axis == "x" else (r.lo.y, r.hi.y)
-            clo, chi = max(rlo, lo), min(rhi, hi)
-            if clo >= chi:
-                continue
-            if axis == "x":
-                piece.append(Rect.of(clo, r.lo.y, chi, r.hi.y))
-            else:
-                piece.append(Rect.of(r.lo.x, clo, r.hi.x, chi))
+            clo, chi = max(r.lo[k], lo), min(r.hi[k], hi)
+            if clo < chi:
+                (x1, y1), (x2, y2) = r
+                piece.append(Rect.of(clo, y1, chi, y2) if k == 0 else Rect.of(x1, clo, x2, chi))
         if piece:
             pieces.append(tuple(piece))
     return pieces
@@ -558,9 +556,9 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
             pieces = [shape.rects]
         else:
             points.sort()
-            axis = "x" if points[0].orient == "v" else "y"
-            coords = [sp.x if axis == "x" else sp.y for sp in points]
-            pieces = split_feature_rects(shape, coords, axis)
+            k = 0 if points[0].orient == "v" else 1
+            # a StitchPoint is (feature, x, y, orient): coordinate k is at 1 + k
+            pieces = split_feature_rects(shape, [sp[1 + k] for sp in points], k)
         # the stitches of a report sit where the mask changes, so the
         # feature splits into one piece per run
         if len(runs) != len(pieces):

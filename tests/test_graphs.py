@@ -139,12 +139,12 @@ def test_stitch_does_not_cut_both_arms_of_a_u():
 def test_cut_middle_needs_one_interval_on_each_side():
     # the U sliced into its base and two arms that start at x=40
     rects = [Rect.of(0, 0, 40, 200), Rect.of(40, 0, 400, 40), Rect.of(40, 160, 400, 200)]
-    assert _cut_middle(rects, 20, "x") == 100
+    assert _cut_middle(rects, 20, 0) == 100
     # at x=40 the base ends on the left and the two arms begin on the right
-    assert _cut_middle(rects, 40, "x") is None
-    assert _cut_middle(rects, 310, "x") is None
-    assert _cut_middle(rects, 20, "y") == 200
-    assert _cut_middle(rects, 100, "y") == 20
+    assert _cut_middle(rects, 40, 0) is None
+    assert _cut_middle(rects, 310, 0) is None
+    assert _cut_middle(rects, 20, 1) == 200
+    assert _cut_middle(rects, 100, 1) == 20
 
 
 def test_stitch_points_lie_inside_their_features():

@@ -305,7 +305,7 @@ def test_split_feature_rects_on_l_shape():
     l = RectilinearShape.from_outline(
         9, [(0, 0), (300, 0), (300, 40), (40, 40), (40, 200), (0, 200)]
     )
-    pieces = split_feature_rects(l, [150], "x")
+    pieces = split_feature_rects(l, [150], 0)
     assert len(pieces) == 2
     left_area = sum(r.area for r in pieces[0])
     right_area = sum(r.area for r in pieces[1])

@@ -73,3 +73,40 @@ def test_every_imported_name_is_read():
     assert any(p.name == "spans.py" for p in files)
     unread = sorted((p.name, name) for p in files for name in unread_imports(p))
     assert unread == []
+
+
+def names_read(node):
+    """The names node reads: loaded names, attribute names, names taken by
+    a from import, and string constants, as perfbench/spans.py names the
+    functions it wraps."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            read.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            read.add(sub.value)
+    return read
+
+
+def test_every_top_level_definition_is_read():
+    # a function or class counts as read only outside its own definition,
+    # and __init__.py's re-exports do not count
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    files = modules + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    defined = set()
+    read = set()
+    for p in files:
+        for stmt in ast.parse(p.read_text(), str(p)).body:
+            names = names_read(stmt)
+            if isinstance(stmt, defs):
+                names.discard(stmt.name)
+                if p in modules:
+                    defined.add((p.name, stmt.name))
+            read |= names
+    assert ("graphs.py", "generate_stitch_candidates") in defined
+    assert sorted((f, name) for f, name in defined if name not in read) == []

@@ -138,8 +138,7 @@ def generate_stitch_candidates(
     layout did not have.
 
     g is unsplit and its conflict edges join ascending feature ids, as
-    build_layout_graph makes them. Each feature's box is read once, and
-    a feature that is not cut keeps its rects as its one piece.
+    build_layout_graph makes them.
     """
     d = doc.params.dis_m
     margin = max(1, d // 2)

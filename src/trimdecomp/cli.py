@@ -38,13 +38,7 @@ from .graphs import (
     generate_stitch_candidates,
     layout_graph_dot,
 )
-from .ilp import (
-    IlpModel,
-    SolveStatus,
-    build_model,
-    export_lp,
-    solve,
-)
+from .ilp import IlpModel, SolveStatus, build_model, export_lp, solve
 from .layout_io import (
     DecompositionReport,
     LayoutDocument,
@@ -75,20 +69,16 @@ class DecompositionResult:
     document: LayoutDocument
     graph: LayoutGraph
     end_cuts: EndCutGraph
+    # the one 0-1 model of the run: what solve optimised and LP export prints
+    model: IlpModel
     report: DecompositionReport
     stats: RunStats
     stage_us: tuple[tuple[str, int], ...]
 
 
-@_collector_paused
 def build_full_model(result: DecompositionResult) -> IlpModel:
-    """The single unreduced model for the decomposition that was run.
-
-    Without stitching alpha weighs nothing, and 0 keeps the objective
-    unscaled by alpha's denominator."""
-    params = result.document.params
-    alpha = params.alpha if params.stitch else Fraction(0)
-    return build_model(result.graph, result.end_cuts, alpha)
+    """The single unreduced model of the run, the one its solve optimised."""
+    return result.model
 
 
 @_collector_paused
@@ -104,11 +94,13 @@ def decompose_document(
 
     The conflict pairs of the one sweep also serve to check, before any
     cut is made, that the shapes have distinct ids (else ValueError) and
-    do not overlap (else OverlappingInputShapes). The layout graph goes
-    to a single solve call, which splits it into independent blocks;
-    comp# in the stats is that block count. solve also lists the
-    conflicts and stitches of its answer, prices it and checks it, so the
-    report and stats only format what it returns.
+    do not overlap (else OverlappingInputShapes). The graphs become one
+    0-1 model, kept in the result; without stitching alpha is 0, which
+    leaves costs unscaled by its denominator and the search the same. A
+    single solve of the model splits it into independent blocks; comp#
+    in the stats is that block count. solve also lists the conflicts and
+    stitches of its answer, prices it and checks it, so the report and
+    stats only format what it returns.
     """
     t_start = time.perf_counter_ns()
     deadline = t_start + _time_limit_ns(time_limit) if time_limit is not None else None
@@ -147,10 +139,11 @@ def decompose_document(
     ecg = build_end_cut_graph(cuts, params, metric)
     stage("ecgraph")
 
+    model = build_model(g, ecg, params.alpha if params.stitch else Fraction(0))
     remaining = None
     if deadline is not None:
         remaining = max((deadline - time.perf_counter_ns()) / 1e9, 0.001)
-    sol = solve(g, ecg, params.alpha, time_limit=remaining)
+    sol = solve(model, time_limit=remaining)
     stage("solve")
 
     report = DecompositionReport(
@@ -176,6 +169,7 @@ def decompose_document(
         document=doc,
         graph=g,
         end_cuts=ecg,
+        model=model,
         report=report,
         stats=stats,
         stage_us=tuple(stages),

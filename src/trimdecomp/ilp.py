@@ -16,32 +16,32 @@ denominator so all arithmetic stays exact.
 
 The formulation is written once, as data: one row template per edge
 kind (conflict, conflict with a cut, stitch, spacing), whose terms name
-slots of the edge's variables. IlpModel holds named variables and one
-group per edge, a template with the edge's variable indices, and its
-constraints property spells the rows out; export_lp formats each group
-from its template's compiled text. The model is built only for LP
-export and for checking.
+slots of the edge's variables. IlpModel holds one group per edge, a
+template with the edge's variable indices, and its constraints property
+spells the rows out; export_lp formats each group from its template's
+compiled text. The pipeline builds the model once per decomposition,
+and it is both what solve optimises and what export_lp prints.
 
-solve works on the layout graph itself, through integer edge arrays: it
-splits the graph into independent blocks (linked by conflict, stitch or
-cut-spacing edges) and runs one exact branch and bound over each
-distinct block. A segment with no stitch edge and no conflict edge left
-to the search (a cut that no spacing edge constrains is settled after
-it) is a block on its own whose answer is mask A, so it gets no block
-record and no search. Layouts repeat their cells, so many blocks are
-equal up to their ids; the search sees only a block's local structure,
-and blocks of one structure share a single search. A greedy
-two-colouring with a small local search seeds the incumbent. The search
-then assigns masks in ascending segment order, mask 0 first, and settles
-the cuts at each complete colouring, so the first leaf it meets at the
-optimal cost is the lexicographically smallest optimal mask vector, the
-promised tie-break.
-The cuts are settled on integer bitmasks of pending-cut indices.
+solve reads the model's groups, their template naming the edge kind,
+and splits the model into independent blocks (linked by conflict,
+stitch or cut-spacing groups), one exact branch and bound per distinct
+block. A segment with no stitch edge and no conflict edge left to the
+search (a cut that no spacing edge constrains is settled after it) is a
+block on its own whose answer is mask A, so it gets no block record
+and no search. Layouts repeat their cells, so many blocks are equal up
+to their ids; the search sees only a block's local structure, and
+blocks of one structure share a single search. A greedy two-colouring
+with a small local search seeds the incumbent. The search then assigns
+masks in ascending segment order, mask 0 first, and settles the cuts at
+each complete colouring, on integer bitmasks of pending-cut indices, so
+the first leaf it meets at the optimal cost is the lexicographically
+smallest optimal mask vector, the promised tie-break.
 solve's IlpSolution is the whole answer, the conflicts and stitches it
 leaves included, so callers format it without re-deriving any of it."""
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,7 +85,6 @@ SPACING_ROWS: RowTemplate = ((((0, 1), (1, 1)), 1),)
 
 @dataclass(frozen=True)
 class IlpModel:
-    names: tuple[str, ...]
     kinds: tuple[str, ...]
     # one (template, variable indices) group per edge: the conflict edges
     # in sorted order, then the stitch edges, then the spacing edges
@@ -93,10 +92,24 @@ class IlpModel:
     objective: tuple[int, ...]
     scale: int
     alpha: Fraction
+    # each block of variables, x, ec, c and s, by key in sorted key order
     x_of: dict[VertexKey, int]
     ec_of: dict[PairKey, int]
     c_of: dict[EdgeKey, int]
     s_of: dict[EdgeKey, int]
+
+    @functools.cached_property
+    def names(self) -> tuple[str, ...]:
+        """Every variable's LP name in index order, made on first use:
+        only exports and checks read them."""
+        multi = {f for f, k in self.x_of if k > 0}
+        tok = {v: f"{v[0]}_{v[1]}" if v[0] in multi else str(v[0]) for v in self.x_of}
+        return (
+            *[f"x_{tok[v]}" for v in self.x_of],
+            *[f"ec_{a}_{b}" for a, b in self.ec_of],
+            *[f"c_{tok[u]}_{tok[v]}" for u, v in self.c_of],
+            *[f"s_{u[0]}_{u[1]}_{v[1]}" for u, v in self.s_of],
+        )
 
     @property
     def constraints(self) -> tuple[Row, ...]:
@@ -123,42 +136,26 @@ class IlpSolution:
     stitches: tuple[EdgeKey, ...]
 
 
-def _indexed(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction):
-    """The sorted segments, conflict edges with their cuts and stitch edges
-    of the layout graph, and the sorted spacing edges whose two cuts both
-    sit on conflict edges, the only ones that constrain anything: the one
-    order that build_model and solve share."""
+def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> IlpModel:
+    """The whole 0-1 model of the layout graph, with alpha per stitch, in
+    sorted key order. Only a spacing edge whose two cuts both sit on
+    conflict edges constrains anything, so only those get a group."""
     if alpha < 0:
         raise ModelError("alpha must be non-negative")
-    edges = sorted(g.conflict_edges.items())
-    ee: list[tuple[PairKey, PairKey]] = []
-    if ecg is not None:
-        carried = {cand.pair for _, cand in edges if cand is not None}
-        ee = [(pa, pb) for pa, pb in sorted(ecg.ee_edges) if pa in carried and pb in carried]
-    return sorted(g.segments), edges, sorted(g.stitch_edges), ee
-
-
-def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> IlpModel:
-    """The whole 0-1 model of the layout graph, with alpha per stitch."""
-    verts, ce_list, se_list, ee = _indexed(g, ecg, alpha)
-    multi = {f for f, k in verts if k > 0}
-    tok = {v: f"{v[0]}_{v[1]}" if v[0] in multi else str(v[0]) for v in verts}
+    verts = sorted(g.segments)
+    ce_list = sorted(g.conflict_edges.items())
+    se_list = sorted(g.stitch_edges)
     pairs = sorted({c.pair for _, c in ce_list if c is not None})
     scale = alpha.denominator
-    snum = alpha.numerator
 
     # four blocks of variables, x, ec, c and s, each in its sorted order
-    names = [f"x_{tok[v]}" for v in verts]
-    names += [f"ec_{a}_{b}" for a, b in pairs]
-    names += [f"c_{tok[u]}_{tok[v]}" for (u, v), _ in ce_list]
-    names += [f"s_{u[0]}_{u[1]}_{v[1]}" for u, v in se_list]
     nx, ne, nc, ns = len(verts), len(pairs), len(ce_list), len(se_list)
     kinds = ("x",) * nx + ("ec",) * ne + ("c",) * nc + ("s",) * ns
-    objective = (0,) * (nx + ne) + (scale,) * nc + (snum,) * ns
+    objective = (0,) * (nx + ne) + (scale,) * nc + (alpha.numerator,) * ns
     x_of = dict(zip(verts, range(nx)))
     ec_of = dict(zip(pairs, range(nx, nx + ne)))
     c_of = dict(zip([e for e, _ in ce_list], range(nx + ne, nx + ne + nc)))
-    s_of = dict(zip(se_list, range(nx + ne + nc, len(names))))
+    s_of = dict(zip(se_list, range(nx + ne + nc, nx + ne + nc + ns)))
 
     groups: list[tuple[RowTemplate, tuple[int, ...]]] = []
     for ci, ((u, v), cand) in enumerate(ce_list, nx + ne):
@@ -168,11 +165,12 @@ def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> Ilp
             groups.append((CUT_CONFLICT_ROWS, (x_of[u], x_of[v], ci, ec_of[cand.pair])))
     for si, (u, v) in enumerate(se_list, nx + ne + nc):
         groups.append((STITCH_ROWS, (x_of[u], x_of[v], si)))
-    for pa, pb in ee:
-        groups.append((SPACING_ROWS, (ec_of[pa], ec_of[pb])))
+    if ecg is not None:
+        for pa, pb in sorted(ecg.ee_edges):
+            if pa in ec_of and pb in ec_of:
+                groups.append((SPACING_ROWS, (ec_of[pa], ec_of[pb])))
 
     return IlpModel(
-        names=tuple(names),
         kinds=kinds,
         groups=tuple(groups),
         objective=objective,
@@ -425,31 +423,28 @@ def _indices(mask: int) -> set[int]:
     return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 
-def solve(
-    g: LayoutGraph,
-    ecg: EndCutGraph | None,
-    alpha: Fraction,
-    *,
-    time_limit: float | None = None,
-) -> IlpSolution:
-    """Minimise conflicts plus alpha times stitches on the layout graph.
+def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
+    """Minimise the model's objective: conflicts plus alpha times stitches.
+
+    solve reads only the model's groups: a template tells the edge kind,
+    a segment is its x index and a cut its ec index, and the answer maps
+    back through x_of, ec_of, c_of and s_of, which follow the groups.
 
     This is the one place the problem splits: blocks linked by conflict,
-    stitch or cut-spacing edges are searched separately and the optima
-    summed. A cut constrains the search only through a spacing edge to
-    another cut that a conflict edge carries; any other cut links
-    nothing and is selected afterwards wherever its two segments share a
-    mask, at no cost. A segment with no stitch edge and no conflict edge
-    that the search must settle is a block on its own: it takes mask A,
-    its canonical answer, with no block record, structure key or search.
-    Blocks of one local structure are searched once, and the others take
-    that answer through their own ids. blocks and nodes still count every
-    block and its canonical search, as if each had run. A search that ran
-    out of time is never reused. Each block reports its lexicographically
-    smallest optimal mask vector, so status OPTIMAL implies the canonical
-    answer. The status is TIMEOUT when any block ran out of time, in
-    which case the best colouring found so far stands in for the exact
-    answer.
+    stitch or cut-spacing groups are searched separately and the optima
+    summed. A cut constrains the search only through a spacing group with
+    another cut; any other cut links nothing and is selected afterwards
+    wherever its two segments share a mask, at no cost. A segment with
+    no stitch edge and no conflict edge that the search must settle is a
+    block on its own: it takes mask A, its canonical answer, with no
+    block record, structure key or search. Blocks of one local structure
+    are searched once, and the others take that answer through their own
+    ids. blocks and nodes still count every block and its canonical
+    search, as if each had run. A search that ran out of time is never
+    reused. Each block reports its lexicographically smallest optimal
+    mask vector, so status OPTIMAL implies the canonical answer. The
+    status is TIMEOUT when any block ran out of time, in which case the
+    best colouring found so far stands in for the exact answer.
 
     The answer is priced and checked here and nowhere else. One recount
     of the final colouring, on the vertex indices of each edge, lists the
@@ -457,23 +452,23 @@ def solve(
     total; no two selected cuts may share a spacing edge. A failed check
     raises AssertionError."""
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    verts, edges, stitch_keys, ee = _indexed(g, ecg, alpha)
-    n = len(verts)
-    idx = dict(zip(verts, range(n)))
-    # every conflict edge on vertex indices, in the sorted order of its key
-    ends = [(idx[u], idx[v]) for (u, v), _ in edges]
-    se = [(idx[u], idx[v]) for u, v in stitch_keys]
-    spaced = {p for e in ee for p in e}
-    ce: list[tuple[int, int, PairKey | None]] = []
-    free: list[tuple[int, int, PairKey]] = []
-    for (a, b), (_, cand) in zip(ends, edges):
-        if cand is None:
-            ce.append((a, b, None))
-        elif cand.pair in spaced:
-            ce.append((a, b, cand.pair))
+    n = len(model.x_of)
+    # each conflict edge as (a, b, its cut's ec index or None) in c order,
+    # each stitch edge as (a, b) in s order, each spacing edge as its cuts
+    edges: list[tuple[int, int, int | None]] = []
+    se: list[tuple[int, ...]] = []
+    ee: list[tuple[int, ...]] = []
+    for template, vs in model.groups:
+        if template is STITCH_ROWS:
+            se.append(vs[:2])
+        elif template is SPACING_ROWS:
+            ee.append(vs)
         else:
-            free.append((a, b, cand.pair))
-    pair_home = {pair: a for a, _, pair in ce if pair is not None}
+            edges.append((vs[0], vs[1], vs[3] if template is CUT_CONFLICT_ROWS else None))
+    spaced = {k for e in ee for k in e}
+    ce = [e for e in edges if e[2] is None or e[2] in spaced]
+    free = [e for e in edges if e[2] is not None and e[2] not in spaced]
+    cut_home = {cut: a for a, _, cut in ce if cut is not None}
 
     parent = list(range(n))
     # a segment that no searched edge reaches is a block on its own
@@ -491,8 +486,8 @@ def solve(
     for a, b in se:
         linked[a] = linked[b] = 1
         parent[find(a)] = find(b)
-    for pa, pb in ee:
-        parent[find(pair_home[pa])] = find(pair_home[pb])
+    for ka, kb in ee:
+        parent[find(cut_home[ka])] = find(cut_home[kb])
 
     # blocks of linked segments in order of their lowest vertex; a vertex's
     # local id is its rank in its block, so local order is canonical order
@@ -515,28 +510,28 @@ def solve(
     ce_by: list[list[tuple[int, int, bool]]] = [[] for _ in blocks]
     se_by: list[list[tuple[int, int]]] = [[] for _ in blocks]
     ee_by: list[list[tuple[int, int]]] = [[] for _ in blocks]
-    cuts_by: list[list[PairKey]] = [[] for _ in blocks]
-    cut_index: dict[PairKey, int] = {}
-    for a, b, pair in ce:
+    cuts_by: list[list[int]] = [[] for _ in blocks]
+    cut_index: dict[int, int] = {}
+    for a, b, cut in ce:
         bi = blk[a]
-        if pair is not None:
-            cut_index[pair] = len(cuts_by[bi])
-            cuts_by[bi].append(pair)
-        ce_by[bi].append((local[a], local[b], pair is not None))
+        if cut is not None:
+            cut_index[cut] = len(cuts_by[bi])
+            cuts_by[bi].append(cut)
+        ce_by[bi].append((local[a], local[b], cut is not None))
     for a, b in se:
         se_by[blk[a]].append((local[a], local[b]))
-    for pa, pb in ee:
-        ka, kb = cut_index[pa], cut_index[pb]
-        ee_by[blk[pair_home[pa]]].append((ka, kb) if ka < kb else (kb, ka))
+    for ka, kb in ee:
+        la, lb = cut_index[ka], cut_index[kb]
+        ee_by[blk[cut_home[ka]]].append((la, lb) if la < lb else (lb, la))
 
-    scale = alpha.denominator
+    scale = model.scale
     total = 0
     nodes = 0
     timed_out = False
     # a lone segment takes mask A, its canonical search's answer
     color_of = [0] * n
-    selected: set[PairKey] = set()
-    # the search depends only on a block's structure (scale and alpha are
+    selected: set[int] = set()
+    # the search depends only on a block's structure (the weights are
     # fixed here), so identical blocks share one finished search; a search
     # cut short by the deadline is not an answer and is never reused
     memo: dict[BlockStructure, tuple[int, int, list[int], set[int]]] = {}
@@ -544,7 +539,7 @@ def solve(
         key = (len(gvars), tuple(ce_by[bi]), tuple(se_by[bi]), tuple(sorted(ee_by[bi])))
         found = memo.get(key)
         if found is None:
-            comp = _CompSolver(key, scale, alpha.numerator, deadline)
+            comp = _CompSolver(key, scale, model.alpha.numerator, deadline)
             comp.run()
             found = (comp.best, comp.nodes, comp.best_colors, comp.best_sel)
             if comp.timed_out:
@@ -557,31 +552,34 @@ def solve(
         for gi, c in zip(gvars, best_colors):
             color_of[gi] = c
         selected.update(cuts_by[bi][k] for k in best_sel)
-    for a, b, pair in free:
+    for a, b, cut in free:
         if color_of[a] == color_of[b]:
-            selected.add(pair)
+            selected.add(cut)
 
     conflicts = tuple(
         key
-        for (key, cand), (a, b) in zip(edges, ends)
-        if color_of[a] == color_of[b] and (cand is None or cand.pair not in selected)
+        for key, (a, b, cut) in zip(model.c_of, edges)
+        if color_of[a] == color_of[b] and cut not in selected
     )
-    stitches = tuple(key for key, (a, b) in zip(stitch_keys, se) if color_of[a] != color_of[b])
-    check = scale * len(conflicts) + alpha.numerator * len(stitches)
+    stitches = tuple(key for key, (a, b) in zip(model.s_of, se) if color_of[a] != color_of[b])
+    check = scale * len(conflicts) + model.alpha.numerator * len(stitches)
     if check != total:
         raise AssertionError(
             f"solution bookkeeping mismatch: recount {check} != search total {total}"
         )
-    for pa, pb in ee:
-        if pa in selected and pb in selected:
-            raise AssertionError(f"cuts {pa} and {pb} are too close to both print")
+    pair_of = {k: pair for pair, k in model.ec_of.items()}
+    for ka, kb in ee:
+        if ka in selected and kb in selected:
+            raise AssertionError(
+                f"cuts {pair_of[ka]} and {pair_of[kb]} are too close to both print"
+            )
     return IlpSolution(
         objective=Fraction(total, scale),
         status=SolveStatus.TIMEOUT if timed_out else SolveStatus.OPTIMAL,
         nodes=nodes + lone * _LONE_NODES,
         blocks=len(blocks) + lone,
-        colors=dict(zip(verts, color_of)),
-        selected=frozenset(selected),
+        colors=dict(zip(model.x_of, color_of)),
+        selected=frozenset(pair_of[k] for k in selected),
         conflicts=conflicts,
         stitches=stitches,
     )

@@ -37,7 +37,7 @@ def test_criterion_1_solver_matches_exhaustive_enumeration():
         m = build_model(g, ecg, alpha)
         assert len(m.names) <= 12
         want, _ = enumerate_model(m)
-        sol = solve(g, ecg, alpha)
+        sol = solve(m)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == want
     elapsed = time.perf_counter() - started

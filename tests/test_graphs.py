@@ -15,7 +15,7 @@ from trimdecomp.graphs import (
     layout_graph_dot,
 )
 from trimdecomp.endcut import generate_all_end_cuts
-from trimdecomp.ilp import solve
+from trimdecomp.ilp import build_model, solve
 from trimdecomp.layout_io import parse_layout
 from trimdecomp.synth import random_layout
 
@@ -175,14 +175,14 @@ def test_components_split_and_ee_coupling():
     assert sorted(cuts) == [(1, 2), (3, 4)]
     assert not ecg.ee_edges
     # spacing-free cuts link nothing: every segment is its own block
-    sol = solve(g, ecg, Fraction(0))
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.blocks == 4
     assert sol.selected == frozenset({(1, 2), (3, 4)})
 
     g2, ecg2, _ = graph_for(parse_layout(SPACING_PAIRS.format(dc=300)))
     assert ecg2.ee_edges == frozenset({((1, 2), (3, 4))})
-    assert solve(g2, ecg2, Fraction(0)).blocks == 1
-    assert solve(g2, None, Fraction(0)).blocks == 4
+    assert solve(build_model(g2, ecg2, Fraction(0))).blocks == 1
+    assert solve(build_model(g2, None, Fraction(0))).blocks == 4
 
 
 def test_preselect_keeps_spacing_constrained_cuts():
@@ -191,7 +191,7 @@ def test_preselect_keeps_spacing_constrained_cuts():
     g, ecg, cuts = graph_for(parse_layout(SPACING_PAIRS.format(dc=300)))
     assert g.conflict_edges[((1, 0), (2, 0))] is cuts[(1, 2)]
     assert g.conflict_edges[((3, 0), (4, 0))] is cuts[(3, 4)]
-    sol = solve(g, ecg, Fraction(0))
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.blocks == 1
     assert len(sol.selected) == 1 and sol.objective == 0
 

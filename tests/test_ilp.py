@@ -13,6 +13,7 @@ from helpers import (
     parse_lp,
     random_model_graph,
     solution_values,
+    square_grid_rects,
 )
 from test_graphs import abstract_graph, graph_for
 
@@ -27,7 +28,7 @@ from trimdecomp.ilp import (
     export_lp,
     solve,
 )
-from trimdecomp.layout_io import StitchPoint, parse_layout
+from trimdecomp.layout_io import StitchPoint, parse_layout, write_report
 from trimdecomp.synth import grid_layout, random_layout
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
@@ -96,7 +97,7 @@ def test_solver_matches_enumeration_on_random_models():
         g, ecg, alpha = random_model_graph(rng)
         m = build_model(g, ecg, alpha)
         want_value, want_x = enumerate_model(m)
-        sol = solve(g, ecg, alpha)
+        sol = solve(m)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == want_value
         values = solution_values(g, m, sol)
@@ -108,7 +109,7 @@ def test_solution_values_are_internally_consistent():
     for _ in range(60):
         g, ecg, alpha = random_model_graph(rng)
         m = build_model(g, ecg, alpha)
-        sol = solve(g, ecg, alpha)
+        sol = solve(m)
         # every constraint of the model holds under the reported values
         values = solution_values(g, m, sol)
         vals = [values[n] for n in m.names]
@@ -121,14 +122,14 @@ def test_solution_values_are_internally_consistent():
 
 def test_odd_ring_needs_one_conflict():
     g, _ = abstract_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    sol = solve(g, None, Fraction(0))
+    sol = solve(build_model(g, None, Fraction(0)))
     assert sol.objective == 1
 
 
 def test_cut_resolves_conflict():
     g, cmap = abstract_graph(3, [(1, 2), (2, 3), (1, 3)], cands={(1, 3)})
     ecg = EndCutGraph(cmap, frozenset(), frozenset())
-    sol = solve(g, ecg, Fraction(0))
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.objective == 0
     assert sol.selected == frozenset({(1, 3)})
 
@@ -141,7 +142,7 @@ def test_excluded_cuts_cannot_both_be_selected():
         cands={(1, 3), (4, 6)},
     )
     ecg = EndCutGraph(cmap, frozenset({((1, 3), (4, 6))}), frozenset())
-    sol = solve(g, ecg, Fraction(0))
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.objective == 1
     assert len(sol.selected) == 1
     assert sol.blocks == 1  # the spacing edge couples the two triangles
@@ -151,14 +152,14 @@ def test_lexicographic_tiebreak_is_smallest_vector():
     # a bare triangle has many one-conflict optima; the reported one is the
     # smallest mask vector read off in wire order
     g, _ = abstract_graph(3, [(1, 2), (2, 3), (1, 3)])
-    sol = solve(g, None, Fraction(0))
+    sol = solve(build_model(g, None, Fraction(0)))
     assert sol.objective == 1
     assert [sol.colors[(f, 0)] for f in (1, 2, 3)] == [0, 0, 1]
 
 
 def test_independent_blocks_solved_separately():
     g, _ = abstract_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    sol = solve(g, None, Fraction(0))
+    sol = solve(build_model(g, None, Fraction(0)))
     assert sol.objective == 2
     assert sol.blocks == 2
 
@@ -171,7 +172,7 @@ def test_each_block_gets_its_own_lex_budget():
         a, b, c = 3 * t + 1, 3 * t + 2, 3 * t + 3
         edges += [(a, b), (b, c), (a, c)]
     g, _ = abstract_graph(18, edges)
-    sol = solve(g, None, Fraction(0))
+    sol = solve(build_model(g, None, Fraction(0)))
     assert sol.blocks == 6
     for t in range(6):
         assert [sol.colors[(3 * t + k, 0)] for k in (1, 2, 3)] == [0, 0, 1], t
@@ -180,13 +181,13 @@ def test_each_block_gets_its_own_lex_budget():
 def test_spacing_free_cut_is_selected_only_on_a_shared_mask():
     # the cut on 1-2 has no spacing edge, so it joins no block
     g, cmap = abstract_graph(2, [(1, 2)], cands={(1, 2)})
-    sol = solve(g, EndCutGraph(cmap, frozenset(), frozenset()), Fraction(0))
+    sol = solve(build_model(g, EndCutGraph(cmap, frozenset(), frozenset()), Fraction(0)))
     assert sol.blocks == 2
     assert sol.colors == {(1, 0): 0, (2, 0): 0}
     assert sol.selected == frozenset({(1, 2)}) and sol.objective == 0
     # the odd path 1-3-4-2 forces 1 and 2 apart, and the cut stays unused
     g, cmap = abstract_graph(4, [(1, 3), (3, 4), (2, 4), (1, 2)], cands={(1, 2)})
-    sol = solve(g, EndCutGraph(cmap, frozenset(), frozenset()), Fraction(0))
+    sol = solve(build_model(g, EndCutGraph(cmap, frozenset(), frozenset()), Fraction(0)))
     assert sol.blocks == 1
     assert sol.colors[(1, 0)] != sol.colors[(2, 0)]
     assert sol.selected == frozenset() and sol.objective == 0
@@ -204,10 +205,10 @@ def test_spacing_edge_to_an_uncarried_cut_constrains_nothing():
     ]
     for g, cmap in cases:
         ee = {(p, q) for p in cmap for q in cmap if p < q}
-        without = solve(g, EndCutGraph(cmap, ee, ()), Fraction(0))
+        without = solve(build_model(g, EndCutGraph(cmap, ee, ()), Fraction(0)))
         cands = {**cmap, uncarried: _dummy_candidate(uncarried)}
         for p in cmap:
-            sol = solve(g, EndCutGraph(cands, ee | {(p, uncarried)}, ()), Fraction(0))
+            sol = solve(build_model(g, EndCutGraph(cands, ee | {(p, uncarried)}, ()), Fraction(0)))
             assert sol.blocks == without.blocks
             assert sol.colors == without.colors
             assert sol.selected == without.selected
@@ -224,9 +225,9 @@ def test_timeout_returns_feasible_incumbent():
                 edges.append((a, b))
     g, _ = abstract_graph(n, edges)
     m = build_model(g, None, Fraction(0))
-    sol = solve(g, None, Fraction(0), time_limit=0.0)
+    sol = solve(m, time_limit=0.0)
     assert sol.status is SolveStatus.TIMEOUT
-    full = solve(g, None, Fraction(0))
+    full = solve(m)
     assert full.status is SolveStatus.OPTIMAL
     assert sol.objective >= full.objective
     # the reported incumbent still satisfies the whole model
@@ -321,7 +322,9 @@ def test_identical_blocks_solve_as_if_alone(monkeypatch):
     ]
     for k in range(0, len(specs), 2):
         one, other = specs[k], specs[k + 1]
-        assert answer(solve(*one, Fraction(1, 10))) != answer(solve(*other, Fraction(1, 10)))
+        assert answer(solve(build_model(*one, Fraction(1, 10)))) != answer(
+            solve(build_model(*other, Fraction(1, 10)))
+        )
     # segments that no searched edge reaches: bars with no conflict, and a
     # pair whose one conflict a spacing-free cut resolves
     # the canonical search of a block of one segment with no edge
@@ -330,10 +333,10 @@ def test_identical_blocks_solve_as_if_alone(monkeypatch):
     assert (lone.best, lone.best_colors, lone.best_sel) == (0, [0], set())
     singles = [(abstract_graph(3, [])[0], EndCutGraph({}, (), ())), free_cut_pair()]
     for (g, ecg), count in zip(singles, (3, 2)):
-        sol = solve(g, ecg, Fraction(1, 10))
+        sol = solve(build_model(g, ecg, Fraction(1, 10)))
         assert (sol.blocks, sol.nodes) == (count, count * lone.nodes)
         assert set(sol.colors.values()) == {0}
-    assert solve(*free_cut_pair(), Fraction(0)).selected == frozenset({(1, 2)})
+    assert solve(build_model(*free_cut_pair(), Fraction(0))).selected == frozenset({(1, 2)})
     # no search is built for a block of one segment
     built = []
     init = _CompSolver.__init__
@@ -352,8 +355,8 @@ def test_identical_blocks_solve_as_if_alone(monkeypatch):
         # keeps every copy's ids apart
         parts = [shifted(*models[k], 10 * i) for i, k in enumerate(order)]
         alpha = rng.choice([Fraction(0), Fraction(1, 10), Fraction(1, 3)])
-        whole = solve(*joined(parts), alpha)
-        alone = [solve(g, ecg, alpha) for g, ecg in parts]
+        whole = solve(build_model(*joined(parts), alpha))
+        alone = [solve(build_model(g, ecg, alpha)) for g, ecg in parts]
         assert whole.status is SolveStatus.OPTIMAL
         assert whole.objective == sum(s.objective for s in alone)
         assert whole.nodes == sum(s.nodes for s in alone)
@@ -398,7 +401,7 @@ def test_search_tree_of_a_crowded_chain(bars, nodes):
     # every prune
     text = "\n".join(["param dis_m 120", "param hlow 60", *chain30_rects()[:bars]]) + "\n"
     g, ecg, _ = graph_for(parse_layout(text))
-    sol = solve(g, ecg, Fraction(0))
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, nodes)
     assert masks(sol) == ("AAB" * 5)[:bars]
     assert sorted(sol.selected) == [(i, i + 1) for i in range(1, bars, 3)]
@@ -426,7 +429,7 @@ def test_cut_masks_wider_than_a_machine_word(monkeypatch):
         chosen.append(sorted(self.best_sel))
 
     monkeypatch.setattr(_CompSolver, "run", recorded)
-    sol = solve(g, EndCutGraph(cmap, frozenset(ee), ()), Fraction(0), time_limit=1.0)
+    sol = solve(build_model(g, EndCutGraph(cmap, frozenset(ee), ()), Fraction(0)), time_limit=1.0)
     assert chosen == [list(range(0, 80, 2))]
     assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, 320)
     assert masks(sol) == "ABA" * 40
@@ -465,10 +468,10 @@ def select_both_spaced_cuts(comp):
 
 def test_solve_recounts_the_search_total(monkeypatch):
     g, _ = abstract_graph(3, [(1, 2), (2, 3), (1, 3)])
-    assert solve(g, None, Fraction(0)).objective == 1
+    assert solve(build_model(g, None, Fraction(0))).objective == 1
     corrupt_search(monkeypatch, lower_best)
     with pytest.raises(AssertionError) as err:
-        solve(g, None, Fraction(0))
+        solve(build_model(g, None, Fraction(0)))
     assert str(err.value) == "solution bookkeeping mismatch: recount 1 != search total 0"
 
 
@@ -479,11 +482,11 @@ def test_solve_checks_cut_spacing(monkeypatch):
         6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)], cands={(1, 3), (4, 6)}
     )
     ecg = EndCutGraph(cmap, frozenset({((1, 3), (4, 6))}), frozenset())
-    sol = solve(g, ecg, Fraction(0))
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert (sol.objective, sol.selected) == (1, frozenset({(4, 6)}))
     corrupt_search(monkeypatch, select_both_spaced_cuts)
     with pytest.raises(AssertionError) as err:
-        solve(g, ecg, Fraction(0))
+        solve(build_model(g, ecg, Fraction(0)))
     assert str(err.value) == "cuts (1, 3) and (4, 6) are too close to both print"
 
 
@@ -578,4 +581,43 @@ def test_exported_lp_agrees_with_external_solver():
     for _ in range(25):
         g, ecg, alpha = random_model_graph(rng)
         m = build_model(g, ecg, alpha)
-        assert milp_optimum(export_lp(m)) == solve(g, ecg, alpha).objective
+        assert milp_optimum(export_lp(m)) == solve(m).objective
+
+
+# item 3's ring: 1 and 2, 2 and 4, 4 and 5 (across a 60 nm gap), 5 and 3,
+# 3 and 1 close an odd cycle, which either a stitch on 5 or a cut between
+# 4 and 5 breaks; hlow, the least cut extent across a gap, decides
+# whether that 60 nm gap takes a cut
+CUT_OR_STITCH_RING = (
+    "layout ring\nparam dis_m 120\nparam stitch 1\nparam hlow {hlow}\n"
+    "rect 1 0 0 1500 40\nrect 2 0 90 300 130\nrect 3 1200 90 1500 130\n"
+    "rect 4 0 180 700 220\nrect 5 760 180 1500 220\n"
+)
+
+
+@pytest.mark.parametrize(
+    "hlow, chosen, other, cost",
+    [
+        (70, "stitch 5 950 200 v", "cut ", Fraction(1, 10)),
+        (30, "cut 700 180 760 220", "stitch ", Fraction(0)),
+    ],
+)
+def test_a_cut_competes_with_a_stitch(hlow, chosen, other, cost):
+    result = decompose_document(parse_layout(CUT_OR_STITCH_RING.format(hlow=hlow)))
+    lines = write_report(result.report).splitlines()
+    assert chosen in lines
+    assert not any(line.startswith(other) for line in lines)
+    assert result.stats.status is SolveStatus.OPTIMAL
+    assert result.stats.cost == cost
+    assert milp_optimum(export_lp(build_full_model(result))) == cost
+
+
+def test_the_solved_model_is_the_exported_model():
+    result = decompose_document(parse_layout((LAYOUTS / "ring5.lay").read_text()))
+    assert build_full_model(result) is result.model
+    # a run cut short by its time limit still exports the whole model
+    grid = "\n".join(["layout grid4x20", "param dis_m 120", *square_grid_rects()]) + "\n"
+    result = decompose_document(parse_layout(grid), time_limit=0.2)
+    assert result.stats.status is SolveStatus.TIMEOUT
+    rebuilt = build_model(result.graph, result.end_cuts, Fraction(0))
+    assert export_lp(build_full_model(result)) == export_lp(rebuilt)

@@ -92,21 +92,34 @@ def names_read(node):
     return read
 
 
+def names_defined(stmt):
+    """The names a top-level statement defines: a function's or class's
+    name, or the names an assignment binds (constants and type aliases)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
 def test_every_top_level_definition_is_read():
-    # a function or class counts as read only outside its own definition,
-    # and __init__.py's re-exports do not count
-    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    # a function, class, constant or type alias counts as read only
+    # outside its own definition, and __init__.py's re-exports do not count
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     files = modules + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     defined = set()
     read = set()
     for p in files:
         for stmt in ast.parse(p.read_text(), str(p)).body:
-            names = names_read(stmt)
-            if isinstance(stmt, defs):
-                names.discard(stmt.name)
-                if p in modules:
-                    defined.add((p.name, stmt.name))
-            read |= names
+            own = names_defined(stmt)
+            if p in modules:
+                defined |= {(p.name, name) for name in own}
+            read |= names_read(stmt) - own
     assert ("graphs.py", "generate_stitch_candidates") in defined
+    assert ("ilp.py", "SPACING_ROWS") in defined
+    assert ("ilp.py", "BlockStructure") in defined
     assert sorted((f, name) for f, name in defined if name not in read) == []

@@ -132,9 +132,10 @@ def decompose_document(
     cuts = generate_all_end_cuts(doc, pairs, near_pairs)
     del near_pairs  # free them before the solve, where memory use peaks
     stage("cuts")
-    g = build_layout_graph(doc, pairs, cuts)
     if params.stitch:
-        g = generate_stitch_candidates(doc, g, metric=metric)
+        g = generate_stitch_candidates(doc, pairs, cuts, metric=metric)
+    else:
+        g = build_layout_graph(doc, pairs, cuts)
     stage("graph")
     ecg = build_end_cut_graph(cuts, params, metric)
     stage("ecgraph")

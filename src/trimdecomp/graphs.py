@@ -122,10 +122,12 @@ def _cut_middle(rects: Sequence[Rect], coord: int, k: int) -> int | None:
 
 def generate_stitch_candidates(
     doc: LayoutDocument,
-    g: LayoutGraph,
+    pairs: Sequence[PairKey],
+    cuts: Mapping[PairKey, EndCutCandidate],
     metric: Metric = Metric.CHEBYSHEV,
 ) -> LayoutGraph:
-    """Split features into stitched segments away from all conflict zones.
+    """The stitched layout graph: features split into stitched segments
+    away from all conflict zones, in place of build_layout_graph's.
 
     A feature is cut only where the projections of its conflicting
     neighbours, widened by the spacing rule, leave an uncovered span of at
@@ -137,17 +139,18 @@ def generate_stitch_candidates(
     of each feature, so splitting can never add a conflict the unsplit
     layout did not have.
 
-    g is unsplit and its conflict edges join ascending feature ids, as
-    build_layout_graph makes them.
+    pairs are the conflicting feature pairs (a, b), a < b, in ascending
+    order, as conflict_pairs lists them, and cuts the candidate end-cut of
+    each pair that has one.
     """
     d = doc.params.dis_m
     margin = max(1, d // 2)
     boxes = {s.id: s.bbox for s in doc.shapes}
 
     neighbours: dict[int, set[int]] = {}
-    for (u, v) in g.conflict_edges:
-        neighbours.setdefault(u[0], set()).add(v[0])
-        neighbours.setdefault(v[0], set()).add(u[0])
+    for a, b in pairs:
+        neighbours.setdefault(a, set()).add(b)
+        neighbours.setdefault(b, set()).add(a)
 
     pieces_of: dict[int, list[tuple[Rect, ...]]] = {}
     stitch_edges: dict[EdgeKey, StitchPoint] = {}
@@ -165,7 +168,7 @@ def generate_stitch_candidates(
                 lo, hi = max(nlo[k] - d, start), min(nhi[k] + d, end)
                 if lo < hi:
                     covered.append((lo, hi))
-            cuts: list[int] = []
+            coords: list[int] = []
             crosses: list[int] = []
             pos = start
             for lo, hi in _merge_intervals(covered) + [(end, end)]:
@@ -173,20 +176,19 @@ def generate_stitch_candidates(
                     coord = (pos + lo) // 2
                     cross = _cut_middle(shape.rects, coord, k)
                     if cross is not None:
-                        cuts.append(coord)
+                        coords.append(coord)
                         crosses.append(cross)
                 pos = max(pos, hi)
-            if cuts:
-                pieces = split_feature_rects(shape, cuts, k)
-                for i, (coord, cross) in enumerate(zip(cuts, crosses)):
+            if coords:
+                pieces = split_feature_rects(shape.rects, [start, *coords, end], k)
+                for i, (coord, cross) in enumerate(zip(coords, crosses)):
                     x, y = (coord, cross) if k == 0 else (cross, coord)
                     stitch_edges[((fid, i), (fid, i + 1))] = StitchPoint(fid, x, y, "vh"[k])
         pieces_of[fid] = pieces
     segments = {(f, i): piece for f, pieces in pieces_of.items() for i, piece in enumerate(pieces)}
 
     conflict_edges: dict[EdgeKey, EndCutCandidate | None] = {}
-    for (u, v), cand in sorted(g.conflict_edges.items()):
-        f, h = u[0], v[0]
+    for f, h in pairs:
         hits = [
             ((f, i), (h, j))
             for i, a in enumerate(pieces_of[f])
@@ -195,6 +197,7 @@ def generate_stitch_candidates(
         ]
         for e in hits:
             conflict_edges[e] = None
+        cand = cuts.get((f, h))
         if cand is not None and hits:
             cbox = [bounding_box(cand.rects)]
             best = min(

@@ -23,19 +23,22 @@ compiled text. The pipeline builds the model once per decomposition,
 and it is both what solve optimises and what export_lp prints.
 
 solve reads the model's groups, their template naming the edge kind,
-and splits the model into independent blocks (linked by conflict,
-stitch or cut-spacing groups), one exact branch and bound per distinct
-block. A segment with no stitch edge and no conflict edge left to the
-search (a cut that no spacing edge constrains is settled after it) is a
-block on its own whose answer is mask A, so it gets no block record
-and no search. Layouts repeat their cells, so many blocks are equal up
-to their ids; the search sees only a block's local structure, and
-blocks of one structure share a single search. A greedy two-colouring
-with a small local search seeds the incumbent. The search then assigns
-masks in ascending segment order, mask 0 first, and settles the cuts at
-each complete colouring, on integer bitmasks of pending-cut indices, so
-the first leaf it meets at the optimal cost is the lexicographically
-smallest optimal mask vector, the promised tie-break.
+prices each edge once as it reads it, and splits the model into
+independent blocks (linked by conflict, stitch or cut-spacing groups),
+one exact branch and bound per distinct block. Each block reaches the
+search as a self-contained priced problem, a BlockStructure, and the
+search sums its prices and writes none. A segment with no stitch edge
+and no conflict edge left to the search (a cut that no spacing edge
+constrains is settled after it) is a block on its own whose answer is
+mask A, so it gets no block record and no search. Layouts repeat their
+cells, so many blocks are equal up to their ids; the search sees only a
+block's priced local structure, and blocks of one structure share a
+single search. A greedy two-colouring with a small local search seeds
+the incumbent. The search then assigns masks in ascending segment
+order, mask 0 first, and settles the cuts at each complete colouring,
+on integer bitmasks of pending-cut indices, so the first leaf it meets
+at the optimal cost is the lexicographically smallest optimal mask
+vector, the promised tie-break.
 solve's IlpSolution is the whole answer, the conflicts and stitches it
 leaves included, so callers format it without re-deriving any of it."""
 
@@ -187,14 +190,16 @@ class _Timeout(Exception):
     pass
 
 
-# A block's local structure: its vertex count; its conflict edges in
-# canonical order as (a, b, has_pending_cut); its stitch edges as (a, b);
-# its cut-spacing edges as sorted pairs of pending-cut indices, a cut's
-# index being its rank among the block's cut-carrying conflict edges.
+# A block's local structure, priced: its vertex count; each edge that
+# colours alone settle, a conflict with no pending cut or a stitch, as
+# (a, b, cost when a and b share a mask, cost when they differ); each
+# pending cut's conflict edge as (a, b, cost when a and b share a mask and
+# the cut is not selected), a cut's index being its rank in that list; its
+# cut-spacing edges as sorted pairs of those indices.
 BlockStructure = tuple[
     int,
-    tuple[tuple[int, int, bool], ...],
-    tuple[tuple[int, int], ...],
+    tuple[tuple[int, int, int, int], ...],
+    tuple[tuple[int, int, int], ...],
     tuple[tuple[int, int], ...],
 ]
 
@@ -207,10 +212,12 @@ _LONE_NODES = 2
 class _CompSolver:
     """Exact search over one independent block of the layout graph.
 
-    The search sees only the block's local structure, and its answer is
-    the mask of each local vertex plus the indices of the pending cuts
-    it selects. Local variable ids 0..m-1 follow the canonical (ascending
-    segment index) order. The search assigns them in that order, mask 0
+    The search sees only the block's priced local structure, and its
+    answer is the mask of each local vertex plus the indices of the
+    pending cuts it selects. A colouring costs each pair's price on one
+    mask or across, plus the price of each cut it skips on a shared mask.
+    Local variable ids 0..m-1 follow the canonical (ascending segment
+    index) order. The search assigns them in that order, mask 0
     before mask 1, and settles the cuts of each complete colouring in a
     fixed order, so leaves arrive in lexicographic order of the mask vector.
     Only a leaf strictly cheaper than the bound is accepted, and the bound
@@ -227,21 +234,19 @@ class _CompSolver:
     reference counting frees it as soon as its block is done. The pipeline
     runs with the cyclic collector paused and relies on that."""
 
-    def __init__(self, block: BlockStructure, wc: int, ws: int, deadline: float | None):
-        self.m, self.ce, self.se, ee = block
-        self.wc = wc
-        self.ws = ws
+    def __init__(self, block: BlockStructure, deadline: float | None):
+        self.m, self.pairs, cuts, spacing = block
         self.deadline = deadline
         self.nodes = 0
 
-        pend_edge = [(a, b) for a, b, cut in self.ce if cut]
         # each pending cut's spacing neighbours as one bitmask of cut indices
-        adj = [0] * len(pend_edge)
-        for ka, kb in ee:
+        adj = [0] * len(cuts)
+        for ka, kb in spacing:
             adj[ka] |= 1 << kb
             adj[kb] |= 1 << ka
-        # (a, b, (own bit, neighbours)) of pending cut k, its bit being 1 << k
-        self.pend = [(a, b, (1 << k, adj[k])) for k, (a, b) in enumerate(pend_edge)]
+        # (a, b, (own bit, neighbours, price)) of pending cut k, its bit
+        # being 1 << k
+        self.pend = [(a, b, (1 << k, adj[k], price)) for k, (a, b, price) in enumerate(cuts)]
 
         self.best = 0
         self.bound = 1
@@ -253,13 +258,11 @@ class _CompSolver:
 
     def _greedy_colors(self) -> list[int]:
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.m)]
-        for a, b, cut in self.ce:
-            w = 0 if cut else self.wc
-            adj[a].append((b, w, 0))
-            adj[b].append((a, w, 0))
-        for a, b in self.se:
-            adj[a].append((b, 0, self.ws))
-            adj[b].append((a, 0, self.ws))
+        # a pending cut's conflict weighs nothing here: its cut may resolve it
+        unpriced = [(a, b, 0, 0) for a, b, _ in self.pend]
+        for a, b, same, diff in (*self.pairs, *unpriced):
+            adj[a].append((b, same, diff))
+            adj[b].append((a, same, diff))
         for lst in adj:
             lst.sort()
         color = [-1] * self.m
@@ -308,19 +311,15 @@ class _CompSolver:
         """Exact cost of a colouring under greedy cut selection."""
         chosen = 0
         cost = 0
-        for a, b, (bit, adj) in self.pend:
+        for a, b, (bit, adj, price) in self.pend:
             if color[a] != color[b]:
                 continue
             if chosen & adj:
-                cost += self.wc
+                cost += price
             else:
                 chosen |= bit
-        for a, b, cut in self.ce:
-            if not cut and color[a] == color[b]:
-                cost += self.wc
-        for a, b in self.se:
-            if color[a] != color[b]:
-                cost += self.ws
+        for a, b, same, diff in self.pairs:
+            cost += same if color[a] == color[b] else diff
         return cost, _indices(chosen)
 
     # -- exact search ----------------------------------------------------
@@ -341,17 +340,13 @@ class _CompSolver:
             self.timed_out = True
 
     def _branch(self) -> None:
-        m = self.m
-        # edges bucketed at their later endpoint; a candidate conflict is
-        # left to the leaf, where its cut is chosen
-        conflict_at: list[list[int]] = [[] for _ in range(m)]
-        stitch_at: list[list[int]] = [[] for _ in range(m)]
-        for a, b, cut in self.ce:
-            if not cut:
-                conflict_at[max(a, b)].append(min(a, b))
-        for a, b in self.se:
-            stitch_at[max(a, b)].append(min(a, b))
-        wc, ws, deadline = self.wc, self.ws, self.deadline
+        m, pend, deadline = self.m, self.pend, self.deadline
+        # pairs bucketed at their later endpoint as (earlier endpoint,
+        # price on one mask, price across); a pending cut is left to the
+        # leaf, where it is chosen
+        pairs_at: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+        for a, b, same, diff in self.pairs:
+            pairs_at[max(a, b)].append((min(a, b), same, diff))
 
         vals = [0] * m
         added = [0] * m
@@ -372,36 +367,29 @@ class _CompSolver:
             if not nodes & 2047 and deadline is not None and time.monotonic() > deadline:
                 raise _Timeout
             add = 0
-            for lo in conflict_at[pos]:
-                if vals[lo] == val:
-                    add += wc
-            for lo in stitch_at[pos]:
-                if vals[lo] != val:
-                    add += ws
+            for lo, same, diff in pairs_at[pos]:
+                add += same if vals[lo] == val else diff
             if cost + add >= self.bound:
                 continue
             vals[pos] = val
             if pos + 1 == m:
-                self._leaf(vals, cost + add)
+                # every pending cut has a spacing neighbour (solve leaves
+                # the others out of the search), so each one on a shared
+                # mask is a choice
+                same_mask = [cut for a, b, cut in pend if vals[a] == vals[b]]
+                self._select(vals, 0, same_mask, 0, cost + add)
                 continue
             added[pos] = add
             cost += add
             pos += 1
             nxt[pos] = 0
 
-    def _leaf(self, vals: list[int], xcost: int) -> None:
-        """Settle the cuts of one complete colouring.
-
-        Every pending cut has a spacing neighbour (solve leaves the others
-        out of the search), so each one on a shared mask is a choice."""
-        same = [cut for a, b, cut in self.pend if vals[a] == vals[b]]
-        self._select(vals, 0, same, 0, xcost)
-
     def _select(
-        self, vals: list[int], chosen: int, constrained: list[tuple[int, int]], i: int, acc: int
+        self, vals: list[int], chosen: int, constrained: list[tuple[int, int, int]], i: int, acc: int
     ) -> None:
-        """Settle constrained cuts i.. of one colouring, select before skip;
-        chosen is the bitmask of the cuts selected so far."""
+        """Settle constrained cuts i.. of one colouring, select before skip,
+        a skipped cut adding its price; chosen is the bitmask of the cuts
+        selected so far."""
         nodes = self.nodes = self.nodes + 1
         if not nodes & 2047 and self.deadline is not None and time.monotonic() > self.deadline:
             raise _Timeout
@@ -412,10 +400,10 @@ class _CompSolver:
             self.best_colors = list(vals)
             self.best_sel = _indices(chosen)
             return
-        bit, adj = constrained[i]
+        bit, adj, price = constrained[i]
         if not chosen & adj:
             self._select(vals, chosen | bit, constrained, i + 1, acc)
-        self._select(vals, chosen, constrained, i + 1, acc + self.wc)
+        self._select(vals, chosen, constrained, i + 1, acc + price)
 
 
 def _indices(mask: int) -> set[int]:
@@ -429,6 +417,8 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     solve reads only the model's groups: a template tells the edge kind,
     a segment is its x index and a cut its ec index, and the answer maps
     back through x_of, ec_of, c_of and s_of, which follow the groups.
+    Every edge is priced here, once, as its group is read, and each
+    block's search gets those prices in its BlockStructure.
 
     This is the one place the problem splits: blocks linked by conflict,
     stitch or cut-spacing groups are searched separately and the optima
@@ -453,22 +443,26 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     raises AssertionError."""
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     n = len(model.x_of)
-    # each conflict edge as (a, b, its cut's ec index or None) in c order,
-    # each stitch edge as (a, b) in s order, each spacing edge as its cuts
-    edges: list[tuple[int, int, int | None]] = []
-    se: list[tuple[int, ...]] = []
+    scale, ws = model.scale, model.alpha.numerator
+    # the search's prices, as BlockStructure has them: each conflict with
+    # no cut and each stitch as a pair, each cut-carrying conflict as
+    # (a, b, price, its cut); and each spacing edge as its two cuts
+    pairs: list[tuple[int, int, int, int]] = []
+    cut_edges: list[tuple[int, int, int, int]] = []
     ee: list[tuple[int, ...]] = []
     for template, vs in model.groups:
-        if template is STITCH_ROWS:
-            se.append(vs[:2])
+        if template is CONFLICT_ROWS:
+            pairs.append((vs[0], vs[1], scale, 0))
+        elif template is STITCH_ROWS:
+            pairs.append((vs[0], vs[1], 0, ws))
         elif template is SPACING_ROWS:
             ee.append(vs)
         else:
-            edges.append((vs[0], vs[1], vs[3] if template is CUT_CONFLICT_ROWS else None))
+            cut_edges.append((vs[0], vs[1], scale, vs[3]))
     spaced = {k for e in ee for k in e}
-    ce = [e for e in edges if e[2] is None or e[2] in spaced]
-    free = [e for e in edges if e[2] is not None and e[2] not in spaced]
-    cut_home = {cut: a for a, _, cut in ce if cut is not None}
+    pend = [e for e in cut_edges if e[3] in spaced]
+    free = [e for e in cut_edges if e[3] not in spaced]
+    cut_home = {cut: a for a, _, _, cut in pend}
 
     parent = list(range(n))
     # a segment that no searched edge reaches is a block on its own
@@ -480,10 +474,7 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
             i = parent[i]
         return i
 
-    for a, b, _ in ce:
-        linked[a] = linked[b] = 1
-        parent[find(a)] = find(b)
-    for a, b in se:
+    for a, b, _, _ in pairs + pend:
         linked[a] = linked[b] = 1
         parent[find(a)] = find(b)
     for ka, kb in ee:
@@ -507,39 +498,37 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
         local[i] = len(blocks[bi])
         blocks[bi].append(i)
     lone = linked.count(0)
-    ce_by: list[list[tuple[int, int, bool]]] = [[] for _ in blocks]
-    se_by: list[list[tuple[int, int]]] = [[] for _ in blocks]
+    pairs_by: list[list[tuple[int, int, int, int]]] = [[] for _ in blocks]
+    pend_by: list[list[tuple[int, int, int]]] = [[] for _ in blocks]
     ee_by: list[list[tuple[int, int]]] = [[] for _ in blocks]
     cuts_by: list[list[int]] = [[] for _ in blocks]
     cut_index: dict[int, int] = {}
-    for a, b, cut in ce:
+    for a, b, same, diff in pairs:
+        pairs_by[blk[a]].append((local[a], local[b], same, diff))
+    for a, b, price, cut in pend:
         bi = blk[a]
-        if cut is not None:
-            cut_index[cut] = len(cuts_by[bi])
-            cuts_by[bi].append(cut)
-        ce_by[bi].append((local[a], local[b], cut is not None))
-    for a, b in se:
-        se_by[blk[a]].append((local[a], local[b]))
+        cut_index[cut] = len(cuts_by[bi])
+        cuts_by[bi].append(cut)
+        pend_by[bi].append((local[a], local[b], price))
     for ka, kb in ee:
         la, lb = cut_index[ka], cut_index[kb]
         ee_by[blk[cut_home[ka]]].append((la, lb) if la < lb else (lb, la))
 
-    scale = model.scale
     total = 0
     nodes = 0
     timed_out = False
     # a lone segment takes mask A, its canonical search's answer
     color_of = [0] * n
     selected: set[int] = set()
-    # the search depends only on a block's structure (the weights are
-    # fixed here), so identical blocks share one finished search; a search
-    # cut short by the deadline is not an answer and is never reused
+    # the search depends only on a block's priced structure, so identical
+    # blocks share one finished search; a search cut short by the deadline
+    # is not an answer and is never reused
     memo: dict[BlockStructure, tuple[int, int, list[int], set[int]]] = {}
     for bi, gvars in enumerate(blocks):
-        key = (len(gvars), tuple(ce_by[bi]), tuple(se_by[bi]), tuple(sorted(ee_by[bi])))
+        key = (len(gvars), tuple(pairs_by[bi]), tuple(pend_by[bi]), tuple(sorted(ee_by[bi])))
         found = memo.get(key)
         if found is None:
-            comp = _CompSolver(key, scale, model.alpha.numerator, deadline)
+            comp = _CompSolver(key, deadline)
             comp.run()
             found = (comp.best, comp.nodes, comp.best_colors, comp.best_sel)
             if comp.timed_out:
@@ -552,16 +541,22 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
         for gi, c in zip(gvars, best_colors):
             color_of[gi] = c
         selected.update(cuts_by[bi][k] for k in best_sel)
-    for a, b, cut in free:
+    for a, b, _, cut in free:
         if color_of[a] == color_of[b]:
             selected.add(cut)
 
+    # the recount reads the groups, not the prices: the conflict groups
+    # come first, in c order, and the stitch groups next, in s order
     conflicts = tuple(
         key
-        for key, (a, b, cut) in zip(model.c_of, edges)
-        if color_of[a] == color_of[b] and cut not in selected
+        for key, (template, vs) in zip(model.c_of, model.groups)
+        if color_of[vs[0]] == color_of[vs[1]]
+        and (template is CONFLICT_ROWS or vs[3] not in selected)
     )
-    stitches = tuple(key for key, (a, b) in zip(model.s_of, se) if color_of[a] != color_of[b])
+    stitched = model.groups[len(model.c_of) :]
+    stitches = tuple(
+        key for key, (_, vs) in zip(model.s_of, stitched) if color_of[vs[0]] != color_of[vs[1]]
+    )
     check = scale * len(conflicts) + model.alpha.numerator * len(stitches)
     if check != total:
         raise AssertionError(

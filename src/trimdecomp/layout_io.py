@@ -492,16 +492,15 @@ _SVG_STYLE = (
 )
 
 
-def split_feature_rects(shape: RectilinearShape, coords: Sequence[int], k: int) -> list[tuple[Rect, ...]]:
-    """Clip a feature's rectangles at the given values of coordinate k of a
-    Point (0 for x, 1 for y), returning one rectangle group per resulting
-    piece, ordered along that axis."""
-    b = shape.bbox
-    bounds = [b.lo[k], *sorted(coords), b.hi[k]]
+def split_feature_rects(rects: Sequence[Rect], bounds: Sequence[int], k: int) -> list[tuple[Rect, ...]]:
+    """Clip a feature's rectangles between consecutive bounds, ascending
+    values of coordinate k of a Point (0 for x, 1 for y) from its bounding
+    box's start through its stitch coordinates to its end, returning one
+    rectangle group per resulting piece, in that order."""
     pieces: list[tuple[Rect, ...]] = []
     for lo, hi in zip(bounds, bounds[1:]):
         piece = []
-        for r in shape.rects:
+        for r in rects:
             clo, chi = max(r.lo[k], lo), min(r.hi[k], hi)
             if clo < chi:
                 (x1, y1), (x2, y2) = r
@@ -555,10 +554,10 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
         if points is None:
             pieces = [shape.rects]
         else:
-            points.sort()
             k = 0 if points[0].orient == "v" else 1
             # a StitchPoint is (feature, x, y, orient): coordinate k is at 1 + k
-            pieces = split_feature_rects(shape, [sp[1 + k] for sp in points], k)
+            coords = sorted([sp[1 + k] for sp in points])
+            pieces = split_feature_rects(shape.rects, [box.lo[k], *coords, box.hi[k]], k)
         # the stitches of a report sit where the mask changes, so the
         # feature splits into one piece per run
         if len(runs) != len(pieces):

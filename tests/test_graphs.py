@@ -36,9 +36,10 @@ def graph_for(doc, metric=Metric.CHEBYSHEV):
     near_pairs = SpatialIndex.from_shapes(doc.shapes, reach).pairs(reach)
     pairs = conflict_pairs(doc, near_pairs, metric)
     cuts = generate_all_end_cuts(doc, pairs, near_pairs)
-    g = build_layout_graph(doc, pairs, cuts)
     if doc.params.stitch:
-        g = generate_stitch_candidates(doc, g, metric=metric)
+        g = generate_stitch_candidates(doc, pairs, cuts, metric=metric)
+    else:
+        g = build_layout_graph(doc, pairs, cuts)
     return g, build_end_cut_graph(cuts, doc.params, metric), cuts
 
 
@@ -80,8 +81,8 @@ def test_stitch_splits_double_ended_bar():
         "rect 2 0 160 300 200\n"     # neighbour over its left end
         "rect 3 700 160 1000 200\n"  # neighbour over its right end
     )
-    g, _, _ = graph_for(doc)
-    g2 = generate_stitch_candidates(doc, g)
+    g, _, cuts = graph_for(doc)
+    g2 = generate_stitch_candidates(doc, [(u[0], v[0]) for u, v in g.conflict_edges], cuts)
     assert sorted(g2.segments) == [(1, 0), (1, 1), (2, 0), (3, 0)]
     assert list(g2.stitch_edges) == [((1, 0), (1, 1))]
     sp = g2.stitch_edges[((1, 0), (1, 1))]
@@ -109,7 +110,7 @@ def test_stitch_candidate_reattaches_to_nearest_segment():
     )
     g, _, cuts = graph_for(doc)
     assert (1, 2) in cuts
-    g2 = generate_stitch_candidates(doc, g)
+    g2 = generate_stitch_candidates(doc, [(u[0], v[0]) for u, v in g.conflict_edges], cuts)
     # both long wires split: wire 1 between its two covered stretches,
     # wire 2 ahead of its free right end
     assert sorted(g2.segments) == [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]

@@ -328,7 +328,7 @@ def test_identical_blocks_solve_as_if_alone(monkeypatch):
     # segments that no searched edge reaches: bars with no conflict, and a
     # pair whose one conflict a spacing-free cut resolves
     # the canonical search of a block of one segment with no edge
-    lone = _CompSolver((1, (), (), ()), 1, 0, None)
+    lone = _CompSolver((1, (), (), ()), None)
     lone.run()
     assert (lone.best, lone.best_colors, lone.best_sel) == (0, [0], set())
     singles = [(abstract_graph(3, [])[0], EndCutGraph({}, (), ())), free_cut_pair()]
@@ -384,6 +384,30 @@ def test_repeated_cells_are_searched_once(monkeypatch):
     assert len(searches) <= 4
     # nodes still counts the canonical search of every one of the blocks
     assert (stats.components, stats.nodes) == (1116, 6984)
+
+
+def test_the_search_receives_the_prices_solve_wrote(monkeypatch):
+    # at alpha 1/3 a conflict costs 3 on one mask, a stitch 1 across masks,
+    # and a pending cut 3 when its segments share a mask and it is skipped
+    blocks = []
+    init = _CompSolver.__init__
+
+    def spy(self, block, deadline):
+        blocks.append(block)
+        init(self, block, deadline)
+
+    monkeypatch.setattr(_CompSolver, "__init__", spy)
+    for seed in range(12):
+        decompose_document(random_layout(seed, clusters=9, stitch=True), alpha=Fraction(1, 3))
+    for m, pairs, cuts, spacing in blocks:
+        for a, b, same, diff in pairs:
+            assert a < b < m and (same, diff) in ((3, 0), (0, 1))
+        for a, b, price in cuts:
+            assert a < b < m and price == 3
+        assert all(0 <= ka < kb < len(cuts) for ka, kb in spacing)
+    kinds = [{(same, diff) for _, _, same, diff in pairs} for _, pairs, _, _ in blocks]
+    assert any(k == {(3, 0), (0, 1)} for k in kinds)
+    assert any(cuts for _, _, cuts, _ in blocks)
 
 
 def masks(sol):
@@ -455,14 +479,14 @@ def lower_best(comp):
 def select_both_spaced_cuts(comp):
     """Select both cuts of the block's first spacing edge, and lower best
     by the conflicts that this resolves, so the recount still agrees."""
-    adjs = [adj for _, _, (_, adj) in comp.pend]
+    adjs = [adj for _, _, (_, adj, _) in comp.pend]
     spaced = [(ka, kb) for ka, adj in enumerate(adjs) for kb in range(len(adjs)) if adj >> kb & 1]
     if not spaced:
         return
     for k in spaced[0]:
-        a, b, _ = comp.pend[k]
+        a, b, (_, _, price) = comp.pend[k]
         if comp.best_colors[a] == comp.best_colors[b] and k not in comp.best_sel:
-            comp.best -= comp.wc
+            comp.best -= price
         comp.best_sel.add(k)
 
 

@@ -305,7 +305,7 @@ def test_split_feature_rects_on_l_shape():
     l = RectilinearShape.from_outline(
         9, [(0, 0), (300, 0), (300, 40), (40, 40), (40, 200), (0, 200)]
     )
-    pieces = split_feature_rects(l, [150], 0)
+    pieces = split_feature_rects(l.rects, [0, 150, 300], 0)
     assert len(pieces) == 2
     left_area = sum(r.area for r in pieces[0])
     right_area = sum(r.area for r in pieces[1])
@@ -384,6 +384,25 @@ def test_emit_svg_rejects_a_mask_change_with_no_stitch():
     rep = parse_report("mask 1/0 A\nmask 1/1 B\ncost 0\n")
     with pytest.raises(ValueError, match="^feature 1: 2 same-mask runs but 1 pieces"):
         emit_svg(doc, rep)
+
+
+@pytest.mark.parametrize(
+    "stitches",
+    [
+        "stitch 1 70 100 h\nstitch 1 30 300 h\n",
+        # x order, as sorting the points would put them, is not y order
+        "stitch 1 30 300 h\nstitch 1 70 100 h\n",
+    ],
+)
+def test_emit_svg_splits_at_stitches_in_order_along_the_feature(stitches):
+    # a staircase split twice across y: the stitch at y=300 has the lower
+    # x, so the pieces come out right only when the stitches are put in y
+    # order
+    doc = parse_layout("layout t\npoly 1 40 0 100 0 100 200 60 200 60 400 0 400 0 200 40 200\n")
+    rep = parse_report(f"mask 1/0 A\nmask 1/1 B\nmask 1/2 A\n{stitches}cost 0.2\n")
+    svg = emit_svg(doc, rep)
+    assert re.findall(r'class="maskA" d="([^"]*)"', svg) == ["M40 300H100V400H40Z", "M0 0H60V100H0Z"]
+    assert svg.count('class="maskB"') == 1
 
 
 # sha256 of emit_svg output, which must stay byte for byte; the random seeds

@@ -123,3 +123,28 @@ def test_every_top_level_definition_is_read():
     assert ("ilp.py", "SPACING_ROWS") in defined
     assert ("ilp.py", "BlockStructure") in defined
     assert sorted((f, name) for f, name in defined if name not in read) == []
+
+
+def test_every_method_is_read():
+    # a non-dunder method of a class in the package counts as read only
+    # outside its own body: a recursive method does not read itself
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    files = modules + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    defined = set()
+    read = set()
+    for p in files:
+        for stmt in ast.parse(p.read_text(), str(p)).body:
+            if not isinstance(stmt, ast.ClassDef):
+                read |= names_read(stmt)
+                continue
+            read |= set().union(*map(names_read, stmt.bases + stmt.decorator_list))
+            for part in stmt.body:
+                own = set()
+                if isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    own = {part.name}
+                    if p in modules and not part.name.startswith("__"):
+                        defined.add((p.name, stmt.name, part.name))
+                read |= names_read(part) - own
+    assert ("ilp.py", "_CompSolver", "_select") in defined
+    assert ("ilp.py", "IlpModel", "constraints") in defined
+    assert sorted(d for d in defined if d[2] not in read) == []

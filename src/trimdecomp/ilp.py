@@ -35,10 +35,10 @@ cells, so many blocks are equal up to their ids; the search sees only a
 block's priced local structure, and blocks of one structure share a
 single search. A greedy two-colouring with a small local search seeds
 the incumbent. The search then assigns masks in ascending segment
-order, mask 0 first, and settles the cuts at each complete colouring,
-on integer bitmasks of pending-cut indices, so the first leaf it meets
-at the optimal cost is the lexicographically smallest optimal mask
-vector, the promised tie-break.
+order, mask 0 first, and settles each complete colouring's cuts on ints
+(the cuts on a shared mask are one bitmask grown along the branch), so
+the first leaf it meets at the optimal cost is the lexicographically
+smallest optimal mask vector, the promised tie-break.
 solve's IlpSolution is the whole answer, the conflicts and stitches it
 leaves included, so callers format it without re-deriving any of it."""
 
@@ -217,17 +217,19 @@ class _CompSolver:
     pending cuts it selects. A colouring costs each pair's price on one
     mask or across, plus the price of each cut it skips on a shared mask.
     Local variable ids 0..m-1 follow the canonical (ascending segment
-    index) order. The search assigns them in that order, mask 0
-    before mask 1, and settles the cuts of each complete colouring in a
-    fixed order, so leaves arrive in lexicographic order of the mask vector.
+    index) order. The search assigns them in that order, mask 0 before
+    mask 1, and settles the cuts of each complete colouring in index
+    order, so leaves arrive in lexicographic order of the mask vector.
     Only a leaf strictly cheaper than the bound is accepted, and the bound
     starts one above the incumbent's cost: the last leaf accepted is the
     first one at the optimal cost, the lexicographically smallest optimum.
 
-    A leaf settles its cuts on bitmasks: the cuts selected so far are one
-    int, each pending cut's spacing neighbours another (pend), and a
-    cut is selectable when the two share no bit. best_sel, a set of cut
-    indices, is decoded from the mask only when a leaf is accepted.
+    A leaf is settled on ints, cut k being bit 1 << k: the branch grows
+    the bitmask of cuts on a shared mask as it assigns each cut's later
+    endpoint, and a cut is selectable when the cuts selected so far miss
+    its spacing neighbours (cut_adj). A child is counted and checked
+    against the bound before it is called, so a pruned child costs no
+    call. Only an accepted leaf copies vals and decodes best_sel.
 
     A solver holds no reference cycle (cut selection recurses through the
     _select method, not through a closure that refers to itself), so
@@ -235,19 +237,17 @@ class _CompSolver:
     runs with the cyclic collector paused and relies on that."""
 
     def __init__(self, block: BlockStructure, deadline: float | None):
-        self.m, self.pairs, cuts, spacing = block
+        self.m, self.pairs, self.cuts, spacing = block
         self.deadline = deadline
         self.nodes = 0
 
-        # each pending cut's spacing neighbours as one bitmask of cut indices
-        adj = [0] * len(cuts)
+        # each pending cut's spacing neighbours as one bitmask
+        self.cut_adj = [0] * len(self.cuts)
         for ka, kb in spacing:
-            adj[ka] |= 1 << kb
-            adj[kb] |= 1 << ka
-        # (a, b, (own bit, neighbours, price)) of pending cut k, its bit
-        # being 1 << k
-        self.pend = [(a, b, (1 << k, adj[k], price)) for k, (a, b, price) in enumerate(cuts)]
+            self.cut_adj[ka] |= 1 << kb
+            self.cut_adj[kb] |= 1 << ka
 
+        self.vals = [0] * self.m
         self.best = 0
         self.bound = 1
         self.best_colors: list[int] = [0] * self.m
@@ -259,7 +259,7 @@ class _CompSolver:
     def _greedy_colors(self) -> list[int]:
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.m)]
         # a pending cut's conflict weighs nothing here: its cut may resolve it
-        unpriced = [(a, b, 0, 0) for a, b, _ in self.pend]
+        unpriced = [(a, b, 0, 0) for a, b, _ in self.cuts]
         for a, b, same, diff in (*self.pairs, *unpriced):
             adj[a].append((b, same, diff))
             adj[b].append((a, same, diff))
@@ -311,13 +311,13 @@ class _CompSolver:
         """Exact cost of a colouring under greedy cut selection."""
         chosen = 0
         cost = 0
-        for a, b, (bit, adj, price) in self.pend:
+        for k, (a, b, price) in enumerate(self.cuts):
             if color[a] != color[b]:
                 continue
-            if chosen & adj:
+            if chosen & self.cut_adj[k]:
                 cost += price
             else:
-                chosen |= bit
+                chosen |= 1 << k
         for a, b, same, diff in self.pairs:
             cost += same if color[a] == color[b] else diff
         return cost, _indices(chosen)
@@ -340,16 +340,19 @@ class _CompSolver:
             self.timed_out = True
 
     def _branch(self) -> None:
-        m, pend, deadline = self.m, self.pend, self.deadline
-        # pairs bucketed at their later endpoint as (earlier endpoint,
-        # price on one mask, price across); a pending cut is left to the
-        # leaf, where it is chosen
-        pairs_at: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+        m, vals, deadline = self.m, self.vals, self.deadline
+        # edges bucketed at their later endpoint as (earlier endpoint,
+        # price on one mask, price across, cut bit); a pending cut is priced
+        # at the leaf, where it is chosen
+        at: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
         for a, b, same, diff in self.pairs:
-            pairs_at[max(a, b)].append((min(a, b), same, diff))
+            at[max(a, b)].append((min(a, b), same, diff, 0))
+        for k, (a, b, _) in enumerate(self.cuts):
+            at[max(a, b)].append((min(a, b), 0, 0, 1 << k))
 
-        vals = [0] * m
         added = [0] * m
+        # eq[pos]: the cuts whose two segments, both before pos, share a mask
+        eq = [0] * (m + 1)
         nxt = [0] * m
         cost = 0
         pos = 0
@@ -367,43 +370,54 @@ class _CompSolver:
             if not nodes & 2047 and deadline is not None and time.monotonic() > deadline:
                 raise _Timeout
             add = 0
-            for lo, same, diff in pairs_at[pos]:
-                add += same if vals[lo] == val else diff
+            same_mask = eq[pos]
+            for lo, same, diff, bit in at[pos]:
+                if vals[lo] == val:
+                    add += same
+                    same_mask |= bit
+                else:
+                    add += diff
             if cost + add >= self.bound:
                 continue
             vals[pos] = val
             if pos + 1 == m:
-                # every pending cut has a spacing neighbour (solve leaves
-                # the others out of the search), so each one on a shared
-                # mask is a choice
-                same_mask = [cut for a, b, cut in pend if vals[a] == vals[b]]
-                self._select(vals, 0, same_mask, 0, cost + add)
+                # the cut selection is one more node; each pending cut has
+                # a spacing neighbour, so each one on a shared mask is a choice
+                nodes = self.nodes = nodes + 1
+                if not nodes & 2047 and deadline is not None and time.monotonic() > deadline:
+                    raise _Timeout
+                self._select(0, same_mask, cost + add)
                 continue
+            eq[pos + 1] = same_mask
             added[pos] = add
             cost += add
             pos += 1
             nxt[pos] = 0
 
-    def _select(
-        self, vals: list[int], chosen: int, constrained: list[tuple[int, int, int]], i: int, acc: int
-    ) -> None:
-        """Settle constrained cuts i.. of one colouring, select before skip,
-        a skipped cut adding its price; chosen is the bitmask of the cuts
-        selected so far."""
+    def _select(self, chosen: int, rest: int, acc: int) -> None:
+        """Settle the cuts of bitmask rest, lowest index first, select before
+        skip, a skipped cut adding its price, chosen being the cuts selected
+        so far. The caller counts this node and calls it only below the bound."""
+        if not rest:
+            self.bound = self.best = acc
+            self.best_colors = list(self.vals)
+            self.best_sel = _indices(chosen)
+            return
+        low = rest & -rest
+        rest ^= low
+        k = low.bit_length() - 1
+        if not chosen & self.cut_adj[k]:
+            # acc is unchanged, so still below the bound
+            nodes = self.nodes = self.nodes + 1
+            if not nodes & 2047 and self.deadline is not None and time.monotonic() > self.deadline:
+                raise _Timeout
+            self._select(chosen | low, rest, acc)
         nodes = self.nodes = self.nodes + 1
         if not nodes & 2047 and self.deadline is not None and time.monotonic() > self.deadline:
             raise _Timeout
-        if acc >= self.bound:
-            return
-        if i == len(constrained):
-            self.bound = self.best = acc
-            self.best_colors = list(vals)
-            self.best_sel = _indices(chosen)
-            return
-        bit, adj, price = constrained[i]
-        if not chosen & adj:
-            self._select(vals, chosen | bit, constrained, i + 1, acc)
-        self._select(vals, chosen, constrained, i + 1, acc + price)
+        acc += self.cuts[k][2]
+        if acc < self.bound:
+            self._select(chosen, rest, acc)
 
 
 def _indices(mask: int) -> set[int]:

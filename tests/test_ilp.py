@@ -416,7 +416,7 @@ def masks(sol):
 
 @pytest.mark.parametrize(
     "bars, nodes",
-    [(12, 5_390), (15, 43_636)],
+    [(4, 22), (8, 330), (12, 5_390), (14, 21_728), (15, 43_636), (16, 87_334)],
 )
 def test_search_tree_of_a_crowded_chain(bars, nodes):
     # every neighbour pair conflicts through a cut that excludes its
@@ -427,8 +427,25 @@ def test_search_tree_of_a_crowded_chain(bars, nodes):
     g, ecg, _ = graph_for(parse_layout(text))
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, nodes)
-    assert masks(sol) == ("AAB" * 5)[:bars]
+    assert masks(sol) == ("AAB" * bars)[:bars]
     assert sorted(sol.selected) == [(i, i + 1) for i in range(1, bars, 3)]
+
+
+def test_timeout_inside_a_leaf_returns_feasible_incumbent():
+    # on the 16-bar chain the deadline check of node 2048 falls inside a
+    # leaf's cut selection, so the answer is the last leaf accepted
+    # before it, with its cuts
+    text = "\n".join(["param dis_m 120", "param hlow 60", *chain30_rects()[:16]]) + "\n"
+    g, ecg, _ = graph_for(parse_layout(text))
+    m = build_model(g, ecg, Fraction(0))
+    sol = solve(m, time_limit=0.0)
+    assert (sol.status, sol.objective, sol.nodes) == (SolveStatus.TIMEOUT, 6, 2048)
+    assert masks(sol) == "AAAAAAAAAAAAAABA"
+    assert sorted(sol.selected) == [(i, i + 1) for i in range(1, 15, 2)]
+    values = solution_values(g, m, sol)
+    vals = [values[nm] for nm in m.names]
+    for terms, rhs in m.constraints:
+        assert sum(coef * vals[vi] for vi, coef in terms) <= rhs
 
 
 def test_cut_masks_wider_than_a_machine_word(monkeypatch):
@@ -479,12 +496,12 @@ def lower_best(comp):
 def select_both_spaced_cuts(comp):
     """Select both cuts of the block's first spacing edge, and lower best
     by the conflicts that this resolves, so the recount still agrees."""
-    adjs = [adj for _, _, (_, adj, _) in comp.pend]
+    adjs = comp.cut_adj
     spaced = [(ka, kb) for ka, adj in enumerate(adjs) for kb in range(len(adjs)) if adj >> kb & 1]
     if not spaced:
         return
     for k in spaced[0]:
-        a, b, (_, _, price) = comp.pend[k]
+        a, b, price = comp.cuts[k]
         if comp.best_colors[a] == comp.best_colors[b] and k not in comp.best_sel:
             comp.best -= price
         comp.best_sel.add(k)

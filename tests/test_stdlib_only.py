@@ -148,3 +148,42 @@ def test_every_method_is_read():
     assert ("ilp.py", "_CompSolver", "_select") in defined
     assert ("ilp.py", "IlpModel", "constraints") in defined
     assert sorted(d for d in defined if d[2] not in read) == []
+
+
+def attributes_set_on_self(cls):
+    """The attribute names that the methods of one class assign on self."""
+    names = set()
+    for sub in ast.walk(cls):
+        if isinstance(sub, ast.Assign):
+            targets = sub.targets
+        elif isinstance(sub, (ast.AnnAssign, ast.AugAssign)):
+            targets = [sub.target]
+        else:
+            continue
+        for t in targets:
+            for node in ast.walk(t):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_attribute_is_read():
+    # an attribute that a class of the package sets on self counts as read
+    # where any file loads it as an attribute, its own class included
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    files = modules + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    defined = set()
+    read = set()
+    for p in files:
+        tree = ast.parse(p.read_text(), str(p))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and p in modules:
+                defined |= {(p.name, node.name, a) for a in attributes_set_on_self(node)}
+    assert ("ilp.py", "_CompSolver", "cut_adj") in defined
+    assert sorted(d for d in defined if d[2] not in read) == []

@@ -286,6 +286,18 @@ def main(argv: list[str] | None = None) -> int:
         if root.is_dir():
             return _bench(root, args)
         result = _run_one(root, args)
+        for name, us in result.stage_us:
+            print(f"stage={name} us={us}", file=sys.stderr)
+        if args.out:
+            Path(args.out).write_text(write_report(result.report))
+        if args.svg:
+            Path(args.svg).write_text(emit_svg(result.document, result.report))
+        if args.lp_export:
+            Path(args.lp_export).write_text(export_lp(build_full_model(result)))
+        if args.dot:
+            dot = Path(args.dot)
+            dot.write_text(layout_graph_dot(result.graph))
+            _ec_dot_path(dot).write_text(end_cut_graph_dot(result.end_cuts))
     except (LayoutParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -293,18 +305,6 @@ def main(argv: list[str] | None = None) -> int:
         # a failed bookkeeping check or an exhausted stack is a defect of
         # this program, not of the input
         return _internal_error(exc)
-    for name, us in result.stage_us:
-        print(f"stage={name} us={us}", file=sys.stderr)
-    if args.out:
-        Path(args.out).write_text(write_report(result.report))
-    if args.svg:
-        Path(args.svg).write_text(emit_svg(result.document, result.report))
-    if args.lp_export:
-        Path(args.lp_export).write_text(export_lp(build_full_model(result)))
-    if args.dot:
-        dot = Path(args.dot)
-        dot.write_text(layout_graph_dot(result.graph))
-        _ec_dot_path(dot).write_text(end_cut_graph_dot(result.end_cuts))
     print(stats_line(result.stats))
     return 0
 

@@ -16,29 +16,29 @@ denominator so all arithmetic stays exact.
 
 The formulation is written once, as data: one row template per edge
 kind (conflict, conflict with a cut, stitch, spacing), whose terms name
-slots of the edge's variables. IlpModel holds one group per edge, a
-template with the edge's variable indices, and its constraints property
-spells the rows out; export_lp formats each group from its template's
-compiled text. The pipeline builds the model once per decomposition,
-and it is both what solve optimises and what export_lp prints.
+slots of the edge's variables. IlpModel stores each edge once, by kind,
+on segment and cut ranks; groups() pairs each edge with its template
+and variable indices, and the constraints property and export_lp spell
+the rows out from those. The pipeline builds the model once per
+decomposition: solve optimises it and export_lp prints it.
 
-solve reads the model's groups, their template naming the edge kind,
-prices each edge once as it reads it, and splits the model into
-independent blocks (linked by conflict, stitch or cut-spacing groups),
-one exact branch and bound per distinct block. Each block reaches the
-search as a self-contained priced problem, a BlockStructure, and the
-search sums its prices and writes none. A segment with no stitch edge
-and no conflict edge left to the search (a cut that no spacing edge
-constrains is settled after it) is a block on its own whose answer is
-mask A, so it gets no block record and no search. Layouts repeat their
-cells, so many blocks are equal up to their ids; the search sees only a
-block's priced local structure, and blocks of one structure share a
-single search. A greedy two-colouring with a small local search seeds
-the incumbent. The search then assigns masks in ascending segment
-order, mask 0 first, and settles each complete colouring's cuts on ints
-(the cuts on a shared mask are one bitmask grown along the branch), so
-the first leaf it meets at the optimal cost is the lexicographically
-smallest optimal mask vector, the promised tie-break.
+solve reads the model's edges kind by kind, prices each edge once as it
+reads it, and splits the model into independent blocks (linked by
+conflict, stitch or cut-spacing edges), one exact branch and bound per
+distinct block. Each block reaches the search as a self-contained
+priced problem, a BlockStructure, and the search sums its prices and
+writes none. A segment with no stitch edge and no conflict edge left to
+the search (a cut that no spacing edge constrains is settled after it)
+is a block on its own whose answer is mask A, so it gets no block
+record and no search. Layouts repeat their cells, so many blocks are
+equal up to their ids; the search sees only a block's priced local
+structure, and blocks of one structure share a single search. A greedy
+two-colouring with a small local search seeds the incumbent. The search
+then assigns masks in ascending segment order, mask 0 first, and
+settles each complete colouring's cuts on ints (the cuts on a shared
+mask are one bitmask grown along the branch), so the first leaf it
+meets at the optimal cost is the lexicographically smallest optimal
+mask vector, the promised tie-break.
 solve's IlpSolution is the whole answer, the conflicts and stitches it
 leaves included, so callers format it without re-deriving any of it."""
 
@@ -48,7 +48,7 @@ import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graphs import EdgeKey, EndCutGraph, LayoutGraph, PairKey
 from .layout_io import SolveStatus, VertexKey, _collector_paused, fraction_to_decimal
@@ -88,31 +88,56 @@ SPACING_ROWS: RowTemplate = ((((0, 1), (1, 1)), 1),)
 
 @dataclass(frozen=True)
 class IlpModel:
-    kinds: tuple[str, ...]
-    # one (template, variable indices) group per edge: the conflict edges
-    # in sorted order, then the stitch edges, then the spacing edges
-    groups: tuple[tuple[RowTemplate, tuple[int, ...]], ...]
-    objective: tuple[int, ...]
+    # the sorted keys of each block of variables, x, ec, c and s: a
+    # variable's index is its rank in its block after the earlier blocks
+    segments: tuple[VertexKey, ...]
+    cuts: tuple[PairKey, ...]
+    conflicts: tuple[EdgeKey, ...]
+    stitches: tuple[EdgeKey, ...]
+    # each edge once, on segment and cut ranks: a conflict as (a, b, its
+    # cut or -1), a stitch as (a, b), a spacing edge as its two cuts
+    conflict_ends: tuple[tuple[int, int, int], ...]
+    stitch_ends: tuple[tuple[int, int], ...]
+    spacing: tuple[tuple[int, int], ...]
     scale: int
     alpha: Fraction
-    # each block of variables, x, ec, c and s, by key in sorted key order
-    x_of: dict[VertexKey, int]
-    ec_of: dict[PairKey, int]
-    c_of: dict[EdgeKey, int]
-    s_of: dict[EdgeKey, int]
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        nx, ne, nc, ns = map(len, (self.segments, self.cuts, self.conflicts, self.stitches))
+        return ("x",) * nx + ("ec",) * ne + ("c",) * nc + ("s",) * ns
+
+    @property
+    def objective(self) -> tuple[int, ...]:
+        nx, ne, nc, ns = map(len, (self.segments, self.cuts, self.conflicts, self.stitches))
+        return (0,) * (nx + ne) + (self.scale,) * nc + (self.alpha.numerator,) * ns
 
     @functools.cached_property
     def names(self) -> tuple[str, ...]:
         """Every variable's LP name in index order, made on first use:
         only exports and checks read them."""
-        multi = {f for f, k in self.x_of if k > 0}
-        tok = {v: f"{v[0]}_{v[1]}" if v[0] in multi else str(v[0]) for v in self.x_of}
+        multi = {f for f, k in self.segments if k > 0}
+        tok = {v: f"{v[0]}_{v[1]}" if v[0] in multi else str(v[0]) for v in self.segments}
         return (
-            *[f"x_{tok[v]}" for v in self.x_of],
-            *[f"ec_{a}_{b}" for a, b in self.ec_of],
-            *[f"c_{tok[u]}_{tok[v]}" for u, v in self.c_of],
-            *[f"s_{u[0]}_{u[1]}_{v[1]}" for u, v in self.s_of],
+            *[f"x_{tok[v]}" for v in self.segments],
+            *[f"ec_{a}_{b}" for a, b in self.cuts],
+            *[f"c_{tok[u]}_{tok[v]}" for u, v in self.conflicts],
+            *[f"s_{u[0]}_{u[1]}_{v[1]}" for u, v in self.stitches],
         )
+
+    def groups(self) -> Iterator[tuple[RowTemplate, tuple[int, ...]]]:
+        """Each edge's row template with its variable indices, in row
+        order: the conflicts, then the stitches, then the spacing edges."""
+        nx, ne, nc = len(self.segments), len(self.cuts), len(self.conflicts)
+        for ci, (a, b, k) in enumerate(self.conflict_ends, nx + ne):
+            if k < 0:
+                yield CONFLICT_ROWS, (a, b, ci)
+            else:
+                yield CUT_CONFLICT_ROWS, (a, b, ci, nx + k)
+        for si, (a, b) in enumerate(self.stitch_ends, nx + ne + nc):
+            yield STITCH_ROWS, (a, b, si)
+        for ka, kb in self.spacing:
+            yield SPACING_ROWS, (nx + ka, nx + kb)
 
     @property
     def constraints(self) -> tuple[Row, ...]:
@@ -120,7 +145,7 @@ class IlpModel:
         derived from the groups afresh on each access."""
         return tuple(
             (tuple([(vs[slot], sign) for slot, sign in terms]), rhs)
-            for template, vs in self.groups
+            for template, vs in self.groups()
             for terms, rhs in template
         )
 
@@ -142,47 +167,28 @@ class IlpSolution:
 def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> IlpModel:
     """The whole 0-1 model of the layout graph, with alpha per stitch, in
     sorted key order. Only a spacing edge whose two cuts both sit on
-    conflict edges constrains anything, so only those get a group."""
+    conflict edges constrains anything, so only those are kept."""
     if alpha < 0:
         raise ModelError("alpha must be non-negative")
     verts = sorted(g.segments)
     ce_list = sorted(g.conflict_edges.items())
     se_list = sorted(g.stitch_edges)
     pairs = sorted({c.pair for _, c in ce_list if c is not None})
-    scale = alpha.denominator
-
-    # four blocks of variables, x, ec, c and s, each in its sorted order
-    nx, ne, nc, ns = len(verts), len(pairs), len(ce_list), len(se_list)
-    kinds = ("x",) * nx + ("ec",) * ne + ("c",) * nc + ("s",) * ns
-    objective = (0,) * (nx + ne) + (scale,) * nc + (alpha.numerator,) * ns
-    x_of = dict(zip(verts, range(nx)))
-    ec_of = dict(zip(pairs, range(nx, nx + ne)))
-    c_of = dict(zip([e for e, _ in ce_list], range(nx + ne, nx + ne + nc)))
-    s_of = dict(zip(se_list, range(nx + ne + nc, nx + ne + nc + ns)))
-
-    groups: list[tuple[RowTemplate, tuple[int, ...]]] = []
-    for ci, ((u, v), cand) in enumerate(ce_list, nx + ne):
-        if cand is None:
-            groups.append((CONFLICT_ROWS, (x_of[u], x_of[v], ci)))
-        else:
-            groups.append((CUT_CONFLICT_ROWS, (x_of[u], x_of[v], ci, ec_of[cand.pair])))
-    for si, (u, v) in enumerate(se_list, nx + ne + nc):
-        groups.append((STITCH_ROWS, (x_of[u], x_of[v], si)))
-    if ecg is not None:
-        for pa, pb in sorted(ecg.ee_edges):
-            if pa in ec_of and pb in ec_of:
-                groups.append((SPACING_ROWS, (ec_of[pa], ec_of[pb])))
-
+    ee = sorted(ecg.ee_edges) if ecg is not None else []
+    x_of = dict(zip(verts, range(len(verts))))
+    ec_of = dict(zip(pairs, range(len(pairs))))
     return IlpModel(
-        kinds=kinds,
-        groups=tuple(groups),
-        objective=objective,
-        scale=scale,
+        segments=tuple(verts),
+        cuts=tuple(pairs),
+        conflicts=tuple([e for e, _ in ce_list]),
+        stitches=tuple(se_list),
+        conflict_ends=tuple(
+            [(x_of[u], x_of[v], -1 if c is None else ec_of[c.pair]) for (u, v), c in ce_list]
+        ),
+        stitch_ends=tuple([(x_of[u], x_of[v]) for u, v in se_list]),
+        spacing=tuple([(ec_of[a], ec_of[b]) for a, b in ee if a in ec_of and b in ec_of]),
+        scale=alpha.denominator,
         alpha=alpha,
-        x_of=x_of,
-        ec_of=ec_of,
-        c_of=c_of,
-        s_of=s_of,
     )
 
 
@@ -428,15 +434,15 @@ def _indices(mask: int) -> set[int]:
 def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     """Minimise the model's objective: conflicts plus alpha times stitches.
 
-    solve reads only the model's groups: a template tells the edge kind,
-    a segment is its x index and a cut its ec index, and the answer maps
-    back through x_of, ec_of, c_of and s_of, which follow the groups.
-    Every edge is priced here, once, as its group is read, and each
-    block's search gets those prices in its BlockStructure.
+    solve reads the model's edges, stored per kind on segment and cut
+    ranks, not its rows, and maps the answer back to keys through the
+    model's sorted key tuples. Every edge is priced here, once, as it is
+    read, and each block's search gets those prices in its
+    BlockStructure.
 
     This is the one place the problem splits: blocks linked by conflict,
-    stitch or cut-spacing groups are searched separately and the optima
-    summed. A cut constrains the search only through a spacing group with
+    stitch or cut-spacing edges are searched separately and the optima
+    summed. A cut constrains the search only through a spacing edge with
     another cut; any other cut links nothing and is selected afterwards
     wherever its two segments share a mask, at no cost. A segment with
     no stitch edge and no conflict edge that the search must settle is a
@@ -456,26 +462,17 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     total; no two selected cuts may share a spacing edge. A failed check
     raises AssertionError."""
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    n = len(model.x_of)
+    n = len(model.segments)
     scale, ws = model.scale, model.alpha.numerator
+    ends = model.conflict_ends
+    spaced = {k for e in model.spacing for k in e}
     # the search's prices, as BlockStructure has them: each conflict with
-    # no cut and each stitch as a pair, each cut-carrying conflict as
-    # (a, b, price, its cut); and each spacing edge as its two cuts
-    pairs: list[tuple[int, int, int, int]] = []
-    cut_edges: list[tuple[int, int, int, int]] = []
-    ee: list[tuple[int, ...]] = []
-    for template, vs in model.groups:
-        if template is CONFLICT_ROWS:
-            pairs.append((vs[0], vs[1], scale, 0))
-        elif template is STITCH_ROWS:
-            pairs.append((vs[0], vs[1], 0, ws))
-        elif template is SPACING_ROWS:
-            ee.append(vs)
-        else:
-            cut_edges.append((vs[0], vs[1], scale, vs[3]))
-    spaced = {k for e in ee for k in e}
-    pend = [e for e in cut_edges if e[3] in spaced]
-    free = [e for e in cut_edges if e[3] not in spaced]
+    # no cut and each stitch as a pair, each conflict whose cut has a
+    # spacing edge as (a, b, price, its cut); any other cut is free
+    pairs = [(a, b, scale, 0) for a, b, k in ends if k < 0]
+    pairs += [(a, b, 0, ws) for a, b in model.stitch_ends]
+    pend = [(a, b, scale, k) for a, b, k in ends if k in spaced]
+    free = [(a, b, k) for a, b, k in ends if k >= 0 and k not in spaced]
     cut_home = {cut: a for a, _, _, cut in pend}
 
     parent = list(range(n))
@@ -491,7 +488,7 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     for a, b, _, _ in pairs + pend:
         linked[a] = linked[b] = 1
         parent[find(a)] = find(b)
-    for ka, kb in ee:
+    for ka, kb in model.spacing:
         parent[find(cut_home[ka])] = find(cut_home[kb])
 
     # blocks of linked segments in order of their lowest vertex; a vertex's
@@ -524,7 +521,7 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
         cut_index[cut] = len(cuts_by[bi])
         cuts_by[bi].append(cut)
         pend_by[bi].append((local[a], local[b], price))
-    for ka, kb in ee:
+    for ka, kb in model.spacing:
         la, lb = cut_index[ka], cut_index[kb]
         ee_by[blk[cut_home[ka]]].append((la, lb) if la < lb else (lb, la))
 
@@ -555,40 +552,36 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
         for gi, c in zip(gvars, best_colors):
             color_of[gi] = c
         selected.update(cuts_by[bi][k] for k in best_sel)
-    for a, b, _, cut in free:
+    for a, b, cut in free:
         if color_of[a] == color_of[b]:
             selected.add(cut)
 
-    # the recount reads the groups, not the prices: the conflict groups
-    # come first, in c order, and the stitch groups next, in s order
+    # the recount reads the model's edges, not the prices; no cut is -1
     conflicts = tuple(
         key
-        for key, (template, vs) in zip(model.c_of, model.groups)
-        if color_of[vs[0]] == color_of[vs[1]]
-        and (template is CONFLICT_ROWS or vs[3] not in selected)
+        for key, (a, b, k) in zip(model.conflicts, model.conflict_ends)
+        if color_of[a] == color_of[b] and k not in selected
     )
-    stitched = model.groups[len(model.c_of) :]
     stitches = tuple(
-        key for key, (_, vs) in zip(model.s_of, stitched) if color_of[vs[0]] != color_of[vs[1]]
+        key for key, (a, b) in zip(model.stitches, model.stitch_ends) if color_of[a] != color_of[b]
     )
-    check = scale * len(conflicts) + model.alpha.numerator * len(stitches)
+    check = scale * len(conflicts) + ws * len(stitches)
     if check != total:
         raise AssertionError(
             f"solution bookkeeping mismatch: recount {check} != search total {total}"
         )
-    pair_of = {k: pair for pair, k in model.ec_of.items()}
-    for ka, kb in ee:
+    for ka, kb in model.spacing:
         if ka in selected and kb in selected:
             raise AssertionError(
-                f"cuts {pair_of[ka]} and {pair_of[kb]} are too close to both print"
+                f"cuts {model.cuts[ka]} and {model.cuts[kb]} are too close to both print"
             )
     return IlpSolution(
         objective=Fraction(total, scale),
         status=SolveStatus.TIMEOUT if timed_out else SolveStatus.OPTIMAL,
         nodes=nodes + lone * _LONE_NODES,
         blocks=len(blocks) + lone,
-        colors=dict(zip(model.x_of, color_of)),
-        selected=frozenset(pair_of[k] for k in selected),
+        colors=dict(zip(model.segments, color_of)),
+        selected=frozenset(model.cuts[k] for k in selected),
         conflicts=conflicts,
         stitches=stitches,
     )
@@ -606,14 +599,19 @@ def _rows_format(template: RowTemplate) -> Callable[..., str]:
     ).format
 
 
+# each template's compiled text, made on first use; keyed by identity, as
+# hashing a template would walk its rows, and templates are module constants
+_FORMATS: dict[int, Callable[..., str]] = {}
+
+
 @_collector_paused
 def export_lp(model: IlpModel) -> str:
     """Serialise the model in LP text format with binary variables.
 
-    Each row template's text is compiled once into a format string, and
-    each group is one call of it with its row numbers and variable names.
-    The objective weighs stitches by alpha as a decimal when
-    fraction_to_decimal finds one; otherwise it is written scaled to
+    Each row template's text is compiled once per process into a format
+    string, and each group is one call of it with its row numbers and
+    variable names. The objective weighs stitches by alpha as a decimal
+    when fraction_to_decimal finds one; otherwise it is written scaled to
     integers by alpha's denominator."""
     names = model.names
     alpha_text = fraction_to_decimal(model.alpha)
@@ -634,13 +632,11 @@ def export_lp(model: IlpModel) -> str:
     else:
         obj_body = "0"
     lines += ["Minimize", f" obj: {obj_body}", "Subject To"]
-    # keyed by identity: hashing a template would walk all its rows
-    formats: dict[int, Callable[..., str]] = {}
     ri = 1
-    for template, vs in model.groups:
-        fmt = formats.get(id(template))
+    for template, vs in model.groups():
+        fmt = _FORMATS.get(id(template))
         if fmt is None:
-            fmt = formats[id(template)] = _rows_format(template)
+            fmt = _FORMATS[id(template)] = _rows_format(template)
         k = len(template)
         lines.append(fmt(*range(ri, ri + k), *[names[v] for v in vs]))
         ri += k

@@ -71,17 +71,31 @@ def enumerate_model(model: IlpModel) -> tuple[Fraction, dict[str, int]]:
     return Fraction(best, model.scale), witness
 
 
+def variable_indices(model: IlpModel) -> tuple[dict, dict, dict, dict]:
+    """Each key's variable index, one dict per block of variables (x, ec,
+    c and s): the key's rank in its block plus the sizes of the blocks
+    before it."""
+    blocks = (model.segments, model.cuts, model.conflicts, model.stitches)
+    starts = itertools.accumulate(map(len, blocks), initial=0)
+    x_of, ec_of, c_of, s_of = (
+        {key: start + rank for rank, key in enumerate(keys)}
+        for start, keys in zip(starts, blocks)
+    )
+    return x_of, ec_of, c_of, s_of
+
+
 def solution_values(g: LayoutGraph, model: IlpModel, sol: IlpSolution) -> dict[str, int]:
     """Every variable of the model built from g, by name, read off a
     solution of g: masks and cuts as solved, conflict and stitch
     indicators derived from them."""
-    values = {model.names[i]: sol.colors[v] for v, i in model.x_of.items()}
-    for pair, i in model.ec_of.items():
+    x_of, ec_of, c_of, s_of = variable_indices(model)
+    values = {model.names[i]: sol.colors[v] for v, i in x_of.items()}
+    for pair, i in ec_of.items():
         values[model.names[i]] = int(pair in sol.selected)
     for (u, v), cand in g.conflict_edges.items():
         cut = cand is not None and cand.pair in sol.selected
-        values[model.names[model.c_of[(u, v)]]] = int(sol.colors[u] == sol.colors[v] and not cut)
-    for (u, v), i in model.s_of.items():
+        values[model.names[c_of[(u, v)]]] = int(sol.colors[u] == sol.colors[v] and not cut)
+    for (u, v), i in s_of.items():
         values[model.names[i]] = int(sol.colors[u] != sol.colors[v])
     return values
 

@@ -11,7 +11,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import enumerate_model, milp_lex_witness, milp_optimum, random_model_graph
+from helpers import (
+    enumerate_model,
+    milp_lex_witness,
+    milp_optimum,
+    random_model_graph,
+    variable_indices,
+)
 from test_endcut import bar, cut_between, params
 
 from trimdecomp.cli import RunStats, build_full_model, decompose_document, stats_line
@@ -138,9 +144,10 @@ def test_criterion_6_encoding_matches_direct_edge_counting():
     while done < 10_000:
         g, ecg, alpha = random_model_graph(rng)
         m = build_model(g, ecg, alpha)
+        x_of, ec_of, _, _ = variable_indices(m)
         cand_edges = {}
         for e, cand in g.conflict_edges.items():
-            if cand is not None and cand.pair in m.ec_of:
+            if cand is not None and cand.pair in ec_of:
                 cand_edges.setdefault(cand.pair, []).append(e)
         for _ in range(25):
             colors = {v: rng.randint(0, 1) for v in g.vertices()}
@@ -160,8 +167,8 @@ def test_criterion_6_encoding_matches_direct_edge_counting():
                     conflicts += 1
             splits = sum(1 for u, v in g.stitch_edges if colors[u] != colors[v])
             direct = conflicts + m.alpha * splits
-            fixed = {m.names[m.x_of[v]]: c for v, c in colors.items()}
-            for pair, idx in m.ec_of.items():
+            fixed = {m.names[x_of[v]]: c for v, c in colors.items()}
+            for pair, idx in ec_of.items():
                 fixed[m.names[idx]] = 1 if pair in applied else 0
             assert encoded_objective(m, fixed) == direct
             done += 1
@@ -178,7 +185,8 @@ def test_criterion_7_pipeline_tie_break_matches_enumeration():
                 continue
             cost, witness = enumerate_model(model)
             masks = result.report.masks
-            got = {model.names[i]: "AB".index(masks[v]) for v, i in model.x_of.items()}
+            x_of = variable_indices(model)[0]
+            got = {model.names[i]: "AB".index(masks[v]) for v, i in x_of.items()}
             assert result.stats.cost == cost, f"seed {seed} stitch {stitch}"
             assert got == witness, f"seed {seed} stitch {stitch}"
             checked += 1
@@ -199,7 +207,8 @@ def test_criterion_7_tie_break_matches_highs_beyond_enumeration():
                 continue
             cost, witness = milp_lex_witness(export_lp(model))
             masks = result.report.masks
-            got = {model.names[i]: "AB".index(masks[v]) for v, i in model.x_of.items()}
+            x_of = variable_indices(model)[0]
+            got = {model.names[i]: "AB".index(masks[v]) for v, i in x_of.items()}
             assert result.stats.cost == cost, f"seed {seed} stitch {stitch}"
             assert got == witness, f"seed {seed} stitch {stitch}"
             checked += 1

@@ -558,6 +558,15 @@ def test_missing_input_fails(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg", "--lp-export", "--dot"])
+def test_unwritable_export_path_fails(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "r.rep"
+    code, out, err = run(capsys, "--input", str(LAYOUTS / "endcut_demo.lay"), flag, str(target))
+    assert (code, out) == (1, "")
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
 def test_malformed_layout_fails(tmp_path, capsys):
     bad = tmp_path / "bad.lay"
     bad.write_text("layout b\nrect 1 100 0 0 40\n")

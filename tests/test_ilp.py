@@ -14,6 +14,7 @@ from helpers import (
     random_model_graph,
     solution_values,
     square_grid_rects,
+    variable_indices,
 )
 from test_graphs import abstract_graph, graph_for
 
@@ -39,6 +40,13 @@ def test_model_shape_for_demo_layout():
     g, ecg, _ = graph_for(doc)
     m = build_model(g, ecg, Fraction(0))
     assert m.names == ("x_1", "x_2", "x_3", "ec_2_3", "c_1_2", "c_1_3", "c_2_3")
+    # each edge once, on segment and cut ranks: the one cut sits on the
+    # conflict between features 2 and 3, and no spacing edge binds it
+    assert m.segments == ((1, 0), (2, 0), (3, 0))
+    assert m.cuts == ((2, 3),)
+    assert m.conflicts == (((1, 0), (2, 0)), ((1, 0), (3, 0)), ((2, 0), (3, 0)))
+    assert m.conflict_ends == ((0, 1, -1), (0, 2, -1), (1, 2, 0))
+    assert m.spacing == ()
     assert m.kinds == ("x", "x", "x", "ec", "c", "c", "c")
     # two rows per plain conflict edge, four for the repairable one
     assert len(m.constraints) == 8
@@ -49,7 +57,8 @@ def test_model_shape_for_demo_layout():
 def test_conflict_rows_force_indicator():
     g, _ = abstract_graph(2, [(1, 2)])
     m = build_model(g, None, Fraction(0))
-    (xi, xj, ci) = (m.x_of[(1, 0)], m.x_of[(2, 0)], m.c_of[((1, 0), (2, 0))])
+    x_of, _, c_of, _ = variable_indices(m)
+    (xi, xj, ci) = (x_of[(1, 0)], x_of[(2, 0)], c_of[((1, 0), (2, 0))])
     rows = set(m.constraints)
     assert (((xi, 1), (xj, 1), (ci, -1)), 1) in rows
     assert (((xi, -1), (xj, -1), (ci, -1)), -1) in rows
@@ -58,8 +67,9 @@ def test_conflict_rows_force_indicator():
 def test_cut_rows_forbid_useless_cuts():
     g, cmap = abstract_graph(2, [(1, 2)], cands={(1, 2)})
     m = build_model(g, EndCutGraph(cmap, frozenset(), frozenset()), Fraction(0))
-    ei = m.ec_of[(1, 2)]
-    xi, xj = m.x_of[(1, 0)], m.x_of[(2, 0)]
+    x_of, ec_of, _, _ = variable_indices(m)
+    ei = ec_of[(1, 2)]
+    xi, xj = x_of[(1, 0)], x_of[(2, 0)]
     rows = set(m.constraints)
     assert (((ei, 1), (xi, 1), (xj, -1)), 1) in rows
     assert (((ei, 1), (xj, 1), (xi, -1)), 1) in rows

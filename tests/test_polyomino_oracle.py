@@ -4,7 +4,7 @@ external MILP solve of the exported model, fixed lexicographically."""
 
 import random
 
-from helpers import milp_lex_witness
+from helpers import milp_lex_witness, variable_indices
 
 from trimdecomp.cli import build_full_model, decompose_document
 from trimdecomp.geometry import Metric
@@ -71,7 +71,8 @@ def test_polyomino_layouts_match_the_external_lex_min_optimum():
                 oracle[text] = milp_lex_witness(text)
             cost, witness = oracle[text]
             masks = result.report.masks
-            got = {model.names[i]: "AB".index(masks[v]) for v, i in model.x_of.items()}
+            x_of = variable_indices(model)[0]
+            got = {model.names[i]: "AB".index(masks[v]) for v, i in x_of.items()}
             label = f"seed {seed} {metric.value}"
             assert result.stats.status is SolveStatus.OPTIMAL, label
             assert result.stats.cost == cost, label

@@ -171,9 +171,28 @@ def attributes_set_on_self(cls):
     return names
 
 
+def declared_fields(cls):
+    """The annotated class-body fields of one class, when it is a
+    dataclass or a NamedTuple; none otherwise."""
+    markers = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for expr in cls.decorator_list + cls.bases
+        for n in ast.walk(expr)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    if not markers & {"dataclass", "NamedTuple"}:
+        return set()
+    return {
+        stmt.target.id
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+
 def test_every_attribute_is_read():
-    # an attribute that a class of the package sets on self counts as read
-    # where any file loads it as an attribute, its own class included
+    # an attribute that a class of the package sets on self, or a field
+    # that a dataclass or NamedTuple of the package declares, counts as
+    # read where any file loads it as an attribute, its own class included
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     files = modules + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     defined = set()
@@ -185,5 +204,8 @@ def test_every_attribute_is_read():
                 read.add(node.attr)
             elif isinstance(node, ast.ClassDef) and p in modules:
                 defined |= {(p.name, node.name, a) for a in attributes_set_on_self(node)}
+                defined |= {(p.name, node.name, f) for f in declared_fields(node)}
     assert ("ilp.py", "_CompSolver", "cut_adj") in defined
+    assert ("ilp.py", "IlpModel", "conflict_ends") in defined
+    assert ("geometry.py", "Rect", "lo") in defined
     assert sorted(d for d in defined if d[2] not in read) == []

@@ -98,9 +98,9 @@ def decompose_document(
     0-1 model, kept in the result; without stitching alpha is 0, which
     leaves costs unscaled by its denominator and the search the same. A
     single solve of the model splits it into independent blocks; comp#
-    in the stats is that block count. solve also lists the conflicts and
-    stitches of its answer, prices it and checks it, so the report and
-    stats only format what it returns.
+    in the stats is that block count. solve also lists the ranks of the
+    conflict and stitch edges its answer leaves, prices it and checks it,
+    so the report only maps those ranks to keys and stitch points.
     """
     t_start = time.perf_counter_ns()
     deadline = t_start + _time_limit_ns(time_limit) if time_limit is not None else None
@@ -147,11 +147,12 @@ def decompose_document(
     sol = solve(model, time_limit=remaining)
     stage("solve")
 
+    segs, ends = g.segments, g.conflict_edges
     report = DecompositionReport(
         masks={v: "AB"[c] for v, c in sol.colors.items()},
         cuts=merged_cut_rects([cuts[p] for p in sorted(sol.selected)], params),
-        conflicts=sol.conflicts,
-        stitches=tuple(sorted(g.stitch_edges[e] for e in sol.stitches)),
+        conflicts=tuple([(segs[ends[i][0]], segs[ends[i][1]]) for i in sol.conflicts]),
+        stitches=tuple(sorted([g.stitch_points[i] for i in sol.stitches])),
         cost=sol.objective,
         status=sol.status,
     )

@@ -1,12 +1,19 @@
-"""Conflict and end-cut graphs.
+"""Conflict and end-cut graphs, on integer ranks.
+
+The order of every later stage is decided here, once: a segment is its
+rank in sorted (feature id, k) order, a candidate end-cut its rank in
+sorted feature-pair order, and each kind of edge is a tuple of rank
+tuples in sorted order. The model shares these tuples, and the writers
+turn a rank into its key only where they print it.
 
 The layout graph has one vertex per feature segment. Conflict edges join
-segments of different features that sit within the same-mask spacing rule;
-each may carry the candidate end-cut of its feature pair. Stitch edges
-chain the consecutive segments of one split feature. The stitch stage
-reads every bounding box once, gives each feature one list of pieces
-(its rects when it is not cut) split along one Point index (0 for x, 1
-for y), and builds segments, stitch points and conflict edges from it.
+segments of different features that sit within the same-mask spacing
+rule; each is (a, b, k), k being the rank of its feature pair's
+candidate end-cut, or -1. Stitch edges chain the consecutive segments of
+one split feature, each beside its stitch point. The stitch stage reads
+every bounding box once, gives each feature one list of pieces (its
+rects when it is not cut) split along one Point index (0 for x, 1 for
+y), and builds segments, stitch points and conflict edges from it.
 
 The end-cut graph has one vertex per candidate cut, spacing edges between
 cuts that are too close to print separately, and merge edges between cuts
@@ -39,30 +46,28 @@ from .layout_io import (
 )
 from .endcut import EndCutCandidate, mergeable_pair
 
-EdgeKey = tuple[VertexKey, VertexKey]
 PairKey = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class LayoutGraph:
-    segments: dict[VertexKey, tuple[Rect, ...]]
-    conflict_edges: dict[EdgeKey, EndCutCandidate | None]
-    stitch_edges: dict[EdgeKey, StitchPoint]
+    # by segment rank: each segment's (feature id, k) key, sorted, and its rects
+    segments: tuple[VertexKey, ...]
+    pieces: tuple[tuple[Rect, ...], ...]
+    # sorted (a, b, cut rank or -1) on segment ranks, a < b
+    conflict_edges: tuple[tuple[int, int, int], ...]
+    # sorted (a, b) on segment ranks, each beside its stitch point
+    stitch_edges: tuple[tuple[int, int], ...]
+    stitch_points: tuple[StitchPoint, ...]
 
-    def vertices(self) -> list[VertexKey]:
-        return sorted(self.segments)
 
-
+@dataclass(frozen=True)
 class EndCutGraph:
-    def __init__(
-        self,
-        candidates: Mapping[PairKey, EndCutCandidate],
-        ee_edges: Iterable[tuple[PairKey, PairKey]],
-        merge_edges: Iterable[tuple[PairKey, PairKey]],
-    ):
-        self.candidates = dict(candidates)
-        self.ee_edges = frozenset(ee_edges)
-        self.merge_edges = frozenset(merge_edges)
+    # the candidates in pair order: a cut's rank is its place here
+    candidates: dict[PairKey, EndCutCandidate]
+    # sorted (ka, kb) on cut ranks, ka < kb
+    ee_edges: tuple[tuple[int, int], ...]
+    merge_edges: tuple[tuple[int, int], ...]
 
 
 def conflict_pairs(
@@ -84,11 +89,18 @@ def build_layout_graph(
     pairs: Sequence[PairKey],
     cuts: Mapping[PairKey, EndCutCandidate],
 ) -> LayoutGraph:
-    segments = {(s.id, 0): s.rects for s in doc.shapes}
-    conflict_edges: dict[EdgeKey, EndCutCandidate | None] = {
-        ((a, 0), (b, 0)): cuts.get((a, b)) for a, b in pairs
-    }
-    return LayoutGraph(segments=segments, conflict_edges=conflict_edges, stitch_edges={})
+    """One segment per feature; pairs and cuts as generate_stitch_candidates
+    takes them."""
+    shapes = sorted(doc.shapes, key=lambda s: s.id)
+    rank = {s.id: i for i, s in enumerate(shapes)}
+    cut_rank = {p: k for k, p in enumerate(sorted(cuts))}
+    return LayoutGraph(
+        segments=tuple([(s.id, 0) for s in shapes]),
+        pieces=tuple([s.rects for s in shapes]),
+        conflict_edges=tuple([(rank[a], rank[b], cut_rank.get((a, b), -1)) for a, b in pairs]),
+        stitch_edges=(),
+        stitch_points=(),
+    )
 
 
 def _merge_intervals(ivals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -145,18 +157,22 @@ def generate_stitch_candidates(
     """
     d = doc.params.dis_m
     margin = max(1, d // 2)
-    boxes = {s.id: s.bbox for s in doc.shapes}
+    shapes = sorted(doc.shapes, key=lambda s: s.id)
+    boxes = {s.id: s.bbox for s in shapes}
 
     neighbours: dict[int, set[int]] = {}
     for a, b in pairs:
         neighbours.setdefault(a, set()).add(b)
         neighbours.setdefault(b, set()).add(a)
 
-    pieces_of: dict[int, list[tuple[Rect, ...]]] = {}
-    stitch_edges: dict[EdgeKey, StitchPoint] = {}
-    for shape in doc.shapes:
-        fid = shape.id
-        pieces = [shape.rects]
+    segments: list[VertexKey] = []
+    pieces: list[tuple[Rect, ...]] = []
+    ranks: dict[int, range] = {}  # the ranks of each feature's segments
+    stitch_edges: list[tuple[int, int]] = []
+    stitch_points: list[StitchPoint] = []
+    for shape in shapes:
+        fid, base = shape.id, len(pieces)
+        parts = [shape.rects]
         near = neighbours.get(fid)
         if near:
             bb = boxes[fid]
@@ -180,39 +196,35 @@ def generate_stitch_candidates(
                         crosses.append(cross)
                 pos = max(pos, hi)
             if coords:
-                pieces = split_feature_rects(shape.rects, [start, *coords, end], k)
-                for i, (coord, cross) in enumerate(zip(coords, crosses)):
+                parts = split_feature_rects(shape.rects, [start, *coords, end], k)
+                for i, (coord, cross) in enumerate(zip(coords, crosses), base):
                     x, y = (coord, cross) if k == 0 else (cross, coord)
-                    stitch_edges[((fid, i), (fid, i + 1))] = StitchPoint(fid, x, y, "vh"[k])
-        pieces_of[fid] = pieces
-    segments = {(f, i): piece for f, pieces in pieces_of.items() for i, piece in enumerate(pieces)}
+                    stitch_edges.append((i, i + 1))
+                    stitch_points.append(StitchPoint(fid, x, y, "vh"[k]))
+        ranks[fid] = range(base, base + len(parts))
+        segments += [(fid, i) for i in range(len(parts))]
+        pieces += parts
 
-    conflict_edges: dict[EdgeKey, EndCutCandidate | None] = {}
+    cut_rank = {p: k for k, p in enumerate(sorted(cuts))}
+    conflict_edges: list[tuple[int, int, int]] = []
     for f, h in pairs:
-        hits = [
-            ((f, i), (h, j))
-            for i, a in enumerate(pieces_of[f])
-            for j, b in enumerate(pieces_of[h])
-            if rectset_within(a, b, d, metric)
-        ]
-        for e in hits:
-            conflict_edges[e] = None
-        cand = cuts.get((f, h))
-        if cand is not None and hits:
-            cbox = [bounding_box(cand.rects)]
-            best = min(
-                hits,
-                key=lambda e: (
-                    rectset_chebyshev_gap(segments[e[0]], cbox)
-                    + rectset_chebyshev_gap(segments[e[1]], cbox),
-                    e,
-                ),
-            )
-            conflict_edges[best] = cand
+        rf, rh = ranks[f], ranks[h]
+        if len(rf) == len(rh) == 1:
+            hits = [(rf[0], rh[0])]  # the pair passed this very test as whole features
+        else:
+            hits = [
+                (a, b) for a in rf for b in rh if rectset_within(pieces[a], pieces[b], d, metric)
+            ]
+        k = cut_rank.get((f, h), -1)
+        best = hits[0] if hits else None
+        if k >= 0 and len(hits) > 1:
+            cbox = [bounding_box(cuts[f, h].rects)]
+            gap = rectset_chebyshev_gap
+            best = min((gap(pieces[a], cbox) + gap(pieces[b], cbox), (a, b)) for a, b in hits)[1]
+        conflict_edges += [(a, b, k if (a, b) == best else -1) for a, b in hits]
+    conflict_edges.sort()
 
-    return LayoutGraph(
-        segments=segments, conflict_edges=conflict_edges, stitch_edges=stitch_edges
-    )
+    return LayoutGraph(*map(tuple, (segments, pieces, conflict_edges, stitch_edges, stitch_points)))
 
 
 def build_end_cut_graph(
@@ -220,22 +232,20 @@ def build_end_cut_graph(
     params: DecompositionParams,
     metric: Metric = Metric.CHEBYSHEV,
 ) -> EndCutGraph:
-    """Spacing and merge relations between candidate cuts."""
+    """Spacing and merge relations between candidate cuts, on their
+    ranks in pair order."""
     order = sorted(cuts)
     d = params.dis_c
     rects = [cuts[p].rects for p in order]
     index = SpatialIndex({i: bounding_box(r) for i, r in enumerate(rects)}, d)
-    ee: set[tuple[PairKey, PairKey]] = set()
-    merges: set[tuple[PairKey, PairKey]] = set()
+    ee: list[tuple[int, int]] = []
+    merges: list[tuple[int, int]] = []
+    # ascending rank pairs, in ascending order
     for i, j in index.pairs(d):
         ra, rb = rects[i], rects[j]
-        if not rectset_within(ra, rb, d, metric):
-            continue
-        if mergeable_pair(ra, rb, params):
-            merges.add((order[i], order[j]))
-        else:
-            ee.add((order[i], order[j]))
-    return EndCutGraph(cuts, ee, merges)
+        if rectset_within(ra, rb, d, metric):
+            (merges if mergeable_pair(ra, rb, params) else ee).append((i, j))
+    return EndCutGraph({p: cuts[p] for p in order}, tuple(ee), tuple(merges))
 
 
 _CUT_LABEL = ' [label="cut"]'
@@ -243,17 +253,16 @@ _CUT_LABEL = ' [label="cut"]'
 
 @_collector_paused
 def layout_graph_dot(g: LayoutGraph) -> str:
-    verts = g.vertices()
-    label = {v: f'"{v[0]}/{v[1]}"' for v in verts}
+    label = [f'"{f}/{k}"' for f, k in g.segments]
     return "\n".join(
         [
             "graph layout {",
-            *[f"  {label[v]};" for v in verts],
+            *[f"  {v};" for v in label],
             *[
-                f"  {label[u]} -- {label[v]}{'' if cand is None else _CUT_LABEL};"
-                for (u, v), cand in sorted(g.conflict_edges.items())
+                f"  {label[a]} -- {label[b]}{'' if k < 0 else _CUT_LABEL};"
+                for a, b, k in g.conflict_edges
             ],
-            *[f"  {label[u]} -- {label[v]} [style=dashed];" for u, v in sorted(g.stitch_edges)],
+            *[f"  {label[a]} -- {label[b]} [style=dashed];" for a, b in g.stitch_edges],
             "}",
             "",
         ]
@@ -262,14 +271,13 @@ def layout_graph_dot(g: LayoutGraph) -> str:
 
 @_collector_paused
 def end_cut_graph_dot(ecg: EndCutGraph) -> str:
-    cuts = sorted(ecg.candidates)
-    label = {p: f'"{p[0]}-{p[1]}"' for p in cuts}
+    label = [f'"{a}-{b}"' for a, b in ecg.candidates]
     return "\n".join(
         [
             "graph endcuts {",
-            *[f"  {label[p]};" for p in cuts],
-            *[f"  {label[a]} -- {label[b]};" for a, b in sorted(ecg.ee_edges)],
-            *[f"  {label[a]} -- {label[b]} [style=dashed];" for a, b in sorted(ecg.merge_edges)],
+            *[f"  {v};" for v in label],
+            *[f"  {label[a]} -- {label[b]};" for a, b in ecg.ee_edges],
+            *[f"  {label[a]} -- {label[b]} [style=dashed];" for a, b in ecg.merge_edges],
             "}",
             "",
         ]

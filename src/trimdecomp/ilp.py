@@ -16,11 +16,12 @@ denominator so all arithmetic stays exact.
 
 The formulation is written once, as data: one row template per edge
 kind (conflict, conflict with a cut, stitch, spacing), whose terms name
-slots of the edge's variables. IlpModel stores each edge once, by kind,
-on segment and cut ranks; groups() pairs each edge with its template
-and variable indices, and the constraints property and export_lp spell
-the rows out from those. The pipeline builds the model once per
-decomposition: solve optimises it and export_lp prints it.
+slots of the edge's variables. IlpModel holds the graphs' own tuples,
+each edge once, by kind, on the ranks the graphs decided; groups() pairs
+each edge with its template and variable indices, and the constraints
+property and export_lp spell the rows out from those. The pipeline
+builds the model once per decomposition: solve optimises it and
+export_lp prints it.
 
 solve reads the model's edges kind by kind, prices each edge once as it
 reads it, and splits the model into independent blocks (linked by
@@ -39,8 +40,9 @@ settles each complete colouring's cuts on ints (the cuts on a shared
 mask are one bitmask grown along the branch), so the first leaf it
 meets at the optimal cost is the lexicographically smallest optimal
 mask vector, the promised tie-break.
-solve's IlpSolution is the whole answer, the conflicts and stitches it
-leaves included, so callers format it without re-deriving any of it."""
+solve's IlpSolution is the whole answer, the ranks of the conflict and
+stitch edges it leaves included, so callers format it without
+re-deriving any of it."""
 
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .graphs import EdgeKey, EndCutGraph, LayoutGraph, PairKey
+from .graphs import EndCutGraph, LayoutGraph, PairKey
 from .layout_io import SolveStatus, VertexKey, _collector_paused, fraction_to_decimal
 
 
@@ -88,12 +90,11 @@ SPACING_ROWS: RowTemplate = ((((0, 1), (1, 1)), 1),)
 
 @dataclass(frozen=True)
 class IlpModel:
-    # the sorted keys of each block of variables, x, ec, c and s: a
-    # variable's index is its rank in its block after the earlier blocks
+    # the sorted keys of the x and ec blocks; the c and s blocks follow
+    # the conflict and stitch edges: a variable's index is its rank in its
+    # block after the earlier blocks
     segments: tuple[VertexKey, ...]
     cuts: tuple[PairKey, ...]
-    conflicts: tuple[EdgeKey, ...]
-    stitches: tuple[EdgeKey, ...]
     # each edge once, on segment and cut ranks: a conflict as (a, b, its
     # cut or -1), a stitch as (a, b), a spacing edge as its two cuts
     conflict_ends: tuple[tuple[int, int, int], ...]
@@ -104,31 +105,32 @@ class IlpModel:
 
     @property
     def kinds(self) -> tuple[str, ...]:
-        nx, ne, nc, ns = map(len, (self.segments, self.cuts, self.conflicts, self.stitches))
+        nx, ne, nc, ns = map(len, (self.segments, self.cuts, self.conflict_ends, self.stitch_ends))
         return ("x",) * nx + ("ec",) * ne + ("c",) * nc + ("s",) * ns
 
     @property
     def objective(self) -> tuple[int, ...]:
-        nx, ne, nc, ns = map(len, (self.segments, self.cuts, self.conflicts, self.stitches))
+        nx, ne, nc, ns = map(len, (self.segments, self.cuts, self.conflict_ends, self.stitch_ends))
         return (0,) * (nx + ne) + (self.scale,) * nc + (self.alpha.numerator,) * ns
 
     @functools.cached_property
     def names(self) -> tuple[str, ...]:
         """Every variable's LP name in index order, made on first use:
         only exports and checks read them."""
-        multi = {f for f, k in self.segments if k > 0}
-        tok = {v: f"{v[0]}_{v[1]}" if v[0] in multi else str(v[0]) for v in self.segments}
+        segs = self.segments
+        multi = {f for f, k in segs if k > 0}
+        tok = [f"{f}_{k}" if f in multi else str(f) for f, k in segs]
         return (
-            *[f"x_{tok[v]}" for v in self.segments],
+            *[f"x_{t}" for t in tok],
             *[f"ec_{a}_{b}" for a, b in self.cuts],
-            *[f"c_{tok[u]}_{tok[v]}" for u, v in self.conflicts],
-            *[f"s_{u[0]}_{u[1]}_{v[1]}" for u, v in self.stitches],
+            *[f"c_{tok[a]}_{tok[b]}" for a, b, _ in self.conflict_ends],
+            *[f"s_{segs[a][0]}_{segs[a][1]}_{segs[b][1]}" for a, b in self.stitch_ends],
         )
 
     def groups(self) -> Iterator[tuple[RowTemplate, tuple[int, ...]]]:
         """Each edge's row template with its variable indices, in row
         order: the conflicts, then the stitches, then the spacing edges."""
-        nx, ne, nc = len(self.segments), len(self.cuts), len(self.conflicts)
+        nx, ne, nc = len(self.segments), len(self.cuts), len(self.conflict_ends)
         for ci, (a, b, k) in enumerate(self.conflict_ends, nx + ne):
             if k < 0:
                 yield CONFLICT_ROWS, (a, b, ci)
@@ -158,35 +160,24 @@ class IlpSolution:
     blocks: int
     colors: dict[VertexKey, int]
     selected: frozenset[PairKey]
-    # the sorted conflict edges left on a shared mask with no selected
-    # cut, and the sorted stitch edges whose two segments differ
-    conflicts: tuple[EdgeKey, ...]
-    stitches: tuple[EdgeKey, ...]
+    # the ascending ranks of the conflict edges left on a shared mask with
+    # no selected cut, and of the stitch edges whose two segments differ
+    conflicts: tuple[int, ...]
+    stitches: tuple[int, ...]
 
 
-def build_model(g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction) -> IlpModel:
-    """The whole 0-1 model of the layout graph, with alpha per stitch, in
-    sorted key order. Only a spacing edge whose two cuts both sit on
-    conflict edges constrains anything, so only those are kept."""
+def build_model(g: LayoutGraph, ecg: EndCutGraph, alpha: Fraction) -> IlpModel:
+    """The whole 0-1 model of the layout graph and its end-cut graph, with
+    alpha per stitch. It shares the graphs' tuples, whose ranks are the
+    variables' ranks in their blocks, so it sorts and maps nothing."""
     if alpha < 0:
         raise ModelError("alpha must be non-negative")
-    verts = sorted(g.segments)
-    ce_list = sorted(g.conflict_edges.items())
-    se_list = sorted(g.stitch_edges)
-    pairs = sorted({c.pair for _, c in ce_list if c is not None})
-    ee = sorted(ecg.ee_edges) if ecg is not None else []
-    x_of = dict(zip(verts, range(len(verts))))
-    ec_of = dict(zip(pairs, range(len(pairs))))
     return IlpModel(
-        segments=tuple(verts),
-        cuts=tuple(pairs),
-        conflicts=tuple([e for e, _ in ce_list]),
-        stitches=tuple(se_list),
-        conflict_ends=tuple(
-            [(x_of[u], x_of[v], -1 if c is None else ec_of[c.pair]) for (u, v), c in ce_list]
-        ),
-        stitch_ends=tuple([(x_of[u], x_of[v]) for u, v in se_list]),
-        spacing=tuple([(ec_of[a], ec_of[b]) for a, b in ee if a in ec_of and b in ec_of]),
+        segments=g.segments,
+        cuts=tuple(ecg.candidates),
+        conflict_ends=g.conflict_edges,
+        stitch_ends=g.stitch_edges,
+        spacing=ecg.ee_edges,
         scale=alpha.denominator,
         alpha=alpha,
     )
@@ -435,10 +426,10 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     """Minimise the model's objective: conflicts plus alpha times stitches.
 
     solve reads the model's edges, stored per kind on segment and cut
-    ranks, not its rows, and maps the answer back to keys through the
-    model's sorted key tuples. Every edge is priced here, once, as it is
-    read, and each block's search gets those prices in its
-    BlockStructure.
+    ranks, not its rows. Every edge is priced here, once, as it is read,
+    and each block's search gets those prices in its BlockStructure. The
+    answer keeps the edges' ranks; only the masks and the selected cuts
+    are mapped to keys, through the model's segments and cuts.
 
     This is the one place the problem splits: blocks linked by conflict,
     stitch or cut-spacing edges are searched separately and the optima
@@ -558,12 +549,10 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
 
     # the recount reads the model's edges, not the prices; no cut is -1
     conflicts = tuple(
-        key
-        for key, (a, b, k) in zip(model.conflicts, model.conflict_ends)
-        if color_of[a] == color_of[b] and k not in selected
+        [i for i, (a, b, k) in enumerate(ends) if color_of[a] == color_of[b] and k not in selected]
     )
     stitches = tuple(
-        key for key, (a, b) in zip(model.stitches, model.stitch_ends) if color_of[a] != color_of[b]
+        [i for i, (a, b) in enumerate(model.stitch_ends) if color_of[a] != color_of[b]]
     )
     check = scale * len(conflicts) + ws * len(stitches)
     if check != total:

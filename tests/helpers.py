@@ -73,9 +73,15 @@ def enumerate_model(model: IlpModel) -> tuple[Fraction, dict[str, int]]:
 
 def variable_indices(model: IlpModel) -> tuple[dict, dict, dict, dict]:
     """Each key's variable index, one dict per block of variables (x, ec,
-    c and s): the key's rank in its block plus the sizes of the blocks
-    before it."""
-    blocks = (model.segments, model.cuts, model.conflicts, model.stitches)
+    c and s; an edge keyed by its two segments' keys): the key's rank in
+    its block plus the sizes of the blocks before it."""
+    segs = model.segments
+    blocks = (
+        segs,
+        model.cuts,
+        [(segs[a], segs[b]) for a, b, _ in model.conflict_ends],
+        [(segs[a], segs[b]) for a, b in model.stitch_ends],
+    )
     starts = itertools.accumulate(map(len, blocks), initial=0)
     x_of, ec_of, c_of, s_of = (
         {key: start + rank for rank, key in enumerate(keys)}
@@ -92,53 +98,47 @@ def solution_values(g: LayoutGraph, model: IlpModel, sol: IlpSolution) -> dict[s
     values = {model.names[i]: sol.colors[v] for v, i in x_of.items()}
     for pair, i in ec_of.items():
         values[model.names[i]] = int(pair in sol.selected)
-    for (u, v), cand in g.conflict_edges.items():
-        cut = cand is not None and cand.pair in sol.selected
+    segs, cuts = g.segments, model.cuts
+    for a, b, k in g.conflict_edges:
+        u, v = segs[a], segs[b]
+        cut = k >= 0 and cuts[k] in sol.selected
         values[model.names[c_of[(u, v)]]] = int(sol.colors[u] == sol.colors[v] and not cut)
     for (u, v), i in s_of.items():
         values[model.names[i]] = int(sol.colors[u] != sol.colors[v])
     return values
 
 
-def enumerate_layout_optimum(
-    g: LayoutGraph, ecg: EndCutGraph | None, alpha: Fraction
-) -> Fraction:
-    """Optimum of a conflict graph by trying every colouring and, within
-    each, every independent set of cuts on the same-mask candidate edges."""
-    verts = g.vertices()
-    n = len(verts)
-    assert n <= 16, "layout enumeration oracle is for small graphs only"
-    vi = {v: i for i, v in enumerate(verts)}
-    plain = []
-    cand = []
-    for (u, v), c in g.conflict_edges.items():
-        if c is None:
-            plain.append((vi[u], vi[v]))
-        else:
-            cand.append((vi[u], vi[v], c.pair))
-    se = [(vi[u], vi[v]) for u, v in g.stitch_edges]
-    ee = set(ecg.ee_edges) if ecg is not None else set()
-    best: Fraction | None = None
-    for mask in range(1 << n):
-        col = [(mask >> i) & 1 for i in range(n)]
-        cost = Fraction(sum(1 for a, b in plain if col[a] == col[b]))
-        cost += alpha * sum(1 for a, b in se if col[a] != col[b])
-        mono = [p for a, b, p in cand if col[a] == col[b]]
-        saved = 0
-        for r in range(len(mono), 0, -1):
-            for chosen in itertools.combinations(mono, r):
-                cs = set(chosen)
-                if any(pa in cs and pb in cs for pa, pb in ee):
-                    continue
-                saved = r
-                break
-            if saved:
-                break
-        cost += len(mono) - saved
-        if best is None or cost < best:
-            best = cost
-    assert best is not None
-    return best
+def ranked_graphs(
+    segments: dict,
+    conflict_edges: dict,
+    stitch_edges: dict | None = None,
+    candidates: dict | None = None,
+    ee_edges=(),
+) -> tuple[LayoutGraph, EndCutGraph]:
+    """The graphs of a hand-written keyed graph, ranked as the package's
+    builders rank theirs: segments {(id, k): rects}; conflict_edges
+    {(u, v): candidate or None} and stitch_edges {(u, v): StitchPoint} on
+    segment keys; candidates {pair: candidate}; ee_edges as pairs of
+    pairs. A segment's rank is its place in sorted key order, a cut's in
+    sorted pair order."""
+    stitch_edges, candidates = stitch_edges or {}, candidates or {}
+    keys, pairs = sorted(segments), sorted(candidates)
+    x = {v: i for i, v in enumerate(keys)}
+    k = {p: i for i, p in enumerate(pairs)}
+    stitches = sorted((x[u], x[v], sp) for (u, v), sp in stitch_edges.items())
+    g = LayoutGraph(
+        segments=tuple(keys),
+        pieces=tuple(segments[v] for v in keys),
+        conflict_edges=tuple(
+            sorted(
+                (x[u], x[v], -1 if c is None else k[c.pair]) for (u, v), c in conflict_edges.items()
+            )
+        ),
+        stitch_edges=tuple((a, b) for a, b, _ in stitches),
+        stitch_points=tuple(sp for _, _, sp in stitches),
+    )
+    ee = sorted(tuple(sorted((k[p], k[q]))) for p, q in ee_edges)
+    return g, EndCutGraph({p: candidates[p] for p in pairs}, tuple(ee), ())
 
 
 def merged_cut_rects_oracle(
@@ -537,8 +537,7 @@ def random_model_graph(
             v: (Rect.of(v[0] * 500 + v[1] * 100, 0, v[0] * 500 + v[1] * 100 + 40, 40),)
             for v in verts
         }
-        g = LayoutGraph(segments=segments, conflict_edges=edges, stitch_edges=stitch_edges)
-        ecg = EndCutGraph(cands, frozenset(ee), frozenset())
+        g, ecg = ranked_graphs(segments, edges, stitch_edges, cands, ee)
         alpha = rng.choice(
             [Fraction(1, 10), Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(0)]
         )

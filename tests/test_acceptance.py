@@ -145,27 +145,31 @@ def test_criterion_6_encoding_matches_direct_edge_counting():
         g, ecg, alpha = random_model_graph(rng)
         m = build_model(g, ecg, alpha)
         x_of, ec_of, _, _ = variable_indices(m)
+        segs, pairs = g.segments, list(ecg.candidates)
+        conflict_edges = {
+            (segs[a], segs[b]): None if k < 0 else pairs[k] for a, b, k in g.conflict_edges
+        }
         cand_edges = {}
-        for e, cand in g.conflict_edges.items():
-            if cand is not None and cand.pair in ec_of:
-                cand_edges.setdefault(cand.pair, []).append(e)
+        for e, pair in conflict_edges.items():
+            if pair is not None and pair in ec_of:
+                cand_edges.setdefault(pair, []).append(e)
         for _ in range(25):
-            colors = {v: rng.randint(0, 1) for v in g.vertices()}
+            colors = {v: rng.randint(0, 1) for v in segs}
             applied = set()
             for pair in sorted(cand_edges):
                 if all(colors[u] == colors[v] for u, v in cand_edges[pair]):
                     if rng.random() < 0.5:
                         applied.add(pair)
-            for a, b in sorted(ecg.ee_edges if ecg else ()):
-                if a in applied and b in applied:
-                    applied.discard(max(a, b))
+            for ka, kb in ecg.ee_edges:
+                if pairs[ka] in applied and pairs[kb] in applied:
+                    applied.discard(pairs[kb])
             conflicts = 0
-            for (u, v), cand in g.conflict_edges.items():
+            for (u, v), pair in conflict_edges.items():
                 if colors[u] != colors[v]:
                     continue
-                if cand is None or cand.pair not in applied:
+                if pair is None or pair not in applied:
                     conflicts += 1
-            splits = sum(1 for u, v in g.stitch_edges if colors[u] != colors[v])
+            splits = sum(1 for a, b in g.stitch_edges if colors[segs[a]] != colors[segs[b]])
             direct = conflicts + m.alpha * splits
             fixed = {m.names[x_of[v]]: c for v, c in colors.items()}
             for pair, idx in ec_of.items():

@@ -1,6 +1,7 @@
 """The exports: bytes that the corpus digest of test_output_identity does
 not reach, pinned by a digest of their own, and writers that read no
-dict or tuple in the order it was filled.
+dict or tuple in the order it was filled, and a decomposition whose
+bytes do not depend on the order of the document's shapes.
 
 The corpus digest covers the Chebyshev metric and an alpha of 1/10 only,
 one report that uses a stitch, and no stitched grid and no empty
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from trimdecomp.cli import build_full_model, decompose_document
 from trimdecomp.geometry import Metric
-from trimdecomp.graphs import EndCutGraph, LayoutGraph, end_cut_graph_dot, layout_graph_dot
+from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
 from trimdecomp.ilp import build_model, export_lp
 from trimdecomp.layout_io import emit_svg, parse_layout, write_report
 from trimdecomp.synth import grid_layout, random_layout
@@ -82,19 +83,17 @@ def lines(text: str) -> list[str]:
 
 
 def test_writers_do_not_follow_insertion_order():
-    # every writer sorts what it writes; one that relied on the order in
-    # which decompose_document happened to fill a dict would change here
+    # the graphs decide the order of everything after them, and every
+    # report writer sorts what it writes: neither the order of a
+    # document's shapes nor that of a report's fields may change a byte
     docs = [grid_layout(2000, 1), *(random_layout(s, clusters=9, stitch=True) for s in range(10))]
     stitched = 0
     for doc in docs:
         result = decompose_document(doc, alpha=Fraction(0))
-        g, ecg, rep = result.graph, result.end_cuts, result.report
-        g_rev = LayoutGraph(
-            segments=reversed_dict(g.segments),
-            conflict_edges=reversed_dict(g.conflict_edges),
-            stitch_edges=reversed_dict(g.stitch_edges),
+        flipped = decompose_document(
+            dataclasses.replace(doc, shapes=doc.shapes[::-1]), alpha=Fraction(0)
         )
-        ecg_rev = EndCutGraph(reversed_dict(ecg.candidates), ecg.ee_edges, ecg.merge_edges)
+        rep = result.report
         rep_rev = dataclasses.replace(
             rep,
             masks=reversed_dict(rep.masks),
@@ -105,12 +104,16 @@ def test_writers_do_not_follow_insertion_order():
         # compared as lists of lines: pytest diffs two long unequal strings
         # character by character, which takes minutes
         for alpha in ALPHAS:
-            assert lines(export_lp(build_model(g_rev, ecg_rev, alpha))) == lines(
-                export_lp(build_model(g, ecg, alpha))
+            assert lines(export_lp(build_model(flipped.graph, flipped.end_cuts, alpha))) == lines(
+                export_lp(build_model(result.graph, result.end_cuts, alpha))
             )
+        assert flipped.stats.nodes == result.stats.nodes
+        assert lines(write_report(flipped.report)) == lines(write_report(rep))
+        assert lines(layout_graph_dot(flipped.graph)) == lines(layout_graph_dot(result.graph))
+        assert lines(end_cut_graph_dot(flipped.end_cuts)) == lines(
+            end_cut_graph_dot(result.end_cuts)
+        )
         assert lines(emit_svg(result.document, rep_rev)) == lines(emit_svg(result.document, rep))
         assert lines(write_report(rep_rev)) == lines(write_report(rep))
-        assert lines(layout_graph_dot(g_rev)) == lines(layout_graph_dot(g))
-        assert lines(end_cut_graph_dot(ecg_rev)) == lines(end_cut_graph_dot(ecg))
         stitched += bool(rep.stitches)
     assert stitched == 5

@@ -75,7 +75,7 @@ def test_every_rect_built_by_the_pipeline_has_positive_area():
         groups = {
             "shapes": [r for s in doc.shapes for r in s.rects],
             "cuts": [r for c in result.end_cuts.candidates.values() for r in c.rects],
-            "pieces": [r for piece in result.graph.segments.values() for r in piece],
+            "pieces": [r for piece in result.graph.pieces for r in piece],
             "report": result.report.cuts,
         }
         for name, rects in groups.items():
@@ -102,12 +102,11 @@ def _records(result) -> list:
         found.extend(s.outline)
         for r in (*s.rects, s.bbox):
             rect(r)
-    for piece in result.graph.segments.values():
+    for piece in result.graph.pieces:
         for r in piece:
             rect(r)
-    for c in (*result.graph.conflict_edges.values(), *result.end_cuts.candidates.values()):
-        if c is not None:
-            cand(c)
+    for c in result.end_cuts.candidates.values():
+        cand(c)
     for r in result.report.cuts:
         rect(r)
     return found
@@ -461,7 +460,7 @@ def test_tall_bars_take_memory_by_count_not_height():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sorted(result.graph.conflict_edges) == [((1, 0), (3, 0)), ((2, 0), (3, 0))]
+    assert result.graph.conflict_edges == ((0, 2, -1), (1, 2, -1))
     assert result.stats.conflicts == 0
     assert peak < 1_000_000, peak
     index = SpatialIndex({1: Rect.of(0, 0, 10, h), 2: Rect.of(11, 0, 21, h)}, 1)

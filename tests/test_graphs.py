@@ -1,11 +1,14 @@
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import _dummy_candidate
+from helpers import _dummy_candidate, ranked_graphs
+from test_polyomino_oracle import polyomino_text
+
+from trimdecomp.cli import decompose_document
 
 from trimdecomp.geometry import Metric, Rect, SpatialIndex
 from trimdecomp.graphs import (
-    LayoutGraph,
+    EndCutGraph,
     _cut_middle,
     build_end_cut_graph,
     build_layout_graph,
@@ -17,7 +20,7 @@ from trimdecomp.graphs import (
 from trimdecomp.endcut import generate_all_end_cuts
 from trimdecomp.ilp import build_model, solve
 from trimdecomp.layout_io import parse_layout
-from trimdecomp.synth import random_layout
+from trimdecomp.synth import grid_layout, random_layout
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
@@ -41,6 +44,17 @@ def graph_for(doc, metric=Metric.CHEBYSHEV):
     else:
         g = build_layout_graph(doc, pairs, cuts)
     return g, build_end_cut_graph(cuts, doc.params, metric), cuts
+
+
+def keyed_edges(g, cuts):
+    """g's conflict edges on segment keys, each with its candidate or None."""
+    order = sorted(cuts)
+    segs = g.segments
+    return {(segs[a], segs[b]): None if k < 0 else cuts[order[k]] for a, b, k in g.conflict_edges}
+
+
+def feature_pairs(g):
+    return [(g.segments[a][0], g.segments[b][0]) for a, b, _ in g.conflict_edges]
 
 
 def test_cluster7_conflict_pairs_chebyshev():
@@ -67,10 +81,12 @@ def test_cluster7_conflict_pairs_euclidean():
 def test_build_layout_graph_attaches_candidates():
     doc = load("endcut_demo.lay")
     g, ecg, cuts = graph_for(doc)
-    assert g.vertices() == [(1, 0), (2, 0), (3, 0)]
-    assert g.conflict_edges[((1, 0), (2, 0))] is None
-    assert g.conflict_edges[((1, 0), (3, 0))] is None
-    assert g.conflict_edges[((2, 0), (3, 0))].pair == (2, 3)
+    assert g.segments == ((1, 0), (2, 0), (3, 0))
+    edges = keyed_edges(g, cuts)
+    assert edges[((1, 0), (2, 0))] is None
+    assert edges[((1, 0), (3, 0))] is None
+    assert edges[((2, 0), (3, 0))].pair == (2, 3)
+    assert g.conflict_edges == ((0, 1, -1), (0, 2, -1), (1, 2, 0))
     assert not g.stitch_edges
 
 
@@ -82,13 +98,13 @@ def test_stitch_splits_double_ended_bar():
         "rect 3 700 160 1000 200\n"  # neighbour over its right end
     )
     g, _, cuts = graph_for(doc)
-    g2 = generate_stitch_candidates(doc, [(u[0], v[0]) for u, v in g.conflict_edges], cuts)
-    assert sorted(g2.segments) == [(1, 0), (1, 1), (2, 0), (3, 0)]
-    assert list(g2.stitch_edges) == [((1, 0), (1, 1))]
-    sp = g2.stitch_edges[((1, 0), (1, 1))]
+    g2 = generate_stitch_candidates(doc, feature_pairs(g), cuts)
+    assert g2.segments == ((1, 0), (1, 1), (2, 0), (3, 0))
+    assert g2.stitch_edges == ((0, 1),)
+    (sp,) = g2.stitch_points
     assert (sp.feature, sp.x, sp.y, sp.orient) == (1, 500, 20, "v")
     # each neighbour now conflicts only with the segment it sits over
-    assert set(g2.conflict_edges) == {((1, 0), (2, 0)), ((1, 1), (3, 0))}
+    assert set(keyed_edges(g2, cuts)) == {((1, 0), (2, 0)), ((1, 1), (3, 0))}
 
 
 def test_stitch_leaves_lonely_features_alone():
@@ -97,7 +113,7 @@ def test_stitch_leaves_lonely_features_alone():
         "rect 1 0 0 2000 40\nrect 2 0 400 2000 440\n"
     )
     g, _, _ = graph_for(doc)
-    assert sorted(g.segments) == [(1, 0), (2, 0)]
+    assert g.segments == ((1, 0), (2, 0))
     assert not g.stitch_edges
 
 
@@ -110,18 +126,19 @@ def test_stitch_candidate_reattaches_to_nearest_segment():
     )
     g, _, cuts = graph_for(doc)
     assert (1, 2) in cuts
-    g2 = generate_stitch_candidates(doc, [(u[0], v[0]) for u, v in g.conflict_edges], cuts)
+    g2 = generate_stitch_candidates(doc, feature_pairs(g), cuts)
     # both long wires split: wire 1 between its two covered stretches,
     # wire 2 ahead of its free right end
-    assert sorted(g2.segments) == [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
-    points = {sp.feature: sp for sp in g2.stitch_edges.values()}
+    assert g2.segments == ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0))
+    points = {sp.feature: sp for sp in g2.stitch_points}
     assert (points[1].x, points[1].orient) == (260, "v")
     assert (points[2].x, points[2].orient) == (590, "v")
     # each cut candidate lands on the segment pair flanking its gap
-    assert g2.conflict_edges[((1, 1), (2, 0))] is cuts[(1, 2)]
-    assert g2.conflict_edges[((1, 0), (3, 0))] is cuts[(1, 3)]
-    assert ((1, 0), (2, 0)) not in g2.conflict_edges
-    assert ((1, 1), (2, 1)) not in g2.conflict_edges
+    edges = keyed_edges(g2, cuts)
+    assert edges[((1, 1), (2, 0))] is cuts[(1, 2)]
+    assert edges[((1, 0), (3, 0))] is cuts[(1, 3)]
+    assert ((1, 0), (2, 0)) not in edges
+    assert ((1, 1), (2, 1)) not in edges
 
 
 def test_stitch_does_not_cut_both_arms_of_a_u():
@@ -133,7 +150,7 @@ def test_stitch_does_not_cut_both_arms_of_a_u():
         "rect 2 0 260 100 300\n"  # neighbour over its top arm
     )
     g, _, _ = graph_for(doc)
-    assert sorted(g.segments) == [(1, 0), (2, 0)]
+    assert g.segments == ((1, 0), (2, 0))
     assert not g.stitch_edges
 
 
@@ -154,7 +171,7 @@ def test_stitch_points_lie_inside_their_features():
         doc = random_layout(seed, stitch=True)
         g, _, _ = graph_for(doc)
         rects = {shape.id: shape.rects for shape in doc.shapes}
-        for sp in g.stitch_edges.values():
+        for sp in g.stitch_points:
             points += 1
             assert any(
                 r.lo.x <= sp.x <= r.hi.x and r.lo.y <= sp.y <= r.hi.y for r in rects[sp.feature]
@@ -181,23 +198,28 @@ def test_components_split_and_ee_coupling():
     assert sol.selected == frozenset({(1, 2), (3, 4)})
 
     g2, ecg2, _ = graph_for(parse_layout(SPACING_PAIRS.format(dc=300)))
-    assert ecg2.ee_edges == frozenset({((1, 2), (3, 4))})
+    assert list(ecg2.candidates) == [(1, 2), (3, 4)] and ecg2.ee_edges == ((0, 1),)
     assert solve(build_model(g2, ecg2, Fraction(0))).blocks == 1
-    assert solve(build_model(g2, None, Fraction(0))).blocks == 4
+    unspaced = EndCutGraph(ecg2.candidates, (), ())
+    assert solve(build_model(g2, unspaced, Fraction(0))).blocks == 4
 
 
 def test_preselect_keeps_spacing_constrained_cuts():
     # cuts with a spacing edge stay in the search, so only one of the
     # two mutually spaced cuts is taken
     g, ecg, cuts = graph_for(parse_layout(SPACING_PAIRS.format(dc=300)))
-    assert g.conflict_edges[((1, 0), (2, 0))] is cuts[(1, 2)]
-    assert g.conflict_edges[((3, 0), (4, 0))] is cuts[(3, 4)]
+    edges = keyed_edges(g, cuts)
+    assert edges[((1, 0), (2, 0))] is cuts[(1, 2)]
+    assert edges[((3, 0), (4, 0))] is cuts[(3, 4)]
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.blocks == 1
     assert len(sol.selected) == 1 and sol.objective == 0
 
 
-def abstract_graph(n, edges, cands=(), stitches=()):
+def abstract_graph(n, edges, cands=(), ee=()):
+    """Features 1..n of one segment each and their conflict edges; the
+    edge of each pair in cands carries a candidate, and ee holds pairs of
+    those pairs too close to print both."""
     segs = {(i, 0): (Rect.of(i * 1000, 0, i * 1000 + 10, 10),) for i in range(1, n + 1)}
     ce = {}
     cmap = {}
@@ -205,10 +227,8 @@ def abstract_graph(n, edges, cands=(), stitches=()):
         pair = (min(a, b), max(a, b))
         if pair in cands:
             cmap[pair] = _dummy_candidate(pair)
-            ce[((pair[0], 0), (pair[1], 0))] = cmap[pair]
-        else:
-            ce[((pair[0], 0), (pair[1], 0))] = None
-    return LayoutGraph(segments=segs, conflict_edges=ce, stitch_edges={}), cmap
+        ce[((pair[0], 0), (pair[1], 0))] = cmap.get(pair)
+    return ranked_graphs(segs, ce, candidates=cmap, ee_edges=ee)
 
 
 def test_dot_outputs():
@@ -220,3 +240,20 @@ def test_dot_outputs():
     assert 'label="cut"' in dot  # the 2-3 edge is repairable
     ec = end_cut_graph_dot(ecg)
     assert '"2-3"' in ec
+
+
+def test_every_candidate_sits_on_exactly_one_conflict_edge():
+    # the model takes every candidate as a variable, so a candidate that no
+    # conflict edge carried would be a cut that nothing could ever select
+    docs = [load(path.name) for path in sorted(LAYOUTS.glob("*.lay"))]
+    docs += [grid_layout(2000, 1), *(parse_layout(polyomino_text(s)) for s in range(40))]
+    docs += [random_layout(s, stitch=stitch) for s in range(60) for stitch in (False, True)]
+    runs = carried = 0
+    for doc in docs:
+        for metric in Metric:
+            result = decompose_document(doc, metric=metric)
+            ranks = sorted(k for _, _, k in result.graph.conflict_edges if k >= 0)
+            assert ranks == list(range(len(result.end_cuts.candidates))), (doc.name, metric)
+            runs += 1
+            carried += len(ranks)
+    assert runs == 328 and carried > 1000, carried

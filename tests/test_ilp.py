@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -12,6 +13,7 @@ from helpers import (
     milp_optimum,
     parse_lp,
     random_model_graph,
+    ranked_graphs,
     solution_values,
     square_grid_rects,
     variable_indices,
@@ -44,7 +46,6 @@ def test_model_shape_for_demo_layout():
     # conflict between features 2 and 3, and no spacing edge binds it
     assert m.segments == ((1, 0), (2, 0), (3, 0))
     assert m.cuts == ((2, 3),)
-    assert m.conflicts == (((1, 0), (2, 0)), ((1, 0), (3, 0)), ((2, 0), (3, 0)))
     assert m.conflict_ends == ((0, 1, -1), (0, 2, -1), (1, 2, 0))
     assert m.spacing == ()
     assert m.kinds == ("x", "x", "x", "ec", "c", "c", "c")
@@ -55,8 +56,8 @@ def test_model_shape_for_demo_layout():
 
 
 def test_conflict_rows_force_indicator():
-    g, _ = abstract_graph(2, [(1, 2)])
-    m = build_model(g, None, Fraction(0))
+    g, ecg = abstract_graph(2, [(1, 2)])
+    m = build_model(g, ecg, Fraction(0))
     x_of, _, c_of, _ = variable_indices(m)
     (xi, xj, ci) = (x_of[(1, 0)], x_of[(2, 0)], c_of[((1, 0), (2, 0))])
     rows = set(m.constraints)
@@ -65,8 +66,8 @@ def test_conflict_rows_force_indicator():
 
 
 def test_cut_rows_forbid_useless_cuts():
-    g, cmap = abstract_graph(2, [(1, 2)], cands={(1, 2)})
-    m = build_model(g, EndCutGraph(cmap, frozenset(), frozenset()), Fraction(0))
+    g, ecg = abstract_graph(2, [(1, 2)], cands={(1, 2)})
+    m = build_model(g, ecg, Fraction(0))
     x_of, ec_of, _, _ = variable_indices(m)
     ei = ec_of[(1, 2)]
     xi, xj = x_of[(1, 0)], x_of[(2, 0)]
@@ -88,14 +89,14 @@ def test_stitch_edges_get_stitch_variables():
 
 
 def test_negative_alpha_rejected():
-    g, _ = abstract_graph(2, [(1, 2)])
+    g, ecg = abstract_graph(2, [(1, 2)])
     with pytest.raises(ModelError):
-        build_model(g, None, Fraction(-1, 10))
+        build_model(g, ecg, Fraction(-1, 10))
 
 
 def test_stitch_weight_scaling():
-    g, cmap = abstract_graph(3, [(1, 2), (2, 3)])
-    m = build_model(g, None, Fraction(1, 3))
+    g, ecg = abstract_graph(3, [(1, 2), (2, 3)])
+    m = build_model(g, ecg, Fraction(1, 3))
     assert m.scale == 3
     # conflicts weigh the denominator, stitches the numerator
     assert all(m.objective[i] == 3 for i, k in enumerate(m.kinds) if k == "c")
@@ -131,14 +132,13 @@ def test_solution_values_are_internally_consistent():
 
 
 def test_odd_ring_needs_one_conflict():
-    g, _ = abstract_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    sol = solve(build_model(g, None, Fraction(0)))
+    g, ecg = abstract_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.objective == 1
 
 
 def test_cut_resolves_conflict():
-    g, cmap = abstract_graph(3, [(1, 2), (2, 3), (1, 3)], cands={(1, 3)})
-    ecg = EndCutGraph(cmap, frozenset(), frozenset())
+    g, ecg = abstract_graph(3, [(1, 2), (2, 3), (1, 3)], cands={(1, 3)})
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.objective == 0
     assert sol.selected == frozenset({(1, 3)})
@@ -146,12 +146,12 @@ def test_cut_resolves_conflict():
 
 def test_excluded_cuts_cannot_both_be_selected():
     # two triangles sharing no vertices, but their cuts exclude each other
-    g, cmap = abstract_graph(
+    g, ecg = abstract_graph(
         6,
         [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)],
         cands={(1, 3), (4, 6)},
+        ee={((1, 3), (4, 6))},
     )
-    ecg = EndCutGraph(cmap, frozenset({((1, 3), (4, 6))}), frozenset())
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.objective == 1
     assert len(sol.selected) == 1
@@ -161,15 +161,15 @@ def test_excluded_cuts_cannot_both_be_selected():
 def test_lexicographic_tiebreak_is_smallest_vector():
     # a bare triangle has many one-conflict optima; the reported one is the
     # smallest mask vector read off in wire order
-    g, _ = abstract_graph(3, [(1, 2), (2, 3), (1, 3)])
-    sol = solve(build_model(g, None, Fraction(0)))
+    g, ecg = abstract_graph(3, [(1, 2), (2, 3), (1, 3)])
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.objective == 1
     assert [sol.colors[(f, 0)] for f in (1, 2, 3)] == [0, 0, 1]
 
 
 def test_independent_blocks_solved_separately():
-    g, _ = abstract_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    sol = solve(build_model(g, None, Fraction(0)))
+    g, ecg = abstract_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.objective == 2
     assert sol.blocks == 2
 
@@ -181,8 +181,8 @@ def test_each_block_gets_its_own_lex_budget():
     for t in range(6):
         a, b, c = 3 * t + 1, 3 * t + 2, 3 * t + 3
         edges += [(a, b), (b, c), (a, c)]
-    g, _ = abstract_graph(18, edges)
-    sol = solve(build_model(g, None, Fraction(0)))
+    g, ecg = abstract_graph(18, edges)
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.blocks == 6
     for t in range(6):
         assert [sol.colors[(3 * t + k, 0)] for k in (1, 2, 3)] == [0, 0, 1], t
@@ -190,39 +190,17 @@ def test_each_block_gets_its_own_lex_budget():
 
 def test_spacing_free_cut_is_selected_only_on_a_shared_mask():
     # the cut on 1-2 has no spacing edge, so it joins no block
-    g, cmap = abstract_graph(2, [(1, 2)], cands={(1, 2)})
-    sol = solve(build_model(g, EndCutGraph(cmap, frozenset(), frozenset()), Fraction(0)))
+    g, ecg = abstract_graph(2, [(1, 2)], cands={(1, 2)})
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.blocks == 2
     assert sol.colors == {(1, 0): 0, (2, 0): 0}
     assert sol.selected == frozenset({(1, 2)}) and sol.objective == 0
     # the odd path 1-3-4-2 forces 1 and 2 apart, and the cut stays unused
-    g, cmap = abstract_graph(4, [(1, 3), (3, 4), (2, 4), (1, 2)], cands={(1, 2)})
-    sol = solve(build_model(g, EndCutGraph(cmap, frozenset(), frozenset()), Fraction(0)))
+    g, ecg = abstract_graph(4, [(1, 3), (3, 4), (2, 4), (1, 2)], cands={(1, 2)})
+    sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.blocks == 1
     assert sol.colors[(1, 0)] != sol.colors[(2, 0)]
     assert sol.selected == frozenset() and sol.objective == 0
-
-
-def test_spacing_edge_to_an_uncarried_cut_constrains_nothing():
-    # no conflict edge carries cut (7, 8), so a spacing edge to it can
-    # never stop another cut from being selected
-    uncarried = (7, 8)
-    cases = [
-        abstract_graph(2, [(1, 2)], cands={(1, 2)}),
-        abstract_graph(3, [(1, 2), (2, 3), (1, 3)], cands={(1, 3)}),
-        abstract_graph(4, [(1, 3), (3, 4), (2, 4), (1, 2)], cands={(1, 2)}),
-        abstract_graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)], cands={(1, 3), (4, 6)}),
-    ]
-    for g, cmap in cases:
-        ee = {(p, q) for p in cmap for q in cmap if p < q}
-        without = solve(build_model(g, EndCutGraph(cmap, ee, ()), Fraction(0)))
-        cands = {**cmap, uncarried: _dummy_candidate(uncarried)}
-        for p in cmap:
-            sol = solve(build_model(g, EndCutGraph(cands, ee | {(p, uncarried)}, ()), Fraction(0)))
-            assert sol.blocks == without.blocks
-            assert sol.colors == without.colors
-            assert sol.selected == without.selected
-            assert sol.objective == without.objective
 
 
 def test_timeout_returns_feasible_incumbent():
@@ -233,8 +211,8 @@ def test_timeout_returns_feasible_incumbent():
         for b in range(a + 1, n + 1):
             if rng.random() < 0.5:
                 edges.append((a, b))
-    g, _ = abstract_graph(n, edges)
-    m = build_model(g, None, Fraction(0))
+    g, ecg = abstract_graph(n, edges)
+    m = build_model(g, ecg, Fraction(0))
     sol = solve(m, time_limit=0.0)
     assert sol.status is SolveStatus.TIMEOUT
     full = solve(m)
@@ -252,38 +230,35 @@ def assert_satisfies_every_row(g, m, sol):
 
 
 def shifted(g, ecg, offset):
-    """The same graph with every feature id raised by offset."""
-
-    def vert(v):
-        return (v[0] + offset, v[1])
-
-    def pair(p):
-        return (p[0] + offset, p[1] + offset)
-
-    cands = {pair(p): _dummy_candidate(pair(p)) for p in ecg.candidates}
-    conflicts = {
-        (vert(u), vert(v)): None if c is None else cands[pair(c.pair)]
-        for (u, v), c in g.conflict_edges.items()
-    }
+    """The same graphs with every feature id raised by offset; the ranks
+    stay as they are."""
+    pairs = [(a + offset, b + offset) for a, b in ecg.candidates]
+    cands = {p: _dummy_candidate(p) for p in pairs}
     return (
-        LayoutGraph(
-            segments={vert(v): r for v, r in g.segments.items()},
-            conflict_edges=conflicts,
-            stitch_edges={(vert(u), vert(v)): sp for (u, v), sp in g.stitch_edges.items()},
+        dataclasses.replace(
+            g,
+            segments=tuple((f + offset, k) for f, k in g.segments),
+            stitch_points=tuple(sp._replace(feature=sp.feature + offset) for sp in g.stitch_points),
         ),
-        EndCutGraph(cands, {(pair(a), pair(b)) for a, b in ecg.ee_edges}, ()),
+        dataclasses.replace(ecg, candidates=cands),
     )
 
 
 def joined(parts):
-    segments, conflicts, stitches, cands, ee = {}, {}, {}, {}, set()
+    """One pair of graphs of parts whose feature ids ascend from part to
+    part, so each part's ranks follow those of the parts before it."""
+    segs, pieces, conflicts, stitches, points, cands, ee = [], [], [], [], [], {}, []
     for g, ecg in parts:
-        segments.update(g.segments)
-        conflicts.update(g.conflict_edges)
-        stitches.update(g.stitch_edges)
+        n, nk = len(segs), len(cands)
+        segs += g.segments
+        pieces += g.pieces
+        conflicts += [(a + n, b + n, k + nk if k >= 0 else -1) for a, b, k in g.conflict_edges]
+        stitches += [(a + n, b + n) for a, b in g.stitch_edges]
+        points += g.stitch_points
         cands.update(ecg.candidates)
-        ee |= ecg.ee_edges
-    return LayoutGraph(segments, conflicts, stitches), EndCutGraph(cands, ee, ())
+        ee += [(ka + nk, kb + nk) for ka, kb in ecg.ee_edges]
+    graph = LayoutGraph(*map(tuple, (segs, pieces, conflicts, stitches, points)))
+    return graph, EndCutGraph(cands, tuple(ee), ())
 
 
 def two_triangles(cuts, ee):
@@ -291,27 +266,24 @@ def two_triangles(cuts, ee):
     # triangle on a shared mask, so which cuts exist and exclude each other
     # decides both the cost and the canonical colouring
     edges = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
-    g, cmap = abstract_graph(6, edges, cands=set(cuts))
-    return g, EndCutGraph(cmap, ee, ())
+    return abstract_graph(6, edges, cands=set(cuts), ee=ee)
 
 
 def stitched_path(split):
     # segments 0..3 in vertex order, conflicts 0-2, 1-3 and 2-3; the feature
     # split in two puts its stitch edge at 0-1 (feature 1) or 1-2 (feature 2)
     v = sorted({(1, 0), (2, 0), (3, 0), (split, 1)})
-    g = LayoutGraph(
-        segments={x: (Rect.of(0, 0, 10, 10),) for x in v},
-        conflict_edges={(v[0], v[2]): None, (v[1], v[3]): None, (v[2], v[3]): None},
-        stitch_edges={((split, 0), (split, 1)): StitchPoint(split, 0, 0, "v")},
+    return ranked_graphs(
+        {x: (Rect.of(0, 0, 10, 10),) for x in v},
+        {(v[0], v[2]): None, (v[1], v[3]): None, (v[2], v[3]): None},
+        {((split, 0), (split, 1)): StitchPoint(split, 0, 0, "v")},
     )
-    return g, EndCutGraph({}, (), ())
 
 
 def free_cut_pair():
     # 1-2 conflict through a cut with no spacing edge, so the search
     # settles no edge and each segment is a block on its own
-    g, cmap = abstract_graph(2, [(1, 2)], cands={(1, 2)})
-    return g, EndCutGraph(cmap, frozenset(), ())
+    return abstract_graph(2, [(1, 2)], cands={(1, 2)})
 
 
 def answer(sol):
@@ -345,7 +317,7 @@ def test_identical_blocks_solve_as_if_alone(monkeypatch):
     lone = _CompSolver((1, (), (), ()), None)
     lone.run()
     assert (lone.best, lone.best_colors, lone.best_sel) == (0, [0], set())
-    singles = [(abstract_graph(3, [])[0], EndCutGraph({}, (), ())), free_cut_pair()]
+    singles = [abstract_graph(3, []), free_cut_pair()]
     for (g, ecg), count in zip(singles, (3, 2)):
         sol = solve(build_model(g, ecg, Fraction(1, 10)))
         assert (sol.blocks, sol.nodes) == (count, count * lone.nodes)
@@ -472,7 +444,7 @@ def test_cut_masks_wider_than_a_machine_word(monkeypatch):
         ee.add(((a, c), (b, c)))
         if a > 1:
             ee.add(((a - 2, a - 1), (a, c)))
-    g, cmap = abstract_graph(120, edges, cands=cands)
+    g, ecg = abstract_graph(120, edges, cands=cands, ee=ee)
     chosen = []
     search = _CompSolver.run
 
@@ -481,7 +453,7 @@ def test_cut_masks_wider_than_a_machine_word(monkeypatch):
         chosen.append(sorted(self.best_sel))
 
     monkeypatch.setattr(_CompSolver, "run", recorded)
-    sol = solve(build_model(g, EndCutGraph(cmap, frozenset(ee), ()), Fraction(0)), time_limit=1.0)
+    sol = solve(build_model(g, ecg, Fraction(0)), time_limit=1.0)
     assert chosen == [list(range(0, 80, 2))]
     assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, 320)
     assert masks(sol) == "ABA" * 40
@@ -519,21 +491,23 @@ def select_both_spaced_cuts(comp):
 
 
 def test_solve_recounts_the_search_total(monkeypatch):
-    g, _ = abstract_graph(3, [(1, 2), (2, 3), (1, 3)])
-    assert solve(build_model(g, None, Fraction(0))).objective == 1
+    g, ecg = abstract_graph(3, [(1, 2), (2, 3), (1, 3)])
+    assert solve(build_model(g, ecg, Fraction(0))).objective == 1
     corrupt_search(monkeypatch, lower_best)
     with pytest.raises(AssertionError) as err:
-        solve(build_model(g, None, Fraction(0)))
+        solve(build_model(g, ecg, Fraction(0)))
     assert str(err.value) == "solution bookkeeping mismatch: recount 1 != search total 0"
 
 
 def test_solve_checks_cut_spacing(monkeypatch):
     # the answer leaves 1-2 in conflict and cuts 4-6; selecting the spaced
     # cut 1-3 as well, on a pair of different masks, costs nothing more
-    g, cmap = abstract_graph(
-        6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)], cands={(1, 3), (4, 6)}
+    g, ecg = abstract_graph(
+        6,
+        [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)],
+        cands={(1, 3), (4, 6)},
+        ee={((1, 3), (4, 6))},
     )
-    ecg = EndCutGraph(cmap, frozenset({((1, 3), (4, 6))}), frozenset())
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert (sol.objective, sol.selected) == (1, frozenset({(4, 6)}))
     corrupt_search(monkeypatch, select_both_spaced_cuts)
@@ -593,8 +567,8 @@ def test_export_lp_fractional_and_scaled_weights():
 
 
 def test_export_lp_binaries_section_wraps():
-    g, _ = abstract_graph(9, [(a, b) for a in range(1, 10) for b in range(a + 1, 10)])
-    text = export_lp(build_model(g, None, Fraction(0)))
+    g, ecg = abstract_graph(9, [(a, b) for a in range(1, 10) for b in range(a + 1, 10)])
+    text = export_lp(build_model(g, ecg, Fraction(0)))
     in_bin = False
     for line in text.splitlines():
         if line == "Binaries":
@@ -662,6 +636,16 @@ def test_a_cut_competes_with_a_stitch(hlow, chosen, other, cost):
     assert result.stats.status is SolveStatus.OPTIMAL
     assert result.stats.cost == cost
     assert milp_optimum(export_lp(build_full_model(result))) == cost
+
+
+def test_the_model_shares_the_graphs_tuples():
+    # the graphs decide every rank, so the model re-keys nothing
+    result = decompose_document(random_layout(3, clusters=9, stitch=True))
+    assert result.graph.stitch_edges and result.end_cuts.ee_edges
+    assert result.model.segments is result.graph.segments
+    assert result.model.conflict_ends is result.graph.conflict_edges
+    assert result.model.stitch_ends is result.graph.stitch_edges
+    assert result.model.spacing is result.end_cuts.ee_edges
 
 
 def test_the_solved_model_is_the_exported_model():

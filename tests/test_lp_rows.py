@@ -55,8 +55,8 @@ def test_rows_match_the_term_by_term_renderer():
 
 
 def test_model_without_rows():
-    g, _ = abstract_graph(1, [])
-    m = build_model(g, None, Fraction(0))
+    g, ecg = abstract_graph(1, [])
+    m = build_model(g, ecg, Fraction(0))
     assert list(m.groups()) == [] and m.constraints == ()
     assert rows_section(export_lp(m)) == render_rows(m) == []
     assert export_lp(m) == "Minimize\n obj: 0 x_1\nSubject To\nBinaries\n x_1\nEnd\n"

@@ -33,7 +33,6 @@ from .geometry import (
     Rect,
     SpatialIndex,
     bounding_box,
-    rectset_chebyshev_gap,
     rectset_within,
 )
 from .layout_io import (
@@ -143,20 +142,21 @@ def generate_stitch_candidates(
 
     A feature is cut only where the projections of its conflicting
     neighbours, widened by the spacing rule, leave an uncovered span of at
-    least max(1, dis_m // 2) along its long axis (60 when dis_m is 121),
+    least max(2, dis_m // 2) along its long axis (60 when dis_m is 121),
     and only where the feature's cross-section on each side of the cut is
     one interval, so every segment stays in one piece; the stitch point is
     the middle of that cross-section.
-    Widening keeps every conflicting pair incident to exactly one segment
-    of each feature, so splitting can never add a conflict the unsplit
-    layout did not have.
+    Widening, with the cut strictly inside the span, keeps every
+    conflicting pair incident to exactly one segment of each feature, so
+    splitting never adds a conflict the unsplit layout did not have, and
+    each pair's cut sits on the one edge the pair becomes.
 
     pairs are the conflicting feature pairs (a, b), a < b, in ascending
     order, as conflict_pairs lists them, and cuts the candidate end-cut of
     each pair that has one.
     """
     d = doc.params.dis_m
-    margin = max(1, d // 2)
+    margin = max(2, d // 2)
     shapes = sorted(doc.shapes, key=lambda s: s.id)
     boxes = {s.id: s.bbox for s in shapes}
 
@@ -215,13 +215,10 @@ def generate_stitch_candidates(
             hits = [
                 (a, b) for a in rf for b in rh if rectset_within(pieces[a], pieces[b], d, metric)
             ]
-        k = cut_rank.get((f, h), -1)
-        best = hits[0] if hits else None
-        if k >= 0 and len(hits) > 1:
-            cbox = [bounding_box(cuts[f, h].rects)]
-            gap = rectset_chebyshev_gap
-            best = min((gap(pieces[a], cbox) + gap(pieces[b], cbox), (a, b)) for a, b in hits)[1]
-        conflict_edges += [(a, b, k if (a, b) == best else -1) for a, b in hits]
+        # widening leaves each pair one edge, which carries the pair's cut
+        if len(hits) != 1:
+            raise AssertionError(f"features {f} and {h} meet at {len(hits)} segment pairs")
+        conflict_edges.append((*hits[0], cut_rank.get((f, h), -1)))
     conflict_edges.sort()
 
     return LayoutGraph(*map(tuple, (segments, pieces, conflict_edges, stitch_edges, stitch_points)))

@@ -17,32 +17,19 @@ denominator so all arithmetic stays exact.
 The formulation is written once, as data: one row template per edge
 kind (conflict, conflict with a cut, stitch, spacing), whose terms name
 slots of the edge's variables. IlpModel holds the graphs' own tuples,
-each edge once, by kind, on the ranks the graphs decided; groups() pairs
-each edge with its template and variable indices, and the constraints
-property and export_lp spell the rows out from those. The pipeline
-builds the model once per decomposition: solve optimises it and
-export_lp prints it.
+each edge once, by kind, on the ranks the graphs decided. export_lp
+formats each edge with its kind's template in one pass over those
+tuples; groups() pairs each edge with its template and variable indices
+for the constraints property. The pipeline builds the model once per
+decomposition: solve optimises it and export_lp prints it.
 
-solve reads the model's edges kind by kind, prices each edge once as it
-reads it, and splits the model into independent blocks (linked by
-conflict, stitch or cut-spacing edges), one exact branch and bound per
-distinct block. Each block reaches the search as a self-contained
-priced problem, a BlockStructure, and the search sums its prices and
-writes none. A segment with no stitch edge and no conflict edge left to
-the search (a cut that no spacing edge constrains is settled after it)
-is a block on its own whose answer is mask A, so it gets no block
-record and no search. Layouts repeat their cells, so many blocks are
-equal up to their ids; the search sees only a block's priced local
-structure, and blocks of one structure share a single search. A greedy
-two-colouring with a small local search seeds the incumbent. The search
-then assigns masks in ascending segment order, mask 0 first, and
-settles each complete colouring's cuts on ints (the cuts on a shared
-mask are one bitmask grown along the branch), so the first leaf it
+solve prices each edge once as it reads it and splits the model into
+independent blocks, one exact branch and bound per distinct block
+structure. A greedy two-colouring seeds each search, which assigns
+masks in ascending segment order, mask 0 first, so the first leaf it
 meets at the optimal cost is the lexicographically smallest optimal
-mask vector, the promised tie-break.
-solve's IlpSolution is the whole answer, the ranks of the conflict and
-stitch edges it leaves included, so callers format it without
-re-deriving any of it."""
+mask vector, the promised tie-break. Its IlpSolution is the whole
+answer, the ranks of the conflict and stitch edges it leaves included."""
 
 from __future__ import annotations
 
@@ -479,8 +466,13 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     for a, b, _, _ in pairs + pend:
         linked[a] = linked[b] = 1
         parent[find(a)] = find(b)
-    for ka, kb in model.spacing:
-        parent[find(cut_home[ka])] = find(cut_home[kb])
+    try:
+        for ka, kb in model.spacing:
+            parent[find(cut_home[ka])] = find(cut_home[kb])
+    except KeyError as exc:  # only a hand-built end-cut graph can hold such a cut
+        k = exc.args[0]
+        what = model.cuts[k] if 0 <= k < len(model.cuts) else f"rank {k}"
+        raise ModelError(f"cut {what} has a spacing edge but no conflict edge carries it") from None
 
     # blocks of linked segments in order of their lowest vertex; a vertex's
     # local id is its rank in its block, so local order is canonical order
@@ -576,9 +568,11 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     )
 
 
+@functools.cache
 def _rows_format(template: RowTemplate) -> Callable[..., str]:
-    """The LP text of one group's rows as a bound str.format: fields
-    0..k-1 take the k row numbers, the next ones the slots' names."""
+    """The LP text of one edge's rows as a bound str.format, compiled on
+    first use: fields 0..k-1 take the k row numbers, the next ones the
+    slots' names."""
     k = len(template)
     return "\n".join(
         f" r{{{ri}}}: "
@@ -588,47 +582,47 @@ def _rows_format(template: RowTemplate) -> Callable[..., str]:
     ).format
 
 
-# each template's compiled text, made on first use; keyed by identity, as
-# hashing a template would walk its rows, and templates are module constants
-_FORMATS: dict[int, Callable[..., str]] = {}
-
-
 @_collector_paused
 def export_lp(model: IlpModel) -> str:
     """Serialise the model in LP text format with binary variables.
 
-    Each row template's text is compiled once per process into a format
-    string, and each group is one call of it with its row numbers and
-    variable names. The objective weighs stitches by alpha as a decimal
-    when fraction_to_decimal finds one; otherwise it is written scaled to
-    integers by alpha's denominator."""
+    One pass over the edges in row order writes each edge with its kind's
+    compiled template, reading names by rank: segment a is names[a], cut k
+    names[nx + k], and a c or s variable its edge's place after the x and
+    ec blocks. Only c and s variables carry a weight. Stitches weigh alpha
+    as a decimal when fraction_to_decimal finds one; otherwise the
+    objective is written scaled to integers by alpha's denominator."""
     names = model.names
+    nx = len(model.segments)
+    c0 = nx + len(model.cuts)
+    s0 = c0 + len(model.conflict_ends)
     alpha_text = fraction_to_decimal(model.alpha)
     lines: list[str] = []
-    if "/" not in alpha_text:
-        terms = [
-            f"+ {name}" if kind == "c" else f"+ {alpha_text} {name}"
-            for name, kind, w in zip(names, model.kinds, model.objective)
-            if w
-        ]
-    else:
-        terms = [f"+ {w} {name}" for name, w in zip(names, model.objective) if w]
+    c_weight, s_weight = "", f"{alpha_text} "
+    if "/" in alpha_text:
         lines.append(f"\\ objective scaled by {model.scale}")
-    if terms:
-        obj_body = " ".join(terms)
-    elif names:
-        obj_body = "0 " + names[0]
-    else:
-        obj_body = "0"
+        c_weight, s_weight = f"{model.scale} ", f"{model.alpha.numerator} "
+    terms = [f"+ {c_weight}{name}" for name in names[c0:s0]]
+    terms += [f"+ {s_weight}{name}" for name in names[s0:]] if model.alpha else []
+    obj_body = " ".join(terms) or (f"0 {names[0]}" if names else "0")
     lines += ["Minimize", f" obj: {obj_body}", "Subject To"]
+    templates = (CONFLICT_ROWS, CUT_CONFLICT_ROWS, STITCH_ROWS, SPACING_ROWS)
+    plain, cut, stitch, spacing = map(_rows_format, templates)
+    n_plain, n_cut, n_stitch, n_spacing = map(len, templates)
     ri = 1
-    for template, vs in model.groups():
-        fmt = _FORMATS.get(id(template))
-        if fmt is None:
-            fmt = _FORMATS[id(template)] = _rows_format(template)
-        k = len(template)
-        lines.append(fmt(*range(ri, ri + k), *[names[v] for v in vs]))
-        ri += k
+    for ci, (a, b, k) in enumerate(model.conflict_ends, c0):
+        if k < 0:
+            lines.append(plain(*range(ri, ri + n_plain), names[a], names[b], names[ci]))
+            ri += n_plain
+        else:
+            lines.append(cut(*range(ri, ri + n_cut), names[a], names[b], names[ci], names[nx + k]))
+            ri += n_cut
+    for si, (a, b) in enumerate(model.stitch_ends, s0):
+        lines.append(stitch(*range(ri, ri + n_stitch), names[a], names[b], names[si]))
+        ri += n_stitch
+    for ka, kb in model.spacing:
+        lines.append(spacing(*range(ri, ri + n_spacing), names[nx + ka], names[nx + kb]))
+        ri += n_spacing
     lines.append("Binaries")
     start = width = 0
     for i, size in enumerate(map(len, names)):

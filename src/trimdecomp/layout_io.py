@@ -514,14 +514,14 @@ def split_feature_rects(rects: Sequence[Rect], bounds: Sequence[int], k: int) ->
 def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
     """The layout drawn in its masks, with trim cuts, conflicts and stitches.
 
-    Each shape's bounding box is taken once, and every element goes into
-    one list that is joined once at the end."""
-    boxes = [s.bbox for s in doc.shapes]
-    if boxes:
-        (x1, y1), (x2, y2) = bounding_box(boxes).inflate(doc.params.dis_m)
+    Features are drawn in id order, whatever the order of doc.shapes. Only
+    conflict endpoints keep their piece, whose box's middle a conflict line
+    starts at, and a one-rect feature with no stitch is one f-string."""
+    all_rects = [r for s in doc.shapes for r in s.rects]
+    if all_rects:
+        (x1, y1), (x2, y2) = bounding_box(all_rects).inflate(doc.params.dis_m)
         view = f"{x1} {y1} {x2 - x1} {y2 - y1}"
-        # y is drawn as m - y: mirrored so +y points up, within the same
-        # viewBox range
+        # y is drawn as m - y, mirrored so +y points up within the viewBox
         m = y1 + y2
     else:
         view = "0 0 1 1"
@@ -543,21 +543,32 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
             runs.append((letter, [key]))
         else:
             runs[-1][1].append(key)
+    ends = {key for pair in report.conflicts for key in pair}
 
     paths: dict[str, list[str]] = {"A": [], "B": []}
-    piece_by_vertex: dict[VertexKey, Rect] = {}
-    for shape, box in zip(doc.shapes, boxes):
+    anchors: dict[VertexKey, tuple[Rect, ...]] = {}
+    for shape in sorted(doc.shapes, key=lambda s: s.id):
         runs = runs_by_feature.get(shape.id)
         if runs is None:
             continue
+        rects = shape.rects
         points = stitches_by_feature.get(shape.id)
+        if points is None and len(runs) == len(rects) == 1:
+            ((letter, keys),) = runs
+            (((x1, y1), (x2, y2)),) = rects
+            paths[letter].append(f'<path class="mask{letter}" d="M{x1} {m - y2}H{x2}V{m - y1}H{x1}Z"/>')
+            for key in keys:
+                if key in ends:
+                    anchors[key] = rects
+            continue
         if points is None:
-            pieces = [shape.rects]
+            pieces = [rects]
         else:
             k = 0 if points[0].orient == "v" else 1
+            lo, hi = bounding_box(rects)
             # a StitchPoint is (feature, x, y, orient): coordinate k is at 1 + k
             coords = sorted([sp[1 + k] for sp in points])
-            pieces = split_feature_rects(shape.rects, [box.lo[k], *coords, box.hi[k]], k)
+            pieces = split_feature_rects(rects, [lo[k], *coords, hi[k]], k)
         # the stitches of a report sit where the mask changes, so the
         # feature splits into one piece per run
         if len(runs) != len(pieces):
@@ -568,9 +579,9 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
         for (letter, keys), piece in zip(runs, pieces):
             d = "".join([f"M{x1} {m - y2}H{x2}V{m - y1}H{x1}Z" for (x1, y1), (x2, y2) in piece])
             paths[letter].append(f'<path class="mask{letter}" d="{d}"/>')
-            anchor = box if points is None else bounding_box(piece)
             for key in keys:
-                piece_by_vertex[key] = anchor
+                if key in ends:
+                    anchors[key] = piece
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}"><style>{_SVG_STYLE}</style>',
@@ -586,12 +597,10 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
     ]
     parts.append('</g><g id="conflicts">')
     for a, b in sorted(report.conflicts):
-        ra = piece_by_vertex.get(a)
-        rb = piece_by_vertex.get(b)
-        if ra is None or rb is None:
+        if a not in anchors or b not in anchors:
             continue
-        (ax1, ay1), (ax2, ay2) = ra
-        (bx1, by1), (bx2, by2) = rb
+        (ax1, ay1), (ax2, ay2) = bounding_box(anchors[a])
+        (bx1, by1), (bx2, by2) = bounding_box(anchors[b])
         ax, ay = (ax1 + ax2) // 2, m - (ay1 + ay2) // 2
         bx, by = (bx1 + bx2) // 2, m - (by1 + by2) // 2
         parts.append(

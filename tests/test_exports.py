@@ -113,6 +113,9 @@ def test_writers_do_not_follow_insertion_order():
         assert lines(end_cut_graph_dot(flipped.end_cuts)) == lines(
             end_cut_graph_dot(result.end_cuts)
         )
+        assert lines(emit_svg(flipped.document, flipped.report)) == lines(
+            emit_svg(result.document, rep)
+        )
         assert lines(emit_svg(result.document, rep_rev)) == lines(emit_svg(result.document, rep))
         assert lines(write_report(rep_rev)) == lines(write_report(rep))
         stitched += bool(rep.stitches)

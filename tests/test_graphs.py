@@ -141,6 +141,20 @@ def test_stitch_candidate_reattaches_to_nearest_segment():
     assert ((1, 1), (2, 1)) not in edges
 
 
+def test_stitch_margin_keeps_the_cut_off_a_neighbours_reach():
+    # at dis_m 2 the free stretch x 102..103 of wire 1 is one unit long: a
+    # cut at its start, x 102, would lie exactly dis_m from feature 2 and
+    # leave feature 2 in conflict with both of wire 1's segments
+    doc = parse_layout(
+        "param dis_m 2\nparam stitch 1\nparam hlow 1\nparam wlow 1\n"
+        "rect 1 0 0 1000 10\nrect 2 0 12 100 22\nrect 3 105 12 1000 22\n"
+    )
+    g, _, cuts = graph_for(doc)
+    assert g.segments == ((1, 0), (2, 0), (3, 0))
+    assert not g.stitch_edges
+    assert set(keyed_edges(g, cuts)) == {((1, 0), (2, 0)), ((1, 0), (3, 0))}
+
+
 def test_stitch_does_not_cut_both_arms_of_a_u():
     # the free stretch x 220..400 crosses both arms of the U, so a cut at
     # its middle, x=310, would leave a segment of two separate arm tips

@@ -94,6 +94,16 @@ def test_negative_alpha_rejected():
         build_model(g, ecg, Fraction(-1, 10))
 
 
+def test_a_spaced_cut_that_no_conflict_carries_is_a_model_error():
+    # only a hand-built end-cut graph can hold such a cut: the pipeline puts
+    # every candidate on exactly one conflict edge
+    g, ecg = abstract_graph(2, [(1, 2)], cands={(1, 2)})
+    cands = {**ecg.candidates, (7, 8): _dummy_candidate((7, 8))}
+    m = build_model(g, EndCutGraph(cands, ((0, 1),), ()), Fraction(0))
+    with pytest.raises(ModelError, match=r"^cut \(7, 8\) has a spacing edge but no conflict edge"):
+        solve(m)
+
+
 def test_stitch_weight_scaling():
     g, ecg = abstract_graph(3, [(1, 2), (2, 3)])
     m = build_model(g, ecg, Fraction(1, 3))

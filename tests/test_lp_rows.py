@@ -3,6 +3,7 @@ against a renderer that spells every row out term by term."""
 
 from fractions import Fraction
 
+from helpers import parse_lp
 from test_graphs import abstract_graph
 
 from trimdecomp.cli import build_full_model, decompose_document
@@ -41,7 +42,8 @@ def models():
     for seed in range(8):
         for stitch in (False, True):
             result = decompose_document(random_layout(seed, clusters=9, stitch=stitch))
-            for alpha in (Fraction(1, 10), Fraction(1, 3)):
+            # alpha 0 leaves the objective with no s terms
+            for alpha in (Fraction(0), Fraction(1, 10), Fraction(1, 3)):
                 yield build_model(result.graph, result.end_cuts, alpha)
 
 
@@ -49,9 +51,26 @@ def test_rows_match_the_term_by_term_renderer():
     used = set()
     for m in models():
         assert len(m.constraints) == sum(len(t) for t, _ in m.groups())
-        assert rows_section(export_lp(m)) == render_rows(m)
+        text = export_lp(m)
+        assert rows_section(text) == render_rows(m)
+        _, obj, _, scale = parse_lp(text)
+        weights = {n: Fraction(w, m.scale) for n, w in zip(m.names, m.objective) if w}
+        assert {n: c / scale for n, c in obj.items()} == weights
         used.update(t for t, _ in m.groups())
     assert used == {CONFLICT_ROWS, CUT_CONFLICT_ROWS, STITCH_ROWS, SPACING_ROWS}
+
+
+def test_export_lp_reads_the_edges_not_the_groups(monkeypatch):
+    # export_lp makes one pass over the model's edge tuples; groups()
+    # serves the constraints property only
+    expected = [(m, render_rows(m)) for m in models()]
+
+    def no_groups(self):
+        raise AssertionError("export_lp read IlpModel.groups()")
+
+    monkeypatch.setattr(IlpModel, "groups", no_groups)
+    for m, rows in expected:
+        assert rows_section(export_lp(m)) == rows
 
 
 def test_model_without_rows():

@@ -43,7 +43,7 @@ from .layout_io import (
     DecompositionReport,
     LayoutDocument,
     LayoutParseError,
-    _check_disjoint,
+    _check_ids,
     _collector_paused,
     emit_svg,
     fraction_to_decimal,
@@ -92,15 +92,16 @@ def decompose_document(
 ) -> DecompositionResult:
     """Decompose one layout exactly and package every output.
 
-    The conflict pairs of the one sweep also serve to check, before any
-    cut is made, that the shapes have distinct ids (else ValueError) and
-    do not overlap (else OverlappingInputShapes). The graphs become one
-    0-1 model, kept in the result; without stitching alpha is 0, which
-    leaves costs unscaled by its denominator and the search the same. A
-    single solve of the model splits it into independent blocks; comp#
-    in the stats is that block count. solve also lists the ranks of the
-    conflict and stitch edges its answer leaves, prices it and checks it,
-    so the report only maps those ranks to keys and stitch points.
+    Before any cut is made, the shapes must have distinct ids (else
+    ValueError), and conflict_pairs checks on the pairs of the one sweep
+    that they do not overlap (else OverlappingInputShapes). The graphs
+    become one 0-1 model, kept in the result; without stitching alpha is
+    0, which leaves costs unscaled by its denominator and the search the
+    same. A single solve of the model splits it into independent blocks;
+    comp# in the stats is that block count. solve answers on ranks (the
+    masks by segment, and the selected cuts, conflict and stitch edges),
+    prices that answer and checks it; the report maps each rank to its
+    key, candidate or stitch point once.
     """
     t_start = time.perf_counter_ns()
     deadline = t_start + _time_limit_ns(time_limit) if time_limit is not None else None
@@ -122,12 +123,13 @@ def decompose_document(
         )
         doc = dataclasses.replace(doc, params=params)
 
-    # one sweep finds the conflict candidates and every feature that can
-    # reach into a cut box
+    # a repeated id first; then one sweep finds the conflict candidates and
+    # every feature that can reach into a cut box, and conflict_pairs
+    # rejects the lowest overlapping pair as it checks them
+    _check_ids(doc.shapes)
     reach = max(params.dis_m, params.h_high, params.w_high)
     near_pairs = SpatialIndex.from_shapes(doc.shapes, reach).pairs(reach)
     pairs = conflict_pairs(doc, near_pairs, metric)
-    _check_disjoint(doc.shapes, pairs)
     stage("pairs")
     cuts = generate_all_end_cuts(doc, pairs, near_pairs)
     del near_pairs  # free them before the solve, where memory use peaks
@@ -148,9 +150,10 @@ def decompose_document(
     stage("solve")
 
     segs, ends = g.segments, g.conflict_edges
+    cands = tuple(ecg.candidates.values())
     report = DecompositionReport(
-        masks={v: "AB"[c] for v, c in sol.colors.items()},
-        cuts=merged_cut_rects([cuts[p] for p in sorted(sol.selected)], params),
+        masks=dict(zip(segs, map("AB".__getitem__, sol.colors))),
+        cuts=merged_cut_rects([cands[k] for k in sol.selected], params),
         conflicts=tuple([(segs[ends[i][0]], segs[ends[i][1]]) for i in sol.conflicts]),
         stitches=tuple(sorted([g.stitch_points[i] for i in sol.stitches])),
         cost=sol.objective,
@@ -262,8 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _run_one(path: Path, args: argparse.Namespace) -> DecompositionResult:
-    doc = parse_layout(path.read_text())
+def _decompose(doc: LayoutDocument, args: argparse.Namespace) -> DecompositionResult:
     return decompose_document(
         doc,
         stitch=args.stitch,
@@ -271,6 +273,10 @@ def _run_one(path: Path, args: argparse.Namespace) -> DecompositionResult:
         metric=Metric(args.metric),
         time_limit=args.time_limit,
     )
+
+
+def _run_one(path: Path, args: argparse.Namespace) -> DecompositionResult:
+    return _decompose(parse_layout(path.read_text()), args)
 
 
 def _ec_dot_path(path: Path) -> Path:
@@ -286,8 +292,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if root.is_dir():
             return _bench(root, args)
-        result = _run_one(root, args)
-        for name, us in result.stage_us:
+        text = root.read_text()
+        t_parse = time.perf_counter_ns()
+        doc = parse_layout(text)
+        parse_us = (time.perf_counter_ns() - t_parse) // 1000
+        result = _decompose(doc, args)
+        for name, us in (("parse", parse_us), *result.stage_us):
             print(f"stage={name} us={us}", file=sys.stderr)
         if args.out:
             Path(args.out).write_text(write_report(result.report))

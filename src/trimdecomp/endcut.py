@@ -57,7 +57,7 @@ class EndCutCandidate(NamedTuple):
 
     @property
     def rects(self) -> tuple[Rect, ...]:
-        return tuple(b.rect for b in self.boxes)
+        return tuple([b.rect for b in self.boxes])
 
 
 # facing sides (lo, hi, ov_lo, ov_hi, axis), as generate_end_cut describes them
@@ -65,26 +65,28 @@ Sides = list[tuple[int, int, int, int, str]]
 
 
 def _rect_pair_sides(r1: Rect, r2: Rect) -> Sides:
-    """The facing sides of two rectangles, read from their corners.
+    """The facing side of two rectangles, read from their corners, or
+    none.
 
-    These are the sides of the edge pairs with opposite normals, in the
-    order the edges of r1 come: its bottom against r2's top, right against
-    left, top against bottom and left against right. A pair faces only
-    when the side of r1 lies strictly before the side of r2 in the
-    direction of its normal.
+    A side pairs two edges with opposite normals, the side of r1 lying
+    strictly before the side of r2 in the direction of its normal: r1's
+    bottom against r2's top, its top against r2's bottom, its right
+    against r2's left or its left against r2's right, in that order.
+    Two rectangles apart on both axes face twice, once across each gap,
+    and both sides give the one corner pocket between their nearest
+    corners; only the first is listed, so the pair needs no collapse.
     """
     (ax1, ay1), (ax2, ay2) = r1
     (bx1, by1), (bx2, by2) = r2
-    sides = []
     if by2 < ay1:
-        sides.append((by2, ay1, max(ax1, bx1), min(ax2, bx2), "x"))
-    if ax2 < bx1:
-        sides.append((ax2, bx1, max(ay1, by1), min(ay2, by2), "y"))
+        return [(by2, ay1, max(ax1, bx1), min(ax2, bx2), "x")]
     if ay2 < by1:
-        sides.append((ay2, by1, max(ax1, bx1), min(ax2, bx2), "x"))
+        return [(ay2, by1, max(ax1, bx1), min(ax2, bx2), "x")]
+    if ax2 < bx1:
+        return [(ax2, bx1, max(ay1, by1), min(ay2, by2), "y")]
     if bx2 < ax1:
-        sides.append((bx2, ax1, max(ay1, by1), min(ay2, by2), "y"))
-    return sides
+        return [(bx2, ax1, max(ay1, by1), min(ay2, by2), "y")]
+    return []
 
 
 # the runs (pos, lo, hi) of an outline, grouped by outward normal: down,
@@ -116,7 +118,9 @@ def _facing_sides(runs1: Runs, runs2: Runs) -> Sides:
     The bottom, right, top and left runs of the first are paired with the
     top, left, bottom and right runs of the second, as _rect_pair_sides
     pairs the sides of two rectangles, and a pair faces only when a gap
-    lies between its two runs along their normal.
+    lies between its two runs along their normal. Two runs apart on both
+    axes face here across each gap, and resolve_box_overlaps collapses
+    the two equal corner boxes that come of it.
     """
     down1, right1, up1, left1 = runs1
     down2, right2, up2, left2 = runs2
@@ -192,7 +196,8 @@ def generate_end_cut(
     box has a corner of one feature at a corner, and if that corner is
     concave, feature material lies inside the box, while if it is convex,
     a facing parallel pair yields the same corner box. Two rectangles have
-    four such pairs, whose boxes come straight from their corners. A pair
+    four such pairs, and the one box they can give comes straight from
+    their corners (_rect_pair_sides). A pair
     with a polygon reads its facing runs from the two outlines. A box is
     kept only when none of the material rects has area inside it, so
     material must hold the rects of s1 and of every feature whose
@@ -342,7 +347,7 @@ def merged_cut_rects(
     round with no touching pair, or one in which nothing fused, leaves
     the sorted rectangles as they are and ends the merge.
     """
-    rects = sorted({b.rect for c in selected for b in c.boxes})
+    rects = _in_order([b.rect for c in selected for b in c.boxes])
     cell = max(params.w_high, params.h_high)
     while True:
         pairs = SpatialIndex(dict(enumerate(rects)), cell).pairs(0)
@@ -367,4 +372,11 @@ def merged_cut_rects(
                 out.append(r)
         if not fused:
             return tuple(rects)
-        rects = sorted(set(out))
+        rects = _in_order(out)
+
+
+def _in_order(rects: Iterable[Rect]) -> list[Rect]:
+    """The distinct rects in ascending order, sorted on each one's plain
+    (x1, y1, x2, y2): ints compare faster than nested Points."""
+    by_key = {r[0] + r[1]: r for r in rects}
+    return [by_key[k] for k in sorted(by_key)]

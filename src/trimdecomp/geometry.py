@@ -19,7 +19,9 @@ its corners and then checks and cuts it in one sweep up its horizontal
 runs, in time n log n plus the shifts of one sorted list of xs for n
 corners. Each piece of the polygon between two vertical runs becomes one
 rectangle, however many corners lie beside it, so a comb is one
-rectangle per tooth and a staircase one per step.
+rectangle per tooth and a staircase one per step. A rectangle stores no
+outline: its four corners are made when something reads them, as an
+end-cut beside a polygon does.
 
 Point, Rect and RectilinearShape are named tuples that order, compare
 and hash as plain tuples and check nothing. RectilinearShape's
@@ -256,16 +258,19 @@ def _sweep(
 class RectilinearShape(NamedTuple):
     """A layout feature: a simple rectilinear polygon.
 
-    Stored as the counter-clockwise outline, without collinear vertices,
-    plus sorted axis-aligned rectangles with disjoint interiors whose union
-    is exactly the polygon: the pieces of the bands between consecutive
-    vertex ys, with vertically adjacent pieces of equal x extent merged.
-    min_dimension is the least side over these rectangles.
+    Stored as sorted axis-aligned rectangles with disjoint interiors whose
+    union is exactly the polygon: the pieces of the bands between
+    consecutive vertex ys, with vertically adjacent pieces of equal x
+    extent merged. Its outline is counter-clockwise, without collinear
+    vertices; corners holds it, except for a rectangle whose outline
+    starts at its lower-left corner, which stores () and whose outline
+    property builds the four corners on each read. min_dimension is the
+    least side over the rectangles.
     """
 
     id: int
     rects: tuple[Rect, ...]
-    outline: tuple[Point, ...]
+    corners: tuple[Point, ...]
 
     @classmethod
     def from_outline(cls, sid: int, points: Iterable[tuple[int, int]]) -> "RectilinearShape":
@@ -275,8 +280,7 @@ class RectilinearShape(NamedTuple):
         or touches or crosses itself raises GeometryError."""
         pts = [(x, y) for x, y in points]
         _check_integer(pts)
-        rects, outline = _sweep(*_corners(pts))
-        return _new(cls, (sid, rects, outline))
+        return _polygon_shape(sid, pts)
 
     @classmethod
     def from_rect(cls, sid: int, rect: Rect) -> "RectilinearShape":
@@ -289,6 +293,13 @@ class RectilinearShape(NamedTuple):
         if lo.x >= hi.x or lo.y >= hi.y:
             raise GeometryError(f"rectangle has no area: {lo} .. {hi}")
         return _rect_shape(sid, lo.x, lo.y, hi.x, hi.y)
+
+    @property
+    def outline(self) -> tuple[Point, ...]:
+        if self.corners:
+            return self.corners
+        ((lo, hi),) = self.rects
+        return (lo, _new(Point, (hi.x, lo.y)), hi, _new(Point, (lo.x, hi.y)))
 
     @property
     def bbox(self) -> Rect:
@@ -306,9 +317,19 @@ def _rect_shape(sid: int, x1: int, y1: int, x2: int, y2: int) -> RectilinearShap
     """The shape of the rectangle from (x1, y1) to (x2, y2), built without
     checks: the caller has made sure the corners are integers with
     x1 < x2 and y1 < y2."""
-    lo, hi = _new(Point, (x1, y1)), _new(Point, (x2, y2))
-    outline = (lo, _new(Point, (x2, y1)), hi, _new(Point, (x1, y2)))
-    return _new(RectilinearShape, (sid, (_new(Rect, (lo, hi)),), outline))
+    rect = _new(Rect, (_new(Point, (x1, y1)), _new(Point, (x2, y2))))
+    return _new(RectilinearShape, (sid, (rect,), ()))
+
+
+def _polygon_shape(sid: int, pts: list[tuple[int, int]]) -> RectilinearShape:
+    """The shape of the outline through pts, built as from_outline builds
+    it but without its integer check: the caller has made the
+    coordinates ints. A rectangle whose outline starts at its lower-left
+    corner stores no outline, as _rect_shape's does not."""
+    rects, outline = _sweep(*_corners(pts))
+    if len(rects) == 1 and outline[0] == rects[0].lo:
+        outline = ()
+    return _new(RectilinearShape, (sid, rects, outline))
 
 
 def bounding_box(rects: Sequence[Rect]) -> Rect:

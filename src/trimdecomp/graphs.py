@@ -30,6 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .geometry import (
     Metric,
+    OverlappingInputShapes,
     Rect,
     SpatialIndex,
     bounding_box,
@@ -77,10 +78,28 @@ def conflict_pairs(
     candidates are ascending pairs (a, b), a < b, that include every pair
     whose bounding boxes lie within dis_m of each other, such as
     SpatialIndex.pairs(d) lists for any d >= dis_m; each is checked exactly.
+    Two shapes that overlap are at gap 0, so they are among the
+    candidates, and the same pass over their rects raises
+    OverlappingInputShapes for the first such pair, the lowest.
     """
     rects = {s.id: s.rects for s in doc.shapes}
     d = doc.params.dis_m
-    return [(a, b) for a, b in candidates if rectset_within(rects[a], rects[b], d, metric)]
+    dd = d * d
+    euclidean = metric is Metric.EUCLIDEAN
+    found: list[PairKey] = []
+    for pair in candidates:
+        within = False
+        for (ax1, ay1), (ax2, ay2) in rects[pair[0]]:
+            for (bx1, by1), (bx2, by2) in rects[pair[1]]:
+                gx = bx1 - ax2 if bx1 > ax2 else ax1 - bx2 if ax1 > bx2 else 0
+                gy = by1 - ay2 if by1 > ay2 else ay1 - by2 if ay1 > by2 else 0
+                if (gx * gx + gy * gy <= dd) if euclidean else (gx <= d and gy <= d):
+                    within = True
+                    if not (gx or gy) and ax1 < bx2 and bx1 < ax2 and ay1 < by2 and by1 < ay2:
+                        raise OverlappingInputShapes(f"features {pair[0]} and {pair[1]} overlap")
+        if within:
+            found.append(pair)
+    return found
 
 
 def build_layout_graph(

@@ -29,7 +29,8 @@ structure. A greedy two-colouring seeds each search, which assigns
 masks in ascending segment order, mask 0 first, so the first leaf it
 meets at the optimal cost is the lexicographically smallest optimal
 mask vector, the promised tie-break. Its IlpSolution is the whole
-answer, the ranks of the conflict and stitch edges it leaves included."""
+answer on ranks: masks by segment, the selected cuts, and the conflict
+and stitch edges it leaves."""
 
 from __future__ import annotations
 
@@ -145,10 +146,12 @@ class IlpSolution:
     status: SolveStatus
     nodes: int
     blocks: int
-    colors: dict[VertexKey, int]
-    selected: frozenset[PairKey]
-    # the ascending ranks of the conflict edges left on a shared mask with
-    # no selected cut, and of the stitch edges whose two segments differ
+    # each segment's mask by segment rank, 0 for A and 1 for B
+    colors: tuple[int, ...]
+    # the ascending ranks of the selected cuts, of the conflict edges left
+    # on a shared mask with no selected cut, and of the stitch edges whose
+    # two segments differ
+    selected: tuple[int, ...]
     conflicts: tuple[int, ...]
     stitches: tuple[int, ...]
 
@@ -415,8 +418,8 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     solve reads the model's edges, stored per kind on segment and cut
     ranks, not its rows. Every edge is priced here, once, as it is read,
     and each block's search gets those prices in its BlockStructure. The
-    answer keeps the edges' ranks; only the masks and the selected cuts
-    are mapped to keys, through the model's segments and cuts.
+    answer is on ranks too: masks by segment rank, and the ranks of the
+    selected cuts and of the conflict and stitch edges it leaves.
 
     This is the one place the problem splits: blocks linked by conflict,
     stitch or cut-spacing edges are searched separately and the optima
@@ -561,8 +564,8 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
         status=SolveStatus.TIMEOUT if timed_out else SolveStatus.OPTIMAL,
         nodes=nodes + lone * _LONE_NODES,
         blocks=len(blocks) + lone,
-        colors=dict(zip(model.segments, color_of)),
-        selected=frozenset(model.cuts[k] for k in selected),
+        colors=tuple(color_of),
+        selected=tuple(sorted(selected)),
         conflicts=conflicts,
         stitches=stitches,
     )

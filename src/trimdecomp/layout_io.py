@@ -24,12 +24,11 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, ParamSpec, Sequence, TypeVar
 
 from .geometry import (
-    OverlappingInputShapes,
     Rect,
     RectilinearShape,
+    _polygon_shape,
     _rect_shape,
     bounding_box,
-    rects_interior_intersect,
 )
 
 # A vertex of the layout graph: (feature id, segment index). Unsplit
@@ -303,7 +302,8 @@ def parse_layout(text: str) -> LayoutDocument:
                 raise
             _check_id(fid, seen_ids, lineno)
             try:
-                shapes.append(RectilinearShape.from_outline(fid, zip(coords[0::2], coords[1::2])))
+                # map(int, ...) made the coordinates: from_outline's check is moot
+                shapes.append(_polygon_shape(fid, list(zip(coords[0::2], coords[1::2]))))
             except ValueError as exc:
                 raise LayoutParseError(lineno, str(exc)) from exc
         else:
@@ -325,20 +325,13 @@ def _check_id(fid: int, seen: set[int], lineno: int) -> None:
     seen.add(fid)
 
 
-def _check_disjoint(shapes: Sequence[RectilinearShape], pairs: Sequence[tuple[int, int]]) -> None:
-    """Reject the lowest repeated feature id, then the lowest overlapping
-    pair of the ascending pairs (a, b), a < b, which must include every
-    overlapping pair, as the conflict pairs do: an overlap has gap 0."""
-    by_id = {s.id: s for s in shapes}
-    if len(by_id) < len(shapes):
-        ids = sorted(s.id for s in shapes)
+def _check_ids(shapes: Sequence[RectilinearShape]) -> None:
+    """Reject the lowest feature id that two shapes share."""
+    ids = [s.id for s in shapes]
+    if len(set(ids)) < len(ids):
+        ids.sort()
         repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
         raise ValueError(f"duplicate feature id {repeated}")
-    for a, b in pairs:
-        for ra in by_id[a].rects:
-            for rb in by_id[b].rects:
-                if rects_interior_intersect(ra, rb):
-                    raise OverlappingInputShapes(f"features {a} and {b} overlap")
 
 
 def write_layout(doc: LayoutDocument) -> str:
@@ -391,18 +384,21 @@ def _parse_vertex_token(tok: str, line: int) -> VertexKey:
 def write_report(report: DecompositionReport) -> str:
     """The report text, one line per mask, cut, conflict and stitch.
 
-    Each vertex's token (the bare feature id, or id/segment for a split
-    feature) is made once, and the lines are joined once at the end."""
+    A vertex is written as the bare feature id, or as id/segment for a
+    split feature; each mask line formats its vertex in place, and the
+    lines are joined once at the end."""
     masks = report.masks
     split = {fid for fid, seg in masks if seg > 0}
-    conflicts = sorted(report.conflicts)
-    tok = {
-        v: f"{v[0]}/{v[1]}" if v[0] in split else str(v[0])
-        for v in {*masks, *(v for edge in conflicts for v in edge)}
-    }
-    lines = [f"mask {tok[v]} {masks[v]}" for v in sorted(masks)]
+
+    def tok(v: VertexKey) -> str:
+        return f"{v[0]}/{v[1]}" if v[0] in split else str(v[0])
+
+    lines = [
+        f"mask {f}/{k} {masks[f, k]}" if f in split else f"mask {f} {masks[f, k]}"
+        for f, k in sorted(masks)
+    ]
     lines += [f"cut {x1} {y1} {x2} {y2}" for (x1, y1), (x2, y2) in sorted(report.cuts)]
-    lines += [f"conflict {tok[a]} {tok[b]}" for a, b in conflicts]
+    lines += [f"conflict {tok(a)} {tok(b)}" for a, b in sorted(report.conflicts)]
     lines += [f"stitch {f} {x} {y} {o}" for f, x, y, o in sorted(report.stitches)]
     lines.append(f"cost {fraction_to_decimal(report.cost)}")
     if report.status is not SolveStatus.OPTIMAL:
@@ -514,7 +510,9 @@ def split_feature_rects(rects: Sequence[Rect], bounds: Sequence[int], k: int) ->
 def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
     """The layout drawn in its masks, with trim cuts, conflicts and stitches.
 
-    Features are drawn in id order, whatever the order of doc.shapes. Only
+    Features are drawn in id order, whatever the order of doc.shapes. A
+    feature of one segment takes its letter from its one mask line, and
+    only a split one is grouped into runs of segments on one mask. Only
     conflict endpoints keep their piece, whose box's middle a conflict line
     starts at, and a one-rect feature with no stitch is one f-string."""
     all_rects = [r for s in doc.shapes for r in s.rects]
@@ -530,11 +528,13 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
     stitches_by_feature: dict[int, list[StitchPoint]] = {}
     for sp in report.stitches:
         stitches_by_feature.setdefault(sp.feature, []).append(sp)
-    # each feature's contiguous same-mask runs of segments, in segment
-    # order: a run's mask letter and its vertex keys
-    runs_by_feature: dict[int, list[tuple[str, list[VertexKey]]]] = {}
     masks = report.masks
-    for key in sorted(masks):
+    # a feature of one segment takes the letter of (id, 0); only a split
+    # feature has contiguous same-mask runs of segments, in segment order:
+    # a run's mask letter and its vertex keys
+    split = {fid for fid, k in masks if k}
+    runs_by_feature: dict[int, list[tuple[str, list[VertexKey]]]] = {}
+    for key in sorted([key for key in masks if key[0] in split]) if split else ():
         letter = masks[key]
         runs = runs_by_feature.get(key[0])
         if runs is None:
@@ -548,19 +548,22 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
     paths: dict[str, list[str]] = {"A": [], "B": []}
     anchors: dict[VertexKey, tuple[Rect, ...]] = {}
     for shape in sorted(doc.shapes, key=lambda s: s.id):
-        runs = runs_by_feature.get(shape.id)
-        if runs is None:
-            continue
-        rects = shape.rects
-        points = stitches_by_feature.get(shape.id)
-        if points is None and len(runs) == len(rects) == 1:
-            ((letter, keys),) = runs
-            (((x1, y1), (x2, y2)),) = rects
-            paths[letter].append(f'<path class="mask{letter}" d="M{x1} {m - y2}H{x2}V{m - y1}H{x1}Z"/>')
-            for key in keys:
+        fid, rects = shape.id, shape.rects
+        points = stitches_by_feature.get(fid)
+        if fid in split:
+            runs = runs_by_feature[fid]
+        else:
+            key = (fid, 0)
+            letter = masks.get(key)
+            if letter is None:
+                continue
+            if points is None and len(rects) == 1:
+                (((x1, y1), (x2, y2)),) = rects
+                paths[letter].append(f'<path class="mask{letter}" d="M{x1} {m - y2}H{x2}V{m - y1}H{x1}Z"/>')
                 if key in ends:
                     anchors[key] = rects
-            continue
+                continue
+            runs = [(letter, [key])]
         if points is None:
             pieces = [rects]
         else:
@@ -573,7 +576,7 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
         # feature splits into one piece per run
         if len(runs) != len(pieces):
             raise ValueError(
-                f"feature {shape.id}: {len(runs)} same-mask runs but "
+                f"feature {fid}: {len(runs)} same-mask runs but "
                 f"{len(pieces)} pieces between its stitches"
             )
         for (letter, keys), piece in zip(runs, pieces):

@@ -90,21 +90,28 @@ def variable_indices(model: IlpModel) -> tuple[dict, dict, dict, dict]:
     return x_of, ec_of, c_of, s_of
 
 
+def keyed(model: IlpModel, sol: IlpSolution) -> tuple[dict, frozenset]:
+    """sol's masks by segment key and its selected cuts by feature pair,
+    read off its ranks through the model's keys."""
+    return dict(zip(model.segments, sol.colors)), frozenset(model.cuts[k] for k in sol.selected)
+
+
 def solution_values(g: LayoutGraph, model: IlpModel, sol: IlpSolution) -> dict[str, int]:
     """Every variable of the model built from g, by name, read off a
     solution of g: masks and cuts as solved, conflict and stitch
     indicators derived from them."""
     x_of, ec_of, c_of, s_of = variable_indices(model)
-    values = {model.names[i]: sol.colors[v] for v, i in x_of.items()}
+    colors, selected = keyed(model, sol)
+    values = {model.names[i]: colors[v] for v, i in x_of.items()}
     for pair, i in ec_of.items():
-        values[model.names[i]] = int(pair in sol.selected)
+        values[model.names[i]] = int(pair in selected)
     segs, cuts = g.segments, model.cuts
     for a, b, k in g.conflict_edges:
         u, v = segs[a], segs[b]
-        cut = k >= 0 and cuts[k] in sol.selected
-        values[model.names[c_of[(u, v)]]] = int(sol.colors[u] == sol.colors[v] and not cut)
+        cut = k >= 0 and cuts[k] in selected
+        values[model.names[c_of[(u, v)]]] = int(colors[u] == colors[v] and not cut)
     for (u, v), i in s_of.items():
-        values[model.names[i]] = int(sol.colors[u] != sol.colors[v])
+        values[model.names[i]] = int(colors[u] != colors[v])
     return values
 
 

@@ -56,6 +56,9 @@ def test_demo_layout_run(capsys):
     assert "conflict# 0" in out and "stitch# 0" in out and "cost 0.0" in out
     assert out.strip().endswith("status optimal")
     assert re.search(r"^stage=solve us=\d+$", err, re.M)
+    # every stage once, in pipeline order, the parse first
+    stages = re.findall(r"^stage=(\w+) us=\d+$", err, re.M)
+    assert stages == ["parse", "pairs", "cuts", "graph", "ecgraph", "solve", "report"]
 
 
 def test_report_file_round_trip(tmp_path, capsys):

@@ -118,18 +118,19 @@ def test_nested_and_concurrent_calls_end_enabled(monkeypatch):
 def test_solve_and_overlap_check_run_paused(monkeypatch):
     seen = []
     real_solve = trimdecomp.cli.solve
-    real_check = trimdecomp.cli._check_disjoint
+    # conflict_pairs checks the overlaps as it checks the spacing
+    real_check = trimdecomp.cli.conflict_pairs
 
     def solve(*args, **kwargs):
         seen.append(("solve", gc.isenabled()))
         return real_solve(*args, **kwargs)
 
-    def check_disjoint(*args, **kwargs):
+    def conflict_pairs(*args, **kwargs):
         seen.append(("check", gc.isenabled()))
         return real_check(*args, **kwargs)
 
     monkeypatch.setattr(trimdecomp.cli, "solve", solve)
-    monkeypatch.setattr(trimdecomp.cli, "_check_disjoint", check_disjoint)
+    monkeypatch.setattr(trimdecomp.cli, "conflict_pairs", conflict_pairs)
     assert gc.isenabled()
     decompose_document(parse_layout(CLUSTER7))
     assert seen == [("check", False), ("solve", False)]

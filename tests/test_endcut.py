@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import random
 
+import pytest
+
 import trimdecomp.cli
 import trimdecomp.endcut
 from helpers import (
@@ -17,9 +19,11 @@ from trimdecomp.endcut import (
     BoxKind,
     EndCutBox,
     EndCutCandidate,
+    _end_cut,
     _facing_sides,
     _outline_runs,
     _rect_pair_sides,
+    _sides,
     generate_all_end_cuts,
     generate_end_cut,
     merge_union,
@@ -276,22 +280,34 @@ def _apart(s: RectilinearShape, others: list[RectilinearShape]) -> bool:
 def test_rect_pair_sides_match_outline_sides():
     # generate_end_cut reads two rectangles' sides from their corners and
     # a polygon pair's from the outlines; both must agree on rectangles,
-    # order included. Every rectangle on a 20 lattice around a fixed one
-    # is tried both ways round.
+    # order included, except that two rectangles apart on both axes face
+    # across each gap in their outlines and give one corner pocket either
+    # way, so their corners list only the side across the y gap. Every
+    # rectangle on a 20 lattice around a fixed one is tried both ways round.
     r1 = Rect.of(0, 0, 60, 40)
-    o1 = bar(1, 0, 0, 60, 40).outline
+    s1 = bar(1, 0, 0, 60, 40)
+    wide = params(dis_m=1000, hlow=1, wlow=1, hhigh=1000, whigh=1000, wth=1000)
     coords = range(-100, 141, 20)
     seen = set()
+    diagonal = 0
     for x1, x2, y1, y2 in itertools.product(coords, repeat=4):
         if x1 >= x2 or y1 >= y2:
             continue
         r2 = Rect.of(x1, y1, x2, y2)
-        o2 = bar(2, x1, y1, x2, y2).outline
+        s2 = bar(2, x1, y1, x2, y2)
         sides = _rect_pair_sides(r1, r2)
-        runs1, runs2 = _outline_runs(o1), _outline_runs(o2)
-        assert sides == _facing_sides(runs1, runs2), r2
-        assert _rect_pair_sides(r2, r1) == _facing_sides(runs2, runs1), r2
-        for lo, hi, ov_lo, ov_hi, axis in sides:
+        runs1, runs2 = _outline_runs(s1.outline), _outline_runs(s2.outline)
+        outline_sides = _facing_sides(runs1, runs2)
+        back = (s2, s1, _rect_pair_sides(r2, r1), _facing_sides(runs2, runs1))
+        for a, b, got, want in ((s1, s2, sides, outline_sides), back):
+            if len(want) == 2:
+                assert got == [side for side in want if side[4] == "x"], r2
+                boxes = {_end_cut(a, b, [side], wide, []) for side in want}
+                assert len(boxes) == 1 and None not in boxes, r2
+            else:
+                assert got == want, r2
+        diagonal += len(outline_sides) == 2
+        for lo, hi, ov_lo, ov_hi, axis in outline_sides:
             if axis == "x":
                 where = "below" if hi == r1.lo.y else "above"
             else:
@@ -300,11 +316,47 @@ def test_rect_pair_sides_match_outline_sides():
             seen.add((where, spans))
         if not sides:
             seen.add("overlapping" if rects_interior_intersect(r1, r2) else "touching")
+    assert diagonal > 0
     wheres = ("below", "above", "left", "right")
     assert seen == {(w, sp) for w in wheres for sp in ("overlap", "point", "disjoint")} | {
         "overlapping",
         "touching",
     }
+
+
+def test_diagonal_rectangles_give_one_corner_box_without_collapse(monkeypatch):
+    # apart on both axes, two rectangles face once, so their one corner
+    # box needs no collapse of duplicates
+    def refuse(raw):
+        raise AssertionError("boxes collapsed")
+
+    monkeypatch.setattr(trimdecomp.endcut, "resolve_box_overlaps", refuse)
+    p = params(hlow=20, wlow=20)
+    for r2 in ((260, 100, 460, 140), (-300, 100, -60, 140), (260, -100, 460, -60), (-300, -100, -60, -60)):
+        cand = cut_between(bar(1, 0, 0, 200, 40), bar(2, *r2), p)
+        (box,) = cand.boxes
+        assert box.kind is BoxKind.CORNER_CORNER
+        assert box == cut_between(bar(1, 0, 0, 200, 40), bar(2, *r2), p, oracle=True).boxes[0]
+    # an L beside a rectangle still reads both outlines and collapses
+    l = RectilinearShape.from_outline(2, [(260, 100), (460, 100), (460, 300), (420, 300), (420, 140), (260, 140)])
+    with pytest.raises(AssertionError, match="boxes collapsed"):
+        cut_between(bar(1, 0, 0, 200, 40), l, p)
+
+
+def test_rect_beside_a_polygon_reads_the_outline_it_would_store():
+    # a rectangle stores no outline; the four corners its outline property
+    # builds give the sides that a stored outline from the lower-left
+    # corner gave
+    l = RectilinearShape.from_outline(2, [(260, 0), (460, 0), (460, 200), (420, 200), (420, 40), (260, 40)])
+    rng = random.Random(3407)
+    for _ in range(200):
+        x, y = rng.randrange(-400, 600, 20), rng.randrange(-400, 400, 20)
+        r = bar(1, x, y, x + rng.randrange(20, 300, 20), y + rng.randrange(20, 300, 20))
+        assert r.corners == ()
+        ((lo, hi),) = r.rects
+        stored = _outline_runs((lo, (hi.x, lo.y), hi, (lo.x, hi.y)))
+        assert _sides(r, l, {}) == _facing_sides(stored, _outline_runs(l.outline))
+        assert _sides(l, r, {}) == _facing_sides(_outline_runs(l.outline), stored)
 
 
 def test_generate_end_cut_matches_all_edge_pairs_oracle():

@@ -1,3 +1,4 @@
+import gc
 import pickle
 import random
 import tracemalloc
@@ -375,6 +376,23 @@ def test_from_rect_matches_from_outline():
         )
 
 
+def test_a_rectangle_builds_its_outline_on_read():
+    # a rectangle stores no outline: the four corners it builds are the
+    # outline from_outline makes of them, and a rect line parses alike
+    corners = [(10, 20), (70, 20), (70, 60), (10, 60)]
+    r = RectilinearShape.from_rect(5, Rect.of(10, 20, 70, 60))
+    assert r.corners == ()
+    assert r.outline == RectilinearShape.from_outline(5, corners).outline == tuple(corners)
+    assert RectilinearShape.from_outline(5, corners[::-1]) == r
+    rect_line, poly_line = parse_layout("rect 5 10 20 70 60\npoly 6 80 20 90 20 90 60 80 60\n").shapes
+    assert rect_line == r
+    assert poly_line == RectilinearShape.from_rect(6, Rect.of(80, 20, 90, 60))
+    # an outline that starts at another corner is kept as it was read
+    turned = RectilinearShape.from_outline(5, corners[2:] + corners[:2])
+    assert turned.outline == turned.corners == tuple(corners[2:] + corners[:2])
+    assert turned.rects == r.rects
+
+
 def test_spatial_index_pairs_cover_every_close_box_pair():
     rng = random.Random(99)
     for trial in range(40):
@@ -481,3 +499,20 @@ def test_spatial_index_pairs_of_touching_boxes_at_gap_zero():
         assert index.pairs(1) == brute_force_pairs(boxes, 1)
         assert (6, 20) in index.pairs(1)
 
+
+
+def test_memory_held_after_a_10k_grid_decomposition():
+    # tracemalloc of what decompose_document(grid_layout(10000, 2)) holds,
+    # its document included: 8,892,865 bytes when this bound was set,
+    # with rectangles that store no outline and answers on ranks; the
+    # bound leaves 10 % over that
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = decompose_document(grid_layout(10000, 2))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.stats.conflicts == 660
+    assert held <= 9_782_000, held

@@ -209,7 +209,7 @@ def test_components_split_and_ee_coupling():
     # spacing-free cuts link nothing: every segment is its own block
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.blocks == 4
-    assert sol.selected == frozenset({(1, 2), (3, 4)})
+    assert sol.selected == (0, 1)  # both cuts, by rank in pair order
 
     g2, ecg2, _ = graph_for(parse_layout(SPACING_PAIRS.format(dc=300)))
     assert list(ecg2.candidates) == [(1, 2), (3, 4)] and ecg2.ee_edges == ((0, 1),)

@@ -10,6 +10,7 @@ from helpers import (
     _dummy_candidate,
     chain30_rects,
     enumerate_model,
+    keyed,
     milp_optimum,
     parse_lp,
     random_model_graph,
@@ -151,7 +152,7 @@ def test_cut_resolves_conflict():
     g, ecg = abstract_graph(3, [(1, 2), (2, 3), (1, 3)], cands={(1, 3)})
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.objective == 0
-    assert sol.selected == frozenset({(1, 3)})
+    assert sol.selected == (0,)  # the one cut, (1, 3)
 
 
 def test_excluded_cuts_cannot_both_be_selected():
@@ -174,7 +175,7 @@ def test_lexicographic_tiebreak_is_smallest_vector():
     g, ecg = abstract_graph(3, [(1, 2), (2, 3), (1, 3)])
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.objective == 1
-    assert [sol.colors[(f, 0)] for f in (1, 2, 3)] == [0, 0, 1]
+    assert sol.colors == (0, 0, 1)  # features 1, 2 and 3, by segment rank
 
 
 def test_independent_blocks_solved_separately():
@@ -195,7 +196,7 @@ def test_each_block_gets_its_own_lex_budget():
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.blocks == 6
     for t in range(6):
-        assert [sol.colors[(3 * t + k, 0)] for k in (1, 2, 3)] == [0, 0, 1], t
+        assert sol.colors[3 * t : 3 * t + 3] == (0, 0, 1), t
 
 
 def test_spacing_free_cut_is_selected_only_on_a_shared_mask():
@@ -203,14 +204,14 @@ def test_spacing_free_cut_is_selected_only_on_a_shared_mask():
     g, ecg = abstract_graph(2, [(1, 2)], cands={(1, 2)})
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.blocks == 2
-    assert sol.colors == {(1, 0): 0, (2, 0): 0}
-    assert sol.selected == frozenset({(1, 2)}) and sol.objective == 0
+    assert sol.colors == (0, 0)
+    assert sol.selected == (0,) and sol.objective == 0
     # the odd path 1-3-4-2 forces 1 and 2 apart, and the cut stays unused
     g, ecg = abstract_graph(4, [(1, 3), (3, 4), (2, 4), (1, 2)], cands={(1, 2)})
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.blocks == 1
-    assert sol.colors[(1, 0)] != sol.colors[(2, 0)]
-    assert sol.selected == frozenset() and sol.objective == 0
+    assert sol.colors[0] != sol.colors[1]
+    assert sol.selected == () and sol.objective == 0
 
 
 def test_timeout_returns_feasible_incumbent():
@@ -297,8 +298,8 @@ def free_cut_pair():
 
 
 def answer(sol):
-    """A solution with its vertex keys dropped, colours in vertex order."""
-    return sol.objective, [c for _, c in sorted(sol.colors.items())], sorted(sol.selected)
+    """A solution's cost, colours in vertex order and selected cut ranks."""
+    return sol.objective, sol.colors, sol.selected
 
 
 def test_identical_blocks_solve_as_if_alone(monkeypatch):
@@ -331,8 +332,8 @@ def test_identical_blocks_solve_as_if_alone(monkeypatch):
     for (g, ecg), count in zip(singles, (3, 2)):
         sol = solve(build_model(g, ecg, Fraction(1, 10)))
         assert (sol.blocks, sol.nodes) == (count, count * lone.nodes)
-        assert set(sol.colors.values()) == {0}
-    assert solve(build_model(*free_cut_pair(), Fraction(0))).selected == frozenset({(1, 2)})
+        assert set(sol.colors) == {0}
+    assert solve(build_model(*free_cut_pair(), Fraction(0))).selected == (0,)
     # no search is built for a block of one segment
     built = []
     init = _CompSolver.__init__
@@ -351,14 +352,18 @@ def test_identical_blocks_solve_as_if_alone(monkeypatch):
         # keeps every copy's ids apart
         parts = [shifted(*models[k], 10 * i) for i, k in enumerate(order)]
         alpha = rng.choice([Fraction(0), Fraction(1, 10), Fraction(1, 3)])
-        whole = solve(build_model(*joined(parts), alpha))
-        alone = [solve(build_model(g, ecg, alpha)) for g, ecg in parts]
+        whole_model = build_model(*joined(parts), alpha)
+        whole = solve(whole_model)
+        part_models = [build_model(g, ecg, alpha) for g, ecg in parts]
+        alone = [solve(m) for m in part_models]
         assert whole.status is SolveStatus.OPTIMAL
         assert whole.objective == sum(s.objective for s in alone)
         assert whole.nodes == sum(s.nodes for s in alone)
         assert whole.blocks == sum(s.blocks for s in alone)
-        assert whole.colors == {v: c for s in alone for v, c in s.colors.items()}
-        assert whole.selected == frozenset().union(*(s.selected for s in alone))
+        colors, selected = keyed(whole_model, whole)
+        answers = [keyed(m, s) for m, s in zip(part_models, alone)]
+        assert colors == {v: c for c_of, _ in answers for v, c in c_of.items()}
+        assert selected == frozenset().union(*(cuts for _, cuts in answers))
     assert built and all(m > 1 for m, _, _, _ in built)
 
 
@@ -407,7 +412,7 @@ def test_the_search_receives_the_prices_solve_wrote(monkeypatch):
 
 
 def masks(sol):
-    return "".join("AB"[c] for _, c in sorted(sol.colors.items()))
+    return "".join("AB"[c] for c in sol.colors)
 
 
 @pytest.mark.parametrize(
@@ -424,7 +429,8 @@ def test_search_tree_of_a_crowded_chain(bars, nodes):
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, nodes)
     assert masks(sol) == ("AAB" * bars)[:bars]
-    assert sorted(sol.selected) == [(i, i + 1) for i in range(1, bars, 3)]
+    pairs = list(ecg.candidates)
+    assert [pairs[k] for k in sol.selected] == [(i, i + 1) for i in range(1, bars, 3)]
 
 
 def test_timeout_inside_a_leaf_returns_feasible_incumbent():
@@ -437,7 +443,7 @@ def test_timeout_inside_a_leaf_returns_feasible_incumbent():
     sol = solve(m, time_limit=0.0)
     assert (sol.status, sol.objective, sol.nodes) == (SolveStatus.TIMEOUT, 6, 2048)
     assert masks(sol) == "AAAAAAAAAAAAAABA"
-    assert sorted(sol.selected) == [(i, i + 1) for i in range(1, 15, 2)]
+    assert [m.cuts[k] for k in sol.selected] == [(i, i + 1) for i in range(1, 15, 2)]
     assert_satisfies_every_row(g, m, sol)
 
 
@@ -467,7 +473,8 @@ def test_cut_masks_wider_than_a_machine_word(monkeypatch):
     assert chosen == [list(range(0, 80, 2))]
     assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, 320)
     assert masks(sol) == "ABA" * 40
-    assert sorted(sol.selected) == sorted((a, a + 2) for a in range(1, 121, 3))
+    pairs = list(ecg.candidates)
+    assert [pairs[k] for k in sol.selected] == sorted((a, a + 2) for a in range(1, 121, 3))
 
 
 def corrupt_search(monkeypatch, corrupt):
@@ -519,7 +526,7 @@ def test_solve_checks_cut_spacing(monkeypatch):
         ee={((1, 3), (4, 6))},
     )
     sol = solve(build_model(g, ecg, Fraction(0)))
-    assert (sol.objective, sol.selected) == (1, frozenset({(4, 6)}))
+    assert (sol.objective, sol.selected) == (1, (1,))  # the cut (4, 6)
     corrupt_search(monkeypatch, select_both_spaced_cuts)
     with pytest.raises(AssertionError) as err:
         solve(build_model(g, ecg, Fraction(0)))

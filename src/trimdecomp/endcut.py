@@ -197,9 +197,9 @@ def generate_end_cut(
     concave, feature material lies inside the box, while if it is convex,
     a facing parallel pair yields the same corner box. Two rectangles have
     four such pairs, and the one box they can give comes straight from
-    their corners (_rect_pair_sides). A pair
-    with a polygon reads its facing runs from the two outlines. A box is
-    kept only when none of the material rects has area inside it, so
+    their corners (_rect_pair_sides). A pair with a polygon reads its
+    facing runs from the two outlines. A box is kept only when none of
+    the material rects has area inside it, so
     material must hold the rects of s1 and of every feature whose
     bounding box lies within max(h_high, w_high) of s1's. No other feature
     reaches into a box: an edge-to-edge box lies within its gap (at most

@@ -43,7 +43,6 @@ from .layout_io import (
     DecompositionReport,
     LayoutDocument,
     LayoutParseError,
-    _check_ids,
     _collector_paused,
     emit_svg,
     fraction_to_decimal,
@@ -92,9 +91,9 @@ def decompose_document(
 ) -> DecompositionResult:
     """Decompose one layout exactly and package every output.
 
-    Before any cut is made, the shapes must have distinct ids (else
-    ValueError), and conflict_pairs checks on the pairs of the one sweep
-    that they do not overlap (else OverlappingInputShapes). The graphs
+    Before any cut is made, conflict_pairs checks on the shape rank pairs
+    of the one sweep that the shapes do not overlap (else
+    OverlappingInputShapes). The graphs
     become one 0-1 model, kept in the result; without stitching alpha is
     0, which leaves costs unscaled by its denominator and the search the
     same. A single solve of the model splits it into independent blocks;
@@ -123,10 +122,8 @@ def decompose_document(
         )
         doc = dataclasses.replace(doc, params=params)
 
-    # a repeated id first; then one sweep finds the conflict candidates and
-    # every feature that can reach into a cut box, and conflict_pairs
-    # rejects the lowest overlapping pair as it checks them
-    _check_ids(doc.shapes)
+    # one sweep finds the conflict candidates and every feature that can reach
+    # into a cut box; conflict_pairs rejects the lowest overlapping pair
     reach = max(params.dis_m, params.h_high, params.w_high)
     near_pairs = SpatialIndex.from_shapes(doc.shapes, reach).pairs(reach)
     pairs = conflict_pairs(doc, near_pairs, metric)

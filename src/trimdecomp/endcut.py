@@ -214,19 +214,19 @@ def generate_end_cut(
     test to every side on plain integers, and builds records only for the
     boxes it keeps.
     """
-    return _end_cut(s1, s2, _sides(s1, s2, {}), params, material)
+    return _end_cut(s1, s2, _sides((s1, s2), 0, 1, {}), params, material)
 
 
-def _sides(s1: RectilinearShape, s2: RectilinearShape, runs: dict[int, Runs]) -> Sides:
-    """The facing sides of two features: from the corners when both are
+def _sides(shapes: Sequence[RectilinearShape], a: int, b: int, runs: dict[int, Runs]) -> Sides:
+    """The facing sides of shapes a and b: from the corners when both are
     one rectangle, else from the runs of their outlines, which runs
-    caches by feature id so a layout groups each outline once."""
-    if len(s1.rects) == 1 and len(s2.rects) == 1:
-        return _rect_pair_sides(s1.rects[0], s2.rects[0])
-    for s in (s1, s2):
-        if s.id not in runs:
-            runs[s.id] = _outline_runs(s.outline)
-    return _facing_sides(runs[s1.id], runs[s2.id])
+    caches by index so a layout groups each outline once."""
+    if len(shapes[a].rects) == 1 and len(shapes[b].rects) == 1:
+        return _rect_pair_sides(shapes[a].rects[0], shapes[b].rects[0])
+    for i in (a, b):
+        if i not in runs:
+            runs[i] = _outline_runs(shapes[i].outline)
+    return _facing_sides(runs[a], runs[b])
 
 
 def _end_cut(
@@ -279,14 +279,14 @@ def generate_all_end_cuts(
     pairs: Iterable[tuple[int, int]],
     near_pairs: Iterable[tuple[int, int]],
 ) -> dict[tuple[int, int], EndCutCandidate]:
-    """The cut candidates of the given feature pairs (a, b), a < b.
+    """The cut candidates of ascending shape rank pairs, keyed by id pair.
 
-    near_pairs must include every pair of features whose bounding boxes
+    near_pairs must include every rank pair of shapes whose bounding boxes
     lie within max(h_high, w_high) of each other, as SpatialIndex.pairs(d)
     lists for any d at least that; the boxes of a pair are checked against
     a and its neighbours there.
     """
-    shapes_by_id = {s.id: s for s in doc.shapes}
+    shapes = doc.shapes
     runs: dict[int, Runs] = {}  # each polygon's runs, grouped once
     near: dict[int, list[int]] = {}
     for a, b in near_pairs:
@@ -295,14 +295,13 @@ def generate_all_end_cuts(
     cuts: dict[tuple[int, int], EndCutCandidate] = {}
     last = None
     material: list[Rect] = []
-    for a, b in sorted(pairs):
+    for a, b in pairs:
         if a != last:
             last = a
-            material = list(shapes_by_id[a].rects)
+            material = list(shapes[a].rects)
             for n in near.get(a, ()):
-                material.extend(shapes_by_id[n].rects)
-        s1, s2 = shapes_by_id[a], shapes_by_id[b]
-        cand = _end_cut(s1, s2, _sides(s1, s2, runs), doc.params, material)
+                material.extend(shapes[n].rects)
+        cand = _end_cut(shapes[a], shapes[b], _sides(shapes, a, b, runs), doc.params, material)
         if cand is not None:
             cuts[cand.pair] = cand
     return cuts
@@ -350,7 +349,7 @@ def merged_cut_rects(
     rects = _in_order([b.rect for c in selected for b in c.boxes])
     cell = max(params.w_high, params.h_high)
     while True:
-        pairs = SpatialIndex(dict(enumerate(rects)), cell).pairs(0)
+        pairs = SpatialIndex(rects, cell).pairs(0)
         if not pairs:
             return tuple(rects)
         earlier: list[list[int]] = [[] for _ in rects]

@@ -10,9 +10,9 @@ gap). Two rectangles that overlap or touch in an axis have gap 0 in that
 axis, so touching shapes are at distance 0.
 
 SpatialIndex is the one neighbour search: it lists every pair of boxes
-within a given Chebyshev gap, exactly, by a band sweep. A pair is found
-only in a band where one of its boxes starts, so a box is listed only in
-such bands, and its memory does not grow with its height.
+within a given Chebyshev gap, exactly, by index, in a band sweep. A
+pair is found only in a band where one of its boxes starts, so a box is
+listed only in such bands, and its memory does not grow with its height.
 
 RectilinearShape.from_outline reads a polygon's outline in one pass for
 its corners and then checks and cuts it in one sweep up its horizontal
@@ -363,22 +363,22 @@ def rectset_within(a: Sequence[Rect], b: Sequence[Rect], d: int, metric: Metric 
 
 
 class SpatialIndex:
-    """Bounding boxes by id, for neighbour search.
+    """Bounding boxes by index, for neighbour search.
 
-    pairs() lists exactly the pairs of ids whose boxes lie within a
+    pairs() lists exactly the pairs of indices whose boxes lie within a
     Chebyshev gap of each other, by one sweep along x inside horizontal
     bands one cell high.
     """
 
-    def __init__(self, boxes: dict[int, Rect], cell_size: int):
+    def __init__(self, boxes: Sequence[Rect], cell_size: int):
         if cell_size <= 0:
             raise GeometryError("cell size must be positive")
         self.cell_size = cell_size
         self._boxes = boxes
 
     @classmethod
-    def from_shapes(cls, shapes: Iterable[RectilinearShape], cell_size: int) -> "SpatialIndex":
-        return cls({s.id: s.bbox for s in shapes}, cell_size)
+    def from_shapes(cls, shapes: Sequence[RectilinearShape], cell_size: int) -> "SpatialIndex":
+        return cls([s.bbox for s in shapes], cell_size)
 
     def pairs(self, distance: int = 0) -> list[tuple[int, int]]:
         """Every pair (a, b) with a < b whose boxes lie within Chebyshev
@@ -396,12 +396,12 @@ class SpatialIndex:
         the earlier ones whose hi.x plus distance reaches its lo.x.
         """
         cell, d = self.cell_size, distance
-        starts = sorted({y1 // cell for (_, y1), _ in self._boxes.values()})
+        starts = sorted({y1 // cell for (_, y1), _ in self._boxes})
         bands: dict[int, list[list[int]]] = {k: [] for k in starts}
-        for sid, ((x1, y1), (x2, y2)) in self._boxes.items():
+        for i, ((x1, y1), (x2, y2)) in enumerate(self._boxes):
             # a list: freed 5-tuples would stay on the interpreter's tuple
             # free list and add to the peak of the solve that follows
-            entry = [x1, sid, x2 + d, y1, y2 + d]
+            entry = [x1, i, x2 + d, y1, y2 + d]
             first, last = y1 // cell, (y2 + d) // cell
             for k in starts[bisect_left(starts, first) : bisect_right(starts, last)]:
                 bands[k].append(entry)

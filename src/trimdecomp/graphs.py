@@ -1,10 +1,10 @@
 """Conflict and end-cut graphs, on integer ranks.
 
-The order of every later stage is decided here, once: a segment is its
-rank in sorted (feature id, k) order, a candidate end-cut its rank in
-sorted feature-pair order, and each kind of edge is a tuple of rank
-tuples in sorted order. The model shares these tuples, and the writers
-turn a rank into its key only where they print it.
+The document orders the shapes, and a shape is its rank there; the
+stages here take and return rank pairs. A segment is its rank in
+(feature id, k) order, a cut its rank in pair order, and each kind of
+edge is a tuple of rank tuples in sorted order. The model shares these
+tuples, and the writers turn a rank into its key where they print it.
 
 The layout graph has one vertex per feature segment. Conflict edges join
 segments of different features that sit within the same-mask spacing
@@ -73,33 +73,42 @@ class EndCutGraph:
 def conflict_pairs(
     doc: LayoutDocument, candidates: Iterable[PairKey], metric: Metric = Metric.CHEBYSHEV
 ) -> list[PairKey]:
-    """Feature pairs within the same-mask spacing rule of each other.
+    """Shape rank pairs within the same-mask spacing rule of each other.
 
-    candidates are ascending pairs (a, b), a < b, that include every pair
-    whose bounding boxes lie within dis_m of each other, such as
+    candidates are ascending rank pairs (a, b), a < b, that include every
+    pair whose bounding boxes lie within dis_m of each other, such as
     SpatialIndex.pairs(d) lists for any d >= dis_m; each is checked exactly.
     Two shapes that overlap are at gap 0, so they are among the
     candidates, and the same pass over their rects raises
     OverlappingInputShapes for the first such pair, the lowest.
     """
-    rects = {s.id: s.rects for s in doc.shapes}
+    shapes = doc.shapes
     d = doc.params.dis_m
     dd = d * d
     euclidean = metric is Metric.EUCLIDEAN
     found: list[PairKey] = []
     for pair in candidates:
         within = False
-        for (ax1, ay1), (ax2, ay2) in rects[pair[0]]:
-            for (bx1, by1), (bx2, by2) in rects[pair[1]]:
+        for (ax1, ay1), (ax2, ay2) in shapes[pair[0]].rects:
+            for (bx1, by1), (bx2, by2) in shapes[pair[1]].rects:
                 gx = bx1 - ax2 if bx1 > ax2 else ax1 - bx2 if ax1 > bx2 else 0
                 gy = by1 - ay2 if by1 > ay2 else ay1 - by2 if ay1 > by2 else 0
                 if (gx * gx + gy * gy <= dd) if euclidean else (gx <= d and gy <= d):
                     within = True
                     if not (gx or gy) and ax1 < bx2 and bx1 < ax2 and ay1 < by2 and by1 < ay2:
-                        raise OverlappingInputShapes(f"features {pair[0]} and {pair[1]} overlap")
+                        a, b = shapes[pair[0]].id, shapes[pair[1]].id
+                        raise OverlappingInputShapes(f"features {a} and {b} overlap")
         if within:
             found.append(pair)
     return found
+
+
+def _with_cuts(
+    doc: LayoutDocument, pairs: Iterable[PairKey], cuts: Iterable[PairKey]
+) -> list[tuple[int, int, int]]:
+    """Each shape rank pair (a, b) as (a, b, k), k its cut's rank in cuts."""
+    shapes, cut_rank = doc.shapes, {p: k for k, p in enumerate(cuts)}
+    return [(a, b, cut_rank.get((shapes[a].id, shapes[b].id), -1)) for a, b in pairs]
 
 
 def build_layout_graph(
@@ -109,13 +118,10 @@ def build_layout_graph(
 ) -> LayoutGraph:
     """One segment per feature; pairs and cuts as generate_stitch_candidates
     takes them."""
-    shapes = sorted(doc.shapes, key=lambda s: s.id)
-    rank = {s.id: i for i, s in enumerate(shapes)}
-    cut_rank = {p: k for k, p in enumerate(sorted(cuts))}
     return LayoutGraph(
-        segments=tuple([(s.id, 0) for s in shapes]),
-        pieces=tuple([s.rects for s in shapes]),
-        conflict_edges=tuple([(rank[a], rank[b], cut_rank.get((a, b), -1)) for a, b in pairs]),
+        segments=tuple([(s.id, 0) for s in doc.shapes]),
+        pieces=tuple([s.rects for s in doc.shapes]),
+        conflict_edges=tuple(_with_cuts(doc, pairs, cuts)),
         stitch_edges=(),
         stitch_points=(),
     )
@@ -170,36 +176,35 @@ def generate_stitch_candidates(
     splitting never adds a conflict the unsplit layout did not have, and
     each pair's cut sits on the one edge the pair becomes.
 
-    pairs are the conflicting feature pairs (a, b), a < b, in ascending
+    pairs are the conflicting shape rank pairs (a, b), a < b, in ascending
     order, as conflict_pairs lists them, and cuts the candidate end-cut of
-    each pair that has one.
+    each pair that has one, keyed by feature id pair in the same order.
     """
     d = doc.params.dis_m
     margin = max(2, d // 2)
-    shapes = sorted(doc.shapes, key=lambda s: s.id)
-    boxes = {s.id: s.bbox for s in shapes}
+    shapes = doc.shapes
 
-    neighbours: dict[int, set[int]] = {}
+    neighbours: dict[int, list[int]] = {}
     for a, b in pairs:
-        neighbours.setdefault(a, set()).add(b)
-        neighbours.setdefault(b, set()).add(a)
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
 
     segments: list[VertexKey] = []
     pieces: list[tuple[Rect, ...]] = []
-    ranks: dict[int, range] = {}  # the ranks of each feature's segments
+    ranks: list[range] = []  # by shape rank: the ranks of its segments
     stitch_edges: list[tuple[int, int]] = []
     stitch_points: list[StitchPoint] = []
-    for shape in shapes:
+    for r, shape in enumerate(shapes):
         fid, base = shape.id, len(pieces)
         parts = [shape.rects]
-        near = neighbours.get(fid)
+        near = neighbours.get(r)
         if near:
-            bb = boxes[fid]
+            bb = shape.bbox
             k = 0 if bb.width >= bb.height else 1  # the long axis: x, unless taller
             start, end = bb.lo[k], bb.hi[k]
             covered = []
             for nid in near:
-                nlo, nhi = boxes[nid]
+                nlo, nhi = shapes[nid].bbox
                 lo, hi = max(nlo[k] - d, start), min(nhi[k] + d, end)
                 if lo < hi:
                     covered.append((lo, hi))
@@ -220,13 +225,12 @@ def generate_stitch_candidates(
                     x, y = (coord, cross) if k == 0 else (cross, coord)
                     stitch_edges.append((i, i + 1))
                     stitch_points.append(StitchPoint(fid, x, y, "vh"[k]))
-        ranks[fid] = range(base, base + len(parts))
+        ranks.append(range(base, base + len(parts)))
         segments += [(fid, i) for i in range(len(parts))]
         pieces += parts
 
-    cut_rank = {p: k for k, p in enumerate(sorted(cuts))}
     conflict_edges: list[tuple[int, int, int]] = []
-    for f, h in pairs:
+    for f, h, cut in _with_cuts(doc, pairs, cuts):
         rf, rh = ranks[f], ranks[h]
         if len(rf) == len(rh) == 1:
             hits = [(rf[0], rh[0])]  # the pair passed this very test as whole features
@@ -236,24 +240,24 @@ def generate_stitch_candidates(
             ]
         # widening leaves each pair one edge, which carries the pair's cut
         if len(hits) != 1:
-            raise AssertionError(f"features {f} and {h} meet at {len(hits)} segment pairs")
-        conflict_edges.append((*hits[0], cut_rank.get((f, h), -1)))
+            a, b = shapes[f].id, shapes[h].id
+            raise AssertionError(f"features {a} and {b} meet at {len(hits)} segment pairs")
+        conflict_edges.append((*hits[0], cut))
     conflict_edges.sort()
 
     return LayoutGraph(*map(tuple, (segments, pieces, conflict_edges, stitch_edges, stitch_points)))
 
 
 def build_end_cut_graph(
-    cuts: Mapping[PairKey, EndCutCandidate],
+    cuts: dict[PairKey, EndCutCandidate],
     params: DecompositionParams,
     metric: Metric = Metric.CHEBYSHEV,
 ) -> EndCutGraph:
     """Spacing and merge relations between candidate cuts, on their
-    ranks in pair order."""
-    order = sorted(cuts)
+    ranks in the order of cuts, their pair order."""
     d = params.dis_c
-    rects = [cuts[p].rects for p in order]
-    index = SpatialIndex({i: bounding_box(r) for i, r in enumerate(rects)}, d)
+    rects = [c.rects for c in cuts.values()]
+    index = SpatialIndex([bounding_box(r) for r in rects], d)
     ee: list[tuple[int, int]] = []
     merges: list[tuple[int, int]] = []
     # ascending rank pairs, in ascending order
@@ -261,7 +265,7 @@ def build_end_cut_graph(
         ra, rb = rects[i], rects[j]
         if rectset_within(ra, rb, d, metric):
             (merges if mergeable_pair(ra, rb, params) else ee).append((i, j))
-    return EndCutGraph({p: cuts[p] for p in order}, tuple(ee), tuple(merges))
+    return EndCutGraph(cuts, tuple(ee), tuple(merges))
 
 
 _CUT_LABEL = ' [label="cut"]'

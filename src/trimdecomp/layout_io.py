@@ -147,9 +147,20 @@ class DecompositionParams:
 
 @dataclass(frozen=True)
 class LayoutDocument:
+    """A layout. shapes is kept as a tuple in id order, so a shape's rank,
+    its index there, names it in every stage; a repeated id is a ValueError."""
+
     name: str
     shapes: tuple[RectilinearShape, ...]
     params: DecompositionParams
+
+    def __post_init__(self) -> None:
+        ids = [s.id for s in self.shapes]
+        if len(set(ids)) < len(ids):
+            ids.sort()
+            raise ValueError(f"duplicate feature id {min(a for a, b in zip(ids, ids[1:]) if a == b)}")
+        shapes = self.shapes if ids == sorted(ids) else sorted(self.shapes, key=lambda s: s.id)
+        object.__setattr__(self, "shapes", tuple(shapes))
 
 
 class StitchPoint(NamedTuple):
@@ -313,7 +324,6 @@ def parse_layout(text: str) -> LayoutDocument:
         params = DecompositionParams.from_raw(raw_params, shapes)
     except ValueError as exc:
         raise LayoutParseError(0, str(exc)) from exc
-    shapes.sort(key=lambda s: s.id)
     return LayoutDocument(name=name, shapes=tuple(shapes), params=params)
 
 
@@ -323,15 +333,6 @@ def _check_id(fid: int, seen: set[int], lineno: int) -> None:
     if fid in seen:
         raise LayoutParseError(lineno, f"duplicate feature id {fid}")
     seen.add(fid)
-
-
-def _check_ids(shapes: Sequence[RectilinearShape]) -> None:
-    """Reject the lowest feature id that two shapes share."""
-    ids = [s.id for s in shapes]
-    if len(set(ids)) < len(ids):
-        ids.sort()
-        repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
-        raise ValueError(f"duplicate feature id {repeated}")
 
 
 def write_layout(doc: LayoutDocument) -> str:
@@ -510,7 +511,7 @@ def split_feature_rects(rects: Sequence[Rect], bounds: Sequence[int], k: int) ->
 def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
     """The layout drawn in its masks, with trim cuts, conflicts and stitches.
 
-    Features are drawn in id order, whatever the order of doc.shapes. A
+    Features are drawn in id order, the order of doc.shapes. A
     feature of one segment takes its letter from its one mask line, and
     only a split one is grouped into runs of segments on one mask. Only
     conflict endpoints keep their piece, whose box's middle a conflict line
@@ -547,7 +548,7 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
 
     paths: dict[str, list[str]] = {"A": [], "B": []}
     anchors: dict[VertexKey, tuple[Rect, ...]] = {}
-    for shape in sorted(doc.shapes, key=lambda s: s.id):
+    for shape in doc.shapes:
         fid, rects = shape.id, shape.rects
         points = stitches_by_feature.get(fid)
         if fid in split:

@@ -16,7 +16,6 @@ from .layout_io import DecompositionParams, LayoutDocument
 
 
 def _document(name: str, shapes: list[RectilinearShape], raw: dict[str, int]) -> LayoutDocument:
-    shapes = sorted(shapes, key=lambda s: s.id)
     params = DecompositionParams.from_raw(raw, shapes)
     return LayoutDocument(name=name, shapes=tuple(shapes), params=params)
 

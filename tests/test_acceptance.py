@@ -82,7 +82,8 @@ def test_criterion_3_stitching_never_costs_more():
 def test_criterion_4_seven_feature_layout_conflict_edges():
     doc = parse_layout((LAYOUTS / "cluster7.lay").read_text())
     near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
-    assert conflict_pairs(doc, near_pairs) == [
+    ids = [s.id for s in doc.shapes]
+    assert [(ids[a], ids[b]) for a, b in conflict_pairs(doc, near_pairs)] == [
         (1, 2), (1, 3), (1, 4), (2, 4), (3, 4), (3, 5),
         (3, 6), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7),
     ]

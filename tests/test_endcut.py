@@ -355,8 +355,8 @@ def test_rect_beside_a_polygon_reads_the_outline_it_would_store():
         assert r.corners == ()
         ((lo, hi),) = r.rects
         stored = _outline_runs((lo, (hi.x, lo.y), hi, (lo.x, hi.y)))
-        assert _sides(r, l, {}) == _facing_sides(stored, _outline_runs(l.outline))
-        assert _sides(l, r, {}) == _facing_sides(_outline_runs(l.outline), stored)
+        assert _sides((r, l), 0, 1, {}) == _facing_sides(stored, _outline_runs(l.outline))
+        assert _sides((r, l), 1, 0, {}) == _facing_sides(_outline_runs(l.outline), stored)
 
 
 def test_generate_end_cut_matches_all_edge_pairs_oracle():
@@ -478,7 +478,7 @@ def test_generate_all_end_cuts_demo_layout():
     doc = parse_layout((Path(__file__).parent.parent / "layouts" / "endcut_demo.lay").read_text())
     near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
     pairs = conflict_pairs(doc, near_pairs)
-    assert pairs == [(1, 2), (1, 3), (2, 3)]
+    assert [(doc.shapes[a].id, doc.shapes[b].id) for a, b in pairs] == [(1, 2), (1, 3), (2, 3)]
     cuts = generate_all_end_cuts(doc, pairs, near_pairs)
     assert sorted(cuts) == [(2, 3)]
     assert [b.rect for b in cuts[(2, 3)].boxes] == [Rect.of(200, 0, 240, 40)]

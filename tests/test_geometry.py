@@ -410,19 +410,20 @@ def test_spatial_index_pairs_cover_every_close_box_pair():
             pairs = list(index.pairs(d))
             assert all(a < b for a, b in pairs)
             assert pairs == sorted(set(pairs))
-            found = set(pairs)
-            for s in shapes:
-                for t in shapes:
-                    if s.id < t.id and rect_chebyshev_gap(s.bbox, t.bbox) <= d:
+            # a box is named by its shape's place in shapes, not by its id
+            found = {(shapes[a].id, shapes[b].id) for a, b in pairs}
+            for i, s in enumerate(shapes):
+                for t in shapes[i + 1 :]:
+                    if rect_chebyshev_gap(s.bbox, t.bbox) <= d:
                         assert (s.id, t.id) in found
 
 
-def brute_force_pairs(boxes: dict[int, Rect], d: int) -> list[tuple[int, int]]:
+def brute_force_pairs(boxes: list[Rect], d: int) -> list[tuple[int, int]]:
     return sorted(
         (a, b)
-        for a in boxes
-        for b in boxes
-        if a < b and rect_chebyshev_gap(boxes[a], boxes[b]) <= d
+        for a in range(len(boxes))
+        for b in range(a + 1, len(boxes))
+        if rect_chebyshev_gap(boxes[a], boxes[b]) <= d
     )
 
 
@@ -430,15 +431,16 @@ def test_spatial_index_pairs_are_exactly_the_box_gap_pairs():
     rng = random.Random(4711)
     for trial in range(300):
         cell = rng.choice([7, 60, 120, 250])
-        boxes = {}
-        # sparse ids in random order and negative coordinates; tall boxes
-        # span many bands, and the largest gaps exceed the cell
-        for fid in rng.sample(range(-20, 10_000), rng.randint(0, 30)):
+        boxes = []
+        # boxes in random order and negative coordinates, as many as the
+        # sparse ids once drawn here; tall boxes span many bands, and the
+        # largest gaps exceed the cell
+        for _ in rng.sample(range(-20, 10_000), rng.randint(0, 30)):
             x = rng.randrange(-1500, 1500, 10)
             y = rng.randrange(-1500, 1500, 10)
             w = rng.randrange(10, 400, 10)
             h = rng.randrange(10, rng.choice([100, 1200]), 10)
-            boxes[fid] = Rect.of(x, y, x + w, y + h)
+            boxes.append(Rect.of(x, y, x + w, y + h))
         index = SpatialIndex(boxes, cell)
         for d in (0, 10, 50, 120, 300, 700):
             assert index.pairs(d) == brute_force_pairs(boxes, d), (trial, cell, d)
@@ -450,15 +452,15 @@ def test_spatial_index_pairs_with_tall_boxes_among_small_ones():
     rng = random.Random(2718)
     for trial in range(200):
         cell = rng.choice([1, 2, 3, 7])
-        boxes = {}
-        for fid in rng.sample(range(-20, 10_000), rng.randint(0, 30)):
+        boxes = []
+        for _ in rng.sample(range(-20, 10_000), rng.randint(0, 30)):
             x = rng.randrange(-300, 300, 5)
             y = rng.randrange(-300, 300)
             w = rng.randrange(1, 60)
             h = rng.choice(
                 [rng.randrange(1, 30), rng.randrange(5, 12) * cell, rng.randrange(1, 10**7)]
             )
-            boxes[fid] = Rect.of(x, y, x + w, y + h)
+            boxes.append(Rect.of(x, y, x + w, y + h))
         index = SpatialIndex(boxes, cell)
         for d in (0, 1, 5, 40, 300):
             assert index.pairs(d) == brute_force_pairs(boxes, d), (trial, cell, d)
@@ -481,23 +483,23 @@ def test_tall_bars_take_memory_by_count_not_height():
     assert result.graph.conflict_edges == ((0, 2, -1), (1, 2, -1))
     assert result.stats.conflicts == 0
     assert peak < 1_000_000, peak
-    index = SpatialIndex({1: Rect.of(0, 0, 10, h), 2: Rect.of(11, 0, 21, h)}, 1)
-    assert index.pairs(1) == [(1, 2)] and index.pairs(0) == []
+    index = SpatialIndex([Rect.of(0, 0, 10, h), Rect.of(11, 0, 21, h)], 1)
+    assert index.pairs(1) == [(0, 1)] and index.pairs(0) == []
 
 
 def test_spatial_index_pairs_of_touching_boxes_at_gap_zero():
     # a 3 x 3 block of unit-cell squares touching on sides and corners,
     # one square apart by a single unit, and one overlapping another
-    boxes = {3 * i + j: Rect.of(10 * i, 10 * j, 10 * i + 10, 10 * j + 10) for i in range(3) for j in range(3)}
-    boxes[20] = Rect.of(31, 0, 41, 10)
-    boxes[21] = Rect.of(-5, -5, 5, 5)
+    boxes = [Rect.of(10 * i, 10 * j, 10 * i + 10, 10 * j + 10) for i in range(3) for j in range(3)]
+    boxes.append(Rect.of(31, 0, 41, 10))  # box 9
+    boxes.append(Rect.of(-5, -5, 5, 5))  # box 10
     for cell in (1, 10, 15, 1000):
         index = SpatialIndex(boxes, cell)
         pairs = index.pairs(0)
         assert pairs == brute_force_pairs(boxes, 0)
-        assert (0, 4) in pairs and (6, 20) not in pairs and (0, 21) in pairs
+        assert (0, 4) in pairs and (6, 9) not in pairs and (0, 10) in pairs
         assert index.pairs(1) == brute_force_pairs(boxes, 1)
-        assert (6, 20) in index.pairs(1)
+        assert (6, 9) in index.pairs(1)
 
 
 

@@ -53,27 +53,33 @@ def keyed_edges(g, cuts):
     return {(segs[a], segs[b]): None if k < 0 else cuts[order[k]] for a, b, k in g.conflict_edges}
 
 
-def feature_pairs(g):
-    return [(g.segments[a][0], g.segments[b][0]) for a, b, _ in g.conflict_edges]
+def shape_pairs(g):
+    """The shape rank pairs of an unsplit g, whose segment ranks are its
+    shape ranks."""
+    return [(a, b) for a, b, _ in g.conflict_edges]
+
+
+def id_pairs(doc, pairs):
+    return [(doc.shapes[a].id, doc.shapes[b].id) for a, b in pairs]
 
 
 def test_cluster7_conflict_pairs_chebyshev():
     doc = load("cluster7.lay")
     near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
-    assert conflict_pairs(doc, near_pairs) == CLUSTER7_EDGES
+    assert id_pairs(doc, conflict_pairs(doc, near_pairs)) == CLUSTER7_EDGES
     # six of those pairs sit at exactly the spacing limit; the rule is
     # closed, so nudging the limit down by one removes all six
     import dataclasses
 
     tight = dataclasses.replace(doc, params=dataclasses.replace(doc.params, dis_m=119, dis_c=119))
     at_limit = [(1, 3), (1, 4), (3, 5), (3, 6), (4, 5), (4, 6)]
-    assert conflict_pairs(tight, near_pairs) == sorted(set(CLUSTER7_EDGES) - set(at_limit))
+    assert id_pairs(doc, conflict_pairs(tight, near_pairs)) == sorted(set(CLUSTER7_EDGES) - set(at_limit))
 
 
 def test_cluster7_conflict_pairs_euclidean():
     doc = load("cluster7.lay")
     near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
-    got = conflict_pairs(doc, near_pairs, Metric.EUCLIDEAN)
+    got = id_pairs(doc, conflict_pairs(doc, near_pairs, Metric.EUCLIDEAN))
     # the two diagonal pairs fall outside the straight-line distance
     assert got == sorted(set(CLUSTER7_EDGES) - {(3, 6), (4, 5)})
 
@@ -98,7 +104,7 @@ def test_stitch_splits_double_ended_bar():
         "rect 3 700 160 1000 200\n"  # neighbour over its right end
     )
     g, _, cuts = graph_for(doc)
-    g2 = generate_stitch_candidates(doc, feature_pairs(g), cuts)
+    g2 = generate_stitch_candidates(doc, shape_pairs(g), cuts)
     assert g2.segments == ((1, 0), (1, 1), (2, 0), (3, 0))
     assert g2.stitch_edges == ((0, 1),)
     (sp,) = g2.stitch_points
@@ -126,7 +132,7 @@ def test_stitch_candidate_reattaches_to_nearest_segment():
     )
     g, _, cuts = graph_for(doc)
     assert (1, 2) in cuts
-    g2 = generate_stitch_candidates(doc, feature_pairs(g), cuts)
+    g2 = generate_stitch_candidates(doc, shape_pairs(g), cuts)
     # both long wires split: wire 1 between its two covered stretches,
     # wire 2 ahead of its free right end
     assert g2.segments == ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0))

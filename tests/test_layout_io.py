@@ -13,6 +13,7 @@ from trimdecomp.geometry import GeometryError, OverlappingInputShapes, Rect, Rec
 from trimdecomp.layout_io import (
     DecompositionParams,
     DecompositionReport,
+    LayoutDocument,
     LayoutParseError,
     SolveStatus,
     StitchPoint,
@@ -142,17 +143,52 @@ def bars_document(*bars):
 
 
 def test_code_built_documents_are_checked_for_overlaps_and_repeated_ids():
-    # no parser has seen these shapes, so decompose_document is the only check
+    # no parser has seen these shapes: decompose_document checks for an
+    # overlap, and the document itself for a repeated id as it is built
     overlapping = bars_document((1, 0, 0, 100, 40), (2, 50, 20, 150, 60))
     with pytest.raises(OverlappingInputShapes) as err:
         decompose_document(overlapping)
     assert str(err.value) == "features 1 and 2 overlap"
-    repeated = bars_document(
-        (3, 0, 200, 100, 240), (1, 0, 0, 100, 40), (1, 0, 100, 100, 140), (3, 0, 300, 100, 340)
-    )
     with pytest.raises(ValueError) as err:
-        decompose_document(repeated)
+        bars_document(
+            (3, 0, 200, 100, 240), (1, 0, 0, 100, 40), (1, 0, 100, 100, 140), (3, 0, 300, 100, 340)
+        )
     assert str(err.value) == "duplicate feature id 1"
+
+
+def test_a_document_keeps_its_shapes_in_id_order_as_a_tuple():
+    rng = random.Random(61)
+    ids = rng.sample(range(10_000), 40)
+    shapes = [RectilinearShape.from_rect(i, Rect.of(50 * k, 0, 50 * k + 40, 40)) for k, i in enumerate(ids)]
+    params = DecompositionParams.from_raw({}, shapes)
+    doc = LayoutDocument("t", shapes, params)
+    assert isinstance(doc.shapes, tuple)
+    assert [s.id for s in doc.shapes] == sorted(ids)
+    assert sorted(doc.shapes) == sorted(shapes)
+    # a tuple already in id order is kept as it is
+    assert LayoutDocument("t", doc.shapes, params).shapes is doc.shapes
+    assert dataclasses.replace(doc, name="u").shapes is doc.shapes
+    # a parsed layout in any line order is the same document
+    lines = [f"rect {s.id} {x1} {y1} {x2} {y2}" for s in shapes for (x1, y1), (x2, y2) in s.rects]
+    assert parse_layout("layout t\n" + "\n".join(lines)) == doc
+
+
+def test_a_document_rejects_a_repeated_id_wherever_it_is_built():
+    params = DecompositionParams.from_raw({})
+    bars = [
+        RectilinearShape.from_rect(i, Rect.of(100 * k, 0, 100 * k + 40, 40))
+        for k, i in enumerate((9, 4, 7, 2))
+    ]
+    doc = LayoutDocument("t", bars, params)
+    sevens = [*bars, RectilinearShape.from_rect(7, Rect.of(0, 500, 40, 540))]
+    fours = [RectilinearShape.from_rect(4, Rect.of(0, 600, 40, 640)), *sevens]
+    # the lowest repeated id is named, whatever the order of the shapes
+    for shapes, lowest in ((sevens, 7), (sevens[::-1], 7), (fours, 4)):
+        message = f"^duplicate feature id {lowest}$"
+        with pytest.raises(ValueError, match=message):
+            LayoutDocument("t", shapes, params)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(doc, shapes=tuple(shapes))
 
 
 def test_param_validation():

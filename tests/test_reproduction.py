@@ -1,0 +1,47 @@
+"""The paper's claim, measured exactly: end-cuts lower the optimum.
+
+Each nine-cluster random layout is decomposed twice through the library:
+as decompose_document does, and with no end-cut candidates at all, the
+same conflict pairs priced with no trim mask. Every solve must be a
+proven optimum, and the no-cut optimum is checked against an external
+MILP solver on the exported LP.
+"""
+
+from fractions import Fraction
+
+from helpers import milp_optimum
+
+from trimdecomp.cli import decompose_document
+from trimdecomp.geometry import SpatialIndex
+from trimdecomp.graphs import EndCutGraph, build_layout_graph, conflict_pairs
+from trimdecomp.ilp import SolveStatus, build_model, export_lp, solve
+from trimdecomp.synth import random_layout
+
+
+def without_cuts(doc):
+    """The model and solution of doc's conflict pairs with no candidates."""
+    p = doc.params
+    reach = max(p.dis_m, p.h_high, p.w_high)
+    pairs = conflict_pairs(doc, SpatialIndex.from_shapes(doc.shapes, reach).pairs(reach))
+    model = build_model(build_layout_graph(doc, pairs, {}), EndCutGraph({}, (), ()), Fraction(0))
+    return model, solve(model)
+
+
+def test_end_cuts_lower_the_optimum_of_nine_cluster_layouts():
+    with_sum = without_sum = 0
+    checked = 0
+    for seed in range(50):
+        doc = random_layout(seed, clusters=9)
+        stats = decompose_document(doc).stats
+        model, sol = without_cuts(doc)
+        assert stats.status is sol.status is SolveStatus.OPTIMAL, seed
+        # no stitches: the cost counts the conflicts
+        assert stats.cost == stats.conflicts and sol.objective == len(sol.conflicts), seed
+        assert stats.conflicts <= len(sol.conflicts), seed
+        with_sum += stats.conflicts
+        without_sum += len(sol.conflicts)
+        if checked < 10 and sol.conflicts:
+            assert milp_optimum(export_lp(model)) == sol.objective, seed
+            checked += 1
+    assert checked == 10
+    assert (with_sum, without_sum) == (26, 251)

@@ -209,3 +209,36 @@ def test_every_attribute_is_read():
     assert ("ilp.py", "IlpModel", "conflict_ends") in defined
     assert ("geometry.py", "Rect", "lo") in defined
     assert sorted(d for d in defined if d[2] not in read) == []
+
+
+def id_orderings(path):
+    """The lines of one file that order or index shapes by id: a sort
+    whose key reads an .id attribute, or a dict comprehension keyed by
+    <name>.id."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keys = [kw.value for kw in node.keywords if kw.arg == "key"]
+            if name in ("sorted", "sort") and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "id" for k in keys for sub in ast.walk(k)
+            ):
+                found.append(node.lineno)
+        elif (
+            isinstance(node, ast.DictComp)
+            and isinstance(node.key, ast.Attribute)
+            and isinstance(node.key.value, ast.Name)
+            and node.key.attr == "id"
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_document_orders_shapes_by_id():
+    # LayoutDocument keeps its shapes in id order, and every later stage
+    # names a shape by its rank there, so no other module sorts by id or
+    # builds a table keyed by one
+    files = sorted(SRC.glob("*.py"))
+    assert id_orderings(SRC / "layout_io.py")  # the document's own sort is seen
+    assert [(p.name, id_orderings(p)) for p in files if p.name != "layout_io.py" and id_orderings(p)] == []

@@ -11,10 +11,12 @@ overlapping alternatives collapse to the cheapest usable set.
 
 EndCutBox and EndCutCandidate are named tuples like the geometry records,
 and this module builds them with tuple.__new__, as it fixes their arity
-itself. The neighbours of a feature and the touching pairs of cut
-rectangles come from SpatialIndex.pairs, whose band sweep lists a box
-only in the bands where some box starts, so a tall box costs no more
-than a short one.
+itself. The neighbours of a feature come from SpatialIndex.pairs, whose
+band sweep lists a box only in the bands where some box starts, so a
+tall box costs no more than a short one. The touching pairs of printed
+cut rectangles come from no sweep: merged_cut_rects reads them from the
+end-cut graph's merge edges, which already relate every pair of cuts
+within dis_c.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .geometry import (
     Point,
     Rect,
     RectilinearShape,
-    SpatialIndex,
     _new,
     interval_gap,
     rects_closed_intersect,
@@ -55,43 +56,12 @@ class EndCutCandidate(NamedTuple):
     pair: tuple[int, int]
     boxes: tuple[EndCutBox, ...]
 
-    @property
-    def rects(self) -> tuple[Rect, ...]:
-        return tuple([b.rect for b in self.boxes])
-
-
-# facing sides (lo, hi, ov_lo, ov_hi, axis), as generate_end_cut describes them
-Sides = list[tuple[int, int, int, int, str]]
-
-
-def _rect_pair_sides(r1: Rect, r2: Rect) -> Sides:
-    """The facing side of two rectangles, read from their corners, or
-    none.
-
-    A side pairs two edges with opposite normals, the side of r1 lying
-    strictly before the side of r2 in the direction of its normal: r1's
-    bottom against r2's top, its top against r2's bottom, its right
-    against r2's left or its left against r2's right, in that order.
-    Two rectangles apart on both axes face twice, once across each gap,
-    and both sides give the one corner pocket between their nearest
-    corners; only the first is listed, so the pair needs no collapse.
-    """
-    (ax1, ay1), (ax2, ay2) = r1
-    (bx1, by1), (bx2, by2) = r2
-    if by2 < ay1:
-        return [(by2, ay1, max(ax1, bx1), min(ax2, bx2), "x")]
-    if ay2 < by1:
-        return [(ay2, by1, max(ax1, bx1), min(ax2, bx2), "x")]
-    if ax2 < bx1:
-        return [(ax2, bx1, max(ay1, by1), min(ay2, by2), "y")]
-    if bx2 < ax1:
-        return [(bx2, ax1, max(ay1, by1), min(ay2, by2), "y")]
-    return []
-
 
 # the runs (pos, lo, hi) of an outline, grouped by outward normal: down,
 # right, up and left
 Runs = tuple[list[tuple[int, int, int]], ...]
+# facing sides (lo, hi, ov_lo, ov_hi, axis), as generate_end_cut describes them
+Sides = Sequence[tuple[int, int, int, int, str]]
 
 
 def _outline_runs(outline: Sequence[Point]) -> Runs:
@@ -116,8 +86,8 @@ def _facing_sides(runs1: Runs, runs2: Runs) -> Sides:
     """The facing sides of two features, read from their grouped runs.
 
     The bottom, right, top and left runs of the first are paired with the
-    top, left, bottom and right runs of the second, as _rect_pair_sides
-    pairs the sides of two rectangles, and a pair faces only when a gap
+    top, left, bottom and right runs of the second, as _end_cut pairs the
+    sides of two rectangles, and a pair faces only when a gap
     lies between its two runs along their normal. Two runs apart on both
     axes face here across each gap, and resolve_box_overlaps collapses
     the two equal corner boxes that come of it.
@@ -197,9 +167,9 @@ def generate_end_cut(
     concave, feature material lies inside the box, while if it is convex,
     a facing parallel pair yields the same corner box. Two rectangles have
     four such pairs, and the one box they can give comes straight from
-    their corners (_rect_pair_sides). A pair with a polygon reads its
-    facing runs from the two outlines. A box is kept only when none of
-    the material rects has area inside it, so
+    their corners. A pair with a polygon reads its facing runs from the
+    two outlines. A box is kept only when none of the material rects has
+    area inside it, so
     material must hold the rects of s1 and of every feature whose
     bounding box lies within max(h_high, w_high) of s1's. No other feature
     reaches into a box: an edge-to-edge box lies within its gap (at most
@@ -214,30 +184,45 @@ def generate_end_cut(
     test to every side on plain integers, and builds records only for the
     boxes it keeps.
     """
-    return _end_cut(s1, s2, _sides((s1, s2), 0, 1, {}), params, material)
-
-
-def _sides(shapes: Sequence[RectilinearShape], a: int, b: int, runs: dict[int, Runs]) -> Sides:
-    """The facing sides of shapes a and b: from the corners when both are
-    one rectangle, else from the runs of their outlines, which runs
-    caches by index so a layout groups each outline once."""
-    if len(shapes[a].rects) == 1 and len(shapes[b].rects) == 1:
-        return _rect_pair_sides(shapes[a].rects[0], shapes[b].rects[0])
-    for i in (a, b):
-        if i not in runs:
-            runs[i] = _outline_runs(shapes[i].outline)
-    return _facing_sides(runs[a], runs[b])
+    return _end_cut(s1, s2, params, material, {})
 
 
 def _end_cut(
     s1: RectilinearShape,
     s2: RectilinearShape,
-    sides: Sides,
     params: DecompositionParams,
     material: Sequence[Rect],
+    runs: dict[int, Runs],
 ) -> EndCutCandidate | None:
-    """The cut candidate of one feature pair from its facing sides, as
-    generate_end_cut finds it."""
+    """The cut candidate of one feature pair, as generate_end_cut finds it,
+    in one call when both features are one rectangle; runs caches each
+    polygon's grouped runs by feature id, so a layout groups each outline
+    once."""
+    r1, r2 = s1.rects, s2.rects
+    sides: Sides
+    if len(r1) == 1 and len(r2) == 1:
+        # Two rectangles face at most once: r1's bottom against r2's top,
+        # its top against r2's bottom, its right against r2's left or its
+        # left against r2's right, in that order. Apart on both axes, they
+        # face across each gap, and both sides give the one corner pocket
+        # between their nearest corners; only the first is read, so the
+        # pair needs no collapse. The spans' overlap is taken with
+        # conditional expressions, which cost no call, unlike max and min.
+        (ax1, ay1), (ax2, ay2) = r1[0]
+        (bx1, by1), (bx2, by2) = r2[0]
+        if by2 < ay1 or ay2 < by1:
+            lo, hi = (by2, ay1) if by2 < ay1 else (ay2, by1)
+            sides = ((lo, hi, ax1 if ax1 > bx1 else bx1, ax2 if ax2 < bx2 else bx2, "x"),)
+        elif ax2 < bx1 or bx2 < ax1:
+            lo, hi = (ax2, bx1) if ax2 < bx1 else (bx2, ax1)
+            sides = ((lo, hi, ay1 if ay1 > by1 else by1, ay2 if ay2 < by2 else by2, "y"),)
+        else:
+            return None  # they touch or overlap
+    else:
+        for s in (s1, s2):
+            if s.id not in runs:
+                runs[s.id] = _outline_runs(s.outline)
+        sides = _facing_sides(runs[s1.id], runs[s2.id])
     p = params
     raw = []
     for lo, hi, ov_lo, ov_hi, axis in sides:
@@ -268,7 +253,7 @@ def _end_cut(
             raw.append(_new(EndCutBox, (rect, kind)))
     if not raw:
         return None
-    pair = (min(s1.id, s2.id), max(s1.id, s2.id))
+    pair = (s1.id, s2.id) if s1.id < s2.id else (s2.id, s1.id)
     # a lone box has nothing to collapse with
     boxes = (raw[0],) if len(raw) == 1 else resolve_box_overlaps(raw)
     return _new(EndCutCandidate, (pair, boxes))
@@ -284,14 +269,14 @@ def generate_all_end_cuts(
     near_pairs must include every rank pair of shapes whose bounding boxes
     lie within max(h_high, w_high) of each other, as SpatialIndex.pairs(d)
     lists for any d at least that; the boxes of a pair are checked against
-    a and its neighbours there.
+    a and its neighbours there. A pair costs one call of _end_cut.
     """
-    shapes = doc.shapes
+    shapes, params = doc.shapes, doc.params
     runs: dict[int, Runs] = {}  # each polygon's runs, grouped once
-    near: dict[int, list[int]] = {}
+    near: list[list[int]] = [[] for _ in shapes]  # by rank
     for a, b in near_pairs:
-        near.setdefault(a, []).append(b)
-        near.setdefault(b, []).append(a)
+        near[a].append(b)
+        near[b].append(a)
     cuts: dict[tuple[int, int], EndCutCandidate] = {}
     last = None
     material: list[Rect] = []
@@ -299,9 +284,9 @@ def generate_all_end_cuts(
         if a != last:
             last = a
             material = list(shapes[a].rects)
-            for n in near.get(a, ()):
+            for n in near[a]:
                 material.extend(shapes[n].rects)
-        cand = _end_cut(shapes[a], shapes[b], _sides(shapes, a, b, runs), doc.params, material)
+        cand = _end_cut(shapes[a], shapes[b], params, material, runs)
         if cand is not None:
             cuts[cand.pair] = cand
     return cuts
@@ -327,31 +312,59 @@ def merge_union(a: Rect, b: Rect, params: DecompositionParams) -> Rect | None:
 
 
 def mergeable_pair(a: Sequence[Rect], b: Sequence[Rect], params: DecompositionParams) -> bool:
-    """Whether a rectangle of one cut can fuse with one of the other."""
-    return any(merge_union(ra, rb, params) is not None for ra in a for rb in b)
+    """Whether a rectangle of one cut can fuse with one of the other; plain
+    loops, as a generator costs more than the test for a lone pair."""
+    for ra in a:
+        for rb in b:
+            if merge_union(ra, rb, params) is not None:
+                return True
+    return False
 
 
 def merged_cut_rects(
-    selected: Iterable[EndCutCandidate], params: DecompositionParams
+    selected: Sequence[EndCutCandidate],
+    params: DecompositionParams,
+    links: Iterable[tuple[int, int]],
 ) -> tuple[Rect, ...]:
     """Final trim-mask geometry for the selected cuts, with touching
     aligned rectangles fused so each printed shape appears once.
 
+    links are the position pairs of selected that the end-cut graph joins
+    by a merge edge. Two rectangles can fuse only if they touch, and two
+    selected cuts with rectangles that touch lie within dis_c of each
+    other, so a merge edge joins them: a spacing edge would have kept one
+    of them out. The touching pairs are thus found among the boxes of one
+    cut and of linked cuts, with no search over the others.
+
     Each round fuses every rectangle into the lowest-indexed output
     rectangle that accepts it, and rounds repeat until nothing fuses.
-    Fusable rectangles at least touch, and an output rectangle is exactly
-    the union of the rectangles fused into it, so the only candidates for
-    a rectangle are the outputs that hold the earlier ones it touches. A
-    rectangle that touches no earlier one opens its own output, so a
-    round with no touching pair, or one in which nothing fused, leaves
-    the sorted rectangles as they are and ends the merge.
+    An output rectangle is exactly the union of the rectangles fused into
+    it, so two outputs touch just when rectangles fused into them touch:
+    a round's touching pairs are the last round's, mapped to their
+    outputs. The only candidates for a rectangle are the outputs that
+    hold the earlier ones it touches. A rectangle that touches no earlier
+    one opens its own output, so a round with no touching pair, or one in
+    which nothing fused, leaves the sorted rectangles as they are and
+    ends the merge.
     """
-    rects = _in_order([b.rect for c in selected for b in c.boxes])
-    cell = max(params.w_high, params.h_high)
-    while True:
-        pairs = SpatialIndex(rects, cell).pairs(0)
-        if not pairs:
-            return tuple(rects)
+    boxes = [[b.rect for b in c.boxes] for c in selected]
+    rects = _in_order([r for own in boxes for r in own])
+    near = [(own, own) for own in boxes if len(own) > 1]
+    near += [(boxes[i], boxes[j]) for i, j in links]
+    touching = [
+        (ra, rb)
+        for rects_a, rects_b in near
+        for ra in rects_a
+        for rb in rects_b
+        if ra != rb and rects_closed_intersect(ra, rb)
+    ]
+    pairs: set[tuple[int, int]] = set()  # ascending index pairs of touching rects
+    if touching:
+        rank = {r: i for i, r in enumerate(rects)}
+        for ra, rb in touching:
+            a, b = rank[ra], rank[rb]
+            pairs.add((a, b) if a < b else (b, a))
+    while pairs:
         earlier: list[list[int]] = [[] for _ in rects]
         for i, j in pairs:
             earlier[j].append(i)
@@ -370,8 +383,12 @@ def merged_cut_rects(
                 home.append(len(out))
                 out.append(r)
         if not fused:
-            return tuple(rects)
+            break
         rects = _in_order(out)
+        rank = {r: i for i, r in enumerate(rects)}
+        to = [rank[out[k]] for k in home]  # each rectangle's output, by new index
+        pairs = {(a, b) if a < b else (b, a) for i, j in pairs if (a := to[i]) != (b := to[j])}
+    return tuple(rects)
 
 
 def _in_order(rects: Iterable[Rect]) -> list[Rect]:

@@ -102,17 +102,6 @@ def interval_gap(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
     return 0
 
 
-def rect_gaps(a: Rect, b: Rect) -> tuple[int, int]:
-    gx = interval_gap(a.lo.x, a.hi.x, b.lo.x, b.hi.x)
-    gy = interval_gap(a.lo.y, a.hi.y, b.lo.y, b.hi.y)
-    return gx, gy
-
-
-def rect_chebyshev_gap(a: Rect, b: Rect) -> int:
-    gx, gy = rect_gaps(a, b)
-    return max(gx, gy)
-
-
 def rects_interior_intersect(a: Rect, b: Rect) -> bool:
     return (
         a.lo.x < b.hi.x
@@ -345,10 +334,6 @@ def bounding_box(rects: Sequence[Rect]) -> Rect:
     return _new(Rect, (_new(Point, (min(xs1), min(ys1))), _new(Point, (max(xs2), max(ys2)))))
 
 
-def rectset_chebyshev_gap(a: Sequence[Rect], b: Sequence[Rect]) -> int:
-    return min(rect_chebyshev_gap(ra, rb) for ra in a for rb in b)
-
-
 def rectset_within(a: Sequence[Rect], b: Sequence[Rect], d: int, metric: Metric = Metric.CHEBYSHEV) -> bool:
     """Exact test for distance(a, b) <= d under the chosen metric."""
     euclidean = metric is Metric.EUCLIDEAN
@@ -378,7 +363,9 @@ class SpatialIndex:
 
     @classmethod
     def from_shapes(cls, shapes: Sequence[RectilinearShape], cell_size: int) -> "SpatialIndex":
-        return cls([s.bbox for s in shapes], cell_size)
+        """The shapes' bounding boxes in their order; a rectangle's box is
+        its one rect, read with no call."""
+        return cls([s.rects[0] if len(s.rects) == 1 else s.bbox for s in shapes], cell_size)
 
     def pairs(self, distance: int = 0) -> list[tuple[int, int]]:
         """Every pair (a, b) with a < b whose boxes lie within Chebyshev
@@ -390,25 +377,32 @@ class SpatialIndex:
         distance at the top, so the band where the other starts holds
         both, and only that band reports the pair. A band where no box
         starts reports nothing, so a box is listed only in the start bands
-        its raised y range meets, found by bisection over the sorted start
-        bands. Its entries are thus at most the number of boxes, whatever
-        its height. Inside a band a sweep in lo.x order compares each box with
-        the earlier ones whose hi.x plus distance reaches its lo.x.
+        its raised y range meets: each box is filed under its own start
+        band, and a walk up the start bands carries on the boxes whose
+        raised top still reaches the next one. A box's entries are thus at
+        most the number of boxes, whatever its height. Inside a band a
+        sweep in lo.x order compares each box with the earlier ones whose
+        hi.x plus distance reaches its lo.x.
         """
         cell, d = self.cell_size, distance
-        starts = sorted({y1 // cell for (_, y1), _ in self._boxes})
-        bands: dict[int, list[list[int]]] = {k: [] for k in starts}
+        own: dict[int, list[list[int]]] = {}  # the boxes that start in each band
         for i, ((x1, y1), (x2, y2)) in enumerate(self._boxes):
             # a list: freed 5-tuples would stay on the interpreter's tuple
             # free list and add to the peak of the solve that follows
             entry = [x1, i, x2 + d, y1, y2 + d]
-            first, last = y1 // cell, (y2 + d) // cell
-            for k in starts[bisect_left(starts, first) : bisect_right(starts, last)]:
-                bands[k].append(entry)
+            starters = own.get(y1 // cell)
+            if starters is None:
+                own[y1 // cell] = [entry]
+            else:
+                starters.append(entry)
         found: list[tuple[int, int]] = []
-        for k, band in bands.items():
-            band.sort()
+        band: list[list[int]] = []
+        for k in sorted(own):
             low = k * cell  # a box with lo.y >= low has this as its first band
+            # the earlier boxes whose raised top reaches this band, in order
+            band = [entry for entry in band if entry[4] >= low]
+            band += own[k]
+            band.sort()
             active: list[list[int]] = []
             for entry in band:
                 x, b, _, y, reach_y = entry

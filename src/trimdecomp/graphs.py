@@ -256,8 +256,11 @@ def build_end_cut_graph(
     """Spacing and merge relations between candidate cuts, on their
     ranks in the order of cuts, their pair order."""
     d = params.dis_c
-    rects = [c.rects for c in cuts.values()]
-    index = SpatialIndex([bounding_box(r) for r in rects], d)
+    rects: list[Sequence[Rect]] = []
+    for c in cuts.values():
+        boxes = c.boxes  # read once; a lone box needs no comprehension
+        rects.append((boxes[0].rect,) if len(boxes) == 1 else [b.rect for b in boxes])
+    index = SpatialIndex([r[0] if len(r) == 1 else bounding_box(r) for r in rects], d)
     ee: list[tuple[int, int]] = []
     merges: list[tuple[int, int]] = []
     # ascending rank pairs, in ascending order

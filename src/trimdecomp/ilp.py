@@ -18,10 +18,11 @@ The formulation is written once, as data: one row template per edge
 kind (conflict, conflict with a cut, stitch, spacing), whose terms name
 slots of the edge's variables. IlpModel holds the graphs' own tuples,
 each edge once, by kind, on the ranks the graphs decided. export_lp
-formats each edge with its kind's template in one pass over those
-tuples; groups() pairs each edge with its template and variable indices
-for the constraints property. The pipeline builds the model once per
-decomposition: solve optimises it and export_lp prints it.
+writes each edge with one f-string generated from its kind's template,
+in one pass over those tuples; groups() pairs each edge with its
+template and variable indices for the constraints property. The
+pipeline builds the model once per decomposition: solve optimises it
+and export_lp prints it.
 
 solve prices each edge once as it reads it and splits the model into
 independent blocks, one exact branch and bound per distinct block
@@ -90,16 +91,6 @@ class IlpModel:
     spacing: tuple[tuple[int, int], ...]
     scale: int
     alpha: Fraction
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        nx, ne, nc, ns = map(len, (self.segments, self.cuts, self.conflict_ends, self.stitch_ends))
-        return ("x",) * nx + ("ec",) * ne + ("c",) * nc + ("s",) * ns
-
-    @property
-    def objective(self) -> tuple[int, ...]:
-        nx, ne, nc, ns = map(len, (self.segments, self.cuts, self.conflict_ends, self.stitch_ends))
-        return (0,) * (nx + ne) + (self.scale,) * nc + (self.alpha.numerator,) * ns
 
     @functools.cached_property
     def names(self) -> tuple[str, ...]:
@@ -572,17 +563,19 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
 
 
 @functools.cache
-def _rows_format(template: RowTemplate) -> Callable[..., str]:
-    """The LP text of one edge's rows as a bound str.format, compiled on
-    first use: fields 0..k-1 take the k row numbers, the next ones the
-    slots' names."""
-    k = len(template)
-    return "\n".join(
-        f" r{{{ri}}}: "
-        + " ".join(f"{'+' if sign > 0 else '-'} {{{k + slot}}}" for slot, sign in terms)
+def _rows_writer(template: RowTemplate) -> Callable[..., str]:
+    """The LP text of one edge's rows as one f-string, generated from the
+    template on first use: a function of the first row's number r and
+    the slots' names v0, v1, ... in slot order."""
+    slots = 1 + max(slot for terms, _ in template for slot, _ in terms)
+    rows = "\n".join(
+        (f" r{{r + {ri}}}: " if ri else " r{r}: ")
+        + " ".join(f"{'+' if sign > 0 else '-'} {{v{slot}}}" for slot, sign in terms)
         + f" <= {rhs}"
         for ri, (terms, rhs) in enumerate(template)
-    ).format
+    )
+    params = ", ".join(["r", *[f"v{slot}" for slot in range(slots)]])
+    return eval(f"lambda {params}: f{rows!r}", {})
 
 
 @_collector_paused
@@ -590,11 +583,12 @@ def export_lp(model: IlpModel) -> str:
     """Serialise the model in LP text format with binary variables.
 
     One pass over the edges in row order writes each edge with its kind's
-    compiled template, reading names by rank: segment a is names[a], cut k
-    names[nx + k], and a c or s variable its edge's place after the x and
-    ec blocks. Only c and s variables carry a weight. Stitches weigh alpha
-    as a decimal when fraction_to_decimal finds one; otherwise the
-    objective is written scaled to integers by alpha's denominator."""
+    writer, one f-string generated from the row template, reading names
+    by rank: segment a is names[a], cut k names[nx + k], and a c or s
+    variable its edge's place after the x and ec blocks. Only c and s
+    variables carry a weight. Stitches weigh alpha as a decimal when
+    fraction_to_decimal finds one; otherwise the objective is written
+    scaled to integers by alpha's denominator."""
     names = model.names
     nx = len(model.segments)
     c0 = nx + len(model.cuts)
@@ -610,21 +604,21 @@ def export_lp(model: IlpModel) -> str:
     obj_body = " ".join(terms) or (f"0 {names[0]}" if names else "0")
     lines += ["Minimize", f" obj: {obj_body}", "Subject To"]
     templates = (CONFLICT_ROWS, CUT_CONFLICT_ROWS, STITCH_ROWS, SPACING_ROWS)
-    plain, cut, stitch, spacing = map(_rows_format, templates)
+    plain, cut, stitch, spacing = map(_rows_writer, templates)
     n_plain, n_cut, n_stitch, n_spacing = map(len, templates)
     ri = 1
     for ci, (a, b, k) in enumerate(model.conflict_ends, c0):
         if k < 0:
-            lines.append(plain(*range(ri, ri + n_plain), names[a], names[b], names[ci]))
+            lines.append(plain(ri, names[a], names[b], names[ci]))
             ri += n_plain
         else:
-            lines.append(cut(*range(ri, ri + n_cut), names[a], names[b], names[ci], names[nx + k]))
+            lines.append(cut(ri, names[a], names[b], names[ci], names[nx + k]))
             ri += n_cut
     for si, (a, b) in enumerate(model.stitch_ends, s0):
-        lines.append(stitch(*range(ri, ri + n_stitch), names[a], names[b], names[si]))
+        lines.append(stitch(ri, names[a], names[b], names[si]))
         ri += n_stitch
     for ka, kb in model.spacing:
-        lines.append(spacing(*range(ri, ri + n_spacing), names[nx + ka], names[nx + kb]))
+        lines.append(spacing(ri, names[nx + ka], names[nx + kb]))
         ri += n_spacing
     lines.append("Binaries")
     start = width = 0

@@ -34,6 +34,7 @@ from trimdecomp.geometry import (
     Point,
     Rect,
     RectilinearShape,
+    interval_gap,
     rects_closed_intersect,
     rects_interior_intersect,
     rectset_within,
@@ -41,6 +42,33 @@ from trimdecomp.geometry import (
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
 from trimdecomp.ilp import IlpModel, IlpSolution
 from trimdecomp.layout_io import DecompositionParams, LayoutDocument, StitchPoint
+
+
+def rect_gaps(a: Rect, b: Rect) -> tuple[int, int]:
+    gx = interval_gap(a.lo.x, a.hi.x, b.lo.x, b.hi.x)
+    gy = interval_gap(a.lo.y, a.hi.y, b.lo.y, b.hi.y)
+    return gx, gy
+
+
+def rect_chebyshev_gap(a: Rect, b: Rect) -> int:
+    gx, gy = rect_gaps(a, b)
+    return max(gx, gy)
+
+
+def rectset_chebyshev_gap(a: Sequence[Rect], b: Sequence[Rect]) -> int:
+    return min(rect_chebyshev_gap(ra, rb) for ra in a for rb in b)
+
+
+def variable_kinds(model: IlpModel) -> tuple[str, ...]:
+    """Each variable's block, "x", "ec", "c" or "s", in index order."""
+    nx, ne, nc, ns = map(len, (model.segments, model.cuts, model.conflict_ends, model.stitch_ends))
+    return ("x",) * nx + ("ec",) * ne + ("c",) * nc + ("s",) * ns
+
+
+def objective_weights(model: IlpModel) -> tuple[int, ...]:
+    """Each variable's scaled objective weight, in index order."""
+    nx, ne, nc, ns = map(len, (model.segments, model.cuts, model.conflict_ends, model.stitch_ends))
+    return (0,) * (nx + ne) + (model.scale,) * nc + (model.alpha.numerator,) * ns
 
 
 def enumerate_model(model: IlpModel) -> tuple[Fraction, dict[str, int]]:
@@ -58,9 +86,9 @@ def enumerate_model(model: IlpModel) -> tuple[Fraction, dict[str, int]]:
             total += coef * bits[:, vi]
         feasible &= total <= rhs
     assert feasible.any(), "every model admits some assignment"
-    obj = bits @ np.asarray(model.objective, dtype=np.int64)
+    obj = bits @ np.asarray(objective_weights(model), dtype=np.int64)
     best = int(obj[feasible].min())
-    x_cols = [i for i, k in enumerate(model.kinds) if k == "x"]
+    x_cols = [i for i, k in enumerate(variable_kinds(model)) if k == "x"]
     # rank mask vectors with the first variable most significant
     key = np.zeros(1 << nv, dtype=np.int64)
     for i in x_cols:

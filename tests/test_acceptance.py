@@ -15,8 +15,10 @@ from helpers import (
     enumerate_model,
     milp_lex_witness,
     milp_optimum,
+    objective_weights,
     random_model_graph,
     variable_indices,
+    variable_kinds,
 )
 from test_endcut import bar, cut_between, params
 
@@ -124,7 +126,7 @@ def encoded_objective(m, fixed):
     # derive each conflict/stitch indicator as the smallest value its
     # constraint rows allow, then price the full vector
     vals = dict(fixed)
-    for i, kind in enumerate(m.kinds):
+    for i, kind in enumerate(variable_kinds(m)):
         if kind not in ("c", "s"):
             continue
         need = 0
@@ -135,7 +137,7 @@ def encoded_objective(m, fixed):
             need = max(need, acc - rhs)
         assert need <= 1
         vals[m.names[i]] = need
-    total = sum(w * vals[n] for w, n in zip(m.objective, m.names))
+    total = sum(w * vals[n] for w, n in zip(objective_weights(m), m.names))
     return Fraction(total, m.scale)
 
 

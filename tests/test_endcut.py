@@ -14,6 +14,7 @@ from helpers import (
     perpendicular_box,
     resolve_box_overlaps_oracle,
 )
+from test_polyomino_oracle import polyomino_text
 from trimdecomp.cli import decompose_document
 from trimdecomp.endcut import (
     BoxKind,
@@ -22,8 +23,6 @@ from trimdecomp.endcut import (
     _end_cut,
     _facing_sides,
     _outline_runs,
-    _rect_pair_sides,
-    _sides,
     generate_all_end_cuts,
     generate_end_cut,
     merge_union,
@@ -31,6 +30,7 @@ from trimdecomp.endcut import (
     resolve_box_overlaps,
 )
 from trimdecomp.geometry import (
+    Metric,
     Rect,
     RectilinearShape,
     SpatialIndex,
@@ -277,13 +277,23 @@ def _apart(s: RectilinearShape, others: list[RectilinearShape]) -> bool:
     return not any(rects_interior_intersect(a, b) for t in others for a in s.rects for b in t.rects)
 
 
+def _as_two_rects(s: RectilinearShape) -> RectilinearShape:
+    """The same rectangle held as two stacked rects with its outline, so
+    that an end-cut beside it reads the runs of the outline."""
+    ((lo, hi),) = s.rects
+    mid = (lo.y + hi.y) // 2
+    halves = (Rect.of(lo.x, lo.y, hi.x, mid), Rect.of(lo.x, mid, hi.x, hi.y))
+    return RectilinearShape(s.id, halves, s.outline)
+
+
 def test_rect_pair_sides_match_outline_sides():
-    # generate_end_cut reads two rectangles' sides from their corners and
-    # a polygon pair's from the outlines; both must agree on rectangles,
-    # order included, except that two rectangles apart on both axes face
-    # across each gap in their outlines and give one corner pocket either
-    # way, so their corners list only the side across the y gap. Every
-    # rectangle on a 20 lattice around a fixed one is tried both ways round.
+    # generate_end_cut reads two rectangles' side from their corners and
+    # a polygon pair's from the outlines; both must give the same
+    # candidate on rectangles. Held as two rects, a rectangle takes the
+    # outline route. Two rectangles apart on both axes face across each
+    # gap in their outlines, and both sides give the one corner pocket
+    # that their corners give. Every rectangle on a 20 lattice around a
+    # fixed one is tried both ways round.
     r1 = Rect.of(0, 0, 60, 40)
     s1 = bar(1, 0, 0, 60, 40)
     wide = params(dis_m=1000, hlow=1, wlow=1, hhigh=1000, whigh=1000, wth=1000)
@@ -295,17 +305,14 @@ def test_rect_pair_sides_match_outline_sides():
             continue
         r2 = Rect.of(x1, y1, x2, y2)
         s2 = bar(2, x1, y1, x2, y2)
-        sides = _rect_pair_sides(r1, r2)
-        runs1, runs2 = _outline_runs(s1.outline), _outline_runs(s2.outline)
-        outline_sides = _facing_sides(runs1, runs2)
-        back = (s2, s1, _rect_pair_sides(r2, r1), _facing_sides(runs2, runs1))
-        for a, b, got, want in ((s1, s2, sides, outline_sides), back):
-            if len(want) == 2:
-                assert got == [side for side in want if side[4] == "x"], r2
-                boxes = {_end_cut(a, b, [side], wide, []) for side in want}
-                assert len(boxes) == 1 and None not in boxes, r2
-            else:
-                assert got == want, r2
+        outline_sides = _facing_sides(_outline_runs(s1.outline), _outline_runs(s2.outline))
+        # with no material and wide windows, every side but a point gives a box
+        boxed = any(ov_lo != ov_hi for _, _, ov_lo, ov_hi, _ in outline_sides)
+        for a, b in ((s1, s2), (s2, s1)):
+            got = generate_end_cut(a, b, wide, [])
+            assert got == generate_end_cut(_as_two_rects(a), b, wide, []), r2
+            assert (got is not None) == boxed, r2
+            assert got is None or len(got.boxes) == 1, r2
         diagonal += len(outline_sides) == 2
         for lo, hi, ov_lo, ov_hi, axis in outline_sides:
             if axis == "x":
@@ -314,7 +321,7 @@ def test_rect_pair_sides_match_outline_sides():
                 where = "left" if hi == r1.lo.x else "right"
             spans = "overlap" if ov_lo < ov_hi else "point" if ov_lo == ov_hi else "disjoint"
             seen.add((where, spans))
-        if not sides:
+        if not outline_sides:
             seen.add("overlapping" if rects_interior_intersect(r1, r2) else "touching")
     assert diagonal > 0
     wheres = ("below", "above", "left", "right")
@@ -348,15 +355,20 @@ def test_rect_beside_a_polygon_reads_the_outline_it_would_store():
     # builds give the sides that a stored outline from the lower-left
     # corner gave
     l = RectilinearShape.from_outline(2, [(260, 0), (460, 0), (460, 200), (420, 200), (420, 40), (260, 40)])
+    wide = params(dis_m=1000, hlow=1, wlow=1, hhigh=1000, whigh=1000, wth=1000)
     rng = random.Random(3407)
+    cut = 0
     for _ in range(200):
         x, y = rng.randrange(-400, 600, 20), rng.randrange(-400, 400, 20)
         r = bar(1, x, y, x + rng.randrange(20, 300, 20), y + rng.randrange(20, 300, 20))
         assert r.corners == ()
         ((lo, hi),) = r.rects
         stored = _outline_runs((lo, (hi.x, lo.y), hi, (lo.x, hi.y)))
-        assert _sides((r, l), 0, 1, {}) == _facing_sides(stored, _outline_runs(l.outline))
-        assert _sides((r, l), 1, 0, {}) == _facing_sides(_outline_runs(l.outline), stored)
+        assert _outline_runs(r.outline) == stored
+        assert generate_end_cut(r, l, wide, []) == _end_cut(r, l, wide, [], {r.id: stored})
+        assert generate_end_cut(l, r, wide, []) == _end_cut(l, r, wide, [], {r.id: stored})
+        cut += generate_end_cut(r, l, wide, []) is not None
+    assert cut > 0
 
 
 def test_generate_end_cut_matches_all_edge_pairs_oracle():
@@ -506,16 +518,23 @@ def test_merged_cut_rects_chains_fuse():
     def cand(pair, r):
         return EndCutCandidate(pair=pair, boxes=(EndCutBox(rect=r, kind=BoxKind.EDGE_EDGE),))
 
-    out = merged_cut_rects(
-        [
-            cand((1, 2), Rect.of(0, 0, 40, 40)),
-            cand((2, 3), Rect.of(40, 0, 80, 40)),
-            cand((3, 4), Rect.of(80, 0, 120, 40)),
-            cand((4, 5), Rect.of(80, 0, 120, 40)),  # duplicate rect
-        ],
-        p,
-    )
-    assert out == (Rect.of(0, 0, 120, 40),)
+    selected = [
+        cand((1, 2), Rect.of(0, 0, 40, 40)),
+        cand((2, 3), Rect.of(40, 0, 80, 40)),
+        cand((3, 4), Rect.of(80, 0, 120, 40)),
+        cand((4, 5), Rect.of(80, 0, 120, 40)),  # duplicate rect
+    ]
+    assert merged_linking_all(selected, p) == (Rect.of(0, 0, 120, 40),)
+    # linked as the end-cut graph would link them: each cut with the next
+    assert merged_cut_rects(selected, p, [(0, 1), (1, 2), (2, 3)]) == (Rect.of(0, 0, 120, 40),)
+    # with no link, no two cuts are looked at together
+    assert merged_cut_rects(selected, p, []) == tuple(sorted({c.boxes[0].rect for c in selected}))
+
+
+def merged_linking_all(selected: list[EndCutCandidate], p: DecompositionParams) -> tuple[Rect, ...]:
+    """merged_cut_rects of a hand-made cut set, every position pair as a
+    link: with no end-cut graph, any two cuts may touch."""
+    return merged_cut_rects(selected, p, list(itertools.combinations(range(len(selected)), 2)))
 
 
 def _one_box_cuts(rects: list[Rect]) -> list[EndCutCandidate]:
@@ -558,22 +577,22 @@ def test_merged_cut_rects_matches_pairwise_oracle(monkeypatch):
             whigh=rng.choice((40, 60, 80, 120, 200)), hhigh=rng.choice((40, 120)), wlow=10, hlow=10
         )
         selected = _random_cut_set(rng)
-        assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p), trial
+        assert merged_linking_all(selected, p) == merged_cut_rects_oracle(selected, p), trial
     # the cuts the solver selects on a grid and on stitched random layouts
     calls = []
 
-    def recording(selected, p):
-        calls.append((selected, p))
-        return merged_cut_rects(selected, p)
+    def recording(selected, p, links):
+        calls.append((selected, p, links))
+        return merged_cut_rects(selected, p, links)
 
     monkeypatch.setattr(trimdecomp.cli, "merged_cut_rects", recording)
     decompose_document(grid_layout(2000, 1))
     for seed in range(8):
         decompose_document(random_layout(seed, clusters=6, stitch=True))
-    total = sum(len(selected) for selected, _ in calls)
+    total = sum(len(selected) for selected, _, _ in calls)
     assert total >= 600, total
-    for selected, p in calls:
-        assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p)
+    for selected, p, links in calls:
+        assert merged_cut_rects(selected, p, links) == merged_cut_rects_oracle(selected, p)
     # b fuses into a's output, and c, touching b alone, joins them there;
     # g then touches b, d and c, each at a position that is not the index
     # of its output
@@ -582,7 +601,41 @@ def test_merged_cut_rects_matches_pairwise_oracle(monkeypatch):
     selected = _one_box_cuts([g, c, d, b, a])
     p = params(whigh=120)
     expected = (Rect.of(0, 0, 120, 40), d, g)
-    assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p) == expected
+    assert merged_linking_all(selected, p) == merged_cut_rects_oracle(selected, p) == expected
+
+
+def test_touching_selected_cuts_share_a_cut_or_a_merge_edge(monkeypatch):
+    # merged_cut_rects looks for touching rectangles only inside one cut
+    # and across merge edges: two selected cuts whose rectangles touch lie
+    # within dis_c, and the solver never selects both ends of a spacing edge
+    calls = []
+
+    def recording(selected, p, links):
+        calls.append((selected, p, links))
+        return merged_cut_rects(selected, p, links)
+
+    monkeypatch.setattr(trimdecomp.cli, "merged_cut_rects", recording)
+    runs = [(parse_layout(polyomino_text(seed)), m) for seed in range(300) for m in Metric]
+    runs += [
+        (random_layout(seed, clusters=9, stitch=stitch), Metric.CHEBYSHEV)
+        for seed in range(150)
+        for stitch in (False, True)
+    ]
+    touching = across = 0
+    for doc, metric in runs:
+        calls.clear()
+        ecg = decompose_document(doc, metric=metric).end_cuts
+        ((selected, p, links),) = calls
+        rank = {pair: k for k, pair in enumerate(ecg.candidates)}
+        merges = set(ecg.merge_edges)
+        boxes = [(rank[c.pair], b.rect) for c in selected for b in c.boxes]
+        for (ka, ra), (kb, rb) in itertools.combinations(boxes, 2):
+            if rects_closed_intersect(ra, rb):
+                touching += 1
+                across += ka != kb
+                assert ka == kb or (min(ka, kb), max(ka, kb)) in merges, (doc.name, ka, kb)
+        assert merged_cut_rects(selected, p, links) == merged_cut_rects_oracle(selected, p), doc.name
+    assert touching >= 200 and across >= 20, (touching, across)
 
 
 def test_merged_cut_rects_first_fit_decides_capped_chain():
@@ -591,7 +644,7 @@ def test_merged_cut_rects_first_fit_decides_capped_chain():
     p = params(whigh=80)
     selected = _one_box_cuts([Rect.of(x, 0, x + 40, 40) for x in (80, 0, 40)])
     expected = (Rect.of(0, 0, 80, 40), Rect.of(80, 0, 120, 40))
-    assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p) == expected
+    assert merged_linking_all(selected, p) == merged_cut_rects_oracle(selected, p) == expected
 
 
 def test_rects_touching_nothing_come_back_sorted_unfused(monkeypatch):
@@ -606,12 +659,12 @@ def test_rects_touching_nothing_come_back_sorted_unfused(monkeypatch):
     rects = [Rect.of(x, y, x + 40, y + 40) for x in (300, 0, 150) for y in (90, -100, 0)]
     expected = tuple(sorted(rects))
     selected = _one_box_cuts(rects + rects[:3])
-    assert merged_cut_rects(selected, p) == merged_cut_rects_oracle(selected, p) == expected
+    assert merged_linking_all(selected, p) == merged_cut_rects_oracle(selected, p) == expected
     assert calls == []
     # a touching pair that does not fuse ends the merge after one round
     misaligned = Rect.of(340, 100, 380, 140)
     selected = _one_box_cuts([misaligned, *rects])
-    assert merged_cut_rects(selected, p) == tuple(sorted([misaligned, *rects]))
+    assert merged_linking_all(selected, p) == tuple(sorted([misaligned, *rects]))
     assert len(calls) == 1
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import shape_facts
+from helpers import rect_chebyshev_gap, rect_gaps, rectset_chebyshev_gap, shape_facts
 from trimdecomp.geometry import (
     GeometryError,
     Metric,
@@ -16,11 +16,8 @@ from trimdecomp.geometry import (
     SpatialIndex,
     bounding_box,
     interval_gap,
-    rect_chebyshev_gap,
-    rect_gaps,
     rects_closed_intersect,
     rects_interior_intersect,
-    rectset_chebyshev_gap,
     rectset_within,
 )
 from trimdecomp.cli import decompose_document
@@ -75,7 +72,7 @@ def test_every_rect_built_by_the_pipeline_has_positive_area():
         result = decompose_document(doc)
         groups = {
             "shapes": [r for s in doc.shapes for r in s.rects],
-            "cuts": [r for c in result.end_cuts.candidates.values() for r in c.rects],
+            "cuts": [b.rect for c in result.end_cuts.candidates.values() for b in c.boxes],
             "pieces": [r for piece in result.graph.pieces for r in piece],
             "report": result.report.cuts,
         }

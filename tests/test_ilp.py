@@ -12,12 +12,14 @@ from helpers import (
     enumerate_model,
     keyed,
     milp_optimum,
+    objective_weights,
     parse_lp,
     random_model_graph,
     ranked_graphs,
     solution_values,
     square_grid_rects,
     variable_indices,
+    variable_kinds,
 )
 from test_graphs import abstract_graph, graph_for
 
@@ -49,11 +51,11 @@ def test_model_shape_for_demo_layout():
     assert m.cuts == ((2, 3),)
     assert m.conflict_ends == ((0, 1, -1), (0, 2, -1), (1, 2, 0))
     assert m.spacing == ()
-    assert m.kinds == ("x", "x", "x", "ec", "c", "c", "c")
+    assert variable_kinds(m) == ("x", "x", "x", "ec", "c", "c", "c")
     # two rows per plain conflict edge, four for the repairable one
     assert len(m.constraints) == 8
     assert m.scale == 1
-    assert m.objective == (0, 0, 0, 0, 1, 1, 1)
+    assert objective_weights(m) == (0, 0, 0, 0, 1, 1, 1)
 
 
 def test_conflict_rows_force_indicator():
@@ -85,7 +87,7 @@ def test_stitch_edges_get_stitch_variables():
     g, ecg, _ = graph_for(doc)
     assert g.stitch_edges
     m = build_model(g, ecg, Fraction(1, 10))
-    assert any(k == "s" for k in m.kinds)
+    assert any(k == "s" for k in variable_kinds(m))
     assert m.scale == 10
 
 
@@ -110,7 +112,7 @@ def test_stitch_weight_scaling():
     m = build_model(g, ecg, Fraction(1, 3))
     assert m.scale == 3
     # conflicts weigh the denominator, stitches the numerator
-    assert all(m.objective[i] == 3 for i, k in enumerate(m.kinds) if k == "c")
+    assert all(objective_weights(m)[i] == 3 for i, k in enumerate(variable_kinds(m)) if k == "c")
 
 
 def test_solver_matches_enumeration_on_random_models():
@@ -138,7 +140,7 @@ def test_solution_values_are_internally_consistent():
         for terms, rhs in m.constraints:
             assert sum(coef * vals[vi] for vi, coef in terms) <= rhs
         # and the objective is the weighted sum of the indicator values
-        total = sum(w * v for w, v in zip(m.objective, vals))
+        total = sum(w * v for w, v in zip(objective_weights(m), vals))
         assert Fraction(total, m.scale) == sol.objective
 
 
@@ -612,10 +614,10 @@ def test_exported_lp_reads_back_as_the_model():
     for m in lp_round_trip_models():
         names, obj, rows, scale = parse_lp(export_lp(m))
         assert names == list(m.names)
-        weights = {n: Fraction(w, m.scale) for n, w in zip(m.names, m.objective) if w}
+        weights = {n: Fraction(w, m.scale) for n, w in zip(m.names, objective_weights(m)) if w}
         assert {n: c / scale for n, c in obj.items()} == weights
         assert rows == [({m.names[vi]: c for vi, c in row}, rhs) for row, rhs in m.constraints]
-        stitched += "s" in m.kinds
+        stitched += "s" in variable_kinds(m)
     assert stitched == 24
 
 

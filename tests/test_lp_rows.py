@@ -3,7 +3,7 @@ against a renderer that spells every row out term by term."""
 
 from fractions import Fraction
 
-from helpers import parse_lp
+from helpers import objective_weights, parse_lp
 from test_graphs import abstract_graph
 
 from trimdecomp.cli import build_full_model, decompose_document
@@ -54,7 +54,7 @@ def test_rows_match_the_term_by_term_renderer():
         text = export_lp(m)
         assert rows_section(text) == render_rows(m)
         _, obj, _, scale = parse_lp(text)
-        weights = {n: Fraction(w, m.scale) for n, w in zip(m.names, m.objective) if w}
+        weights = {n: Fraction(w, m.scale) for n, w in zip(m.names, objective_weights(m)) if w}
         assert {n: c / scale for n, c in obj.items()} == weights
         used.update(t for t, _ in m.groups())
     assert used == {CONFLICT_ROWS, CUT_CONFLICT_ROWS, STITCH_ROWS, SPACING_ROWS}

@@ -1,6 +1,7 @@
 """The package runs on the standard library alone (dependencies = []),
-every name its modules, its tests and its benchmark import is used, and
-the command line starts without the modules only a directory run needs."""
+every name its modules, its tests and its benchmark import is used, the
+command line starts without the modules only a directory run needs, and
+only two functions build a spatial index."""
 
 import ast
 import os
@@ -242,3 +243,34 @@ def test_only_the_document_orders_shapes_by_id():
     files = sorted(SRC.glob("*.py"))
     assert id_orderings(SRC / "layout_io.py")  # the document's own sort is seen
     assert [(p.name, id_orderings(p)) for p in files if p.name != "layout_io.py" and id_orderings(p)] == []
+
+
+def index_builders(path):
+    """The functions of one file that construct a SpatialIndex: by name,
+    or through cls in a method of the class itself."""
+    tree = ast.parse(path.read_text(), str(path))
+    methods = {
+        id(fn)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "SpatialIndex"
+        for fn in cls.body
+    }
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = {"SpatialIndex", "cls"} if id(fn) in methods else {"SpatialIndex"}
+        if any(
+            isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id in names
+            for sub in ast.walk(fn)
+        ):
+            found.append(fn.name)
+    return found
+
+
+def test_only_two_functions_build_a_spatial_index():
+    # each box set is swept once: the shapes' boxes in SpatialIndex.from_shapes
+    # and the candidates' boxes in build_end_cut_graph; the touching cut
+    # rectangles come from the end-cut graph's merge edges
+    builders = sorted((p.name, name) for p in sorted(SRC.glob("*.py")) for name in index_builders(p))
+    assert builders == [("geometry.py", "from_shapes"), ("graphs.py", "build_end_cut_graph")]

@@ -10,7 +10,9 @@ which it derives from their outlines itself, with its own facing rule
 and size windows, the perpendicular-edge corner boxes the
 package no longer builds, and box clearance checked against every
 feature of the layout.
-Tests compare the package against these, never against itself.
+Tests compare the package against these, never against itself. The
+rectangle gaps and the per-variable kinds and weights of a model are
+here too, as only tests read them.
 """
 
 from __future__ import annotations

@@ -132,6 +132,13 @@ def _check_integer(points: Iterable[tuple[int, int]]) -> None:
             raise GeometryError(f"point coordinates must be integers: ({x}, {y})")
 
 
+def _check_id(sid: int) -> None:
+    """Reject a feature id that parse_layout would: not an int, a bool,
+    or negative."""
+    if not isinstance(sid, int) or isinstance(sid, bool) or sid < 0:
+        raise GeometryError(f"feature id must be a non-negative integer: {sid!r}")
+
+
 def _corners(pts: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[int]]:
     """The corners of an outline and the direction of the run that leaves
     each (0 right, 1 up, 2 left, 3 down), in one pass over its moves.
@@ -266,7 +273,9 @@ class RectilinearShape(NamedTuple):
         """The shape of a simple rectilinear outline in either winding; a
         repeated closing point and collinear vertices are dropped. An
         outline that is not axis-aligned, doubles back, revisits a vertex
-        or touches or crosses itself raises GeometryError."""
+        or touches or crosses itself raises GeometryError, and so does an
+        id that is not a non-negative int."""
+        _check_id(sid)
         pts = [(x, y) for x, y in points]
         _check_integer(pts)
         return _polygon_shape(sid, pts)
@@ -276,7 +285,9 @@ class RectilinearShape(NamedTuple):
         """The shape of one rectangle with integer corners and positive
         area, built directly: the same rects and outline as from_outline
         given its four corners counter-clockwise from the lower-left one,
-        without normalising or slicing an outline."""
+        without normalising or slicing an outline. The id must be a
+        non-negative int."""
+        _check_id(sid)
         lo, hi = rect
         _check_integer(rect)
         if lo.x >= hi.x or lo.y >= hi.y:

@@ -19,10 +19,9 @@ kind (conflict, conflict with a cut, stitch, spacing), whose terms name
 slots of the edge's variables. IlpModel holds the graphs' own tuples,
 each edge once, by kind, on the ranks the graphs decided. export_lp
 writes each edge with one f-string generated from its kind's template,
-in one pass over those tuples; groups() pairs each edge with its
-template and variable indices for the constraints property. The
-pipeline builds the model once per decomposition: solve optimises it
-and export_lp prints it.
+in one pass over those tuples: the LP text is the one written form of
+the rows. The pipeline builds the model once per decomposition: solve
+optimises it and export_lp prints it.
 
 solve prices each edge once as it reads it and splits the model into
 independent blocks, one exact branch and bound per distinct block
@@ -39,7 +38,7 @@ import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .graphs import EndCutGraph, LayoutGraph, PairKey
 from .layout_io import SolveStatus, VertexKey, _collector_paused, fraction_to_decimal
@@ -89,7 +88,6 @@ class IlpModel:
     conflict_ends: tuple[tuple[int, int, int], ...]
     stitch_ends: tuple[tuple[int, int], ...]
     spacing: tuple[tuple[int, int], ...]
-    scale: int
     alpha: Fraction
 
     @functools.cached_property
@@ -106,29 +104,11 @@ class IlpModel:
             *[f"s_{segs[a][0]}_{segs[a][1]}_{segs[b][1]}" for a, b in self.stitch_ends],
         )
 
-    def groups(self) -> Iterator[tuple[RowTemplate, tuple[int, ...]]]:
-        """Each edge's row template with its variable indices, in row
-        order: the conflicts, then the stitches, then the spacing edges."""
-        nx, ne, nc = len(self.segments), len(self.cuts), len(self.conflict_ends)
-        for ci, (a, b, k) in enumerate(self.conflict_ends, nx + ne):
-            if k < 0:
-                yield CONFLICT_ROWS, (a, b, ci)
-            else:
-                yield CUT_CONFLICT_ROWS, (a, b, ci, nx + k)
-        for si, (a, b) in enumerate(self.stitch_ends, nx + ne + nc):
-            yield STITCH_ROWS, (a, b, si)
-        for ka, kb in self.spacing:
-            yield SPACING_ROWS, (nx + ka, nx + kb)
-
     @property
-    def constraints(self) -> tuple[Row, ...]:
-        """Every row in order, its slots filled with variable indices;
-        derived from the groups afresh on each access."""
-        return tuple(
-            (tuple([(vs[slot], sign) for slot, sign in terms]), rhs)
-            for template, vs in self.groups()
-            for terms, rhs in template
-        )
+    def scale(self) -> int:
+        """The factor that makes every weight an integer: alpha's
+        denominator. A conflict weighs scale, a stitch alpha's numerator."""
+        return self.alpha.denominator
 
 
 @dataclass(frozen=True)
@@ -159,7 +139,6 @@ def build_model(g: LayoutGraph, ecg: EndCutGraph, alpha: Fraction) -> IlpModel:
         conflict_ends=g.conflict_edges,
         stitch_ends=g.stitch_edges,
         spacing=ecg.ee_edges,
-        scale=alpha.denominator,
         alpha=alpha,
     )
 

@@ -10,14 +10,16 @@ which it derives from their outlines itself, with its own facing rule
 and size windows, the perpendicular-edge corner boxes the
 package no longer builds, and box clearance checked against every
 feature of the layout.
-Tests compare the package against these, never against itself. The
-rectangle gaps and the per-variable kinds and weights of a model are
-here too, as only tests read them.
+Tests compare the package against these, never against itself, and
+the model oracles read a model's rows and weights only from its
+exported LP text. The rectangle gaps are here too, as only tests read
+them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -42,7 +44,7 @@ from trimdecomp.geometry import (
     rectset_within,
 )
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
-from trimdecomp.ilp import IlpModel, IlpSolution
+from trimdecomp.ilp import IlpModel, IlpSolution, export_lp
 from trimdecomp.layout_io import DecompositionParams, LayoutDocument, StitchPoint
 
 
@@ -61,44 +63,40 @@ def rectset_chebyshev_gap(a: Sequence[Rect], b: Sequence[Rect]) -> int:
     return min(rect_chebyshev_gap(ra, rb) for ra in a for rb in b)
 
 
-def variable_kinds(model: IlpModel) -> tuple[str, ...]:
-    """Each variable's block, "x", "ec", "c" or "s", in index order."""
-    nx, ne, nc, ns = map(len, (model.segments, model.cuts, model.conflict_ends, model.stitch_ends))
-    return ("x",) * nx + ("ec",) * ne + ("c",) * nc + ("s",) * ns
-
-
-def objective_weights(model: IlpModel) -> tuple[int, ...]:
-    """Each variable's scaled objective weight, in index order."""
-    nx, ne, nc, ns = map(len, (model.segments, model.cuts, model.conflict_ends, model.stitch_ends))
-    return (0,) * (nx + ne) + (model.scale,) * nc + (model.alpha.numerator,) * ns
-
-
 def enumerate_model(model: IlpModel) -> tuple[Fraction, dict[str, int]]:
     """Optimal value and lexicographically least optimal mask vector of a
-    small model, by checking every assignment of every binary variable."""
-    nv = len(model.names)
+    small model, by checking every assignment of every binary variable
+    against the rows and weights of its exported LP text."""
+    names, obj, rows, scale = parse_lp(export_lp(model))
+    nv = len(names)
     if nv == 0:
         return Fraction(0), {}
     assert nv <= 16, "enumeration oracle is for small models only"
+    col = {name: i for i, name in enumerate(names)}
     bits = (np.arange(1 << nv, dtype=np.int64)[:, None] >> np.arange(nv)) & 1
     feasible = np.ones(1 << nv, dtype=bool)
-    for terms, rhs in model.constraints:
+    for terms, rhs in rows:
         total = np.zeros(1 << nv, dtype=np.int64)
-        for vi, coef in terms:
-            total += coef * bits[:, vi]
+        for name, coef in terms.items():
+            total += coef * bits[:, col[name]]
         feasible &= total <= rhs
     assert feasible.any(), "every model admits some assignment"
-    obj = bits @ np.asarray(objective_weights(model), dtype=np.int64)
-    best = int(obj[feasible].min())
-    x_cols = [i for i, k in enumerate(variable_kinds(model)) if k == "x"]
+    # a decimal weight such as 0.1 becomes an integer over a common denominator
+    den = math.lcm(*(c.denominator for c in obj.values()))
+    weights = np.zeros(nv, dtype=np.int64)
+    for name, coef in obj.items():
+        weights[col[name]] = int(coef * den)
+    obj_value = bits @ weights
+    best = int(obj_value[feasible].min())
+    x_cols = [i for i, name in enumerate(names) if name.startswith("x_")]
     # rank mask vectors with the first variable most significant
     key = np.zeros(1 << nv, dtype=np.int64)
     for i in x_cols:
         key = (key << 1) | bits[:, i]
-    optimal = feasible & (obj == best)
+    optimal = feasible & (obj_value == best)
     row = int(np.flatnonzero(optimal)[np.argmin(key[optimal])])
-    witness = {model.names[i]: int(bits[row, i]) for i in x_cols}
-    return Fraction(best, model.scale), witness
+    witness = {names[i]: int(bits[row, i]) for i in x_cols}
+    return Fraction(best, den * scale), witness
 
 
 def variable_indices(model: IlpModel) -> tuple[dict, dict, dict, dict]:

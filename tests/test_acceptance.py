@@ -15,10 +15,9 @@ from helpers import (
     enumerate_model,
     milp_lex_witness,
     milp_optimum,
-    objective_weights,
+    parse_lp,
     random_model_graph,
     variable_indices,
-    variable_kinds,
 )
 from test_endcut import bar, cut_between, params
 
@@ -122,23 +121,24 @@ def test_criterion_5_cut_box_resolution_cases():
     verdict(5, "multi-box, overlap-collapse and corner-drop cases all resolve")
 
 
-def encoded_objective(m, fixed):
-    # derive each conflict/stitch indicator as the smallest value its
-    # constraint rows allow, then price the full vector
+def encoded_objective(lp, fixed):
+    # derive each conflict/stitch indicator as the smallest value the
+    # exported rows allow, then price the full vector by the exported
+    # objective
+    names, obj, rows, scale = lp
     vals = dict(fixed)
-    for i, kind in enumerate(variable_kinds(m)):
-        if kind not in ("c", "s"):
+    for name in names:
+        if not name.startswith(("c_", "s_")):
             continue
         need = 0
-        for terms, rhs in m.constraints:
-            if not any(vi == i and coef == -1 for vi, coef in terms):
+        for terms, rhs in rows:
+            if terms.get(name) != -1:
                 continue
-            acc = sum(coef * vals[m.names[vi]] for vi, coef in terms if vi != i)
+            acc = sum(coef * vals[n] for n, coef in terms.items() if n != name)
             need = max(need, acc - rhs)
         assert need <= 1
-        vals[m.names[i]] = need
-    total = sum(w * vals[n] for w, n in zip(objective_weights(m), m.names))
-    return Fraction(total, m.scale)
+        vals[name] = need
+    return sum((coef * vals[n] for n, coef in obj.items()), Fraction(0)) / scale
 
 
 def test_criterion_6_encoding_matches_direct_edge_counting():
@@ -147,6 +147,7 @@ def test_criterion_6_encoding_matches_direct_edge_counting():
     while done < 10_000:
         g, ecg, alpha = random_model_graph(rng)
         m = build_model(g, ecg, alpha)
+        lp = parse_lp(export_lp(m))
         x_of, ec_of, _, _ = variable_indices(m)
         segs, pairs = g.segments, list(ecg.candidates)
         conflict_edges = {
@@ -177,7 +178,7 @@ def test_criterion_6_encoding_matches_direct_edge_counting():
             fixed = {m.names[x_of[v]]: c for v, c in colors.items()}
             for pair, idx in ec_of.items():
                 fixed[m.names[idx]] = 1 if pair in applied else 0
-            assert encoded_objective(m, fixed) == direct
+            assert encoded_objective(lp, fixed) == direct
             done += 1
     verdict(6, "10000 sampled assignments price identically in model and layout")
 

@@ -62,6 +62,17 @@ def test_points_are_integer_only():
         parse_layout("layout t\nrect 1 0 0 10.5 10\n")
 
 
+@pytest.mark.parametrize("sid", [-1, True, 2.0, "3"])
+def test_ids_follow_the_parser_rule(sid):
+    # parse_layout refuses each of these ids, so a shape built with one
+    # would write layout text that does not read back as the document
+    with pytest.raises(GeometryError, match="feature id must be a non-negative integer"):
+        RectilinearShape.from_rect(sid, Rect.of(0, 0, 10, 10))
+    with pytest.raises(GeometryError, match="feature id must be a non-negative integer"):
+        RectilinearShape.from_outline(sid, [(0, 0), (10, 0), (10, 10), (0, 10)])
+    assert RectilinearShape.from_rect(0, Rect.of(0, 0, 10, 10)).id == 0
+
+
 def test_every_rect_built_by_the_pipeline_has_positive_area():
     # Rect checks nothing itself, so this guards the constructors inside
     # the pipeline: outline slabs, cut boxes, stitched pieces, merged cuts

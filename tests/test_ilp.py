@@ -12,16 +12,14 @@ from helpers import (
     enumerate_model,
     keyed,
     milp_optimum,
-    objective_weights,
     parse_lp,
     random_model_graph,
     ranked_graphs,
     solution_values,
     square_grid_rects,
-    variable_indices,
-    variable_kinds,
 )
 from test_graphs import abstract_graph, graph_for
+from test_lp_rows import template_rows, template_weights
 
 from trimdecomp.cli import build_full_model, decompose_document, main
 from trimdecomp.geometry import Rect
@@ -51,32 +49,28 @@ def test_model_shape_for_demo_layout():
     assert m.cuts == ((2, 3),)
     assert m.conflict_ends == ((0, 1, -1), (0, 2, -1), (1, 2, 0))
     assert m.spacing == ()
-    assert variable_kinds(m) == ("x", "x", "x", "ec", "c", "c", "c")
+    names, obj, rows, scale = parse_lp(export_lp(m))
+    assert names == list(m.names)
     # two rows per plain conflict edge, four for the repairable one
-    assert len(m.constraints) == 8
-    assert m.scale == 1
-    assert objective_weights(m) == (0, 0, 0, 0, 1, 1, 1)
+    assert len(rows) == 8
+    assert scale == m.scale == 1
+    assert obj == {"c_1_2": 1, "c_1_3": 1, "c_2_3": 1}
 
 
 def test_conflict_rows_force_indicator():
     g, ecg = abstract_graph(2, [(1, 2)])
     m = build_model(g, ecg, Fraction(0))
-    x_of, _, c_of, _ = variable_indices(m)
-    (xi, xj, ci) = (x_of[(1, 0)], x_of[(2, 0)], c_of[((1, 0), (2, 0))])
-    rows = set(m.constraints)
-    assert (((xi, 1), (xj, 1), (ci, -1)), 1) in rows
-    assert (((xi, -1), (xj, -1), (ci, -1)), -1) in rows
+    _, _, rows, _ = parse_lp(export_lp(m))
+    assert ({"x_1": 1, "x_2": 1, "c_1_2": -1}, 1) in rows
+    assert ({"x_1": -1, "x_2": -1, "c_1_2": -1}, -1) in rows
 
 
 def test_cut_rows_forbid_useless_cuts():
     g, ecg = abstract_graph(2, [(1, 2)], cands={(1, 2)})
     m = build_model(g, ecg, Fraction(0))
-    x_of, ec_of, _, _ = variable_indices(m)
-    ei = ec_of[(1, 2)]
-    xi, xj = x_of[(1, 0)], x_of[(2, 0)]
-    rows = set(m.constraints)
-    assert (((ei, 1), (xi, 1), (xj, -1)), 1) in rows
-    assert (((ei, 1), (xj, 1), (xi, -1)), 1) in rows
+    _, _, rows, _ = parse_lp(export_lp(m))
+    assert ({"ec_1_2": 1, "x_1": 1, "x_2": -1}, 1) in rows
+    assert ({"ec_1_2": 1, "x_2": 1, "x_1": -1}, 1) in rows
 
 
 def test_stitch_edges_get_stitch_variables():
@@ -87,8 +81,10 @@ def test_stitch_edges_get_stitch_variables():
     g, ecg, _ = graph_for(doc)
     assert g.stitch_edges
     m = build_model(g, ecg, Fraction(1, 10))
-    assert any(k == "s" for k in variable_kinds(m))
-    assert m.scale == 10
+    _, obj, _, scale = parse_lp(export_lp(m))
+    # a decimal alpha is written as it is, so nothing is scaled
+    assert scale == 1 and m.scale == 10
+    assert {n: c for n, c in obj.items() if n.startswith("s_")} == {"s_1_0_1": Fraction(1, 10)}
 
 
 def test_negative_alpha_rejected():
@@ -110,9 +106,11 @@ def test_a_spaced_cut_that_no_conflict_carries_is_a_model_error():
 def test_stitch_weight_scaling():
     g, ecg = abstract_graph(3, [(1, 2), (2, 3)])
     m = build_model(g, ecg, Fraction(1, 3))
-    assert m.scale == 3
-    # conflicts weigh the denominator, stitches the numerator
-    assert all(objective_weights(m)[i] == 3 for i, k in enumerate(variable_kinds(m)) if k == "c")
+    _, obj, _, scale = parse_lp(export_lp(m))
+    # alpha 1/3 has no decimal: conflicts weigh the denominator, stitches
+    # the numerator
+    assert scale == m.scale == 3
+    assert obj == {"c_1_2": 3, "c_2_3": 3}
 
 
 def test_solver_matches_enumeration_on_random_models():
@@ -134,14 +132,13 @@ def test_solution_values_are_internally_consistent():
         g, ecg, alpha = random_model_graph(rng)
         m = build_model(g, ecg, alpha)
         sol = solve(m)
-        # every constraint of the model holds under the reported values
+        # every exported row holds under the reported values
         values = solution_values(g, m, sol)
-        vals = [values[n] for n in m.names]
-        for terms, rhs in m.constraints:
-            assert sum(coef * vals[vi] for vi, coef in terms) <= rhs
+        _, obj, rows, scale = parse_lp(export_lp(m))
+        for terms, rhs in rows:
+            assert sum(coef * values[n] for n, coef in terms.items()) <= rhs
         # and the objective is the weighted sum of the indicator values
-        total = sum(w * v for w, v in zip(objective_weights(m), vals))
-        assert Fraction(total, m.scale) == sol.objective
+        assert sum((coef * values[n] for n, coef in obj.items()), Fraction(0)) / scale == sol.objective
 
 
 def test_odd_ring_needs_one_conflict():
@@ -235,11 +232,10 @@ def test_timeout_returns_feasible_incumbent():
 
 
 def assert_satisfies_every_row(g, m, sol):
-    """The reported incumbent satisfies the whole model."""
+    """The reported incumbent satisfies every exported row."""
     values = solution_values(g, m, sol)
-    vals = [values[nm] for nm in m.names]
-    for terms, rhs in m.constraints:
-        assert sum(coef * vals[vi] for vi, coef in terms) <= rhs
+    for terms, rhs in parse_lp(export_lp(m))[2]:
+        assert sum(coef * values[n] for n, coef in terms.items()) <= rhs
 
 
 def shifted(g, ecg, offset):
@@ -614,10 +610,9 @@ def test_exported_lp_reads_back_as_the_model():
     for m in lp_round_trip_models():
         names, obj, rows, scale = parse_lp(export_lp(m))
         assert names == list(m.names)
-        weights = {n: Fraction(w, m.scale) for n, w in zip(m.names, objective_weights(m)) if w}
-        assert {n: c / scale for n, c in obj.items()} == weights
-        assert rows == [({m.names[vi]: c for vi, c in row}, rhs) for row, rhs in m.constraints]
-        stitched += "s" in variable_kinds(m)
+        assert {n: c / scale for n, c in obj.items()} == template_weights(m)
+        assert rows == template_rows(m)
+        stitched += bool(m.stitch_ends)
     assert stitched == 24
 
 

@@ -1,7 +1,9 @@
 """The package runs on the standard library alone (dependencies = []),
-every name its modules, its tests and its benchmark import is used, the
-command line starts without the modules only a directory run needs, and
-only two functions build a spatial index."""
+every name its modules, its tests and its benchmark import is used, every
+definition of the package is read by the package or exported, every test
+helper is read by a test, the command line starts without the modules
+only a directory run needs, and only two functions build a spatial
+index."""
 
 import ast
 import os
@@ -107,18 +109,27 @@ def names_defined(stmt):
     return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
+def exported_names():
+    """The names that __init__.py lists in __all__."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and names_defined(stmt) == {"__all__"}:
+            return set(ast.literal_eval(stmt.value))
+    raise AssertionError("__init__.py has no __all__")
+
+
 def test_every_top_level_definition_is_read():
-    # a function, class, constant or type alias counts as read only
-    # outside its own definition, and __init__.py's re-exports do not count
+    # a function, class, constant or type alias counts as read only where a
+    # module of the package reads it outside its own definition, or where
+    # __init__.py exports it in __all__; its imports there do not count, and
+    # neither do the tests and the benchmark
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    files = modules + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     defined = set()
-    read = set()
-    for p in files:
+    read = exported_names()
+    for p in modules:
         for stmt in ast.parse(p.read_text(), str(p)).body:
             own = names_defined(stmt)
-            if p in modules:
-                defined |= {(p.name, name) for name in own}
+            defined |= {(p.name, name) for name in own}
             read |= names_read(stmt) - own
     assert ("graphs.py", "generate_stitch_candidates") in defined
     assert ("ilp.py", "SPACING_ROWS") in defined
@@ -128,12 +139,13 @@ def test_every_top_level_definition_is_read():
 
 def test_every_method_is_read():
     # a non-dunder method of a class in the package counts as read only
-    # outside its own body: a recursive method does not read itself
+    # where a module of the package reads it outside its own body (a
+    # recursive method does not read itself); __all__ exports no method,
+    # and the tests and the benchmark do not count
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    files = modules + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     defined = set()
     read = set()
-    for p in files:
+    for p in modules:
         for stmt in ast.parse(p.read_text(), str(p)).body:
             if not isinstance(stmt, ast.ClassDef):
                 read |= names_read(stmt)
@@ -143,12 +155,35 @@ def test_every_method_is_read():
                 own = set()
                 if isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     own = {part.name}
-                    if p in modules and not part.name.startswith("__"):
+                    if not part.name.startswith("__"):
                         defined.add((p.name, stmt.name, part.name))
                 read |= names_read(part) - own
     assert ("ilp.py", "_CompSolver", "_select") in defined
-    assert ("ilp.py", "IlpModel", "constraints") in defined
+    assert ("ilp.py", "IlpModel", "names") in defined
     assert sorted(d for d in defined if d[2] not in read) == []
+
+
+def test_every_test_helper_is_read():
+    # a top-level definition of helpers.py counts as read when another file
+    # of the tests reads it, or when a definition of helpers.py that counts
+    # as read does
+    helpers = TESTS / "helpers.py"
+    reads = {}
+    for stmt in ast.parse(helpers.read_text(), str(helpers)).body:
+        for name in names_defined(stmt):
+            reads[name] = names_read(stmt)
+    assert "parse_lp" in reads and "_Milp" in reads
+    todo = set()
+    for p in sorted(TESTS.glob("*.py")):
+        if p != helpers:
+            todo |= names_read(ast.parse(p.read_text(), str(p)))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in reads and name not in reached:
+            reached.add(name)
+            todo |= reads[name]
+    assert sorted(set(reads) - reached) == []
 
 
 def attributes_set_on_self(cls):

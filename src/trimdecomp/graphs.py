@@ -3,8 +3,8 @@
 The document orders the shapes, and a shape is its rank there; the
 stages here take and return rank pairs. A segment is its rank in
 (feature id, k) order, a cut its rank in pair order, and each kind of
-edge is a tuple of rank tuples in sorted order. The model shares these
-tuples, and the writers turn a rank into its key where they print it.
+edge is a tuple of rank tuples in sorted order. The model holds these
+graphs, and the writers turn a rank into its key where they print it.
 
 The layout graph has one vertex per feature segment. Conflict edges join
 segments of different features that sit within the same-mask spacing

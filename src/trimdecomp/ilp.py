@@ -16,11 +16,11 @@ denominator so all arithmetic stays exact.
 
 The formulation is written once, as data: one row template per edge
 kind (conflict, conflict with a cut, stitch, spacing), whose terms name
-slots of the edge's variables. IlpModel holds the graphs' own tuples,
-each edge once, by kind, on the ranks the graphs decided. export_lp
-writes each edge with one f-string generated from its kind's template,
-in one pass over those tuples: the LP text is the one written form of
-the rows. The pipeline builds the model once per decomposition: solve
+slots of the edge's variables. IlpModel is the layout graph and the
+end-cut graph themselves, with alpha: each edge once, by kind, on the
+ranks the graphs decided. export_lp writes each edge with one f-string
+generated from its kind's template, in one pass over the graphs' edge
+tuples: the LP text is the one written form of the rows. The pipeline builds the model once per decomposition: solve
 optimises it and export_lp prints it.
 
 solve prices each edge once as it reads it and splits the model into
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .graphs import EndCutGraph, LayoutGraph, PairKey
-from .layout_io import SolveStatus, VertexKey, _collector_paused, fraction_to_decimal
+from .graphs import EndCutGraph, LayoutGraph
+from .layout_io import SolveStatus, _collector_paused, fraction_to_decimal
 
 
 class ModelError(ValueError):
@@ -78,30 +78,26 @@ SPACING_ROWS: RowTemplate = ((((0, 1), (1, 1)), 1),)
 
 @dataclass(frozen=True)
 class IlpModel:
-    # the sorted keys of the x and ec blocks; the c and s blocks follow
-    # the conflict and stitch edges: a variable's index is its rank in its
-    # block after the earlier blocks
-    segments: tuple[VertexKey, ...]
-    cuts: tuple[PairKey, ...]
-    # each edge once, on segment and cut ranks: a conflict as (a, b, its
-    # cut or -1), a stitch as (a, b), a spacing edge as its two cuts
-    conflict_ends: tuple[tuple[int, int, int], ...]
-    stitch_ends: tuple[tuple[int, int], ...]
-    spacing: tuple[tuple[int, int], ...]
+    # the variables follow the graphs' ranks: the x block is the layout
+    # graph's segments, the ec block the end-cut graph's candidates, and
+    # the c and s blocks its conflict and stitch edges; a variable's index
+    # is its rank in its block after the earlier blocks
+    graph: LayoutGraph
+    end_cuts: EndCutGraph
     alpha: Fraction
 
     @functools.cached_property
     def names(self) -> tuple[str, ...]:
         """Every variable's LP name in index order, made on first use:
         only exports and checks read them."""
-        segs = self.segments
+        segs = self.graph.segments
         multi = {f for f, k in segs if k > 0}
         tok = [f"{f}_{k}" if f in multi else str(f) for f, k in segs]
         return (
             *[f"x_{t}" for t in tok],
-            *[f"ec_{a}_{b}" for a, b in self.cuts],
-            *[f"c_{tok[a]}_{tok[b]}" for a, b, _ in self.conflict_ends],
-            *[f"s_{segs[a][0]}_{segs[a][1]}_{segs[b][1]}" for a, b in self.stitch_ends],
+            *[f"ec_{a}_{b}" for a, b in self.end_cuts.candidates],
+            *[f"c_{tok[a]}_{tok[b]}" for a, b, _ in self.graph.conflict_edges],
+            *[f"s_{segs[a][0]}_{segs[a][1]}_{segs[b][1]}" for a, b in self.graph.stitch_edges],
         )
 
     @property
@@ -129,18 +125,11 @@ class IlpSolution:
 
 def build_model(g: LayoutGraph, ecg: EndCutGraph, alpha: Fraction) -> IlpModel:
     """The whole 0-1 model of the layout graph and its end-cut graph, with
-    alpha per stitch. It shares the graphs' tuples, whose ranks are the
+    alpha per stitch. It holds the graphs themselves, whose ranks are the
     variables' ranks in their blocks, so it sorts and maps nothing."""
     if alpha < 0:
         raise ModelError("alpha must be non-negative")
-    return IlpModel(
-        segments=g.segments,
-        cuts=tuple(ecg.candidates),
-        conflict_ends=g.conflict_edges,
-        stitch_ends=g.stitch_edges,
-        spacing=ecg.ee_edges,
-        alpha=alpha,
-    )
+    return IlpModel(g, ecg, alpha)
 
 
 class _Timeout(Exception):
@@ -385,8 +374,8 @@ def _indices(mask: int) -> set[int]:
 def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     """Minimise the model's objective: conflicts plus alpha times stitches.
 
-    solve reads the model's edges, stored per kind on segment and cut
-    ranks, not its rows. Every edge is priced here, once, as it is read,
+    solve reads the graphs' edges, stored per kind on segment and cut
+    ranks, not the rows. Every edge is priced here, once, as it is read,
     and each block's search gets those prices in its BlockStructure. The
     answer is on ranks too: masks by segment rank, and the ranks of the
     selected cuts and of the conflict and stitch edges it leaves.
@@ -413,15 +402,16 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     total; no two selected cuts may share a spacing edge. A failed check
     raises AssertionError."""
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    n = len(model.segments)
+    n = len(model.graph.segments)
     scale, ws = model.scale, model.alpha.numerator
-    ends = model.conflict_ends
-    spaced = {k for e in model.spacing for k in e}
+    ends, stitch_edges = model.graph.conflict_edges, model.graph.stitch_edges
+    spacing = model.end_cuts.ee_edges
+    spaced = {k for e in spacing for k in e}
     # the search's prices, as BlockStructure has them: each conflict with
     # no cut and each stitch as a pair, each conflict whose cut has a
     # spacing edge as (a, b, price, its cut); any other cut is free
     pairs = [(a, b, scale, 0) for a, b, k in ends if k < 0]
-    pairs += [(a, b, 0, ws) for a, b in model.stitch_ends]
+    pairs += [(a, b, 0, ws) for a, b in stitch_edges]
     pend = [(a, b, scale, k) for a, b, k in ends if k in spaced]
     free = [(a, b, k) for a, b, k in ends if k >= 0 and k not in spaced]
     cut_home = {cut: a for a, _, _, cut in pend}
@@ -440,11 +430,11 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
         linked[a] = linked[b] = 1
         parent[find(a)] = find(b)
     try:
-        for ka, kb in model.spacing:
+        for ka, kb in spacing:
             parent[find(cut_home[ka])] = find(cut_home[kb])
     except KeyError as exc:  # only a hand-built end-cut graph can hold such a cut
-        k = exc.args[0]
-        what = model.cuts[k] if 0 <= k < len(model.cuts) else f"rank {k}"
+        k, cuts = exc.args[0], tuple(model.end_cuts.candidates)
+        what = cuts[k] if 0 <= k < len(cuts) else f"rank {k}"
         raise ModelError(f"cut {what} has a spacing edge but no conflict edge carries it") from None
 
     # blocks of linked segments in order of their lowest vertex; a vertex's
@@ -477,7 +467,7 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
         cut_index[cut] = len(cuts_by[bi])
         cuts_by[bi].append(cut)
         pend_by[bi].append((local[a], local[b], price))
-    for ka, kb in model.spacing:
+    for ka, kb in spacing:
         la, lb = cut_index[ka], cut_index[kb]
         ee_by[blk[cut_home[ka]]].append((la, lb) if la < lb else (lb, la))
 
@@ -512,23 +502,22 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
         if color_of[a] == color_of[b]:
             selected.add(cut)
 
-    # the recount reads the model's edges, not the prices; no cut is -1
+    # the recount reads the graphs' edges, not the prices; no cut is -1
     conflicts = tuple(
         [i for i, (a, b, k) in enumerate(ends) if color_of[a] == color_of[b] and k not in selected]
     )
     stitches = tuple(
-        [i for i, (a, b) in enumerate(model.stitch_ends) if color_of[a] != color_of[b]]
+        [i for i, (a, b) in enumerate(stitch_edges) if color_of[a] != color_of[b]]
     )
     check = scale * len(conflicts) + ws * len(stitches)
     if check != total:
         raise AssertionError(
             f"solution bookkeeping mismatch: recount {check} != search total {total}"
         )
-    for ka, kb in model.spacing:
+    for ka, kb in spacing:
         if ka in selected and kb in selected:
-            raise AssertionError(
-                f"cuts {model.cuts[ka]} and {model.cuts[kb]} are too close to both print"
-            )
+            cuts = tuple(model.end_cuts.candidates)
+            raise AssertionError(f"cuts {cuts[ka]} and {cuts[kb]} are too close to both print")
     return IlpSolution(
         objective=Fraction(total, scale),
         status=SolveStatus.TIMEOUT if timed_out else SolveStatus.OPTIMAL,
@@ -569,9 +558,10 @@ def export_lp(model: IlpModel) -> str:
     fraction_to_decimal finds one; otherwise the objective is written
     scaled to integers by alpha's denominator."""
     names = model.names
-    nx = len(model.segments)
-    c0 = nx + len(model.cuts)
-    s0 = c0 + len(model.conflict_ends)
+    ends, stitch_edges = model.graph.conflict_edges, model.graph.stitch_edges
+    nx = len(model.graph.segments)
+    c0 = nx + len(model.end_cuts.candidates)
+    s0 = c0 + len(ends)
     alpha_text = fraction_to_decimal(model.alpha)
     lines: list[str] = []
     c_weight, s_weight = "", f"{alpha_text} "
@@ -586,17 +576,17 @@ def export_lp(model: IlpModel) -> str:
     plain, cut, stitch, spacing = map(_rows_writer, templates)
     n_plain, n_cut, n_stitch, n_spacing = map(len, templates)
     ri = 1
-    for ci, (a, b, k) in enumerate(model.conflict_ends, c0):
+    for ci, (a, b, k) in enumerate(ends, c0):
         if k < 0:
             lines.append(plain(ri, names[a], names[b], names[ci]))
             ri += n_plain
         else:
             lines.append(cut(ri, names[a], names[b], names[ci], names[nx + k]))
             ri += n_cut
-    for si, (a, b) in enumerate(model.stitch_ends, s0):
+    for si, (a, b) in enumerate(stitch_edges, s0):
         lines.append(stitch(ri, names[a], names[b], names[si]))
         ri += n_stitch
-    for ka, kb in model.spacing:
+    for ka, kb in model.end_cuts.ee_edges:
         lines.append(spacing(ri, names[nx + ka], names[nx + kb]))
         ri += n_spacing
     lines.append("Binaries")

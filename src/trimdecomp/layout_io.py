@@ -100,7 +100,9 @@ class DecompositionParams:
 
         The cut spacing, the longest repairable run and the cut height cap
         all default to the mask spacing itself; the lower size bounds
-        default to half the narrowest feature dimension present.
+        default to half the narrowest feature dimension present, but never
+        above their upper bounds. Bounds that raw sets itself are kept, so
+        a contradiction stated in raw still raises.
         """
         unknown = set(raw) - set(PARAM_KEYS)
         if unknown:
@@ -116,8 +118,8 @@ class DecompositionParams:
             low_default = max(1, min(s.min_dimension for s in shapes) // 2)
         else:
             low_default = max(1, dis_m // 2)
-        h_low = raw.get("hlow", low_default)
-        w_low = raw.get("wlow", low_default)
+        h_low = raw["hlow"] if "hlow" in raw else min(low_default, h_high)
+        w_low = raw["wlow"] if "wlow" in raw else min(low_default, w_high)
         alpha_den = raw.get("alpha_den", 10)
         if alpha_den == 0:
             raise ValueError("parameter alpha_den must be non-zero")

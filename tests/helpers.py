@@ -10,6 +10,9 @@ which it derives from their outlines itself, with its own facing rule
 and size windows, the perpendicular-edge corner boxes the
 package no longer builds, and box clearance checked against every
 feature of the layout.
+A priced block of the solver is solved again by bucket elimination in
+a min-fill order, with the search's tie-break folded into one integer
+objective.
 Tests compare the package against these, never against itself, and
 the model oracles read a model's rows and weights only from its
 exported LP text. The rectangle gaps are here too, as only tests read
@@ -18,6 +21,7 @@ them.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -44,7 +48,7 @@ from trimdecomp.geometry import (
     rectset_within,
 )
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
-from trimdecomp.ilp import IlpModel, IlpSolution, export_lp
+from trimdecomp.ilp import BlockStructure, IlpModel, IlpSolution, export_lp
 from trimdecomp.layout_io import DecompositionParams, LayoutDocument, StitchPoint
 
 
@@ -99,16 +103,124 @@ def enumerate_model(model: IlpModel) -> tuple[Fraction, dict[str, int]]:
     return Fraction(best, den * scale), witness
 
 
+def _min_fill_order(adj: list[set[int]], max_width: int) -> list[int]:
+    """An elimination order of the graph adj by least fill-in, lowest
+    variable first among equals, kept in a heap whose stale entries are
+    skipped. adj is consumed. A variable whose bucket would span more than
+    max_width variables (itself and its neighbours when it goes) raises
+    ValueError before any table is built."""
+
+    def fill(v: int) -> int:
+        ns = list(adj[v])
+        return sum(1 for i, u in enumerate(ns) for w in ns[i + 1 :] if w not in adj[u])
+
+    current = [fill(v) for v in range(len(adj))]
+    heap = [(f, v) for v, f in enumerate(current)]
+    heapq.heapify(heap)
+    done = [False] * len(adj)
+    order = []
+    while heap:
+        f, v = heapq.heappop(heap)
+        if done[v] or f != current[v]:
+            continue
+        ns = adj[v]
+        if len(ns) + 1 > max_width:
+            raise ValueError(f"a bucket of {len(ns) + 1} variables is wider than {max_width}")
+        done[v] = True
+        order.append(v)
+        for u in ns:
+            adj[u].discard(v)
+            adj[u] |= ns - {u}
+        # only v's neighbours and theirs can see their fill change
+        touched = ns.union(*(adj[u] for u in ns))
+        for u in touched:
+            if not done[u]:
+                current[u] = fill(u)
+                heapq.heappush(heap, (current[u], u))
+        adj[v] = set()
+    return order
+
+
+def eliminate(block: BlockStructure, max_width: int = 16) -> tuple[int, list[int], set[int]]:
+    """The search's answer to one priced block, by bucket elimination in a
+    min-fill order: its cost, each local vertex's mask and the indices of
+    the pending cuts it selects.
+
+    The variables are the masks x_i and the cut choices c_k, K cuts in
+    all. A pair is a table over (x_a, x_b), its price on one mask or
+    across; a pending cut a table over (x_a, x_b, c_k), free when selected
+    on a shared mask, its price when skipped there, and infeasible when
+    selected across; a spacing edge forbids both of its cuts. Every table
+    is on one integer objective,
+    cost * 2^(m+K) + sum x_i * 2^(K+m-1-i) + sum (1 - c_k) * 2^(K-1-k),
+    whose minimum has the least cost, then the lexicographically smallest
+    mask vector, then the cut choice that selects before it skips, lowest
+    cut first: no two assignments tie, so the answer is unique. Nothing
+    recurses: each bucket keeps its argmin table, and the variables are
+    assigned in reverse elimination order."""
+    m, pairs, cuts, spacing = block
+    n = m + len(cuts)
+    unit = 1 << n
+    # above every feasible objective, so a forbidden entry never wins
+    forbidden = (sum(max(same, diff) for _, _, same, diff in pairs) + sum(p for *_, p in cuts) + 1) * unit
+    # (scope, table): bit j of a table index is the value of scope[j]
+    factors = [((i,), [0, 1 << (n - 1 - i)]) for i in range(m)]
+    factors += [((m + k,), [1 << (n - m - 1 - k), 0]) for k in range(len(cuts))]
+    for a, b, same, diff in pairs:
+        factors.append(((a, b), [same * unit, diff * unit, diff * unit, same * unit]))
+    for k, (a, b, price) in enumerate(cuts):
+        skipped = [price * unit, 0, 0, price * unit]
+        factors.append(((a, b, m + k), [*skipped, 0, forbidden, forbidden, 0]))
+    for ka, kb in spacing:
+        factors.append(((m + ka, m + kb), [0, 0, 0, forbidden]))
+
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for scope, _ in factors:
+        for u in scope:
+            adj[u].update(w for w in scope if w != u)
+    order = _min_fill_order(adj, max_width)
+    when = {v: t for t, v in enumerate(order)}
+    buckets: list[list] = [[] for _ in order]
+    for scope, table in factors:
+        buckets[min(when[u] for u in scope)].append((scope, table))
+
+    total = 0
+    kept = []  # each variable's remaining scope and argmin table
+    for t, v in enumerate(order):
+        rest = tuple(sorted({u for scope, _ in buckets[t] for u in scope} - {v}))
+        full = (v, *rest)
+        size = 1 << len(full)
+        values = [0] * size
+        for scope, table in buckets[t]:
+            pos = [full.index(u) for u in scope]
+            proj = [sum((i >> p & 1) << j for j, p in enumerate(pos)) for i in range(size)]
+            values = list(map(int.__add__, values, map(table.__getitem__, proj)))
+        message = [min(values[i], values[i + 1]) for i in range(0, size, 2)]
+        kept.append((rest, [int(values[i + 1] < values[i]) for i in range(0, size, 2)]))
+        if rest:
+            buckets[min(when[u] for u in rest)].append((rest, message))
+        else:
+            total += message[0]
+
+    value = [0] * n
+    for t in reversed(range(n)):
+        rest, argmin = kept[t]
+        value[order[t]] = argmin[sum(value[u] << j for j, u in enumerate(rest))]
+    assert total < forbidden, "every block admits some assignment"
+    return total >> n, value[:m], {k for k in range(len(cuts)) if value[m + k]}
+
+
 def variable_indices(model: IlpModel) -> tuple[dict, dict, dict, dict]:
     """Each key's variable index, one dict per block of variables (x, ec,
     c and s; an edge keyed by its two segments' keys): the key's rank in
     its block plus the sizes of the blocks before it."""
-    segs = model.segments
+    g = model.graph
+    segs = g.segments
     blocks = (
         segs,
-        model.cuts,
-        [(segs[a], segs[b]) for a, b, _ in model.conflict_ends],
-        [(segs[a], segs[b]) for a, b in model.stitch_ends],
+        tuple(model.end_cuts.candidates),
+        [(segs[a], segs[b]) for a, b, _ in g.conflict_edges],
+        [(segs[a], segs[b]) for a, b in g.stitch_edges],
     )
     starts = itertools.accumulate(map(len, blocks), initial=0)
     x_of, ec_of, c_of, s_of = (
@@ -120,8 +232,9 @@ def variable_indices(model: IlpModel) -> tuple[dict, dict, dict, dict]:
 
 def keyed(model: IlpModel, sol: IlpSolution) -> tuple[dict, frozenset]:
     """sol's masks by segment key and its selected cuts by feature pair,
-    read off its ranks through the model's keys."""
-    return dict(zip(model.segments, sol.colors)), frozenset(model.cuts[k] for k in sol.selected)
+    read off its ranks through the graphs' keys."""
+    cuts = tuple(model.end_cuts.candidates)
+    return dict(zip(model.graph.segments, sol.colors)), frozenset(cuts[k] for k in sol.selected)
 
 
 def solution_values(g: LayoutGraph, model: IlpModel, sol: IlpSolution) -> dict[str, int]:
@@ -133,7 +246,7 @@ def solution_values(g: LayoutGraph, model: IlpModel, sol: IlpSolution) -> dict[s
     values = {model.names[i]: colors[v] for v, i in x_of.items()}
     for pair, i in ec_of.items():
         values[model.names[i]] = int(pair in selected)
-    segs, cuts = g.segments, model.cuts
+    segs, cuts = g.segments, tuple(model.end_cuts.candidates)
     for a, b, k in g.conflict_edges:
         u, v = segs[a], segs[b]
         cut = k >= 0 and cuts[k] in selected

@@ -45,10 +45,10 @@ def test_model_shape_for_demo_layout():
     assert m.names == ("x_1", "x_2", "x_3", "ec_2_3", "c_1_2", "c_1_3", "c_2_3")
     # each edge once, on segment and cut ranks: the one cut sits on the
     # conflict between features 2 and 3, and no spacing edge binds it
-    assert m.segments == ((1, 0), (2, 0), (3, 0))
-    assert m.cuts == ((2, 3),)
-    assert m.conflict_ends == ((0, 1, -1), (0, 2, -1), (1, 2, 0))
-    assert m.spacing == ()
+    assert m.graph.segments == ((1, 0), (2, 0), (3, 0))
+    assert tuple(m.end_cuts.candidates) == ((2, 3),)
+    assert m.graph.conflict_edges == ((0, 1, -1), (0, 2, -1), (1, 2, 0))
+    assert m.end_cuts.ee_edges == ()
     names, obj, rows, scale = parse_lp(export_lp(m))
     assert names == list(m.names)
     # two rows per plain conflict edge, four for the repairable one
@@ -441,7 +441,8 @@ def test_timeout_inside_a_leaf_returns_feasible_incumbent():
     sol = solve(m, time_limit=0.0)
     assert (sol.status, sol.objective, sol.nodes) == (SolveStatus.TIMEOUT, 6, 2048)
     assert masks(sol) == "AAAAAAAAAAAAAABA"
-    assert [m.cuts[k] for k in sol.selected] == [(i, i + 1) for i in range(1, 15, 2)]
+    pairs = list(ecg.candidates)
+    assert [pairs[k] for k in sol.selected] == [(i, i + 1) for i in range(1, 15, 2)]
     assert_satisfies_every_row(g, m, sol)
 
 
@@ -612,7 +613,7 @@ def test_exported_lp_reads_back_as_the_model():
         assert names == list(m.names)
         assert {n: c / scale for n, c in obj.items()} == template_weights(m)
         assert rows == template_rows(m)
-        stitched += bool(m.stitch_ends)
+        stitched += bool(m.graph.stitch_edges)
     assert stitched == 24
 
 
@@ -653,13 +654,12 @@ def test_a_cut_competes_with_a_stitch(hlow, chosen, other, cost):
 
 
 def test_the_model_shares_the_graphs_tuples():
-    # the graphs decide every rank, so the model re-keys nothing
+    # the graphs decide every rank, so the model re-keys nothing: it is
+    # the two graphs themselves
     result = decompose_document(random_layout(3, clusters=9, stitch=True))
     assert result.graph.stitch_edges and result.end_cuts.ee_edges
-    assert result.model.segments is result.graph.segments
-    assert result.model.conflict_ends is result.graph.conflict_edges
-    assert result.model.stitch_ends is result.graph.stitch_edges
-    assert result.model.spacing is result.end_cuts.ee_edges
+    assert result.model.graph is result.graph
+    assert result.model.end_cuts is result.end_cuts
 
 
 def test_the_solved_model_is_the_exported_model():

@@ -202,6 +202,29 @@ def test_param_validation():
         DecompositionParams.from_raw({"stitch": 2})
 
 
+@pytest.mark.parametrize(
+    "text, lows",
+    [
+        ("layout sq\nparam dis_m 30\nrect 1 0 0 100 100\nrect 2 120 0 220 100\n", (30, 30)),
+        ("layout sq\nparam dis_m 30\nparam hlow 10\nrect 1 0 0 100 100\nrect 2 120 0 220 100\n", (10, 30)),
+        ("layout sq\nparam dis_m 1\nrect 1 0 0 10 10\nrect 2 20 0 30 10\n", (1, 1)),
+    ],
+)
+def test_an_unset_low_bound_never_exceeds_its_high_bound(text, lows):
+    # half the narrowest feature lies above the high bounds' default,
+    # dis_m, so each unset low bound takes its high bound instead
+    doc = parse_layout(text)
+    assert (doc.params.h_low, doc.params.w_low) == lows
+    assert decompose_document(doc).stats.status is SolveStatus.OPTIMAL
+
+
+def test_a_low_bound_stated_above_its_high_bound_still_raises():
+    with pytest.raises(LayoutParseError, match="hlow exceeds hhigh"):
+        parse_layout("layout sq\nparam hlow 50\nparam hhigh 10\nrect 1 0 0 100 100\n")
+    with pytest.raises(ValueError, match="wlow exceeds whigh"):
+        DecompositionParams.from_raw({"wlow": 50, "whigh": 10})
+
+
 def test_bool_is_not_an_integer_where_a_layout_enters():
     # write_layout would write True and False, which parse_layout rejects
     with pytest.raises(GeometryError, match="must be integers: \\(True, 0\\)"):

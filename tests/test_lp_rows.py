@@ -24,20 +24,21 @@ from trimdecomp.synth import grid_layout, random_layout
 def template_edges(model: IlpModel):
     """Each edge's row template with its variables' indices, in export
     order: the conflicts, then the stitches, then the spacing edges."""
-    nx = len(model.segments)
-    c0 = nx + len(model.cuts)
-    s0 = c0 + len(model.conflict_ends)
-    for ci, (a, b, k) in enumerate(model.conflict_ends, c0):
+    g = model.graph
+    nx = len(g.segments)
+    c0 = nx + len(model.end_cuts.candidates)
+    s0 = c0 + len(g.conflict_edges)
+    for ci, (a, b, k) in enumerate(g.conflict_edges, c0):
         yield (CONFLICT_ROWS, (a, b, ci)) if k < 0 else (CUT_CONFLICT_ROWS, (a, b, ci, nx + k))
-    for si, (a, b) in enumerate(model.stitch_ends, s0):
+    for si, (a, b) in enumerate(g.stitch_edges, s0):
         yield STITCH_ROWS, (a, b, si)
-    for ka, kb in model.spacing:
+    for ka, kb in model.end_cuts.ee_edges:
         yield SPACING_ROWS, (nx + ka, nx + kb)
 
 
 def template_rows(model: IlpModel) -> list[tuple[dict[str, int], int]]:
     """Every row of the model in export order, built from the four
-    templates and the model's edge tuples: each row as its terms, a
+    templates and the graphs' edge tuples: each row as its terms, a
     variable name to its coefficient, and its right-hand side."""
     return [
         ({model.names[vs[slot]]: sign for slot, sign in terms}, rhs)
@@ -49,8 +50,8 @@ def template_rows(model: IlpModel) -> list[tuple[dict[str, int], int]]:
 def template_weights(model: IlpModel) -> dict[str, Fraction]:
     """Each weighted variable's objective weight: one per conflict
     indicator, alpha per stitch indicator, none when alpha is 0."""
-    c0 = len(model.segments) + len(model.cuts)
-    s0 = c0 + len(model.conflict_ends)
+    c0 = len(model.graph.segments) + len(model.end_cuts.candidates)
+    s0 = c0 + len(model.graph.conflict_edges)
     weights = {n: Fraction(1) for n in model.names[c0:s0]}
     if model.alpha:
         weights.update((n, model.alpha) for n in model.names[s0:])
@@ -97,6 +98,7 @@ def test_rows_match_the_term_by_term_renderer():
 def test_model_without_rows():
     g, ecg = abstract_graph(1, [])
     m = build_model(g, ecg, Fraction(0))
+    assert m.graph is g and m.end_cuts is ecg
     assert rows_section(export_lp(m)) == render_rows(m) == []
     assert export_lp(m) == "Minimize\n obj: 0 x_1\nSubject To\nBinaries\n x_1\nEnd\n"
 

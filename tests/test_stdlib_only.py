@@ -242,7 +242,7 @@ def test_every_attribute_is_read():
                 defined |= {(p.name, node.name, a) for a in attributes_set_on_self(node)}
                 defined |= {(p.name, node.name, f) for f in declared_fields(node)}
     assert ("ilp.py", "_CompSolver", "cut_adj") in defined
-    assert ("ilp.py", "IlpModel", "conflict_ends") in defined
+    assert ("ilp.py", "IlpModel", "graph") in defined
     assert ("geometry.py", "Rect", "lo") in defined
     assert sorted(d for d in defined if d[2] not in read) == []
 

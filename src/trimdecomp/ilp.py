@@ -20,8 +20,9 @@ slots of the edge's variables. IlpModel is the layout graph and the
 end-cut graph themselves, with alpha: each edge once, by kind, on the
 ranks the graphs decided. export_lp writes each edge with one f-string
 generated from its kind's template, in one pass over the graphs' edge
-tuples: the LP text is the one written form of the rows. The pipeline builds the model once per decomposition: solve
-optimises it and export_lp prints it.
+tuples: the LP text is the one written form of the rows. The pipeline
+builds the model once per decomposition: solve optimises it and
+export_lp prints it.
 
 solve prices each edge once as it reads it and splits the model into
 independent blocks, one exact branch and bound per distinct block
@@ -517,7 +518,9 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     for ka, kb in spacing:
         if ka in selected and kb in selected:
             cuts = tuple(model.end_cuts.candidates)
-            raise AssertionError(f"cuts {cuts[ka]} and {cuts[kb]} are too close to both print")
+            raise AssertionError(
+                f"cuts {cuts[ka]} and {cuts[kb]} are too close to both print"
+            )
     return IlpSolution(
         objective=Fraction(total, scale),
         status=SolveStatus.TIMEOUT if timed_out else SolveStatus.OPTIMAL,

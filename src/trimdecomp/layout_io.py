@@ -118,8 +118,8 @@ class DecompositionParams:
             low_default = max(1, min(s.min_dimension for s in shapes) // 2)
         else:
             low_default = max(1, dis_m // 2)
-        h_low = raw["hlow"] if "hlow" in raw else min(low_default, h_high)
-        w_low = raw["wlow"] if "wlow" in raw else min(low_default, w_high)
+        h_low = raw["hlow"] if "hlow" in raw else max(1, min(low_default, h_high))
+        w_low = raw["wlow"] if "wlow" in raw else max(1, min(low_default, w_high))
         alpha_den = raw.get("alpha_den", 10)
         if alpha_den == 0:
             raise ValueError("parameter alpha_den must be non-zero")

@@ -103,11 +103,14 @@ def enumerate_model(model: IlpModel) -> tuple[Fraction, dict[str, int]]:
     return Fraction(best, den * scale), witness
 
 
-def _min_fill_order(adj: list[set[int]], max_width: int) -> list[int]:
+_MAX_BUCKET = 16  # widest bucket eliminate builds a table for
+
+
+def _min_fill_order(adj: list[set[int]]) -> list[int]:
     """An elimination order of the graph adj by least fill-in, lowest
     variable first among equals, kept in a heap whose stale entries are
     skipped. adj is consumed. A variable whose bucket would span more than
-    max_width variables (itself and its neighbours when it goes) raises
+    _MAX_BUCKET variables (itself and its neighbours when it goes) raises
     ValueError before any table is built."""
 
     def fill(v: int) -> int:
@@ -124,8 +127,8 @@ def _min_fill_order(adj: list[set[int]], max_width: int) -> list[int]:
         if done[v] or f != current[v]:
             continue
         ns = adj[v]
-        if len(ns) + 1 > max_width:
-            raise ValueError(f"a bucket of {len(ns) + 1} variables is wider than {max_width}")
+        if len(ns) + 1 > _MAX_BUCKET:
+            raise ValueError(f"a bucket of {len(ns) + 1} variables is wider than {_MAX_BUCKET}")
         done[v] = True
         order.append(v)
         for u in ns:
@@ -141,7 +144,7 @@ def _min_fill_order(adj: list[set[int]], max_width: int) -> list[int]:
     return order
 
 
-def eliminate(block: BlockStructure, max_width: int = 16) -> tuple[int, list[int], set[int]]:
+def eliminate(block: BlockStructure) -> tuple[int, list[int], set[int]]:
     """The search's answer to one priced block, by bucket elimination in a
     min-fill order: its cost, each local vertex's mask and the indices of
     the pending cuts it selects.
@@ -178,7 +181,7 @@ def eliminate(block: BlockStructure, max_width: int = 16) -> tuple[int, list[int
     for scope, _ in factors:
         for u in scope:
             adj[u].update(w for w in scope if w != u)
-    order = _min_fill_order(adj, max_width)
+    order = _min_fill_order(adj)
     when = {v: t for t, v in enumerate(order)}
     buckets: list[list] = [[] for _ in order]
     for scope, table in factors:

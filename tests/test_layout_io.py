@@ -196,6 +196,12 @@ def test_param_validation():
         DecompositionParams.from_raw({"dis_m": 0})
     with pytest.raises(ValueError):
         DecompositionParams.from_raw({"hlow": 90, "hhigh": 80})
+    # an unset low bound clamped to a bad high bound leaves the high bound
+    # as the one reported
+    with pytest.raises(ValueError, match="h_high must be a positive integer"):
+        DecompositionParams.from_raw({"hhigh": 0})
+    with pytest.raises(ValueError, match="w_high must be a positive integer"):
+        DecompositionParams.from_raw({"whigh": 0})
     with pytest.raises(ValueError):
         DecompositionParams.from_raw({"alpha_num": -1})
     with pytest.raises(ValueError):

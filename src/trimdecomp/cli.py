@@ -147,13 +147,12 @@ def decompose_document(
     stage("solve")
 
     segs, ends = g.segments, g.conflict_edges
-    cands = tuple(ecg.candidates.values())
     # the merge edges between selected cuts, on their positions in the selection
     at = {k: i for i, k in enumerate(sol.selected)}
     links = [(at[ka], at[kb]) for ka, kb in ecg.merge_edges if ka in at and kb in at]
     report = DecompositionReport(
         masks=dict(zip(segs, map("AB".__getitem__, sol.colors))),
-        cuts=merged_cut_rects([cands[k] for k in sol.selected], params, links),
+        cuts=merged_cut_rects([ecg.candidates[k] for k in sol.selected], params, links),
         conflicts=tuple([(segs[ends[i][0]], segs[ends[i][1]]) for i in sol.conflicts]),
         stitches=tuple(sorted([g.stitch_points[i] for i in sol.stitches])),
         cost=sol.objective,

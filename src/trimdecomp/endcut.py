@@ -86,8 +86,8 @@ def _facing_sides(runs1: Runs, runs2: Runs) -> Sides:
     """The facing sides of two features, read from their grouped runs.
 
     The bottom, right, top and left runs of the first are paired with the
-    top, left, bottom and right runs of the second, as _end_cut pairs the
-    sides of two rectangles, and a pair faces only when a gap
+    top, left, bottom and right runs of the second, as generate_end_cut
+    pairs the sides of two rectangles, and a pair faces only when a gap
     lies between its two runs along their normal. Two runs apart on both
     axes face here across each gap, and resolve_box_overlaps collapses
     the two equal corner boxes that come of it.
@@ -167,9 +167,9 @@ def generate_end_cut(
     concave, feature material lies inside the box, while if it is convex,
     a facing parallel pair yields the same corner box. Two rectangles have
     four such pairs, and the one box they can give comes straight from
-    their corners. A pair with a polygon reads its facing runs from the
-    two outlines. A box is kept only when none of the material rects has
-    area inside it, so
+    their corners, in one call. A pair with a polygon groups the runs of
+    both outlines on each call and reads its facing runs from them. A box
+    is kept only when none of the material rects has area inside it, so
     material must hold the rects of s1 and of every feature whose
     bounding box lies within max(h_high, w_high) of s1's. No other feature
     reaches into a box: an edge-to-edge box lies within its gap (at most
@@ -184,20 +184,6 @@ def generate_end_cut(
     test to every side on plain integers, and builds records only for the
     boxes it keeps.
     """
-    return _end_cut(s1, s2, params, material, {})
-
-
-def _end_cut(
-    s1: RectilinearShape,
-    s2: RectilinearShape,
-    params: DecompositionParams,
-    material: Sequence[Rect],
-    runs: dict[int, Runs],
-) -> EndCutCandidate | None:
-    """The cut candidate of one feature pair, as generate_end_cut finds it,
-    in one call when both features are one rectangle; runs caches each
-    polygon's grouped runs by feature id, so a layout groups each outline
-    once."""
     r1, r2 = s1.rects, s2.rects
     sides: Sides
     if len(r1) == 1 and len(r2) == 1:
@@ -219,10 +205,7 @@ def _end_cut(
         else:
             return None  # they touch or overlap
     else:
-        for s in (s1, s2):
-            if s.id not in runs:
-                runs[s.id] = _outline_runs(s.outline)
-        sides = _facing_sides(runs[s1.id], runs[s2.id])
+        sides = _facing_sides(_outline_runs(s1.outline), _outline_runs(s2.outline))
     p = params
     raw = []
     for lo, hi, ov_lo, ov_hi, axis in sides:
@@ -263,21 +246,21 @@ def generate_all_end_cuts(
     doc: LayoutDocument,
     pairs: Iterable[tuple[int, int]],
     near_pairs: Iterable[tuple[int, int]],
-) -> dict[tuple[int, int], EndCutCandidate]:
-    """The cut candidates of ascending shape rank pairs, keyed by id pair.
+) -> tuple[EndCutCandidate, ...]:
+    """The cut candidates of ascending shape rank pairs, in pair order:
+    a cut's rank is its place here, and each carries its feature id pair.
 
     near_pairs must include every rank pair of shapes whose bounding boxes
     lie within max(h_high, w_high) of each other, as SpatialIndex.pairs(d)
     lists for any d at least that; the boxes of a pair are checked against
-    a and its neighbours there. A pair costs one call of _end_cut.
+    a and its neighbours there. A pair costs one call of generate_end_cut.
     """
     shapes, params = doc.shapes, doc.params
-    runs: dict[int, Runs] = {}  # each polygon's runs, grouped once
     near: list[list[int]] = [[] for _ in shapes]  # by rank
     for a, b in near_pairs:
         near[a].append(b)
         near[b].append(a)
-    cuts: dict[tuple[int, int], EndCutCandidate] = {}
+    cuts: list[EndCutCandidate] = []
     last = None
     material: list[Rect] = []
     for a, b in pairs:
@@ -286,10 +269,10 @@ def generate_all_end_cuts(
             material = list(shapes[a].rects)
             for n in near[a]:
                 material.extend(shapes[n].rects)
-        cand = _end_cut(shapes[a], shapes[b], params, material, runs)
+        cand = generate_end_cut(shapes[a], shapes[b], params, material)
         if cand is not None:
-            cuts[cand.pair] = cand
-    return cuts
+            cuts.append(cand)
+    return tuple(cuts)
 
 
 def merge_union(a: Rect, b: Rect, params: DecompositionParams) -> Rect | None:

@@ -374,9 +374,8 @@ class SpatialIndex:
 
     @classmethod
     def from_shapes(cls, shapes: Sequence[RectilinearShape], cell_size: int) -> "SpatialIndex":
-        """The shapes' bounding boxes in their order; a rectangle's box is
-        its one rect, read with no call."""
-        return cls([s.rects[0] if len(s.rects) == 1 else s.bbox for s in shapes], cell_size)
+        """The shapes' bounding boxes in their order."""
+        return cls([s.bbox for s in shapes], cell_size)
 
     def pairs(self, distance: int = 0) -> list[tuple[int, int]]:
         """Every pair (a, b) with a < b whose boxes lie within Chebyshev

@@ -26,7 +26,7 @@ place that splits them into independent blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import (
     Metric,
@@ -64,7 +64,7 @@ class LayoutGraph:
 @dataclass(frozen=True)
 class EndCutGraph:
     # the candidates in pair order: a cut's rank is its place here
-    candidates: dict[PairKey, EndCutCandidate]
+    candidates: tuple[EndCutCandidate, ...]
     # sorted (ka, kb) on cut ranks, ka < kb
     ee_edges: tuple[tuple[int, int], ...]
     merge_edges: tuple[tuple[int, int], ...]
@@ -104,17 +104,17 @@ def conflict_pairs(
 
 
 def _with_cuts(
-    doc: LayoutDocument, pairs: Iterable[PairKey], cuts: Iterable[PairKey]
+    doc: LayoutDocument, pairs: Iterable[PairKey], cuts: Iterable[EndCutCandidate]
 ) -> list[tuple[int, int, int]]:
     """Each shape rank pair (a, b) as (a, b, k), k its cut's rank in cuts."""
-    shapes, cut_rank = doc.shapes, {p: k for k, p in enumerate(cuts)}
+    shapes, cut_rank = doc.shapes, {c.pair: k for k, c in enumerate(cuts)}
     return [(a, b, cut_rank.get((shapes[a].id, shapes[b].id), -1)) for a, b in pairs]
 
 
 def build_layout_graph(
     doc: LayoutDocument,
     pairs: Sequence[PairKey],
-    cuts: Mapping[PairKey, EndCutCandidate],
+    cuts: Sequence[EndCutCandidate],
 ) -> LayoutGraph:
     """One segment per feature; pairs and cuts as generate_stitch_candidates
     takes them."""
@@ -159,7 +159,7 @@ def _cut_middle(rects: Sequence[Rect], coord: int, k: int) -> int | None:
 def generate_stitch_candidates(
     doc: LayoutDocument,
     pairs: Sequence[PairKey],
-    cuts: Mapping[PairKey, EndCutCandidate],
+    cuts: Sequence[EndCutCandidate],
     metric: Metric = Metric.CHEBYSHEV,
 ) -> LayoutGraph:
     """The stitched layout graph: features split into stitched segments
@@ -178,7 +178,8 @@ def generate_stitch_candidates(
 
     pairs are the conflicting shape rank pairs (a, b), a < b, in ascending
     order, as conflict_pairs lists them, and cuts the candidate end-cut of
-    each pair that has one, keyed by feature id pair in the same order.
+    each pair that has one, in the same order, each carrying its feature
+    id pair.
     """
     d = doc.params.dis_m
     margin = max(2, d // 2)
@@ -249,18 +250,15 @@ def generate_stitch_candidates(
 
 
 def build_end_cut_graph(
-    cuts: dict[PairKey, EndCutCandidate],
+    cuts: tuple[EndCutCandidate, ...],
     params: DecompositionParams,
     metric: Metric = Metric.CHEBYSHEV,
 ) -> EndCutGraph:
     """Spacing and merge relations between candidate cuts, on their
     ranks in the order of cuts, their pair order."""
     d = params.dis_c
-    rects: list[Sequence[Rect]] = []
-    for c in cuts.values():
-        boxes = c.boxes  # read once; a lone box needs no comprehension
-        rects.append((boxes[0].rect,) if len(boxes) == 1 else [b.rect for b in boxes])
-    index = SpatialIndex([r[0] if len(r) == 1 else bounding_box(r) for r in rects], d)
+    rects = [[b.rect for b in c.boxes] for c in cuts]
+    index = SpatialIndex([bounding_box(r) for r in rects], d)
     ee: list[tuple[int, int]] = []
     merges: list[tuple[int, int]] = []
     # ascending rank pairs, in ascending order
@@ -294,7 +292,7 @@ def layout_graph_dot(g: LayoutGraph) -> str:
 
 @_collector_paused
 def end_cut_graph_dot(ecg: EndCutGraph) -> str:
-    label = [f'"{a}-{b}"' for a, b in ecg.candidates]
+    label = [f'"{c.pair[0]}-{c.pair[1]}"' for c in ecg.candidates]
     return "\n".join(
         [
             "graph endcuts {",

@@ -96,7 +96,7 @@ class IlpModel:
         tok = [f"{f}_{k}" if f in multi else str(f) for f, k in segs]
         return (
             *[f"x_{t}" for t in tok],
-            *[f"ec_{a}_{b}" for a, b in self.end_cuts.candidates],
+            *[f"ec_{c.pair[0]}_{c.pair[1]}" for c in self.end_cuts.candidates],
             *[f"c_{tok[a]}_{tok[b]}" for a, b, _ in self.graph.conflict_edges],
             *[f"s_{segs[a][0]}_{segs[a][1]}_{segs[b][1]}" for a, b in self.graph.stitch_edges],
         )
@@ -434,8 +434,8 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
         for ka, kb in spacing:
             parent[find(cut_home[ka])] = find(cut_home[kb])
     except KeyError as exc:  # only a hand-built end-cut graph can hold such a cut
-        k, cuts = exc.args[0], tuple(model.end_cuts.candidates)
-        what = cuts[k] if 0 <= k < len(cuts) else f"rank {k}"
+        k, cuts = exc.args[0], model.end_cuts.candidates
+        what = cuts[k].pair if 0 <= k < len(cuts) else f"rank {k}"
         raise ModelError(f"cut {what} has a spacing edge but no conflict edge carries it") from None
 
     # blocks of linked segments in order of their lowest vertex; a vertex's
@@ -517,9 +517,9 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
         )
     for ka, kb in spacing:
         if ka in selected and kb in selected:
-            cuts = tuple(model.end_cuts.candidates)
+            cuts = model.end_cuts.candidates
             raise AssertionError(
-                f"cuts {cuts[ka]} and {cuts[kb]} are too close to both print"
+                f"cuts {cuts[ka].pair} and {cuts[kb].pair} are too close to both print"
             )
     return IlpSolution(
         objective=Fraction(total, scale),

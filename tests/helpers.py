@@ -221,7 +221,7 @@ def variable_indices(model: IlpModel) -> tuple[dict, dict, dict, dict]:
     segs = g.segments
     blocks = (
         segs,
-        tuple(model.end_cuts.candidates),
+        [c.pair for c in model.end_cuts.candidates],
         [(segs[a], segs[b]) for a, b, _ in g.conflict_edges],
         [(segs[a], segs[b]) for a, b in g.stitch_edges],
     )
@@ -236,8 +236,8 @@ def variable_indices(model: IlpModel) -> tuple[dict, dict, dict, dict]:
 def keyed(model: IlpModel, sol: IlpSolution) -> tuple[dict, frozenset]:
     """sol's masks by segment key and its selected cuts by feature pair,
     read off its ranks through the graphs' keys."""
-    cuts = tuple(model.end_cuts.candidates)
-    return dict(zip(model.graph.segments, sol.colors)), frozenset(cuts[k] for k in sol.selected)
+    cuts = model.end_cuts.candidates
+    return dict(zip(model.graph.segments, sol.colors)), frozenset(cuts[k].pair for k in sol.selected)
 
 
 def solution_values(g: LayoutGraph, model: IlpModel, sol: IlpSolution) -> dict[str, int]:
@@ -249,10 +249,10 @@ def solution_values(g: LayoutGraph, model: IlpModel, sol: IlpSolution) -> dict[s
     values = {model.names[i]: colors[v] for v, i in x_of.items()}
     for pair, i in ec_of.items():
         values[model.names[i]] = int(pair in selected)
-    segs, cuts = g.segments, tuple(model.end_cuts.candidates)
+    segs, cuts = g.segments, model.end_cuts.candidates
     for a, b, k in g.conflict_edges:
         u, v = segs[a], segs[b]
-        cut = k >= 0 and cuts[k] in selected
+        cut = k >= 0 and cuts[k].pair in selected
         values[model.names[c_of[(u, v)]]] = int(colors[u] == colors[v] and not cut)
     for (u, v), i in s_of.items():
         values[model.names[i]] = int(colors[u] != colors[v])
@@ -289,7 +289,7 @@ def ranked_graphs(
         stitch_points=tuple(sp for _, _, sp in stitches),
     )
     ee = sorted(tuple(sorted((k[p], k[q]))) for p, q in ee_edges)
-    return g, EndCutGraph({p: candidates[p] for p in pairs}, tuple(ee), ())
+    return g, EndCutGraph(tuple(candidates[p] for p in pairs), tuple(ee), ())
 
 
 def merged_cut_rects_oracle(
@@ -617,19 +617,19 @@ def generate_end_cut_oracle(
     return EndCutCandidate(pair=pair, boxes=resolve_box_overlaps(raw))
 
 
-def end_cuts_oracle(doc: LayoutDocument) -> dict[tuple[int, int], EndCutCandidate]:
-    """The cut candidates of every conflicting pair of a layout, with the
-    pairs found by testing all pairs and each box checked against every
-    feature."""
+def end_cuts_oracle(doc: LayoutDocument) -> tuple[EndCutCandidate, ...]:
+    """The cut candidates of every conflicting pair of a layout in pair
+    order, with the pairs found by testing all pairs and each box checked
+    against every feature."""
     shapes = sorted(doc.shapes, key=lambda s: s.id)
     by_id = {s.id: s for s in shapes}
-    cuts = {}
+    cuts = []
     for s1, s2 in itertools.combinations(shapes, 2):
         if rectset_within(s1.rects, s2.rects, doc.params.dis_m):
             cand = generate_end_cut_oracle(s1, s2, doc.params, by_id)
             if cand is not None:
-                cuts[cand.pair] = cand
-    return cuts
+                cuts.append(cand)
+    return tuple(cuts)
 
 
 def _dummy_candidate(pair: tuple[int, int]) -> EndCutCandidate:

@@ -149,7 +149,7 @@ def test_criterion_6_encoding_matches_direct_edge_counting():
         m = build_model(g, ecg, alpha)
         lp = parse_lp(export_lp(m))
         x_of, ec_of, _, _ = variable_indices(m)
-        segs, pairs = g.segments, list(ecg.candidates)
+        segs, pairs = g.segments, [c.pair for c in ecg.candidates]
         conflict_edges = {
             (segs[a], segs[b]): None if k < 0 else pairs[k] for a, b, k in g.conflict_edges
         }

@@ -20,7 +20,6 @@ from trimdecomp.endcut import (
     BoxKind,
     EndCutBox,
     EndCutCandidate,
-    _end_cut,
     _facing_sides,
     _outline_runs,
     generate_all_end_cuts,
@@ -31,6 +30,7 @@ from trimdecomp.endcut import (
 )
 from trimdecomp.geometry import (
     Metric,
+    Point,
     Rect,
     RectilinearShape,
     SpatialIndex,
@@ -363,10 +363,10 @@ def test_rect_beside_a_polygon_reads_the_outline_it_would_store():
         r = bar(1, x, y, x + rng.randrange(20, 300, 20), y + rng.randrange(20, 300, 20))
         assert r.corners == ()
         ((lo, hi),) = r.rects
-        stored = _outline_runs((lo, (hi.x, lo.y), hi, (lo.x, hi.y)))
-        assert _outline_runs(r.outline) == stored
-        assert generate_end_cut(r, l, wide, []) == _end_cut(r, l, wide, [], {r.id: stored})
-        assert generate_end_cut(l, r, wide, []) == _end_cut(l, r, wide, [], {r.id: stored})
+        stored = r._replace(corners=(lo, Point(hi.x, lo.y), hi, Point(lo.x, hi.y)))
+        assert _outline_runs(r.outline) == _outline_runs(stored.outline)
+        assert generate_end_cut(r, l, wide, []) == generate_end_cut(stored, l, wide, [])
+        assert generate_end_cut(l, r, wide, []) == generate_end_cut(l, stored, wide, [])
         cut += generate_end_cut(r, l, wide, []) is not None
     assert cut > 0
 
@@ -479,9 +479,9 @@ def test_feature_beyond_spacing_rule_still_blocks_a_cut_box():
     blocked_doc = parse_layout("\n".join(lines + ["rect 3 150 100 200 140"]) + "\n")
     for doc in (open_doc, blocked_doc):
         assert decompose_document(doc).end_cuts.candidates == end_cuts_oracle(doc)
-    (box,) = end_cuts_oracle(open_doc)[(1, 2)].boxes
-    assert box.rect == Rect.of(30, 40, 330, 200)
-    assert (1, 2) not in end_cuts_oracle(blocked_doc)
+    ((pair, (box,)),) = end_cuts_oracle(open_doc)
+    assert pair == (1, 2) and box.rect == Rect.of(30, 40, 330, 200)
+    assert end_cuts_oracle(blocked_doc) == ()
 
 
 def test_generate_all_end_cuts_demo_layout():
@@ -491,9 +491,9 @@ def test_generate_all_end_cuts_demo_layout():
     near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
     pairs = conflict_pairs(doc, near_pairs)
     assert [(doc.shapes[a].id, doc.shapes[b].id) for a, b in pairs] == [(1, 2), (1, 3), (2, 3)]
-    cuts = generate_all_end_cuts(doc, pairs, near_pairs)
-    assert sorted(cuts) == [(2, 3)]
-    assert [b.rect for b in cuts[(2, 3)].boxes] == [Rect.of(200, 0, 240, 40)]
+    ((pair, boxes),) = generate_all_end_cuts(doc, pairs, near_pairs)
+    assert pair == (2, 3)
+    assert [b.rect for b in boxes] == [Rect.of(200, 0, 240, 40)]
 
 
 def test_merge_union():
@@ -626,7 +626,7 @@ def test_touching_selected_cuts_share_a_cut_or_a_merge_edge(monkeypatch):
         calls.clear()
         ecg = decompose_document(doc, metric=metric).end_cuts
         ((selected, p, links),) = calls
-        rank = {pair: k for k, pair in enumerate(ecg.candidates)}
+        rank = {c.pair: k for k, c in enumerate(ecg.candidates)}
         merges = set(ecg.merge_edges)
         boxes = [(rank[c.pair], b.rect) for c in selected for b in c.boxes]
         for (ka, ra), (kb, rb) in itertools.combinations(boxes, 2):

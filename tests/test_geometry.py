@@ -83,7 +83,7 @@ def test_every_rect_built_by_the_pipeline_has_positive_area():
         result = decompose_document(doc)
         groups = {
             "shapes": [r for s in doc.shapes for r in s.rects],
-            "cuts": [b.rect for c in result.end_cuts.candidates.values() for b in c.boxes],
+            "cuts": [b.rect for c in result.end_cuts.candidates for b in c.boxes],
             "pieces": [r for piece in result.graph.pieces for r in piece],
             "report": result.report.cuts,
         }
@@ -114,7 +114,7 @@ def _records(result) -> list:
     for piece in result.graph.pieces:
         for r in piece:
             rect(r)
-    for c in result.end_cuts.candidates.values():
+    for c in result.end_cuts.candidates:
         cand(c)
     for r in result.report.cuts:
         rect(r)

@@ -48,9 +48,8 @@ def graph_for(doc, metric=Metric.CHEBYSHEV):
 
 def keyed_edges(g, cuts):
     """g's conflict edges on segment keys, each with its candidate or None."""
-    order = sorted(cuts)
     segs = g.segments
-    return {(segs[a], segs[b]): None if k < 0 else cuts[order[k]] for a, b, k in g.conflict_edges}
+    return {(segs[a], segs[b]): None if k < 0 else cuts[k] for a, b, k in g.conflict_edges}
 
 
 def shape_pairs(g):
@@ -131,7 +130,7 @@ def test_stitch_candidate_reattaches_to_nearest_segment():
         "rect 3 0 160 60 200\n"
     )
     g, _, cuts = graph_for(doc)
-    assert (1, 2) in cuts
+    assert [c.pair for c in cuts] == [(1, 2), (1, 3)]
     g2 = generate_stitch_candidates(doc, shape_pairs(g), cuts)
     # both long wires split: wire 1 between its two covered stretches,
     # wire 2 ahead of its free right end
@@ -141,8 +140,8 @@ def test_stitch_candidate_reattaches_to_nearest_segment():
     assert (points[2].x, points[2].orient) == (590, "v")
     # each cut candidate lands on the segment pair flanking its gap
     edges = keyed_edges(g2, cuts)
-    assert edges[((1, 1), (2, 0))] is cuts[(1, 2)]
-    assert edges[((1, 0), (3, 0))] is cuts[(1, 3)]
+    assert edges[((1, 1), (2, 0))] is cuts[0]
+    assert edges[((1, 0), (3, 0))] is cuts[1]
     assert ((1, 0), (2, 0)) not in edges
     assert ((1, 1), (2, 1)) not in edges
 
@@ -210,7 +209,7 @@ def test_components_split_and_ee_coupling():
     # two conflicting pairs, far apart; variant b pulls their cuts close
     # enough that selecting both is forbidden, coupling the two pairs
     g, ecg, cuts = graph_for(parse_layout(SPACING_PAIRS.format(dc=120)))
-    assert sorted(cuts) == [(1, 2), (3, 4)]
+    assert [c.pair for c in cuts] == [(1, 2), (3, 4)]
     assert not ecg.ee_edges
     # spacing-free cuts link nothing: every segment is its own block
     sol = solve(build_model(g, ecg, Fraction(0)))
@@ -218,7 +217,7 @@ def test_components_split_and_ee_coupling():
     assert sol.selected == (0, 1)  # both cuts, by rank in pair order
 
     g2, ecg2, _ = graph_for(parse_layout(SPACING_PAIRS.format(dc=300)))
-    assert list(ecg2.candidates) == [(1, 2), (3, 4)] and ecg2.ee_edges == ((0, 1),)
+    assert [c.pair for c in ecg2.candidates] == [(1, 2), (3, 4)] and ecg2.ee_edges == ((0, 1),)
     assert solve(build_model(g2, ecg2, Fraction(0))).blocks == 1
     unspaced = EndCutGraph(ecg2.candidates, (), ())
     assert solve(build_model(g2, unspaced, Fraction(0))).blocks == 4
@@ -229,8 +228,8 @@ def test_preselect_keeps_spacing_constrained_cuts():
     # two mutually spaced cuts is taken
     g, ecg, cuts = graph_for(parse_layout(SPACING_PAIRS.format(dc=300)))
     edges = keyed_edges(g, cuts)
-    assert edges[((1, 0), (2, 0))] is cuts[(1, 2)]
-    assert edges[((3, 0), (4, 0))] is cuts[(3, 4)]
+    assert edges[((1, 0), (2, 0))] is cuts[0] and cuts[0].pair == (1, 2)
+    assert edges[((3, 0), (4, 0))] is cuts[1] and cuts[1].pair == (3, 4)
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert sol.blocks == 1
     assert len(sol.selected) == 1 and sol.objective == 0
@@ -272,8 +271,12 @@ def test_every_candidate_sits_on_exactly_one_conflict_edge():
     for doc in docs:
         for metric in Metric:
             result = decompose_document(doc, metric=metric)
-            ranks = sorted(k for _, _, k in result.graph.conflict_edges if k >= 0)
-            assert ranks == list(range(len(result.end_cuts.candidates))), (doc.name, metric)
+            g, cands = result.graph, result.end_cuts.candidates
+            ranks = sorted(k for _, _, k in g.conflict_edges if k >= 0)
+            assert ranks == list(range(len(cands))), (doc.name, metric)
+            for a, b, k in g.conflict_edges:
+                if k >= 0:
+                    assert cands[k].pair == (g.segments[a][0], g.segments[b][0]), (doc.name, k)
             runs += 1
             carried += len(ranks)
     assert runs == 328 and carried > 1000, carried

@@ -46,7 +46,7 @@ def test_model_shape_for_demo_layout():
     # each edge once, on segment and cut ranks: the one cut sits on the
     # conflict between features 2 and 3, and no spacing edge binds it
     assert m.graph.segments == ((1, 0), (2, 0), (3, 0))
-    assert tuple(m.end_cuts.candidates) == ((2, 3),)
+    assert [c.pair for c in m.end_cuts.candidates] == [(2, 3)]
     assert m.graph.conflict_edges == ((0, 1, -1), (0, 2, -1), (1, 2, 0))
     assert m.end_cuts.ee_edges == ()
     names, obj, rows, scale = parse_lp(export_lp(m))
@@ -97,7 +97,7 @@ def test_a_spaced_cut_that_no_conflict_carries_is_a_model_error():
     # only a hand-built end-cut graph can hold such a cut: the pipeline puts
     # every candidate on exactly one conflict edge
     g, ecg = abstract_graph(2, [(1, 2)], cands={(1, 2)})
-    cands = {**ecg.candidates, (7, 8): _dummy_candidate((7, 8))}
+    cands = (*ecg.candidates, _dummy_candidate((7, 8)))
     m = build_model(g, EndCutGraph(cands, ((0, 1),), ()), Fraction(0))
     with pytest.raises(ModelError, match=r"^cut \(7, 8\) has a spacing edge but no conflict edge"):
         solve(m)
@@ -241,8 +241,7 @@ def assert_satisfies_every_row(g, m, sol):
 def shifted(g, ecg, offset):
     """The same graphs with every feature id raised by offset; the ranks
     stay as they are."""
-    pairs = [(a + offset, b + offset) for a, b in ecg.candidates]
-    cands = {p: _dummy_candidate(p) for p in pairs}
+    cands = tuple(_dummy_candidate((a + offset, b + offset)) for (a, b), _ in ecg.candidates)
     return (
         dataclasses.replace(
             g,
@@ -256,7 +255,7 @@ def shifted(g, ecg, offset):
 def joined(parts):
     """One pair of graphs of parts whose feature ids ascend from part to
     part, so each part's ranks follow those of the parts before it."""
-    segs, pieces, conflicts, stitches, points, cands, ee = [], [], [], [], [], {}, []
+    segs, pieces, conflicts, stitches, points, cands, ee = [], [], [], [], [], [], []
     for g, ecg in parts:
         n, nk = len(segs), len(cands)
         segs += g.segments
@@ -264,10 +263,10 @@ def joined(parts):
         conflicts += [(a + n, b + n, k + nk if k >= 0 else -1) for a, b, k in g.conflict_edges]
         stitches += [(a + n, b + n) for a, b in g.stitch_edges]
         points += g.stitch_points
-        cands.update(ecg.candidates)
+        cands += ecg.candidates
         ee += [(ka + nk, kb + nk) for ka, kb in ecg.ee_edges]
     graph = LayoutGraph(*map(tuple, (segs, pieces, conflicts, stitches, points)))
-    return graph, EndCutGraph(cands, tuple(ee), ())
+    return graph, EndCutGraph(tuple(cands), tuple(ee), ())
 
 
 def two_triangles(cuts, ee):
@@ -427,8 +426,7 @@ def test_search_tree_of_a_crowded_chain(bars, nodes):
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, nodes)
     assert masks(sol) == ("AAB" * bars)[:bars]
-    pairs = list(ecg.candidates)
-    assert [pairs[k] for k in sol.selected] == [(i, i + 1) for i in range(1, bars, 3)]
+    assert [ecg.candidates[k].pair for k in sol.selected] == [(i, i + 1) for i in range(1, bars, 3)]
 
 
 def test_timeout_inside_a_leaf_returns_feasible_incumbent():
@@ -441,8 +439,7 @@ def test_timeout_inside_a_leaf_returns_feasible_incumbent():
     sol = solve(m, time_limit=0.0)
     assert (sol.status, sol.objective, sol.nodes) == (SolveStatus.TIMEOUT, 6, 2048)
     assert masks(sol) == "AAAAAAAAAAAAAABA"
-    pairs = list(ecg.candidates)
-    assert [pairs[k] for k in sol.selected] == [(i, i + 1) for i in range(1, 15, 2)]
+    assert [ecg.candidates[k].pair for k in sol.selected] == [(i, i + 1) for i in range(1, 15, 2)]
     assert_satisfies_every_row(g, m, sol)
 
 
@@ -472,8 +469,7 @@ def test_cut_masks_wider_than_a_machine_word(monkeypatch):
     assert chosen == [list(range(0, 80, 2))]
     assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, 320)
     assert masks(sol) == "ABA" * 40
-    pairs = list(ecg.candidates)
-    assert [pairs[k] for k in sol.selected] == sorted((a, a + 2) for a in range(1, 121, 3))
+    assert [ecg.candidates[k].pair for k in sol.selected] == sorted((a, a + 2) for a in range(1, 121, 3))
 
 
 def corrupt_search(monkeypatch, corrupt):

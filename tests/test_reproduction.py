@@ -23,7 +23,7 @@ def without_cuts(doc):
     p = doc.params
     reach = max(p.dis_m, p.h_high, p.w_high)
     pairs = conflict_pairs(doc, SpatialIndex.from_shapes(doc.shapes, reach).pairs(reach))
-    model = build_model(build_layout_graph(doc, pairs, {}), EndCutGraph({}, (), ()), Fraction(0))
+    model = build_model(build_layout_graph(doc, pairs, ()), EndCutGraph((), (), ()), Fraction(0))
     return model, solve(model)
 
 

@@ -21,7 +21,7 @@ import functools
 import gc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple, ParamSpec, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, ParamSpec, Sequence, TypeVar
 
 from .geometry import (
     Rect,
@@ -46,6 +46,8 @@ _INT_RULES = (
     ("wth", "w_th"),
 )
 PARAM_KEYS = (*(key for key, _ in _INT_RULES), "alpha_num", "alpha_den", "stitch")
+# the key whose value an unset bound takes, each after the key it reads
+_DEFAULTS_TO = {"dis_c": "dis_m", "wth": "dis_m", "hhigh": "dis_m", "whigh": "wth"}
 
 
 class LayoutParseError(ValueError):
@@ -53,6 +55,14 @@ class LayoutParseError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
+
+
+class ParamError(ValueError):
+    """A failed parameter check, with the keys whose values it read."""
+
+    def __init__(self, keys: tuple[str, ...], message: str):
+        super().__init__(message)
+        self.keys = keys
 
 
 @dataclass(frozen=True)
@@ -79,16 +89,16 @@ class DecompositionParams:
     stitch: bool
 
     def __post_init__(self) -> None:
-        for _, name in _INT_RULES:
+        for key, name in _INT_RULES:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-                raise ValueError(f"parameter {name} must be a positive integer, got {v!r}")
+                raise ParamError((key,), f"parameter {name} must be a positive integer, got {v!r}")
         if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+            raise ParamError(("alpha_num", "alpha_den"), "alpha must be non-negative")
         if self.h_low > self.h_high:
-            raise ValueError("hlow exceeds hhigh")
+            raise ParamError(("hlow", "hhigh"), "hlow exceeds hhigh")
         if self.w_low > self.w_high:
-            raise ValueError("wlow exceeds whigh")
+            raise ParamError(("wlow", "whigh"), "wlow exceeds whigh")
 
     @classmethod
     def from_raw(
@@ -106,35 +116,33 @@ class DecompositionParams:
         """
         unknown = set(raw) - set(PARAM_KEYS)
         if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
-        dis_m = raw.get("dis_m", 120)
-        dis_c = raw.get("dis_c", dis_m)
-        w_th = raw.get("wth", dis_m)
-        h_high = raw.get("hhigh", dis_m)
-        w_high = raw.get("whigh", w_th)
+            raise ParamError(tuple(sorted(unknown)), f"unknown parameters: {sorted(unknown)}")
+        v = {"dis_m": raw.get("dis_m", 120)}
+        for key, source in _DEFAULTS_TO.items():
+            v[key] = raw.get(key, v[source])
         if "hlow" in raw and "wlow" in raw:
             low_default = None  # unused: skip the scan over the shapes
         elif shapes:
             low_default = max(1, min(s.min_dimension for s in shapes) // 2)
         else:
-            low_default = max(1, dis_m // 2)
-        h_low = raw["hlow"] if "hlow" in raw else max(1, min(low_default, h_high))
-        w_low = raw["wlow"] if "wlow" in raw else max(1, min(low_default, w_high))
+            low_default = max(1, v["dis_m"] // 2)
+        h_low = raw["hlow"] if "hlow" in raw else max(1, min(low_default, v["hhigh"]))
+        w_low = raw["wlow"] if "wlow" in raw else max(1, min(low_default, v["whigh"]))
         alpha_den = raw.get("alpha_den", 10)
         if alpha_den == 0:
-            raise ValueError("parameter alpha_den must be non-zero")
+            raise ParamError(("alpha_den",), "parameter alpha_den must be non-zero")
         alpha = Fraction(raw.get("alpha_num", 1), alpha_den)
         stitch_flag = raw.get("stitch", 0)
         if stitch_flag not in (0, 1):
-            raise ValueError(f"stitch must be 0 or 1, got {stitch_flag}")
+            raise ParamError(("stitch",), f"stitch must be 0 or 1, got {stitch_flag}")
         return cls(
-            dis_m=dis_m,
-            dis_c=dis_c,
+            dis_m=v["dis_m"],
+            dis_c=v["dis_c"],
             h_low=h_low,
-            h_high=h_high,
+            h_high=v["hhigh"],
             w_low=w_low,
-            w_high=w_high,
-            w_th=w_th,
+            w_high=v["whigh"],
+            w_th=v["wth"],
             alpha=alpha,
             stitch=bool(stitch_flag),
         )
@@ -272,6 +280,7 @@ def _directives(text: str) -> Iterator[tuple[int, list[str]]]:
 def parse_layout(text: str) -> LayoutDocument:
     name = "unnamed"
     raw_params: dict[str, int] = {}
+    param_lines: dict[str, int] = {}
     shapes: list[RectilinearShape] = []
     seen_ids: set[int] = set()
 
@@ -293,6 +302,7 @@ def parse_layout(text: str) -> LayoutDocument:
             if key in raw_params:
                 raise LayoutParseError(lineno, f"duplicate param {key!r}")
             raw_params[key] = _parse_int(toks[2], lineno, f"param {key}")
+            param_lines[key] = lineno
         elif kind == "rect":
             if len(toks) != 6:
                 raise LayoutParseError(lineno, "rect takes id x1 y1 x2 y2")
@@ -324,9 +334,20 @@ def parse_layout(text: str) -> LayoutDocument:
 
     try:
         params = DecompositionParams.from_raw(raw_params, shapes)
-    except ValueError as exc:
-        raise LayoutParseError(0, str(exc)) from exc
+    except ParamError as exc:
+        raise LayoutParseError(_param_line(exc.keys, param_lines), str(exc)) from exc
     return LayoutDocument(name=name, shapes=tuple(shapes), params=params)
+
+
+def _param_line(keys: Iterable[str], lines: Mapping[str, int]) -> int:
+    """The last line of a param that keys read: an unset key reads the
+    key it defaults to. 0 when none of them is set."""
+    found = [0]
+    for key in keys:
+        while key not in lines and key in _DEFAULTS_TO:
+            key = _DEFAULTS_TO[key]
+        found.append(lines.get(key, 0))
+    return max(found)
 
 
 def _check_id(fid: int, seen: set[int], lineno: int) -> None:

@@ -318,7 +318,8 @@ def test_zero_alpha_den_is_an_input_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(trimdecomp.cli, "_usable_cpus", lambda: 2)
     text = (LAYOUTS / "cluster7.lay").read_text() + "param alpha_den 0\n"
     (tmp_path / "a.lay").write_text(text)
-    message = "line 0: parameter alpha_den must be non-zero\n"
+    # the appended param line is line 13 of the file
+    message = "line 13: parameter alpha_den must be non-zero\n"
     assert run(capsys, "--input", str(tmp_path / "a.lay")) == (1, "", "error: " + message)
     (tmp_path / "b.lay").write_text((LAYOUTS / "endcut_demo.lay").read_text())
     for jobs in ("1", "2"):

@@ -231,6 +231,27 @@ def test_a_low_bound_stated_above_its_high_bound_still_raises():
         DecompositionParams.from_raw({"wlow": 50, "whigh": 10})
 
 
+@pytest.mark.parametrize(
+    "params, line, message",
+    [
+        # two contradicting keys: the later line
+        ("param hlow 50\nparam hhigh 10\n", 3, "hlow exceeds hhigh"),
+        ("param hhigh 10\nparam hlow 50\n", 3, "hlow exceeds hhigh"),
+        # an unset key: the line of the key it defaults to, whigh from wth
+        ("param wth 0\n", 2, "parameter w_high must be a positive integer, got 0"),
+        ("param dis_m 40\nparam stitch 1\nparam hlow 50\n", 4, "hlow exceeds hhigh"),
+        ("param hlow 50\nparam stitch 1\nparam dis_m 40\n", 4, "hlow exceeds hhigh"),
+        ("param alpha_num -1\nparam dis_m 40\n", 2, "alpha must be non-negative"),
+        ("param stitch 2\n", 2, "stitch must be 0 or 1, got 2"),
+    ],
+)
+def test_a_parameter_error_names_the_line_of_the_value_it_read(params, line, message):
+    text = "layout sq\n" + params + "rect 1 0 0 100 100\n"
+    with pytest.raises(LayoutParseError) as exc:
+        parse_layout(text)
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_bool_is_not_an_integer_where_a_layout_enters():
     # write_layout would write True and False, which parse_layout rejects
     with pytest.raises(GeometryError, match="must be integers: \\(True, 0\\)"):

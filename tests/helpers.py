@@ -12,7 +12,8 @@ package no longer builds, and box clearance checked against every
 feature of the layout.
 A priced block of the solver is solved again by bucket elimination in
 a min-fill order, with the search's tie-break folded into one integer
-objective.
+objective. A layout graph's conflict pairs are also solved over three
+full masks by the external solver, the LELELE baseline.
 Tests compare the package against these, never against itself, and
 the model oracles read a model's rows and weights only from its
 exported LP text. The rectangle gaps are here too, as only tests read
@@ -807,6 +808,48 @@ class _Milp:
 def milp_optimum(text: str) -> Fraction:
     """Solve the exported LP text with an external branch-and-bound."""
     return _Milp(text).solve()[0]
+
+
+def three_mask_conflicts(g: LayoutGraph) -> int:
+    """The fewest conflicts of g's conflict pairs over three full litho
+    masks, no trim and no stitches: each segment takes one of three mask
+    variables, each edge one indicator per mask, x_am + x_bm - c_em <= 1,
+    minimising the sum of the indicators. Solved by scipy.optimize.milp
+    with mip_rel_gap 0; the count is read off the rounded masks."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    assert not g.stitch_edges, "the three-mask model has no stitches"
+    n, edges = len(g.segments), [(a, b) for a, b, _ in g.conflict_edges]
+    nx = 3 * n  # x of segment v on mask m is 3v + m; c of edge e on mask m is nx + 3e + m
+    rows, cols, vals = [], [], []
+    for v in range(n):
+        rows += [v] * 3
+        cols += range(3 * v, 3 * v + 3)
+        vals += [1] * 3
+    for e, (a, b) in enumerate(edges):
+        for m in range(3):
+            r = n + 3 * e + m
+            rows += [r] * 3
+            cols += [3 * a + m, 3 * b + m, nx + 3 * e + m]
+            vals += [1, 1, -1]
+    nvars, nrows = nx + 3 * len(edges), n + 3 * len(edges)
+    matrix = coo_array((vals, (rows, cols)), shape=(nrows, nvars))
+    lower = np.r_[np.ones(n), np.full(nrows - n, -np.inf)]
+    res = milp(
+        c=np.r_[np.zeros(nx), np.ones(nvars - nx)],
+        constraints=LinearConstraint(matrix, lower, np.ones(nrows)),
+        integrality=np.ones(nvars),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.success, res.message
+    x = np.round(res.x[:nx]).reshape(n, 3)
+    assert (x.sum(axis=1) == 1).all()
+    mask = x.argmax(axis=1)
+    conflicts = sum(mask[a] == mask[b] for a, b in edges)
+    assert conflicts == round(res.fun), (conflicts, res.fun)
+    return int(conflicts)
 
 
 def milp_lex_witness(text: str) -> tuple[Fraction, dict[str, int]]:

@@ -4,12 +4,14 @@ Each nine-cluster random layout and each 500-shape grid is decomposed
 twice through the library: as decompose_document does, and with no
 end-cut candidates at all, the same conflict pairs priced with no trim
 mask. Every solve must be a proven optimum, and the no-cut optimum is
-checked against an external MILP solver on the exported LP.
+checked against an external MILP solver on the exported LP. The
+random layouts are also solved over three full masks (LELELE), on the
+same conflict pairs and dis_m with no stitches, by that MILP solver.
 """
 
 from fractions import Fraction
 
-from helpers import milp_optimum
+from helpers import milp_optimum, three_mask_conflicts
 
 from trimdecomp.cli import decompose_document
 from trimdecomp.geometry import SpatialIndex
@@ -28,7 +30,7 @@ def without_cuts(doc):
 
 
 def test_end_cuts_lower_the_optimum_of_nine_cluster_layouts():
-    with_sum = without_sum = 0
+    with_sum = without_sum = three_sum = 0
     checked = 0
     for seed in range(50):
         doc = random_layout(seed, clusters=9)
@@ -40,11 +42,13 @@ def test_end_cuts_lower_the_optimum_of_nine_cluster_layouts():
         assert stats.conflicts <= len(sol.conflicts), seed
         with_sum += stats.conflicts
         without_sum += len(sol.conflicts)
+        three_sum += three_mask_conflicts(model.graph)
         if checked < 10 and sol.conflicts:
             assert milp_optimum(export_lp(model)) == sol.objective, seed
             checked += 1
     assert checked == 10
-    assert (with_sum, without_sum) == (26, 251)
+    # three masks leave fewer conflicts than two plus trim on these pairs
+    assert (three_sum, with_sum, without_sum) == (13, 26, 251)
 
 
 def test_end_cuts_lower_the_optimum_of_grid_layouts():

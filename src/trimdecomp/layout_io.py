@@ -21,7 +21,7 @@ import functools
 import gc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, ParamSpec, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, ParamSpec, Sequence, TypeVar
 
 from .geometry import (
     Rect,
@@ -116,18 +116,18 @@ class DecompositionParams:
         """
         unknown = set(raw) - set(PARAM_KEYS)
         if unknown:
-            raise ParamError(tuple(sorted(unknown)), f"unknown parameters: {sorted(unknown)}")
-        v = {"dis_m": raw.get("dis_m", 120)}
+            raise ValueError(f"unknown parameters: {sorted(unknown)}")
+        ints = {"dis_m": raw.get("dis_m", 120)}  # the integer rules by key
         for key, source in _DEFAULTS_TO.items():
-            v[key] = raw.get(key, v[source])
+            ints[key] = raw.get(key, ints[source])
         if "hlow" in raw and "wlow" in raw:
             low_default = None  # unused: skip the scan over the shapes
         elif shapes:
             low_default = max(1, min(s.min_dimension for s in shapes) // 2)
         else:
-            low_default = max(1, v["dis_m"] // 2)
-        h_low = raw["hlow"] if "hlow" in raw else max(1, min(low_default, v["hhigh"]))
-        w_low = raw["wlow"] if "wlow" in raw else max(1, min(low_default, v["whigh"]))
+            low_default = max(1, ints["dis_m"] // 2)
+        for low, high in (("hlow", "hhigh"), ("wlow", "whigh")):
+            ints[low] = raw[low] if low in raw else max(1, min(low_default, ints[high]))
         alpha_den = raw.get("alpha_den", 10)
         if alpha_den == 0:
             raise ParamError(("alpha_den",), "parameter alpha_den must be non-zero")
@@ -135,17 +135,7 @@ class DecompositionParams:
         stitch_flag = raw.get("stitch", 0)
         if stitch_flag not in (0, 1):
             raise ParamError(("stitch",), f"stitch must be 0 or 1, got {stitch_flag}")
-        return cls(
-            dis_m=v["dis_m"],
-            dis_c=v["dis_c"],
-            h_low=h_low,
-            h_high=v["hhigh"],
-            w_low=w_low,
-            w_high=v["whigh"],
-            w_th=v["wth"],
-            alpha=alpha,
-            stitch=bool(stitch_flag),
-        )
+        return cls(alpha=alpha, stitch=bool(stitch_flag), **{n: ints[k] for k, n in _INT_RULES})
 
     def raw_items(self) -> list[tuple[str, int]]:
         return [(key, getattr(self, name)) for key, name in _INT_RULES] + [
@@ -335,19 +325,14 @@ def parse_layout(text: str) -> LayoutDocument:
     try:
         params = DecompositionParams.from_raw(raw_params, shapes)
     except ParamError as exc:
-        raise LayoutParseError(_param_line(exc.keys, param_lines), str(exc)) from exc
+        # the last param line the check read; an unset key reads its default's
+        line = 0
+        for key in exc.keys:
+            while key not in param_lines and key in _DEFAULTS_TO:
+                key = _DEFAULTS_TO[key]
+            line = max(line, param_lines.get(key, 0))
+        raise LayoutParseError(line, str(exc)) from exc
     return LayoutDocument(name=name, shapes=tuple(shapes), params=params)
-
-
-def _param_line(keys: Iterable[str], lines: Mapping[str, int]) -> int:
-    """The last line of a param that keys read: an unset key reads the
-    key it defaults to. 0 when none of them is set."""
-    found = [0]
-    for key in keys:
-        while key not in lines and key in _DEFAULTS_TO:
-            key = _DEFAULTS_TO[key]
-        found.append(lines.get(key, 0))
-    return max(found)
 
 
 def _check_id(fid: int, seen: set[int], lineno: int) -> None:

@@ -24,7 +24,7 @@ tuples: the LP text is the one written form of the rows. The pipeline
 builds the model once per decomposition: solve optimises it and
 export_lp prints it.
 
-solve prices each edge once as it reads it and splits the model into
+solve prices each edge from its kind's cost_table and splits the model into
 independent blocks, one exact branch and bound per distinct block
 structure. A greedy two-colouring seeds each search, which assigns
 masks in ascending segment order, mask 0 first, so the first leaf it
@@ -36,10 +36,12 @@ and stitch edges it leaves."""
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .graphs import EndCutGraph, LayoutGraph
 from .layout_io import SolveStatus, _collector_paused, fraction_to_decimal
@@ -77,6 +79,21 @@ STITCH_ROWS: RowTemplate = (
 SPACING_ROWS: RowTemplate = ((((0, 1), (1, 1)), 1),)
 
 
+@functools.cache
+def cost_table(template: RowTemplate) -> Mapping[tuple[int, ...], int | None]:
+    """Each 0-1 value of the template's slots but slot 2, its indicator,
+    mapped to the least indicator value for which every row holds (tried
+    at 0 first), or None where none does; spacing has no indicator, so 0
+    or None. Made on first use and shared by every caller, so read-only."""
+    slots = 1 + max(slot for terms, _ in template for slot, _ in terms)
+    table: dict[tuple[int, ...], int | None] = {}
+    for v in itertools.product((0, 1), repeat=slots):
+        if table.get(key := v[:2] + v[3:]) is None:
+            holds = all(sum(sign * v[slot] for slot, sign in terms) <= rhs for terms, rhs in template)
+            table[key] = sum(v[2:3]) if holds else None
+    return MappingProxyType(table)
+
+
 @dataclass(frozen=True)
 class IlpModel:
     # the variables follow the graphs' ranks: the x block is the layout
@@ -104,7 +121,7 @@ class IlpModel:
     @property
     def scale(self) -> int:
         """The factor that makes every weight an integer: alpha's
-        denominator. A conflict weighs scale, a stitch alpha's numerator."""
+        denominator."""
         return self.alpha.denominator
 
 
@@ -137,12 +154,11 @@ class _Timeout(Exception):
     pass
 
 
-# A block's local structure, priced: its vertex count; each edge that
-# colours alone settle, a conflict with no pending cut or a stitch, as
-# (a, b, cost when a and b share a mask, cost when they differ); each
-# pending cut's conflict edge as (a, b, cost when a and b share a mask and
-# the cut is not selected), a cut's index being its rank in that list; its
-# cut-spacing edges as sorted pairs of those indices.
+# A block's local structure, priced from cost_table: its vertex count;
+# each edge that colours alone settle, a conflict with no pending cut or a
+# stitch, as (a, b, price on one mask, price across); each pending cut's
+# conflict edge as (a, b, its skip price), a cut's index being its rank in
+# that list; its cut-spacing edges as sorted pairs of those indices.
 BlockStructure = tuple[
     int,
     tuple[tuple[int, int, int, int], ...],
@@ -376,10 +392,10 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     """Minimise the model's objective: conflicts plus alpha times stitches.
 
     solve reads the graphs' edges, stored per kind on segment and cut
-    ranks, not the rows. Every edge is priced here, once, as it is read,
-    and each block's search gets those prices in its BlockStructure. The
-    answer is on ranks too: masks by segment rank, and the ranks of the
-    selected cuts and of the conflict and stitch edges it leaves.
+    ranks, not the rows. Every edge is priced here, once, from its kind's
+    cost_table, and each block's search gets those prices in its
+    BlockStructure. The answer is on ranks too: masks by segment rank, and
+    the ranks of the selected cuts and of the conflict and stitch edges.
 
     This is the one place the problem splits: blocks linked by conflict,
     stitch or cut-spacing edges are searched separately and the optima
@@ -408,12 +424,12 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     ends, stitch_edges = model.graph.conflict_edges, model.graph.stitch_edges
     spacing = model.end_cuts.ee_edges
     spaced = {k for e in spacing for k in e}
-    # the search's prices, as BlockStructure has them: each conflict with
-    # no cut and each stitch as a pair, each conflict whose cut has a
-    # spacing edge as (a, b, price, its cut); any other cut is free
-    pairs = [(a, b, scale, 0) for a, b, k in ends if k < 0]
-    pairs += [(a, b, 0, ws) for a, b in stitch_edges]
-    pend = [(a, b, scale, k) for a, b, k in ends if k in spaced]
+    # each kind's costs scaled by its weight: a conflict whose cut has a
+    # spacing edge is pending, any other cut is free
+    conflict, stitch, cut_conflict = map(cost_table, (CONFLICT_ROWS, STITCH_ROWS, CUT_CONFLICT_ROWS))
+    pairs = [(a, b, scale * conflict[0, 0], scale * conflict[0, 1]) for a, b, k in ends if k < 0]
+    pairs += [(a, b, ws * stitch[0, 0], ws * stitch[0, 1]) for a, b in stitch_edges]
+    pend = [(a, b, scale * cut_conflict[0, 0, 0], k) for a, b, k in ends if k in spaced]
     free = [(a, b, k) for a, b, k in ends if k >= 0 and k not in spaced]
     cut_home = {cut: a for a, _, _, cut in pend}
 

@@ -12,12 +12,16 @@ package no longer builds, and box clearance checked against every
 feature of the layout.
 A priced block of the solver is solved again by bucket elimination in
 a min-fill order, with the search's tie-break folded into one integer
-objective. A layout graph's conflict pairs are also solved over three
-full masks by the external solver, the LELELE baseline.
+objective. Its cut and spacing factors are the package's own: the
+cost_table of each row template. HiGHS and enumeration still check
+those templates independently, through the exported LP text. A layout
+graph's conflict pairs are also solved over three full masks by the
+external solver, the LELELE baseline.
 Tests compare the package against these, never against itself, and
 the model oracles read a model's rows and weights only from its
 exported LP text. The rectangle gaps are here too, as only tests read
-them.
+them, and so are the polyomino and crowded-chain layout generators that
+several test files share.
 """
 
 from __future__ import annotations
@@ -49,7 +53,15 @@ from trimdecomp.geometry import (
     rectset_within,
 )
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
-from trimdecomp.ilp import BlockStructure, IlpModel, IlpSolution, export_lp
+from trimdecomp.ilp import (
+    CUT_CONFLICT_ROWS,
+    SPACING_ROWS,
+    BlockStructure,
+    IlpModel,
+    IlpSolution,
+    cost_table,
+    export_lp,
+)
 from trimdecomp.layout_io import DecompositionParams, LayoutDocument, StitchPoint
 
 
@@ -152,10 +164,10 @@ def eliminate(block: BlockStructure) -> tuple[int, list[int], set[int]]:
 
     The variables are the masks x_i and the cut choices c_k, K cuts in
     all. A pair is a table over (x_a, x_b), its price on one mask or
-    across; a pending cut a table over (x_a, x_b, c_k), free when selected
-    on a shared mask, its price when skipped there, and infeasible when
-    selected across; a spacing edge forbids both of its cuts. Every table
-    is on one integer objective,
+    across. A pending cut is the cost_table of CUT_CONFLICT_ROWS over
+    (x_a, x_b, c_k) times its price, and a spacing edge the cost_table of
+    SPACING_ROWS over its two cuts; an entry that no indicator value
+    admits is forbidden. Every table is on one integer objective,
     cost * 2^(m+K) + sum x_i * 2^(K+m-1-i) + sum (1 - c_k) * 2^(K-1-k),
     whose minimum has the least cost, then the lexicographically smallest
     mask vector, then the cut choice that selects before it skips, lowest
@@ -167,16 +179,22 @@ def eliminate(block: BlockStructure) -> tuple[int, list[int], set[int]]:
     unit = 1 << n
     # above every feasible objective, so a forbidden entry never wins
     forbidden = (sum(max(same, diff) for _, _, same, diff in pairs) + sum(p for *_, p in cuts) + 1) * unit
+
+    def from_table(template, weight: int) -> list[int]:
+        table = cost_table(template)
+        width = len(next(iter(table)))
+        entries = (table[tuple(i >> j & 1 for j in range(width))] for i in range(1 << width))
+        return [forbidden if t is None else t * weight * unit for t in entries]
+
     # (scope, table): bit j of a table index is the value of scope[j]
     factors = [((i,), [0, 1 << (n - 1 - i)]) for i in range(m)]
     factors += [((m + k,), [1 << (n - m - 1 - k), 0]) for k in range(len(cuts))]
     for a, b, same, diff in pairs:
         factors.append(((a, b), [same * unit, diff * unit, diff * unit, same * unit]))
     for k, (a, b, price) in enumerate(cuts):
-        skipped = [price * unit, 0, 0, price * unit]
-        factors.append(((a, b, m + k), [*skipped, 0, forbidden, forbidden, 0]))
-    for ka, kb in spacing:
-        factors.append(((m + ka, m + kb), [0, 0, 0, forbidden]))
+        factors.append(((a, b, m + k), from_table(CUT_CONFLICT_ROWS, price)))
+    spaced = from_table(SPACING_ROWS, 0)
+    factors += [((m + ka, m + kb), spaced) for ka, kb in spacing]
 
     adj: list[set[int]] = [set() for _ in range(n)]
     for scope, _ in factors:
@@ -717,6 +735,58 @@ def square_grid_rects(first_id: int = 1, y: int = 0) -> list[str]:
         for row in range(4)
         for col in range(20)
     ]
+
+
+def chain_text(bars: int) -> str:
+    """Crowded chain: every neighbour pair conflicts and every cut excludes
+    its neighbours' cuts, while alternating the masks costs nothing."""
+    lines = [f"layout chain{bars}", "param dis_m 120", "param hlow 60"]
+    for i in range(bars):
+        lines.append(f"rect {i + 1} {200 * i} 0 {200 * i + 100} {40 + i % 9}")
+    return "\n".join(lines) + "\n"
+
+
+def _outline(rng, kind):
+    """The local outline of one bar, L, U or T on a 20 nm lattice."""
+    t = rng.randrange(20, 61, 20)  # arm width
+    w, h = rng.randrange(3 * t, 241, 20), rng.randrange(2 * t, 201, 20)
+    if kind == "bar":
+        return [(0, 0), (w, 0), (w, t), (0, t)]
+    if kind == "L":
+        return [(0, 0), (w, 0), (w, t), (t, t), (t, h), (0, h)]
+    if kind == "U":
+        return [(0, 0), (w, 0), (w, h), (w - t, h), (w - t, t), (t, t), (t, h), (0, h)]
+    a = rng.randrange(20, w - t, 20)  # T: the stem's left side, under a bar of width w
+    return [(a, 0), (a + t, 0), (a + t, h - t), (w, h - t), (w, h), (0, h), (0, h - t), (a, h - t)]
+
+
+def polyomino_text(seed: int) -> str:
+    """Two to five bars and L, U and T outlines, each turned a random
+    quarter, at lattice points of a 300 nm square where their bounding
+    boxes do not overlap; with random dis_m 60-150, an optional hlow,
+    alpha 1/10 or 1/3, and stitching on for half of the seeds."""
+    rng = random.Random(seed)
+    lines = [f"layout poly{seed}", f"param dis_m {rng.randrange(60, 151, 10)}"]
+    if rng.random() < 0.5:
+        lines.append(f"param hlow {rng.randrange(10, 51, 10)}")
+    lines.append(f"param alpha_den {rng.choice((10, 3))}")
+    lines.append(f"param stitch {seed % 2}")
+    boxes = []
+    for _ in range(rng.randint(2, 5)):
+        pts = _outline(rng, rng.choice(("bar", "L", "U", "T")))
+        for _ in range(rng.randrange(4)):
+            pts = [(-y, x) for x, y in pts]
+        for _ in range(20):  # tries at a free place
+            x0, y0 = rng.randrange(0, 301, 20), rng.randrange(0, 301, 20)
+            lo_x, lo_y = min(x for x, _ in pts), min(y for _, y in pts)
+            placed = [(x - lo_x + x0, y - lo_y + y0) for x, y in pts]
+            box = (x0, y0, max(x for x, _ in placed), max(y for _, y in placed))
+            if all(box[2] <= b[0] or b[2] <= box[0] or box[3] <= b[1] or b[3] <= box[1] for b in boxes):
+                boxes.append(box)
+                coords = " ".join(f"{x} {y}" for x, y in placed)
+                lines.append(f"poly {len(boxes)} {coords}")
+                break
+    return "\n".join(lines) + "\n"
 
 
 def parse_lp(text: str):

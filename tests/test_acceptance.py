@@ -21,7 +21,7 @@ from helpers import (
 )
 from test_endcut import bar, cut_between, params
 
-from trimdecomp.cli import RunStats, build_full_model, decompose_document, stats_line
+from trimdecomp.cli import RunStats, decompose_document, stats_line
 from trimdecomp.endcut import BoxKind
 from trimdecomp.geometry import Rect, RectilinearShape, SpatialIndex
 from trimdecomp.graphs import conflict_pairs
@@ -60,7 +60,7 @@ def test_criterion_2_reductions_preserve_optimal_cost():
         assert len(doc.shapes) <= 40
         for stitch in (False, True):
             result = decompose_document(doc, stitch=stitch)
-            want = milp_optimum(export_lp(build_full_model(result)))
+            want = milp_optimum(export_lp(result.model))
             assert result.stats.cost == want, f"seed {seed} stitch {stitch}"
     verdict(2, "100 layouts, plain and stitched, cost-identical to an external MILP")
 
@@ -188,7 +188,7 @@ def test_criterion_7_pipeline_tie_break_matches_enumeration():
     for seed in range(200):
         for stitch in (False, True):
             result = decompose_document(random_layout(seed, clusters=1, stitch=stitch))
-            model = build_full_model(result)
+            model = result.model
             if len(model.names) > 16:
                 continue
             cost, witness = enumerate_model(model)
@@ -210,7 +210,7 @@ def test_criterion_7_tie_break_matches_highs_beyond_enumeration():
     for seed in range(200):
         for stitch in (False, True):
             result = decompose_document(random_layout(seed, clusters=1, stitch=stitch))
-            model = build_full_model(result)
+            model = result.model
             if len(model.names) <= 16:
                 continue
             cost, witness = milp_lex_witness(export_lp(model))

@@ -19,7 +19,7 @@ from test_ilp import count_searches
 import trimdecomp
 import trimdecomp.cli
 import trimdecomp.endcut
-from trimdecomp.cli import build_full_model, decompose_document, main
+from trimdecomp.cli import decompose_document, main
 from trimdecomp.geometry import Rect, SpatialIndex
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
 from trimdecomp.ilp import export_lp
@@ -175,7 +175,7 @@ def test_rect_only_pipeline_reads_no_outline(monkeypatch):
         result = decompose_document(parse_layout(text))
         assert result.end_cuts.candidates
         write_report(result.report)
-        export_lp(build_full_model(result))
+        export_lp(result.model)
         emit_svg(result.document, result.report)
         layout_graph_dot(result.graph)
         end_cut_graph_dot(result.end_cuts)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import square_grid_rects
+from helpers import chain_text, square_grid_rects
 
 import trimdecomp.cli
 from trimdecomp.cli import build_full_model, decompose_document
@@ -23,19 +23,10 @@ LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 CLUSTER7 = (LAYOUTS / "cluster7.lay").read_text()
 
 
-def chain_text(bars: int) -> str:
-    """Crowded chain: every neighbour pair conflicts and every cut excludes
-    its neighbours' cuts, while alternating the masks costs nothing."""
-    lines = [f"layout chain{bars}", "param dis_m 120", "param hlow 60"]
-    for i in range(bars):
-        lines.append(f"rect {i + 1} {200 * i} 0 {200 * i + 100} {40 + i % 9}")
-    return "\n".join(lines) + "\n"
-
-
 def full_run(text: str, time_limit: float | None = None) -> SolveStatus:
     result = decompose_document(parse_layout(text), time_limit=time_limit)
     write_report(result.report)
-    export_lp(build_full_model(result))
+    export_lp(result.model)
     emit_svg(result.document, result.report)
     layout_graph_dot(result.graph)
     end_cut_graph_dot(result.end_cuts)
@@ -171,7 +162,7 @@ def allocate_unpaused():
 @pytest.mark.parametrize("enabled", [True, False])
 def test_exports_run_paused_and_restore_the_collector(enabled):
     result = decompose_document(parse_layout(CLUSTER7))
-    model = build_full_model(result)
+    model = result.model
     exports = [
         (write_report, lambda: write_report(result.report)),
         (build_full_model, lambda: build_full_model(result)),

@@ -8,9 +8,7 @@ the search's place it must prove the crowded chains that the search
 cannot.
 """
 
-from helpers import eliminate
-from test_collector import chain_text
-from test_polyomino_oracle import polyomino_text
+from helpers import chain_text, eliminate, polyomino_text
 
 from trimdecomp.cli import decompose_document
 from trimdecomp.geometry import Metric

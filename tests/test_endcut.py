@@ -12,9 +12,9 @@ from helpers import (
     generate_end_cut_oracle,
     merged_cut_rects_oracle,
     perpendicular_box,
+    polyomino_text,
     resolve_box_overlaps_oracle,
 )
-from test_polyomino_oracle import polyomino_text
 from trimdecomp.cli import decompose_document
 from trimdecomp.endcut import (
     BoxKind,

@@ -1,8 +1,7 @@
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import _dummy_candidate, ranked_graphs
-from test_polyomino_oracle import polyomino_text
+from helpers import _dummy_candidate, polyomino_text, ranked_graphs
 
 from trimdecomp.cli import decompose_document
 

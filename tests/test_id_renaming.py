@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from trimdecomp.cli import build_full_model, decompose_document
+from trimdecomp.cli import decompose_document
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
 from trimdecomp.ilp import export_lp
 from trimdecomp.layout_io import LayoutDocument, emit_svg, parse_layout, write_layout, write_report
@@ -42,7 +42,7 @@ def outputs(doc):
     result = decompose_document(doc)
     # the Binaries section wraps its names by width, so it is compared
     # name by name, and the rest of the LP text byte by byte
-    lp, binaries = export_lp(build_full_model(result)).split("Binaries\n")
+    lp, binaries = export_lp(result.model).split("Binaries\n")
     texts = [
         write_report(result.report),
         lp,

@@ -593,7 +593,7 @@ def test_export_lp_binaries_section_wraps():
 
 
 def lp_round_trip_models():
-    yield build_full_model(decompose_document(grid_layout(2000, 1)))
+    yield decompose_document(grid_layout(2000, 1)).model
     for seed in range(12):
         result = decompose_document(random_layout(seed, clusters=9, stitch=True))
         for alpha in (Fraction(1, 10), Fraction(1, 3)):
@@ -646,7 +646,7 @@ def test_a_cut_competes_with_a_stitch(hlow, chosen, other, cost):
     assert not any(line.startswith(other) for line in lines)
     assert result.stats.status is SolveStatus.OPTIMAL
     assert result.stats.cost == cost
-    assert milp_optimum(export_lp(build_full_model(result))) == cost
+    assert milp_optimum(export_lp(result.model)) == cost
 
 
 def test_the_model_shares_the_graphs_tuples():
@@ -666,4 +666,4 @@ def test_the_solved_model_is_the_exported_model():
     result = decompose_document(parse_layout(grid), time_limit=0.2)
     assert result.stats.status is SolveStatus.TIMEOUT
     rebuilt = build_model(result.graph, result.end_cuts, Fraction(0))
-    assert export_lp(build_full_model(result)) == export_lp(rebuilt)
+    assert export_lp(result.model) == export_lp(rebuilt)

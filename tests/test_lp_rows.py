@@ -1,6 +1,7 @@
 """export_lp's rows, formatted from one compiled template per edge kind,
 against a renderer that spells every row out term by term, and the
-meaning of each row template."""
+meaning of each row template, with the cost table that solve and the
+test eliminator read from it."""
 
 import itertools
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 from helpers import parse_lp
 from test_graphs import abstract_graph
 
-from trimdecomp.cli import build_full_model, decompose_document
+from trimdecomp.cli import decompose_document
 from trimdecomp.ilp import (
     CONFLICT_ROWS,
     CUT_CONFLICT_ROWS,
@@ -16,6 +17,7 @@ from trimdecomp.ilp import (
     STITCH_ROWS,
     IlpModel,
     build_model,
+    cost_table,
     export_lp,
 )
 from trimdecomp.synth import grid_layout, random_layout
@@ -75,7 +77,7 @@ def rows_section(text: str) -> list[str]:
 
 
 def models():
-    yield build_full_model(decompose_document(grid_layout(2000, 1)))
+    yield decompose_document(grid_layout(2000, 1)).model
     for seed in range(8):
         for stitch in (False, True):
             result = decompose_document(random_layout(seed, clusters=9, stitch=stitch))
@@ -128,3 +130,13 @@ def test_each_template_means_what_the_formulation_says():
     }
     assert satisfying(STITCH_ROWS) == {(xi, xj, s) for xi, xj, s, _ in vectors if xi == xj or s == 1}
     assert satisfying(SPACING_ROWS) == {(a, b) for a, b, _, _ in vectors if not (a and b)}
+    # each kind's least indicator by its other slots, None where no value holds
+    assert cost_table(CONFLICT_ROWS) == {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}
+    assert cost_table(STITCH_ROWS) == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+    assert cost_table(CUT_CONFLICT_ROWS) == {
+        # on a shared mask, a conflict unless the cut is selected
+        (0, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): 0, (1, 1, 1): 0,
+        # across, no conflict and no cut
+        (0, 1, 0): 0, (1, 0, 0): 0, (0, 1, 1): None, (1, 0, 1): None,
+    }
+    assert cost_table(SPACING_ROWS) == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): None}

@@ -12,7 +12,7 @@ leave both digests as they are.
 import hashlib
 from pathlib import Path
 
-from trimdecomp.cli import build_full_model, decompose_document
+from trimdecomp.cli import decompose_document
 from trimdecomp.geometry import Metric
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
 from trimdecomp.ilp import export_lp
@@ -43,7 +43,7 @@ def outputs(doc, metric: Metric) -> list[str]:
     return [
         write_report(result.report),
         emit_svg(result.document, result.report),
-        export_lp(build_full_model(result)),
+        export_lp(result.model),
         layout_graph_dot(result.graph),
         end_cut_graph_dot(result.end_cuts),
         f"comp# {stats.components} status {stats.status.value} nodes {stats.nodes}",

@@ -11,7 +11,7 @@ Chebyshev metric. No external solver is needed."""
 
 import dataclasses
 
-from test_polyomino_oracle import polyomino_text
+from helpers import polyomino_text
 
 from trimdecomp.cli import decompose_document
 from trimdecomp.geometry import Metric, Rect, RectilinearShape

@@ -11,9 +11,10 @@ segments of different features that sit within the same-mask spacing
 rule; each is (a, b, k), k being the rank of its feature pair's
 candidate end-cut, or -1. Stitch edges chain the consecutive segments of
 one split feature, each beside its stitch point. The stitch stage reads
-every bounding box once, gives each feature one list of pieces (its
-rects when it is not cut) split along one Point index (0 for x, 1 for
-y), and builds segments, stitch points and conflict edges from it.
+the bounding box of each feature with a neighbour once, gives each
+feature one list of pieces (its rects when it is not cut) split along
+one Point index (0 for x, 1 for y), and builds segments, stitch points
+and conflict edges from it.
 
 The end-cut graph has one vertex per candidate cut, spacing edges between
 cuts that are too close to print separately, and merge edges between cuts
@@ -189,6 +190,7 @@ def generate_stitch_candidates(
     for a, b in pairs:
         neighbours.setdefault(a, []).append(b)
         neighbours.setdefault(b, []).append(a)
+    boxes = {r: shapes[r].bbox for r in neighbours}  # by rank, each read once
 
     segments: list[VertexKey] = []
     pieces: list[tuple[Rect, ...]] = []
@@ -200,12 +202,12 @@ def generate_stitch_candidates(
         parts = [shape.rects]
         near = neighbours.get(r)
         if near:
-            bb = shape.bbox
+            bb = boxes[r]
             k = 0 if bb.width >= bb.height else 1  # the long axis: x, unless taller
             start, end = bb.lo[k], bb.hi[k]
             covered = []
             for nid in near:
-                nlo, nhi = shapes[nid].bbox
+                nlo, nhi = boxes[nid]
                 lo, hi = max(nlo[k] - d, start), min(nhi[k] + d, end)
                 if lo < hi:
                     covered.append((lo, hi))

@@ -20,8 +20,7 @@ external solver, the LELELE baseline.
 Tests compare the package against these, never against itself, and
 the model oracles read a model's rows and weights only from its
 exported LP text. The rectangle gaps are here too, as only tests read
-them, and so are the polyomino and crowded-chain layout generators that
-several test files share.
+them.
 """
 
 from __future__ import annotations
@@ -714,17 +713,6 @@ def random_model_graph(
         return g, ecg, alpha
 
 
-def chain30_rects(first_id: int = 1, y: int = 0) -> list[str]:
-    """A crowded chain of 30 bars, as layout lines for param dis_m 120 and
-    hlow 60: every neighbour pair conflicts and every cut excludes its
-    neighbours' cuts, so the solver cannot prove the optimum 0 within a
-    fraction of a second."""
-    return [
-        f"rect {first_id + i} {200 * i} {y} {200 * i + 100} {y + 40 + i % 9}"
-        for i in range(30)
-    ]
-
-
 def square_grid_rects(first_id: int = 1, y: int = 0) -> list[str]:
     """A 4 by 20 grid of 40 nm squares at pitch 100, as layout lines for
     param dis_m 120: each square conflicts with its eight neighbours, and
@@ -735,58 +723,6 @@ def square_grid_rects(first_id: int = 1, y: int = 0) -> list[str]:
         for row in range(4)
         for col in range(20)
     ]
-
-
-def chain_text(bars: int) -> str:
-    """Crowded chain: every neighbour pair conflicts and every cut excludes
-    its neighbours' cuts, while alternating the masks costs nothing."""
-    lines = [f"layout chain{bars}", "param dis_m 120", "param hlow 60"]
-    for i in range(bars):
-        lines.append(f"rect {i + 1} {200 * i} 0 {200 * i + 100} {40 + i % 9}")
-    return "\n".join(lines) + "\n"
-
-
-def _outline(rng, kind):
-    """The local outline of one bar, L, U or T on a 20 nm lattice."""
-    t = rng.randrange(20, 61, 20)  # arm width
-    w, h = rng.randrange(3 * t, 241, 20), rng.randrange(2 * t, 201, 20)
-    if kind == "bar":
-        return [(0, 0), (w, 0), (w, t), (0, t)]
-    if kind == "L":
-        return [(0, 0), (w, 0), (w, t), (t, t), (t, h), (0, h)]
-    if kind == "U":
-        return [(0, 0), (w, 0), (w, h), (w - t, h), (w - t, t), (t, t), (t, h), (0, h)]
-    a = rng.randrange(20, w - t, 20)  # T: the stem's left side, under a bar of width w
-    return [(a, 0), (a + t, 0), (a + t, h - t), (w, h - t), (w, h), (0, h), (0, h - t), (a, h - t)]
-
-
-def polyomino_text(seed: int) -> str:
-    """Two to five bars and L, U and T outlines, each turned a random
-    quarter, at lattice points of a 300 nm square where their bounding
-    boxes do not overlap; with random dis_m 60-150, an optional hlow,
-    alpha 1/10 or 1/3, and stitching on for half of the seeds."""
-    rng = random.Random(seed)
-    lines = [f"layout poly{seed}", f"param dis_m {rng.randrange(60, 151, 10)}"]
-    if rng.random() < 0.5:
-        lines.append(f"param hlow {rng.randrange(10, 51, 10)}")
-    lines.append(f"param alpha_den {rng.choice((10, 3))}")
-    lines.append(f"param stitch {seed % 2}")
-    boxes = []
-    for _ in range(rng.randint(2, 5)):
-        pts = _outline(rng, rng.choice(("bar", "L", "U", "T")))
-        for _ in range(rng.randrange(4)):
-            pts = [(-y, x) for x, y in pts]
-        for _ in range(20):  # tries at a free place
-            x0, y0 = rng.randrange(0, 301, 20), rng.randrange(0, 301, 20)
-            lo_x, lo_y = min(x for x, _ in pts), min(y for _, y in pts)
-            placed = [(x - lo_x + x0, y - lo_y + y0) for x, y in pts]
-            box = (x0, y0, max(x for x, _ in placed), max(y for _, y in placed))
-            if all(box[2] <= b[0] or b[2] <= box[0] or box[3] <= b[1] or b[3] <= box[1] for b in boxes):
-                boxes.append(box)
-                coords = " ".join(f"{x} {y}" for x, y in placed)
-                lines.append(f"poly {len(boxes)} {coords}")
-                break
-    return "\n".join(lines) + "\n"
 
 
 def parse_lp(text: str):

@@ -9,8 +9,8 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
+from corpora import bundled_layout, runs
 from helpers import (
     enumerate_model,
     milp_lex_witness,
@@ -26,10 +26,9 @@ from trimdecomp.endcut import BoxKind
 from trimdecomp.geometry import Rect, RectilinearShape, SpatialIndex
 from trimdecomp.graphs import conflict_pairs
 from trimdecomp.ilp import SolveStatus, build_model, export_lp, solve
-from trimdecomp.layout_io import fraction_to_decimal, parse_layout, write_report
-from trimdecomp.synth import grid_layout, random_layout
+from trimdecomp.layout_io import fraction_to_decimal, write_report
+from trimdecomp.synth import grid_layout
 
-LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
 
 def verdict(n, label):
@@ -55,23 +54,20 @@ def test_criterion_1_solver_matches_exhaustive_enumeration():
 def test_criterion_2_reductions_preserve_optimal_cost():
     # the block split and the spacing-free cuts left out of the search must
     # not change the optimum of the full, unreduced model
-    for seed in range(100):
-        doc = random_layout(seed=seed)
+    for label, doc, _ in runs("acceptance 2"):
         assert len(doc.shapes) <= 40
-        for stitch in (False, True):
-            result = decompose_document(doc, stitch=stitch)
-            want = milp_optimum(export_lp(result.model))
-            assert result.stats.cost == want, f"seed {seed} stitch {stitch}"
+        result = decompose_document(doc)
+        want = milp_optimum(export_lp(result.model))
+        assert result.stats.cost == want, label
     verdict(2, "100 layouts, plain and stitched, cost-identical to an external MILP")
 
 
 def test_criterion_3_stitching_never_costs_more():
-    for seed in range(50):
-        doc = random_layout(seed=seed)
+    for label, doc, _ in runs("acceptance 3"):
         plain = decompose_document(doc, stitch=False).stats.cost
         stitched = decompose_document(doc, stitch=True).stats.cost
-        assert stitched <= plain, f"seed {seed}"
-    ring = parse_layout((LAYOUTS / "ring5.lay").read_text())
+        assert stitched <= plain, label
+    ring = bundled_layout("ring5.lay")
     plain = decompose_document(ring, stitch=False).stats
     stitched = decompose_document(ring, stitch=True).stats
     assert plain.cost == 1 and plain.conflicts == 1
@@ -81,7 +77,7 @@ def test_criterion_3_stitching_never_costs_more():
 
 
 def test_criterion_4_seven_feature_layout_conflict_edges():
-    doc = parse_layout((LAYOUTS / "cluster7.lay").read_text())
+    doc = bundled_layout("cluster7.lay")
     near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
     ids = [s.id for s in doc.shapes]
     assert [(ids[a], ids[b]) for a, b in conflict_pairs(doc, near_pairs)] == [
@@ -183,21 +179,27 @@ def test_criterion_6_encoding_matches_direct_edge_counting():
     verdict(6, "10000 sampled assignments price identically in model and layout")
 
 
-def test_criterion_7_pipeline_tie_break_matches_enumeration():
+def lex_min_checked(enumerable: bool, oracle) -> int:
+    """How many criterion 7 runs, those whose full model has at most 16
+    binaries or those with more, report oracle's cost and masks."""
     checked = 0
-    for seed in range(200):
-        for stitch in (False, True):
-            result = decompose_document(random_layout(seed, clusters=1, stitch=stitch))
-            model = result.model
-            if len(model.names) > 16:
-                continue
-            cost, witness = enumerate_model(model)
-            masks = result.report.masks
-            x_of = variable_indices(model)[0]
-            got = {model.names[i]: "AB".index(masks[v]) for v, i in x_of.items()}
-            assert result.stats.cost == cost, f"seed {seed} stitch {stitch}"
-            assert got == witness, f"seed {seed} stitch {stitch}"
-            checked += 1
+    for label, doc, _ in runs("acceptance 7"):
+        result = decompose_document(doc)
+        model = result.model
+        if (len(model.names) <= 16) != enumerable:
+            continue
+        cost, witness = oracle(model)
+        masks = result.report.masks
+        x_of = variable_indices(model)[0]
+        got = {model.names[i]: "AB".index(masks[v]) for v, i in x_of.items()}
+        assert result.stats.cost == cost, label
+        assert got == witness, label
+        checked += 1
+    return checked
+
+
+def test_criterion_7_pipeline_tie_break_matches_enumeration():
+    checked = lex_min_checked(True, enumerate_model)
     assert checked == 294
     verdict(7, f"{checked} layouts report the lexicographically least optimal masks")
 
@@ -206,20 +208,7 @@ def test_criterion_7_tie_break_matches_highs_beyond_enumeration():
     # the layouts criterion 7 skips as too large to enumerate: the external
     # solver, fixing the masks to 0 in order while it still reaches the
     # optimum, gives the lexicographically least optimal mask vector
-    checked = 0
-    for seed in range(200):
-        for stitch in (False, True):
-            result = decompose_document(random_layout(seed, clusters=1, stitch=stitch))
-            model = result.model
-            if len(model.names) <= 16:
-                continue
-            cost, witness = milp_lex_witness(export_lp(model))
-            masks = result.report.masks
-            x_of = variable_indices(model)[0]
-            got = {model.names[i]: "AB".index(masks[v]) for v, i in x_of.items()}
-            assert result.stats.cost == cost, f"seed {seed} stitch {stitch}"
-            assert got == witness, f"seed {seed} stitch {stitch}"
-            checked += 1
+    checked = lex_min_checked(False, lambda model: milp_lex_witness(export_lp(model)))
     assert checked == 106
     verdict(7, f"{checked} larger layouts report the masks HiGHS fixes lexicographically")
 

@@ -7,13 +7,13 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import chain30_rects, square_grid_rects
+from corpora import LAYOUTS, bundled_layout, chain_text, runs
+from helpers import square_grid_rects
 from test_ilp import count_searches
 
 import trimdecomp
@@ -32,10 +32,7 @@ from trimdecomp.layout_io import (
     write_layout,
     write_report,
 )
-from trimdecomp.synth import grid_layout, random_layout
-
-ROOT = Path(__file__).resolve().parent.parent
-LAYOUTS = ROOT / "layouts"
+from trimdecomp.synth import grid_layout
 
 STATS_ROW = re.compile(
     r"^wire# \d+ comp# \d+ conflict# \d+ stitch# \d+ cost \S+ CPU\(s\) \d+\.\d\d "
@@ -168,8 +165,7 @@ def test_rect_only_pipeline_reads_no_outline(monkeypatch):
     def refuse(*args):
         raise AssertionError("outline read")
 
-    chain = ["layout chain10", "param dis_m 120", "param hlow 60", *chain30_rects()[:10]]
-    texts = [write_layout(grid_layout(2000, 1)), "\n".join(chain) + "\n"]
+    texts = [write_layout(grid_layout(2000, 1)), chain_text(10)]
     monkeypatch.setattr(trimdecomp.endcut, "_outline_runs", refuse)
     for text in texts:
         result = decompose_document(parse_layout(text))
@@ -237,10 +233,8 @@ def test_directory_mode_rejects_export_flags(tmp_path, capsys, flag):
 
 def test_parallel_csv_equals_serial_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(trimdecomp.cli, "_usable_cpus", lambda: 2)
-    for seed in range(20):
-        for stitch in (False, True):
-            doc = random_layout(seed, stitch=stitch)
-            (tmp_path / f"s{seed:02d}_{int(stitch)}.lay").write_text(write_layout(doc))
+    for label, doc, _ in runs("cli directory"):
+        (tmp_path / f"{label}.lay").write_text(write_layout(doc))
     code, serial, _ = run(capsys, "--input", str(tmp_path), "--jobs", "1")
     assert code == 0
     code, parallel, _ = run(capsys, "--input", str(tmp_path), "--jobs", "2")
@@ -308,7 +302,7 @@ def test_time_limit_must_be_finite_and_non_negative(capsys, limit):
 
 @pytest.mark.parametrize("limit", [float("inf"), float("nan"), -1.0, 1e300])
 def test_library_time_limit_must_be_finite_and_non_negative(limit):
-    doc = parse_layout((LAYOUTS / "cluster7.lay").read_text())
+    doc = bundled_layout("cluster7.lay")
     message = "time limit must be a finite, non-negative number of seconds"
     with pytest.raises(ValueError, match=f"^{message}$"):
         decompose_document(doc, time_limit=limit)
@@ -452,7 +446,7 @@ def test_one_sweep_per_parse_and_decompose(monkeypatch):
         return from_shapes(cls, *args, **kwargs)
 
     monkeypatch.setattr(SpatialIndex, "from_shapes", classmethod(counted))
-    decompose_document(parse_layout((LAYOUTS / "cluster7.lay").read_text()))
+    decompose_document(bundled_layout("cluster7.lay"))
     assert len(calls) == 1
 
 
@@ -534,7 +528,7 @@ def test_dead_worker_is_an_internal_error(tmp_path, capsys, monkeypatch):
 
 def run_module(module):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(LAYOUTS.parent / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", module, "--input", str(LAYOUTS / "cluster7.lay")],
         capture_output=True, text=True, env=env, timeout=60,
@@ -592,7 +586,7 @@ def test_internal_error_is_reported_not_raised(monkeypatch, capsys, error):
 
 
 def test_report_bytes_repeat_across_serial_and_threaded_runs():
-    docs = [random_layout(seed, stitch=stitch) for seed in range(40) for stitch in (False, True)]
+    docs = [doc for _, doc, _ in runs("cli threads")]
 
     def reports():
         return [write_report(decompose_document(doc).report) for doc in docs]

@@ -6,20 +6,18 @@ import gc
 import inspect
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
-from helpers import chain_text, square_grid_rects
+from corpora import LAYOUTS, chain_text, runs
+from helpers import square_grid_rects
 
 import trimdecomp.cli
 from trimdecomp.cli import build_full_model, decompose_document
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
 from trimdecomp.ilp import SolveStatus, export_lp
 from trimdecomp.layout_io import LayoutParseError, emit_svg, parse_layout, write_layout, write_report
-from trimdecomp.synth import random_layout
 
-LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 CLUSTER7 = (LAYOUTS / "cluster7.lay").read_text()
 
 
@@ -34,10 +32,7 @@ def full_run(text: str, time_limit: float | None = None) -> SolveStatus:
 
 
 def test_pipeline_leaves_no_reference_cycle():
-    texts = [p.read_text() for p in sorted(LAYOUTS.glob("*.lay"))]
-    for seed in range(8):
-        texts.append(write_layout(random_layout(seed, clusters=9)))
-        texts.append(write_layout(random_layout(seed, clusters=9, stitch=True)))
+    texts = [write_layout(doc) for _, doc, _ in runs("collector")]
     timeout_grid = "\n".join(["layout grid4x20", "param dis_m 120", *square_grid_rects()]) + "\n"
     deep_chain = chain_text(1200)
     gc.collect()

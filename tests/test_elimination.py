@@ -8,13 +8,11 @@ the search's place it must prove the crowded chains that the search
 cannot.
 """
 
-from helpers import chain_text, eliminate, polyomino_text
+from corpora import runs
+from helpers import eliminate
 
 from trimdecomp.cli import decompose_document
-from trimdecomp.geometry import Metric
 from trimdecomp.ilp import SolveStatus, _CompSolver
-from trimdecomp.layout_io import parse_layout
-from trimdecomp.synth import random_layout
 
 
 def searched_block(comp: _CompSolver):
@@ -23,18 +21,6 @@ def searched_block(comp: _CompSolver):
     adj = comp.cut_adj
     spacing = tuple((ka, kb) for ka in range(len(adj)) for kb in range(ka + 1, len(adj)) if adj[ka] >> kb & 1)
     return comp.m, comp.pairs, comp.cuts, spacing
-
-
-def corpus():
-    for seed in range(50):
-        yield random_layout(seed, clusters=9), Metric.CHEBYSHEV
-        yield random_layout(seed, clusters=9, stitch=True), Metric.CHEBYSHEV
-    for seed in range(100):
-        doc = parse_layout(polyomino_text(seed))
-        for metric in Metric:
-            yield doc, metric
-    for bars in range(4, 17):
-        yield parse_layout(chain_text(bars)), Metric.CHEBYSHEV
 
 
 def test_elimination_returns_the_searchs_answer_on_every_searched_block(monkeypatch):
@@ -46,7 +32,7 @@ def test_elimination_returns_the_searchs_answer_on_every_searched_block(monkeypa
         answers.append((searched_block(self), self.best, self.best_colors, self.best_sel))
 
     monkeypatch.setattr(_CompSolver, "run", spy)
-    for doc, metric in corpus():
+    for _, doc, metric in runs("elimination blocks"):
         assert decompose_document(doc, metric=metric).stats.status is SolveStatus.OPTIMAL
     for block, best, colors, selected in answers:
         assert eliminate(block) == (best, colors, selected), block
@@ -63,7 +49,7 @@ def test_elimination_in_the_searchs_place_proves_crowded_chains(monkeypatch):
         self.best, self.best_colors, self.best_sel = eliminate(searched_block(self))
 
     monkeypatch.setattr(_CompSolver, "run", run)
-    for bars in (30, 50, 1200):
+    for label, doc, _ in runs("elimination chains"):
         # solve's own recount and spacing checks run on every answer
-        stats = decompose_document(parse_layout(chain_text(bars)), time_limit=1.0).stats
-        assert (stats.status, stats.cost) == (SolveStatus.OPTIMAL, 0), bars
+        stats = decompose_document(doc, time_limit=1.0).stats
+        assert (stats.status, stats.cost) == (SolveStatus.OPTIMAL, 0), label

@@ -6,13 +6,13 @@ import pytest
 
 import trimdecomp.cli
 import trimdecomp.endcut
+from corpora import bundled_layout, runs
 from helpers import (
     boundary_edges,
     end_cuts_oracle,
     generate_end_cut_oracle,
     merged_cut_rects_oracle,
     perpendicular_box,
-    polyomino_text,
     resolve_box_overlaps_oracle,
 )
 from trimdecomp.cli import decompose_document
@@ -29,7 +29,6 @@ from trimdecomp.endcut import (
     resolve_box_overlaps,
 )
 from trimdecomp.geometry import (
-    Metric,
     Point,
     Rect,
     RectilinearShape,
@@ -39,7 +38,7 @@ from trimdecomp.geometry import (
 )
 from trimdecomp.graphs import conflict_pairs
 from trimdecomp.layout_io import DecompositionParams, LayoutDocument, parse_layout
-from trimdecomp.synth import grid_layout, random_layout
+from trimdecomp.synth import grid_layout
 
 
 def params(**kw):
@@ -436,13 +435,11 @@ def _raised(doc: LayoutDocument, h_high: int, w_high: int) -> LayoutDocument:
 def test_neighbour_list_clearance_matches_every_feature_oracle():
     # the whole pipeline, on rows of bars and Ls, plain and stitched
     candidates = 0
-    for seed in range(12):
-        for stitch in (False, True):
-            doc = random_layout(seed, clusters=6, stitch=stitch)
-            for d in (doc, _raised(doc, 200, 160), _raised(doc, 260, 300)):
-                want = end_cuts_oracle(d)
-                assert decompose_document(d).end_cuts.candidates == want, d.name
-                candidates += len(want)
+    for _, doc, _ in runs("endcut clearance"):
+        for d in (doc, _raised(doc, 200, 160), _raised(doc, 260, 300)):
+            want = end_cuts_oracle(d)
+            assert decompose_document(d).end_cuts.candidates == want, d.name
+            candidates += len(want)
     # the cut generator alone, given only the neighbours it asks for, on
     # crowds of bars, Ls and Us too dense for the solver
     rng = random.Random(61)
@@ -485,9 +482,7 @@ def test_feature_beyond_spacing_rule_still_blocks_a_cut_box():
 
 
 def test_generate_all_end_cuts_demo_layout():
-    from pathlib import Path
-
-    doc = parse_layout((Path(__file__).parent.parent / "layouts" / "endcut_demo.lay").read_text())
+    doc = bundled_layout("endcut_demo.lay")
     near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
     pairs = conflict_pairs(doc, near_pairs)
     assert [(doc.shapes[a].id, doc.shapes[b].id) for a, b in pairs] == [(1, 2), (1, 3), (2, 3)]
@@ -586,9 +581,8 @@ def test_merged_cut_rects_matches_pairwise_oracle(monkeypatch):
         return merged_cut_rects(selected, p, links)
 
     monkeypatch.setattr(trimdecomp.cli, "merged_cut_rects", recording)
-    decompose_document(grid_layout(2000, 1))
-    for seed in range(8):
-        decompose_document(random_layout(seed, clusters=6, stitch=True))
+    for _, doc, _ in runs("endcut merges"):
+        decompose_document(doc)
     total = sum(len(selected) for selected, _, _ in calls)
     assert total >= 600, total
     for selected, p, links in calls:
@@ -615,14 +609,8 @@ def test_touching_selected_cuts_share_a_cut_or_a_merge_edge(monkeypatch):
         return merged_cut_rects(selected, p, links)
 
     monkeypatch.setattr(trimdecomp.cli, "merged_cut_rects", recording)
-    runs = [(parse_layout(polyomino_text(seed)), m) for seed in range(300) for m in Metric]
-    runs += [
-        (random_layout(seed, clusters=9, stitch=stitch), Metric.CHEBYSHEV)
-        for seed in range(150)
-        for stitch in (False, True)
-    ]
     touching = across = 0
-    for doc, metric in runs:
+    for _, doc, metric in runs("endcut touching"):
         calls.clear()
         ecg = decompose_document(doc, metric=metric).end_cuts
         ((selected, p, links),) = calls

@@ -15,15 +15,15 @@ change that only makes the writers faster must leave it as it is.
 """
 
 import dataclasses
-import hashlib
 from fractions import Fraction
 
+from corpora import runs
+from test_output_identity import outputs, sha256_of
+
 from trimdecomp.cli import decompose_document
-from trimdecomp.geometry import Metric
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
 from trimdecomp.ilp import build_model, export_lp
 from trimdecomp.layout_io import emit_svg, parse_layout, write_report
-from trimdecomp.synth import grid_layout, random_layout
 
 # taken on the writers that built their text one element at a time
 EXPORT_DIGEST = "989c32995d8297cbd47e1193356f43cb065fdc95d3817cd425145680173ff3f6"
@@ -31,47 +31,22 @@ EXPORT_DIGEST = "989c32995d8297cbd47e1193356f43cb065fdc95d3817cd425145680173ff3f
 ALPHAS = (Fraction(1, 3), Fraction(1, 10), Fraction(0))
 
 
-def outputs(doc, **options) -> list[str]:
-    result = decompose_document(doc, **options)
-    stats = result.stats
-    return [
-        write_report(result.report),
-        emit_svg(result.document, result.report),
-        export_lp(result.model),
-        layout_graph_dot(result.graph),
-        end_cut_graph_dot(result.end_cuts),
-        f"comp# {stats.components} status {stats.status.value} nodes {stats.nodes}",
-    ]
-
-
 def export_parts():
-    for seed in range(20):
-        doc = random_layout(seed, clusters=9, stitch=True)
+    for _, doc, _ in runs("exports priced"):
         result = decompose_document(doc)
         for alpha in ALPHAS:
             yield export_lp(build_model(result.graph, result.end_cuts, alpha))
         # free stitches get used, so the SVG splits features at them
         yield from outputs(doc, alpha=Fraction(0))
-    yield from outputs(grid_layout(2000, 1), stitch=True)
-    for seed in range(20):
-        yield from outputs(random_layout(seed), metric=Metric.EUCLIDEAN)
-        yield from outputs(random_layout(seed, stitch=True), metric=Metric.EUCLIDEAN)
+    for _, doc, metric in runs("exports"):
+        yield from outputs(doc, metric=metric)
     yield from outputs(parse_layout("layout one\nrect 1 0 0 100 40\n"))
     yield from outputs(parse_layout("layout empty\n"))
 
 
-def export_digest() -> tuple[int, str]:
-    digest = hashlib.sha256()
-    count = 0
-    for part in export_parts():
-        count += 1
-        digest.update(part.encode())
-        digest.update(b"\0")
-    return count, digest.hexdigest()
-
-
 def test_export_bytes_beyond_the_corpus_are_unchanged():
-    assert export_digest() == (438, EXPORT_DIGEST)
+    parts = list(export_parts())
+    assert (len(parts), sha256_of(parts)) == (438, EXPORT_DIGEST)
 
 
 def reversed_dict(d: dict) -> dict:
@@ -86,9 +61,8 @@ def test_writers_do_not_follow_insertion_order():
     # the graphs decide the order of everything after them, and every
     # report writer sorts what it writes: neither the order of a
     # document's shapes nor that of a report's fields may change a byte
-    docs = [grid_layout(2000, 1), *(random_layout(s, clusters=9, stitch=True) for s in range(10))]
     stitched = 0
-    for doc in docs:
+    for _, doc, _ in runs("exports shuffled"):
         result = decompose_document(doc, alpha=Fraction(0))
         flipped = decompose_document(
             dataclasses.replace(doc, shapes=doc.shapes[::-1]), alpha=Fraction(0)

@@ -2,10 +2,10 @@ import gc
 import pickle
 import random
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
+from corpora import runs
 from helpers import rect_chebyshev_gap, rect_gaps, rectset_chebyshev_gap, shape_facts
 from trimdecomp.geometry import (
     GeometryError,
@@ -23,9 +23,7 @@ from trimdecomp.geometry import (
 from trimdecomp.cli import decompose_document
 from trimdecomp.endcut import EndCutBox, EndCutCandidate, _facing_sides, _outline_runs
 from trimdecomp.layout_io import LayoutParseError, parse_layout, parse_report, write_layout, write_report
-from trimdecomp.synth import grid_layout, random_layout
-
-LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
+from trimdecomp.synth import grid_layout
 
 
 def test_rect_basics():
@@ -76,10 +74,8 @@ def test_ids_follow_the_parser_rule(sid):
 def test_every_rect_built_by_the_pipeline_has_positive_area():
     # Rect checks nothing itself, so this guards the constructors inside
     # the pipeline: outline slabs, cut boxes, stitched pieces, merged cuts
-    docs = [parse_layout(path.read_text()) for path in sorted(LAYOUTS.glob("*.lay"))]
-    docs += [random_layout(seed, stitch=stitch) for seed in range(40) for stitch in (False, True)]
     seen = {"shapes": 0, "cuts": 0, "pieces": 0, "report": 0}
-    for doc in docs:
+    for _, doc, _ in runs("geometry areas"):
         result = decompose_document(doc)
         groups = {
             "shapes": [r for s in doc.shapes for r in s.rects],
@@ -135,11 +131,8 @@ def _rebuilt(r):
 def test_pipeline_records_match_their_public_constructors(monkeypatch):
     # records built with tuple.__new__ must be exactly what Point(...),
     # Rect(...), EndCutBox(...) and EndCutCandidate(...) build
-    texts = [path.read_text() for path in sorted(LAYOUTS.glob("*.lay"))]
-    texts.append(write_layout(grid_layout(2000, 1)))
-    stitched = [random_layout(seed, clusters=6, stitch=True) for seed in range(6)]
-    results = [decompose_document(parse_layout(t)) for t in texts]
-    results += [decompose_document(doc) for doc in stitched]
+    docs = [doc for _, doc, _ in runs("geometry records")]
+    results = [decompose_document(doc) for doc in docs]
     kinds = {Point: 0, Rect: 0, EndCutBox: 0, EndCutCandidate: 0}
     for result in results:
         for r in _records(result):
@@ -160,11 +153,12 @@ def test_pipeline_records_match_their_public_constructors(monkeypatch):
         monkeypatch.setattr(cls, "__new__", refuse)
     with pytest.raises(AssertionError, match="Point built through its class"):
         Point(0, 0)
-    for text in texts:
-        if "poly" not in text:
+    for doc in docs:
+        text = write_layout(doc)
+        if "poly" in text:
+            decompose_document(doc)
+        else:
             write_report(decompose_document(parse_layout(text)).report)
-    for doc in stitched:
-        decompose_document(doc)
     # a caller's points are unpacked as pairs, so a 3-tuple is refused
     monkeypatch.undo()
     with pytest.raises(ValueError, match="unpack"):

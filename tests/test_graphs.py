@@ -1,11 +1,11 @@
 from fractions import Fraction
-from pathlib import Path
 
-from helpers import _dummy_candidate, polyomino_text, ranked_graphs
+from corpora import bundled_layout, runs
+from helpers import _dummy_candidate, ranked_graphs
 
 from trimdecomp.cli import decompose_document
 
-from trimdecomp.geometry import Metric, Rect, SpatialIndex
+from trimdecomp.geometry import Metric, Rect, RectilinearShape, SpatialIndex
 from trimdecomp.graphs import (
     EndCutGraph,
     _cut_middle,
@@ -19,18 +19,11 @@ from trimdecomp.graphs import (
 from trimdecomp.endcut import generate_all_end_cuts
 from trimdecomp.ilp import build_model, solve
 from trimdecomp.layout_io import parse_layout
-from trimdecomp.synth import grid_layout, random_layout
-
-LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
 CLUSTER7_EDGES = [
     (1, 2), (1, 3), (1, 4), (2, 4), (3, 4), (3, 5),
     (3, 6), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7),
 ]
-
-
-def load(name):
-    return parse_layout((LAYOUTS / name).read_text())
 
 
 def graph_for(doc, metric=Metric.CHEBYSHEV):
@@ -62,7 +55,7 @@ def id_pairs(doc, pairs):
 
 
 def test_cluster7_conflict_pairs_chebyshev():
-    doc = load("cluster7.lay")
+    doc = bundled_layout("cluster7.lay")
     near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
     assert id_pairs(doc, conflict_pairs(doc, near_pairs)) == CLUSTER7_EDGES
     # six of those pairs sit at exactly the spacing limit; the rule is
@@ -75,7 +68,7 @@ def test_cluster7_conflict_pairs_chebyshev():
 
 
 def test_cluster7_conflict_pairs_euclidean():
-    doc = load("cluster7.lay")
+    doc = bundled_layout("cluster7.lay")
     near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
     got = id_pairs(doc, conflict_pairs(doc, near_pairs, Metric.EUCLIDEAN))
     # the two diagonal pairs fall outside the straight-line distance
@@ -83,7 +76,7 @@ def test_cluster7_conflict_pairs_euclidean():
 
 
 def test_build_layout_graph_attaches_candidates():
-    doc = load("endcut_demo.lay")
+    doc = bundled_layout("endcut_demo.lay")
     g, ecg, cuts = graph_for(doc)
     assert g.segments == ((1, 0), (2, 0), (3, 0))
     edges = keyed_edges(g, cuts)
@@ -183,17 +176,26 @@ def test_cut_middle_needs_one_interval_on_each_side():
     assert _cut_middle(rects, 100, 1) == 20
 
 
+def test_the_stitch_stage_reads_each_box_once(monkeypatch):
+    # the spatial index reads each box once and the stitch stage once more,
+    # into its table by rank, though each shape of the ring has two neighbours
+    bbox = RectilinearShape.bbox.fget
+    reads = []
+    monkeypatch.setattr(RectilinearShape, "bbox", property(lambda s: reads.append(s.id) or bbox(s)))
+    g, _, _ = graph_for(bundled_layout("ring5.lay"))
+    assert g.stitch_points and sorted(reads) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+
 def test_stitch_points_lie_inside_their_features():
     points = 0
-    for seed in range(150):
-        doc = random_layout(seed, stitch=True)
+    for label, doc, _ in runs("graphs stitch points"):
         g, _, _ = graph_for(doc)
         rects = {shape.id: shape.rects for shape in doc.shapes}
         for sp in g.stitch_points:
             points += 1
             assert any(
                 r.lo.x <= sp.x <= r.hi.x and r.lo.y <= sp.y <= r.hi.y for r in rects[sp.feature]
-            ), (seed, sp)
+            ), (label, sp)
     assert points > 100
 
 
@@ -250,7 +252,7 @@ def abstract_graph(n, edges, cands=(), ee=()):
 
 
 def test_dot_outputs():
-    doc = load("endcut_demo.lay")
+    doc = bundled_layout("endcut_demo.lay")
     g, ecg, _ = graph_for(doc)
     dot = layout_graph_dot(g)
     assert dot.startswith("graph")
@@ -263,12 +265,12 @@ def test_dot_outputs():
 def test_every_candidate_sits_on_exactly_one_conflict_edge():
     # the model takes every candidate as a variable, so a candidate that no
     # conflict edge carried would be a cut that nothing could ever select
-    docs = [load(path.name) for path in sorted(LAYOUTS.glob("*.lay"))]
-    docs += [grid_layout(2000, 1), *(parse_layout(polyomino_text(s)) for s in range(40))]
-    docs += [random_layout(s, stitch=stitch) for s in range(60) for stitch in (False, True)]
-    runs = carried = 0
-    for doc in docs:
-        for metric in Metric:
+    # the runs of each corpus, 328 in all
+    pins = {"graphs bundled": 6, "graphs grid": 2, "graphs polyominoes": 80, "graphs random": 240}
+    carried = 0
+    for corpus, pin in pins.items():
+        done = 0
+        for _, doc, metric in runs(corpus):
             result = decompose_document(doc, metric=metric)
             g, cands = result.graph, result.end_cuts.candidates
             ranks = sorted(k for _, _, k in g.conflict_edges if k >= 0)
@@ -276,6 +278,7 @@ def test_every_candidate_sits_on_exactly_one_conflict_edge():
             for a, b, k in g.conflict_edges:
                 if k >= 0:
                     assert cands[k].pair == (g.segments[a][0], g.segments[b][0]), (doc.name, k)
-            runs += 1
+            done += 1
             carried += len(ranks)
-    assert runs == 328 and carried > 1000, carried
+        assert done == pin, corpus
+    assert carried > 1000, carried

@@ -8,17 +8,16 @@ coordinate, and every output must be the original's with the ids renamed.
 """
 
 import re
-from pathlib import Path
 
 import pytest
+
+from corpora import runs
 
 from trimdecomp.cli import decompose_document
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
 from trimdecomp.ilp import export_lp
-from trimdecomp.layout_io import LayoutDocument, emit_svg, parse_layout, write_layout, write_report
-from trimdecomp.synth import grid_layout, random_layout
+from trimdecomp.layout_io import LayoutDocument, emit_svg, write_layout, write_report
 
-LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 SCALE, SHIFT = 1_000_003, 7
 
 
@@ -54,23 +53,13 @@ def outputs(doc):
     return texts, emit_svg(result.document, result.report), result.stats
 
 
-def corpus():
-    """The layouts by name: the bundled ones, a grid and seeded random
-    layouts, plain and stitched."""
-    docs = {p.name: lambda p=p: parse_layout(p.read_text()) for p in sorted(LAYOUTS.glob("*.lay"))}
-    docs["grid2000"] = lambda: grid_layout(2000, 1)
-    for seed in range(20):
-        docs[f"random{seed}"] = lambda seed=seed: random_layout(seed)
-        docs[f"stitched{seed}"] = lambda seed=seed: random_layout(seed, stitch=True)
-    return docs
-
-
-CORPUS = corpus()
+# the bundled layouts, a grid and seeded random layouts, plain and stitched
+CORPUS = {label: doc for label, doc, _ in runs("id renaming")}
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_renamed_ids_give_the_same_outputs_renamed(name):
-    doc = CORPUS[name]()
+    doc = CORPUS[name]
     texts, svg, stats = outputs(doc)
     texts2, svg2, stats2 = outputs(renamed(doc))
     assert max(int(n) for t in texts for n in re.findall(r"\d+", t)) < SCALE

@@ -2,13 +2,12 @@ import dataclasses
 import random
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from corpora import LAYOUTS, bundled_layout, chain_text, runs
 from helpers import (
     _dummy_candidate,
-    chain30_rects,
     enumerate_model,
     keyed,
     milp_optimum,
@@ -35,11 +34,10 @@ from trimdecomp.ilp import (
 from trimdecomp.layout_io import StitchPoint, parse_layout, write_report
 from trimdecomp.synth import grid_layout, random_layout
 
-LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
 
 def test_model_shape_for_demo_layout():
-    doc = parse_layout((LAYOUTS / "endcut_demo.lay").read_text())
+    doc = bundled_layout("endcut_demo.lay")
     g, ecg, _ = graph_for(doc)
     m = build_model(g, ecg, Fraction(0))
     assert m.names == ("x_1", "x_2", "x_3", "ec_2_3", "c_1_2", "c_1_3", "c_2_3")
@@ -395,8 +393,8 @@ def test_the_search_receives_the_prices_solve_wrote(monkeypatch):
         init(self, block, deadline)
 
     monkeypatch.setattr(_CompSolver, "__init__", spy)
-    for seed in range(12):
-        decompose_document(random_layout(seed, clusters=9, stitch=True), alpha=Fraction(1, 3))
+    for _, doc, _ in runs("ilp"):
+        decompose_document(doc, alpha=Fraction(1, 3))
     for m, pairs, cuts, spacing in blocks:
         for a, b, same, diff in pairs:
             assert a < b < m and (same, diff) in ((3, 0), (0, 1))
@@ -421,8 +419,7 @@ def test_search_tree_of_a_crowded_chain(bars, nodes):
     # neighbours' cuts, so each leaf settles up to bars - 1 cuts; the node
     # count pins the whole tree: variable order, select before skip and
     # every prune
-    text = "\n".join(["param dis_m 120", "param hlow 60", *chain30_rects()[:bars]]) + "\n"
-    g, ecg, _ = graph_for(parse_layout(text))
+    g, ecg, _ = graph_for(parse_layout(chain_text(bars)))
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, nodes)
     assert masks(sol) == ("AAB" * bars)[:bars]
@@ -433,8 +430,7 @@ def test_timeout_inside_a_leaf_returns_feasible_incumbent():
     # on the 16-bar chain the deadline check of node 2048 falls inside a
     # leaf's cut selection, so the answer is the last leaf accepted
     # before it, with its cuts
-    text = "\n".join(["param dis_m 120", "param hlow 60", *chain30_rects()[:16]]) + "\n"
-    g, ecg, _ = graph_for(parse_layout(text))
+    g, ecg, _ = graph_for(parse_layout(chain_text(16)))
     m = build_model(g, ecg, Fraction(0))
     sol = solve(m, time_limit=0.0)
     assert (sol.status, sol.objective, sol.nodes) == (SolveStatus.TIMEOUT, 6, 2048)
@@ -549,7 +545,7 @@ def test_a_failed_check_is_an_internal_error_of_the_cli(monkeypatch, capsys, cor
 
 
 def test_export_lp_demo_text():
-    doc = parse_layout((LAYOUTS / "endcut_demo.lay").read_text())
+    doc = bundled_layout("endcut_demo.lay")
     g, ecg, _ = graph_for(doc)
     text = export_lp(build_model(g, ecg, Fraction(0)))
     lines = text.splitlines()
@@ -594,8 +590,8 @@ def test_export_lp_binaries_section_wraps():
 
 def lp_round_trip_models():
     yield decompose_document(grid_layout(2000, 1)).model
-    for seed in range(12):
-        result = decompose_document(random_layout(seed, clusters=9, stitch=True))
+    for _, doc, _ in runs("ilp"):
+        result = decompose_document(doc)
         for alpha in (Fraction(1, 10), Fraction(1, 3)):
             yield build_model(result.graph, result.end_cuts, alpha)
 
@@ -659,7 +655,7 @@ def test_the_model_shares_the_graphs_tuples():
 
 
 def test_the_solved_model_is_the_exported_model():
-    result = decompose_document(parse_layout((LAYOUTS / "ring5.lay").read_text()))
+    result = decompose_document(bundled_layout("ring5.lay"))
     assert build_full_model(result) is result.model
     # a run cut short by its time limit still exports the whole model
     grid = "\n".join(["layout grid4x20", "param dis_m 120", *square_grid_rects()]) + "\n"

@@ -3,9 +3,10 @@ import hashlib
 import random
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+
+from corpora import bundled_layout, runs
 
 import trimdecomp.geometry
 from trimdecomp.cli import decompose_document
@@ -27,7 +28,6 @@ from trimdecomp.layout_io import (
 )
 from trimdecomp.synth import _document, random_layout
 
-LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
 
 def test_parse_minimal_layout():
@@ -45,14 +45,14 @@ def test_rect_lines_skip_the_outline_path(monkeypatch):
         raise AssertionError("outline path taken")
 
     monkeypatch.setattr(trimdecomp.geometry, "_corners", refuse)
-    doc = parse_layout((LAYOUTS / "cluster7.lay").read_text())
+    doc = bundled_layout("cluster7.lay")
     assert len(doc.shapes) == 7
     with pytest.raises(AssertionError, match="outline path taken"):
         parse_layout("poly 1 0 0 10 0 10 10 0 10\n")
 
 
 def test_parse_cluster7_defaults():
-    doc = parse_layout((LAYOUTS / "cluster7.lay").read_text())
+    doc = bundled_layout("cluster7.lay")
     p = doc.params
     assert p.dis_m == 120
     assert p.dis_c == 120  # cut spacing follows the mask spacing
@@ -290,9 +290,7 @@ def test_low_defaults_scan_the_shapes_only_when_needed(monkeypatch):
 
 
 def test_layout_roundtrip_random():
-    rng = random.Random(5)
-    for _ in range(10):
-        doc = random_layout(rng.randrange(1000), clusters=rng.randint(1, 4))
+    for _, doc, _ in runs("layout_io round trip"):
         back = parse_layout(write_layout(doc))
         assert back.name == doc.name
         assert back.params == doc.params
@@ -401,7 +399,7 @@ def test_split_feature_rects_on_l_shape():
 
 
 def test_emit_svg_structure():
-    doc = parse_layout((LAYOUTS / "endcut_demo.lay").read_text())
+    doc = bundled_layout("endcut_demo.lay")
     rep = DecompositionReport(
         masks={(1, 0): "A", (2, 0): "B", (3, 0): "B"},
         cuts=(Rect.of(200, 0, 240, 40),),
@@ -509,7 +507,7 @@ SVG_SHA256 = {
 @pytest.mark.parametrize("key", list(SVG_SHA256))
 def test_emit_svg_bytes_are_unchanged(key):
     if isinstance(key, str):
-        doc = parse_layout((LAYOUTS / key).read_text())
+        doc = bundled_layout(key)
     else:
         doc = random_layout(key, clusters=9, stitch=True)
     result = decompose_document(doc)

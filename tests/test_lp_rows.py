@@ -6,6 +6,7 @@ test eliminator read from it."""
 import itertools
 from fractions import Fraction
 
+from corpora import runs
 from helpers import parse_lp
 from test_graphs import abstract_graph
 
@@ -20,7 +21,7 @@ from trimdecomp.ilp import (
     cost_table,
     export_lp,
 )
-from trimdecomp.synth import grid_layout, random_layout
+from trimdecomp.synth import grid_layout
 
 
 def template_edges(model: IlpModel):
@@ -78,12 +79,11 @@ def rows_section(text: str) -> list[str]:
 
 def models():
     yield decompose_document(grid_layout(2000, 1)).model
-    for seed in range(8):
-        for stitch in (False, True):
-            result = decompose_document(random_layout(seed, clusters=9, stitch=stitch))
-            # alpha 0 leaves the objective with no s terms
-            for alpha in (Fraction(0), Fraction(1, 10), Fraction(1, 3)):
-                yield build_model(result.graph, result.end_cuts, alpha)
+    for _, doc, _ in runs("lp_rows"):
+        result = decompose_document(doc)
+        # alpha 0 leaves the objective with no s terms
+        for alpha in (Fraction(0), Fraction(1, 10), Fraction(1, 3)):
+            yield build_model(result.graph, result.end_cuts, alpha)
 
 
 def test_rows_match_the_term_by_term_renderer():

@@ -10,16 +10,15 @@ leave both digests as they are.
 """
 
 import hashlib
-from pathlib import Path
+
+from corpora import runs
 
 from trimdecomp.cli import decompose_document
 from trimdecomp.geometry import Metric
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
 from trimdecomp.ilp import export_lp
-from trimdecomp.layout_io import emit_svg, parse_layout, write_report
-from trimdecomp.synth import grid_layout, random_layout
+from trimdecomp.layout_io import emit_svg, write_report
 
-LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 # taken before the band-sweep neighbour search replaced per-id grid queries,
 # which left every output byte as it was
 CORPUS_DIGEST = "c6d72009a4958e9dc4ebe785619e60468597ab8e5e03f9e8773ad5eb2aefc56b"
@@ -28,17 +27,8 @@ CORPUS_DIGEST = "c6d72009a4958e9dc4ebe785619e60468597ab8e5e03f9e8773ad5eb2aefc56
 EUCLIDEAN_DIGEST = "0e0d0dca51967f7dc9d4b15c6f94e1e25efe80b2a5424771de45c3670c8ebc2d"
 
 
-def corpus():
-    for path in sorted(LAYOUTS.glob("*.lay")):
-        yield parse_layout(path.read_text())
-    for seed in range(40):
-        yield random_layout(seed)
-        yield random_layout(seed, stitch=True)
-    yield grid_layout(2000, 1)
-
-
-def outputs(doc, metric: Metric) -> list[str]:
-    result = decompose_document(doc, metric=metric)
+def outputs(doc, **options) -> list[str]:
+    result = decompose_document(doc, **options)
     stats = result.stats
     return [
         write_report(result.report),
@@ -50,15 +40,14 @@ def outputs(doc, metric: Metric) -> list[str]:
     ]
 
 
+def sha256_of(parts) -> str:
+    """The digest of the parts, each followed by a NUL byte."""
+    return hashlib.sha256(b"".join(part.encode() + b"\0" for part in parts)).hexdigest()
+
+
 def corpus_digest(metric: Metric) -> tuple[int, str]:
-    digest = hashlib.sha256()
-    count = 0
-    for doc in corpus():
-        count += 1
-        for part in outputs(doc, metric):
-            digest.update(part.encode())
-            digest.update(b"\0")
-    return count, digest.hexdigest()
+    docs = [doc for _, doc, _ in runs("output identity")]
+    return len(docs), sha256_of(part for doc in docs for part in outputs(doc, metric=metric))
 
 
 def test_every_output_byte_of_the_corpus_is_unchanged():

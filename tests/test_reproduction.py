@@ -11,13 +11,13 @@ same conflict pairs and dis_m with no stitches, by that MILP solver.
 
 from fractions import Fraction
 
+from corpora import runs
 from helpers import milp_optimum, three_mask_conflicts
 
 from trimdecomp.cli import decompose_document
 from trimdecomp.geometry import SpatialIndex
 from trimdecomp.graphs import EndCutGraph, build_layout_graph, conflict_pairs
 from trimdecomp.ilp import SolveStatus, build_model, export_lp, solve
-from trimdecomp.synth import grid_layout, random_layout
 
 
 def without_cuts(doc):
@@ -32,19 +32,18 @@ def without_cuts(doc):
 def test_end_cuts_lower_the_optimum_of_nine_cluster_layouts():
     with_sum = without_sum = three_sum = 0
     checked = 0
-    for seed in range(50):
-        doc = random_layout(seed, clusters=9)
+    for label, doc, _ in runs("reproduction random"):
         stats = decompose_document(doc).stats
         model, sol = without_cuts(doc)
-        assert stats.status is sol.status is SolveStatus.OPTIMAL, seed
+        assert stats.status is sol.status is SolveStatus.OPTIMAL, label
         # no stitches: the cost counts the conflicts
-        assert stats.cost == stats.conflicts and sol.objective == len(sol.conflicts), seed
-        assert stats.conflicts <= len(sol.conflicts), seed
+        assert stats.cost == stats.conflicts and sol.objective == len(sol.conflicts), label
+        assert stats.conflicts <= len(sol.conflicts), label
         with_sum += stats.conflicts
         without_sum += len(sol.conflicts)
         three_sum += three_mask_conflicts(model.graph)
         if checked < 10 and sol.conflicts:
-            assert milp_optimum(export_lp(model)) == sol.objective, seed
+            assert milp_optimum(export_lp(model)) == sol.objective, label
             checked += 1
     assert checked == 10
     # three masks leave fewer conflicts than two plus trim on these pairs
@@ -54,8 +53,7 @@ def test_end_cuts_lower_the_optimum_of_nine_cluster_layouts():
 def test_end_cuts_lower_the_optimum_of_grid_layouts():
     # five rows of 100 shapes, one of each kind: 33 conflicts with
     # end-cuts, the closed form, and 83 without them, whatever the seed
-    for seed in range(5):
-        doc = grid_layout(500, seed)
+    for seed, (_, doc, _) in enumerate(runs("reproduction grid")):
         stats = decompose_document(doc).stats
         model, sol = without_cuts(doc)
         assert stats.status is sol.status is SolveStatus.OPTIMAL, seed

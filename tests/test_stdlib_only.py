@@ -1,9 +1,9 @@
 """The package runs on the standard library alone (dependencies = []),
 every name its modules, its tests and its benchmark import is used, every
 definition of the package is read by the package or exported, every test
-helper is read by a test, the command line starts without the modules
-only a directory run needs, and only two functions build a spatial
-index."""
+helper and corpus is read by a test, the command line starts without the
+modules only a directory run needs, and only two functions build a
+spatial index."""
 
 import ast
 import os
@@ -164,18 +164,23 @@ def test_every_method_is_read():
 
 
 def test_every_test_helper_is_read():
-    # a top-level definition of helpers.py counts as read when another file
-    # of the tests reads it, or when a definition of helpers.py that counts
-    # as read does
-    helpers = TESTS / "helpers.py"
+    # a top-level definition of a module under tests/ that holds no tests
+    # (pytest reads conftest.py's fixtures by name), and each corpus that
+    # corpora.CORPORA names, counts as read when a test module other than
+    # this one reads it, or when a definition that counts as read does
     reads = {}
-    for stmt in ast.parse(helpers.read_text(), str(helpers)).body:
-        for name in names_defined(stmt):
-            reads[name] = names_read(stmt)
-    assert "parse_lp" in reads and "_Milp" in reads
-    todo = set()
     for p in sorted(TESTS.glob("*.py")):
-        if p != helpers:
+        if not p.name.startswith(("test_", "conftest")):
+            for stmt in ast.parse(p.read_text(), str(p)).body:
+                for name in names_defined(stmt):
+                    reads[name] = names_read(stmt)
+                    if name == "CORPORA":
+                        reads[name] = set().union(*map(names_read, stmt.value.values))
+                        reads.update(dict.fromkeys([key.value for key in stmt.value.keys], set()))
+    assert {"_Milp", "cellrow_layout", "cellrow"} <= set(reads)
+    todo = set()
+    for p in sorted(TESTS.glob("test_*.py")):
+        if p.name != Path(__file__).name:
             todo |= names_read(ast.parse(p.read_text(), str(p)))
     reached = set()
     while todo:

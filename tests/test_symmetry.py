@@ -11,12 +11,10 @@ Chebyshev metric. No external solver is needed."""
 
 import dataclasses
 
-from helpers import polyomino_text
+from corpora import runs
 
 from trimdecomp.cli import decompose_document
-from trimdecomp.geometry import Metric, Rect, RectilinearShape
-from trimdecomp.layout_io import parse_layout
-from trimdecomp.synth import grid_layout, random_layout
+from trimdecomp.geometry import Rect, RectilinearShape
 
 MAPS = {
     "mirror x": lambda x, y: (-x, y),
@@ -38,33 +36,26 @@ def mapped_doc(f, doc):
     return dataclasses.replace(doc, shapes=shapes)
 
 
-def runs():
-    """(label, document, stitch, metric) for every run of the corpus."""
-    for seed in range(100):
-        doc = parse_layout(polyomino_text(seed))
-        for metric in Metric:
-            yield f"poly{seed} {metric.value}", doc, None, metric
-    for seed in range(40):
-        doc = random_layout(seed)
-        for stitch in (False, True):
-            yield f"random {seed} stitch {stitch}", doc, stitch, Metric.CHEBYSHEV
-    yield "grid 2000", grid_layout(2000, 1), None, Metric.CHEBYSHEV
+# the mapped runs of each corpus, 1,124 in all
+MAPPED = {"symmetry polyominoes": 800, "symmetry random": 320, "symmetry grid": 4}
 
 
 def test_mirrors_half_turns_and_shifts_map_the_decomposition():
-    mapped = split_runs = 0
-    for label, doc, stitch, metric in runs():
-        want = decompose_document(doc, stitch=stitch, metric=metric).report
-        split = any(k for _, k in want.masks)
-        split_runs += split
-        for name, f in MAPS.items():
-            got = decompose_document(mapped_doc(f, doc), stitch=stitch, metric=metric).report
-            where = f"{label} {name}"
-            assert (got.cost, got.status) == (want.cost, want.status), where
-            assert sorted(got.cuts) == sorted(mapped_rect(f, r) for r in want.cuts), where
-            if not split:
-                assert got.masks == want.masks, where
-                assert got.conflicts == want.conflicts, where
-            mapped += 1
-    assert mapped == 1124
+    split_runs = 0
+    for corpus, pin in MAPPED.items():
+        mapped = 0
+        for label, doc, metric in runs(corpus):
+            want = decompose_document(doc, metric=metric).report
+            split = any(k for _, k in want.masks)
+            split_runs += split
+            for name, f in MAPS.items():
+                got = decompose_document(mapped_doc(f, doc), metric=metric).report
+                where = f"{label} {metric.value} {name}"
+                assert (got.cost, got.status) == (want.cost, want.status), where
+                assert sorted(got.cuts) == sorted(mapped_rect(f, r) for r in want.cuts), where
+                if not split:
+                    assert got.masks == want.masks, where
+                    assert got.conflicts == want.conflicts, where
+                mapped += 1
+        assert mapped == pin, corpus
     assert split_runs > 0

@@ -1,3 +1,5 @@
+from corpora import runs
+
 from trimdecomp.geometry import rects_interior_intersect
 from trimdecomp.layout_io import parse_layout, write_layout
 from trimdecomp.synth import grid_layout, random_layout
@@ -19,8 +21,7 @@ def test_random_layout_is_deterministic():
 
 
 def test_random_layouts_survive_a_parse_round_trip():
-    for seed in range(12):
-        doc = random_layout(seed=seed)
+    for _, doc, _ in runs("synth round trip"):
         again = parse_layout(write_layout(doc))
         assert again.shapes == doc.shapes
         assert again.params == doc.params

@@ -24,14 +24,15 @@ tuples: the LP text is the one written form of the rows. The pipeline
 builds the model once per decomposition: solve optimises it and
 export_lp prints it.
 
-solve prices each edge from its kind's cost_table and splits the model into
-independent blocks, one exact branch and bound per distinct block
-structure. A greedy two-colouring seeds each search, which assigns
-masks in ascending segment order, mask 0 first, so the first leaf it
-meets at the optimal cost is the lexicographically smallest optimal
-mask vector, the promised tie-break. Its IlpSolution is the whole
-answer on ranks: masks by segment, the selected cuts, and the conflict
-and stitch edges it leaves."""
+solve prices each edge from its kind's cost_table and splits the model
+into independent blocks, one exact branch and bound per distinct block
+structure, reached only through _search: a block's priced structure in,
+its BlockAnswer out. A greedy two-colouring seeds each search, which
+assigns masks in ascending segment order, mask 0 first, so the first
+leaf it meets at the optimal cost is the lexicographically smallest
+optimal mask vector, the promised tie-break. Its IlpSolution is the
+whole answer on ranks: masks by segment, the selected cuts, and the
+conflict and stitch edges it leaves."""
 
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .graphs import EndCutGraph, LayoutGraph
 from .layout_io import SolveStatus, _collector_paused, fraction_to_decimal
@@ -167,6 +168,18 @@ BlockStructure = tuple[
 ]
 
 
+class BlockAnswer(NamedTuple):
+    """A block search's scaled cost, local masks, selected pending-cut
+    indices and node count; when timed_out, the best found by the deadline,
+    not the lexicographically smallest optimum."""
+
+    cost: int
+    colors: list[int]
+    selected: set[int]
+    nodes: int
+    timed_out: bool
+
+
 # The node count of the canonical search of a lone segment's block: one
 # node for its mask A and one for the empty cut selection of that colouring.
 _LONE_NODES = 2
@@ -211,11 +224,6 @@ class _CompSolver:
             self.cut_adj[kb] |= 1 << ka
 
         self.vals = [0] * self.m
-        self.best = 0
-        self.bound = 1
-        self.best_colors: list[int] = [0] * self.m
-        self.best_sel: set[int] = set()
-        self.timed_out = False
 
     # -- incumbent -------------------------------------------------------
 
@@ -287,7 +295,7 @@ class _CompSolver:
 
     # -- exact search ----------------------------------------------------
 
-    def run(self) -> None:
+    def run(self) -> BlockAnswer:
         incumbent = self._greedy_colors()
         if incumbent[0] == 1:
             # the mirror costs the same and keeps variable 0 on mask 0
@@ -297,10 +305,12 @@ class _CompSolver:
         self.bound = inc_cost + 1  # scaled costs are integers
         self.best_colors = incumbent
         self.best_sel = inc_sel
+        timed_out = False
         try:
             self._branch()
         except _Timeout:
-            self.timed_out = True
+            timed_out = True
+        return BlockAnswer(self.best, self.best_colors, self.best_sel, self.nodes, timed_out)
 
     def _branch(self) -> None:
         m, vals, deadline = self.m, self.vals, self.deadline
@@ -386,6 +396,12 @@ class _CompSolver:
 def _indices(mask: int) -> set[int]:
     """The positions of the set bits of a bitmask."""
     return {k for k in range(mask.bit_length()) if mask >> k & 1}
+
+
+def _search(block: BlockStructure, deadline: float | None) -> BlockAnswer:
+    """The answer of one priced block: the one place solve reaches a
+    search, and the one seam where another exact search can stand in."""
+    return _CompSolver(block, deadline).run()
 
 
 def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
@@ -497,24 +513,21 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     # the search depends only on a block's priced structure, so identical
     # blocks share one finished search; a search cut short by the deadline
     # is not an answer and is never reused
-    memo: dict[BlockStructure, tuple[int, int, list[int], set[int]]] = {}
+    memo: dict[BlockStructure, BlockAnswer] = {}
     for bi, gvars in enumerate(blocks):
         key = (len(gvars), tuple(pairs_by[bi]), tuple(pend_by[bi]), tuple(sorted(ee_by[bi])))
-        found = memo.get(key)
-        if found is None:
-            comp = _CompSolver(key, deadline)
-            comp.run()
-            found = (comp.best, comp.nodes, comp.best_colors, comp.best_sel)
-            if comp.timed_out:
+        answer = memo.get(key)
+        if answer is None:
+            answer = _search(key, deadline)
+            if answer.timed_out:
                 timed_out = True
             else:
-                memo[key] = found
-        best, searched, best_colors, best_sel = found
-        total += best
-        nodes += searched
-        for gi, c in zip(gvars, best_colors):
+                memo[key] = answer
+        total += answer.cost
+        nodes += answer.nodes
+        for gi, c in zip(gvars, answer.colors):
             color_of[gi] = c
-        selected.update(cuts_by[bi][k] for k in best_sel)
+        selected.update(cuts_by[bi][k] for k in answer.selected)
     for a, b, cut in free:
         if color_of[a] == color_of[b]:
             selected.add(cut)

@@ -180,9 +180,7 @@ CORPORA: dict[str, list[Entry]] = {
     ],
     "synth round trip": [Entry(random_layout, range(12))],
     "exports priced": [Entry(random9, range(20), stitch=STITCHED)],
-    "exports": [
-        grid2000._replace(stitch=STITCHED), Entry(random_layout, range(20), (Metric.EUCLIDEAN,), BOTH_STITCH)
-    ],
+    "exports": [grid2000._replace(stitch=STITCHED)],
     "exports shuffled": [grid2000, Entry(random9, range(10), stitch=STITCHED)],
     "acceptance 2": [Entry(random_layout, range(100), stitch=BOTH_STITCH)],
     "acceptance 3": [Entry(random_layout, range(50))],

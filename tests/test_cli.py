@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from corpora import LAYOUTS, bundled_layout, chain_text, runs
 from helpers import square_grid_rects
-from test_ilp import count_searches
+from test_ilp import watch_searches
 
 import trimdecomp
 import trimdecomp.cli
@@ -190,12 +190,12 @@ def test_timed_out_block_is_searched_again(monkeypatch):
     lines = ["layout grid4x20x2", "param dis_m 120"]
     lines += square_grid_rects() + square_grid_rects(first_id=81, y=10_000)
     doc = parse_layout("\n".join(lines) + "\n")
-    searches = count_searches(monkeypatch)
+    searches = watch_searches(monkeypatch)
     # decompose_document recounts the cost of the reported colouring
     result = decompose_document(doc, time_limit=0.2)
     assert result.stats.status.value == "timeout"
     assert result.stats.components == 2
-    assert searches == [80, 80]
+    assert [(block[0], answer.timed_out) for block, answer in searches] == [(80, True), (80, True)]
 
 
 def test_directory_benchmark_mode(tmp_path, capsys):

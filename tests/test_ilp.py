@@ -20,17 +20,11 @@ from helpers import (
 from test_graphs import abstract_graph, graph_for
 from test_lp_rows import template_rows, template_weights
 
+from trimdecomp import ilp
 from trimdecomp.cli import build_full_model, decompose_document, main
 from trimdecomp.geometry import Rect
 from trimdecomp.graphs import EndCutGraph, LayoutGraph
-from trimdecomp.ilp import (
-    ModelError,
-    SolveStatus,
-    _CompSolver,
-    build_model,
-    export_lp,
-    solve,
-)
+from trimdecomp.ilp import ModelError, SolveStatus, _search, build_model, export_lp, solve
 from trimdecomp.layout_io import StitchPoint, parse_layout, write_report
 from trimdecomp.synth import grid_layout, random_layout
 
@@ -320,9 +314,8 @@ def test_identical_blocks_solve_as_if_alone(monkeypatch):
     # segments that no searched edge reaches: bars with no conflict, and a
     # pair whose one conflict a spacing-free cut resolves
     # the canonical search of a block of one segment with no edge
-    lone = _CompSolver((1, (), (), ()), None)
-    lone.run()
-    assert (lone.best, lone.best_colors, lone.best_sel) == (0, [0], set())
+    lone = _search((1, (), (), ()), None)
+    assert (lone.cost, lone.colors, lone.selected, lone.timed_out) == (0, [0], set(), False)
     singles = [abstract_graph(3, []), free_cut_pair()]
     for (g, ecg), count in zip(singles, (3, 2)):
         sol = solve(build_model(g, ecg, Fraction(1, 10)))
@@ -330,14 +323,7 @@ def test_identical_blocks_solve_as_if_alone(monkeypatch):
         assert set(sol.colors) == {0}
     assert solve(build_model(*free_cut_pair(), Fraction(0))).selected == (0,)
     # no search is built for a block of one segment
-    built = []
-    init = _CompSolver.__init__
-
-    def spy(self, block, *args):
-        built.append(block)
-        init(self, block, *args)
-
-    monkeypatch.setattr(_CompSolver, "__init__", spy)
+    searches = watch_searches(monkeypatch)
     rng = random.Random(4242)
     for _ in range(25):
         models = specs + singles + [random_model_graph(rng)[:2] for _ in range(6)]
@@ -359,25 +345,28 @@ def test_identical_blocks_solve_as_if_alone(monkeypatch):
         answers = [keyed(m, s) for m, s in zip(part_models, alone)]
         assert colors == {v: c for c_of, _ in answers for v, c in c_of.items()}
         assert selected == frozenset().union(*(cuts for _, cuts in answers))
-    assert built and all(m > 1 for m, _, _, _ in built)
+    assert searches and all(block[0] > 1 for block, _ in searches)
 
 
-def count_searches(monkeypatch):
+def watch_searches(monkeypatch, spoil=lambda block, answer: answer):
+    """Record each block that solve searches with the answer its search
+    returned, and hand solve spoil(block, answer) in that answer's place."""
     searches = []
-    search = _CompSolver.run
+    search = ilp._search
 
-    def counted(self):
-        searches.append(self.m)
-        search(self)
+    def watched(block, deadline):
+        answer = search(block, deadline)
+        searches.append((block, answer))
+        return spoil(block, answer)
 
-    monkeypatch.setattr(_CompSolver, "run", counted)
+    monkeypatch.setattr(ilp, "_search", watched)
     return searches
 
 
 def test_repeated_cells_are_searched_once(monkeypatch):
-    searches = count_searches(monkeypatch)
+    searches = watch_searches(monkeypatch)
     stats = decompose_document(grid_layout(2000, 1)).stats
-    assert len(searches) <= 4
+    assert 0 < len(searches) <= 4
     # nodes still counts the canonical search of every one of the blocks
     assert (stats.components, stats.nodes) == (1116, 6984)
 
@@ -385,16 +374,10 @@ def test_repeated_cells_are_searched_once(monkeypatch):
 def test_the_search_receives_the_prices_solve_wrote(monkeypatch):
     # at alpha 1/3 a conflict costs 3 on one mask, a stitch 1 across masks,
     # and a pending cut 3 when its segments share a mask and it is skipped
-    blocks = []
-    init = _CompSolver.__init__
-
-    def spy(self, block, deadline):
-        blocks.append(block)
-        init(self, block, deadline)
-
-    monkeypatch.setattr(_CompSolver, "__init__", spy)
+    searches = watch_searches(monkeypatch)
     for _, doc, _ in runs("ilp"):
         decompose_document(doc, alpha=Fraction(1, 3))
+    blocks = [block for block, _ in searches]
     for m, pairs, cuts, spacing in blocks:
         for a, b, same, diff in pairs:
             assert a < b < m and (same, diff) in ((3, 0), (0, 1))
@@ -453,55 +436,35 @@ def test_cut_masks_wider_than_a_machine_word(monkeypatch):
         if a > 1:
             ee.add(((a - 2, a - 1), (a, c)))
     g, ecg = abstract_graph(120, edges, cands=cands, ee=ee)
-    chosen = []
-    search = _CompSolver.run
-
-    def recorded(self):
-        search(self)
-        chosen.append(sorted(self.best_sel))
-
-    monkeypatch.setattr(_CompSolver, "run", recorded)
+    searches = watch_searches(monkeypatch)
     sol = solve(build_model(g, ecg, Fraction(0)), time_limit=1.0)
-    assert chosen == [list(range(0, 80, 2))]
+    assert [sorted(answer.selected) for _, answer in searches] == [list(range(0, 80, 2))]
     assert (sol.status, sol.objective, sol.blocks, sol.nodes) == (SolveStatus.OPTIMAL, 0, 1, 320)
     assert masks(sol) == "ABA" * 40
     assert [ecg.candidates[k].pair for k in sol.selected] == sorted((a, a + 2) for a in range(1, 121, 3))
 
 
-def corrupt_search(monkeypatch, corrupt):
-    """Let every block search finish, then spoil its answer with corrupt."""
-    search = _CompSolver.run
-
-    def corrupted(self):
-        search(self)
-        corrupt(self)
-
-    monkeypatch.setattr(_CompSolver, "run", corrupted)
+def lower_best(block, answer):
+    return answer._replace(cost=answer.cost - 1) if answer.cost > 0 else answer
 
 
-def lower_best(comp):
-    if comp.best > 0:
-        comp.best -= 1
-
-
-def select_both_spaced_cuts(comp):
-    """Select both cuts of the block's first spacing edge, and lower best
-    by the conflicts that this resolves, so the recount still agrees."""
-    adjs = comp.cut_adj
-    spaced = [(ka, kb) for ka, adj in enumerate(adjs) for kb in range(len(adjs)) if adj >> kb & 1]
-    if not spaced:
-        return
-    for k in spaced[0]:
-        a, b, price = comp.cuts[k]
-        if comp.best_colors[a] == comp.best_colors[b] and k not in comp.best_sel:
-            comp.best -= price
-        comp.best_sel.add(k)
+def select_both_spaced_cuts(block, answer):
+    """Select both cuts of the block's first spacing edge, and lower the
+    cost by the conflicts that this resolves, so the recount still agrees."""
+    _, _, cuts, spacing = block
+    cost, selected = answer.cost, set(answer.selected)
+    for k in spacing[0] if spacing else ():
+        a, b, price = cuts[k]
+        if answer.colors[a] == answer.colors[b] and k not in selected:
+            cost -= price
+        selected.add(k)
+    return answer._replace(cost=cost, selected=selected)
 
 
 def test_solve_recounts_the_search_total(monkeypatch):
     g, ecg = abstract_graph(3, [(1, 2), (2, 3), (1, 3)])
     assert solve(build_model(g, ecg, Fraction(0))).objective == 1
-    corrupt_search(monkeypatch, lower_best)
+    watch_searches(monkeypatch, lower_best)
     with pytest.raises(AssertionError) as err:
         solve(build_model(g, ecg, Fraction(0)))
     assert str(err.value) == "solution bookkeeping mismatch: recount 1 != search total 0"
@@ -518,7 +481,7 @@ def test_solve_checks_cut_spacing(monkeypatch):
     )
     sol = solve(build_model(g, ecg, Fraction(0)))
     assert (sol.objective, sol.selected) == (1, (1,))  # the cut (4, 6)
-    corrupt_search(monkeypatch, select_both_spaced_cuts)
+    watch_searches(monkeypatch, select_both_spaced_cuts)
     with pytest.raises(AssertionError) as err:
         solve(build_model(g, ecg, Fraction(0)))
     assert str(err.value) == "cuts (1, 3) and (4, 6) are too close to both print"
@@ -537,7 +500,7 @@ def test_a_failed_check_is_an_internal_error_of_the_cli(monkeypatch, capsys, cor
     path = str(LAYOUTS / "cluster7.lay")
     assert main(["--input", path]) == 0
     capsys.readouterr()
-    corrupt_search(monkeypatch, corrupt)
+    watch_searches(monkeypatch, corrupt)
     assert main(["--input", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

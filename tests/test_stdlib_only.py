@@ -1,8 +1,9 @@
 """The package runs on the standard library alone (dependencies = []),
 every name its modules, its tests and its benchmark import is used, every
 definition of the package is read by the package or exported, every test
-helper and corpus is read by a test, the command line starts without the
-modules only a directory run needs, and only two functions build a
+helper and corpus is read by a test, no test names the block search's
+class, every file parses as Python 3.10, the command line starts without
+the modules only a directory run needs, and only two functions build a
 spatial index."""
 
 import ast
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "trimdecomp"
@@ -189,6 +192,30 @@ def test_every_test_helper_is_read():
             reached.add(name)
             todo |= reads[name]
     assert sorted(set(reads) - reached) == []
+
+
+def test_tests_reach_a_block_search_only_through_search():
+    # a test that watches or spoils a search wraps ilp._search, so another
+    # exact search changes _search's body and no test; strings do not
+    # count, so the anchors of the checks above stay
+    named = set()
+    for p in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                named.add((p.name, name))
+    assert ("test_ilp.py", "_search") in named
+    assert sorted(f for f, name in named if name == "_CompSolver") == []
+
+
+def test_every_file_parses_under_the_oldest_supported_python():
+    # requires-python is >=3.10: syntax that 3.10 lacks, such as except*,
+    # must not reach a tracked file
+    files = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    assert len(files) >= 40
+    for p in files:
+        ast.parse(p.read_text(), str(p), feature_version=(3, 10))
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 def attributes_set_on_self(cls):

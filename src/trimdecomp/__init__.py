@@ -5,7 +5,6 @@ from .geometry import (
     GeometryError,
     Metric,
     OverlappingInputShapes,
-    Point,
     Rect,
     RectilinearShape,
     SpatialIndex,
@@ -59,7 +58,6 @@ __all__ = [
     "Metric",
     "ModelError",
     "OverlappingInputShapes",
-    "Point",
     "Rect",
     "RectilinearShape",
     "RunStats",

@@ -25,7 +25,7 @@ import enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import (
-    Point,
+    Corner,
     Rect,
     RectilinearShape,
     _new,
@@ -64,7 +64,7 @@ Runs = tuple[list[tuple[int, int, int]], ...]
 Sides = Sequence[tuple[int, int, int, int, str]]
 
 
-def _outline_runs(outline: Sequence[Point]) -> Runs:
+def _outline_runs(outline: Sequence[Corner]) -> Runs:
     """The runs of a counter-clockwise outline, grouped by outward normal,
     the direction of travel turned clockwise."""
     runs: Runs = ([], [], [], [])
@@ -232,7 +232,7 @@ def generate_end_cut(
             if x1 < mx2 and mx1 < x2 and y1 < my2 and my1 < y2:
                 break
         else:
-            rect = _new(Rect, (_new(Point, (x1, y1)), _new(Point, (x2, y2))))
+            rect = _new(Rect, ((x1, y1), (x2, y2)))
             raw.append(_new(EndCutBox, (rect, kind)))
     if not raw:
         return None
@@ -279,17 +279,19 @@ def merge_union(a: Rect, b: Rect, params: DecompositionParams) -> Rect | None:
     """Union of two cut rectangles when they can print as one trim shape:
     one contains the other, or they are aligned and touch or overlap and
     the combined run stays within the width cap."""
-    if a.lo.x <= b.lo.x and a.lo.y <= b.lo.y and a.hi.x >= b.hi.x and a.hi.y >= b.hi.y:
+    (ax1, ay1), (ax2, ay2) = a
+    (bx1, by1), (bx2, by2) = b
+    if ax1 <= bx1 and ay1 <= by1 and ax2 >= bx2 and ay2 >= by2:
         return a
-    if b.lo.x <= a.lo.x and b.lo.y <= a.lo.y and b.hi.x >= a.hi.x and b.hi.y >= a.hi.y:
+    if bx1 <= ax1 and by1 <= ay1 and bx2 >= ax2 and by2 >= ay2:
         return b
-    if a.lo.y == b.lo.y and a.hi.y == b.hi.y:
-        if interval_gap(a.lo.x, a.hi.x, b.lo.x, b.hi.x) == 0:
-            u = Rect.of(min(a.lo.x, b.lo.x), a.lo.y, max(a.hi.x, b.hi.x), a.hi.y)
+    if ay1 == by1 and ay2 == by2:
+        if interval_gap(ax1, ax2, bx1, bx2) == 0:
+            u = Rect.of(min(ax1, bx1), ay1, max(ax2, bx2), ay2)
             return u if u.width <= params.w_high else None
-    if a.lo.x == b.lo.x and a.hi.x == b.hi.x:
-        if interval_gap(a.lo.y, a.hi.y, b.lo.y, b.hi.y) == 0:
-            u = Rect.of(a.lo.x, min(a.lo.y, b.lo.y), a.hi.x, max(a.hi.y, b.hi.y))
+    if ax1 == bx1 and ax2 == bx2:
+        if interval_gap(ay1, ay2, by1, by2) == 0:
+            u = Rect.of(ax1, min(ay1, by1), ax2, max(ay2, by2))
             return u if u.height <= params.w_high else None
     return None
 
@@ -376,6 +378,6 @@ def merged_cut_rects(
 
 def _in_order(rects: Iterable[Rect]) -> list[Rect]:
     """The distinct rects in ascending order, sorted on each one's plain
-    (x1, y1, x2, y2): ints compare faster than nested Points."""
+    (x1, y1, x2, y2): ints compare faster than nested pairs."""
     by_key = {r[0] + r[1]: r for r in rects}
     return [by_key[k] for k in sorted(by_key)]

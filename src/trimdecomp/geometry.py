@@ -23,20 +23,22 @@ rectangle per tooth and a staircase one per step. A rectangle stores no
 outline: its four corners are made when something reads them, as an
 end-cut beside a polygon does.
 
-Point, Rect and RectilinearShape are named tuples that order, compare
-and hash as plain tuples and check nothing. RectilinearShape's
-constructors and the parsers check input where it enters. Where this
-module fixes a record's arity itself, it builds the record with
-tuple.__new__, as namedtuple's _make does, and skips the generated
-Python-level __new__; a tuple a caller passes in goes through the
-class.
+Rect and RectilinearShape are named tuples that order, compare and
+hash as plain tuples and check nothing. A corner is a plain (x, y) pair
+of ints, no record: building a pair and unpacking an exact tuple are the
+interpreter's fast paths, and corners are the most numerous values here.
+RectilinearShape's constructors and the parsers check input where it
+enters. Where this module fixes a record's arity itself, it builds the
+record with tuple.__new__, as namedtuple's _make does, and skips the
+generated Python-level __new__; a tuple a caller passes in goes through
+the class.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right, insort
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -59,30 +61,32 @@ _new = tuple.__new__
 _first = itemgetter(0)
 
 
-class Point(NamedTuple):
-    x: int
-    y: int
+# a corner or outline vertex: a plain (x, y) pair of ints
+Corner = tuple[int, int]
 
 
 class Rect(NamedTuple):
     """Axis-aligned rectangle from lo, the lower-left corner, to hi, the
-    upper-right one. It orders and hashes as ((lo.x, lo.y), (hi.x, hi.y));
-    from_rect and the parsers reject one without positive area."""
+    upper-right one, each an (x, y) pair. It orders and hashes as
+    ((x1, y1), (x2, y2)); from_rect and the parsers reject one without
+    positive area."""
 
-    lo: Point
-    hi: Point
+    lo: Corner
+    hi: Corner
 
     @classmethod
     def of(cls, x1: int, y1: int, x2: int, y2: int) -> "Rect":
-        return _new(cls, (_new(Point, (x1, y1)), _new(Point, (x2, y2))))
+        return _new(cls, ((x1, y1), (x2, y2)))
 
     @property
     def width(self) -> int:
-        return self.hi.x - self.lo.x
+        (x1, _), (x2, _) = self
+        return x2 - x1
 
     @property
     def height(self) -> int:
-        return self.hi.y - self.lo.y
+        (_, y1), (_, y2) = self
+        return y2 - y1
 
     @property
     def area(self) -> int:
@@ -90,7 +94,7 @@ class Rect(NamedTuple):
 
     def inflate(self, d: int) -> "Rect":
         (x1, y1), (x2, y2) = self
-        return _new(Rect, (_new(Point, (x1 - d, y1 - d)), _new(Point, (x2 + d, y2 + d))))
+        return _new(Rect, ((x1 - d, y1 - d), (x2 + d, y2 + d)))
 
 
 def interval_gap(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
@@ -103,21 +107,15 @@ def interval_gap(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
 
 
 def rects_interior_intersect(a: Rect, b: Rect) -> bool:
-    return (
-        a.lo.x < b.hi.x
-        and b.lo.x < a.hi.x
-        and a.lo.y < b.hi.y
-        and b.lo.y < a.hi.y
-    )
+    (ax1, ay1), (ax2, ay2) = a
+    (bx1, by1), (bx2, by2) = b
+    return ax1 < bx2 and bx1 < ax2 and ay1 < by2 and by1 < ay2
 
 
 def rects_closed_intersect(a: Rect, b: Rect) -> bool:
-    return (
-        a.lo.x <= b.hi.x
-        and b.lo.x <= a.hi.x
-        and a.lo.y <= b.hi.y
-        and b.lo.y <= a.hi.y
-    )
+    (ax1, ay1), (ax2, ay2) = a
+    (bx1, by1), (bx2, by2) = b
+    return ax1 <= bx2 and bx1 <= ax2 and ay1 <= by2 and by1 <= ay2
 
 
 def _check_integer(points: Iterable[tuple[int, int]]) -> None:
@@ -139,7 +137,7 @@ def _check_id(sid: int) -> None:
         raise GeometryError(f"feature id must be a non-negative integer: {sid!r}")
 
 
-def _corners(pts: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[int]]:
+def _corners(pts: list[Corner]) -> tuple[list[Corner], list[int]]:
     """The corners of an outline and the direction of the run that leaves
     each (0 right, 1 up, 2 left, 3 down), in one pass over its moves.
 
@@ -162,24 +160,20 @@ def _corners(pts: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[in
         elif px == qx:
             dirs.append(1 if qy > py else 3)
         else:
-            raise GeometryError(
-                f"outline move {_new(Point, (px, py))} -> {_new(Point, (qx, qy))} is not axis-aligned"
-            )
+            raise GeometryError(f"outline move {(px, py)} -> {(qx, qy)} is not axis-aligned")
     corners, leaving = [], []
     d_in = dirs[-1]
     for p, d in zip(pts, dirs):
         if d != d_in:  # a vertex inside a straight run is dropped
             if d == d_in ^ 2:
-                raise GeometryError(f"outline doubles back at {_new(Point, p)}")
+                raise GeometryError(f"outline doubles back at {p}")
             corners.append(p)
             leaving.append(d)
         d_in = d
     return corners, leaving
 
 
-def _sweep(
-    corners: list[tuple[int, int]], dirs: list[int]
-) -> tuple[tuple[Rect, ...], tuple[Point, ...]]:
+def _sweep(corners: list[Corner], dirs: list[int]) -> tuple[tuple[Rect, ...], tuple[Corner, ...]]:
     """Check that the outline through corners is simple and cut it into
     rectangles, in one sweep up its horizontal runs; also give the outline
     counter-clockwise.
@@ -230,8 +224,7 @@ def _sweep(
             for t in range(lo - (lo & 1), hi, 2):
                 y0 = since.pop(open_xs[t], None)
                 if y0 is not None:
-                    lo_pt, hi_pt = _new(Point, (open_xs[t], y0)), _new(Point, (open_xs[t + 1], y))
-                    rects.append(_new(Rect, (lo_pt, hi_pt)))
+                    rects.append(_new(Rect, ((open_xs[t], y0), (open_xs[t + 1], y))))
         for _, x1, x2, up1, up2, _ in level:
             if up1:
                 insort(open_xs, x1)
@@ -248,7 +241,7 @@ def _sweep(
     rects.sort()
     if not runs[0][5]:
         corners.reverse()
-    return tuple(rects), tuple(map(_new, repeat(Point), corners))
+    return tuple(rects), tuple(corners)
 
 
 class RectilinearShape(NamedTuple):
@@ -260,13 +253,12 @@ class RectilinearShape(NamedTuple):
     extent merged. Its outline is counter-clockwise, without collinear
     vertices; corners holds it, except for a rectangle whose outline
     starts at its lower-left corner, which stores () and whose outline
-    property builds the four corners on each read. min_dimension is the
-    least side over the rectangles.
+    property builds the four corners on each read.
     """
 
     id: int
     rects: tuple[Rect, ...]
-    corners: tuple[Point, ...]
+    corners: tuple[Corner, ...]
 
     @classmethod
     def from_outline(cls, sid: int, points: Iterable[tuple[int, int]]) -> "RectilinearShape":
@@ -288,26 +280,22 @@ class RectilinearShape(NamedTuple):
         without normalising or slicing an outline. The id must be a
         non-negative int."""
         _check_id(sid)
-        lo, hi = rect
+        (x1, y1), (x2, y2) = rect
         _check_integer(rect)
-        if lo.x >= hi.x or lo.y >= hi.y:
-            raise GeometryError(f"rectangle has no area: {lo} .. {hi}")
-        return _rect_shape(sid, lo.x, lo.y, hi.x, hi.y)
+        if x1 >= x2 or y1 >= y2:
+            raise GeometryError(f"rectangle has no area: {(x1, y1)} .. {(x2, y2)}")
+        return _rect_shape(sid, x1, y1, x2, y2)
 
     @property
-    def outline(self) -> tuple[Point, ...]:
+    def outline(self) -> tuple[Corner, ...]:
         if self.corners:
             return self.corners
-        ((lo, hi),) = self.rects
-        return (lo, _new(Point, (hi.x, lo.y)), hi, _new(Point, (lo.x, hi.y)))
+        (((x1, y1), (x2, y2)),) = self.rects
+        return ((x1, y1), (x2, y1), (x2, y2), (x1, y2))
 
     @property
     def bbox(self) -> Rect:
         return bounding_box(self.rects)
-
-    @property
-    def min_dimension(self) -> int:
-        return min(min(r.width, r.height) for r in self.rects)
 
     def __repr__(self) -> str:  # keep noise down in test failures
         return f"RectilinearShape(id={self.id}, rects={len(self.rects)})"
@@ -317,11 +305,11 @@ def _rect_shape(sid: int, x1: int, y1: int, x2: int, y2: int) -> RectilinearShap
     """The shape of the rectangle from (x1, y1) to (x2, y2), built without
     checks: the caller has made sure the corners are integers with
     x1 < x2 and y1 < y2."""
-    rect = _new(Rect, (_new(Point, (x1, y1)), _new(Point, (x2, y2))))
+    rect = _new(Rect, ((x1, y1), (x2, y2)))
     return _new(RectilinearShape, (sid, (rect,), ()))
 
 
-def _polygon_shape(sid: int, pts: list[tuple[int, int]]) -> RectilinearShape:
+def _polygon_shape(sid: int, pts: list[Corner]) -> RectilinearShape:
     """The shape of the outline through pts, built as from_outline builds
     it but without its integer check: the caller has made the
     coordinates ints. A rectangle whose outline starts at its lower-left
@@ -342,7 +330,7 @@ def bounding_box(rects: Sequence[Rect]) -> Rect:
     los, his = zip(*rects)
     xs1, ys1 = zip(*los)
     xs2, ys2 = zip(*his)
-    return _new(Rect, (_new(Point, (min(xs1), min(ys1))), _new(Point, (max(xs2), max(ys2)))))
+    return _new(Rect, ((min(xs1), min(ys1)), (max(xs2), max(ys2))))
 
 
 def rectset_within(a: Sequence[Rect], b: Sequence[Rect], d: int, metric: Metric = Metric.CHEBYSHEV) -> bool:
@@ -382,8 +370,8 @@ class SpatialIndex:
         gap distance of each other, each once and in ascending order.
 
         Band k is [k * cell, (k + 1) * cell) in y, and a box starts in the
-        band of its lo.y. Of two boxes within the gap, the one with the
-        lower lo.y reaches up to the other's lo.y, its y range raised by
+        band of its y1. Of two boxes within the gap, the one with the
+        lower y1 reaches up to the other's y1, its y range raised by
         distance at the top, so the band where the other starts holds
         both, and only that band reports the pair. A band where no box
         starts reports nothing, so a box is listed only in the start bands
@@ -391,8 +379,8 @@ class SpatialIndex:
         band, and a walk up the start bands carries on the boxes whose
         raised top still reaches the next one. A box's entries are thus at
         most the number of boxes, whatever its height. Inside a band a
-        sweep in lo.x order compares each box with the earlier ones whose
-        hi.x plus distance reaches its lo.x.
+        sweep in x1 order compares each box with the earlier ones whose
+        x2 plus distance reaches its x1.
         """
         cell, d = self.cell_size, distance
         own: dict[int, list[list[int]]] = {}  # the boxes that start in each band
@@ -408,7 +396,7 @@ class SpatialIndex:
         found: list[tuple[int, int]] = []
         band: list[list[int]] = []
         for k in sorted(own):
-            low = k * cell  # a box with lo.y >= low has this as its first band
+            low = k * cell  # a box with y1 >= low has this as its first band
             # the earlier boxes whose raised top reaches this band, in order
             band = [entry for entry in band if entry[4] >= low]
             band += own[k]

@@ -13,7 +13,7 @@ candidate end-cut, or -1. Stitch edges chain the consecutive segments of
 one split feature, each beside its stitch point. The stitch stage reads
 the bounding box of each feature with a neighbour once, gives each
 feature one list of pieces (its rects when it is not cut) split along
-one Point index (0 for x, 1 for y), and builds segments, stitch points
+one corner index (0 for x, 1 for y), and builds segments, stitch points
 and conflict edges from it.
 
 The end-cut graph has one vertex per candidate cut, spacing edges between
@@ -140,7 +140,7 @@ def _merge_intervals(ivals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def _cut_middle(rects: Sequence[Rect], coord: int, k: int) -> int | None:
     """The middle of a feature's cross-section at a cut across coordinate
-    k of a Point (0 for x, 1 for y), or None when the material just before
+    k of a corner (0 for x, 1 for y), or None when the material just before
     or just after the cut is not one interval: a cut there would leave a
     segment in two parts."""
     before: list[tuple[int, int]] = []

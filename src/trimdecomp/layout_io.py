@@ -123,7 +123,12 @@ class DecompositionParams:
         if "hlow" in raw and "wlow" in raw:
             low_default = None  # unused: skip the scan over the shapes
         elif shapes:
-            low_default = max(1, min(s.min_dimension for s in shapes) // 2)
+            sides = []  # each rect's width and height; a generator costs more
+            for s in shapes:
+                for (x1, y1), (x2, y2) in s.rects:
+                    sides.append(x2 - x1)
+                    sides.append(y2 - y1)
+            low_default = max(1, min(sides) // 2)
         else:
             low_default = max(1, ints["dis_m"] // 2)
         for low, high in (("hlow", "hhigh"), ("wlow", "whigh")):
@@ -499,7 +504,7 @@ _SVG_STYLE = (
 
 def split_feature_rects(rects: Sequence[Rect], bounds: Sequence[int], k: int) -> list[tuple[Rect, ...]]:
     """Clip a feature's rectangles between consecutive bounds, ascending
-    values of coordinate k of a Point (0 for x, 1 for y) from its bounding
+    values of coordinate k of a corner (0 for x, 1 for y) from its bounding
     box's start through its stitch coordinates to its end, returning one
     rectangle group per resulting piece, in that order."""
     pieces: list[tuple[Rect, ...]] = []

@@ -3,7 +3,7 @@ the oracle tests read.
 
 A family makes one layout document, or its text, from one seed:
 random_layout and grid_layout from the package, the polyomino,
-crowded-chain and cell-row generators here, and the bundled
+crowded-chain, stitch-ring and cell-row generators here, and the bundled
 layouts/*.lay, whose seeds are their file names. A corpus is a list of entries, each a family, its seeds, the
 metrics and the stitch modes to run them under; runs(name) yields its
 runs seed by seed, each seed under its stitch modes in order and each
@@ -81,6 +81,30 @@ def polyomino_text(seed: int) -> str:
                 lines.append(f"poly {len(boxes)} {coords}")
                 break
     return "\n".join(lines) + "\n"
+
+
+def ring_text(seed: int) -> str:
+    """A stitch ring: five bars around an odd cycle of conflicts, which a
+    stitch, a cut in the tip gap or one conflict breaks.
+
+    - a wire W 0 0 L 40, L 1000-2000;
+    - A 0 90 a 130 and B L-a 90 L 130 over its two ends, a 150-500;
+    - D 0 180 s 220 and E s+g 180 L 220, with a tip gap g of 40-100
+      between them, D ending 150-450 beyond A;
+    - dis_m 120, stitching on, alpha 1/2, 1/3 or 1/10, and hlow 20-120,
+      drawn above g on even seeds, so that the gap is too short to cut
+      there; all on a 10 nm grid.
+    """
+    rng = random.Random(seed)
+    length, a = rng.randrange(1000, 2001, 10), rng.randrange(150, 501, 10)
+    s, g = a + rng.randrange(150, 451, 10), rng.randrange(40, 101, 10)
+    hlow = rng.randrange(g + 10, 121, 10) if seed % 2 == 0 else rng.randrange(20, 121, 10)
+    return (
+        f"layout ring{seed}\nparam dis_m 120\nparam stitch 1\nparam hlow {hlow}\n"
+        f"param alpha_den {rng.choice((2, 3, 10))}\n"
+        f"rect 1 0 0 {length} 40\nrect 2 0 90 {a} 130\nrect 3 {length - a} 90 {length} 130\n"
+        f"rect 4 0 180 {s} 220\nrect 5 {s + g} 180 {length} 220\n"
+    )
 
 
 def cellrow_layout(seed: int, rows: int, tracks: int) -> LayoutDocument:
@@ -194,6 +218,7 @@ CORPORA: dict[str, list[Entry]] = {
     "reproduction random": [Entry(random9, range(50))],
     "reproduction grid": [Entry(partial(grid_layout, 500), range(5))],
     "cellrow": [cellrow_1x12],
+    "rings": [Entry(ring_text, range(20))],
 }
 
 

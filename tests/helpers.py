@@ -42,8 +42,8 @@ from trimdecomp.endcut import (
     resolve_box_overlaps,
 )
 from trimdecomp.geometry import (
+    Corner,
     GeometryError,
-    Point,
     Rect,
     RectilinearShape,
     interval_gap,
@@ -65,8 +65,10 @@ from trimdecomp.layout_io import DecompositionParams, LayoutDocument, StitchPoin
 
 
 def rect_gaps(a: Rect, b: Rect) -> tuple[int, int]:
-    gx = interval_gap(a.lo.x, a.hi.x, b.lo.x, b.hi.x)
-    gy = interval_gap(a.lo.y, a.hi.y, b.lo.y, b.hi.y)
+    (ax1, ay1), (ax2, ay2) = a
+    (bx1, by1), (bx2, by2) = b
+    gx = interval_gap(ax1, ax2, bx1, bx2)
+    gy = interval_gap(ay1, ay2, by1, by2)
     return gx, gy
 
 
@@ -334,7 +336,7 @@ def merged_cut_rects_oracle(
     return tuple(rects)
 
 
-def _normalize_outline(points: Sequence[Point]) -> list[Point]:
+def _normalize_outline(points: Sequence[Corner]) -> list[Corner]:
     """Drop a repeated closing point, merge collinear runs, reject spikes."""
     pts = list(points)
     if len(pts) >= 2 and pts[0] == pts[-1]:
@@ -345,15 +347,14 @@ def _normalize_outline(points: Sequence[Point]) -> list[Point]:
     for p, q in zip(pts, pts[1:] + pts[:1]):
         if p == q:
             raise GeometryError("outline repeats a vertex consecutively")
-        if p.x != q.x and p.y != q.y:
+        if p[0] != q[0] and p[1] != q[1]:
             raise GeometryError(f"outline move {p} -> {q} is not axis-aligned")
 
-    def direction(p: Point, q: Point) -> tuple[int, int]:
-        dx = (q.x > p.x) - (q.x < p.x)
-        dy = (q.y > p.y) - (q.y < p.y)
-        return dx, dy
+    def direction(p: Corner, q: Corner) -> tuple[int, int]:
+        (px, py), (qx, qy) = p, q
+        return (qx > px) - (qx < px), (qy > py) - (qy < py)
 
-    merged: list[Point] = []
+    merged: list[Corner] = []
     n = len(pts)
     for i, p in enumerate(pts):
         prev = pts[i - 1]
@@ -370,16 +371,16 @@ def _normalize_outline(points: Sequence[Point]) -> list[Point]:
     return merged
 
 
-def _signed_area2(pts: Sequence[Point]) -> int:
-    return sum(p.x * q.y - q.x * p.y for p, q in zip(pts, pts[1:] + pts[:1]))
+def _signed_area2(pts: Sequence[Corner]) -> int:
+    return sum(px * qy - qx * py for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]))
 
 
-def _check_simple(pts: Sequence[Point]) -> None:
+def _check_simple(pts: Sequence[Corner]) -> None:
     """Reject outlines whose boundary touches or crosses itself."""
     n = len(pts)
     segs = [
-        (min(p.x, q.x), min(p.y, q.y), max(p.x, q.x), max(p.y, q.y))
-        for p, q in zip(pts, pts[1:] + pts[:1])
+        (min(px, qx), min(py, qy), max(px, qx), max(py, qy))
+        for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1])
     ]
     if len(set(pts)) != n:
         raise GeometryError("outline revisits a vertex")
@@ -392,11 +393,13 @@ def _check_simple(pts: Sequence[Point]) -> None:
                 raise GeometryError("outline self-intersects")
 
 
-def _decompose_outline(pts: Sequence[Point]) -> tuple[Rect, ...]:
+def _decompose_outline(pts: Sequence[Corner]) -> tuple[Rect, ...]:
     """Slice a simple rectilinear polygon into horizontal slabs of rectangles."""
-    ys = sorted({p.y for p in pts})
+    ys = sorted({y for _, y in pts})
     verticals = [
-        (p.x, min(p.y, q.y), max(p.y, q.y)) for p, q in zip(pts, pts[1:] + pts[:1]) if p.x == q.x
+        (px, min(py, qy), max(py, qy))
+        for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1])
+        if px == qx
     ]
     rects: list[Rect] = []
     for y0, y1 in zip(ys, ys[1:]):
@@ -415,10 +418,10 @@ def outline_oracle(sid: int, points) -> RectilinearShape:
     collinear runs, wind it by its signed area, test every pair of runs
     for contact, and slice it into one rectangle per piece of every band
     between two consecutive distinct ys, so no two pieces ever merge."""
-    pts = [Point(x, y) for x, y in points]
-    for p in pts:
-        if not isinstance(p.x, int) or not isinstance(p.y, int):
-            raise GeometryError(f"point coordinates must be integers: ({p.x}, {p.y})")
+    pts = [(x, y) for x, y in points]
+    for x, y in pts:
+        if not isinstance(x, int) or not isinstance(y, int):
+            raise GeometryError(f"point coordinates must be integers: ({x}, {y})")
     pts = _normalize_outline(pts)
     if _signed_area2(pts) < 0:
         pts.reverse()
@@ -516,12 +519,12 @@ def boundary_edges(s: RectilinearShape) -> tuple[BoundaryEdge, ...]:
     each with the direction of travel turned clockwise as its normal."""
     pts = s.outline
     edges = []
-    for a, b in zip(pts, pts[1:] + pts[:1]):
-        dx, dy = (b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y)
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        dx, dy = (bx > ax) - (bx < ax), (by > ay) - (by < ay)
         if dy == 0:
-            edges.append(BoundaryEdge((0, -dx), "h", a.y, min(a.x, b.x), max(a.x, b.x)))
+            edges.append(BoundaryEdge((0, -dx), "h", ay, min(ax, bx), max(ax, bx)))
         else:
-            edges.append(BoundaryEdge((dy, 0), "v", a.x, min(a.y, b.y), max(a.y, b.y)))
+            edges.append(BoundaryEdge((dy, 0), "v", ax, min(ay, by), max(ay, by)))
     return tuple(edges)
 
 

@@ -29,7 +29,6 @@ from trimdecomp.endcut import (
     resolve_box_overlaps,
 )
 from trimdecomp.geometry import (
-    Point,
     Rect,
     RectilinearShape,
     SpatialIndex,
@@ -279,9 +278,9 @@ def _apart(s: RectilinearShape, others: list[RectilinearShape]) -> bool:
 def _as_two_rects(s: RectilinearShape) -> RectilinearShape:
     """The same rectangle held as two stacked rects with its outline, so
     that an end-cut beside it reads the runs of the outline."""
-    ((lo, hi),) = s.rects
-    mid = (lo.y + hi.y) // 2
-    halves = (Rect.of(lo.x, lo.y, hi.x, mid), Rect.of(lo.x, mid, hi.x, hi.y))
+    (((x1, y1), (x2, y2)),) = s.rects
+    mid = (y1 + y2) // 2
+    halves = (Rect.of(x1, y1, x2, mid), Rect.of(x1, mid, x2, y2))
     return RectilinearShape(s.id, halves, s.outline)
 
 
@@ -315,9 +314,9 @@ def test_rect_pair_sides_match_outline_sides():
         diagonal += len(outline_sides) == 2
         for lo, hi, ov_lo, ov_hi, axis in outline_sides:
             if axis == "x":
-                where = "below" if hi == r1.lo.y else "above"
+                where = "below" if hi == r1.lo[1] else "above"
             else:
-                where = "left" if hi == r1.lo.x else "right"
+                where = "left" if hi == r1.lo[0] else "right"
             spans = "overlap" if ov_lo < ov_hi else "point" if ov_lo == ov_hi else "disjoint"
             seen.add((where, spans))
         if not outline_sides:
@@ -361,8 +360,8 @@ def test_rect_beside_a_polygon_reads_the_outline_it_would_store():
         x, y = rng.randrange(-400, 600, 20), rng.randrange(-400, 400, 20)
         r = bar(1, x, y, x + rng.randrange(20, 300, 20), y + rng.randrange(20, 300, 20))
         assert r.corners == ()
-        ((lo, hi),) = r.rects
-        stored = r._replace(corners=(lo, Point(hi.x, lo.y), hi, Point(lo.x, hi.y)))
+        (((x1, y1), (x2, y2)),) = r.rects
+        stored = r._replace(corners=((x1, y1), (x2, y1), (x2, y2), (x1, y2)))
         assert _outline_runs(r.outline) == _outline_runs(stored.outline)
         assert generate_end_cut(r, l, wide, []) == generate_end_cut(stored, l, wide, [])
         assert generate_end_cut(l, r, wide, []) == generate_end_cut(l, stored, wide, [])
@@ -418,7 +417,7 @@ def _scatter_layout(rng: random.Random, count: int, raw: dict) -> LayoutDocument
     while len(shapes) < count:
         f = _random_feature(rng, len(shapes) + 1)
         dx, dy = rng.randrange(0, 1201, 20), rng.randrange(0, 1201, 20)
-        s = RectilinearShape.from_outline(f.id, [(p.x + dx, p.y + dy) for p in f.outline])
+        s = RectilinearShape.from_outline(f.id, [(x + dx, y + dy) for x, y in f.outline])
         if not any(
             rects_interior_intersect(a, b) for t in shapes for a in s.rects for b in t.rects
         ):
@@ -560,7 +559,8 @@ def _random_cut_set(rng: random.Random) -> list[EndCutCandidate]:
         if rng.random() < 0.5:
             rects.append(r)
         else:
-            rects.append(Rect.of(r.lo.x, r.lo.y, r.lo.x + r.width // 2, r.hi.y))
+            (x1, y1), (_, y2) = r
+            rects.append(Rect.of(x1, y1, x1 + r.width // 2, y2))
     rng.shuffle(rects)
     return _one_box_cuts(rects)
 

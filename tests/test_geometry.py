@@ -10,7 +10,6 @@ from helpers import rect_chebyshev_gap, rect_gaps, rectset_chebyshev_gap, shape_
 from trimdecomp.geometry import (
     GeometryError,
     Metric,
-    Point,
     Rect,
     RectilinearShape,
     SpatialIndex,
@@ -28,7 +27,7 @@ from trimdecomp.synth import grid_layout
 
 def test_rect_basics():
     r = Rect.of(0, 10, 30, 50)
-    assert (r.lo, r.hi) == (Point(0, 10), Point(30, 50))
+    assert (r.lo, r.hi) == ((0, 10), (30, 50))
     assert (r.width, r.height, r.area) == (30, 40, 1200)
     assert r.inflate(5) == Rect.of(-5, 5, 35, 55)
     # records are named tuples: tuple order, tuple hash, the dataclass repr
@@ -37,12 +36,11 @@ def test_rect_basics():
     for _ in range(1000):
         x, y = rng.randint(-50, 50), rng.randint(-50, 50)
         rects.append(Rect.of(x, y, x + rng.randint(1, 20), y + rng.randint(1, 20)))
-    assert sorted(rects) == sorted(rects, key=lambda r: (r.lo.x, r.lo.y, r.hi.x, r.hi.y))
+    assert sorted(rects) == sorted(rects, key=lambda r: (*r.lo, *r.hi))
     assert hash(Rect.of(1, 2, 3, 4)) == hash(((1, 2), (3, 4)))
-    assert repr(Point(1, 2)) == "Point(x=1, y=2)"
-    assert repr(r) == "Rect(lo=Point(x=0, y=10), hi=Point(x=30, y=50))"
+    assert repr(r) == "Rect(lo=(0, 10), hi=(30, 50))"
     # a rectangle without positive area is rejected where it enters
-    for bad in (Rect.of(0, 0, 0, 10), Rect.of(30, 10, 0, 50), Rect(Point(0, 0), Point(10, 0))):
+    for bad in (Rect.of(0, 0, 0, 10), Rect.of(30, 10, 0, 50), Rect((0, 0), (10, 0))):
         with pytest.raises(GeometryError, match="no area"):
             RectilinearShape.from_rect(1, bad)
         x1, y1 = bad.lo
@@ -84,18 +82,21 @@ def test_every_rect_built_by_the_pipeline_has_positive_area():
             "report": result.report.cuts,
         }
         for name, rects in groups.items():
-            assert all(r.lo.x < r.hi.x and r.lo.y < r.hi.y for r in rects), (doc.name, name)
+            assert all(x1 < x2 and y1 < y2 for (x1, y1), (x2, y2) in rects), (doc.name, name)
             seen[name] += len(rects)
     assert min(seen.values()) > 100, seen
 
 
-def _records(result) -> list:
-    """Every Point, Rect, EndCutBox and EndCutCandidate a decomposition
-    returns, nested ones included."""
+def _records(result) -> tuple[list, list]:
+    """Every Rect, EndCutBox and EndCutCandidate a decomposition returns,
+    nested ones included, and every corner: of those rects and of the
+    shapes' outlines."""
     found: list = []
+    corners: list = []
 
     def rect(r):
-        found.extend((r, r.lo, r.hi))
+        found.append(r)
+        corners.extend(r)
 
     def cand(c):
         found.append(c)
@@ -104,7 +105,7 @@ def _records(result) -> list:
             rect(box.rect)
 
     for s in result.document.shapes:
-        found.extend(s.outline)
+        corners.extend(s.outline)
         for r in (*s.rects, s.bbox):
             rect(r)
     for piece in result.graph.pieces:
@@ -114,28 +115,34 @@ def _records(result) -> list:
         cand(c)
     for r in result.report.cuts:
         rect(r)
-    return found
+    return found, corners
 
 
 def _rebuilt(r):
     """The same value built through the records' public constructors."""
-    if type(r) is Point:
-        return Point(r.x, r.y)
     if type(r) is Rect:
-        return Rect(_rebuilt(r.lo), _rebuilt(r.hi))
+        (x1, y1), (x2, y2) = r
+        return Rect((x1, y1), (x2, y2))
     if type(r) is EndCutBox:
         return EndCutBox(rect=_rebuilt(r.rect), kind=r.kind)
     return EndCutCandidate(pair=r.pair, boxes=tuple(_rebuilt(b) for b in r.boxes))
 
 
 def test_pipeline_records_match_their_public_constructors(monkeypatch):
-    # records built with tuple.__new__ must be exactly what Point(...),
-    # Rect(...), EndCutBox(...) and EndCutCandidate(...) build
+    # records built with tuple.__new__ must be exactly what Rect(...),
+    # EndCutBox(...) and EndCutCandidate(...) build, and every corner is
+    # an exact pair of ints, no tuple subclass
     docs = [doc for _, doc, _ in runs("geometry records")]
     results = [decompose_document(doc) for doc in docs]
-    kinds = {Point: 0, Rect: 0, EndCutBox: 0, EndCutCandidate: 0}
+    kinds = {Rect: 0, EndCutBox: 0, EndCutCandidate: 0}
+    n_corners = 0
     for result in results:
-        for r in _records(result):
+        found, corners = _records(result)
+        for p in corners:
+            assert type(p) is tuple and len(p) == 2, (type(p), p)
+            assert type(p[0]) is int and type(p[1]) is int, p
+        n_corners += len(corners)
+        for r in found:
             assert type(r) in kinds, type(r)
             kinds[type(r)] += 1
             built = _rebuilt(r)
@@ -143,16 +150,16 @@ def test_pipeline_records_match_their_public_constructors(monkeypatch):
             assert pickle.dumps(r) == pickle.dumps(built)
             back = pickle.loads(pickle.dumps(r))
             assert type(back) is type(r) and back == r
-    assert min(kinds.values()) > 100, kinds
+    assert min(kinds.values()) > 100 and n_corners > 100, (kinds, n_corners)
 
     # decomposing, and parsing rect lines, call no Python-level __new__
     def refuse(cls, *args, **kwargs):
         raise AssertionError(f"{cls.__name__} built through its class")
 
-    for cls in (Point, Rect):
+    for cls in kinds:
         monkeypatch.setattr(cls, "__new__", refuse)
-    with pytest.raises(AssertionError, match="Point built through its class"):
-        Point(0, 0)
+    with pytest.raises(AssertionError, match="Rect built through its class"):
+        Rect((0, 0), (1, 1))
     for doc in docs:
         text = write_layout(doc)
         if "poly" in text:
@@ -163,6 +170,18 @@ def test_pipeline_records_match_their_public_constructors(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ValueError, match="unpack"):
         RectilinearShape.from_outline(1, [(0, 0), (10, 0, 5), (10, 10), (0, 10)])
+
+
+def test_malformed_input_messages_print_corners_as_pairs():
+    with pytest.raises(GeometryError, match=r"^outline move \(10, 0\) -> \(20, 10\) is not axis-aligned$"):
+        RectilinearShape.from_outline(1, [(0, 0), (10, 0), (20, 10), (0, 10)])
+    with pytest.raises(GeometryError, match=r"^outline doubles back at \(10, 0\)$"):
+        RectilinearShape.from_outline(1, [(0, 0), (10, 0), (5, 0), (5, 10), (0, 10)])
+    with pytest.raises(GeometryError, match=r"^rectangle has no area: \(0, 0\) \.\. \(10, 0\)$"):
+        RectilinearShape.from_rect(1, Rect.of(0, 0, 10, 0))
+    # a malformed poly line's parse error carries the same text
+    with pytest.raises(LayoutParseError, match=r"^line 1: outline move \(10, 0\) -> \(20, 10\) is not"):
+        parse_layout("poly 1 0 0 10 0 20 10 0 10\n")
 
 
 def test_interval_gap():
@@ -210,7 +229,7 @@ def test_shape_from_rect_and_bbox():
     s = RectilinearShape.from_rect(3, Rect.of(0, 0, 40, 100))
     assert s.id == 3
     assert s.bbox == Rect.of(0, 0, 40, 100)
-    assert s.min_dimension == 40
+    assert min(min(r.width, r.height) for r in s.rects) == 40
     assert len(s.rects) == 1
 
 
@@ -276,7 +295,7 @@ def test_l_shape_decomposition():
         for b in s.rects[i + 1:]:
             assert not rects_interior_intersect(a, b)
     assert s.bbox == Rect.of(0, 0, 200, 240)
-    assert s.min_dimension == 80
+    assert min(min(r.width, r.height) for r in s.rects) == 80
     assert len(s.outline) == 6
 
 
@@ -331,9 +350,11 @@ def _random_rects(rng: random.Random) -> list[Rect]:
 def test_rectset_within_matches_per_rectangle_gaps():
     def gaps(a: Rect, b: Rect) -> tuple[int, int]:
         # how far apart the two intervals lie on each axis, 0 when they meet
+        (ax1, ay1), (ax2, ay2) = a
+        (bx1, by1), (bx2, by2) = b
         return (
-            max(0, b.lo.x - a.hi.x, a.lo.x - b.hi.x),
-            max(0, b.lo.y - a.hi.y, a.lo.y - b.hi.y),
+            max(0, bx1 - ax2, ax1 - bx2),
+            max(0, by1 - ay2, ay1 - by2),
         )
 
     rng = random.Random(3045)

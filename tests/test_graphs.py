@@ -194,7 +194,7 @@ def test_stitch_points_lie_inside_their_features():
         for sp in g.stitch_points:
             points += 1
             assert any(
-                r.lo.x <= sp.x <= r.hi.x and r.lo.y <= sp.y <= r.hi.y for r in rects[sp.feature]
+                x1 <= sp.x <= x2 and y1 <= sp.y <= y2 for (x1, y1), (x2, y2) in rects[sp.feature]
             ), (label, sp)
     assert points > 100
 

@@ -125,7 +125,7 @@ def decompose_document(
     # one sweep finds the conflict candidates and every feature that can reach
     # into a cut box; conflict_pairs rejects the lowest overlapping pair
     reach = max(params.dis_m, params.h_high, params.w_high)
-    near_pairs = SpatialIndex.from_shapes(doc.shapes, reach).pairs(reach)
+    near_pairs = SpatialIndex.from_shapes(doc.shapes).pairs(reach)
     pairs = conflict_pairs(doc, near_pairs, metric)
     stage("pairs")
     cuts = generate_all_end_cuts(doc, pairs, near_pairs)

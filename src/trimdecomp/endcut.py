@@ -29,6 +29,7 @@ from .geometry import (
     Rect,
     RectilinearShape,
     _new,
+    components,
     interval_gap,
     rects_closed_intersect,
     rects_interior_intersect,
@@ -133,23 +134,12 @@ def resolve_box_overlaps(raw: Sequence[EndCutBox]) -> tuple[EndCutBox, ...]:
         if b.kind is BoxKind.EDGE_EDGE
         or not any(rects_closed_intersect(b.rect, e) for e in ee)
     ]
-    n = len(boxes)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rects_interior_intersect(boxes[i].rect, boxes[j].rect):
-                parent[find(i)] = find(j)
-    clusters: dict[int, list[EndCutBox]] = {}
-    for i, box in enumerate(boxes):
-        clusters.setdefault(find(i), []).append(box)
-    keep = [min(c, key=lambda b: (b.rect.area, b.sort_key())) for c in clusters.values()]
+    rects = [b.rect for b in boxes]
+    overlap = [
+        (i, j) for i, r in enumerate(rects) for j in range(i) if rects_interior_intersect(r, rects[j])
+    ]
+    clusters = components(len(boxes), overlap)
+    keep = [min((boxes[i] for i in c), key=lambda b: (b.rect.area, b.sort_key())) for c in clusters]
     return tuple(sorted(keep, key=EndCutBox.sort_key))
 
 

@@ -10,9 +10,9 @@ gap). Two rectangles that overlap or touch in an axis have gap 0 in that
 axis, so touching shapes are at distance 0.
 
 SpatialIndex is the one neighbour search: it lists every pair of boxes
-within a given Chebyshev gap, exactly, by index, in a band sweep. A
-pair is found only in a band where one of its boxes starts, so a box is
-listed only in such bands, and its memory does not grow with its height.
+within a given Chebyshev gap, exactly, by index, in a band sweep whose
+memory does not grow with a box's height. components is the one
+grouping: the classes that a set of pairs joins, such as solve's blocks.
 
 RectilinearShape.from_outline reads a polygon's outline in one pass for
 its corners and then checks and cuts it in one sweep up its horizontal
@@ -351,38 +351,36 @@ class SpatialIndex:
 
     pairs() lists exactly the pairs of indices whose boxes lie within a
     Chebyshev gap of each other, by one sweep along x inside horizontal
-    bands one cell high.
+    bands as high as that gap.
     """
 
-    def __init__(self, boxes: Sequence[Rect], cell_size: int):
-        if cell_size <= 0:
-            raise GeometryError("cell size must be positive")
-        self.cell_size = cell_size
+    def __init__(self, boxes: Sequence[Rect]):
         self._boxes = boxes
 
     @classmethod
-    def from_shapes(cls, shapes: Sequence[RectilinearShape], cell_size: int) -> "SpatialIndex":
+    def from_shapes(cls, shapes: Sequence[RectilinearShape]) -> "SpatialIndex":
         """The shapes' bounding boxes in their order."""
-        return cls([s.bbox for s in shapes], cell_size)
+        return cls([s.bbox for s in shapes])
 
     def pairs(self, distance: int = 0) -> list[tuple[int, int]]:
         """Every pair (a, b) with a < b whose boxes lie within Chebyshev
         gap distance of each other, each once and in ascending order.
 
-        Band k is [k * cell, (k + 1) * cell) in y, and a box starts in the
-        band of its y1. Of two boxes within the gap, the one with the
-        lower y1 reaches up to the other's y1, its y range raised by
-        distance at the top, so the band where the other starts holds
-        both, and only that band reports the pair. A band where no box
-        starts reports nothing, so a box is listed only in the start bands
-        its raised y range meets: each box is filed under its own start
-        band, and a walk up the start bands carries on the boxes whose
-        raised top still reaches the next one. A box's entries are thus at
-        most the number of boxes, whatever its height. Inside a band a
-        sweep in x1 order compares each box with the earlier ones whose
-        x2 plus distance reaches its x1.
+        Band k is [k * cell, (k + 1) * cell) in y, cell being distance (1
+        at gap 0), and a box starts in the band of its y1. Of two boxes
+        within the gap, the one with the lower y1 reaches up to the
+        other's y1, its y range raised by distance at the top, so the
+        band where the other starts holds both, and only that band
+        reports the pair. A band where no box starts reports nothing, so
+        a box is listed only in the start bands its raised y range meets:
+        each box is filed under its own start band, and a walk up the
+        start bands carries on the boxes whose raised top still reaches
+        the next one. A box's entries are thus at most the number of
+        boxes, whatever its height. Inside a band a sweep in x1 order
+        compares each box with the earlier ones whose x2 plus distance
+        reaches its x1.
         """
-        cell, d = self.cell_size, distance
+        d, cell = distance, max(distance, 1)
         own: dict[int, list[list[int]]] = {}  # the boxes that start in each band
         for i, ((x1, y1), (x2, y2)) in enumerate(self._boxes):
             # a list: freed 5-tuples would stay on the interpreter's tuple
@@ -420,3 +418,27 @@ class SpatialIndex:
                 active = still
         found.sort()
         return found
+
+
+def components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The connected components of the graph on 0..n-1 whose edges are
+    links, each in ascending order, listed by their lowest members."""
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:  # halving the path up to the root
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for a, b in links:
+        a, b = find(a), find(b)
+        parent[a if a > b else b] = b if a > b else a  # a root is the lowest of its class
+    comps: list[list[int]] = []
+    for i, p in enumerate(parent):  # p is i at a root, else a lower vertex, numbered already
+        if p == i:
+            parent[i] = len(comps)  # from here on, the number of i's component
+            comps.append([i])
+        else:
+            parent[i] = p = parent[p]
+            comps[p].append(i)
+    return comps

@@ -260,7 +260,7 @@ def build_end_cut_graph(
     ranks in the order of cuts, their pair order."""
     d = params.dis_c
     rects = [[b.rect for b in c.boxes] for c in cuts]
-    index = SpatialIndex([bounding_box(r) for r in rects], d)
+    index = SpatialIndex([bounding_box(r) for r in rects])
     ee: list[tuple[int, int]] = []
     merges: list[tuple[int, int]] = []
     # ascending rank pairs, in ascending order

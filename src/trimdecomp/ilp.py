@@ -44,6 +44,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+from .geometry import components
 from .graphs import EndCutGraph, LayoutGraph
 from .layout_io import SolveStatus, _collector_paused, fraction_to_decimal
 
@@ -413,14 +414,14 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     BlockStructure. The answer is on ranks too: masks by segment rank, and
     the ranks of the selected cuts and of the conflict and stitch edges.
 
-    This is the one place the problem splits: blocks linked by conflict,
-    stitch or cut-spacing edges are searched separately and the optima
-    summed. A cut constrains the search only through a spacing edge with
-    another cut; any other cut links nothing and is selected afterwards
-    wherever its two segments share a mask, at no cost. A segment with
-    no stitch edge and no conflict edge that the search must settle is a
-    block on its own: it takes mask A, its canonical answer, with no
-    block record, structure key or search. Blocks of one local structure
+    This is the one place the problem splits: the components of the
+    conflict, stitch and cut-spacing edges are searched separately and
+    the optima summed. A cut constrains the search only through a spacing
+    edge with another cut; any other cut links nothing and is selected
+    afterwards wherever its two segments share a mask, at no cost. A
+    component of one segment, which no searched edge reaches, is a block
+    on its own: it takes mask A, its canonical answer, with no block
+    record, structure key or search. Blocks of one local structure
     are searched once, and the others take that answer through their own
     ids. blocks and nodes still count every block and its canonical
     search, as if each had run. A search that ran out of time is never
@@ -449,45 +450,23 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     free = [(a, b, k) for a, b, k in ends if k >= 0 and k not in spaced]
     cut_home = {cut: a for a, _, _, cut in pend}
 
-    parent = list(range(n))
-    # a segment that no searched edge reaches is a block on its own
-    linked = bytearray(n)
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b, _, _ in pairs + pend:
-        linked[a] = linked[b] = 1
-        parent[find(a)] = find(b)
+    links = [(a, b) for a, b, _, _ in pairs + pend]
     try:
-        for ka, kb in spacing:
-            parent[find(cut_home[ka])] = find(cut_home[kb])
+        links += [(cut_home[ka], cut_home[kb]) for ka, kb in spacing]
     except KeyError as exc:  # only a hand-built end-cut graph can hold such a cut
         k, cuts = exc.args[0], model.end_cuts.candidates
         what = cuts[k].pair if 0 <= k < len(cuts) else f"rank {k}"
         raise ModelError(f"cut {what} has a spacing edge but no conflict edge carries it") from None
 
-    # blocks of linked segments in order of their lowest vertex; a vertex's
-    # local id is its rank in its block, so local order is canonical order
-    block_at = [-1] * n  # the block of each root
-    blocks: list[list[int]] = []
-    blk = [0] * n
-    local = [0] * n
-    for i in range(n):
-        if not linked[i]:
-            continue
-        root = find(i)
-        bi = block_at[root]
-        if bi < 0:
-            bi = block_at[root] = len(blocks)
-            blocks.append([])
-        blk[i] = bi
-        local[i] = len(blocks[bi])
-        blocks[bi].append(i)
-    lone = linked.count(0)
+    # blocks in order of their lowest vertex; a vertex's local id is its
+    # rank in its block, so local order is canonical order
+    blocks = [c for c in components(n, links) if len(c) > 1]
+    blk, local = [0] * n, [0] * n
+    for bi, gvars in enumerate(blocks):
+        for li, i in enumerate(gvars):
+            blk[i] = bi
+            local[i] = li
+    lone = n - sum(map(len, blocks))
     pairs_by: list[list[tuple[int, int, int, int]]] = [[] for _ in blocks]
     pend_by: list[list[tuple[int, int, int]]] = [[] for _ in blocks]
     ee_by: list[list[tuple[int, int]]] = [[] for _ in blocks]

@@ -387,11 +387,18 @@ def fraction_to_decimal(value: Fraction) -> str:
     return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
 
+def _parse_index(tok: str, line: int, what: str) -> int:
+    value = _parse_int(tok, line, what)
+    if value < 0:
+        raise LayoutParseError(line, f"{what} must be non-negative, got {value}")
+    return value
+
+
 def _parse_vertex_token(tok: str, line: int) -> VertexKey:
     if "/" in tok:
         a, b = tok.split("/", 1)
-        return (_parse_int(a, line, "feature id"), _parse_int(b, line, "segment index"))
-    return (_parse_int(tok, line, "feature id"), 0)
+        return (_parse_index(a, line, "feature id"), _parse_index(b, line, "segment index"))
+    return (_parse_index(tok, line, "feature id"), 0)
 
 
 @_collector_paused
@@ -452,7 +459,7 @@ def parse_report(text: str) -> DecompositionReport:
                 raise LayoutParseError(lineno, "stitch takes feature x y and h or v")
             stitches.append(
                 StitchPoint(
-                    _parse_int(toks[1], lineno, "feature id"),
+                    _parse_index(toks[1], lineno, "feature id"),
                     _parse_int(toks[2], lineno, "x"),
                     _parse_int(toks[3], lineno, "y"),
                     toks[4],

@@ -3,8 +3,9 @@ the oracle tests read.
 
 A family makes one layout document, or its text, from one seed:
 random_layout and grid_layout from the package, the polyomino,
-crowded-chain, stitch-ring and cell-row generators here, and the bundled
-layouts/*.lay, whose seeds are their file names. A corpus is a list of entries, each a family, its seeds, the
+crowded-chain, stacked-bar, square-grid, stitch-ring and cell-row
+generators here, and the bundled layouts/*.lay, whose seeds are their
+file names. A corpus is a list of entries, each a family, its seeds, the
 metrics and the stitch modes to run them under; runs(name) yields its
 runs seed by seed, each seed under its stitch modes in order and each
 stitch mode under its metrics in order. A new family takes one
@@ -20,7 +21,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from trimdecomp.geometry import Metric
+from trimdecomp.geometry import Metric, RectilinearShape
 from trimdecomp.layout_io import LayoutDocument, parse_layout
 from trimdecomp.synth import grid_layout, random_layout
 
@@ -38,6 +39,41 @@ def chain_text(bars: int) -> str:
     for i in range(bars):
         lines.append(f"rect {i + 1} {200 * i} 0 {200 * i + 100} {40 + i % 9}")
     return "\n".join(lines) + "\n"
+
+
+def stack_text(bars: int) -> str:
+    """Stacked bars: rect i+1 spans 0 50i 100 50i+30. Each bar conflicts
+    with the three above it and the three below (gaps 20, 70 and 120), and
+    only neighbouring bars have a candidate cut."""
+    lines = [f"layout stack{bars}", "param dis_m 120", "param hlow 10"]
+    lines += [f"rect {i + 1} 0 {50 * i} 100 {50 * i + 30}" for i in range(bars)]
+    return "\n".join(lines) + "\n"
+
+
+def square_grid_text(rows: int, cols: int) -> str:
+    """A rows by cols grid of 40 nm squares at pitch 100, ids row-major
+    from 1, under dis_m 120: each square conflicts with its eight
+    neighbours, and the grid is one block. The 4 by 20 grid has min-fill
+    width 30, so the search cannot prove its optimum within a fraction
+    of a second."""
+    lines = [f"layout grid{rows}x{cols}", "param dis_m 120"]
+    lines += [
+        f"rect {cols * row + col + 1} {100 * col} {100 * row} {100 * col + 40} {100 * row + 40}"
+        for row in range(rows)
+        for col in range(cols)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def with_copy(doc: LayoutDocument, dx: int, dy: int) -> LayoutDocument:
+    """doc beside a copy of its shapes moved by (dx, dy), whose ids follow
+    the largest id of doc in the same order."""
+    offset = doc.shapes[-1].id
+    copy = tuple(
+        RectilinearShape.from_outline(s.id + offset, [(x + dx, y + dy) for x, y in s.outline])
+        for s in doc.shapes
+    )
+    return dataclasses.replace(doc, shapes=doc.shapes + copy)
 
 
 def _outline(rng, kind):
@@ -170,19 +206,26 @@ grid2000 = Entry(partial(grid_layout, 2000), (1,))
 random6 = partial(random_layout, clusters=6)
 random9 = partial(random_layout, clusters=9)
 cellrow_1x12 = Entry(partial(cellrow_layout, rows=1, tracks=12), range(20))
+square_grids = Entry(lambda shape: square_grid_text(*shape), ((2, 6), (3, 4)))
+# stacks and grids on which HiGHS takes a second or more
+dense = [Entry(stack_text, (12, 20)), square_grids]
+polyominoes100 = Entry(polyomino_text, range(100), BOTH_METRICS)
 
 # each corpus is named after the test module that reads it
 CORPORA: dict[str, list[Entry]] = {
     "output identity": [bundled, Entry(random_layout, range(40), stitch=BOTH_STITCH), grid2000],
     "id renaming": [bundled, grid2000, Entry(random_layout, range(20), stitch=BOTH_STITCH)],
-    "symmetry polyominoes": [Entry(polyomino_text, range(100), BOTH_METRICS)],
+    "symmetry polyominoes": [polyominoes100],
     "symmetry random": [Entry(random_layout, range(40), stitch=BOTH_STITCH)],
     "symmetry grid": [grid2000],
     "elimination blocks": [
         Entry(random9, range(50), stitch=BOTH_STITCH),
-        Entry(polyomino_text, range(100), BOTH_METRICS),
+        polyominoes100,
         Entry(chain_text, range(4, 17)),
         cellrow_1x12,
+        # the 3 x 4 grid has a bucket of 17 variables, over the eliminator's cap
+        Entry(stack_text, (20,)),
+        square_grids._replace(seeds=((2, 6),)),
     ],
     "elimination chains": [Entry(chain_text, (30, 50, 1200))],
     "endcut clearance": [Entry(random6, range(12), stitch=BOTH_STITCH)],
@@ -207,7 +250,7 @@ CORPORA: dict[str, list[Entry]] = {
     "exports": [grid2000._replace(stitch=STITCHED)],
     "exports shuffled": [grid2000, Entry(random9, range(10), stitch=STITCHED)],
     "acceptance 2": [Entry(random_layout, range(100), stitch=BOTH_STITCH)],
-    "acceptance 3": [Entry(random_layout, range(50))],
+    "acceptance 3": [Entry(random_layout, range(50)), Entry(polyomino_text, range(100)), *dense],
     "acceptance 7": [Entry(partial(random_layout, clusters=1), range(200), stitch=BOTH_STITCH)],
     "cli directory": [Entry(random_layout, range(20), stitch=BOTH_STITCH)],
     "cli threads": [Entry(random_layout, range(40), stitch=BOTH_STITCH)],
@@ -219,6 +262,14 @@ CORPORA: dict[str, list[Entry]] = {
     "reproduction grid": [Entry(partial(grid_layout, 500), range(5))],
     "cellrow": [cellrow_1x12],
     "rings": [Entry(ring_text, range(20))],
+    "dense": dense,
+    "disjoint union": [
+        Entry(random_layout, range(40), stitch=BOTH_STITCH),
+        polyominoes100,
+        Entry(ring_text, range(20)),
+        bundled,
+        *dense,
+    ],
 }
 
 

@@ -716,18 +716,6 @@ def random_model_graph(
         return g, ecg, alpha
 
 
-def square_grid_rects(first_id: int = 1, y: int = 0) -> list[str]:
-    """A 4 by 20 grid of 40 nm squares at pitch 100, as layout lines for
-    param dis_m 120: each square conflicts with its eight neighbours, and
-    the one block this makes has min-fill width 30, so the solver cannot
-    prove its optimum within a fraction of a second."""
-    return [
-        f"rect {first_id + 20 * row + col} {100 * col} {y + 100 * row} {100 * col + 40} {y + 100 * row + 40}"
-        for row in range(4)
-        for col in range(20)
-    ]
-
-
 def parse_lp(text: str):
     """Read back the exporter's LP dialect: objective terms, rows of
     unit-coefficient sums with a bound, and the binary name list."""

@@ -73,12 +73,12 @@ def test_criterion_3_stitching_never_costs_more():
     assert plain.cost == 1 and plain.conflicts == 1
     assert stitched.cost == Fraction(1, 10)
     assert stitched.conflicts == 0 and stitched.stitches == 1
-    verdict(3, "stitching never worse on 50 layouts, strictly better on the ring")
+    verdict(3, "stitching never worse on 154 layouts (random, polyomino, dense), strictly better on the ring")
 
 
 def test_criterion_4_seven_feature_layout_conflict_edges():
     doc = bundled_layout("cluster7.lay")
-    near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
+    near_pairs = SpatialIndex.from_shapes(doc.shapes).pairs(doc.params.dis_m)
     ids = [s.id for s in doc.shapes]
     assert [(ids[a], ids[b]) for a, b in conflict_pairs(doc, near_pairs)] == [
         (1, 2), (1, 3), (1, 4), (2, 4), (3, 4), (3, 5),

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from corpora import LAYOUTS, bundled_layout, chain_text, runs
-from helpers import square_grid_rects
+from corpora import LAYOUTS, bundled_layout, chain_text, runs, square_grid_text, with_copy
 from test_ilp import watch_searches
 
 import trimdecomp
@@ -141,8 +140,7 @@ def test_time_limit_smoke(capsys):
 
 
 def test_timeout_is_reported_in_stats_and_csv(tmp_path, capsys):
-    lines = ["layout grid4x20", "param dis_m 120", *square_grid_rects()]
-    (tmp_path / "grid4x20.lay").write_text("\n".join(lines) + "\n")
+    (tmp_path / "grid4x20.lay").write_text(square_grid_text(4, 20))
     report = tmp_path / "grid4x20.rpt"
     code, out, _ = run(
         capsys, "--input", str(tmp_path / "grid4x20.lay"), "--time-limit", "0.2",
@@ -187,9 +185,7 @@ def test_timed_out_block_is_searched_again(monkeypatch):
     # two identical square grids 10,000 nm apart are two blocks of one
     # structure; the first search runs out of time, so the second may not
     # reuse it
-    lines = ["layout grid4x20x2", "param dis_m 120"]
-    lines += square_grid_rects() + square_grid_rects(first_id=81, y=10_000)
-    doc = parse_layout("\n".join(lines) + "\n")
+    doc = with_copy(parse_layout(square_grid_text(4, 20)), 0, 10_000)
     searches = watch_searches(monkeypatch)
     # decompose_document recounts the cost of the reported colouring
     result = decompose_document(doc, time_limit=0.2)

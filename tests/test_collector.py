@@ -9,8 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from corpora import LAYOUTS, chain_text, runs
-from helpers import square_grid_rects
+from corpora import LAYOUTS, chain_text, runs, square_grid_text
 
 import trimdecomp.cli
 from trimdecomp.cli import build_full_model, decompose_document
@@ -33,7 +32,7 @@ def full_run(text: str, time_limit: float | None = None) -> SolveStatus:
 
 def test_pipeline_leaves_no_reference_cycle():
     texts = [write_layout(doc) for _, doc, _ in runs("collector")]
-    timeout_grid = "\n".join(["layout grid4x20", "param dis_m 120", *square_grid_rects()]) + "\n"
+    timeout_grid = square_grid_text(4, 20)
     deep_chain = chain_text(1200)
     gc.collect()
     gc.disable()

@@ -448,7 +448,7 @@ def test_neighbour_list_clearance_matches_every_feature_oracle():
         raw["wth"] = raw["whigh"] = rng.choice((raw["dis_m"], 300))
         doc = _scatter_layout(rng, 32, raw)
         p = doc.params
-        index = SpatialIndex.from_shapes(doc.shapes, p.dis_m)
+        index = SpatialIndex.from_shapes(doc.shapes)
         pairs = conflict_pairs(doc, index.pairs(p.dis_m))
         want = end_cuts_oracle(doc)
         assert generate_all_end_cuts(doc, pairs, index.pairs(max(p.h_high, p.w_high))) == want, k
@@ -482,7 +482,7 @@ def test_feature_beyond_spacing_rule_still_blocks_a_cut_box():
 
 def test_generate_all_end_cuts_demo_layout():
     doc = bundled_layout("endcut_demo.lay")
-    near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
+    near_pairs = SpatialIndex.from_shapes(doc.shapes).pairs(doc.params.dis_m)
     pairs = conflict_pairs(doc, near_pairs)
     assert [(doc.shapes[a].id, doc.shapes[b].id) for a, b in pairs] == [(1, 2), (1, 3), (2, 3)]
     ((pair, boxes),) = generate_all_end_cuts(doc, pairs, near_pairs)

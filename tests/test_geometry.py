@@ -14,6 +14,7 @@ from trimdecomp.geometry import (
     RectilinearShape,
     SpatialIndex,
     bounding_box,
+    components,
     interval_gap,
     rects_closed_intersect,
     rects_interior_intersect,
@@ -427,8 +428,8 @@ def test_spatial_index_pairs_cover_every_close_box_pair():
             w = rng.randrange(10, 400, 10)
             h = rng.randrange(10, 400, 10)
             shapes.append(RectilinearShape.from_rect(fid, Rect.of(x, y, x + w, y + h)))
-        cell = rng.choice([60, 120, 250])
-        index = SpatialIndex.from_shapes(shapes, cell)
+        rng.choice([60, 120, 250])  # a band height once drawn here: the shapes stay the same
+        index = SpatialIndex.from_shapes(shapes)
         for d in (0, 50, 120):
             pairs = list(index.pairs(d))
             assert all(a < b for a, b in pairs)
@@ -453,40 +454,40 @@ def brute_force_pairs(boxes: list[Rect], d: int) -> list[tuple[int, int]]:
 def test_spatial_index_pairs_are_exactly_the_box_gap_pairs():
     rng = random.Random(4711)
     for trial in range(300):
-        cell = rng.choice([7, 60, 120, 250])
+        rng.choice([7, 60, 120, 250])  # a band height once drawn here: the boxes stay the same
         boxes = []
         # boxes in random order and negative coordinates, as many as the
         # sparse ids once drawn here; tall boxes span many bands, and the
-        # largest gaps exceed the cell
+        # largest gaps exceed the band height
         for _ in rng.sample(range(-20, 10_000), rng.randint(0, 30)):
             x = rng.randrange(-1500, 1500, 10)
             y = rng.randrange(-1500, 1500, 10)
             w = rng.randrange(10, 400, 10)
             h = rng.randrange(10, rng.choice([100, 1200]), 10)
             boxes.append(Rect.of(x, y, x + w, y + h))
-        index = SpatialIndex(boxes, cell)
+        index = SpatialIndex(boxes)
         for d in (0, 10, 50, 120, 300, 700):
-            assert index.pairs(d) == brute_force_pairs(boxes, d), (trial, cell, d)
+            assert index.pairs(d) == brute_force_pairs(boxes, d), (trial, d)
 
 
 def test_spatial_index_pairs_with_tall_boxes_among_small_ones():
-    # at small cells the tall boxes span far more bands than any box
-    # starts in; some spans are a few cells, some millions
+    # at small gaps the bands are low, and the tall boxes span far more
+    # bands than any box starts in; some spans are a few units, some millions
     rng = random.Random(2718)
     for trial in range(200):
-        cell = rng.choice([1, 2, 3, 7])
+        unit = rng.choice([1, 2, 3, 7])
         boxes = []
         for _ in rng.sample(range(-20, 10_000), rng.randint(0, 30)):
             x = rng.randrange(-300, 300, 5)
             y = rng.randrange(-300, 300)
             w = rng.randrange(1, 60)
             h = rng.choice(
-                [rng.randrange(1, 30), rng.randrange(5, 12) * cell, rng.randrange(1, 10**7)]
+                [rng.randrange(1, 30), rng.randrange(5, 12) * unit, rng.randrange(1, 10**7)]
             )
             boxes.append(Rect.of(x, y, x + w, y + h))
-        index = SpatialIndex(boxes, cell)
+        index = SpatialIndex(boxes)
         for d in (0, 1, 5, 40, 300):
-            assert index.pairs(d) == brute_force_pairs(boxes, d), (trial, cell, d)
+            assert index.pairs(d) == brute_force_pairs(boxes, d), (trial, d)
 
 
 def test_tall_bars_take_memory_by_count_not_height():
@@ -506,24 +507,46 @@ def test_tall_bars_take_memory_by_count_not_height():
     assert result.graph.conflict_edges == ((0, 2, -1), (1, 2, -1))
     assert result.stats.conflicts == 0
     assert peak < 1_000_000, peak
-    index = SpatialIndex([Rect.of(0, 0, 10, h), Rect.of(11, 0, 21, h)], 1)
+    index = SpatialIndex([Rect.of(0, 0, 10, h), Rect.of(11, 0, 21, h)])
     assert index.pairs(1) == [(0, 1)] and index.pairs(0) == []
 
 
 def test_spatial_index_pairs_of_touching_boxes_at_gap_zero():
-    # a 3 x 3 block of unit-cell squares touching on sides and corners,
+    # a 3 x 3 block of squares touching on sides and corners,
     # one square apart by a single unit, and one overlapping another
     boxes = [Rect.of(10 * i, 10 * j, 10 * i + 10, 10 * j + 10) for i in range(3) for j in range(3)]
     boxes.append(Rect.of(31, 0, 41, 10))  # box 9
     boxes.append(Rect.of(-5, -5, 5, 5))  # box 10
-    for cell in (1, 10, 15, 1000):
-        index = SpatialIndex(boxes, cell)
-        pairs = index.pairs(0)
-        assert pairs == brute_force_pairs(boxes, 0)
-        assert (0, 4) in pairs and (6, 9) not in pairs and (0, 10) in pairs
-        assert index.pairs(1) == brute_force_pairs(boxes, 1)
-        assert (6, 9) in index.pairs(1)
+    index = SpatialIndex(boxes)
+    pairs = index.pairs(0)
+    assert pairs == brute_force_pairs(boxes, 0)
+    assert (0, 4) in pairs and (6, 9) not in pairs and (0, 10) in pairs
+    assert index.pairs(1) == brute_force_pairs(boxes, 1)
+    assert (6, 9) in index.pairs(1)
 
+
+def test_components_are_the_classes_a_walk_reaches():
+    rng = random.Random(31)
+    for trial in range(300):
+        n = rng.randrange(0, 40)
+        links = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n + 1))]
+        adjacent = [set() for _ in range(n)]
+        for a, b in links:
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+        want, seen = [], set()
+        for v in range(n):
+            if v not in seen:
+                todo, reached = [v], {v}
+                while todo:
+                    for w in adjacent[todo.pop()] - reached:
+                        reached.add(w)
+                        todo.append(w)
+                seen |= reached
+                want.append(sorted(reached))
+        assert components(n, links) == want, trial
+    # a vertex that no link reaches is a class of its own
+    assert components(5, [(4, 1), (3, 1)]) == [[0], [1, 3, 4], [2]]
 
 
 def test_memory_held_after_a_10k_grid_decomposition():

@@ -28,7 +28,7 @@ CLUSTER7_EDGES = [
 
 def graph_for(doc, metric=Metric.CHEBYSHEV):
     reach = max(doc.params.dis_m, doc.params.h_high, doc.params.w_high)
-    near_pairs = SpatialIndex.from_shapes(doc.shapes, reach).pairs(reach)
+    near_pairs = SpatialIndex.from_shapes(doc.shapes).pairs(reach)
     pairs = conflict_pairs(doc, near_pairs, metric)
     cuts = generate_all_end_cuts(doc, pairs, near_pairs)
     if doc.params.stitch:
@@ -56,7 +56,7 @@ def id_pairs(doc, pairs):
 
 def test_cluster7_conflict_pairs_chebyshev():
     doc = bundled_layout("cluster7.lay")
-    near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
+    near_pairs = SpatialIndex.from_shapes(doc.shapes).pairs(doc.params.dis_m)
     assert id_pairs(doc, conflict_pairs(doc, near_pairs)) == CLUSTER7_EDGES
     # six of those pairs sit at exactly the spacing limit; the rule is
     # closed, so nudging the limit down by one removes all six
@@ -69,7 +69,7 @@ def test_cluster7_conflict_pairs_chebyshev():
 
 def test_cluster7_conflict_pairs_euclidean():
     doc = bundled_layout("cluster7.lay")
-    near_pairs = SpatialIndex.from_shapes(doc.shapes, doc.params.dis_m).pairs(doc.params.dis_m)
+    near_pairs = SpatialIndex.from_shapes(doc.shapes).pairs(doc.params.dis_m)
     got = id_pairs(doc, conflict_pairs(doc, near_pairs, Metric.EUCLIDEAN))
     # the two diagonal pairs fall outside the straight-line distance
     assert got == sorted(set(CLUSTER7_EDGES) - {(3, 6), (4, 5)})

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpora import LAYOUTS, bundled_layout, chain_text, runs
+from corpora import LAYOUTS, bundled_layout, chain_text, runs, square_grid_text
 from helpers import (
     _dummy_candidate,
     enumerate_model,
@@ -15,7 +15,6 @@ from helpers import (
     random_model_graph,
     ranked_graphs,
     solution_values,
-    square_grid_rects,
 )
 from test_graphs import abstract_graph, graph_for
 from test_lp_rows import template_rows, template_weights
@@ -621,8 +620,7 @@ def test_the_solved_model_is_the_exported_model():
     result = decompose_document(bundled_layout("ring5.lay"))
     assert build_full_model(result) is result.model
     # a run cut short by its time limit still exports the whole model
-    grid = "\n".join(["layout grid4x20", "param dis_m 120", *square_grid_rects()]) + "\n"
-    result = decompose_document(parse_layout(grid), time_limit=0.2)
+    result = decompose_document(parse_layout(square_grid_text(4, 20)), time_limit=0.2)
     assert result.stats.status is SolveStatus.TIMEOUT
     rebuilt = build_model(result.graph, result.end_cuts, Fraction(0))
     assert export_lp(result.model) == export_lp(rebuilt)

@@ -368,12 +368,18 @@ def test_report_roundtrip():
 
 
 def test_parse_report_rejects_repeated_lines():
-    # a second line for the same vertex, cost or status names its line
+    # a second line for the same vertex, cost or status names its line, and
+    # so does a negative id or segment index, which write_report could not
+    # write back: (1, -1) would be written as 1 and read back as (1, 0)
     for text, message in (
         ("mask 1 A\nmask 1 B\ncost 0\n", "line 2: duplicate mask for 1"),
         ("mask 1 A\nmask 1/0 A\ncost 0\n", "line 2: duplicate mask for 1/0"),
         ("cost 0\nmask 1 A\ncost 1\n", "line 3: duplicate cost line"),
         ("cost 0\nstatus timeout\nstatus optimal\n", "line 3: duplicate status line"),
+        ("mask 1/-1 A\ncost 0\n", "line 1: segment index must be non-negative, got -1"),
+        ("mask 2 A\nmask -3 A\ncost 0\n", "line 2: feature id must be non-negative, got -3"),
+        ("mask 1 A\nconflict 1 -3/1\ncost 0\n", "line 2: feature id must be non-negative, got -3"),
+        ("stitch -3 0 0 v\ncost 0\n", "line 1: feature id must be non-negative, got -3"),
     ):
         with pytest.raises(LayoutParseError, match=message):
             parse_report(text)

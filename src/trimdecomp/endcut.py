@@ -5,9 +5,12 @@ a mask if the trim exposure removes the sliver of material between them. A
 candidate end-cut for a feature pair is a set of rectangular boxes filling
 the gap between facing edges or between nearby convex corners. Every pair
 of boundary runs of the two features that can face each other is
-examined, read from the corners of two rectangles and from the outlines
-otherwise; the surviving boxes are deduplicated and thinned so
-overlapping alternatives collapse to the cheapest usable set.
+examined, read from their outlines by generate_end_cut; the surviving
+boxes are deduplicated and thinned so overlapping alternatives collapse
+to the cheapest usable set. That is the rule for every pair. The batch
+pass, generate_all_end_cuts, calls it for a pair with a polygon and
+decides a pair of two rectangles in its own loop body, from their
+corners, which face at most once and give at most one box.
 
 EndCutBox and EndCutCandidate are named tuples like the geometry records,
 and this module builds them with tuple.__new__, as it fixes their arity
@@ -87,11 +90,12 @@ def _facing_sides(runs1: Runs, runs2: Runs) -> Sides:
     """The facing sides of two features, read from their grouped runs.
 
     The bottom, right, top and left runs of the first are paired with the
-    top, left, bottom and right runs of the second, as generate_end_cut
-    pairs the sides of two rectangles, and a pair faces only when a gap
-    lies between its two runs along their normal. Two runs apart on both
-    axes face here across each gap, and resolve_box_overlaps collapses
-    the two equal corner boxes that come of it.
+    top, left, bottom and right runs of the second, as
+    generate_all_end_cuts pairs the sides of two rectangles, and a pair
+    faces only when a gap lies between its two runs along their normal.
+    Two runs apart on both axes face here across each gap, and
+    resolve_box_overlaps collapses the two equal corner boxes that come
+    of it.
     """
     down1, right1, up1, left1 = runs1
     down2, right2, up2, left2 = runs2
@@ -155,10 +159,12 @@ def generate_end_cut(
     that can face each other. A perpendicular edge pair adds nothing: its
     box has a corner of one feature at a corner, and if that corner is
     concave, feature material lies inside the box, while if it is convex,
-    a facing parallel pair yields the same corner box. Two rectangles have
-    four such pairs, and the one box they can give comes straight from
-    their corners, in one call. A pair with a polygon groups the runs of
-    both outlines on each call and reads its facing runs from them. A box
+    a facing parallel pair yields the same corner box. The runs of both
+    outlines are grouped on each call and the facing runs read from them,
+    for rectangles too: two rectangles apart on both axes face across
+    each gap, and the two equal corner boxes collapse into one. This is
+    the general rule; generate_all_end_cuts decides a pair of two
+    rectangles itself and calls it only for a pair with a polygon. A box
     is kept only when none of the material rects has area inside it, so
     material must hold the rects of s1 and of every feature whose
     bounding box lies within max(h_high, w_high) of s1's. No other feature
@@ -174,28 +180,7 @@ def generate_end_cut(
     test to every side on plain integers, and builds records only for the
     boxes it keeps.
     """
-    r1, r2 = s1.rects, s2.rects
-    sides: Sides
-    if len(r1) == 1 and len(r2) == 1:
-        # Two rectangles face at most once: r1's bottom against r2's top,
-        # its top against r2's bottom, its right against r2's left or its
-        # left against r2's right, in that order. Apart on both axes, they
-        # face across each gap, and both sides give the one corner pocket
-        # between their nearest corners; only the first is read, so the
-        # pair needs no collapse. The spans' overlap is taken with
-        # conditional expressions, which cost no call, unlike max and min.
-        (ax1, ay1), (ax2, ay2) = r1[0]
-        (bx1, by1), (bx2, by2) = r2[0]
-        if by2 < ay1 or ay2 < by1:
-            lo, hi = (by2, ay1) if by2 < ay1 else (ay2, by1)
-            sides = ((lo, hi, ax1 if ax1 > bx1 else bx1, ax2 if ax2 < bx2 else bx2, "x"),)
-        elif ax2 < bx1 or bx2 < ax1:
-            lo, hi = (ax2, bx1) if ax2 < bx1 else (bx2, ax1)
-            sides = ((lo, hi, ay1 if ay1 > by1 else by1, ay2 if ay2 < by2 else by2, "y"),)
-        else:
-            return None  # they touch or overlap
-    else:
-        sides = _facing_sides(_outline_runs(s1.outline), _outline_runs(s2.outline))
+    sides = _facing_sides(_outline_runs(s1.outline), _outline_runs(s2.outline))
     p = params
     raw = []
     for lo, hi, ov_lo, ov_hi, axis in sides:
@@ -243,9 +228,24 @@ def generate_all_end_cuts(
     near_pairs must include every rank pair of shapes whose bounding boxes
     lie within max(h_high, w_high) of each other, as SpatialIndex.pairs(d)
     lists for any d at least that; the boxes of a pair are checked against
-    a and its neighbours there. A pair costs one call of generate_end_cut.
+    a and its neighbours there.
+
+    A pair with a polygon costs one call of generate_end_cut. A pair of
+    two rectangles is decided here, with the params read once, and gets
+    the candidate that generate_end_cut gives it. Two rectangles face at
+    most once: across the y gap when they are apart in y, else across the
+    x gap when they are apart in x. Apart on both axes, both gaps give
+    the one corner pocket between their nearest corners, so only the y
+    gap is read and nothing needs collapsing; apart in x only, their
+    spans along y meet, so the box is an edge-to-edge box or none. The
+    box stays four ints until it passes the windows and the material
+    test, and the spans' overlap is taken with conditional expressions,
+    which cost no call, unlike max and min.
     """
     shapes, params = doc.shapes, doc.params
+    w_th, w_low, w_high = params.w_th, params.w_low, params.w_high
+    h_low, h_high = params.h_low, params.h_high
+    edge_edge, corner_corner = BoxKind.EDGE_EDGE, BoxKind.CORNER_CORNER
     near: list[list[int]] = [[] for _ in shapes]  # by rank
     for a, b in near_pairs:
         near[a].append(b)
@@ -259,9 +259,47 @@ def generate_all_end_cuts(
             material = list(shapes[a].rects)
             for n in near[a]:
                 material.extend(shapes[n].rects)
-        cand = generate_end_cut(shapes[a], shapes[b], params, material)
-        if cand is not None:
-            cuts.append(cand)
+        s1, s2 = shapes[a], shapes[b]
+        r1, r2 = s1.rects, s2.rects
+        if len(r1) != 1 or len(r2) != 1:
+            cand = generate_end_cut(s1, s2, params, material)
+            if cand is not None:
+                cuts.append(cand)
+            continue
+        (ax1, ay1), (ax2, ay2) = r1[0]
+        (bx1, by1), (bx2, by2) = r2[0]
+        if by2 < ay1 or ay2 < by1:
+            # apart across y: the runs lie along x, the box spans the y gap
+            y1, y2 = (by2, ay1) if by2 < ay1 else (ay2, by1)
+            x1, x2 = ax1 if ax1 > bx1 else bx1, ax2 if ax2 < bx2 else bx2
+            if x2 < x1:
+                # the pocket between the nearest corners, sized as drawn
+                x1, x2, kind = x2, x1, corner_corner
+            elif x2 - x1 > w_th:
+                continue  # a cut cannot repair a facing run longer than the hotspot limit
+            else:
+                kind = edge_edge
+            w, h = x2 - x1, y2 - y1
+        elif ax2 < bx1 or bx2 < ax1:
+            # apart across x only, so the spans along y meet: the runs lie
+            # along y, w along them and h across the gap
+            x1, x2 = (ax2, bx1) if ax2 < bx1 else (bx2, ax1)
+            y1, y2 = ay1 if ay1 > by1 else by1, ay2 if ay2 < by2 else by2
+            w, h, kind = y2 - y1, x2 - x1, edge_edge
+            if w > w_th:
+                continue
+        else:
+            continue  # they touch or overlap
+        # spans that only meet at a point give w 0, below w_low
+        if not (w_low <= w <= w_high and h_low <= h <= h_high):
+            continue
+        for (mx1, my1), (mx2, my2) in material:
+            if x1 < mx2 and mx1 < x2 and y1 < my2 and my1 < y2:
+                break
+        else:
+            i, j = s1.id, s2.id
+            box = _new(EndCutBox, (_new(Rect, ((x1, y1), (x2, y2))), kind))
+            cuts.append(_new(EndCutCandidate, ((i, j) if i < j else (j, i), (box,))))
     return tuple(cuts)
 
 

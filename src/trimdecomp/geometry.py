@@ -424,14 +424,11 @@ def components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
     """The connected components of the graph on 0..n-1 whose edges are
     links, each in ascending order, listed by their lowest members."""
     parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:  # halving the path up to the root
-            parent[i] = i = parent[parent[i]]
-        return i
-
     for a, b in links:
-        a, b = find(a), find(b)
+        while parent[a] != a:  # halving the path up to each root
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         parent[a if a > b else b] = b if a > b else a  # a root is the lowest of its class
     comps: list[list[int]] = []
     for i, p in enumerate(parent):  # p is i at a root, else a lower vertex, numbered already

@@ -81,7 +81,9 @@ def conflict_pairs(
     SpatialIndex.pairs(d) lists for any d >= dis_m; each is checked exactly.
     Two shapes that overlap are at gap 0, so they are among the
     candidates, and the same pass over their rects raises
-    OverlappingInputShapes for the first such pair, the lowest.
+    OverlappingInputShapes for the first such pair, the lowest. A pair of
+    two rectangles takes one gap and one overlap test in the loop body,
+    a pair with a polygon the same test on every pair of their rects.
     """
     shapes = doc.shapes
     d = doc.params.dis_m
@@ -89,9 +91,21 @@ def conflict_pairs(
     euclidean = metric is Metric.EUCLIDEAN
     found: list[PairKey] = []
     for pair in candidates:
+        rects_a, rects_b = shapes[pair[0]].rects, shapes[pair[1]].rects
+        if len(rects_a) == 1 and len(rects_b) == 1:
+            (ax1, ay1), (ax2, ay2) = rects_a[0]
+            (bx1, by1), (bx2, by2) = rects_b[0]
+            gx = bx1 - ax2 if bx1 > ax2 else ax1 - bx2 if ax1 > bx2 else 0
+            gy = by1 - ay2 if by1 > ay2 else ay1 - by2 if ay1 > by2 else 0
+            if (gx * gx + gy * gy <= dd) if euclidean else (gx <= d and gy <= d):
+                if not (gx or gy) and ax1 < bx2 and bx1 < ax2 and ay1 < by2 and by1 < ay2:
+                    a, b = shapes[pair[0]].id, shapes[pair[1]].id
+                    raise OverlappingInputShapes(f"features {a} and {b} overlap")
+                found.append(pair)
+            continue
         within = False
-        for (ax1, ay1), (ax2, ay2) in shapes[pair[0]].rects:
-            for (bx1, by1), (bx2, by2) in shapes[pair[1]].rects:
+        for (ax1, ay1), (ax2, ay2) in rects_a:
+            for (bx1, by1), (bx2, by2) in rects_b:
                 gx = bx1 - ax2 if bx1 > ax2 else ax1 - bx2 if ax1 > bx2 else 0
                 gy = by1 - ay2 if by1 > ay2 else ay1 - by2 if ay1 > by2 else 0
                 if (gx * gx + gy * gy <= dd) if euclidean else (gx <= d and gy <= d):
@@ -260,7 +274,7 @@ def build_end_cut_graph(
     ranks in the order of cuts, their pair order."""
     d = params.dis_c
     rects = [[b.rect for b in c.boxes] for c in cuts]
-    index = SpatialIndex([bounding_box(r) for r in rects])
+    index = SpatialIndex([r[0] if len(r) == 1 else bounding_box(r) for r in rects])
     ee: list[tuple[int, int]] = []
     merges: list[tuple[int, int]] = []
     # ascending rank pairs, in ascending order

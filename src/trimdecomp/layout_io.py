@@ -281,13 +281,37 @@ def parse_layout(text: str) -> LayoutDocument:
 
     for lineno, toks in _directives(text):
         kind = toks[0]
-        if kind == "layout":
-            if len(toks) != 2:
-                raise LayoutParseError(lineno, "layout takes exactly one name")
-            name = toks[1]
-        elif kind == "units":
-            if toks != ["units", "nm"]:
-                raise LayoutParseError(lineno, "only 'units nm' is supported")
+        # rect first: it is most of the lines of a large layout
+        if kind == "rect":
+            if len(toks) != 6:
+                raise LayoutParseError(lineno, "rect takes id x1 y1 x2 y2")
+            try:
+                fid, x1, y1, x2, y2 = map(int, toks[1:])
+            except ValueError:
+                _name_bad_token(toks[1:], lineno, "feature id")
+                raise
+            if x1 >= x2 or y1 >= y2:
+                raise LayoutParseError(lineno, "rect corners must be lower-left then upper-right")
+            if fid < 0 or fid in seen_ids:
+                _reject_id(fid, lineno)
+            seen_ids.add(fid)
+            shapes.append(_rect_shape(fid, x1, y1, x2, y2))
+        elif kind == "poly":
+            if len(toks) < 2 or len(toks) % 2 != 0:
+                raise LayoutParseError(lineno, "poly takes id then x y pairs")
+            try:
+                fid, *coords = map(int, toks[1:])
+            except ValueError:
+                _name_bad_token(toks[1:], lineno, "feature id")
+                raise
+            if fid < 0 or fid in seen_ids:
+                _reject_id(fid, lineno)
+            seen_ids.add(fid)
+            try:
+                # map(int, ...) made the coordinates: from_outline's check is moot
+                shapes.append(_polygon_shape(fid, list(zip(coords[0::2], coords[1::2]))))
+            except ValueError as exc:
+                raise LayoutParseError(lineno, str(exc)) from exc
         elif kind == "param":
             if len(toks) != 3:
                 raise LayoutParseError(lineno, "param takes a key and an integer value")
@@ -298,32 +322,13 @@ def parse_layout(text: str) -> LayoutDocument:
                 raise LayoutParseError(lineno, f"duplicate param {key!r}")
             raw_params[key] = _parse_int(toks[2], lineno, f"param {key}")
             param_lines[key] = lineno
-        elif kind == "rect":
-            if len(toks) != 6:
-                raise LayoutParseError(lineno, "rect takes id x1 y1 x2 y2")
-            try:
-                fid, x1, y1, x2, y2 = map(int, toks[1:])
-            except ValueError:
-                _name_bad_token(toks[1:], lineno, "feature id")
-                raise
-            if x1 >= x2 or y1 >= y2:
-                raise LayoutParseError(lineno, "rect corners must be lower-left then upper-right")
-            _check_id(fid, seen_ids, lineno)
-            shapes.append(_rect_shape(fid, x1, y1, x2, y2))
-        elif kind == "poly":
-            if len(toks) < 2 or len(toks) % 2 != 0:
-                raise LayoutParseError(lineno, "poly takes id then x y pairs")
-            try:
-                fid, *coords = map(int, toks[1:])
-            except ValueError:
-                _name_bad_token(toks[1:], lineno, "feature id")
-                raise
-            _check_id(fid, seen_ids, lineno)
-            try:
-                # map(int, ...) made the coordinates: from_outline's check is moot
-                shapes.append(_polygon_shape(fid, list(zip(coords[0::2], coords[1::2]))))
-            except ValueError as exc:
-                raise LayoutParseError(lineno, str(exc)) from exc
+        elif kind == "layout":
+            if len(toks) != 2:
+                raise LayoutParseError(lineno, "layout takes exactly one name")
+            name = toks[1]
+        elif kind == "units":
+            if toks != ["units", "nm"]:
+                raise LayoutParseError(lineno, "only 'units nm' is supported")
         else:
             raise LayoutParseError(lineno, f"unknown directive {kind!r}")
 
@@ -340,12 +345,11 @@ def parse_layout(text: str) -> LayoutDocument:
     return LayoutDocument(name=name, shapes=tuple(shapes), params=params)
 
 
-def _check_id(fid: int, seen: set[int], lineno: int) -> None:
+def _reject_id(fid: int, lineno: int) -> None:
+    """Raise the LayoutParseError for a negative or repeated feature id."""
     if fid < 0:
         raise LayoutParseError(lineno, f"feature id must be non-negative, got {fid}")
-    if fid in seen:
-        raise LayoutParseError(lineno, f"duplicate feature id {fid}")
-    seen.add(fid)
+    raise LayoutParseError(lineno, f"duplicate feature id {fid}")
 
 
 def write_layout(doc: LayoutDocument) -> str:

@@ -209,15 +209,18 @@ cellrow_1x12 = Entry(partial(cellrow_layout, rows=1, tracks=12), range(20))
 square_grids = Entry(lambda shape: square_grid_text(*shape), ((2, 6), (3, 4)))
 # stacks and grids on which HiGHS takes a second or more
 dense = [Entry(stack_text, (12, 20)), square_grids]
+# the dense sizes that stay fast on the search, for the corpora that claim every family
+dense_fast = [Entry(stack_text, (20,)), square_grids._replace(seeds=((3, 4),))]
 polyominoes100 = Entry(polyomino_text, range(100), BOTH_METRICS)
 
 # each corpus is named after the test module that reads it
 CORPORA: dict[str, list[Entry]] = {
     "output identity": [bundled, Entry(random_layout, range(40), stitch=BOTH_STITCH), grid2000],
-    "id renaming": [bundled, grid2000, Entry(random_layout, range(20), stitch=BOTH_STITCH)],
+    "id renaming": [bundled, grid2000, Entry(random_layout, range(20), stitch=BOTH_STITCH), *dense_fast],
     "symmetry polyominoes": [polyominoes100],
     "symmetry random": [Entry(random_layout, range(40), stitch=BOTH_STITCH)],
     "symmetry grid": [grid2000],
+    "symmetry dense": dense_fast,
     "elimination blocks": [
         Entry(random9, range(50), stitch=BOTH_STITCH),
         polyominoes100,
@@ -263,6 +266,11 @@ CORPORA: dict[str, list[Entry]] = {
     "cellrow": [cellrow_1x12],
     "rings": [Entry(ring_text, range(20))],
     "dense": dense,
+    "alpha monotonicity": [
+        Entry(ring_text, range(20)),
+        Entry(random_layout, range(60), stitch=STITCHED),
+        Entry(polyomino_text, range(60), stitch=STITCHED),
+    ],
     "disjoint union": [
         Entry(random_layout, range(40), stitch=BOTH_STITCH),
         polyominoes100,

@@ -158,8 +158,8 @@ def test_timeout_is_reported_in_stats_and_csv(tmp_path, capsys):
 
 
 def test_rect_only_pipeline_reads_no_outline(monkeypatch):
-    # two rectangles pair their sides from their corners; only a pair
-    # with a polygon reads the runs of the two outlines
+    # generate_all_end_cuts decides two rectangles from their corners;
+    # only a pair with a polygon reads the runs of the two outlines
     def refuse(*args):
         raise AssertionError("outline read")
 

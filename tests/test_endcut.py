@@ -44,10 +44,18 @@ def params(**kw):
     return DecompositionParams.from_raw(kw)
 
 
-def cut_between(s1, s2, p, oracle=False):
+def cut_between(s1, s2, p, *others, oracle=False):
+    """The candidate of s1 and s2, with the rects of all the shapes given
+    as material: from the oracle, or from generate_all_end_cuts on a
+    document of just these shapes, all of them neighbours."""
+    shapes = (s1, s2, *others)
     if oracle:
-        return generate_end_cut_oracle(s1, s2, p, {s1.id: s1, s2.id: s2})
-    return generate_end_cut(s1, s2, p, s1.rects + s2.rects)
+        return generate_end_cut_oracle(s1, s2, p, {s.id: s for s in shapes})
+    doc = LayoutDocument(name="pair", shapes=shapes, params=p)
+    rank = {s.id: r for r, s in enumerate(doc.shapes)}
+    pair = tuple(sorted((rank[s1.id], rank[s2.id])))
+    cuts = generate_all_end_cuts(doc, [pair], itertools.combinations(range(len(shapes)), 2))
+    return cuts[0] if cuts else None
 
 
 def bar(fid, x1, y1, x2, y2):
@@ -285,10 +293,10 @@ def _as_two_rects(s: RectilinearShape) -> RectilinearShape:
 
 
 def test_rect_pair_sides_match_outline_sides():
-    # generate_end_cut reads two rectangles' side from their corners and
-    # a polygon pair's from the outlines; both must give the same
-    # candidate on rectangles. Held as two rects, a rectangle takes the
-    # outline route. Two rectangles apart on both axes face across each
+    # generate_all_end_cuts reads two rectangles' side from their corners
+    # and generate_end_cut reads every pair's from the outlines; both must
+    # give the same candidate on rectangles, also when a rectangle is held
+    # as two rects. Two rectangles apart on both axes face across each
     # gap in their outlines, and both sides give the one corner pocket
     # that their corners give. Every rectangle on a 20 lattice around a
     # fixed one is tried both ways round.
@@ -307,7 +315,8 @@ def test_rect_pair_sides_match_outline_sides():
         # with no material and wide windows, every side but a point gives a box
         boxed = any(ov_lo != ov_hi for _, _, ov_lo, ov_hi, _ in outline_sides)
         for a, b in ((s1, s2), (s2, s1)):
-            got = generate_end_cut(a, b, wide, [])
+            got = cut_between(a, b, wide)
+            assert got == generate_end_cut(a, b, wide, []), r2
             assert got == generate_end_cut(_as_two_rects(a), b, wide, []), r2
             assert (got is not None) == boxed, r2
             assert got is None or len(got.boxes) == 1, r2
@@ -330,8 +339,8 @@ def test_rect_pair_sides_match_outline_sides():
 
 
 def test_diagonal_rectangles_give_one_corner_box_without_collapse(monkeypatch):
-    # apart on both axes, two rectangles face once, so their one corner
-    # box needs no collapse of duplicates
+    # apart on both axes, two rectangles are read across one gap in the
+    # batch loop, so their one corner box needs no collapse of duplicates
     def refuse(raw):
         raise AssertionError("boxes collapsed")
 
@@ -399,13 +408,17 @@ def test_generate_end_cut_matches_all_edge_pairs_oracle():
         for box in got.boxes if got else ():
             kinds[box.kind] += 1
             blocked += any(rects_interior_intersect(box.rect, r) for r in s3.rects)
-        rect_pairs_cut += got is not None and len(s1.outline) == len(s2.outline) == 4
         # the same pair with a third feature among the material
         got3 = generate_end_cut(s1, s2, p, s1.rects + s2.rects + s3.rects)
         assert got3 == generate_end_cut_oracle(s1, s2, p, {1: s1, 2: s2, 3: s3})
+        if len(s1.rects) == len(s2.rects) == 1:
+            # two rectangles, which the batch loop decides from their corners
+            assert cut_between(s1, s2, p) == got
+            assert cut_between(s1, s2, p, s3) == got3
+            rect_pairs_cut += got is not None
     # both box kinds occur often enough for the comparison to mean something
     assert min(kinds.values()) >= 500, kinds
-    # and so do pairs of two rectangles, whose sides pair from their corners
+    # and so do pairs of two rectangles, which the batch loop decides
     assert rect_pairs_cut >= 150, rect_pairs_cut
     # and boxes the third feature blocks
     assert blocked >= 100, blocked

@@ -5,7 +5,7 @@ from helpers import _dummy_candidate, ranked_graphs
 
 from trimdecomp.cli import decompose_document
 
-from trimdecomp.geometry import Metric, Rect, RectilinearShape, SpatialIndex
+from trimdecomp.geometry import Metric, Rect, RectilinearShape, SpatialIndex, rectset_within
 from trimdecomp.graphs import (
     EndCutGraph,
     _cut_middle,
@@ -16,7 +16,7 @@ from trimdecomp.graphs import (
     generate_stitch_candidates,
     layout_graph_dot,
 )
-from trimdecomp.endcut import generate_all_end_cuts
+from trimdecomp.endcut import generate_all_end_cuts, generate_end_cut
 from trimdecomp.ilp import build_model, solve
 from trimdecomp.layout_io import parse_layout
 
@@ -282,3 +282,49 @@ def test_every_candidate_sits_on_exactly_one_conflict_edge():
             carried += len(ranks)
         assert done == pin, corpus
     assert carried > 1000, carried
+
+
+def test_pair_passes_match_the_general_rules_pair_by_pair():
+    # conflict_pairs and generate_all_end_cuts decide a pair of two
+    # rectangles in their own loop bodies; pair by pair, rectset_within
+    # and generate_end_cut, with the material of the pair's first shape
+    # and its neighbours, must give the same pairs and candidates
+    pins = {
+        "graphs bundled": 6,
+        "graphs grid": 2,
+        "graphs polyominoes": 80,
+        "graphs random": 240,
+        "dense": 4,
+        "rings": 20,
+        "cellrow": 20,
+    }
+    rect_pairs = polygon_pairs = 0
+    for corpus, pin in pins.items():
+        done = 0
+        for label, doc, metric in runs(corpus):
+            shapes, p = doc.shapes, doc.params
+            near_pairs = SpatialIndex.from_shapes(shapes).pairs(max(p.dis_m, p.h_high, p.w_high))
+            pairs = conflict_pairs(doc, near_pairs, metric)
+            assert pairs == [
+                (a, b)
+                for a, b in near_pairs
+                if rectset_within(shapes[a].rects, shapes[b].rects, p.dis_m, metric)
+            ], (label, metric)
+            near = [[] for _ in shapes]
+            for a, b in near_pairs:
+                near[a].append(b)
+                near[b].append(a)
+            want = []
+            for a, b in pairs:
+                material = [r for n in (a, *near[a]) for r in shapes[n].rects]
+                cand = generate_end_cut(shapes[a], shapes[b], p, material)
+                if cand is not None:
+                    want.append(cand)
+                if len(shapes[a].rects) == len(shapes[b].rects) == 1:
+                    rect_pairs += 1
+                else:
+                    polygon_pairs += 1
+            assert generate_all_end_cuts(doc, pairs, near_pairs) == tuple(want), (label, metric)
+            done += 1
+        assert done == pin, corpus
+    assert rect_pairs >= 6000 and polygon_pairs >= 2000, (rect_pairs, polygon_pairs)

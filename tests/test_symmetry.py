@@ -36,8 +36,8 @@ def mapped_doc(f, doc):
     return dataclasses.replace(doc, shapes=shapes)
 
 
-# the mapped runs of each corpus, 1,124 in all
-MAPPED = {"symmetry polyominoes": 800, "symmetry random": 320, "symmetry grid": 4}
+# the mapped runs of each corpus, 1,132 in all
+MAPPED = {"symmetry polyominoes": 800, "symmetry random": 320, "symmetry grid": 4, "symmetry dense": 8}
 
 
 def test_mirrors_half_turns_and_shifts_map_the_decomposition():

@@ -112,10 +112,15 @@ class IlpModel:
         only exports and checks read them."""
         segs = self.graph.segments
         multi = {f for f, k in segs if k > 0}
-        tok = [f"{f}_{k}" if f in multi else str(f) for f, k in segs]
+        # a segment's token, formatted once: id_k for a split feature's
+        # segment, the bare id when the feature is whole
+        if multi:
+            tok = [f"{f}_{k}" if f in multi else str(f) for f, k in segs]
+        else:
+            tok = [str(f) for f, _ in segs]
         return (
             *[f"x_{t}" for t in tok],
-            *[f"ec_{c.pair[0]}_{c.pair[1]}" for c in self.end_cuts.candidates],
+            *[f"ec_{a}_{b}" for a, b in [c.pair for c in self.end_cuts.candidates]],
             *[f"c_{tok[a]}_{tok[b]}" for a, b, _ in self.graph.conflict_edges],
             *[f"s_{segs[a][0]}_{segs[a][1]}_{segs[b][1]}" for a, b in self.graph.stitch_edges],
         )
@@ -601,13 +606,14 @@ def export_lp(model: IlpModel) -> str:
         lines.append(spacing(ri, names[nx + ka], names[nx + kb]))
         ri += n_spacing
     lines.append("Binaries")
-    start = width = 0
+    # names[start:i + 1] joined by spaces is end characters wide
+    start, end = 0, -1
     for i, size in enumerate(map(len, names)):
-        if width + size > 72 and width:
+        end += size + 1
+        if end > 72 and i > start:
             lines.append(" " + " ".join(names[start:i]))
-            start, width = i, 0
-        width += size + 1
-    if width:
+            start, end = i, size
+    if names:
         lines.append(" " + " ".join(names[start:]))
     lines += ["End", ""]
     return "\n".join(lines)

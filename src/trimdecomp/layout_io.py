@@ -535,14 +535,28 @@ def split_feature_rects(rects: Sequence[Rect], bounds: Sequence[int], k: int) ->
 def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
     """The layout drawn in its masks, with trim cuts, conflicts and stitches.
 
-    Features are drawn in id order, the order of doc.shapes. A
-    feature of one segment takes its letter from its one mask line, and
-    only a split one is grouped into runs of segments on one mask. Only
-    conflict endpoints keep their piece, whose box's middle a conflict line
-    starts at, and a one-rect feature with no stitch is one f-string."""
-    all_rects = [r for s in doc.shapes for r in s.rects]
-    if all_rects:
-        (x1, y1), (x2, y2) = bounding_box(all_rects).inflate(doc.params.dis_m)
+    Features are drawn in id order, the order of doc.shapes. The viewBox
+    is the rects' bounding box, found in one pass over their corners. A
+    feature of one segment takes its letter from its one mask line, and a
+    one-rect feature with no stitch is one f-string after that one lookup.
+    Only a report with a split feature or a stitch groups segments into
+    runs on one mask and looks up each feature's stitches. Only conflict
+    endpoints keep the bounding box of their piece, whose middle a
+    conflict line starts at."""
+    shapes = doc.shapes
+    if shapes:
+        ((x1, y1), (x2, y2)), *_ = shapes[0].rects
+        for shape in shapes:
+            for (a, b), (c, d) in shape.rects:
+                if a < x1:
+                    x1 = a
+                if b < y1:
+                    y1 = b
+                if c > x2:
+                    x2 = c
+                if d > y2:
+                    y2 = d
+        (x1, y1), (x2, y2) = Rect.of(x1, y1, x2, y2).inflate(doc.params.dis_m)
         view = f"{x1} {y1} {x2 - x1} {y2 - y1}"
         # y is drawn as m - y, mirrored so +y points up within the viewBox
         m = y1 + y2
@@ -568,16 +582,20 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
             runs.append((letter, [key]))
         else:
             runs[-1][1].append(key)
+    # the features that a split or a stitch keeps off the one-rect path;
+    # empty, and never consulted, for a report with neither
+    pieced = split.union(stitches_by_feature)
     ends = {key for pair in report.conflicts for key in pair}
 
     paths: dict[str, list[str]] = {"A": [], "B": []}
-    anchors: dict[VertexKey, tuple[Rect, ...]] = {}
-    for shape in doc.shapes:
+    anchors: dict[VertexKey, Rect] = {}
+    for shape in shapes:
         fid, rects = shape.id, shape.rects
-        points = stitches_by_feature.get(fid)
-        if fid in split:
-            runs = runs_by_feature[fid]
-        else:
+        runs = points = None
+        if pieced and fid in pieced:
+            runs = runs_by_feature.get(fid)
+            points = stitches_by_feature.get(fid)
+        if runs is None:
             key = (fid, 0)
             letter = masks.get(key)
             if letter is None:
@@ -586,7 +604,7 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
                 (((x1, y1), (x2, y2)),) = rects
                 paths[letter].append(f'<path class="mask{letter}" d="M{x1} {m - y2}H{x2}V{m - y1}H{x1}Z"/>')
                 if key in ends:
-                    anchors[key] = rects
+                    anchors[key] = rects[0]
                 continue
             runs = [(letter, [key])]
         if points is None:
@@ -609,7 +627,7 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
             paths[letter].append(f'<path class="mask{letter}" d="{d}"/>')
             for key in keys:
                 if key in ends:
-                    anchors[key] = piece
+                    anchors[key] = bounding_box(piece)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}"><style>{_SVG_STYLE}</style>',
@@ -627,8 +645,8 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
     for a, b in sorted(report.conflicts):
         if a not in anchors or b not in anchors:
             continue
-        (ax1, ay1), (ax2, ay2) = bounding_box(anchors[a])
-        (bx1, by1), (bx2, by2) = bounding_box(anchors[b])
+        (ax1, ay1), (ax2, ay2) = anchors[a]
+        (bx1, by1), (bx2, by2) = anchors[b]
         ax, ay = (ax1 + ax2) // 2, m - (ay1 + ay2) // 2
         bx, by = (bx1 + bx2) // 2, m - (by1 + by2) // 2
         parts.append(

@@ -251,7 +251,9 @@ CORPORA: dict[str, list[Entry]] = {
     "synth round trip": [Entry(random_layout, range(12))],
     "exports priced": [Entry(random9, range(20), stitch=STITCHED)],
     "exports": [grid2000._replace(stitch=STITCHED)],
-    "exports shuffled": [grid2000, Entry(random9, range(10), stitch=STITCHED)],
+    # split runs, stitch dots and conflicts anchored on a piece; multi-rect features
+    "exports pieces": [Entry(ring_text, range(20)), Entry(polyomino_text, range(20))],
+    "exports shuffled": [grid2000, Entry(random9, range(10), stitch=STITCHED), Entry(ring_text, range(20))],
     "acceptance 2": [Entry(random_layout, range(100), stitch=BOTH_STITCH)],
     "acceptance 3": [Entry(random_layout, range(50)), Entry(polyomino_text, range(100)), *dense],
     "acceptance 7": [Entry(partial(random_layout, clusters=1), range(200), stitch=BOTH_STITCH)],

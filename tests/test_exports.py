@@ -10,7 +10,9 @@ scaled objective, with its "objective scaled by" comment), 1/10 and 0;
 every output of the same layouts decomposed at alpha 0, whose reports
 use stitches; every output of the 2000-shape grid with stitching forced
 on; and every output of a one-shape layout and of the empty document. A
-change that only makes the writers faster must leave it as it is.
+second digest pins every output of the stitch rings and of polyominoes,
+whose SVGs take the split and multi-rect paths. A change that only makes
+the writers faster must leave both as they are.
 """
 
 import dataclasses
@@ -47,6 +49,19 @@ def export_parts():
 def test_export_bytes_beyond_the_corpus_are_unchanged():
     parts = list(export_parts())
     assert (len(parts), sha256_of(parts)) == (198, EXPORT_DIGEST)
+
+
+# taken before the SVG writer consulted stitches and runs only for a
+# report that has them
+PIECES_DIGEST = "26c9a4abf60a57090c795c728b496ed219ebd274f016f4f3d3d7a2be2579154f"
+
+
+def test_export_bytes_of_split_and_multi_rect_features_are_unchanged():
+    # the rings' reports split features into runs, place stitch dots and
+    # anchor a conflict on a run's piece; the polyominoes draw features of
+    # several rectangles on the general path
+    parts = [part for _, doc, metric in runs("exports pieces") for part in outputs(doc, metric=metric)]
+    assert (len(parts), sha256_of(parts)) == (240, PIECES_DIGEST)
 
 
 def reversed_dict(d: dict) -> dict:
@@ -93,4 +108,5 @@ def test_writers_do_not_follow_insertion_order():
         assert lines(emit_svg(result.document, rep_rev)) == lines(emit_svg(result.document, rep))
         assert lines(write_report(rep_rev)) == lines(write_report(rep))
         stitched += bool(rep.stitches)
-    assert stitched == 5
+    # 5 of the random layouts and 12 of the rings
+    assert stitched == 17

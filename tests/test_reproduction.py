@@ -7,9 +7,12 @@ conflict pairs priced with no trim mask. Every solve must be a proven
 optimum, and the no-cut optimum is checked against an external MILP
 solver on the exported LP. The random layouts and the cell rows are also
 solved over three full masks (LELELE), on the same conflict pairs and
-dis_m with no stitches, by that MILP solver.
+dis_m with no stitches, by that MILP solver, and their native conflicts
+are counted: the 4-cliques of the conflict graph, four segments that
+conflict pairwise, which no three masks resolve.
 """
 
+import functools
 from fractions import Fraction
 
 from corpora import runs
@@ -30,12 +33,29 @@ def without_cuts(doc):
     return model, solve(model)
 
 
-def optimal_sums(corpus):
-    """The optimal conflict sums over the corpus with end-cuts, without
-    them and over three masks (LELE-EC, LELE and LELELE), and how many of
-    its no-cut optima the external solver checked: the first ten that
-    leave a conflict."""
-    with_sum = without_sum = three_sum = 0
+def four_cliques(g) -> int:
+    """The 4-cliques of g's conflict graph, each counted once, at its
+    edge of the two lowest ranks."""
+    adj: dict[int, set[int]] = {}
+    for a, b, _ in g.conflict_edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    count = 0
+    for a, near in adj.items():
+        for b in near:
+            if b > a:
+                common = sorted(c for c in near & adj[b] if c > b)
+                count += sum(len(adj[c].intersection(common[i + 1:])) for i, c in enumerate(common))
+    return count
+
+
+@functools.cache
+def corpus_optima(corpus):
+    """Each layout's optimal conflicts with end-cuts, without them and over
+    three masks (LELE-EC, LELE and LELELE), and the 4-cliques of its
+    conflict graph, by label; and how many of its no-cut optima the
+    external solver checked: the first ten that leave a conflict."""
+    optima = {}
     checked = 0
     for label, doc, _ in runs(corpus):
         stats = decompose_document(doc).stats
@@ -44,13 +64,34 @@ def optimal_sums(corpus):
         # no stitches: the cost counts the conflicts
         assert stats.cost == stats.conflicts and sol.objective == len(sol.conflicts), label
         assert stats.conflicts <= len(sol.conflicts), label
-        with_sum += stats.conflicts
-        without_sum += len(sol.conflicts)
-        three_sum += three_mask_conflicts(model.graph)
+        optima[label] = (
+            stats.conflicts,
+            len(sol.conflicts),
+            three_mask_conflicts(model.graph),
+            four_cliques(model.graph),
+        )
         if checked < 10 and sol.conflicts:
             assert milp_optimum(export_lp(model)) == sol.objective, label
             checked += 1
+    return optima, checked
+
+
+def optimal_sums(corpus):
+    """The optimal conflict sums over the corpus over three masks, with
+    end-cuts and without them (LELELE, LELE-EC and LELE), and how many
+    of its no-cut optima the external solver checked."""
+    optima, checked = corpus_optima(corpus)
+    with_sum, without_sum, three_sum, _ = map(sum, zip(*optima.values()))
     return three_sum, with_sum, without_sum, checked
+
+
+def native_conflicts(corpus):
+    """The 4-cliques summed over the corpus, and the labels of the layouts
+    that have one but no three-mask conflict, which must be none: a
+    4-clique has no three-colouring."""
+    optima, _ = corpus_optima(corpus)
+    uncounted = [label for label, (_, _, three, cliques) in optima.items() if cliques and not three]
+    return sum(cliques for *_, cliques in optima.values()), uncounted
 
 
 def test_end_cuts_lower_the_optimum_of_nine_cluster_layouts():
@@ -62,6 +103,18 @@ def test_three_masks_beat_end_cuts_on_cell_rows():
     # end-cuts resolve most of the two-mask conflicts of the pins' facing
     # tips, 147 -> 27, but three masks still leave fewer
     assert optimal_sums("cellrow") == (24, 27, 147, 10)
+
+
+def test_native_conflicts_of_nine_cluster_layouts():
+    # every three-mask conflict of these layouts is a native one: 13
+    # 4-cliques against the LELELE sum of 13
+    assert native_conflicts("reproduction random") == (13, [])
+
+
+def test_native_conflicts_of_cell_rows():
+    # 19 4-cliques, 5 short of the LELELE sum of 24: a cell row also has
+    # three-mask conflicts that no 4-clique forces
+    assert native_conflicts("cellrow") == (19, [])
 
 
 def test_end_cuts_lower_the_optimum_of_grid_layouts():

@@ -295,7 +295,8 @@ class RectilinearShape(NamedTuple):
 
     @property
     def bbox(self) -> Rect:
-        return bounding_box(self.rects)
+        rects = self.rects
+        return rects[0] if len(rects) == 1 else bounding_box(rects)
 
     def __repr__(self) -> str:  # keep noise down in test failures
         return f"RectilinearShape(id={self.id}, rects={len(self.rects)})"
@@ -320,17 +321,25 @@ def _polygon_shape(sid: int, pts: list[Corner]) -> RectilinearShape:
     return _new(RectilinearShape, (sid, rects, outline))
 
 
-def bounding_box(rects: Sequence[Rect]) -> Rect:
-    """The smallest rectangle holding all of rects; the rectangle itself
-    when there is only one."""
-    if len(rects) == 1:
-        return rects[0]
-    if not rects:
+def bounding_box(rects: Iterable[Rect]) -> Rect:
+    """The smallest rectangle holding all of rects, found in one pass over
+    their corners; the first rectangle itself when it holds the others."""
+    rects = iter(rects)
+    first = next(rects, None)
+    if first is None:
         raise GeometryError("bounding box of nothing")
-    los, his = zip(*rects)
-    xs1, ys1 = zip(*los)
-    xs2, ys2 = zip(*his)
-    return _new(Rect, ((min(xs1), min(ys1)), (max(xs2), max(ys2))))
+    (x1, y1), (x2, y2) = first
+    for (a, b), (c, d) in rects:
+        if a < x1:
+            x1 = a
+        if b < y1:
+            y1 = b
+        if c > x2:
+            x2 = c
+        if d > y2:
+            y2 = d
+    box = ((x1, y1), (x2, y2))
+    return first if box == first else _new(Rect, box)
 
 
 def rectset_within(a: Sequence[Rect], b: Sequence[Rect], d: int, metric: Metric = Metric.CHEBYSHEV) -> bool:

@@ -308,7 +308,7 @@ def layout_graph_dot(g: LayoutGraph) -> str:
 
 @_collector_paused
 def end_cut_graph_dot(ecg: EndCutGraph) -> str:
-    label = [f'"{a}-{b}"' for a, b in [c.pair for c in ecg.candidates]]
+    label = [f'"{c.pair[0]}-{c.pair[1]}"' for c in ecg.candidates]
     return "\n".join(
         [
             "graph endcuts {",

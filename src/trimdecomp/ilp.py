@@ -112,15 +112,10 @@ class IlpModel:
         only exports and checks read them."""
         segs = self.graph.segments
         multi = {f for f, k in segs if k > 0}
-        # a segment's token, formatted once: id_k for a split feature's
-        # segment, the bare id when the feature is whole
-        if multi:
-            tok = [f"{f}_{k}" if f in multi else str(f) for f, k in segs]
-        else:
-            tok = [str(f) for f, _ in segs]
+        tok = [f"{f}_{k}" if f in multi else str(f) for f, k in segs]
         return (
             *[f"x_{t}" for t in tok],
-            *[f"ec_{a}_{b}" for a, b in [c.pair for c in self.end_cuts.candidates]],
+            *[f"ec_{c.pair[0]}_{c.pair[1]}" for c in self.end_cuts.candidates],
             *[f"c_{tok[a]}_{tok[b]}" for a, b, _ in self.graph.conflict_edges],
             *[f"s_{segs[a][0]}_{segs[a][1]}_{segs[b][1]}" for a, b in self.graph.stitch_edges],
         )

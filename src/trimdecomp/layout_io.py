@@ -21,6 +21,7 @@ import functools
 import gc
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterator, Mapping, NamedTuple, ParamSpec, Sequence, TypeVar
 
 from .geometry import (
@@ -545,18 +546,8 @@ def emit_svg(doc: LayoutDocument, report: DecompositionReport) -> str:
     conflict line starts at."""
     shapes = doc.shapes
     if shapes:
-        ((x1, y1), (x2, y2)), *_ = shapes[0].rects
-        for shape in shapes:
-            for (a, b), (c, d) in shape.rects:
-                if a < x1:
-                    x1 = a
-                if b < y1:
-                    y1 = b
-                if c > x2:
-                    x2 = c
-                if d > y2:
-                    y2 = d
-        (x1, y1), (x2, y2) = Rect.of(x1, y1, x2, y2).inflate(doc.params.dis_m)
+        box = bounding_box(chain.from_iterable([s.rects for s in shapes]))
+        (x1, y1), (x2, y2) = box.inflate(doc.params.dis_m)
         view = f"{x1} {y1} {x2 - x1} {y2 - y1}"
         # y is drawn as m - y, mirrored so +y points up within the viewBox
         m = y1 + y2

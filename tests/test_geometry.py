@@ -385,8 +385,15 @@ def test_rectset_within_matches_per_rectangle_gaps():
 
 
 def test_bounding_box():
-    bb = bounding_box([Rect.of(0, 0, 10, 10), Rect.of(40, -20, 50, 5)])
-    assert bb == Rect.of(0, -20, 50, 10)
+    rects = [Rect.of(0, 0, 10, 10), Rect.of(40, -20, 50, 5), Rect.of(2, 2, 3, 3)]
+    assert bounding_box(rects) == Rect.of(0, -20, 50, 10)
+    # any iterable, read once
+    assert bounding_box(iter(rects)) == Rect.of(0, -20, 50, 10)
+    # the first rectangle itself when it holds the others
+    assert bounding_box(rects[:1]) is rects[0]
+    assert bounding_box([rects[0], rects[2]]) is rects[0]
+    with pytest.raises(GeometryError):
+        bounding_box(iter(()))
 
 
 def test_from_rect_matches_from_outline():

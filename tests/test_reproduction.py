@@ -86,12 +86,14 @@ def optimal_sums(corpus):
 
 
 def native_conflicts(corpus):
-    """The 4-cliques summed over the corpus, and the labels of the layouts
+    """The 4-cliques summed over the corpus; the labels of the layouts
     that have one but no three-mask conflict, which must be none: a
-    4-clique has no three-colouring."""
+    4-clique has no three-colouring; and the labels of the layouts whose
+    4-clique count differs from their three-mask optimum."""
     optima, _ = corpus_optima(corpus)
     uncounted = [label for label, (_, _, three, cliques) in optima.items() if cliques and not three]
-    return sum(cliques for *_, cliques in optima.values()), uncounted
+    differing = [label for label, (_, _, three, cliques) in optima.items() if cliques != three]
+    return sum(cliques for *_, cliques in optima.values()), uncounted, differing
 
 
 def test_end_cuts_lower_the_optimum_of_nine_cluster_layouts():
@@ -106,15 +108,16 @@ def test_three_masks_beat_end_cuts_on_cell_rows():
 
 
 def test_native_conflicts_of_nine_cluster_layouts():
-    # every three-mask conflict of these layouts is a native one: 13
-    # 4-cliques against the LELELE sum of 13
-    assert native_conflicts("reproduction random") == (13, [])
+    # every three-mask conflict of these layouts is a native one: each
+    # layout has as many 4-cliques as its LELELE optimum, 13 in all
+    assert native_conflicts("reproduction random") == (13, [], [])
 
 
 def test_native_conflicts_of_cell_rows():
-    # 19 4-cliques, 5 short of the LELELE sum of 24: a cell row also has
-    # three-mask conflicts that no 4-clique forces
-    assert native_conflicts("cellrow") == (19, [])
+    # 19 4-cliques, 5 short of the LELELE sum of 24: four cell rows have
+    # three-mask conflicts that no 4-clique forces (2, 1 and 1 with no
+    # 4-clique, 2 with one)
+    assert native_conflicts("cellrow") == (19, [], ["cellrow0", "cellrow1", "cellrow12", "cellrow16"])
 
 
 def test_end_cuts_lower_the_optimum_of_grid_layouts():

@@ -132,7 +132,7 @@ def decompose_document(
     del near_pairs  # free them before the solve, where memory use peaks
     stage("cuts")
     if params.stitch:
-        g = generate_stitch_candidates(doc, pairs, cuts, metric=metric)
+        g = generate_stitch_candidates(doc, pairs, cuts)
     else:
         g = build_layout_graph(doc, pairs, cuts)
     stage("graph")

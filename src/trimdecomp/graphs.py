@@ -13,8 +13,8 @@ candidate end-cut, or -1. Stitch edges chain the consecutive segments of
 one split feature, each beside its stitch point. The stitch stage reads
 the bounding box of each feature with a neighbour once, gives each
 feature one list of pieces (its rects when it is not cut) split along
-one corner index (0 for x, 1 for y), and builds segments, stitch points
-and conflict edges from it.
+one corner index (0 for x, 1 for y), and builds segments and stitch
+points from it; a conflict pair's edge is found by position alone.
 
 The end-cut graph has one vertex per candidate cut, spacing edges between
 cuts that are too close to print separately, and merge edges between cuts
@@ -26,6 +26,7 @@ place that splits them into independent blocks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -175,7 +176,6 @@ def generate_stitch_candidates(
     doc: LayoutDocument,
     pairs: Sequence[PairKey],
     cuts: Sequence[EndCutCandidate],
-    metric: Metric = Metric.CHEBYSHEV,
 ) -> LayoutGraph:
     """The stitched layout graph: features split into stitched segments
     away from all conflict zones, in place of build_layout_graph's.
@@ -186,10 +186,12 @@ def generate_stitch_candidates(
     and only where the feature's cross-section on each side of the cut is
     one interval, so every segment stays in one piece; the stitch point is
     the middle of that cross-section.
-    Widening, with the cut strictly inside the span, keeps every
-    conflicting pair incident to exactly one segment of each feature, so
-    splitting never adds a conflict the unsplit layout did not have, and
-    each pair's cut sits on the one edge the pair becomes.
+    Every point of a feature f within dis_m of a neighbour h lies, under
+    either metric, in [h.lo - dis_m, h.hi + dis_m] on f's axis, where
+    widening puts no stitch. So a pair (f, h) meets at one edge, which
+    carries its cut: f's segment after every stitch at or before the
+    start of h's box, and h's found the same way; splitting adds no
+    conflict.
 
     pairs are the conflicting shape rank pairs (a, b), a < b, in ascending
     order, as conflict_pairs lists them, and cuts the candidate end-cut of
@@ -208,12 +210,13 @@ def generate_stitch_candidates(
 
     segments: list[VertexKey] = []
     pieces: list[tuple[Rect, ...]] = []
-    ranks: list[range] = []  # by shape rank: the ranks of its segments
+    splits: list[tuple[int, int, list[int]]] = []  # by rank: first segment, axis, stitches
     stitch_edges: list[tuple[int, int]] = []
     stitch_points: list[StitchPoint] = []
     for r, shape in enumerate(shapes):
         fid, base = shape.id, len(pieces)
         parts = [shape.rects]
+        k, coords = 0, []
         near = neighbours.get(r)
         if near:
             bb = boxes[r]
@@ -225,7 +228,6 @@ def generate_stitch_candidates(
                 lo, hi = max(nlo[k] - d, start), min(nhi[k] + d, end)
                 if lo < hi:
                     covered.append((lo, hi))
-            coords: list[int] = []
             crosses: list[int] = []
             pos = start
             for lo, hi in _merge_intervals(covered) + [(end, end)]:
@@ -242,24 +244,15 @@ def generate_stitch_candidates(
                     x, y = (coord, cross) if k == 0 else (cross, coord)
                     stitch_edges.append((i, i + 1))
                     stitch_points.append(StitchPoint(fid, x, y, "vh"[k]))
-        ranks.append(range(base, base + len(parts)))
+        splits.append((base, k, coords))
         segments += [(fid, i) for i in range(len(parts))]
         pieces += parts
 
     conflict_edges: list[tuple[int, int, int]] = []
-    for f, h, cut in _with_cuts(doc, pairs, cuts):
-        rf, rh = ranks[f], ranks[h]
-        if len(rf) == len(rh) == 1:
-            hits = [(rf[0], rh[0])]  # the pair passed this very test as whole features
-        else:
-            hits = [
-                (a, b) for a in rf for b in rh if rectset_within(pieces[a], pieces[b], d, metric)
-            ]
-        # widening leaves each pair one edge, which carries the pair's cut
-        if len(hits) != 1:
-            a, b = shapes[f].id, shapes[h].id
-            raise AssertionError(f"features {a} and {b} meet at {len(hits)} segment pairs")
-        conflict_edges.append((*hits[0], cut))
+    for f, h, cut in _with_cuts(doc, pairs, cuts):  # each at the segment under the other's start
+        (bf, kf, sf), (bh, kh, sh) = splits[f], splits[h]
+        a, b = bf + bisect_right(sf, boxes[h].lo[kf]), bh + bisect_right(sh, boxes[f].lo[kh])
+        conflict_edges.append((a, b, cut))
     conflict_edges.sort()
 
     return LayoutGraph(*map(tuple, (segments, pieces, conflict_edges, stitch_edges, stitch_points)))

@@ -361,7 +361,7 @@ def write_layout(doc: LayoutDocument) -> str:
     lines = [f"layout {doc.name}", "units nm"]
     lines += [f"param {key} {value}" for key, value in doc.params.raw_items()]
     for s in doc.shapes:
-        if len(s.rects) == 1:
+        if not s.corners:  # a rectangle that stores no outline
             (x1, y1), (x2, y2) = s.rects[0]
             lines.append(f"rect {s.id} {x1} {y1} {x2} {y2}")
         else:

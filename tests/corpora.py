@@ -241,6 +241,12 @@ CORPORA: dict[str, list[Entry]] = {
     "graphs grid": [grid2000._replace(metrics=BOTH_METRICS)],
     "graphs polyominoes": [Entry(polyomino_text, range(40), BOTH_METRICS)],
     "graphs random": [Entry(random_layout, range(60), BOTH_METRICS, BOTH_STITCH)],
+    "graphs stitched": [
+        Entry(ring_text, range(20), BOTH_METRICS, STITCHED),
+        Entry(random_layout, range(60), BOTH_METRICS, STITCHED),
+        Entry(polyomino_text, range(60), BOTH_METRICS, STITCHED),
+        cellrow_1x12._replace(metrics=BOTH_METRICS, stitch=STITCHED),
+    ],
     "geometry areas": [bundled, Entry(random_layout, range(40), stitch=BOTH_STITCH)],
     "geometry records": [bundled, grid2000, Entry(random6, range(6), stitch=STITCHED)],
     # seeds and cluster counts once drawn by random.Random(5)
@@ -265,6 +271,8 @@ CORPORA: dict[str, list[Entry]] = {
     "polyomino oracle": [Entry(polyomino_text, range(130), BOTH_METRICS)],
     "reproduction random": [Entry(random9, range(50))],
     "reproduction grid": [Entry(partial(grid_layout, 500), range(5))],
+    "reproduction polyominoes": [Entry(polyomino_text, range(100))],
+    "reproduction dense": dense,
     "cellrow": [cellrow_1x12],
     "rings": [Entry(ring_text, range(20))],
     "dense": dense,

@@ -316,6 +316,20 @@ def test_write_layout_round_trips_a_one_token_name():
     assert parse_layout(write_layout(doc)) == doc
 
 
+def test_write_layout_round_trips_a_rectangle_drawn_from_another_corner():
+    # such a rectangle keeps the outline it was read with, so only a poly
+    # line reads back the same shape
+    doc = parse_layout(
+        "layout t\nrect 1 0 0 10 10\n"
+        "poly 2 30 10 20 10 20 0 30 0\n"  # counter-clockwise from the upper right
+        "poly 3 50 10 50 0 40 0 40 10\n"  # clockwise from the upper right
+    )
+    assert [bool(s.corners) for s in doc.shapes] == [False, True, True]
+    text = write_layout(doc)
+    assert text.count("poly") == 2
+    assert parse_layout(text) == doc
+
+
 def test_write_layout_uses_poly_only_when_needed():
     doc = parse_layout(
         "layout t\nrect 1 0 0 10 10\npoly 2 40 0 80 0 80 40 60 40 60 20 40 20\n"

@@ -1,15 +1,15 @@
 """The paper's claim, measured exactly: end-cuts lower the optimum.
 
-Each nine-cluster random layout, each 1 x 12 cell row and each
-500-shape grid is decomposed twice through the library: as
-decompose_document does, and with no end-cut candidates at all, the same
-conflict pairs priced with no trim mask. Every solve must be a proven
-optimum, and the no-cut optimum is checked against an external MILP
-solver on the exported LP. The random layouts and the cell rows are also
-solved over three full masks (LELELE), on the same conflict pairs and
-dis_m with no stitches, by that MILP solver, and their native conflicts
-are counted: the 4-cliques of the conflict graph, four segments that
-conflict pairwise, which no three masks resolve.
+Each nine-cluster random layout, each 1 x 12 cell row, each polyomino
+layout, each stacked-bar and square-grid layout and each 500-shape grid
+is decomposed twice through the library: as decompose_document does,
+and with no end-cut candidates at all, the same conflict pairs priced
+with no trim mask. Every solve must be a proven optimum, and the no-cut
+optimum is checked against an external MILP solver on the exported LP.
+All but the grids are also solved over three full masks (LELELE), on the
+same conflict pairs and dis_m with no stitches, by that MILP solver, and
+their native conflicts are counted: the 4-cliques of the conflict graph,
+four segments that conflict pairwise, which no three masks resolve.
 """
 
 import functools
@@ -118,6 +118,31 @@ def test_native_conflicts_of_cell_rows():
     # three-mask conflicts that no 4-clique forces (2, 1 and 1 with no
     # 4-clique, 2 with one)
     assert native_conflicts("cellrow") == (19, [], ["cellrow0", "cellrow1", "cellrow12", "cellrow16"])
+
+
+def test_three_masks_beat_end_cuts_on_polyominoes():
+    # 56 two-mask conflicts, 18 with end-cuts and 11 over three masks; yet
+    # poly53 and poly95 end at 0 with end-cuts and at 1 over three masks
+    assert optimal_sums("reproduction polyominoes") == (11, 18, 56, 10)
+
+
+def test_native_conflicts_of_polyominoes():
+    # ten layouts have a three-mask conflict, each with a 4-clique; three
+    # have more 4-cliques than conflicts, as one conflict on a shared edge
+    # resolves two: 16 4-cliques against an LELELE sum of 11
+    assert native_conflicts("reproduction polyominoes") == (16, [], ["poly5", "poly56", "poly94"])
+
+
+def test_three_masks_beat_end_cuts_on_dense_layouts():
+    # stacked bars and square grids: 42 two-mask conflicts, 26 with
+    # end-cuts and 15 over three masks
+    assert optimal_sums("reproduction dense") == (15, 26, 42, 4)
+
+
+def test_native_conflicts_of_dense_layouts():
+    # every dense layout has more 4-cliques than three-mask conflicts, its
+    # 4-cliques sharing edges: 37 of them against an LELELE sum of 15
+    assert native_conflicts("reproduction dense") == (37, [], ["stack12", "stack20", "grid2x6", "grid3x4"])
 
 
 def test_end_cuts_lower_the_optimum_of_grid_layouts():

@@ -16,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import math
 import os
 import sys
 import time
@@ -38,7 +37,7 @@ from .graphs import (
     generate_stitch_candidates,
     layout_graph_dot,
 )
-from .ilp import IlpModel, SolveStatus, build_model, export_lp, solve
+from .ilp import IlpModel, SolveStatus, build_model, deadline_after, export_lp, solve
 from .layout_io import (
     DecompositionReport,
     LayoutDocument,
@@ -100,10 +99,11 @@ def decompose_document(
     comp# in the stats is that block count. solve answers on ranks (the
     masks by segment, and the selected cuts, conflict and stitch edges),
     prices that answer and checks it; the report maps each rank to its
-    key, candidate or stitch point once.
+    key, candidate or stitch point once. time_limit counts from this
+    call, geometry included; ilp.deadline_after's rule checks it.
     """
     t_start = time.perf_counter_ns()
-    deadline = t_start + _time_limit_ns(time_limit) if time_limit is not None else None
+    deadline = deadline_after(time_limit)
     stages: list[tuple[str, int]] = []
     last = t_start
 
@@ -140,9 +140,7 @@ def decompose_document(
     stage("ecgraph")
 
     model = build_model(g, ecg, params.alpha if params.stitch else Fraction(0))
-    remaining = None
-    if deadline is not None:
-        remaining = max((deadline - time.perf_counter_ns()) / 1e9, 0.001)
+    remaining = None if time_limit is None else max(deadline - time.monotonic(), 0.0)
     sol = solve(model, time_limit=remaining)
     stage("solve")
 
@@ -209,25 +207,11 @@ def _parse_jobs(text: str) -> int:
     return value
 
 
-def _time_limit_ns(seconds: float) -> int:
-    """The time limit in nanoseconds, in which the deadline is counted.
-
-    ValueError unless it is finite and non-negative, in seconds and in
-    nanoseconds; NaN fails the comparison."""
-    if not (seconds >= 0 and math.isfinite(seconds * 1e9)):
-        raise ValueError("time limit must be a finite, non-negative number of seconds")
-    return int(seconds * 1e9)
-
-
 def _parse_time_limit(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad time limit {text!r}") from None
-    try:
-        _time_limit_ns(value)
+        deadline_after(value := float(text))  # the library's rule
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"bad time limit {text!r}: {exc}") from None
     return value
 
 
@@ -247,7 +231,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="allow stitches even when the layout file does not ask for them",
     )
     ap.add_argument("--alpha", type=_parse_alpha, help="stitch weight, e.g. 1/10 or 0.1")
-    ap.add_argument("--time-limit", type=_parse_time_limit, help="overall solve budget in seconds")
+    ap.add_argument(
+        "--time-limit",
+        type=_parse_time_limit,
+        help="deadline in seconds per layout, counted from the start of its decomposition, geometry included",
+    )
     ap.add_argument(
         "--jobs",
         type=_parse_jobs,

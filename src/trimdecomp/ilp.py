@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,6 +157,17 @@ class _Timeout(Exception):
     pass
 
 
+def deadline_after(time_limit: float | None) -> float:
+    """The time.monotonic() reading time_limit seconds from now, math.inf
+    for None; ValueError unless the limit is finite and non-negative in
+    seconds and in nanoseconds (NaN fails the comparison)."""
+    if time_limit is None:
+        return math.inf
+    if not (time_limit >= 0 and math.isfinite(time_limit * 1e9)):
+        raise ValueError("time limit must be a finite, non-negative number of seconds")
+    return time.monotonic() + time_limit
+
+
 # A block's local structure, priced from cost_table: its vertex count;
 # each edge that colours alone settle, a conflict with no pending cut or a
 # stitch, as (a, b, price on one mask, price across); each pending cut's
@@ -213,7 +225,7 @@ class _CompSolver:
     reference counting frees it as soon as its block is done. The pipeline
     runs with the cyclic collector paused and relies on that."""
 
-    def __init__(self, block: BlockStructure, deadline: float | None):
+    def __init__(self, block: BlockStructure, deadline: float):
         self.m, self.pairs, self.cuts, spacing = block
         self.deadline = deadline
         self.nodes = 0
@@ -341,7 +353,7 @@ class _CompSolver:
                 continue
             nxt[pos] = val + 1
             nodes = self.nodes = self.nodes + 1
-            if not nodes & 2047 and deadline is not None and time.monotonic() > deadline:
+            if not nodes & 2047 and time.monotonic() > deadline:
                 raise _Timeout
             add = 0
             same_mask = eq[pos]
@@ -358,7 +370,7 @@ class _CompSolver:
                 # the cut selection is one more node; each pending cut has
                 # a spacing neighbour, so each one on a shared mask is a choice
                 nodes = self.nodes = nodes + 1
-                if not nodes & 2047 and deadline is not None and time.monotonic() > deadline:
+                if not nodes & 2047 and time.monotonic() > deadline:
                     raise _Timeout
                 self._select(0, same_mask, cost + add)
                 continue
@@ -383,11 +395,11 @@ class _CompSolver:
         if not chosen & self.cut_adj[k]:
             # acc is unchanged, so still below the bound
             nodes = self.nodes = self.nodes + 1
-            if not nodes & 2047 and self.deadline is not None and time.monotonic() > self.deadline:
+            if not nodes & 2047 and time.monotonic() > self.deadline:
                 raise _Timeout
             self._select(chosen | low, rest, acc)
         nodes = self.nodes = self.nodes + 1
-        if not nodes & 2047 and self.deadline is not None and time.monotonic() > self.deadline:
+        if not nodes & 2047 and time.monotonic() > self.deadline:
             raise _Timeout
         acc += self.cuts[k][2]
         if acc < self.bound:
@@ -399,7 +411,7 @@ def _indices(mask: int) -> set[int]:
     return {k for k in range(mask.bit_length()) if mask >> k & 1}
 
 
-def _search(block: BlockStructure, deadline: float | None) -> BlockAnswer:
+def _search(block: BlockStructure, deadline: float) -> BlockAnswer:
     """The answer of one priced block: the one place solve reaches a
     search, and the one seam where another exact search can stand in."""
     return _CompSolver(block, deadline).run()
@@ -434,8 +446,8 @@ def solve(model: IlpModel, *, time_limit: float | None = None) -> IlpSolution:
     of the final colouring, on the vertex indices of each edge, lists the
     conflicts left and the stitches realised, and must match the search
     total; no two selected cuts may share a spacing edge. A failed check
-    raises AssertionError."""
-    deadline = time.monotonic() + time_limit if time_limit is not None else None
+    raises AssertionError; a time limit deadline_after rejects, ValueError."""
+    deadline = deadline_after(time_limit)
     n = len(model.graph.segments)
     scale, ws = model.scale, model.alpha.numerator
     ends, stitch_edges = model.graph.conflict_edges, model.graph.stitch_edges

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 from corpora import bundled_layout, runs
 from helpers import (
+    assert_proven_optimum,
     enumerate_model,
-    milp_lex_witness,
+    highs_oracle,
     milp_optimum,
     parse_lp,
     random_model_graph,
@@ -185,16 +186,9 @@ def lex_min_checked(enumerable: bool, oracle) -> int:
     checked = 0
     for label, doc, _ in runs("acceptance 7"):
         result = decompose_document(doc)
-        model = result.model
-        if (len(model.names) <= 16) != enumerable:
-            continue
-        cost, witness = oracle(model)
-        masks = result.report.masks
-        x_of = variable_indices(model)[0]
-        got = {model.names[i]: "AB".index(masks[v]) for v, i in x_of.items()}
-        assert result.stats.cost == cost, label
-        assert got == witness, label
-        checked += 1
+        if (len(result.model.names) <= 16) == enumerable:
+            assert_proven_optimum(result, label, oracle)
+            checked += 1
     return checked
 
 
@@ -208,7 +202,7 @@ def test_criterion_7_tie_break_matches_highs_beyond_enumeration():
     # the layouts criterion 7 skips as too large to enumerate: the external
     # solver, fixing the masks to 0 in order while it still reaches the
     # optimum, gives the lexicographically least optimal mask vector
-    checked = lex_min_checked(False, lambda model: milp_lex_witness(export_lp(model)))
+    checked = lex_min_checked(False, highs_oracle())
     assert checked == 106
     verdict(7, f"{checked} larger layouts report the masks HiGHS fixes lexicographically")
 

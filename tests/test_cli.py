@@ -21,7 +21,7 @@ import trimdecomp.endcut
 from trimdecomp.cli import decompose_document, main
 from trimdecomp.geometry import Rect, SpatialIndex
 from trimdecomp.graphs import end_cut_graph_dot, layout_graph_dot
-from trimdecomp.ilp import export_lp
+from trimdecomp.ilp import export_lp, solve
 from trimdecomp.layout_io import (
     PARAM_KEYS,
     LayoutParseError,
@@ -302,6 +302,9 @@ def test_library_time_limit_must_be_finite_and_non_negative(limit):
     message = "time limit must be a finite, non-negative number of seconds"
     with pytest.raises(ValueError, match=f"^{message}$"):
         decompose_document(doc, time_limit=limit)
+    model = decompose_document(doc).model
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve(model, time_limit=limit)
 
 
 def test_zero_alpha_den_is_an_input_error(tmp_path, capsys, monkeypatch):
